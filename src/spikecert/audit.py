@@ -321,6 +321,7 @@ def run_audit(certificate_path, config: Optional[AuditConfig] = None) -> AuditRe
                 cfg.truncation_N,
                 PROFILE_SPACE,
                 SOURCE_SPACE,
+                rec=rec,
             )
             add(
                 "RSLT",

@@ -14,8 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import CertificationError
-from .interval import IntervalScalar, pow_seven_halves
+from .interval import IntervalMatrix, IntervalScalar, pow_seven_halves
 
 __all__ = [
     "BasisModel",
@@ -29,12 +31,22 @@ RECOVERY_KERNEL_CAP = 200.0  # admissible ceiling on |K_rec(k)| / k^{7/2}
 
 @dataclass(frozen=True)
 class BasisModel:
-    """Bundle of spectral callbacks; immutable, queries are pure."""
+    """Bundle of spectral callbacks; immutable, queries are pure.
+
+    ``interaction(k, l, j)`` is the coefficient C_{klj} of mode j in the
+    product of modes k and l.  It must be symmetric, C_{klj} = C_{lkj}, and
+    zero off the triangle band |k-l| <= j <= k+l: the Jacobian assembly
+    reads Q(e_m, c) and Q(c, e_m) from the same entries.
+    ``interaction_matrix(k, N)`` is the N x N slice of that tensor for one
+    source mode k, entry [j-1, m-1] = C_{kmj}, with exactly the endpoints
+    ``interaction`` gives.
+    """
 
     name: str
     diffusion_eig: Callable[[int], IntervalScalar]
     drift_eig: Callable[[int], IntervalScalar]
     interaction: Callable[[int, int, int], IntervalScalar]
+    interaction_matrix: Callable[[int, int], IntervalMatrix]
     interaction_bound: IntervalScalar
     recovery_kernel: Callable[[int], IntervalScalar]
     seed: int = 0
@@ -79,6 +91,21 @@ def reference_model(seed: int, coupling: float, coupling_rec: float = None) -> B
             return _ZERO
         return cpl / float(1 + abs(j - k - l))
 
+    def interaction_matrix(k: int, N: int) -> IntervalMatrix:
+        _check_index(k)
+        _check_index(N)
+        j = np.arange(1, N + 1)[:, None]
+        m = np.arange(1, N + 1)[None, :]
+        band = (np.abs(k - m) <= j) & (j <= k + m)
+        # on the band |j - k - m| = k + m - j, which runs over 0 .. 2 min(k, N)
+        table = [cpl / float(1 + d) for d in range(2 * min(k, N) + 1)]
+        d = (k + m - j)[band]
+        lo = np.zeros((N, N))
+        hi = np.zeros((N, N))
+        lo[band] = np.array([q.lo for q in table])[d]
+        hi[band] = np.array([q.hi for q in table])[d]
+        return IntervalMatrix(lo, hi)
+
     def recovery_kernel(k: int) -> IntervalScalar:
         _check_index(k)
         if coupling_rec == 0.0:
@@ -90,6 +117,7 @@ def reference_model(seed: int, coupling: float, coupling_rec: float = None) -> B
         diffusion_eig=diffusion_eig,
         drift_eig=drift_eig,
         interaction=interaction,
+        interaction_matrix=interaction_matrix,
         interaction_bound=cpl,
         recovery_kernel=recovery_kernel,
         seed=seed,

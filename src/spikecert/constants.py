@@ -311,14 +311,18 @@ def certify_constants(
     kernel_cap=None,
     declared_K=None,
     declared_C_conv=None,
+    rec: Optional[RecoveryMapResult] = None,
 ) -> ConstantsReport:
     """Assemble the constants block, preferring declared values where policy allows.
 
     A declared convolution constant is passed through untouched (its
     derivation needs structure this model does not carry); a declared
-    Lipschitz constant can only round the product upward.
+    Lipschitz constant can only round the product upward.  ``rec`` is the
+    result of a recovery scan the caller already ran for tau and tau_prime;
+    without it the scan runs here.
     """
-    rec = recovery_mapping_constant(tau, tau_prime, kernel_cap)
+    if rec is None:
+        rec = recovery_mapping_constant(tau, tau_prime, kernel_cap)
     if declared_C_conv is not None:
         c_conv = _as_interval(declared_C_conv, "declared convolution constant")
     else:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation, localcontext
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, InvalidOperation, localcontext
 
 import numpy as np
 
@@ -626,8 +626,11 @@ def interval_from_decimal(s: str) -> IntervalScalar:
 def interval_from_mid_rad_decimal(mid: str, rad: str) -> IntervalScalar:
     """Outward-rounded enclosure of [mid - rad, mid + rad], decimals as strings.
 
-    The endpoint arithmetic runs in exact decimal, so a certificate written by
+    The endpoint arithmetic runs in decimal, exact whenever the result fits
+    in the working precision, so a certificate written by
     :func:`float_to_decimal_string` round-trips to identical double endpoints.
+    A result that does not fit (a radius thousands of decades below the
+    midpoint) is rounded toward floor and ceiling, never to nearest.
     """
     dm = _parse_decimal(mid, "midpoint")
     dr = _parse_decimal(rad, "radius")
@@ -635,7 +638,9 @@ def interval_from_mid_rad_decimal(mid: str, rad: str) -> IntervalScalar:
         raise IntervalError(f"negative radius {rad!r}")
     with localcontext() as ctx:
         ctx.prec = _DEC_PREC
+        ctx.rounding = ROUND_FLOOR
         lo = dm - dr
+        ctx.rounding = ROUND_CEILING
         hi = dm + dr
     return IntervalScalar(_float_rounded_down(lo), _float_rounded_up(hi))
 
@@ -660,6 +665,45 @@ def _np_up(a: np.ndarray, steps: int = 1) -> np.ndarray:
     for _ in range(steps):
         a = np.nextafter(a, np.inf)
     return a
+
+
+# Elementwise counterparts of _add_down/_add_up and _mul_down/_mul_up.  Each
+# takes the same branches as the scalar routine (error-free transformation,
+# the _eft_ok fallback, zero operands, underflow, overflow, NaN), so every
+# entry carries exactly the bits the scalar routine returns for it.  Overflow
+# to infinity is one of those branches, hence the silenced warnings.
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _np_add(a, b, up: bool) -> np.ndarray:
+    s, e = _two_sum(a, b)
+    toward, clamp = (_INF, -_MAX) if up else (-_INF, _MAX)
+    out = np.where(e > 0 if up else e < 0, np.nextafter(s, toward), s)
+    out = np.where(np.isinf(s), np.where(s == toward, s, clamp), out)
+    return np.where(np.isnan(s), toward, out)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _np_mul(a, b):
+    """Elementwise (_mul_down(a, b), _mul_up(a, b))."""
+    p = a * b
+    e = _prod_err(a, b, p)
+    ap = np.abs(p)
+    eft = (np.abs(a) < _EFT_HI) & (np.abs(b) < _EFT_HI) & (_EFT_LO < ap) & (ap < _EFT_HI)
+    same_sign = (a > 0) == (b > 0)
+    zero = (a == 0.0) | (b == 0.0)
+
+    def directed(nudge, toward, clamp, underflow):
+        out = np.where(nudge, np.nextafter(p, toward), p)
+        out = np.where(p == 0.0, underflow, out)
+        out = np.where(np.isinf(p), np.where(p == toward, p, clamp), out)
+        out = np.where(np.isnan(p), toward, out)
+        return np.where(zero, 0.0, out)
+
+    return (
+        directed(~eft | (e < 0), -_INF, _MAX, np.where(same_sign, 0.0, -5e-324)),
+        directed(~eft | (e > 0), _INF, -_MAX, np.where(same_sign, 5e-324, 0.0)),
+    )
 
 
 class IntervalMatrix:
@@ -707,6 +751,47 @@ class IntervalMatrix:
         m = np.minimum(np.abs(self.lo), np.abs(self.hi))
         m[(self.lo <= 0.0) & (self.hi >= 0.0)] = 0.0
         return m
+
+    # -- elementwise arithmetic ----------------------------------------------
+    # Operands broadcast: another matrix of the same shape or a row vector, an
+    # IntervalScalar, or a finite int/float.  Entry (i, j) of the result has
+    # the bits IntervalScalar gives for ``self.entry(i, j) op other``.
+
+    @staticmethod
+    def _endpoints(x):
+        if isinstance(x, IntervalMatrix):
+            return x.lo, x.hi
+        if isinstance(x, (int, float)):
+            x = IntervalScalar._coerce(x)
+        if isinstance(x, IntervalScalar):
+            if x.is_empty:
+                raise IntervalError("poisoned operand for an interval matrix")
+            return np.float64(x.lo), np.float64(x.hi)
+        return NotImplemented
+
+    def __add__(self, other):
+        b = self._endpoints(other)
+        if b is NotImplemented:
+            return NotImplemented
+        return IntervalMatrix(
+            _np_add(self.lo, b[0], up=False), _np_add(self.hi, b[1], up=True)
+        )
+
+    def __mul__(self, other):
+        b = self._endpoints(other)
+        if b is NotImplemented:
+            return NotImplemented
+        # corners in the scalar order, one at a time; like min() and max(), a
+        # later corner replaces the running bound only when strictly beyond it
+        lo = hi = None
+        for x, y in ((self.lo, b[0]), (self.lo, b[1]), (self.hi, b[0]), (self.hi, b[1])):
+            down, up = _np_mul(x, y)
+            if lo is None:
+                lo, hi = down, up
+            else:
+                lo = np.where(down < lo, down, lo)
+                hi = np.where(up > hi, up, hi)
+        return IntervalMatrix(lo, hi)
 
 
 def _gamma_factor(n: int) -> float:

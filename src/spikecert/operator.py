@@ -7,9 +7,20 @@ kernel.  Inputs live on modes 1..N; quadratic output spills into modes up to
 2N and is deliberately not projected away, since the residual certification
 needs exactly that spillover block.
 
-The Jacobian is assembled analytically from the bilinear structure.  Interval
-finite differences could never certify anything; they appear only in tests as
-a consistency oracle for midpoints.
+The Jacobian is assembled analytically from the bilinear structure.  For a
+symmetric interaction C_{kmj} its column m is
+
+    J[j, m] = sum_{k in S} [ C_{kmj} c_k + C_{kmj} c_k
+                             + 2 (C_{kmj} (K_m c_k) + C_{kmj} (K_k c_k)) ]
+              + delta_{jm} (1 + d_m + nu lambda_m),
+
+S the support of c and K the recovery kernel.  C_{kmj} vanishes off the
+triangle band |k-m| <= j <= k+m, so the assembly loops over the few source
+modes k and updates the band of each with elementwise interval arithmetic.
+The terms are formed and summed in the order apply_quadratic uses, so every
+endpoint is the one a column-by-column scalar assembly gives.  Interval
+finite differences could never certify anything; they appear only in tests
+as a consistency oracle for midpoints.
 """
 
 from __future__ import annotations
@@ -113,8 +124,45 @@ def apply_G(c: CoefficientVector, cfg: OperatorConfig) -> CoefficientVector:
     return CoefficientVector(out.entries, 2 * cfg.truncation_N)
 
 
-def _unit(m: int, N: int) -> CoefficientVector:
-    return CoefficientVector(((m, _ONE),), N)
+def _row(entries) -> IntervalMatrix:
+    return IntervalMatrix.from_scalars([entries])
+
+
+def _zeros(row: IntervalMatrix) -> np.ndarray:
+    return (row.lo[0] == 0.0) & (row.hi[0] == 0.0)
+
+
+def _take(M: IntervalMatrix, flat: np.ndarray) -> IntervalMatrix:
+    """Entries of M at flat (row-major) positions, as a row."""
+    return IntervalMatrix(M.lo.reshape(-1)[flat][None, :], M.hi.reshape(-1)[flat][None, :])
+
+
+def _put(M: IntervalMatrix, flat: np.ndarray, row: IntervalMatrix) -> None:
+    M.lo.reshape(-1)[flat] = row.lo[0]
+    M.hi.reshape(-1)[flat] = row.hi[0]
+
+
+# While the Jacobian is accumulated, an entry that no term has reached is
+# -0.0 in both endpoints, and a term the scalar loop skips is -0.0 too.
+# -0.0 is the exact identity of both directed sums, so a running sum that
+# starts at -0.0 has the bits of a scalar sum that starts at its first term.
+# A formed lower endpoint is never -0.0: neither a directed product nor a
+# directed sum of formed terms returns it.
+
+
+def _absent(M: IntervalMatrix) -> np.ndarray:
+    return (M.lo == 0.0) & np.signbit(M.lo)
+
+
+def _unless(skip: np.ndarray, M: IntervalMatrix) -> IntervalMatrix:
+    return IntervalMatrix(np.where(skip, -0.0, M.lo), np.where(skip, -0.0, M.hi))
+
+
+_CHUNK = 2048  # entries per elementwise step; bounds the kernel temporaries
+
+
+def _chunks(n: int):
+    return (slice(a, a + _CHUNK) for a in range(0, n, _CHUNK))
 
 
 def assemble_jacobian(c: CoefficientVector, cfg: OperatorConfig) -> IntervalMatrix:
@@ -122,25 +170,60 @@ def assemble_jacobian(c: CoefficientVector, cfg: OperatorConfig) -> IntervalMatr
 
     Column m collects the linear symbol at row m plus the bilinear
     derivatives Q(e_m, c) + Q(c, e_m) and the stretching analogue
-    2[Q(K e_m, c) + Q(K c, e_m)], rows cut at N.
+    2[Q(K e_m, c) + Q(K c, e_m)], rows cut at N.  One pass over the support
+    of c updates the triangle band of each source mode k; the endpoints are
+    those of assembling each column from apply_quadratic calls.
+
+    Q(e_m, c) + Q(c, e_m) is formed as Q(e_m, c) + Q(e_m, c), with the same
+    bits: the interaction is symmetric, 1 * c_k and c_k * 1 round alike, and
+    the two sums differ only in the +0.0 terms of exactly zero c_k, which
+    Q(c, e_m) skips.  Those can make the upper endpoint +0.0 where
+    Q(c, e_m) has -0.0, and (+0.0) + (-0.0) is +0.0 as well.
     """
     _check_support(c, cfg, "assemble_jacobian")
     N = cfg.truncation_N
-    lo = np.zeros((N, N))
-    hi = np.zeros((N, N))
-    vel_c = recover_velocity(c, cfg)
-    for m in range(1, N + 1):
-        em = _unit(m, N)
-        vel_em = recover_velocity(em, cfg)
-        col = apply_quadratic(em, c, cfg) + apply_quadratic(c, em, cfg)
-        col = col + (
-            apply_quadratic(vel_em, c, cfg) + apply_quadratic(vel_c, em, cfg)
-        ).scaled(2.0)
-        sym = _ONE + cfg.model.drift_eig(m) + cfg.nu * cfg.model.diffusion_eig(m)
-        col = col + CoefficientVector(((m, sym),), 2 * N)
-        for j, val in col.items():
-            if j > N:
-                break  # entries are sorted; the rest is outside the projection
-            lo[j - 1, m - 1] = val.lo
-            hi[j - 1, m - 1] = val.hi
-    return IntervalMatrix(lo, hi)
+    model = cfg.model
+    j = np.arange(1, N + 1)[:, None]
+    m = np.arange(1, N + 1)[None, :]
+    vel_e = _row([model.recovery_kernel(mm) * _ONE for mm in range(1, N + 1)])
+    vel_e_zero = _zeros(vel_e)
+    # Q(e_m, c), Q(K e_m, c), Q(K c, e_m); the first ends up holding J
+    q_ec, q_vc, q_cv = (
+        IntervalMatrix(np.full((N, N), -0.0), np.full((N, N), -0.0)) for _ in range(3)
+    )
+
+    def accumulate(q: IntervalMatrix, idx, skip, term: IntervalMatrix) -> None:
+        _put(q, idx, _take(q, idx) + _unless(skip, term))
+
+    def add_source_mode(k: int, ck: IntervalScalar) -> None:
+        band = np.flatnonzero((np.abs(k - m) <= j) & (j <= k + m))
+        ckl_band = _take(model.interaction_matrix(k, N), band)
+        unit_ck = _ONE * ck
+        vel_ck = model.recovery_kernel(k) * ck
+        for part in _chunks(band.size):
+            idx = band[part]
+            ckl = _take(ckl_band, part)
+            skip = _zeros(ckl)
+            if skip.all():
+                continue
+            accumulate(q_ec, idx, skip, ckl * unit_ck)
+            cols = idx % N
+            accumulate(q_vc, idx, skip | vel_e_zero[cols], ckl * (_take(vel_e, cols) * ck))
+            if vel_ck.lo != 0.0 or vel_ck.hi != 0.0:  # Q(K c, e_m) skips zero sources
+                accumulate(q_cv, idx, skip, ckl * (vel_ck * _ONE))
+
+    for k, ck in c.items():
+        add_source_mode(k, ck)
+    for part in _chunks(N * N):
+        ec = _take(q_ec, part)
+        stretch = _take(q_vc, part) + _take(q_cv, part)
+        _put(q_ec, part, (ec + ec) + _unless(_absent(stretch), stretch * 2.0))
+    diag = np.arange(N) * (N + 1)
+    sym = _row(
+        [_ONE + model.drift_eig(mm) + cfg.nu * model.diffusion_eig(mm) for mm in range(1, N + 1)]
+    )
+    _put(q_ec, diag, _take(q_ec, diag) + sym)
+    never = _absent(q_ec)
+    q_ec.lo[never] = 0.0
+    q_ec.hi[never] = 0.0
+    return q_ec

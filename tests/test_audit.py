@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -204,6 +205,28 @@ def test_zero_profile_coupling_zero_trivially_closes(tmp_path):
     assert "residual delta (computed) = [0.000000e+00, 0.000000e+00]" in text
     assert "inverse bound M (computed)" in text
     assert "VERIFIED" in result.log.status
+
+
+# ------------------------------------------------------------ constant-free
+
+
+def test_constant_free_bundled_audit_fails_fast(bundled, tmp_path):
+    # every closure input recomputed at N = 450, the Jacobian included; the
+    # audit must reach its verdict well within a minute
+    doc = json.loads(pathlib.Path(bundled).read_text())
+    del doc["constants"]
+    path = tmp_path / "constant_free.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    result = run_audit(path, AuditConfig(timestamp="2026-08-18T00:00:00Z"))
+    elapsed = time.perf_counter() - t0
+    assert result.exit_code == 1
+    assert result.log.status == "certificate REJECTED: M"
+    assert any(
+        tag == "RSLT" and line.startswith("inverse bound M not certified") and "FAIL" in line
+        for tag, line in result.log
+    )
+    assert elapsed < 20.0, f"constant-free audit took {elapsed:.1f} s"
 
 
 # ---------------------------------------------------------------- bad input

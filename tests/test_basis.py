@@ -60,6 +60,24 @@ class TestReferenceModel:
             b = m.interaction(l, k, j)
             assert (a.lo, a.hi) == (b.lo, b.hi)
 
+    @pytest.mark.parametrize("coupling", [0.0, 0.37, 1.0, 2.9])
+    def test_interaction_matrix_matches_interaction(self, coupling):
+        m = reference_model(0, coupling)
+        for N, k in ((1, 1), (6, 1), (6, 6), (9, 4), (9, 20), (17, 11)):
+            C = m.interaction_matrix(k, N)
+            assert C.shape == (N, N)
+            for j, l in itertools.product(range(1, N + 1), repeat=2):
+                e = m.interaction(k, l, j)
+                got = (float(C.lo[j - 1, l - 1]).hex(), float(C.hi[j - 1, l - 1]).hex())
+                assert got == (e.lo.hex(), e.hi.hex()), (k, l, j)
+
+    def test_interaction_matrix_index_validation(self):
+        m = reference_model(0, 1.0)
+        with pytest.raises(ValueError):
+            m.interaction_matrix(0, 5)
+        with pytest.raises(ValueError):
+            m.interaction_matrix(3, 0)
+
     def test_selection_rule_random(self):
         import random
 
@@ -143,6 +161,7 @@ class TestRecoveryKernelBound:
             diffusion_eig=m.diffusion_eig,
             drift_eig=m.drift_eig,
             interaction=m.interaction,
+            interaction_matrix=m.interaction_matrix,
             interaction_bound=m.interaction_bound,
             recovery_kernel=kern,
         )

@@ -1,5 +1,7 @@
 import math
 import random
+import struct
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -273,6 +275,15 @@ class TestDecimalEndpoints:
         assert x.hi == math.nextafter(x.lo, math.inf)
         assert Decimal(x.lo) < Decimal("0.005") < Decimal(x.hi)
 
+    @pytest.mark.parametrize("rad", ["1e-1300", "1e-2000"])
+    @pytest.mark.parametrize("mid", ["1", "-3.25", "0.1"])
+    def test_mid_rad_decimal_contains_tiny_radius(self, mid, rad):
+        # mid +- rad needs more digits than the decimal working precision
+        x = interval_from_mid_rad_decimal(mid, rad)
+        m, r = Fraction(Decimal(mid)), Fraction(Decimal(rad))
+        assert Fraction(x.lo) <= m - r and m + r <= Fraction(x.hi)
+        assert Fraction(x.lo) < m < Fraction(x.hi)
+
     def test_garbage_rejected(self):
         with pytest.raises(IntervalError):
             interval_from_decimal("not-a-number")
@@ -323,6 +334,78 @@ class TestMatrix:
             IntervalMatrix(np.zeros((2, 2)), np.zeros((3, 2)))
         with pytest.raises(IntervalError):
             IntervalMatrix(np.ones((2, 2)), np.zeros((2, 2)))
+
+
+# endpoints that reach every branch of the directed kernels: signed zeros,
+# subnormals, both edges of the error-free-transformation band, products and
+# sums that overflow, and ordinary values
+_TINY = 5e-324
+_kernel_edges = [
+    0.0, -0.0, _TINY, -_TINY, 2.2250738585072014e-308, 1e-300,
+    1e-290, math.nextafter(1e-290, 0.0), math.nextafter(1e-290, 1.0),
+    1e300, math.nextafter(1e300, 0.0), math.nextafter(1e300, math.inf),
+    1e-160, 1e160, 1e200, sys.float_info.max, 1.0, 3.0, 0.1,
+]
+_kernel_endpoint = st.one_of(
+    st.sampled_from(_kernel_edges + [-x for x in _kernel_edges]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-280, max_value=1e-280, allow_nan=False),
+)
+
+
+@st.composite
+def kernel_intervals(draw):
+    a, b = draw(_kernel_endpoint), draw(_kernel_endpoint)
+    return IntervalScalar(min(a, b), max(a, b))
+
+
+def _bits(x):
+    return struct.pack("<d", float(x))
+
+
+def _same(entry_lo, entry_hi, scalar):
+    return _bits(entry_lo) == _bits(scalar.lo) and _bits(entry_hi) == _bits(scalar.hi)
+
+
+class TestMatrixKernels:
+    @given(
+        st.lists(kernel_intervals(), min_size=6, max_size=6),
+        st.lists(kernel_intervals(), min_size=6, max_size=6),
+        kernel_intervals(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_elementwise_matches_scalar_bit_for_bit(self, xs, ys, s):
+        A = IntervalMatrix.from_scalars([xs[:3], xs[3:]])
+        B = IntervalMatrix.from_scalars([ys[:3], ys[3:]])
+        row = IntervalMatrix.from_scalars([ys[:3]])
+        cases = (
+            (A + B, lambda i, j: xs[3 * i + j] + ys[3 * i + j]),
+            (A * B, lambda i, j: xs[3 * i + j] * ys[3 * i + j]),
+            (A + row, lambda i, j: xs[3 * i + j] + ys[j]),
+            (A * row, lambda i, j: xs[3 * i + j] * ys[j]),
+            (A + s, lambda i, j: xs[3 * i + j] + s),
+            (A * s, lambda i, j: xs[3 * i + j] * s),
+        )
+        for M, scalar in cases:
+            for i in range(2):
+                for j in range(3):
+                    assert _same(M.lo[i, j], M.hi[i, j], scalar(i, j)), (i, j)
+
+    @given(kernel_intervals(), st.sampled_from([0, 2, -3, 0.5, 1e308, -_TINY]))
+    @settings(max_examples=200, deadline=None)
+    def test_python_number_operand(self, x, f):
+        A = IntervalMatrix.from_scalars([[x]])
+        for M, r in ((A + f, x + f), (A * f, x * f)):
+            assert _same(M.lo[0, 0], M.hi[0, 0], r)
+
+    def test_poisoned_or_foreign_operands_rejected(self):
+        A = IntervalMatrix.from_point(np.ones((2, 2)))
+        with pytest.raises(IntervalError):
+            A + EMPTY
+        with pytest.raises(IntervalError):
+            A * math.inf
+        with pytest.raises(TypeError):
+            A * "2"
 
 
 class TestContainmentFuzz:

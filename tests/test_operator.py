@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spikecert.basis import reference_model
-from spikecert.interval import IntervalScalar
+from spikecert.interval import IntervalScalar, make_interval
 from spikecert.operator import (
     OperatorConfig,
     apply_G,
@@ -212,6 +212,92 @@ class TestApplyG:
         c = {j: 0.5 for j in range(1, N + 1)}
         out = apply_G(vec(c), cfg_for(1.0, N=N))
         assert out.support[-1] <= 2 * N
+
+
+# -- column-by-column reference assembly ----------------------------------------
+
+_ONE = IntervalScalar(1.0, 1.0)
+
+
+def column_jacobian(c, cfg):
+    """The Jacobian one column at a time from scalar apply_quadratic calls:
+    column m is Q(e_m, c) + Q(c, e_m) + 2[Q(K e_m, c) + Q(K c, e_m)] plus the
+    linear symbol at row m, rows cut at N."""
+    N = cfg.truncation_N
+    lo = np.zeros((N, N))
+    hi = np.zeros((N, N))
+    vel_c = recover_velocity(c, cfg)
+    for m in range(1, N + 1):
+        em = CoefficientVector(((m, _ONE),), N)
+        vel_em = recover_velocity(em, cfg)
+        col = apply_quadratic(em, c, cfg) + apply_quadratic(c, em, cfg)
+        col = col + (
+            apply_quadratic(vel_em, c, cfg) + apply_quadratic(vel_c, em, cfg)
+        ).scaled(2.0)
+        sym = _ONE + cfg.model.drift_eig(m) + cfg.nu * cfg.model.diffusion_eig(m)
+        col = col + CoefficientVector(((m, sym),), 2 * N)
+        for j, val in col.items():
+            if j > N:
+                break
+            lo[j - 1, m - 1] = val.lo
+            hi[j - 1, m - 1] = val.hi
+    return lo, hi
+
+
+def same_bits(a, b):
+    return np.array_equal(
+        np.asarray(a, dtype=np.float64).view(np.uint64),
+        np.asarray(b, dtype=np.float64).view(np.uint64),
+    )
+
+
+def random_problem(rng):
+    N = rng.randint(1, 24)
+    coupling = rng.choice([0.0, rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)])
+    crec = rng.choice([0.0, None, rng.uniform(0.0, 3.0)])
+    nu = make_interval(rng.uniform(1e-4, 0.1), rng.choice([0.0, 1e-7]))
+    modes = rng.sample(range(1, N + 1), rng.randint(0, min(N, 6)))
+    if rng.random() < 0.5:
+        modes = sorted(set(modes) | {N})
+    entries = []
+    for k in modes:
+        mid = rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-12, 1)
+        rad = rng.choice([0.0, abs(mid) * 1e-9, 1e-3])
+        entries.append((k, make_interval(mid, rad)))
+    cfg = OperatorConfig(
+        model=reference_model(0, coupling, coupling_rec=crec), nu=nu, truncation_N=N
+    )
+    return CoefficientVector(tuple(entries), N), cfg
+
+
+class TestJacobianMatchesColumnAssembly:
+    def test_random_problems_bit_for_bit(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            c, cfg = random_problem(rng)
+            lo, hi = column_jacobian(c, cfg)
+            J = assemble_jacobian(c, cfg)
+            assert same_bits(J.lo, lo) and same_bits(J.hi, hi), (c, cfg)
+
+    @pytest.mark.parametrize(
+        "coupling, crec, modes",
+        [
+            (0.0, 0.7, {2: -0.4, 5: 0.3}),  # no interaction at all
+            (0.9, 0.0, {1: 0.5, 7: -0.2}),  # no stretching
+            (0.9, 0.4, {}),  # empty profile: the linear symbol alone
+            (1.3, 0.6, {3: 0.25, 12: -1.5}),  # a mode at exactly N
+            (0.8, 0.5, {4: 0.0, 6: 0.75}),  # an exactly zero coefficient
+            (1.0, 0.0, {2: 1e-300, 5: -3e-295}),  # below the error-free band
+            (1.0, 1.0, {3: 1e300, 9: -2e290}),  # products that overflow
+        ],
+    )
+    def test_edge_cases_bit_for_bit(self, coupling, crec, modes):
+        N = 12
+        cfg = cfg_for(coupling, nu=0.003, N=N, coupling_rec=crec)
+        c = vec(modes, N)
+        lo, hi = column_jacobian(c, cfg)
+        J = assemble_jacobian(c, cfg)
+        assert same_bits(J.lo, lo) and same_bits(J.hi, hi)
 
 
 class TestJacobian:

@@ -62,9 +62,6 @@ _CAPS = {
 # declared/computed agreement window for recomputed constants
 _HEADROOM = 1.05
 
-_ONE = IntervalScalar(1.0, 1.0)
-
-
 class AuditLog:
     """Ordered tagged lines with the grammar invariants enforced."""
 

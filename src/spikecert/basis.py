@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CertificationError
-from .interval import IntervalMatrix, IntervalScalar, pow_seven_halves
+from .interval import ZERO, IntervalMatrix, IntervalScalar, pow_seven_halves
 
 __all__ = [
     "BasisModel",
@@ -54,9 +54,6 @@ class BasisModel:
     coupling_rec: float = 0.0
 
 
-_ZERO = IntervalScalar(0.0, 0.0)
-
-
 def reference_model(seed: int, coupling: float, coupling_rec: float = None) -> BasisModel:
     """Deterministic reference basis.
 
@@ -74,6 +71,16 @@ def reference_model(seed: int, coupling: float, coupling_rec: float = None) -> B
         raise ValueError(f"coupling_rec must be nonnegative, got {coupling_rec!r}")
     cpl = IntervalScalar(coupling, coupling)
     crec = IntervalScalar(coupling_rec, coupling_rec)
+    # quotients[d] = cpl / (1 + d), the interaction at distance d = |j - k - l|
+    # from the band's top edge; grown on demand, each computed once
+    quotients: list = []
+
+    def quotients_to(d_max: int) -> list:
+        if d_max >= len(quotients):
+            ds = np.arange(len(quotients) + 1, d_max + 2, dtype=np.float64)[None, :]
+            q = cpl / IntervalMatrix.from_point(ds)
+            quotients.extend(map(IntervalScalar, q.lo[0].tolist(), q.hi[0].tolist()))
+        return quotients
 
     def diffusion_eig(j: int) -> IntervalScalar:
         _check_index(j)
@@ -88,8 +95,9 @@ def reference_model(seed: int, coupling: float, coupling_rec: float = None) -> B
         _check_index(l)
         _check_index(j)
         if coupling == 0.0 or not (abs(k - l) <= j <= k + l):
-            return _ZERO
-        return cpl / float(1 + abs(j - k - l))
+            return ZERO
+        d = k + l - j
+        return quotients_to(d)[d]
 
     def interaction_matrix(k: int, N: int) -> IntervalMatrix:
         _check_index(k)
@@ -98,7 +106,7 @@ def reference_model(seed: int, coupling: float, coupling_rec: float = None) -> B
         m = np.arange(1, N + 1)[None, :]
         band = (np.abs(k - m) <= j) & (j <= k + m)
         # on the band |j - k - m| = k + m - j, which runs over 0 .. 2 min(k, N)
-        table = [cpl / float(1 + d) for d in range(2 * min(k, N) + 1)]
+        table = quotients_to(2 * min(k, N))
         d = (k + m - j)[band]
         lo = np.zeros((N, N))
         hi = np.zeros((N, N))
@@ -109,7 +117,7 @@ def reference_model(seed: int, coupling: float, coupling_rec: float = None) -> B
     def recovery_kernel(k: int) -> IntervalScalar:
         _check_index(k)
         if coupling_rec == 0.0:
-            return _ZERO
+            return ZERO
         return crec * pow_seven_halves(k)
 
     return BasisModel(

@@ -21,33 +21,22 @@ from typing import Optional
 from .errors import CertificationError
 from .interval import (
     LN10,
+    ONE,
     PI,
+    ZERO,
     IntervalScalar,
     LogMagnitude,
+    as_nonneg,
     exp_iv,
     ln_iv,
     sqrt_iv,
 )
 
-_ZERO = IntervalScalar(0.0, 0.0)
-_ONE = IntervalScalar(1.0, 1.0)
 _TWO = IntervalScalar(2.0, 2.0)
 
 # refuse lattice tails that need more terms than this before the
 # geometric comparison kicks in (concentration scale too coarse)
 _TAIL_LIMIT = 200_000
-
-
-def _as_nonneg(x, what: str) -> IntervalScalar:
-    if isinstance(x, IntervalScalar):
-        iv = x
-    else:
-        iv = IntervalScalar(float(x), float(x))
-    if iv.is_empty:
-        raise CertificationError(f"{what} is poisoned")
-    if iv.lo < 0.0:
-        raise CertificationError(f"{what} must be nonnegative, got {iv}")
-    return iv
 
 
 @dataclass(frozen=True)
@@ -69,15 +58,15 @@ class ClosureReport:
 
 def _closure_report(product: IntervalScalar) -> ClosureReport:
     return ClosureReport(
-        product=product, margin=_ONE - product, verdict=product.hi < 1.0
+        product=product, margin=ONE - product, verdict=product.hi < 1.0
     )
 
 
 def nk_closure(delta, M, K) -> ClosureReport:
     """Contraction test 2*delta*M*K < 1, outward rounded."""
-    d = _as_nonneg(delta, "delta")
-    m = _as_nonneg(M, "M")
-    k = _as_nonneg(K, "K")
+    d = as_nonneg(delta, "delta")
+    m = as_nonneg(M, "M")
+    k = as_nonneg(K, "K")
     return _closure_report(_TWO * d * m * k)
 
 
@@ -87,13 +76,13 @@ def torus_closure(delta, eps, M, K) -> ClosureReport:
     ``eps`` may arrive as a log-domain magnitude, in which case it is
     promoted with upward saturation before joining delta.
     """
-    d = _as_nonneg(delta, "delta")
+    d = as_nonneg(delta, "delta")
     if isinstance(eps, LogMagnitude):
         e = eps.to_interval()
     else:
-        e = _as_nonneg(eps, "eps")
-    m = _as_nonneg(M, "M")
-    k = _as_nonneg(K, "K")
+        e = as_nonneg(eps, "eps")
+    m = as_nonneg(M, "M")
+    k = as_nonneg(K, "K")
     return _closure_report(_TWO * (d + e) * m * k)
 
 
@@ -135,7 +124,7 @@ def image_overlap_bound(
         m = n[0] * n[0] + n[1] * n[1] + n[2] * n[2]
         if 0 < m <= R * R:
             counts[m] = counts.get(m, 0) + 1
-    scaled = _ZERO
+    scaled = ZERO
     for m in sorted(counts, reverse=True):
         term = exp_iv(-(base * float(m - 1))) * float(counts[m])
         scaled = scaled + term
@@ -145,7 +134,7 @@ def image_overlap_bound(
     # c = pi^2 R / (sigma^2 sqrt(3)); shell count at l1-size t is 4t^2+2
     c = base * float(R) / sqrt_iv(IntervalScalar(3.0, 3.0))
     x = exp_iv(-c)
-    tail = _ZERO
+    tail = ZERO
     t = R + 1
     while True:
         coeff = float(4 * t * t + 2)
@@ -154,7 +143,7 @@ def image_overlap_bound(
         next_coeff = float(4 * (t + 1) * (t + 1) + 2)
         rho = x * (next_coeff / coeff)
         if rho.hi < 1.0 - 1e-6:
-            tail = tail + term * (rho / (_ONE - rho))
+            tail = tail + term * (rho / (ONE - rho))
             break
         t += 1
         if t - R > _TAIL_LIMIT:
@@ -200,12 +189,12 @@ def transfer_error(
     one only when it certifiably dominates it; the computed value stays
     in the report so the gap between the two remains on record.
     """
-    pb = _as_nonneg(projector_bound, "projector bound")
+    pb = as_nonneg(projector_bound, "projector bound")
     if pb.lo < 1.0:
         raise CertificationError(
             f"projector bound must be at least 1, got lower endpoint {pb.lo!r}"
         )
-    pf = _as_nonneg(pressure_factor, "pressure factor")
+    pf = as_nonneg(pressure_factor, "pressure factor")
     eps_ov = image_overlap_bound(sigma, lattice_radius)
     if eps_ov.sign == 0:
         eps_P = LogMagnitude.zero()
@@ -219,7 +208,7 @@ def transfer_error(
     if declared_total is None:
         total = computed
     else:
-        dec = _as_nonneg(declared_total, "declared transfer error")
+        dec = as_nonneg(declared_total, "declared transfer error")
         if dec.hi < computed.hi:
             raise CertificationError(
                 f"declared transfer error {dec.hi!r} falls below the certified "

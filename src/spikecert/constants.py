@@ -25,11 +25,18 @@ from dataclasses import dataclass
 from decimal import ROUND_CEILING, Decimal, localcontext
 from typing import Mapping, Optional
 
+import numpy as np
+
 from .basis import BasisModel
 from .errors import CertificationError
 from .interval import (
+    ONE,
+    ZERO,
+    IntervalMatrix,
     IntervalScalar,
+    _chunks,
     _float_rounded_up,
+    as_nonneg,
     exp_iv,
     intpow_iv,
     ln_iv,
@@ -38,25 +45,11 @@ from .interval import (
 )
 from .spaces import WeightedSpace
 
-_ZERO = IntervalScalar(0.0, 0.0)
-_ONE = IntervalScalar(1.0, 1.0)
 _TWO = IntervalScalar(2.0, 2.0)
 
 # refuse scans that would walk more modes than this; the buffer is then
 # too thin for the finite-scan strategy to make sense
 _SCAN_LIMIT = 2_000_000
-
-
-def _as_interval(x, what: str) -> IntervalScalar:
-    if isinstance(x, IntervalScalar):
-        iv = x
-    else:
-        iv = IntervalScalar(float(x), float(x))
-    if iv.is_empty:
-        raise CertificationError(f"{what} is poisoned")
-    if iv.lo < 0.0:
-        raise CertificationError(f"{what} must be nonnegative, got {iv}")
-    return iv
 
 
 def level_multiplier(k: int, rate: IntervalScalar) -> IntervalScalar:
@@ -65,6 +58,14 @@ def level_multiplier(k: int, rate: IntervalScalar) -> IntervalScalar:
         raise CertificationError(f"level index must be a positive integer, got {k!r}")
     one_plus = IntervalScalar(float(1 + k * k), float(1 + k * k))
     return pow_seven_halves(k) / sqrt_iv(one_plus) * exp_iv(-(rate * float(k)))
+
+
+def _level_multipliers(k: np.ndarray, rate: IntervalScalar) -> IntervalMatrix:
+    """level_multiplier(k, rate) for each level of an int array k, as a row
+    whose entries have the bits of the scalar function."""
+    kk = IntervalMatrix.from_point(k[None, :].astype(np.float64))
+    one_plus = IntervalMatrix.from_point((1 + k * k)[None, :].astype(np.float64))
+    return (kk.intpow(3) * kk.sqrt()) / one_plus.sqrt() * (-(rate * kk)).exp()
 
 
 @dataclass(frozen=True)
@@ -118,13 +119,20 @@ def recovery_mapping_constant(
     best_hi = -1.0
     best_lo = -1.0
     argmax = 1
-    for k in range(1, k_end + 1):
-        m = level_multiplier(k, b)
-        if m.hi > best_hi:
-            best_hi = m.hi
-            argmax = k
-        if m.lo > best_lo:
-            best_lo = m.lo
+    # level_multiplier over k = 1..k_end, a chunk of levels at a time; a later
+    # level replaces a running maximum only when strictly above it, so argmax
+    # is the first level with the largest upper endpoint
+    for part in _chunks(1, k_end + 1):
+        k = np.arange(part.start, part.stop)
+        m = _level_multipliers(k, b)
+        lo, hi = m.lo[0], m.hi[0]
+        i = int(np.argmax(hi))
+        if hi[i] > best_hi:
+            best_hi = float(hi[i])
+            argmax = int(k[i])
+        i = int(np.argmax(lo))
+        if lo[i] > best_lo:
+            best_lo = float(lo[i])
     step = IntervalScalar(float(k_end + 1), float(k_end + 1)) / IntervalScalar(
         float(k_end), float(k_end)
     )
@@ -136,7 +144,7 @@ def recovery_mapping_constant(
     value = IntervalScalar(best_lo, best_hi)
     if kernel_cap is None:
         return RecoveryMapResult(value=value, argmax_k=argmax)
-    cap = _as_interval(kernel_cap, "kernel_cap")
+    cap = as_nonneg(kernel_cap, "kernel_cap")
     return RecoveryMapResult(value=value, argmax_k=argmax, with_kernel=cap * value)
 
 
@@ -176,23 +184,23 @@ def convolution_constant(
     if cb.is_empty or cb.lo < 0.0:
         raise CertificationError(f"interaction bound must be nonnegative, got {cb}")
     if cb.hi == 0.0:
-        return _ZERO
+        return ZERO
     two_beta = IntervalScalar(Y.tau, Y.tau) - IntervalScalar(X.tau, X.tau)
     beta = two_beta * 0.5
     p = (Y.s - X.s) / 2.0
 
-    s1 = _ZERO
+    s1 = ZERO
     for k in range(N, 0, -1):
         one_plus = IntervalScalar(float(1 + k * k), float(1 + k * k))
         if p == 0.0:
-            poly = _ONE
+            poly = ONE
         elif p == 0.5:
-            poly = _ONE / sqrt_iv(one_plus)
+            poly = ONE / sqrt_iv(one_plus)
         else:
             poly = exp_iv(ln_iv(one_plus) * (-p))
         s1 = s1 + poly * exp_iv(-(beta * float(k)))
 
-    geo = _ZERO
+    geo = ZERO
     for j in range(2 * N, 0, -1):
         geo = geo + exp_iv(-(two_beta * float(j)))
 
@@ -225,13 +233,13 @@ def lipschitz_constant(C_rec_map, C_conv, declared=None) -> IntervalScalar:
     quoted.  A declared value can only raise the upper endpoint, never
     lower it below the certified product.
     """
-    a = _as_interval(C_rec_map, "C_rec_map")
-    b = _as_interval(C_conv, "C_conv")
+    a = as_nonneg(C_rec_map, "C_rec_map")
+    b = as_nonneg(C_conv, "C_conv")
     product = a * b
     if declared is None:
         hi = _ceil_two_significant(product.hi)
     else:
-        dec = _as_interval(declared, "declared Lipschitz constant")
+        dec = as_nonneg(declared, "declared Lipschitz constant")
         hi = max(product.hi, dec.hi)
     return IntervalScalar(product.lo, hi)
 
@@ -276,8 +284,8 @@ def stretching_penalty(spectrum: EnergySpectrum, C) -> IntervalScalar:
     """Enclosure of C * sum_j j^{7/2} sqrt(E_j)."""
     if not isinstance(spectrum, EnergySpectrum):
         raise CertificationError("stretching_penalty expects an EnergySpectrum")
-    c = _as_interval(C, "penalty constant")
-    total = _ZERO
+    c = as_nonneg(C, "penalty constant")
+    total = ZERO
     for j, e in sorted(spectrum.levels, reverse=True):
         total = total + pow_seven_halves(j) * sqrt_iv(e)
     return c * total
@@ -324,7 +332,7 @@ def certify_constants(
     if rec is None:
         rec = recovery_mapping_constant(tau, tau_prime, kernel_cap)
     if declared_C_conv is not None:
-        c_conv = _as_interval(declared_C_conv, "declared convolution constant")
+        c_conv = as_nonneg(declared_C_conv, "declared convolution constant")
     else:
         c_conv = convolution_constant(model, N, X, Y)
     k_const = lipschitz_constant(rec.value, c_conv, declared_K)

@@ -23,6 +23,8 @@ from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, InvalidOperation, local
 
 import numpy as np
 
+from .errors import CertificationError
+
 __all__ = [
     "IntervalScalar",
     "IntervalMatrix",
@@ -31,6 +33,9 @@ __all__ = [
     "SingularDivisionError",
     "IntervalOverflowError",
     "EMPTY",
+    "ZERO",
+    "ONE",
+    "as_nonneg",
     "make_interval",
     "arith",
     "exp_iv",
@@ -38,6 +43,7 @@ __all__ = [
     "sqrt_iv",
     "intpow_iv",
     "inf_norm",
+    "row_sum",
     "log10_of_exp",
     "interval_from_decimal",
     "interval_from_mid_rad_decimal",
@@ -390,6 +396,19 @@ ZERO = IntervalScalar(0.0, 0.0)
 ONE = IntervalScalar(1.0, 1.0)
 
 
+def as_nonneg(x, what: str) -> IntervalScalar:
+    """``x`` as an interval, refused when poisoned or partly negative."""
+    if isinstance(x, IntervalScalar):
+        iv = x
+    else:
+        iv = IntervalScalar(float(x), float(x))
+    if iv.is_empty:
+        raise CertificationError(f"{what} is poisoned")
+    if iv.lo < 0.0:
+        raise CertificationError(f"{what} must be nonnegative, got {iv}")
+    return iv
+
+
 def make_interval(mid: float, rad: float) -> IntervalScalar:
     """Interval [mid - rad, mid + rad] with outward rounding.
 
@@ -439,7 +458,7 @@ def exp_iv(x: IntervalScalar) -> IntervalScalar:
         ) from None
     if vhi < 2.3e-308:
         # deep underflow band: keep a sound, deliberately slack enclosure
-        hi = _TINY_EXP_UP if vhi == 0.0 else min(vhi * 4.0, _TINY_EXP_UP)
+        hi = _TINY_EXP_UP if vhi == 0.0 else vhi * 4.0
         return IntervalScalar(0.0 if vlo == 0.0 else vlo * 0.25, hi)
     lo = max(0.0, _down(_down(vlo)))
     hi = _up(_up(vhi))
@@ -667,11 +686,12 @@ def _np_up(a: np.ndarray, steps: int = 1) -> np.ndarray:
     return a
 
 
-# Elementwise counterparts of _add_down/_add_up and _mul_down/_mul_up.  Each
-# takes the same branches as the scalar routine (error-free transformation,
-# the _eft_ok fallback, zero operands, underflow, overflow, NaN), so every
-# entry carries exactly the bits the scalar routine returns for it.  Overflow
-# to infinity is one of those branches, hence the silenced warnings.
+# Elementwise counterparts of the scalar directed routines (_add_*, _mul_*,
+# _div_*, _sqrt_*).  Each takes the same branches as the scalar routine
+# (error-free transformation, the _eft_ok fallback, zero operands,
+# underflow, overflow, NaN), so every entry carries exactly the bits the
+# scalar routine returns for it.  Overflow to infinity is one of those
+# branches, hence the silenced warnings.
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -683,27 +703,95 @@ def _np_add(a, b, up: bool) -> np.ndarray:
     return np.where(np.isnan(s), toward, out)
 
 
+def _np_eft_ok(a, b, p) -> np.ndarray:
+    ap = np.abs(p)
+    return (np.abs(a) < _EFT_HI) & (np.abs(b) < _EFT_HI) & (_EFT_LO < ap) & (ap < _EFT_HI)
+
+
+def _np_directed(x, zero, down_nudge, up_nudge, same_sign):
+    """(down, up) of a rounded product or quotient x: nudged one ulp where the
+    error-free test asks for it, the signed underflow floor where x is 0, the
+    clamps where it overflowed, and 0 where ``zero`` marks an exact zero."""
+
+    def directed(nudge, toward, clamp, underflow):
+        out = np.where(nudge, np.nextafter(x, toward), x)
+        out = np.where(x == 0.0, underflow, out)
+        out = np.where(np.isinf(x), np.where(x == toward, x, clamp), out)
+        out = np.where(np.isnan(x), toward, out)
+        return np.where(zero, 0.0, out)
+
+    return (
+        directed(down_nudge, -_INF, _MAX, np.where(same_sign, 0.0, -5e-324)),
+        directed(up_nudge, _INF, -_MAX, np.where(same_sign, 5e-324, 0.0)),
+    )
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _np_mul(a, b):
     """Elementwise (_mul_down(a, b), _mul_up(a, b))."""
     p = a * b
     e = _prod_err(a, b, p)
-    ap = np.abs(p)
-    eft = (np.abs(a) < _EFT_HI) & (np.abs(b) < _EFT_HI) & (_EFT_LO < ap) & (ap < _EFT_HI)
-    same_sign = (a > 0) == (b > 0)
-    zero = (a == 0.0) | (b == 0.0)
-
-    def directed(nudge, toward, clamp, underflow):
-        out = np.where(nudge, np.nextafter(p, toward), p)
-        out = np.where(p == 0.0, underflow, out)
-        out = np.where(np.isinf(p), np.where(p == toward, p, clamp), out)
-        out = np.where(np.isnan(p), toward, out)
-        return np.where(zero, 0.0, out)
-
-    return (
-        directed(~eft | (e < 0), -_INF, _MAX, np.where(same_sign, 0.0, -5e-324)),
-        directed(~eft | (e > 0), _INF, -_MAX, np.where(same_sign, 5e-324, 0.0)),
+    eft = _np_eft_ok(a, b, p)
+    return _np_directed(
+        p, (a == 0.0) | (b == 0.0), ~eft | (e < 0), ~eft | (e > 0), (a > 0) == (b > 0)
     )
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _np_div(a, b):
+    """Elementwise (_div_down(a, b), _div_up(a, b)) for divisors without 0."""
+    q = a / b
+    p = q * b
+    eft = _np_eft_ok(q, b, p)
+    d = (a - p) - _prod_err(q, b, p)  # sign of a - q*b, as in _residual_sign
+    above = (d != 0.0) & ((d > 0) == (b > 0))  # true quotient above q
+    below = (d != 0.0) & ((d > 0) != (b > 0))
+    return _np_directed(q, a == 0.0, ~eft | below, ~eft | above, (a > 0) == (b > 0))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _np_sqrt(x, up: bool) -> np.ndarray:
+    """Elementwise _sqrt_up(x) or _sqrt_down(x) for x >= 0."""
+    s = np.sqrt(x)
+    p = s * s
+    e = _prod_err(s, s, p)
+    eft = _np_eft_ok(s, s, p)
+    if up:
+        nudge = (p < x) | ((p == x) & (e < 0))
+    else:
+        nudge = (p > x) | ((p == x) & (e > 0))
+    out = np.where(~eft | nudge, np.nextafter(s, _INF if up else -_INF), s)
+    return np.where(x == 0.0, 0.0, out)
+
+
+def _np_libm(fn, x: np.ndarray) -> np.ndarray:
+    """fn of every entry through the math module, whose exp and log are the
+    ones the scalar path widens; numpy's SIMD versions promise no accuracy."""
+    return np.array(list(map(fn, x.ravel().tolist())), dtype=np.float64).reshape(x.shape)
+
+
+def _exp_overflows(x: float) -> bool:
+    try:
+        math.exp(x)
+    except OverflowError:
+        return True
+    return False
+
+
+_CHUNK = 2048  # entries per elementwise step; bounds the kernel temporaries
+
+
+def _chunks(start: int, stop: int):
+    """Consecutive slices of at most _CHUNK positions covering start..stop-1."""
+    return (slice(a, min(a + _CHUNK, stop)) for a in range(start, stop, _CHUNK))
+
+
+def _first_entry(lo, hi, bad) -> IntervalScalar:
+    """The first entry, in row-major order, of the (broadcast) endpoint arrays
+    lo, hi where ``bad`` holds; error messages name it."""
+    lo, hi, bad = np.broadcast_arrays(lo, hi, bad)
+    i = int(np.argmax(bad))
+    return IntervalScalar(float(lo.flat[i]), float(hi.flat[i]))
 
 
 class IntervalMatrix:
@@ -741,6 +829,9 @@ class IntervalMatrix:
     def entry(self, i: int, j: int) -> IntervalScalar:
         return IntervalScalar(float(self.lo[i, j]), float(self.hi[i, j]))
 
+    def __getitem__(self, key) -> "IntervalMatrix":
+        return IntervalMatrix(self.lo[key], self.hi[key])
+
     def midpoint(self) -> np.ndarray:
         return 0.5 * self.lo + 0.5 * self.hi
 
@@ -755,7 +846,9 @@ class IntervalMatrix:
     # -- elementwise arithmetic ----------------------------------------------
     # Operands broadcast: another matrix of the same shape or a row vector, an
     # IntervalScalar, or a finite int/float.  Entry (i, j) of the result has
-    # the bits IntervalScalar gives for ``self.entry(i, j) op other``.
+    # the bits IntervalScalar gives for ``self.entry(i, j) op other`` (for
+    # ``other op self`` in the reflected operators), and each function of a
+    # matrix the bits of the scalar function of its entry.
 
     @staticmethod
     def _endpoints(x):
@@ -769,6 +862,20 @@ class IntervalMatrix:
             return np.float64(x.lo), np.float64(x.hi)
         return NotImplemented
 
+    @staticmethod
+    def _corners(a, b, kernel) -> "IntervalMatrix":
+        # corners in the scalar order, one at a time; like min() and max(), a
+        # later corner replaces the running bound only when strictly beyond it
+        lo = hi = None
+        for x, y in ((a[0], b[0]), (a[0], b[1]), (a[1], b[0]), (a[1], b[1])):
+            down, up = kernel(x, y)
+            if lo is None:
+                lo, hi = down, up
+            else:
+                lo = np.where(down < lo, down, lo)
+                hi = np.where(up > hi, up, hi)
+        return IntervalMatrix(lo, hi)
+
     def __add__(self, other):
         b = self._endpoints(other)
         if b is NotImplemented:
@@ -777,21 +884,120 @@ class IntervalMatrix:
             _np_add(self.lo, b[0], up=False), _np_add(self.hi, b[1], up=True)
         )
 
+    def __neg__(self):
+        return IntervalMatrix(-self.hi, -self.lo)
+
+    def __sub__(self, other):
+        b = self._endpoints(other)
+        if b is NotImplemented:
+            return NotImplemented
+        return IntervalMatrix(
+            _np_add(self.lo, -b[1], up=False), _np_add(self.hi, -b[0], up=True)
+        )
+
+    def __abs__(self):
+        return IntervalMatrix(self.mig(), self.mag())
+
     def __mul__(self, other):
         b = self._endpoints(other)
         if b is NotImplemented:
             return NotImplemented
-        # corners in the scalar order, one at a time; like min() and max(), a
-        # later corner replaces the running bound only when strictly beyond it
-        lo = hi = None
-        for x, y in ((self.lo, b[0]), (self.lo, b[1]), (self.hi, b[0]), (self.hi, b[1])):
-            down, up = _np_mul(x, y)
-            if lo is None:
-                lo, hi = down, up
-            else:
-                lo = np.where(down < lo, down, lo)
-                hi = np.where(up > hi, up, hi)
+        return self._corners((self.lo, self.hi), b, _np_mul)
+
+    def __rmul__(self, other):
+        b = self._endpoints(other)
+        if b is NotImplemented:
+            return NotImplemented
+        return self._corners(b, (self.lo, self.hi), _np_mul)
+
+    @staticmethod
+    def _divisor(lo, hi):
+        singular = (lo <= 0.0) & (0.0 <= hi)
+        if singular.any():
+            raise SingularDivisionError(
+                f"divisor {_first_entry(lo, hi, singular)} contains zero "
+                "(possible singularity)"
+            )
+        return lo, hi
+
+    def __truediv__(self, other):
+        b = self._endpoints(other)
+        if b is NotImplemented:
+            return NotImplemented
+        return self._corners((self.lo, self.hi), self._divisor(*b), _np_div)
+
+    def __rtruediv__(self, other):
+        b = self._endpoints(other)
+        if b is NotImplemented:
+            return NotImplemented
+        return self._corners(b, self._divisor(self.lo, self.hi), _np_div)
+
+    def sqrt(self) -> "IntervalMatrix":
+        """Entrywise sqrt_iv."""
+        negative = self.lo < 0.0
+        if negative.any():
+            bad = _first_entry(self.lo, self.hi, negative)
+            raise IntervalError(f"sqrt of partially negative interval {bad}")
+        return IntervalMatrix(_np_sqrt(self.lo, up=False), _np_sqrt(self.hi, up=True))
+
+    def intpow(self, n: int) -> "IntervalMatrix":
+        """Entrywise intpow_iv(x, n) for nonnegative entries: the same chain of
+        n directed products from 1, downward for lo and upward for hi."""
+        if n < 0:
+            raise IntervalError("negative exponent; divide explicitly")
+        negative = self.lo < 0.0
+        if negative.any():
+            bad = _first_entry(self.lo, self.hi, negative)
+            raise IntervalError(f"power of partially negative interval {bad}")
+        lo = hi = np.ones(self.shape)
+        for _ in range(n):
+            lo = _np_mul(lo, self.lo)[0]
+            hi = _np_mul(hi, self.hi)[1]
         return IntervalMatrix(lo, hi)
+
+    @np.errstate(over="ignore")
+    def exp(self) -> "IntervalMatrix":
+        """Entrywise exp_iv: libm endpoints widened by 2 ulps, the same slack
+        enclosure in the deep underflow band."""
+        try:
+            vhi = _np_libm(math.exp, self.hi)
+        except OverflowError:
+            big = np.array([_exp_overflows(x) for x in self.hi.ravel().tolist()])
+            big = big.reshape(self.shape)
+            raise IntervalOverflowError(
+                f"exp({_first_entry(self.lo, self.hi, big)}) exceeds double range; "
+                "use the log-magnitude path"
+            ) from None
+        vlo = _np_libm(math.exp, self.lo)  # below vhi, so it cannot overflow
+        deep = vhi < 2.3e-308
+        deep_lo = np.where(vlo == 0.0, 0.0, vlo * 0.25)
+        deep_hi = np.where(vhi == 0.0, _TINY_EXP_UP, vhi * 4.0)
+        lo = _np_down(vlo, steps=2)
+        return IntervalMatrix(
+            np.where(deep, deep_lo, np.where(lo > 0.0, lo, 0.0)),
+            np.where(deep, deep_hi, _np_up(vhi, steps=2)),
+        )
+
+    def log(self) -> "IntervalMatrix":
+        """Entrywise ln_iv; every entry must be strictly positive."""
+        nonpositive = self.lo <= 0.0
+        if nonpositive.any():
+            bad = _first_entry(self.lo, self.hi, nonpositive)
+            raise IntervalError(f"ln of non-positive interval {bad}")
+        return IntervalMatrix(
+            _np_down(_np_libm(math.log, self.lo), steps=2),
+            _np_up(_np_libm(math.log, self.hi), steps=2),
+        )
+
+
+def row_sum(row: IntervalMatrix) -> IntervalScalar:
+    """Sum of the entries of a 1 x n row, left to right from ZERO, with the
+    bits of the same running sum in IntervalScalar arithmetic."""
+    lo = hi = 0.0
+    for a, b in zip(row.lo[0].tolist(), row.hi[0].tolist()):
+        lo = _add_down(lo, a)
+        hi = _add_up(hi, b)
+    return IntervalScalar(lo, hi)
 
 
 def _gamma_factor(n: int) -> float:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisModel
-from .interval import IntervalMatrix, IntervalScalar
+from .interval import _CHUNK, ONE, IntervalMatrix, IntervalScalar, _chunks
 from .spaces import CoefficientVector
 
 __all__ = [
@@ -41,9 +41,6 @@ __all__ = [
     "apply_G",
     "assemble_jacobian",
 ]
-
-_ZERO = IntervalScalar(0.0, 0.0)
-_ONE = IntervalScalar(1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,7 @@ def apply_linear(c: CoefficientVector, cfg: OperatorConfig) -> CoefficientVector
     _check_support(c, cfg, "apply_linear")
     out = []
     for j, cj in c.items():
-        sym = _ONE + cfg.model.drift_eig(j) + cfg.nu * cfg.model.diffusion_eig(j)
+        sym = ONE + cfg.model.drift_eig(j) + cfg.nu * cfg.model.diffusion_eig(j)
         out.append((j, sym * cj))
     return CoefficientVector(tuple(out), cfg.truncation_N)
 
@@ -94,24 +91,36 @@ def apply_quadratic(
     """Bilinear form Q(u,v)_j = sum_{k,l<=N} C_{klj} u_k v_l, supported on 1..2N.
 
     Iterates over support pairs, so sparse inputs cost O(|u||v| * band width)
-    rather than O(N^3).
+    rather than O(N^3).  The terms C_{klj} (u_k v_l) of a run of pairs are
+    formed at once with elementwise interval arithmetic, then added pair by
+    pair into the band of output modes each reaches: every mode sums its
+    terms in pair order, so its endpoints are those of a scalar running sum.
     """
     _check_support(u, cfg, "apply_quadratic")
     _check_support(v, cfg, "apply_quadratic")
     n2 = 2 * cfg.truncation_N
-    acc: dict[int, IntervalScalar] = {}
-    for k, uk in u.items():
-        if uk.mag() == 0.0 and uk.lo == uk.hi:
-            continue
-        for l, vl in v.items():
-            prod = uk * vl
-            for j in range(max(1, abs(k - l)), min(k + l, n2) + 1):
-                ckl = cfg.model.interaction(k, l, j)
-                if ckl.lo == 0.0 == ckl.hi:
-                    continue
-                term = ckl * prod
-                acc[j] = acc[j] + term if j in acc else term
-    return CoefficientVector(tuple(acc.items()), n2)
+    acc = IntervalMatrix(np.full((1, n2), -0.0), np.full((1, n2), -0.0))
+    pairs = [
+        (range(max(1, abs(k - l)), min(k + l, n2) + 1), k, l, uk * vl)
+        for k, uk in u.items()
+        if not (uk.mag() == 0.0 and uk.lo == uk.hi)
+        for l, vl in v.items()
+    ]
+    for batch in _batches(pairs):
+        ckl = _row([cfg.model.interaction(k, l, j) for band, k, l, _ in batch for j in band])
+        sizes = [len(band) for band, *_ in batch]
+        prod = IntervalMatrix(
+            np.repeat([p.lo for *_, p in batch], sizes)[None, :],
+            np.repeat([p.hi for *_, p in batch], sizes)[None, :],
+        )
+        terms = _unless(_zeros(ckl), ckl * prod)
+        start = 0
+        for (band, *_), size in zip(batch, sizes):
+            out = slice(band.start - 1, band.stop - 1)
+            _put(acc, out, _take(acc, out) + terms[:, start : start + size])
+            start += size
+    reached = np.flatnonzero(~_absent(acc)[0])
+    return CoefficientVector(tuple((int(i) + 1, acc.entry(0, i)) for i in reached), n2)
 
 
 def apply_G(c: CoefficientVector, cfg: OperatorConfig) -> CoefficientVector:
@@ -142,8 +151,9 @@ def _put(M: IntervalMatrix, flat: np.ndarray, row: IntervalMatrix) -> None:
     M.hi.reshape(-1)[flat] = row.hi[0]
 
 
-# While the Jacobian is accumulated, an entry that no term has reached is
-# -0.0 in both endpoints, and a term the scalar loop skips is -0.0 too.
+# While a quadratic form or the Jacobian is accumulated, an entry that no
+# term has reached is -0.0 in both endpoints, and a term the scalar loop
+# skips is -0.0 too.
 # -0.0 is the exact identity of both directed sums, so a running sum that
 # starts at -0.0 has the bits of a scalar sum that starts at its first term.
 # A formed lower endpoint is never -0.0: neither a directed product nor a
@@ -158,11 +168,18 @@ def _unless(skip: np.ndarray, M: IntervalMatrix) -> IntervalMatrix:
     return IntervalMatrix(np.where(skip, -0.0, M.lo), np.where(skip, -0.0, M.hi))
 
 
-_CHUNK = 2048  # entries per elementwise step; bounds the kernel temporaries
-
-
-def _chunks(n: int):
-    return (slice(a, a + _CHUNK) for a in range(0, n, _CHUNK))
+def _batches(pairs):
+    """Consecutive runs of (band, ...) pairs, each covering at most _CHUNK
+    band entries unless a single band is longer."""
+    batch, size = [], 0
+    for pair in pairs:
+        if batch and size + len(pair[0]) > _CHUNK:
+            yield batch
+            batch, size = [], 0
+        batch.append(pair)
+        size += len(pair[0])
+    if batch:
+        yield batch
 
 
 def assemble_jacobian(c: CoefficientVector, cfg: OperatorConfig) -> IntervalMatrix:
@@ -185,7 +202,7 @@ def assemble_jacobian(c: CoefficientVector, cfg: OperatorConfig) -> IntervalMatr
     model = cfg.model
     j = np.arange(1, N + 1)[:, None]
     m = np.arange(1, N + 1)[None, :]
-    vel_e = _row([model.recovery_kernel(mm) * _ONE for mm in range(1, N + 1)])
+    vel_e = _row([model.recovery_kernel(mm) * ONE for mm in range(1, N + 1)])
     vel_e_zero = _zeros(vel_e)
     # Q(e_m, c), Q(K e_m, c), Q(K c, e_m); the first ends up holding J
     q_ec, q_vc, q_cv = (
@@ -198,9 +215,9 @@ def assemble_jacobian(c: CoefficientVector, cfg: OperatorConfig) -> IntervalMatr
     def add_source_mode(k: int, ck: IntervalScalar) -> None:
         band = np.flatnonzero((np.abs(k - m) <= j) & (j <= k + m))
         ckl_band = _take(model.interaction_matrix(k, N), band)
-        unit_ck = _ONE * ck
+        unit_ck = ONE * ck
         vel_ck = model.recovery_kernel(k) * ck
-        for part in _chunks(band.size):
+        for part in _chunks(0, band.size):
             idx = band[part]
             ckl = _take(ckl_band, part)
             skip = _zeros(ckl)
@@ -210,17 +227,17 @@ def assemble_jacobian(c: CoefficientVector, cfg: OperatorConfig) -> IntervalMatr
             cols = idx % N
             accumulate(q_vc, idx, skip | vel_e_zero[cols], ckl * (_take(vel_e, cols) * ck))
             if vel_ck.lo != 0.0 or vel_ck.hi != 0.0:  # Q(K c, e_m) skips zero sources
-                accumulate(q_cv, idx, skip, ckl * (vel_ck * _ONE))
+                accumulate(q_cv, idx, skip, ckl * (vel_ck * ONE))
 
     for k, ck in c.items():
         add_source_mode(k, ck)
-    for part in _chunks(N * N):
+    for part in _chunks(0, N * N):
         ec = _take(q_ec, part)
         stretch = _take(q_vc, part) + _take(q_cv, part)
         _put(q_ec, part, (ec + ec) + _unless(_absent(stretch), stretch * 2.0))
     diag = np.arange(N) * (N + 1)
     sym = _row(
-        [_ONE + model.drift_eig(mm) + cfg.nu * model.diffusion_eig(mm) for mm in range(1, N + 1)]
+        [ONE + model.drift_eig(mm) + cfg.nu * model.diffusion_eig(mm) for mm in range(1, N + 1)]
     )
     _put(q_ec, diag, _take(q_ec, diag) + sym)
     never = _absent(q_ec)

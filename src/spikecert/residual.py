@@ -12,16 +12,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
+import numpy as np
+
 from .basis import recovery_kernel_bound
 from .errors import CertificationError
-from .interval import IntervalScalar, exp_iv, intpow_iv, ln_iv, sqrt_iv
+from .interval import (
+    ONE,
+    ZERO,
+    IntervalMatrix,
+    IntervalScalar,
+    exp_iv,
+    intpow_iv,
+    ln_iv,
+    row_sum,
+    sqrt_iv,
+)
 from .operator import OperatorConfig, apply_G
-from .spaces import ProfileCertificate, WeightedSpace, weight_sq
+from .spaces import ProfileCertificate, WeightedSpace, weight_sq_row
 
 __all__ = ["ResidualReport", "certify_residual", "tail_envelope_bound"]
-
-_ZERO = IntervalScalar(0.0, 0.0)
-_ONE = IntervalScalar(1.0, 1.0)
 
 _QUADRATURE_NOTE = (
     "structural zero: coefficients are contracted exactly in the model basis, "
@@ -37,7 +46,7 @@ class ResidualReport:
     delta_tail: IntervalScalar
     delta: IntervalScalar
     per_mode: Mapping[int, IntervalScalar] = field(default_factory=dict)
-    quadrature: IntervalScalar = _ZERO
+    quadrature: IntervalScalar = ZERO
     quadrature_note: str = _QUADRATURE_NOTE
 
 
@@ -58,17 +67,15 @@ def certify_residual(
         )
     residual = apply_G(coeffs, cfg)
     N = cfg.truncation_N
-    sq_fin = _ZERO
-    sq_tail = _ZERO
-    per_mode = {}
-    for j, rj in sorted(residual.items(), reverse=True):
-        per_mode[j] = rj
-        a = abs(rj)
-        term = weight_sq(j, space) * a * a
-        if j <= N:
-            sq_fin = sq_fin + term
-        else:
-            sq_tail = sq_tail + term
+    # the terms weight_sq(j) |r_j|^2 in descending j, tail modes j > N first;
+    # each sum runs over its terms in that order, as the scalar loop did
+    desc = sorted(residual.items(), reverse=True)
+    r = IntervalMatrix.from_scalars([[rj for _, rj in desc]])
+    a = abs(r)
+    terms = weight_sq_row(np.array([j for j, _ in desc], dtype=np.int64), space) * a * a
+    n_tail = sum(1 for j, _ in desc if j > N)
+    sq_tail = row_sum(terms[:, :n_tail])
+    sq_fin = row_sum(terms[:, n_tail:])
     delta_fin = sqrt_iv(sq_fin)
     delta_tail = sqrt_iv(sq_tail)
     delta = sqrt_iv(delta_fin * delta_fin + delta_tail * delta_tail)
@@ -76,7 +83,7 @@ def certify_residual(
         delta_fin=delta_fin,
         delta_tail=delta_tail,
         delta=delta,
-        per_mode=dict(sorted(per_mode.items())),
+        per_mode=dict(residual.items()),
     )
 
 
@@ -98,7 +105,7 @@ def tail_envelope_bound(
     """
     coeffs = cert.coefficients
     if len(coeffs) == 0:
-        return _ZERO
+        return ZERO
     tau = cert.tau_audited
     envelope_at = {}
     for k, ck in coeffs.items():
@@ -118,8 +125,8 @@ def tail_envelope_bound(
     N = cfg.truncation_N
     cb = abs(cfg.model.interaction_bound)
     if cb.hi == 0.0:
-        return _ZERO
-    kr_max = _ZERO
+        return ZERO
+    kr_max = ZERO
     for k in range(1, N + 1):
         b = recovery_kernel_bound(cfg.model, k)
         if b.hi > kr_max.hi:
@@ -129,14 +136,14 @@ def tail_envelope_bound(
             f"space rate {space.tau} exceeds the audited envelope rate {tau}; "
             "the envelope cannot dominate these weights"
         )
-    one_minus = _ONE - exp_iv(IntervalScalar(-tau, -tau))
+    one_minus = ONE - exp_iv(IntervalScalar(-tau, -tau))
     if one_minus.lo <= 0.0:
         raise CertificationError(
             f"audited decay rate tau={tau} is too small to sum the envelope"
         )
     # per-mode envelope: |R_j| <= D e^{-tau j} with
     # D = Cb (1 + 2 KRmax) A^2 N / (1 - e^{-tau})
-    D = cb * (_ONE + kr_max * 2.0) * A * A * float(N) / one_minus
+    D = cb * (ONE + kr_max * 2.0) * A * A * float(N) / one_minus
     # the weights' exponential is absorbed by the envelope decay (any surplus
     # decay only helps, bounded by its value at the first tail mode), leaving
     # the polynomial part of the weight
@@ -144,7 +151,7 @@ def tail_envelope_bound(
         IntervalScalar(2.0 * (space.tau - tau), 2.0 * (space.tau - tau))
         * float(N + 1)
     )
-    s_poly = _ZERO
+    s_poly = ZERO
     s = space.s
     for j in range(2 * N, N, -1):
         base = intpow_iv(IntervalScalar(float(j), float(j)), 2) + 1.0

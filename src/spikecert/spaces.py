@@ -18,9 +18,13 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import Mapping, Optional
 
+import numpy as np
+
 from .errors import CertificateError
 from .interval import (
     LN10,
+    ZERO,
+    IntervalMatrix,
     IntervalScalar,
     LogMagnitude,
     _parse_decimal,
@@ -41,6 +45,7 @@ __all__ = [
     "CoefficientVector",
     "ProfileCertificate",
     "weight_sq",
+    "weight_sq_row",
     "weight_sq_log10",
     "norm",
     "norm_ratio_multiplier",
@@ -48,9 +53,6 @@ __all__ = [
     "save_certificate",
     "CONSTANT_NAMES",
 ]
-
-_ZERO = IntervalScalar(0.0, 0.0)
-
 
 @dataclass(frozen=True)
 class WeightedSpace:
@@ -92,6 +94,20 @@ def weight_sq(j: int, space: WeightedSpace) -> IntervalScalar:
         poly = exp_iv(ln_iv(base) * s)
     rate = IntervalScalar(2.0 * space.tau, 2.0 * space.tau) * float(j)
     return poly * exp_iv(rate)
+
+
+def weight_sq_row(j: np.ndarray, space: WeightedSpace) -> IntervalMatrix:
+    """weight_sq(j, space) for each mode of an int array j, as a row whose
+    entries have the bits of the scalar function."""
+    jf = IntervalMatrix.from_point(j[None, :].astype(np.float64))
+    base = jf.intpow(2) + 1.0
+    s = space.s
+    if float(s).is_integer():
+        poly = base.intpow(int(s))
+    else:
+        poly = (base.log() * s).exp()
+    rate = IntervalScalar(2.0 * space.tau, 2.0 * space.tau) * jf
+    return poly * rate.exp()
 
 
 def weight_sq_log10(j: int, space: WeightedSpace) -> LogMagnitude:
@@ -147,7 +163,7 @@ class CoefficientVector:
         for jj, c in self.entries:
             if jj == j:
                 return c
-        return _ZERO
+        return ZERO
 
     def items(self):
         return iter(self.entries)
@@ -180,7 +196,7 @@ def norm(c: CoefficientVector, space: WeightedSpace) -> IntervalScalar:
     Terms accumulate in descending index order; interval soundness does not
     depend on the order, it just keeps the midpoints tighter.
     """
-    acc = _ZERO
+    acc = ZERO
     for j, cj in sorted(c.entries, reverse=True):
         if cj.is_empty:
             return cj  # poison propagates to the norm

@@ -30,8 +30,11 @@ from .errors import CertificationError
 from .interval import (
     EMPTY,
     ONE,
+    ZERO,
     IntervalMatrix,
     IntervalScalar,
+    _chunks,
+    as_nonneg,
     exp_iv,
     identity_minus,
     inf_norm,
@@ -53,18 +56,6 @@ class InverseReport:
     M: IntervalScalar
     verified: bool
     diagnostic: str = ""
-
-
-def _as_interval(x, what: str) -> IntervalScalar:
-    if isinstance(x, IntervalScalar):
-        iv = x
-    else:
-        iv = IntervalScalar(float(x), float(x))
-    if iv.is_empty:
-        raise CertificationError(f"{what} is poisoned")
-    if iv.lo < 0.0:
-        raise CertificationError(f"{what} must be nonnegative, got {iv}")
-    return iv
 
 
 def _bound_report(r_norm: IntervalScalar, e_norm: IntervalScalar) -> InverseReport:
@@ -90,8 +81,8 @@ def inverse_bound_from_norms(r_norm, e_norm) -> InverseReport:
     norms from an external computation instead of the matrices.
     """
     return _bound_report(
-        _as_interval(r_norm, "norm of the approximate inverse"),
-        _as_interval(e_norm, "residual norm"),
+        as_nonneg(r_norm, "norm of the approximate inverse"),
+        as_nonneg(e_norm, "residual norm"),
     )
 
 
@@ -133,6 +124,15 @@ def certify_inverse(J: IntervalMatrix) -> InverseReport:
     return _bound_report(r_norm, e_norm)
 
 
+def _envelope_total(cert: ProfileCertificate) -> IntervalScalar:
+    """The j-independent factor sum_k |c_k| e^{tau*k} of the envelope."""
+    tau = IntervalScalar(cert.tau_audited, cert.tau_audited)
+    total = ZERO
+    for k, c in cert.coefficients.items():
+        total = total + abs(c) * exp_iv(tau * float(k))
+    return total
+
+
 def interaction_envelope(cert: ProfileCertificate, C_prof, j: int) -> IntervalScalar:
     """Upper envelope for the interaction felt by mode j past the support.
 
@@ -148,14 +148,11 @@ def interaction_envelope(cert: ProfileCertificate, C_prof, j: int) -> IntervalSc
             f"envelope only covers indices past the audited support "
             f"(j={j} but modes reach {top})"
         )
-    cp = _as_interval(C_prof, "C_prof")
+    cp = as_nonneg(C_prof, "C_prof")
     if not cert.coefficients.entries:
-        return IntervalScalar(0.0, 0.0)
+        return ZERO
     tau = IntervalScalar(cert.tau_audited, cert.tau_audited)
-    total = IntervalScalar(0.0, 0.0)
-    for k, c in cert.coefficients.items():
-        total = total + abs(c) * exp_iv(tau * float(k))
-    return cp * pow_seven_halves(j) * exp_iv(-(tau * float(j))) * total
+    return cp * pow_seven_halves(j) * exp_iv(-(tau * float(j))) * _envelope_total(cert)
 
 
 @dataclass(frozen=True)
@@ -200,14 +197,25 @@ def certify_tail_coercivity(
             f"{cert.coefficients.max_mode}"
         )
     nu = cfg.nu
+    cp = as_nonneg(C_prof, "C_prof")
+    tau = IntervalScalar(cert.tau_audited, cert.tau_audited)
+    total = _envelope_total(cert)
     values: Dict[int, IntervalScalar] = {}
     lo_min = np.inf
     hi_min = np.inf
-    for j in range(j_min, j_min + window + 1):
-        val = nu * float(j * j) - interaction_envelope(cert, C_prof, j)
-        values[j] = val
-        lo_min = min(lo_min, val.lo)
-        hi_min = min(hi_min, val.hi)
+    # nu*j^2 - interaction_envelope(j) over the window, a chunk of modes at a
+    # time; each entry has the bits of the scalar expression, and the running
+    # minima keep the first of equal values, as min() does
+    for part in _chunks(j_min, j_min + window + 1):
+        j = np.arange(part.start, part.stop)[None, :]
+        val = nu * IntervalMatrix.from_point((j * j).astype(np.float64))
+        if cert.coefficients.entries:  # else the envelope is ZERO, and x - ZERO is x
+            jj = IntervalMatrix.from_point(j.astype(np.float64))
+            val = val - cp * (jj.intpow(3) * jj.sqrt()) * (-(tau * jj)).exp() * total
+        lo, hi = val.lo[0], val.hi[0]
+        values.update(zip(j[0].tolist(), map(IntervalScalar, lo.tolist(), hi.tolist())))
+        lo_min = min(lo_min, lo[np.argmin(lo)])
+        hi_min = min(hi_min, hi[np.argmin(hi)])
     gamma = IntervalScalar(float(lo_min), float(hi_min))
 
     notes = []
@@ -215,7 +223,6 @@ def certify_tail_coercivity(
     if empty_profile:
         ratio_ok = True
     else:
-        tau = IntervalScalar(cert.tau_audited, cert.tau_audited)
         step = IntervalScalar(float(j_min + 1), float(j_min + 1)) / IntervalScalar(
             float(j_min), float(j_min)
         )

@@ -71,6 +71,20 @@ class TestReferenceModel:
                 got = (float(C.lo[j - 1, l - 1]).hex(), float(C.hi[j - 1, l - 1]).hex())
                 assert got == (e.lo.hex(), e.hi.hex()), (k, l, j)
 
+    @pytest.mark.parametrize("coupling", [0.37, 1.0, 2.9])
+    def test_shared_quotient_table_is_the_scalar_quotient(self, coupling):
+        # the table grows in pieces, by interaction and by interaction_matrix
+        # calls; every entry has the bits of cpl / (1 + |j - k - l|)
+        m = reference_model(0, coupling)
+        cpl = IntervalScalar(coupling, coupling)
+        for k, l in ((1, 1), (3, 8), (40, 2), (30, 35), (2, 70)):
+            if k == 30:
+                m.interaction_matrix(k, 50)
+            for j in range(abs(k - l), k + l + 1):
+                e = m.interaction(k, l, max(j, 1))
+                want = cpl / float(1 + abs(max(j, 1) - k - l))
+                assert (e.lo.hex(), e.hi.hex()) == (want.lo.hex(), want.hi.hex()), (k, l, j)
+
     def test_interaction_matrix_index_validation(self):
         m = reference_model(0, 1.0)
         with pytest.raises(ValueError):

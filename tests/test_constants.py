@@ -8,14 +8,18 @@ float arguments denote, differences taken exactly).
 import math
 import random
 
+import numpy as np
 import pytest
 
+import spikecert.constants as constants_module
+import spikecert.interval as interval_module
 from spikecert.basis import reference_model
 from spikecert.constants import (
     ConstantsReport,
     EnergySpectrum,
     RecoveryMapResult,
     _ceil_two_significant,
+    _level_multipliers,
     certify_constants,
     convolution_constant,
     level_multiplier,
@@ -24,7 +28,7 @@ from spikecert.constants import (
     stretching_penalty,
 )
 from spikecert.errors import CertificationError
-from spikecert.interval import IntervalScalar, interval_from_decimal, make_interval
+from spikecert.interval import IntervalMatrix, IntervalScalar, interval_from_decimal, make_interval
 from spikecert.operator import OperatorConfig, apply_quadratic
 from spikecert.spaces import (
     PROFILE_SPACE,
@@ -121,6 +125,76 @@ def test_level_multiplier_rejects_bad_index():
         level_multiplier(0, point(0.001))
     with pytest.raises(CertificationError):
         level_multiplier(True, point(0.001))
+
+
+# -- the recovery scan against the scalar loop it replaced
+
+
+def scan_end(tau, tau_prime):
+    b = point(tau_prime) - point(tau)
+    return b, int(math.ceil(4.5 / b.lo)) + 1
+
+
+def scalar_recovery_scan(tau, tau_prime):
+    """The running supremum over k = 1..k_end, one scalar level_multiplier at
+    a time, as recovery_mapping_constant once computed it."""
+    b, k_end = scan_end(tau, tau_prime)
+    best_hi = -1.0
+    best_lo = -1.0
+    argmax = 1
+    for k in range(1, k_end + 1):
+        m = constants_module.level_multiplier(k, b)
+        if m.hi > best_hi:
+            best_hi = m.hi
+            argmax = k
+        if m.lo > best_lo:
+            best_lo = m.lo
+    return IntervalScalar(best_lo, best_hi), argmax
+
+
+def bits(x):
+    return float(x.lo).hex(), float(x.hi).hex()
+
+
+@pytest.mark.parametrize(
+    "tau, tau_prime, k_end",
+    [
+        (0.08, 0.081, 4501),  # the audit's scan
+        (0.0, 0.002199, 2048),  # ends exactly on a chunk edge
+        (0.0, 0.0021975, 2049),  # one level into the next chunk
+        (0.5, 1.0, 10),
+        (0.1, 0.35, 20),
+    ],
+)
+def test_recovery_scan_matches_scalar_loop(tau, tau_prime, k_end):
+    b, end = scan_end(tau, tau_prime)
+    assert end == k_end
+    res = recovery_mapping_constant(tau, tau_prime)
+    value, argmax = scalar_recovery_scan(tau, tau_prime)
+    assert bits(res.value) == bits(value)
+    assert res.argmax_k == argmax
+    row = _level_multipliers(np.arange(1, k_end + 1), b)
+    for k in range(1, k_end + 1):
+        assert bits(row.entry(0, k - 1)) == bits(level_multiplier(k, b)), k
+
+
+def test_recovery_argmax_is_the_first_of_tied_levels(monkeypatch):
+    # a multiplier that plateaus from level 6 on: the supremum ties across
+    # the edges of 4-level chunks, and argmax must stay at the first level
+    def plateau(k, rate):
+        return IntervalScalar(min(k, 6) / 4.0, float(min(k, 6)))
+
+    def plateau_row(k, rate):
+        v = np.minimum(k, 6).astype(np.float64)[None, :]
+        return IntervalMatrix(v / 4.0, v)
+
+    monkeypatch.setattr(interval_module, "_CHUNK", 4)
+    monkeypatch.setattr(constants_module, "level_multiplier", plateau)
+    monkeypatch.setattr(constants_module, "_level_multipliers", plateau_row)
+    res = recovery_mapping_constant(0.5, 1.0)
+    value, argmax = scalar_recovery_scan(0.5, 1.0)
+    assert (res.argmax_k, bits(res.value)) == (argmax, bits(value))
+    assert (argmax, bits(value)) == (6, bits(IntervalScalar(1.5, 6.0)))
 
 
 # ---------------------------------------------------------------------------

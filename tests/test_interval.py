@@ -33,6 +33,7 @@ from spikecert.interval import (
     make_interval,
     point_times_interval,
     pow_seven_halves,
+    row_sum,
     sqrt_iv,
 )
 
@@ -129,6 +130,18 @@ class TestLibmEnclosures:
     def test_exp_overflow_raises(self):
         with pytest.raises(IntervalOverflowError):
             exp_iv(iv(1000.0))
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(-710.0, -710.0), (-720.0, -720.0), (-744.4, -735.0), (-740.0, -708.3), (-745.1, -744.0)],
+    )
+    def test_exp_deep_underflow_band_is_sound(self, lo, hi):
+        import mpmath
+
+        mpmath.mp.dps = 40
+        e = exp_iv(IntervalScalar(lo, hi))
+        for x in (lo, hi):
+            assert mpmath.mpf(e.lo) <= mpmath.exp(mpmath.mpf(x)) <= mpmath.mpf(e.hi)
 
     def test_ln_inverse_of_exp(self):
         x = iv(2.5)
@@ -359,6 +372,38 @@ def kernel_intervals(draw):
     return IntervalScalar(min(a, b), max(a, b))
 
 
+@st.composite
+def _divisor_intervals(draw):
+    nonzero = _kernel_endpoint.filter(lambda x: x != 0.0)
+    a, b = abs(draw(nonzero)), abs(draw(nonzero))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    return IntervalScalar(min(sign * a, sign * b), max(sign * a, sign * b))
+
+
+_divisors = _divisor_intervals()
+
+
+@st.composite
+def _nonneg_intervals(draw):
+    a, b = abs(draw(_kernel_endpoint)), abs(draw(_kernel_endpoint))
+    return IntervalScalar(min(a, b), max(a, b))
+
+
+# exp arguments: ordinary values, the edge of overflow, and the deep
+# underflow band where libm returns subnormals or zero
+_exp_endpoint = st.one_of(
+    st.sampled_from([0.0, -0.0, _TINY, -708.4, -709.5, -744.4, -745.13, -745.2, -800.0, 709.7]),
+    st.floats(min_value=-1e4, max_value=709.7, allow_nan=False),
+    st.floats(min_value=-760.0, max_value=-700.0),
+)
+
+
+@st.composite
+def _exp_intervals(draw):
+    a, b = draw(_exp_endpoint), draw(_exp_endpoint)
+    return IntervalScalar(min(a, b), max(a, b))
+
+
 def _bits(x):
     return struct.pack("<d", float(x))
 
@@ -398,6 +443,126 @@ class TestMatrixKernels:
         for M, r in ((A + f, x + f), (A * f, x * f)):
             assert _same(M.lo[0, 0], M.hi[0, 0], r)
 
+    @given(
+        st.lists(kernel_intervals(), min_size=6, max_size=6),
+        st.lists(kernel_intervals(), min_size=6, max_size=6),
+        st.lists(_divisors, min_size=6, max_size=6),
+        kernel_intervals(),
+        _divisors,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sub_div_and_unary_match_scalar_bit_for_bit(self, xs, ys, ds, s, d):
+        A = IntervalMatrix.from_scalars([xs[:3], xs[3:]])
+        B = IntervalMatrix.from_scalars([ys[:3], ys[3:]])
+        D = IntervalMatrix.from_scalars([ds[:3], ds[3:]])
+        row = IntervalMatrix.from_scalars([ds[:3]])
+        cases = (
+            (A - B, lambda i, j: xs[3 * i + j] - ys[3 * i + j]),
+            (A - s, lambda i, j: xs[3 * i + j] - s),
+            (A / D, lambda i, j: xs[3 * i + j] / ds[3 * i + j]),
+            (A / row, lambda i, j: xs[3 * i + j] / ds[j]),
+            (A / d, lambda i, j: xs[3 * i + j] / d),
+            (s / D, lambda i, j: s / ds[3 * i + j]),
+            (2 / D, lambda i, j: 2 / ds[3 * i + j]),
+            (s * A, lambda i, j: s * xs[3 * i + j]),
+            (-A, lambda i, j: -xs[3 * i + j]),
+            (abs(A), lambda i, j: abs(xs[3 * i + j])),
+        )
+        for M, scalar in cases:
+            for i in range(2):
+                for j in range(3):
+                    assert _same(M.lo[i, j], M.hi[i, j], scalar(i, j)), (i, j)
+
+    @given(st.lists(_nonneg_intervals(), min_size=6, max_size=6), st.integers(0, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_sqrt_and_intpow_match_scalar_bit_for_bit(self, xs, n):
+        A = IntervalMatrix.from_scalars([xs[:3], xs[3:]])
+        for M, scalar in ((A.sqrt(), sqrt_iv), (A.intpow(n), lambda x: intpow_iv(x, n))):
+            for i in range(2):
+                for j in range(3):
+                    assert _same(M.lo[i, j], M.hi[i, j], scalar(xs[3 * i + j])), (i, j)
+
+    @given(st.lists(_exp_intervals(), min_size=6, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_exp_and_log_match_scalar_bit_for_bit(self, xs):
+        A = IntervalMatrix.from_scalars([xs[:3], xs[3:]])
+        E = A.exp()
+        for i in range(2):
+            for j in range(3):
+                assert _same(E.lo[i, j], E.hi[i, j], exp_iv(xs[3 * i + j])), (i, j)
+        pos = [x for x in xs if x.lo > 0.0]
+        L = IntervalMatrix.from_scalars([pos]).log()
+        for j, x in enumerate(pos):
+            assert _same(L.lo[0, j], L.hi[0, j], ln_iv(x))
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (1e300, 1e-300),  # overflows
+            (-1e300, 1e-300),
+            (sys.float_info.max, 0.5),
+            (1e-300, 1e300),  # underflows to a subnormal or to zero
+            (-1e-300, 1e300),
+            (_TINY, 3.0),
+            (-_TINY, 3.0),
+            (_TINY, -sys.float_info.max),
+            (1e-290, 1.0),  # quotients on both edges of the error-free band
+            (math.nextafter(1e-290, 0.0), 1.0),
+            (1e300, 1.0),
+            (math.nextafter(1e300, 0.0), 3.0),
+            (1.0, 3.0),
+            (-0.0, 3.0),
+        ],
+    )
+    def test_quotient_edges_match_scalar(self, a, b):
+        wide = (iv(min(a, a / 2), max(a, a / 2)), iv(min(b, b / 2), max(b, b / 2)))
+        for x, y in ((iv(a), iv(b)), wide):
+            Q = IntervalMatrix.from_scalars([[x]]) / y
+            assert _same(Q.lo[0, 0], Q.hi[0, 0], x / y), (x, y)
+
+    def test_exp_deep_underflow_and_overflow(self):
+        xs = [iv(-800.0), iv(-745.2, -744.9), iv(-720.0, -709.0), iv(-709.5, -708.0), iv(-0.0, 0.0)]
+        E = IntervalMatrix.from_scalars([xs]).exp()
+        for j, x in enumerate(xs):
+            assert _same(E.lo[0, j], E.hi[0, j], exp_iv(x))
+        big = iv(700.0, 710.0)
+        with pytest.raises(IntervalOverflowError) as scalar:
+            exp_iv(big)
+        with pytest.raises(IntervalOverflowError) as matrix:
+            IntervalMatrix.from_scalars([[iv(1.0), big, iv(800.0)]]).exp()
+        assert str(matrix.value) == str(scalar.value)
+
+    def test_singular_divisor_and_domain_errors(self):
+        A = IntervalMatrix.from_scalars([[iv(1.0), iv(2.0), iv(3.0)]])
+        for bad in (iv(-1.0, 2.0), iv(0.0), iv(0.0, 1.0), iv(-1.0, -0.0)):
+            D = IntervalMatrix.from_scalars([[iv(1.0), bad, iv(-1.0, 1.0)]])
+            with pytest.raises(SingularDivisionError) as scalar:
+                iv(2.0) / bad
+            for quotient in (lambda: A / D, lambda: iv(2.0) / D):
+                with pytest.raises(SingularDivisionError) as matrix:
+                    quotient()
+                assert str(matrix.value) == str(scalar.value)
+            with pytest.raises(SingularDivisionError):
+                A / bad
+        negative = IntervalMatrix.from_scalars([[iv(1.0), iv(-1e-300, 1.0)]])
+        for f in (IntervalMatrix.sqrt, IntervalMatrix.log, lambda M: M.intpow(2)):
+            with pytest.raises(IntervalError):
+                f(negative)
+        with pytest.raises(IntervalError):
+            IntervalMatrix.from_scalars([[iv(0.0, 1.0)]]).log()
+        with pytest.raises(IntervalError):
+            A.intpow(-1)
+
+    def test_row_sum_is_the_scalar_running_sum(self):
+        xs = [iv(-0.0), iv(1e300, sys.float_info.max), iv(0.1), iv(-_TINY, 0.0), iv(-3.0, -1.0)]
+        total = IntervalScalar(0.0, 0.0)
+        for x in xs:
+            total = total + x
+        r = row_sum(IntervalMatrix.from_scalars([xs]))
+        assert _same(r.lo, r.hi, total)
+        empty = row_sum(IntervalMatrix(np.zeros((1, 0)), np.zeros((1, 0))))
+        assert _same(empty.lo, empty.hi, IntervalScalar(0.0, 0.0))
+
     def test_poisoned_or_foreign_operands_rejected(self):
         A = IntervalMatrix.from_point(np.ones((2, 2)))
         with pytest.raises(IntervalError):
@@ -434,6 +599,69 @@ class TestContainmentFuzz:
             else:
                 exact = pa / pb
             assert Fraction(r.lo) <= exact <= Fraction(r.hi)
+
+
+    def test_matrix_kernels_contain_exact_values(self):
+        # the elementwise kernels against exact rationals (40-digit mpmath for
+        # exp and log) at random points of random operands
+        import mpmath
+
+        mpmath.mp.dps = 40
+        rng = random.Random(20261018)
+        n = 10_000  # ten kernels: 100k trials, as in acceptance criterion 08
+
+        def operand(lo_range, rel_width, min_mag=0.0):
+            lo = []
+            for _ in range(n):
+                x = rng.uniform(*lo_range)
+                if rng.random() < 0.25:  # products reach below the error-free band
+                    x = math.copysign(10.0 ** rng.uniform(-160, 150), x)
+                lo.append(math.copysign(max(abs(x), min_mag), x))
+            lo = np.array(lo)
+            width = np.array([rng.uniform(0.0, rel_width) for _ in range(n)])
+            return IntervalMatrix(lo[None, :], (lo + np.abs(lo) * width)[None, :])
+
+        def points(M):
+            return [rng.uniform(a, b) for a, b in zip(M.lo[0].tolist(), M.hi[0].tolist())]
+
+        def contained(M, exact):  # an infinite endpoint bounds everything
+            return all(
+                (a == -math.inf or Fraction(a) <= e) and (b == math.inf or e <= Fraction(b))
+                for a, b, e in zip(M.lo[0].tolist(), M.hi[0].tolist(), exact)
+            )
+
+        A = operand((-1e6, 1e6), 1e-3)
+        B = operand((-1e6, 1e6), 1e-3, min_mag=1e-3)  # no divisor contains 0
+        exact_ops = {
+            "add": lambda x, y: x + y,
+            "sub": lambda x, y: x - y,
+            "mul": lambda x, y: x * y,
+            "div": lambda x, y: x / y,
+        }
+        for M, op in ((A + B, "add"), (A - B, "sub"), (A * B, "mul"), (A / B, "div")):
+            pairs = zip(points(A), points(B))
+            assert contained(M, [exact_ops[op](Fraction(x), Fraction(y)) for x, y in pairs]), op
+        P = abs(A)
+        pp = [Fraction(x) for x in points(P)]
+        S = P.sqrt()
+        assert all(
+            Fraction(a) ** 2 <= x <= Fraction(b) ** 2
+            for a, b, x in zip(S.lo[0].tolist(), S.hi[0].tolist(), pp)
+        )
+        for k in (2, 3, 7):
+            assert contained(P.intpow(k), [x**k for x in pp]), k
+
+        def libm_contained(M, X, f):
+            return all(
+                mpmath.mpf(a) <= f(mpmath.mpf(x)) <= mpmath.mpf(b)
+                for a, b, x in zip(M.lo[0].tolist(), M.hi[0].tolist(), points(X))
+            )
+
+        lo = np.array([rng.uniform(-760.0, 700.0) for _ in range(n)])
+        width = np.array([rng.uniform(0.0, 2.0) for _ in range(n)])
+        X = IntervalMatrix(lo[None, :], (lo + width)[None, :])
+        assert libm_contained(X.exp(), X, mpmath.exp)
+        assert libm_contained(abs(B).log(), abs(B), mpmath.log)
 
 
 _endpoint = st.floats(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spikecert.basis import reference_model
-from spikecert.interval import IntervalScalar, make_interval
+from spikecert.interval import EMPTY, IntervalError, IntervalScalar, make_interval
 from spikecert.operator import (
     OperatorConfig,
     apply_G,
@@ -298,6 +298,72 @@ class TestJacobianMatchesColumnAssembly:
         lo, hi = column_jacobian(c, cfg)
         J = assemble_jacobian(c, cfg)
         assert same_bits(J.lo, lo) and same_bits(J.hi, hi)
+
+
+# -- the scalar quadratic form -----------------------------------------------
+
+
+def scalar_apply_quadratic(u, v, cfg):
+    """Q(u, v) by the scalar triple loop apply_quadratic replaced, summing
+    each mode's terms in (k, l) order; the bitwise reference for it."""
+    n2 = 2 * cfg.truncation_N
+    acc = {}
+    for k, uk in u.items():
+        if uk.mag() == 0.0 and uk.lo == uk.hi:
+            continue
+        for l, vl in v.items():
+            prod = uk * vl
+            for j in range(max(1, abs(k - l)), min(k + l, n2) + 1):
+                ckl = cfg.model.interaction(k, l, j)
+                if ckl.lo == 0.0 == ckl.hi:
+                    continue
+                term = ckl * prod
+                acc[j] = acc[j] + term if j in acc else term
+    return CoefficientVector(tuple(acc.items()), n2)
+
+
+def same_vector(a, b):
+    return a.max_mode == b.max_mode and [
+        (j, float(x.lo).hex(), float(x.hi).hex()) for j, x in a.items()
+    ] == [(j, float(x.lo).hex(), float(x.hi).hex()) for j, x in b.items()]
+
+
+class TestQuadraticMatchesScalarLoop:
+    def test_random_sparse_profiles_bit_for_bit(self):
+        rng = random.Random(2026)
+        for _ in range(40):
+            c, cfg = random_problem(rng)
+            entries = list(c.entries)
+            if entries and rng.random() < 0.3:  # an exactly zero coefficient
+                k, _ = entries[rng.randrange(len(entries))]
+                entries = [(j, iv(0.0) if j == k else x) for j, x in entries]
+            c = CoefficientVector(tuple(entries), cfg.truncation_N)
+            vel = recover_velocity(c, cfg)
+            for u, v in ((c, c), (vel, c), (c, vel)):
+                assert same_vector(apply_quadratic(u, v, cfg), scalar_apply_quadratic(u, v, cfg))
+
+    @pytest.mark.parametrize(
+        "coupling, modes",
+        [
+            (0.0, {2: -0.4, 5: 0.3}),  # coupling 0: no mode is reached
+            (1.3, {3: 0.25, 12: -1.5}),  # a mode at exactly N
+            (0.8, {4: 0.0, 6: 0.75}),  # an exactly zero coefficient
+            (1.0, {2: 1e-300, 5: -3e-295}),  # below the error-free band
+            (1.0, {3: 1e300, 9: -2e290}),  # products that overflow
+            (0.7, {}),
+        ],
+    )
+    def test_edge_cases_bit_for_bit(self, coupling, modes):
+        cfg = cfg_for(coupling, N=12, coupling_rec=0.5)
+        c = vec(modes, 12)
+        for u, v in ((c, c), (recover_velocity(c, cfg), c)):
+            assert same_vector(apply_quadratic(u, v, cfg), scalar_apply_quadratic(u, v, cfg))
+
+    def test_poisoned_coefficient_raises(self):
+        # the scalar loop would carry EMPTY; the elementwise form refuses it
+        c = CoefficientVector(((2, EMPTY), (3, iv(0.5))), 6)
+        with pytest.raises(IntervalError):
+            apply_quadratic(c, c, cfg_for(1.0, N=6))
 
 
 class TestJacobian:

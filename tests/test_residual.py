@@ -7,13 +7,16 @@ import pytest
 from spikecert.basis import reference_model
 from spikecert.errors import CertificationError
 from spikecert.interval import IntervalScalar, make_interval, sqrt_iv
-from spikecert.operator import OperatorConfig
+from spikecert.operator import OperatorConfig, apply_G
 from spikecert.residual import certify_residual, tail_envelope_bound
 from spikecert.spaces import (
     PROFILE_SPACE,
+    SOURCE_SPACE,
     CoefficientVector,
     ProfileCertificate,
+    WeightedSpace,
     load_certificate,
+    weight_sq,
 )
 
 mpmath.mp.dps = 40
@@ -137,6 +140,64 @@ class TestCertifyResidual:
         rep = certify_residual(mk_cert(c), mk_cfg(1.0), PROFILE_SPACE)
         assert set(rep.per_mode) == {1, 2}
         assert rep.per_mode[1].contains(1.505 + 0.5 + 1.0)
+
+
+def scalar_residual(cert, cfg, space):
+    """The weighted sums of certify_residual as the scalar loop it replaced,
+    descending in j; the bitwise reference for the elementwise terms."""
+    residual = apply_G(cert.coefficients, cfg)
+    sq_fin = IntervalScalar(0.0, 0.0)
+    sq_tail = IntervalScalar(0.0, 0.0)
+    per_mode = {}
+    for j, rj in sorted(residual.items(), reverse=True):
+        per_mode[j] = rj
+        a = abs(rj)
+        term = weight_sq(j, space) * a * a
+        if j <= cfg.truncation_N:
+            sq_fin = sq_fin + term
+        else:
+            sq_tail = sq_tail + term
+    delta_fin = sqrt_iv(sq_fin)
+    delta_tail = sqrt_iv(sq_tail)
+    delta = sqrt_iv(delta_fin * delta_fin + delta_tail * delta_tail)
+    return delta_fin, delta_tail, delta, dict(sorted(per_mode.items()))
+
+
+def bits(x):
+    return float(x.lo).hex(), float(x.hi).hex()
+
+
+def assert_matches_scalar_residual(cert, cfg, space):
+    rep = certify_residual(cert, cfg, space)
+    delta_fin, delta_tail, delta, per_mode = scalar_residual(cert, cfg, space)
+    assert bits(rep.delta_fin) == bits(delta_fin)
+    assert bits(rep.delta_tail) == bits(delta_tail)
+    assert bits(rep.delta) == bits(delta)
+    assert [(j, bits(x)) for j, x in rep.per_mode.items()] == [
+        (j, bits(x)) for j, x in per_mode.items()
+    ]
+
+
+class TestResidualMatchesScalarLoop:
+    @pytest.mark.parametrize("space", [PROFILE_SPACE, SOURCE_SPACE, WeightedSpace(6.5, 0.08)])
+    def test_bundled_certificate(self, bundled_certificate_path, space):
+        cert = load_certificate(bundled_certificate_path)
+        assert_matches_scalar_residual(cert, mk_cfg(1.0, nu=0.005, N=450), space)
+
+    def test_random_profiles(self):
+        rng = random.Random(53)
+        for _ in range(20):
+            N = rng.randint(1, 30)
+            modes = rng.sample(range(1, N + 1), rng.randint(0, min(6, N)))
+            c = CoefficientVector(
+                tuple(
+                    (j, make_interval(rng.uniform(-1.0, 1.0), rng.choice([0.0, 1e-4])))
+                    for j in modes
+                )
+            )
+            cfg = mk_cfg(rng.choice([0.0, 0.6]), N=N, coupling_rec=rng.choice([0.0, 0.3]))
+            for space in (PROFILE_SPACE, SOURCE_SPACE):
+                assert_matches_scalar_residual(mk_cert(c), cfg, space)
 
 
 class TestTailEnvelope:

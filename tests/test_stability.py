@@ -8,13 +8,16 @@ evaluation of the envelope formula.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
 
+import spikecert.interval as interval_module
+import spikecert.stability as stability_module
 from spikecert.basis import reference_model
 from spikecert.errors import CertificationError
-from spikecert.interval import EMPTY, IntervalMatrix, IntervalScalar, make_interval
+from spikecert.interval import EMPTY, IntervalMatrix, IntervalScalar, exp_iv, make_interval
 from spikecert.operator import OperatorConfig, assemble_jacobian
 from spikecert.spaces import (
     CoefficientVector,
@@ -358,3 +361,86 @@ def test_report_types(bundled):
     inv = inverse_bound_from_norms(2.0, 0.5)
     assert isinstance(inv, InverseReport)
     assert inv.M.contains(4.0)
+
+
+# ---------------------------------------------------------------------------
+# the window scan against the scalar loop it replaced
+
+
+def scalar_window_scan(cert, cfg, C_prof, j_min, window):
+    """nu*j^2 - interaction_envelope(j) mode by mode and the running minima,
+    as certify_tail_coercivity once computed them; the bitwise reference."""
+    values = {}
+    lo_min = np.inf
+    hi_min = np.inf
+    for j in range(j_min, j_min + window + 1):
+        val = cfg.nu * float(j * j) - interaction_envelope(cert, C_prof, j)
+        values[j] = val
+        lo_min = min(lo_min, val.lo)
+        hi_min = min(hi_min, val.hi)
+    return values, IntervalScalar(float(lo_min), float(hi_min))
+
+
+def bits(x):
+    return float(x.lo).hex(), float(x.hi).hex()
+
+
+def assert_matches_scalar_scan(cert, cfg, C_prof, j_min, window):
+    rep = certify_tail_coercivity(cert, cfg, C_prof, j_min=j_min, window=window)
+    values, gamma = scalar_window_scan(cert, cfg, C_prof, j_min, window)
+    assert [(j, bits(v)) for j, v in rep.window_values.items()] == [
+        (j, bits(v)) for j, v in values.items()
+    ]
+    assert bits(rep.gamma) == bits(gamma)
+
+
+@pytest.mark.parametrize(
+    "window, chunk",
+    [
+        (2048, None),  # the audit's window: 2049 modes, one past a chunk
+        (0, None),
+        (20, 7),  # 21 modes, three full chunks
+        (9, 7),  # 10 modes, a partial last chunk
+    ],
+)
+def test_window_scan_matches_scalar_loop(bundled, monkeypatch, window, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(interval_module, "_CHUNK", chunk)
+    assert_matches_scalar_scan(bundled, reference_config(bundled.nu), 0.125, 1200, window)
+
+
+def test_window_scan_matches_scalar_loop_on_random_profiles(monkeypatch):
+    # mixed signs, nonzero radii, exactly zero coefficients, empty profiles,
+    # nu = 0 and C_prof = 0, over windows cut into chunks of 16 modes
+    monkeypatch.setattr(interval_module, "_CHUNK", 16)
+    rng = random.Random(61)
+    for _ in range(12):
+        N = rng.randint(1, 40)
+        entries = {}
+        for k in rng.sample(range(1, N + 1), rng.randint(0, min(N, 6))):
+            mid = 0.0 if rng.random() < 0.2 else rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 1)
+            entries[k] = make_interval(mid, rng.choice([0.0, 1e-6]))
+        cert = ProfileCertificate(
+            coefficients=CoefficientVector.from_dict(entries),
+            nu=make_interval(rng.choice([0.0, 0.005, 0.02]), rng.choice([0.0, 1e-9])),
+            sigma=0.05,
+            tau_audited=rng.choice([0.01, 0.08, 0.5]),
+        )
+        cfg = OperatorConfig(reference_model(0, 1.0), cert.nu, truncation_N=N)
+        C_prof = rng.choice([0.0, 0.125, 3.0])
+        assert_matches_scalar_scan(cert, cfg, C_prof, N + 1 + rng.randint(0, 99), rng.randint(0, 59))
+
+
+def test_window_scan_computes_the_envelope_total_once(bundled, monkeypatch):
+    # each scalar exp_iv left in the scan: one per support mode for the
+    # j-independent total, one for the ratio test; the window itself uses
+    # the elementwise exp
+    calls = []
+
+    def counting_exp_iv(x):
+        calls.append(x)
+        return exp_iv(x)
+
+    monkeypatch.setattr(stability_module, "exp_iv", counting_exp_iv)
+    certify_tail_coercivity(bundled, reference_config(bundled.nu), 0.125)
+    assert 0 < len(calls) <= len(bundled.coefficients) + 2

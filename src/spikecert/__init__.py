@@ -1,25 +1,16 @@
 """Certified interval-arithmetic toolkit for spectral blowup-profile certificates."""
 
 from .audit import AuditConfig, AuditLog, AuditResult, run_audit
-from .basis import BasisModel, recovery_kernel_bound, reference_model
-from .closure import (
-    ClosureReport,
-    TransferReport,
-    image_overlap_bound,
-    nk_closure,
-    torus_closure,
-    transfer_error,
-)
+from .basis import BasisModel, reference_model
+from .closure import ClosureReport, image_overlap_bound, nk_closure, torus_closure
 from .constants import (
     ConstantsReport,
-    EnergySpectrum,
     RecoveryMapResult,
     certify_constants,
     convolution_constant,
     level_multiplier,
     lipschitz_constant,
     recovery_mapping_constant,
-    stretching_penalty,
 )
 from .errors import CertificateError, CertificationError
 from .interval import (
@@ -36,7 +27,6 @@ from .interval import (
     interval_from_decimal,
     intpow_iv,
     ln_iv,
-    log10_of_exp,
     make_interval,
     sqrt_iv,
 )
@@ -61,7 +51,7 @@ from .oracle import (
     default_grid,
     standard_checks,
 )
-from .residual import ResidualReport, certify_residual, tail_envelope_bound
+from .residual import ResidualReport, certify_residual
 from .spaces import (
     PROFILE_SPACE,
     SOURCE_SPACE,
@@ -70,7 +60,6 @@ from .spaces import (
     WeightedSpace,
     load_certificate,
     norm,
-    norm_ratio_multiplier,
     save_certificate,
 )
 from .stability import (

@@ -101,7 +101,14 @@ class AuditResult:
 
 @dataclass
 class AuditConfig:
-    """Knobs for one audit run; defaults match the bundled certificate."""
+    """Knobs for one audit run; defaults match the bundled certificate.
+
+    ``coupling`` and ``coupling_rec`` select the reference basis model,
+    ``truncation_N`` the operator truncation, ``tau_prime`` the source-space
+    rate of the recovery scan, ``j_min`` and ``window`` the tail-coercivity
+    scan, ``lattice_radius`` the image-overlap enumeration; a fixed
+    ``timestamp`` makes the whole log reproducible.
+    """
 
     coupling: float = 1.0
     coupling_rec: Optional[float] = None
@@ -110,8 +117,6 @@ class AuditConfig:
     j_min: int = 1200
     window: int = 2048
     lattice_radius: int = 3
-    precision: int = 53
-    seed: int = 0
     timestamp: Optional[str] = None
 
 
@@ -139,11 +144,6 @@ def run_audit(certificate_path, config: Optional[AuditConfig] = None) -> AuditRe
     )
     add("EXEC", f"run started {stamp}")
     add("PREC", "binary64 interval endpoints, outward rounding, 53 mantissa bits")
-    if cfg.precision != 53:
-        add(
-            "PREC",
-            f"requested {cfg.precision} bits; this pipeline computes at 53",
-        )
 
     add("TASK", "certificate load")
     try:
@@ -160,7 +160,7 @@ def run_audit(certificate_path, config: Optional[AuditConfig] = None) -> AuditRe
         f"sigma = {cert.sigma:.6e}",
     )
 
-    model = reference_model(cfg.seed, cfg.coupling, cfg.coupling_rec)
+    model = reference_model(cfg.coupling, cfg.coupling_rec)
     op_cfg = OperatorConfig(
         model=model, nu=cert.nu, truncation_N=cfg.truncation_N
     )

@@ -16,17 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CertificationError
 from .interval import ZERO, IntervalMatrix, IntervalScalar, pow_seven_halves
 
-__all__ = [
-    "BasisModel",
-    "reference_model",
-    "recovery_kernel_bound",
-    "RECOVERY_KERNEL_CAP",
-]
-
-RECOVERY_KERNEL_CAP = 200.0  # admissible ceiling on |K_rec(k)| / k^{7/2}
+__all__ = ["BasisModel", "reference_model"]
 
 
 @dataclass(frozen=True)
@@ -42,26 +34,20 @@ class BasisModel:
     ``interaction`` gives.
     """
 
-    name: str
     diffusion_eig: Callable[[int], IntervalScalar]
     drift_eig: Callable[[int], IntervalScalar]
     interaction: Callable[[int, int, int], IntervalScalar]
     interaction_matrix: Callable[[int, int], IntervalMatrix]
     interaction_bound: IntervalScalar
     recovery_kernel: Callable[[int], IntervalScalar]
-    seed: int = 0
-    coupling: float = 0.0
-    coupling_rec: float = 0.0
 
 
-def reference_model(seed: int, coupling: float, coupling_rec: float = None) -> BasisModel:
+def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
     """Deterministic reference basis.
 
     lambda_j = j^2, d_j = j/2, C_{klj} = coupling / (1 + |j-k-l|) inside the
     triangle band |k-l| <= j <= k+l and zero outside, K_rec(k) =
-    coupling_rec * k^{7/2} (coupling_rec defaults to coupling).  The seed is
-    recorded for reproducibility plumbing; the reference formulas do not
-    draw randomness.
+    coupling_rec * k^{7/2} (coupling_rec defaults to coupling).
     """
     if coupling < 0.0:
         raise ValueError(f"coupling must be nonnegative, got {coupling!r}")
@@ -121,37 +107,15 @@ def reference_model(seed: int, coupling: float, coupling_rec: float = None) -> B
         return crec * pow_seven_halves(k)
 
     return BasisModel(
-        name="reference",
         diffusion_eig=diffusion_eig,
         drift_eig=drift_eig,
         interaction=interaction,
         interaction_matrix=interaction_matrix,
         interaction_bound=cpl,
         recovery_kernel=recovery_kernel,
-        seed=seed,
-        coupling=coupling,
-        coupling_rec=coupling_rec,
     )
 
 
 def _check_index(j: int) -> None:
     if not isinstance(j, int) or isinstance(j, bool) or j < 1:
         raise ValueError(f"mode index must be a positive integer, got {j!r}")
-
-
-def recovery_kernel_bound(model: BasisModel, k: int) -> IntervalScalar:
-    """Certified upper bound on |K_rec(k)|, capped at 200 k^{7/2}.
-
-    A model whose kernel exceeds the cap cannot be certified at all, since
-    every downstream recovery estimate assumes it; that is reported as a
-    certification failure rather than clamped.
-    """
-    _check_index(k)
-    b = abs(model.recovery_kernel(k))
-    cap = pow_seven_halves(k) * RECOVERY_KERNEL_CAP
-    if b.hi > cap.hi:
-        raise CertificationError(
-            f"recovery kernel at k={k} is {b.hi:.6e}, above the admissible "
-            f"cap {cap.hi:.6e} = 200 k^(7/2)"
-        )
-    return b

@@ -4,7 +4,8 @@ One subcommand per pipeline stage plus the end-to-end audit driver and
 a deterministic test-certificate generator.  Options can also come from
 a plain-text config file (`key = value` per line, `#` comments); flags
 given on the command line win over the file, the file wins over
-defaults.  Exit codes follow the audit contract: 0 verified, 1 a check
+defaults, and a key that names no option of any subcommand is refused.
+Exit codes follow the audit contract: 0 verified, 1 a check
 failed, 2 unusable input or usage error.
 """
 
@@ -35,7 +36,7 @@ from .spaces import (
 )
 from .stability import certify_inverse, certify_tail_coercivity, inverse_bound_from_norms
 
-_INT_KEYS = {"modes", "seed", "precision", "j_min", "window", "grid", "lattice_radius"}
+_INT_KEYS = {"modes", "seed", "j_min", "window", "grid", "lattice_radius"}
 _FLOAT_KEYS = {"coupling", "coupling_rec", "tau", "tau_prime", "sigma", "amplitude"}
 # decimal-string keys (nu, delta, M, K, eps, r_norm, e_norm) stay strings so
 # the exact decimal reaches interval_from_decimal unrounded
@@ -91,33 +92,20 @@ def _build_parser():
         "--config", help="plain-text config file, key = value per line"
     )
     sub = parser.add_subparsers(dest="command")
-    registry = {}
-    _add = sub.add_parser
-
-    def add_parser(name, **kw):
-        p = _add(name, **kw)
-        registry[name] = p
-        return p
-
-    sub.add_parser = add_parser
 
     def common(p, *names):
         if "profile" in names:
             p.add_argument("--profile", help="certificate JSON path")
         if "model" in names:
-            p.add_argument("--model", default="reference", help="basis model name")
             p.add_argument("--coupling", type=float, default=1.0)
             p.add_argument("--coupling-rec", type=float, default=None)
-            p.add_argument("--seed", type=int, default=0)
         if "modes" in names:
             p.add_argument("--modes", type=int, default=450, help="truncation level")
         if "out" in names:
             p.add_argument("--out", help="also write the output to this path")
-        if "precision" in names:
-            p.add_argument("--precision", type=int, default=53)
 
     p = sub.add_parser("audit", help="full pipeline, tagged log, exit code")
-    common(p, "profile", "model", "modes", "out", "precision")
+    common(p, "profile", "model", "modes", "out")
     p.add_argument("--tau-prime", type=float, default=SOURCE_SPACE.tau)
     p.add_argument("--j-min", type=int, default=1200)
     p.add_argument("--window", type=int, default=2048)
@@ -142,7 +130,6 @@ def _build_parser():
     common(p, "model", "modes", "out")
     p.add_argument("--tau", type=float, default=PROFILE_SPACE.tau)
     p.add_argument("--tau-prime", type=float, default=SOURCE_SPACE.tau)
-    p.add_argument("--kernel-cap", type=float, default=None)
 
     p = sub.add_parser("closure", help="scalar closure verdict from constants")
     common(p, "out")
@@ -168,7 +155,7 @@ def _build_parser():
     p.add_argument("--tau", type=float, default=PROFILE_SPACE.tau)
     p.add_argument("--sigma", type=float, default=0.05)
     p.add_argument("--amplitude", type=float, default=1.0)
-    return parser, registry
+    return parser, sub.choices
 
 
 def _require_profile(args) -> str:
@@ -181,17 +168,12 @@ class SystemExit2(Exception):
     """Usage-level failure: message printed, exit code 2."""
 
 
-def _model(args):
-    if args.model != "reference":
-        raise SystemExit2(f"unknown model {args.model!r}; only 'reference' exists")
-    return reference_model(args.seed, args.coupling, args.coupling_rec)
-
-
 def _op_config(args, cert) -> OperatorConfig:
     nu = cert.nu
     if getattr(args, "nu", None):
         nu = interval_from_decimal(args.nu)
-    return OperatorConfig(model=_model(args), nu=nu, truncation_N=args.modes)
+    model = reference_model(args.coupling, args.coupling_rec)
+    return OperatorConfig(model=model, nu=nu, truncation_N=args.modes)
 
 
 def _cmd_audit(args) -> int:
@@ -204,8 +186,6 @@ def _cmd_audit(args) -> int:
         j_min=args.j_min,
         window=args.window,
         lattice_radius=args.lattice_radius,
-        precision=args.precision,
-        seed=args.seed,
     )
     result = run_audit(path, cfg)
     _emit(result.log.render(), args.out)
@@ -271,11 +251,10 @@ def _cmd_constants(args) -> int:
     rep = certify_constants(
         args.tau,
         args.tau_prime,
-        _model(args),
+        reference_model(args.coupling, args.coupling_rec),
         args.modes,
         PROFILE_SPACE,
         SOURCE_SPACE,
-        kernel_cap=args.kernel_cap,
     )
     text = (
         f"C_rec_map = {_iv(rep.C_rec_map)} (argmax k = {rep.argmax_k})\n"
@@ -369,7 +348,7 @@ _HANDLERS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, registry = _build_parser()
+    parser, subparsers = _build_parser()
 
     # pull --config early so its values become parser defaults that
     # explicit flags then override
@@ -382,14 +361,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         except (OSError, ValueError) as exc:
             sys.stderr.write(f"spikecert: bad config file: {exc}\n")
             return 2
-        for subparser in registry.values():
-            subparser.set_defaults(
-                **{
-                    k: v
-                    for k, v in overrides.items()
-                    if any(a.dest == k for a in subparser._actions)
-                }
-            )
+        dests = {name: {a.dest for a in p._actions} for name, p in subparsers.items()}
+        known = set().union(*dests.values())
+        for key in overrides:
+            if key not in known:
+                sys.stderr.write(f"spikecert: bad config file: unknown key {key!r}\n")
+                return 2
+        for name, p in subparsers.items():
+            p.set_defaults(**{k: v for k, v in overrides.items() if k in dests[name]})
 
     args = parser.parse_args(argv)
     if not args.command:

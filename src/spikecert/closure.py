@@ -1,4 +1,4 @@
-"""Contraction products and the periodic transfer budget.
+"""Contraction products and the periodic image-overlap bound.
 
 The final test is one multiplication: with residual delta, inverse
 bound M and Lipschitz constant K, the scalar closure needs
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Optional
 
 from .errors import CertificationError
 from .interval import (
@@ -71,16 +70,9 @@ def nk_closure(delta, M, K) -> ClosureReport:
 
 
 def torus_closure(delta, eps, M, K) -> ClosureReport:
-    """Periodic contraction test 2*(delta+eps)*M*K < 1.
-
-    ``eps`` may arrive as a log-domain magnitude, in which case it is
-    promoted with upward saturation before joining delta.
-    """
+    """Periodic contraction test 2*(delta+eps)*M*K < 1, outward rounded."""
     d = as_nonneg(delta, "delta")
-    if isinstance(eps, LogMagnitude):
-        e = eps.to_interval()
-    else:
-        e = as_nonneg(eps, "eps")
+    e = as_nonneg(eps, "eps")
     m = as_nonneg(M, "M")
     k = as_nonneg(K, "K")
     return _closure_report(_TWO * (d + e) * m * k)
@@ -154,71 +146,3 @@ def image_overlap_bound(
     grand = scaled + tail
     total = nearest_log10 + ln_iv(grand) / LN10
     return LogMagnitude(total.hi, 1)
-
-
-@dataclass(frozen=True)
-class TransferReport:
-    """Error budget for moving the certificate onto the periodic domain."""
-
-    eps_ov: LogMagnitude
-    eps_P: LogMagnitude
-    eps_p: LogMagnitude
-    eps_total: IntervalScalar
-    computed_total: IntervalScalar
-
-
-def _log10_of_upper(iv: IntervalScalar, what: str) -> float:
-    if iv.hi <= 0.0:
-        raise CertificationError(f"{what} upper bound must be positive")
-    point = IntervalScalar(iv.hi, iv.hi)
-    return (ln_iv(point) / LN10).hi
-
-
-def transfer_error(
-    sigma: float,
-    projector_bound,
-    pressure_factor,
-    lattice_radius: int = 3,
-    declared_total=None,
-) -> TransferReport:
-    """Assemble the three-part transfer budget at concentration sigma.
-
-    eps_ov is the image-overlap bound; the projector and pressure pieces
-    are scalar multiples of it, scaled in log domain.  The total is the
-    promoted (saturating) sum.  A declared total replaces the computed
-    one only when it certifiably dominates it; the computed value stays
-    in the report so the gap between the two remains on record.
-    """
-    pb = as_nonneg(projector_bound, "projector bound")
-    if pb.lo < 1.0:
-        raise CertificationError(
-            f"projector bound must be at least 1, got lower endpoint {pb.lo!r}"
-        )
-    pf = as_nonneg(pressure_factor, "pressure factor")
-    eps_ov = image_overlap_bound(sigma, lattice_radius)
-    if eps_ov.sign == 0:
-        eps_P = LogMagnitude.zero()
-    else:
-        eps_P = eps_ov.scaled_by_log10(_log10_of_upper(pb, "projector bound"))
-    if eps_ov.sign == 0 or pf.hi == 0.0:
-        eps_p = LogMagnitude.zero()
-    else:
-        eps_p = eps_ov.scaled_by_log10(_log10_of_upper(pf, "pressure factor"))
-    computed = eps_ov.to_interval() + eps_P.to_interval() + eps_p.to_interval()
-    if declared_total is None:
-        total = computed
-    else:
-        dec = as_nonneg(declared_total, "declared transfer error")
-        if dec.hi < computed.hi:
-            raise CertificationError(
-                f"declared transfer error {dec.hi!r} falls below the certified "
-                f"bound {computed.hi!r}"
-            )
-        total = IntervalScalar(0.0, dec.hi)
-    return TransferReport(
-        eps_ov=eps_ov,
-        eps_P=eps_P,
-        eps_p=eps_p,
-        eps_total=total,
-        computed_total=computed,
-    )

@@ -8,14 +8,11 @@ there.  The convolution constant bounds the bilinear form between the
 two weighted spaces through the elementary inequality
 1+(k+l)^2 <= 2(1+k^2)(1+l^2) and the exponential buffer tau'-tau, which
 turns the double sum into a product of one-dimensional sums.  The
-Lipschitz constant is their outward-rounded product, optionally bumped
-to a declared value.
+Lipschitz constant is their outward-rounded product, ceiled to two
+significant digits.
 
-A deliberate normalization wrinkle: the headline recovery constant is
-the bare supremum, without the recovery-kernel prefactor, because that
-is the value downstream audits compare against.  The full product path
-(prefactor times supremum) is computed alongside and reported so the
-mismatch stays visible instead of silently resolved.
+The recovery constant is the bare supremum, without the recovery-kernel
+prefactor, because that is the value downstream audits compare against.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Decimal, localcontext
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -70,24 +67,13 @@ def _level_multipliers(k: np.ndarray, rate: IntervalScalar) -> IntervalMatrix:
 
 @dataclass(frozen=True)
 class RecoveryMapResult:
-    """Supremum of the level multiplier, in both normalizations.
-
-    ``value`` is the bare supremum; ``with_kernel`` carries the kernel
-    prefactor when one was supplied.  Unpacks as (value, argmax_k).
-    """
+    """Supremum of the level multiplier and the first level attaining it."""
 
     value: IntervalScalar
     argmax_k: int
-    with_kernel: Optional[IntervalScalar] = None
-
-    def __iter__(self):
-        yield self.value
-        yield self.argmax_k
 
 
-def recovery_mapping_constant(
-    tau: float, tau_prime: float, kernel_cap=None
-) -> RecoveryMapResult:
+def recovery_mapping_constant(tau: float, tau_prime: float) -> RecoveryMapResult:
     """Certified sup over integers k >= 1 of the norm-level multiplier.
 
     The scan runs to ceil(4.5/b) with b = tau' - tau, past the
@@ -141,11 +127,7 @@ def recovery_mapping_constant(
         raise CertificationError(
             f"monotone-decrease ratio test failed at k={k_end}: bound {ratio.hi!r}"
         )
-    value = IntervalScalar(best_lo, best_hi)
-    if kernel_cap is None:
-        return RecoveryMapResult(value=value, argmax_k=argmax)
-    cap = as_nonneg(kernel_cap, "kernel_cap")
-    return RecoveryMapResult(value=value, argmax_k=argmax, with_kernel=cap * value)
+    return RecoveryMapResult(value=IntervalScalar(best_lo, best_hi), argmax_k=argmax)
 
 
 def convolution_constant(
@@ -225,70 +207,16 @@ def _ceil_two_significant(x: float) -> float:
     return _float_rounded_up(q)
 
 
-def lipschitz_constant(C_rec_map, C_conv, declared=None) -> IntervalScalar:
+def lipschitz_constant(C_rec_map, C_conv) -> IntervalScalar:
     """Outward product of the two constants, presented as a headline bound.
 
-    Without a declared value the upper endpoint is ceiled to two
-    significant decimal digits, which is how the headline constant is
-    quoted.  A declared value can only raise the upper endpoint, never
-    lower it below the certified product.
+    The upper endpoint is ceiled to two significant decimal digits, which
+    is how the headline constant is quoted.
     """
     a = as_nonneg(C_rec_map, "C_rec_map")
     b = as_nonneg(C_conv, "C_conv")
     product = a * b
-    if declared is None:
-        hi = _ceil_two_significant(product.hi)
-    else:
-        dec = as_nonneg(declared, "declared Lipschitz constant")
-        hi = max(product.hi, dec.hi)
-    return IntervalScalar(product.lo, hi)
-
-
-@dataclass(frozen=True)
-class EnergySpectrum:
-    """Finite nonnegative energies indexed by spectral level."""
-
-    levels: tuple = ()
-
-    def __post_init__(self):
-        raw = self.levels
-        pairs = raw.items() if isinstance(raw, Mapping) else raw
-        ent = []
-        seen = set()
-        for j, e in pairs:
-            j = int(j)
-            if j < 1:
-                raise CertificationError(f"spectral level must be >= 1, got {j}")
-            if j in seen:
-                raise CertificationError(f"duplicate spectral level {j}")
-            seen.add(j)
-            if not isinstance(e, IntervalScalar):
-                raise CertificationError(f"level {j}: energy is not an interval")
-            if e.is_empty or e.lo < 0.0:
-                raise CertificationError(f"level {j}: energy must be nonnegative")
-            ent.append((j, e))
-        object.__setattr__(self, "levels", tuple(sorted(ent)))
-
-    @classmethod
-    def from_dict(cls, d: Mapping[int, IntervalScalar]) -> "EnergySpectrum":
-        return cls(tuple(d.items()))
-
-    def items(self):
-        return iter(self.levels)
-
-    def __len__(self):
-        return len(self.levels)
-
-
-def stretching_penalty(spectrum: EnergySpectrum, C) -> IntervalScalar:
-    """Enclosure of C * sum_j j^{7/2} sqrt(E_j)."""
-    if not isinstance(spectrum, EnergySpectrum):
-        raise CertificationError("stretching_penalty expects an EnergySpectrum")
-    c = as_nonneg(C, "penalty constant")
-    total = ZERO
-    for j, e in sorted(spectrum.levels, reverse=True):
-        total = total + pow_seven_halves(j) * sqrt_iv(e)
-    return c * total
+    return IntervalScalar(product.lo, _ceil_two_significant(product.hi))
 
 
 @dataclass(frozen=True)
@@ -316,26 +244,17 @@ def certify_constants(
     N: int,
     X: WeightedSpace,
     Y: WeightedSpace,
-    kernel_cap=None,
-    declared_K=None,
-    declared_C_conv=None,
     rec: Optional[RecoveryMapResult] = None,
 ) -> ConstantsReport:
-    """Assemble the constants block, preferring declared values where policy allows.
+    """Compute the constants block: recovery scan, convolution bound, product.
 
-    A declared convolution constant is passed through untouched (its
-    derivation needs structure this model does not carry); a declared
-    Lipschitz constant can only round the product upward.  ``rec`` is the
-    result of a recovery scan the caller already ran for tau and tau_prime;
-    without it the scan runs here.
+    ``rec`` is the result of a recovery scan the caller already ran for tau
+    and tau_prime; without it the scan runs here.
     """
     if rec is None:
-        rec = recovery_mapping_constant(tau, tau_prime, kernel_cap)
-    if declared_C_conv is not None:
-        c_conv = as_nonneg(declared_C_conv, "declared convolution constant")
-    else:
-        c_conv = convolution_constant(model, N, X, Y)
-    k_const = lipschitz_constant(rec.value, c_conv, declared_K)
+        rec = recovery_mapping_constant(tau, tau_prime)
+    c_conv = convolution_constant(model, N, X, Y)
+    k_const = lipschitz_constant(rec.value, c_conv)
     return ConstantsReport(
         C_rec_map=rec.value, argmax_k=rec.argmax_k, C_conv=c_conv, K=k_const
     )

@@ -44,7 +44,6 @@ __all__ = [
     "intpow_iv",
     "inf_norm",
     "row_sum",
-    "log10_of_exp",
     "interval_from_decimal",
     "interval_from_mid_rad_decimal",
     "float_to_decimal_string",
@@ -265,13 +264,6 @@ class IntervalScalar:
         return 0.5 * self.lo + 0.5 * self.hi
 
     @property
-    def rad(self) -> float:
-        if self.is_empty:
-            return _NAN
-        m = self.mid
-        return _up(max(m - self.lo, self.hi - m))
-
-    @property
     def width(self) -> float:
         if self.is_empty:
             return _NAN
@@ -377,13 +369,6 @@ class IntervalScalar:
         if self.is_empty:
             return EMPTY
         return IntervalScalar(self.mig(), self.mag())
-
-    def hull(self, other: "IntervalScalar") -> "IntervalScalar":
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        return IntervalScalar(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def __repr__(self):
         if self.is_empty:
@@ -559,12 +544,6 @@ class LogMagnitude:
     def zero() -> "LogMagnitude":
         return LogMagnitude(-_INF, 0)
 
-    def scaled_by_log10(self, extra: float) -> "LogMagnitude":
-        """Add ``extra`` (an upper bound in log10) to the magnitude."""
-        if self.sign == 0:
-            return self
-        return LogMagnitude(_up(_up(self.log10_value + extra)), self.sign)
-
     def to_interval(self) -> IntervalScalar:
         """Promote to a linear-domain upper-bound interval [0, m].
 
@@ -582,15 +561,6 @@ class LogMagnitude:
         if v == 0.0:
             v = 5e-324
         return IntervalScalar(0.0, v)
-
-
-def log10_of_exp(x) -> LogMagnitude:
-    """Log-domain magnitude of exp(-x): log10_value is an upper bound on -x/ln 10."""
-    xi = x if isinstance(x, IntervalScalar) else IntervalScalar(float(x), float(x))
-    if xi.is_empty:
-        raise IntervalError("poisoned exponent")
-    v = (-xi) / LN10
-    return LogMagnitude(v.hi, 1)
 
 
 # -- decimal certificate endpoints -------------------------------------------

@@ -1,41 +1,21 @@
-"""Certified residual enclosure: finite block, quadratic spillover, and the
-analytic envelope cross-check.
+"""Certified residual enclosure: the finite block and the quadratic spillover.
 
 The residual splits by mode index at the truncation N.  Everything the
 operator produces lives on modes 1..2N, so the "tail" is itself a finite
-block and is summed outright; the exponential-envelope bound exists as an
-independent, much cruder ceiling used to cross-check that summation.
+block and is summed outright.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import recovery_kernel_bound
-from .errors import CertificationError
-from .interval import (
-    ONE,
-    ZERO,
-    IntervalMatrix,
-    IntervalScalar,
-    exp_iv,
-    intpow_iv,
-    ln_iv,
-    row_sum,
-    sqrt_iv,
-)
+from .interval import IntervalMatrix, IntervalScalar, row_sum, sqrt_iv
 from .operator import OperatorConfig, apply_G
 from .spaces import ProfileCertificate, WeightedSpace, weight_sq_row
 
-__all__ = ["ResidualReport", "certify_residual", "tail_envelope_bound"]
-
-_QUADRATURE_NOTE = (
-    "structural zero: coefficients are contracted exactly in the model basis, "
-    "no grid quadrature is performed"
-)
+__all__ = ["ResidualReport", "certify_residual"]
 
 
 @dataclass(frozen=True)
@@ -45,9 +25,6 @@ class ResidualReport:
     delta_fin: IntervalScalar
     delta_tail: IntervalScalar
     delta: IntervalScalar
-    per_mode: Mapping[int, IntervalScalar] = field(default_factory=dict)
-    quadrature: IntervalScalar = ZERO
-    quadrature_note: str = _QUADRATURE_NOTE
 
 
 def certify_residual(
@@ -83,81 +60,4 @@ def certify_residual(
         delta_fin=delta_fin,
         delta_tail=delta_tail,
         delta=delta,
-        per_mode=dict(residual.items()),
     )
-
-
-def tail_envelope_bound(
-    cert: ProfileCertificate,
-    cfg: OperatorConfig,
-    space: WeightedSpace,
-    amplitude: Optional[float] = None,
-) -> IntervalScalar:
-    """Analytic ceiling on the squared weighted tail sum_{j>N} w_j^2 |R_j|^2.
-
-    Assumes every coefficient obeys |c_k| <= A e^{-tau_audited k}; with
-    amplitude=None, A is fitted as the smallest such constant over the
-    certificate's own modes, otherwise the given amplitude is verified first
-    and a violating mode is reported by index.
-
-    The bound is deliberately coarse (a few orders of slack at N=450); its
-    job is to dominate the directly summed spillover block, not to be tight.
-    """
-    coeffs = cert.coefficients
-    if len(coeffs) == 0:
-        return ZERO
-    tau = cert.tau_audited
-    envelope_at = {}
-    for k, ck in coeffs.items():
-        growth = exp_iv(IntervalScalar(tau, tau) * float(k))
-        envelope_at[k] = abs(ck) * growth
-    if amplitude is None:
-        a_up = max(e.hi for e in envelope_at.values())
-    else:
-        a_up = float(amplitude)
-        for k, e in envelope_at.items():
-            if e.hi > a_up:
-                raise CertificationError(
-                    f"mode {k} violates the coefficient envelope: "
-                    f"|c_{k}| e^(tau k) reaches {e.hi:.6e} > A = {a_up:.6e}"
-                )
-    A = IntervalScalar(0.0, a_up)
-    N = cfg.truncation_N
-    cb = abs(cfg.model.interaction_bound)
-    if cb.hi == 0.0:
-        return ZERO
-    kr_max = ZERO
-    for k in range(1, N + 1):
-        b = recovery_kernel_bound(cfg.model, k)
-        if b.hi > kr_max.hi:
-            kr_max = b
-    if space.tau > tau:
-        raise CertificationError(
-            f"space rate {space.tau} exceeds the audited envelope rate {tau}; "
-            "the envelope cannot dominate these weights"
-        )
-    one_minus = ONE - exp_iv(IntervalScalar(-tau, -tau))
-    if one_minus.lo <= 0.0:
-        raise CertificationError(
-            f"audited decay rate tau={tau} is too small to sum the envelope"
-        )
-    # per-mode envelope: |R_j| <= D e^{-tau j} with
-    # D = Cb (1 + 2 KRmax) A^2 N / (1 - e^{-tau})
-    D = cb * (ONE + kr_max * 2.0) * A * A * float(N) / one_minus
-    # the weights' exponential is absorbed by the envelope decay (any surplus
-    # decay only helps, bounded by its value at the first tail mode), leaving
-    # the polynomial part of the weight
-    surplus = exp_iv(
-        IntervalScalar(2.0 * (space.tau - tau), 2.0 * (space.tau - tau))
-        * float(N + 1)
-    )
-    s_poly = ZERO
-    s = space.s
-    for j in range(2 * N, N, -1):
-        base = intpow_iv(IntervalScalar(float(j), float(j)), 2) + 1.0
-        if float(s).is_integer():
-            s_poly = s_poly + intpow_iv(base, int(s))
-        else:
-            s_poly = s_poly + exp_iv(ln_iv(base) * s)
-    bound = D * D * s_poly * surplus
-    return IntervalScalar(0.0, bound.hi)

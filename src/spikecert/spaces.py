@@ -22,19 +22,15 @@ import numpy as np
 
 from .errors import CertificateError
 from .interval import (
-    LN10,
     ZERO,
     IntervalMatrix,
     IntervalScalar,
-    LogMagnitude,
     _parse_decimal,
     exp_iv,
     float_to_decimal_string,
-    interval_from_decimal,
     interval_from_mid_rad_decimal,
     intpow_iv,
     ln_iv,
-    pow_seven_halves,
     sqrt_iv,
 )
 
@@ -46,9 +42,7 @@ __all__ = [
     "ProfileCertificate",
     "weight_sq",
     "weight_sq_row",
-    "weight_sq_log10",
     "norm",
-    "norm_ratio_multiplier",
     "load_certificate",
     "save_certificate",
     "CONSTANT_NAMES",
@@ -71,17 +65,11 @@ class WeightedSpace:
 PROFILE_SPACE = WeightedSpace(s=6.0, tau=0.08)
 SOURCE_SPACE = WeightedSpace(s=7.0, tau=0.081)
 
-# the bridge decay rate is the literal decimal 0.001 = 0.081 - 0.080, enclosed
-# so results are sound for the exact decimal, not just its double rounding
-_RATE_001 = interval_from_decimal("0.001")
-
-
 def weight_sq(j: int, space: WeightedSpace) -> IntervalScalar:
     """Enclosure of the squared weight (1+j^2)^s e^{2 tau j}.
 
     Raises IntervalOverflowError once e^{2 tau j} leaves double range
-    (j of order 4400 for tau=0.08); callers needing such modes should work
-    with :func:`weight_sq_log10` instead.
+    (j of order 4400 for tau=0.08).
     """
     if not isinstance(j, int) or j < 1:
         raise ValueError(f"mode index must be a positive integer, got {j!r}")
@@ -108,17 +96,6 @@ def weight_sq_row(j: np.ndarray, space: WeightedSpace) -> IntervalMatrix:
         poly = (base.log() * s).exp()
     rate = IntervalScalar(2.0 * space.tau, 2.0 * space.tau) * jf
     return poly * rate.exp()
-
-
-def weight_sq_log10(j: int, space: WeightedSpace) -> LogMagnitude:
-    """Upper bound on log10 of the squared weight, for indices past overflow."""
-    if not isinstance(j, int) or j < 1:
-        raise ValueError(f"mode index must be a positive integer, got {j!r}")
-    jj = intpow_iv(IntervalScalar(float(j), float(j)), 2)
-    lnval = ln_iv(jj + 1.0) * space.s + IntervalScalar(
-        2.0 * space.tau, 2.0 * space.tau
-    ) * float(j)
-    return LogMagnitude((lnval / LN10).hi, 1)
 
 
 @dataclass(frozen=True)
@@ -168,9 +145,6 @@ class CoefficientVector:
     def items(self):
         return iter(self.entries)
 
-    def is_poisoned(self) -> bool:
-        return any(c.is_empty for _, c in self.entries)
-
     def scaled(self, lam) -> "CoefficientVector":
         return CoefficientVector(
             tuple((j, c * lam) for j, c in self.entries), self.max_mode
@@ -203,25 +177,6 @@ def norm(c: CoefficientVector, space: WeightedSpace) -> IntervalScalar:
         a = abs(cj)
         acc = acc + weight_sq(j, space) * a * a
     return sqrt_iv(acc)
-
-
-def norm_ratio_multiplier(k: int) -> IntervalScalar:
-    """Enclosure of k^{7/2} (1+k^2)^{-1/2} e^{-0.001 k}.
-
-    This is the product of the source-to-profile weight bridge and the
-    recovery-kernel growth exponent; its supremum over integer k governs the
-    recovery mapping constant.  For k deep in the underflow range the value
-    is computed in log10 and returned as a saturated upper-bound interval.
-    """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"mode index must be a positive integer, got {k!r}")
-    kf = IntervalScalar(float(k), float(k))
-    one_k2 = intpow_iv(kf, 2) + 1.0
-    decay = _RATE_001 * float(k)
-    if 0.001 * k <= 600.0:
-        return pow_seven_halves(k) / sqrt_iv(one_k2) * exp_iv(-decay)
-    lnval = ln_iv(kf) * 3.5 - ln_iv(one_k2) * 0.5 - decay
-    return LogMagnitude((lnval / LN10).hi, 1).to_interval()
 
 
 # -- certificate files ---------------------------------------------------------

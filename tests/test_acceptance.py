@@ -143,7 +143,7 @@ def test_criterion_02_inverse_bound_format_and_soundness():
 def test_criterion_03_tail_coercivity(bundled_certificate_path):
     cert = load_certificate(bundled_certificate_path)
     cfg = OperatorConfig(
-        model=reference_model(0, 1.0), nu=cert.nu, truncation_N=450
+        model=reference_model(1.0), nu=cert.nu, truncation_N=450
     )
 
     def work():
@@ -239,7 +239,7 @@ def test_criterion_07_residual_soundness_against_brute_oracle():
             coefficients=coeffs, nu=iv(nu), sigma=0.05, tau_audited=0.08
         )
         cfg = OperatorConfig(
-            model=reference_model(0, coupling, coupling_rec=crec),
+            model=reference_model(coupling, coupling_rec=crec),
             nu=iv(nu),
             truncation_N=N,
         )
@@ -252,7 +252,7 @@ def test_criterion_07_residual_soundness_against_brute_oracle():
         ProfileCertificate(
             coefficients=CoefficientVector(), nu=iv(0.005), sigma=0.05, tau_audited=0.08
         ),
-        OperatorConfig(model=reference_model(0, 1.0), nu=iv(0.005), truncation_N=10),
+        OperatorConfig(model=reference_model(1.0), nu=iv(0.005), truncation_N=10),
         PROFILE_SPACE,
     )
     assert (zero.delta.lo, zero.delta.hi) == (0.0, 0.0)
@@ -336,7 +336,7 @@ def test_criterion_09_jacobian_matches_finite_differences():
         N = rng.randint(2, 12)
         cfg = OperatorConfig(
             model=reference_model(
-                0, rng.uniform(0.0, 1.0), coupling_rec=rng.uniform(0.0, 1.0)
+                rng.uniform(0.0, 1.0), coupling_rec=rng.uniform(0.0, 1.0)
             ),
             nu=iv(rng.uniform(1e-3, 0.05)),
             truncation_N=N,

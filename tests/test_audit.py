@@ -137,10 +137,12 @@ def test_fixed_timestamp_injection(bundled):
     assert "[EXEC] run started 2026-08-18T00:00:00Z" in text
 
 
-def test_precision_note(bundled):
-    cfg = AuditConfig(window=64, precision=212, timestamp="2026-08-18T00:00:00Z")
-    text = run_audit(bundled, cfg).log.render()
-    assert "requested 212 bits" in text
+def test_precision_line_is_fixed_binary64(bundled):
+    # the arithmetic is binary64 throughout; no knob requests more bits
+    with pytest.raises(TypeError):
+        AuditConfig(window=64, precision=212)
+    prec = [line for tag, line in run_audit(bundled, FAST).log if tag == "PREC"]
+    assert prec == ["binary64 interval endpoints, outward rounding, 53 mantissa bits"]
 
 
 # ------------------------------------------------------------ tamper matrix

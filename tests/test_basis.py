@@ -2,51 +2,47 @@ import itertools
 
 import pytest
 
-from spikecert.basis import (
-    RECOVERY_KERNEL_CAP,
-    BasisModel,
-    recovery_kernel_bound,
-    reference_model,
-)
-from spikecert.errors import CertificationError
+from spikecert.basis import BasisModel, reference_model
 from spikecert.interval import IntervalScalar, pow_seven_halves
+from spikecert.operator import OperatorConfig, recover_velocity
+from spikecert.spaces import CoefficientVector
 
 
 class TestReferenceModel:
     def test_decoupled_model_is_linear(self):
-        m = reference_model(0, 0.0)
+        m = reference_model(0.0)
         for k, l, j in ((1, 1, 2), (3, 4, 5), (10, 10, 20)):
             c = m.interaction(k, l, j)
             assert (c.lo, c.hi) == (0.0, 0.0)
         assert (m.recovery_kernel(5).lo, m.recovery_kernel(5).hi) == (0.0, 0.0)
 
     def test_unit_coupling_diagonal(self):
-        m = reference_model(0, 1.0)
+        m = reference_model(1.0)
         c = m.interaction(1, 1, 2)
         assert (c.lo, c.hi) == (1.0, 1.0)
 
     def test_selection_rule_zero(self):
-        m = reference_model(0, 1.0)
+        m = reference_model(1.0)
         c = m.interaction(1, 1, 5)
         assert (c.lo, c.hi) == (0.0, 0.0)
         c2 = m.interaction(4, 9, 2)  # j below |k-l| = 5
         assert (c2.lo, c2.hi) == (0.0, 0.0)
 
     def test_offdiagonal_falloff(self):
-        m = reference_model(0, 1.0)
+        m = reference_model(1.0)
         c = m.interaction(3, 4, 5)  # |j - k - l| = 2
         assert c.contains(1.0 / 3.0)
         assert c.width < 1e-15
 
     def test_eigenvalues(self):
-        m = reference_model(0, 1.0)
+        m = reference_model(1.0)
         lam = m.diffusion_eig(7)
         assert (lam.lo, lam.hi) == (49.0, 49.0)
         d = m.drift_eig(7)
         assert (d.lo, d.hi) == (3.5, 3.5)
 
     def test_eigenvalue_growth(self):
-        m = reference_model(0, 1.0)
+        m = reference_model(1.0)
         prev = m.diffusion_eig(1).hi
         for j in range(2, 10_001):
             cur = m.diffusion_eig(j).lo
@@ -54,7 +50,7 @@ class TestReferenceModel:
             prev = cur
 
     def test_symmetry_exhaustive(self):
-        m = reference_model(0, 0.37)
+        m = reference_model(0.37)
         for k, l, j in itertools.product(range(1, 31), repeat=3):
             a = m.interaction(k, l, j)
             b = m.interaction(l, k, j)
@@ -62,7 +58,7 @@ class TestReferenceModel:
 
     @pytest.mark.parametrize("coupling", [0.0, 0.37, 1.0, 2.9])
     def test_interaction_matrix_matches_interaction(self, coupling):
-        m = reference_model(0, coupling)
+        m = reference_model(coupling)
         for N, k in ((1, 1), (6, 1), (6, 6), (9, 4), (9, 20), (17, 11)):
             C = m.interaction_matrix(k, N)
             assert C.shape == (N, N)
@@ -75,7 +71,7 @@ class TestReferenceModel:
     def test_shared_quotient_table_is_the_scalar_quotient(self, coupling):
         # the table grows in pieces, by interaction and by interaction_matrix
         # calls; every entry has the bits of cpl / (1 + |j - k - l|)
-        m = reference_model(0, coupling)
+        m = reference_model(coupling)
         cpl = IntervalScalar(coupling, coupling)
         for k, l in ((1, 1), (3, 8), (40, 2), (30, 35), (2, 70)):
             if k == 30:
@@ -86,7 +82,7 @@ class TestReferenceModel:
                 assert (e.lo.hex(), e.hi.hex()) == (want.lo.hex(), want.hi.hex()), (k, l, j)
 
     def test_interaction_matrix_index_validation(self):
-        m = reference_model(0, 1.0)
+        m = reference_model(1.0)
         with pytest.raises(ValueError):
             m.interaction_matrix(0, 5)
         with pytest.raises(ValueError):
@@ -96,7 +92,7 @@ class TestReferenceModel:
         import random
 
         rng = random.Random(9)
-        m = reference_model(0, 1.0)
+        m = reference_model(1.0)
         checked = 0
         while checked < 500:
             k = rng.randint(1, 60)
@@ -109,69 +105,58 @@ class TestReferenceModel:
             checked += 1
 
     def test_interaction_bound_is_uniform(self):
-        m = reference_model(0, 0.42)
+        m = reference_model(0.42)
         for k, l in itertools.product(range(1, 20), repeat=2):
             for j in range(max(1, abs(k - l)), k + l + 1):
                 assert m.interaction(k, l, j).mag() <= m.interaction_bound.hi
 
     def test_coupling_validation(self):
         with pytest.raises(ValueError):
-            reference_model(0, -1.0)
+            reference_model(-1.0)
         with pytest.raises(ValueError):
-            reference_model(0, 1.0, coupling_rec=-2.0)
+            reference_model(1.0, coupling_rec=-2.0)
 
     def test_index_validation(self):
-        m = reference_model(0, 1.0)
+        m = reference_model(1.0)
         with pytest.raises(ValueError):
             m.diffusion_eig(0)
         with pytest.raises(ValueError):
             m.interaction(1, -1, 2)
 
     def test_coupling_rec_defaults_to_coupling(self):
-        m = reference_model(0, 2.0)
-        assert m.coupling_rec == 2.0
-        m2 = reference_model(0, 2.0, coupling_rec=0.5)
-        assert m2.coupling_rec == 0.5
+        m = reference_model(2.0)
+        assert m.recovery_kernel(4).contains(2.0 * 128.0)  # 4^{7/2} = 2^7
+        m2 = reference_model(2.0, coupling_rec=0.5)
+        assert m2.recovery_kernel(4).contains(0.5 * 128.0)
 
 
 class TestRecoveryKernelBound:
     def test_unit_coupling_power(self):
-        m = reference_model(0, 1.0)
-        b = recovery_kernel_bound(m, 4)
+        m = reference_model(1.0)
+        b = m.recovery_kernel(4)
         assert b.contains(128.0)  # 4^{7/2} = 2^7
         assert b.width < 1e-10
 
-    def test_respects_cap_at_one(self):
-        m = reference_model(0, 1.0, coupling_rec=RECOVERY_KERNEL_CAP)
-        b = recovery_kernel_bound(m, 1)
-        assert b.hi <= 200.0 * (1.0 + 1e-12)
-
-    def test_cap_violation_is_certification_error(self):
-        m = reference_model(0, 1.0, coupling_rec=200.5)
-        with pytest.raises(CertificationError):
-            recovery_kernel_bound(m, 3)
-
     def test_rejects_zero_index(self):
-        m = reference_model(0, 1.0)
+        m = reference_model(1.0)
         with pytest.raises(ValueError):
-            recovery_kernel_bound(m, 0)
+            m.recovery_kernel(0)
 
     def test_growth_rate(self):
-        m = reference_model(0, 1.0, coupling_rec=0.5)
+        m = reference_model(1.0, coupling_rec=0.5)
         for k in (1, 2, 10, 37):
-            b = recovery_kernel_bound(m, k)
+            b = m.recovery_kernel(k)
             expect = 0.5 * float(k) ** 3.5
             assert b.lo <= expect <= b.hi * (1 + 1e-12)
 
-    def test_custom_model_within_cap(self):
+    def test_custom_model_drives_recovery(self):
         half = IntervalScalar(0.5, 0.5)
 
         def kern(k):
             return pow_seven_halves(k) * half
 
-        m = reference_model(0, 1.0)
+        m = reference_model(1.0)
         custom = BasisModel(
-            name="custom",
             diffusion_eig=m.diffusion_eig,
             drift_eig=m.drift_eig,
             interaction=m.interaction,
@@ -179,5 +164,6 @@ class TestRecoveryKernelBound:
             interaction_bound=m.interaction_bound,
             recovery_kernel=kern,
         )
-        b = recovery_kernel_bound(custom, 9)
-        assert b.contains(0.5 * 9.0**3.5)
+        cfg = OperatorConfig(model=custom, nu=IntervalScalar(0.005, 0.005), truncation_N=10)
+        out = recover_velocity(CoefficientVector(((9, IntervalScalar(1.0, 1.0)),)), cfg)
+        assert out.get(9).contains(0.5 * 9.0**3.5)

@@ -44,21 +44,6 @@ def test_audit_writes_out_file(capsys, tmp_path, bundled_certificate_path):
     assert out_path.read_text() == out
 
 
-def test_audit_precision_note(capsys, bundled_certificate_path):
-    code, out, _ = run(
-        capsys,
-        "audit",
-        "--profile",
-        str(bundled_certificate_path),
-        "--window",
-        "64",
-        "--precision",
-        "128",
-    )
-    assert code == 0
-    assert "requested 128 bits" in out
-
-
 def test_audit_missing_profile_flag(capsys):
     code, _, err = run(capsys, "audit")
     assert code == 2
@@ -285,6 +270,19 @@ def test_malformed_config_rejected(capsys, tmp_path):
     assert "bad config file" in err
 
 
+def test_unknown_config_key_rejected(capsys, tmp_path):
+    closure = ["closure", "--delta", "1e-12", "--M", "1", "--K", "1"]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("windw = 64\nprecision = 212\n")
+    code, _, err = run(capsys, "--config", str(cfg), *closure)
+    assert code == 2
+    assert "bad config file: unknown key 'windw'" in err
+    # a key of another subcommand is not unknown
+    cfg.write_text("window = 64\n")
+    code, _, _ = run(capsys, "--config", str(cfg), *closure)
+    assert code == 0
+
+
 # ---------------------------------------------------------------- usage
 
 
@@ -294,17 +292,21 @@ def test_no_subcommand_prints_usage(capsys):
     assert "usage:" in err
 
 
-def test_unknown_model_rejected(capsys, bundled_certificate_path):
-    code, _, err = run(
-        capsys,
-        "residual",
-        "--profile",
-        str(bundled_certificate_path),
-        "--model",
-        "exotic",
-    )
-    assert code == 2
-    assert "unknown model" in err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [cmd, "--profile", "cert.json", *flag]
+        for cmd in ("audit", "residual")
+        for flag in (["--model", "x"], ["--seed", "1"], ["--precision", "128"])
+    ]
+    + [["constants", "--kernel-cap", "200"]],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_removed_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_unknown_subcommand(capsys):

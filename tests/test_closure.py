@@ -1,4 +1,4 @@
-"""Contraction products, image overlap, and the transfer budget.
+"""Contraction products and the periodic image overlap.
 
 Overlap oracles are 50-digit mpmath evaluations: the nearest-image
 log10 is -pi^2/(sigma^2 ln 10) and the shell sums are enumerated
@@ -13,11 +13,9 @@ import pytest
 
 from spikecert.closure import (
     ClosureReport,
-    TransferReport,
     image_overlap_bound,
     nk_closure,
     torus_closure,
-    transfer_error,
 )
 from spikecert.errors import CertificationError
 from spikecert.interval import (
@@ -110,18 +108,6 @@ def test_all_zero_closure():
     rep = torus_closure(point(0.0), point(0.0), point(0.0), point(0.0))
     assert rep.product.lo == 0.0 and rep.product.hi == 0.0
     assert rep.verdict
-
-
-def test_torus_accepts_log_domain_eps():
-    rep = torus_closure(
-        interval_from_decimal("8.421739e-12"),
-        image_overlap_bound(0.05),
-        interval_from_decimal("482.6"),
-        interval_from_decimal("1.1e4"),
-    )
-    assert rep.verdict
-    # a 10^-1714 overlap is invisible next to delta
-    assert rep.product.contains(8.94152873108e-5)
 
 
 def test_torus_product_exceeds_scalar_product():
@@ -232,68 +218,6 @@ def test_saturating_promotion_at_reference_scale():
     iv = ov.to_interval()
     assert iv.lo == 0.0
     assert 0.0 < iv.hi <= 1e-300
-
-
-# ---------------------------------------------------------------------------
-# transfer_error
-
-
-def test_transfer_budget_computed():
-    rep = transfer_error(0.05, point(1.0), point(1.0))
-    assert isinstance(rep, TransferReport)
-    assert rep.eps_ov.sign == 1
-    assert rep.eps_P.sign == 1
-    assert rep.eps_p.sign == 1
-    # the three promoted components stay below any honest float scale
-    assert rep.computed_total.hi <= 1e-300
-    assert rep.eps_total.hi == rep.computed_total.hi
-    promoted_sum = (
-        rep.eps_ov.to_interval() + rep.eps_P.to_interval() + rep.eps_p.to_interval()
-    )
-    assert rep.eps_total.hi >= promoted_sum.hi
-
-
-def test_transfer_declared_pass_through():
-    rep = transfer_error(
-        0.05, point(1.0), point(1.0), declared_total=interval_from_decimal("1.42e-20")
-    )
-    assert rep.eps_total.contains(1.42e-20)
-    assert rep.eps_total.lo == 0.0
-    # the declared budget is ~1694 orders of magnitude above the
-    # certified overlap; both stay on record
-    assert rep.computed_total.hi <= 1e-300
-    assert rep.eps_total.hi >= rep.computed_total.hi
-
-
-def test_transfer_declared_below_certified_is_refused():
-    with pytest.raises(CertificationError):
-        transfer_error(
-            0.05, point(1.0), point(1.0), declared_total=IntervalScalar(0.0, 0.0)
-        )
-
-
-def test_transfer_scales_components():
-    rep = transfer_error(0.05, point(2.0), point(1e10))
-    base = image_overlap_bound(0.05)
-    assert rep.eps_P.log10_value >= base.log10_value + math.log10(2.0) - 1e-9
-    assert rep.eps_p.log10_value >= base.log10_value + 10.0 - 1e-9
-
-
-def test_transfer_zero_pressure_factor():
-    rep = transfer_error(0.05, point(1.0), point(0.0))
-    assert rep.eps_p.sign == 0
-    assert rep.eps_total.hi < 1e-300
-
-
-def test_transfer_validation():
-    with pytest.raises(CertificationError):
-        transfer_error(0.0, point(1.0), point(1.0))
-    with pytest.raises(CertificationError):
-        transfer_error(0.05, point(0.5), point(1.0))
-    with pytest.raises(CertificationError):
-        transfer_error(0.05, point(-1.0), point(1.0))
-    with pytest.raises(CertificationError):
-        transfer_error(0.05, point(1.0), point(-1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import spikecert.interval as interval_module
 from spikecert.basis import reference_model
 from spikecert.constants import (
     ConstantsReport,
-    EnergySpectrum,
     RecoveryMapResult,
     _ceil_two_significant,
     _level_multipliers,
@@ -25,7 +24,6 @@ from spikecert.constants import (
     level_multiplier,
     lipschitz_constant,
     recovery_mapping_constant,
-    stretching_penalty,
 )
 from spikecert.errors import CertificationError
 from spikecert.interval import IntervalMatrix, IntervalScalar, interval_from_decimal, make_interval
@@ -36,7 +34,6 @@ from spikecert.spaces import (
     CoefficientVector,
     WeightedSpace,
     norm,
-    norm_ratio_multiplier,
 )
 
 
@@ -57,21 +54,6 @@ def test_reference_supremum():
     assert res.value.width / res.value.hi < 1e-12
     # five significant figures land on the quoted headline
     assert 2.56515e7 <= res.value.lo and res.value.hi <= 2.56525e7
-    assert res.with_kernel is None
-
-
-def test_result_unpacks_as_pair():
-    value, argmax = recovery_mapping_constant(0.08, 0.081)
-    assert argmax == 2500
-    assert isinstance(value, IntervalScalar)
-
-
-def test_kernel_prefactor_path_reported_alongside():
-    res = recovery_mapping_constant(0.08, 0.081, kernel_cap=200.0)
-    assert res.value.contains(25651560.017843597190)
-    # the two normalizations differ by the cap; both stay visible
-    assert res.with_kernel.contains(200.0 * 25651560.017843597190)
-    assert 5.13e9 <= res.with_kernel.hi <= 5.14e9
 
 
 def test_wide_buffer_supremum():
@@ -89,8 +71,6 @@ def test_no_buffer_is_an_error():
         recovery_mapping_constant(0.08, 0.08)
     with pytest.raises(CertificationError):
         recovery_mapping_constant(0.08, 0.079)
-    with pytest.raises(CertificationError):
-        recovery_mapping_constant(0.08, 0.081, kernel_cap=-1.0)
 
 
 def test_argmax_tracks_stationary_point():
@@ -108,16 +88,6 @@ def test_supremum_dominates_log_spaced_grid():
     )
     for k in grid:
         assert res.value.hi >= level_multiplier(k, b).lo
-
-
-def test_level_multiplier_matches_norm_ratio_route():
-    # same quantity two ways: generic rate enclosure vs the dedicated
-    # decimal-rate helper; the enclosures must overlap
-    rate = interval_from_decimal("0.001")
-    for k in (1, 17, 100, 2500):
-        a = level_multiplier(k, rate)
-        b = norm_ratio_multiplier(k)
-        assert a.lo <= b.hi and b.lo <= a.hi
 
 
 def test_level_multiplier_rejects_bad_index():
@@ -202,12 +172,12 @@ def test_recovery_argmax_is_the_first_of_tied_levels(monkeypatch):
 
 
 def test_zero_interaction_gives_zero():
-    c = convolution_constant(reference_model(0, 0.0), 10, PROFILE_SPACE, SOURCE_SPACE)
+    c = convolution_constant(reference_model(0.0), 10, PROFILE_SPACE, SOURCE_SPACE)
     assert c.lo == 0.0 and c.hi == 0.0
 
 
 def test_reference_value_small_truncation():
-    c = convolution_constant(reference_model(0, 1.0), 10, PROFILE_SPACE, SOURCE_SPACE)
+    c = convolution_constant(reference_model(1.0), 10, PROFILE_SPACE, SOURCE_SPACE)
     # 8 sqrt(sum_{j<=20} e^{-2 beta j}) (sum_{k<=10} q_k)^2 to 18 digits:
     # 230.384978436606481
     assert c.contains(230.384978436606481)
@@ -215,26 +185,26 @@ def test_reference_value_small_truncation():
 
 
 def test_reference_value_full_truncation():
-    c = convolution_constant(reference_model(0, 1.0), 450, PROFILE_SPACE, SOURCE_SPACE)
+    c = convolution_constant(reference_model(1.0), 450, PROFILE_SPACE, SOURCE_SPACE)
     assert c.contains(7232.48369617838866)
     assert c.width / c.hi < 1e-10
 
 
 def test_constant_grows_with_truncation():
-    m = reference_model(0, 1.0)
+    m = reference_model(1.0)
     c10 = convolution_constant(m, 10, PROFILE_SPACE, SOURCE_SPACE)
     c20 = convolution_constant(m, 20, PROFILE_SPACE, SOURCE_SPACE)
     assert c20.lo >= c10.lo and c20.hi >= c10.hi
 
 
 def test_constant_scales_with_interaction_bound():
-    c1 = convolution_constant(reference_model(0, 1.0), 8, PROFILE_SPACE, SOURCE_SPACE)
-    c3 = convolution_constant(reference_model(0, 3.0), 8, PROFILE_SPACE, SOURCE_SPACE)
+    c1 = convolution_constant(reference_model(1.0), 8, PROFILE_SPACE, SOURCE_SPACE)
+    c3 = convolution_constant(reference_model(3.0), 8, PROFILE_SPACE, SOURCE_SPACE)
     assert c3.contains(3.0 * c1.mid)
 
 
 def test_missing_buffer_refused():
-    m = reference_model(0, 1.0)
+    m = reference_model(1.0)
     with pytest.raises(CertificationError):
         convolution_constant(m, 10, SOURCE_SPACE, PROFILE_SPACE)
     with pytest.raises(CertificationError):
@@ -251,7 +221,7 @@ def test_rayleigh_ratio_never_exceeds_bound():
     1000 random sparse pairs on modes <= 12; every certified Rayleigh
     quotient must sit below the certified constant.
     """
-    model = reference_model(0, 1.0)
+    model = reference_model(1.0)
     cfg = OperatorConfig(model, make_interval(0.005, 0.0), truncation_N=12)
     c = convolution_constant(model, 12, PROFILE_SPACE, SOURCE_SPACE)
     rng = random.Random(20240818)
@@ -293,20 +263,11 @@ def test_unit_and_zero_cases():
     assert one.lo == 1.0 and one.hi == 1.0
 
 
-def test_declared_value_only_raises_the_bound():
-    prod = point(2.0) * point(2.0)
-    low_declared = lipschitz_constant(point(2.0), point(2.0), declared=point(3.0))
-    assert low_declared.hi == prod.hi  # a declared value cannot cut below the product
-    high_declared = lipschitz_constant(point(2.0), point(2.0), declared=point(7.0))
-    assert high_declared.hi == 7.0
-    assert high_declared.lo == prod.lo
-
-
 def test_negative_inputs_rejected():
     with pytest.raises(CertificationError):
         lipschitz_constant(point(-1.0), point(1.0))
     with pytest.raises(CertificationError):
-        lipschitz_constant(point(1.0), point(1.0), declared=point(-2.0))
+        lipschitz_constant(point(1.0), point(-2.0))
 
 
 def test_ceil_two_significant():
@@ -324,46 +285,6 @@ def test_ceil_two_significant():
 
 
 # ---------------------------------------------------------------------------
-# stretching_penalty
-
-
-def test_single_level_exact():
-    sp = stretching_penalty(EnergySpectrum.from_dict({1: point(4.0)}), 1.0)
-    assert sp.lo == 2.0 and sp.hi == 2.0
-
-
-def test_second_level_value():
-    sp = stretching_penalty(EnergySpectrum.from_dict({2: point(1.0)}), 1.0)
-    # 2^{7/2} to 17 digits: 11.313708498984760
-    assert sp.contains(11.313708498984760)
-
-
-def test_empty_spectrum_is_zero():
-    sp = stretching_penalty(EnergySpectrum(), 3.0)
-    assert sp.lo == 0.0 and sp.hi == 0.0
-
-
-def test_penalty_scales_with_constant():
-    spectrum = EnergySpectrum.from_dict({1: point(4.0), 3: point(9.0)})
-    a = stretching_penalty(spectrum, 1.0)
-    b = stretching_penalty(spectrum, 2.0)
-    assert b.contains(2.0 * a.mid)
-
-
-def test_spectrum_validation():
-    with pytest.raises(CertificationError):
-        EnergySpectrum.from_dict({1: point(-0.5)})
-    with pytest.raises(CertificationError):
-        EnergySpectrum(((1, point(1.0)), (1, point(2.0))))
-    with pytest.raises(CertificationError):
-        EnergySpectrum.from_dict({0: point(1.0)})
-    with pytest.raises(CertificationError):
-        EnergySpectrum.from_dict({1: 1.0})
-    with pytest.raises(CertificationError):
-        stretching_penalty("not a spectrum", 1.0)
-
-
-# ---------------------------------------------------------------------------
 # report assembly
 
 
@@ -374,34 +295,13 @@ def test_report_invariant_enforced():
         )
 
 
-def test_certify_constants_with_declared_values():
-    rep = certify_constants(
-        0.08,
-        0.081,
-        reference_model(0, 1.0),
-        450,
-        PROFILE_SPACE,
-        SOURCE_SPACE,
-        kernel_cap=200.0,
-        declared_K=interval_from_decimal("1.1e4"),
-        declared_C_conv=interval_from_decimal("4.2872e-4"),
-    )
-    assert rep.argmax_k == 2500
-    assert rep.K.hi == 11000.0
-    # declared convolution constant passes through untouched
-    assert rep.C_conv.contains(4.2872e-4)
-    assert rep.K.hi >= (rep.C_rec_map * rep.C_conv).hi
-
-
 def test_certify_constants_computes_when_undeclared():
     rep = certify_constants(
-        0.08, 0.081, reference_model(0, 1.0), 450, PROFILE_SPACE, SOURCE_SPACE
+        0.08, 0.081, reference_model(1.0), 450, PROFILE_SPACE, SOURCE_SPACE
     )
     assert rep.C_conv.contains(7232.48369617838866)
     product = rep.C_rec_map * rep.C_conv
     assert rep.K.hi >= product.hi
     # two significant figures of the ~1.855e11 product
     assert rep.K.hi == 1.9e11
-    assert isinstance(
-        recovery_mapping_constant(0.08, 0.081, kernel_cap=200.0), RecoveryMapResult
-    )
+    assert isinstance(recovery_mapping_constant(0.08, 0.081), RecoveryMapResult)

@@ -29,7 +29,6 @@ from spikecert.interval import (
     interval_from_mid_rad_decimal,
     intpow_iv,
     ln_iv,
-    log10_of_exp,
     make_interval,
     point_times_interval,
     pow_seven_halves,
@@ -211,30 +210,6 @@ class TestDivisionGuards:
 
 
 class TestLogMagnitude:
-    def test_basic_examples(self):
-        m = log10_of_exp(math.log(10.0))
-        assert -1.0 <= m.log10_value <= -1.0 + 1e-12
-        z = log10_of_exp(0.0)
-        assert z.log10_value == 0.0 and z.sign == 1
-
-    def test_huge_decay(self):
-        x = PI * PI / iv(0.05 * 0.05)
-        m = log10_of_exp(x)
-        # -pi^2 / (0.05^2 ln 10), certified from above
-        assert m.log10_value >= -1714.5258919844626
-        assert abs(m.log10_value - -1714.5258919844626) < 1e-9
-
-    def test_agrees_with_exp_on_overlap(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            x = rng.uniform(-500.0, 500.0)
-            m = log10_of_exp(x)
-            true_log10 = -x / math.log(10.0)
-            assert m.log10_value >= true_log10 - 1e-12 * max(1.0, abs(true_log10))
-            assert abs(m.log10_value - true_log10) <= 1e-12 * max(
-                1.0, abs(true_log10)
-            )
-
     def test_zero_magnitude(self):
         z = LogMagnitude.zero()
         assert z.sign == 0
@@ -254,11 +229,6 @@ class TestLogMagnitude:
     def test_promotion_overflow(self):
         with pytest.raises(IntervalOverflowError):
             LogMagnitude(400.0, 1).to_interval()
-
-    def test_scaling(self):
-        m = LogMagnitude(-10.0, 1).scaled_by_log10(3.0)
-        assert m.log10_value >= -7.0
-        assert m.log10_value < -7.0 + 1e-12
 
 
 class TestDecimalEndpoints:

@@ -29,7 +29,7 @@ def vec(d, N=0):
 
 def cfg_for(coupling, nu=0.005, N=10, coupling_rec=None):
     return OperatorConfig(
-        model=reference_model(0, coupling, coupling_rec=coupling_rec),
+        model=reference_model(coupling, coupling_rec=coupling_rec),
         nu=iv(nu),
         truncation_N=N,
     )
@@ -265,7 +265,7 @@ def random_problem(rng):
         rad = rng.choice([0.0, abs(mid) * 1e-9, 1e-3])
         entries.append((k, make_interval(mid, rad)))
     cfg = OperatorConfig(
-        model=reference_model(0, coupling, coupling_rec=crec), nu=nu, truncation_N=N
+        model=reference_model(coupling, coupling_rec=crec), nu=nu, truncation_N=N
     )
     return CoefficientVector(tuple(entries), N), cfg
 
@@ -429,6 +429,6 @@ class TestJacobian:
 
 class TestConfig:
     def test_bad_truncation(self):
-        m = reference_model(0, 1.0)
+        m = reference_model(1.0)
         with pytest.raises(ValueError):
             OperatorConfig(model=m, nu=iv(0.005), truncation_N=0)

@@ -1,14 +1,12 @@
-import math
 import random
 
 import mpmath
 import pytest
 
 from spikecert.basis import reference_model
-from spikecert.errors import CertificationError
 from spikecert.interval import IntervalScalar, make_interval, sqrt_iv
 from spikecert.operator import OperatorConfig, apply_G
-from spikecert.residual import certify_residual, tail_envelope_bound
+from spikecert.residual import certify_residual
 from spikecert.spaces import (
     PROFILE_SPACE,
     SOURCE_SPACE,
@@ -36,7 +34,7 @@ def mk_cert(coeffs, nu=0.005, sigma=0.05, tau=0.08):
 
 def mk_cfg(coupling, nu=0.005, N=10, coupling_rec=None):
     return OperatorConfig(
-        model=reference_model(0, coupling, coupling_rec=coupling_rec),
+        model=reference_model(coupling, coupling_rec=coupling_rec),
         nu=iv(nu),
         truncation_N=N,
     )
@@ -92,6 +90,7 @@ class TestCertifyResidual:
 
     def test_soundness_against_oracle(self):
         rng = random.Random(52)
+        tails = 0
         for _ in range(20):
             N = rng.randint(4, 12)
             coupling = rng.uniform(0.0, 1.0)
@@ -107,12 +106,20 @@ class TestCertifyResidual:
                 mk_cfg(coupling, nu=nu, N=N, coupling_rec=crec),
                 PROFILE_SPACE,
             )
-            oracle = mp_space_norm(
-                brute_G(modes, coupling, crec, nu, N), PROFILE_SPACE
-            )
+            G = brute_G(modes, coupling, crec, nu, N)
+            oracle = mp_space_norm(G, PROFILE_SPACE)
             assert mpmath.mpf(rep.delta.hi) >= oracle
             # and not absurdly loose
             assert mpmath.mpf(rep.delta.lo) <= oracle
+            # each block on its own: modes j <= N, then the spillover N < j <= 2N
+            fin = mp_space_norm({j: x for j, x in G.items() if j <= N}, PROFILE_SPACE)
+            tail = mp_space_norm(
+                {j: x for j, x in G.items() if N < j <= 2 * N}, PROFILE_SPACE
+            )
+            assert mpmath.mpf(rep.delta_fin.lo) <= fin <= mpmath.mpf(rep.delta_fin.hi)
+            assert mpmath.mpf(rep.delta_tail.lo) <= tail <= mpmath.mpf(rep.delta_tail.hi)
+            tails += tail > 0
+        assert tails >= 10  # the spillover block is exercised, not just zero
 
     def test_monotone_in_radius(self):
         base = CoefficientVector(
@@ -126,31 +133,13 @@ class TestCertifyResidual:
         d2 = certify_residual(mk_cert(wide), cfg, PROFILE_SPACE).delta
         assert d2.hi >= d1.hi
 
-    def test_quadrature_slot_is_structural_zero(self):
-        rep = certify_residual(
-            mk_cert(CoefficientVector(((1, iv(0.5)),))),
-            mk_cfg(1.0),
-            PROFILE_SPACE,
-        )
-        assert (rep.quadrature.lo, rep.quadrature.hi) == (0.0, 0.0)
-        assert "structural zero" in rep.quadrature_note
-
-    def test_per_mode_enclosures_present(self):
-        c = CoefficientVector(((1, iv(1.0)),))
-        rep = certify_residual(mk_cert(c), mk_cfg(1.0), PROFILE_SPACE)
-        assert set(rep.per_mode) == {1, 2}
-        assert rep.per_mode[1].contains(1.505 + 0.5 + 1.0)
-
-
 def scalar_residual(cert, cfg, space):
     """The weighted sums of certify_residual as the scalar loop it replaced,
     descending in j; the bitwise reference for the elementwise terms."""
     residual = apply_G(cert.coefficients, cfg)
     sq_fin = IntervalScalar(0.0, 0.0)
     sq_tail = IntervalScalar(0.0, 0.0)
-    per_mode = {}
     for j, rj in sorted(residual.items(), reverse=True):
-        per_mode[j] = rj
         a = abs(rj)
         term = weight_sq(j, space) * a * a
         if j <= cfg.truncation_N:
@@ -160,7 +149,7 @@ def scalar_residual(cert, cfg, space):
     delta_fin = sqrt_iv(sq_fin)
     delta_tail = sqrt_iv(sq_tail)
     delta = sqrt_iv(delta_fin * delta_fin + delta_tail * delta_tail)
-    return delta_fin, delta_tail, delta, dict(sorted(per_mode.items()))
+    return delta_fin, delta_tail, delta
 
 
 def bits(x):
@@ -169,13 +158,10 @@ def bits(x):
 
 def assert_matches_scalar_residual(cert, cfg, space):
     rep = certify_residual(cert, cfg, space)
-    delta_fin, delta_tail, delta, per_mode = scalar_residual(cert, cfg, space)
+    delta_fin, delta_tail, delta = scalar_residual(cert, cfg, space)
     assert bits(rep.delta_fin) == bits(delta_fin)
     assert bits(rep.delta_tail) == bits(delta_tail)
     assert bits(rep.delta) == bits(delta)
-    assert [(j, bits(x)) for j, x in rep.per_mode.items()] == [
-        (j, bits(x)) for j, x in per_mode.items()
-    ]
 
 
 class TestResidualMatchesScalarLoop:
@@ -198,60 +184,3 @@ class TestResidualMatchesScalarLoop:
             cfg = mk_cfg(rng.choice([0.0, 0.6]), N=N, coupling_rec=rng.choice([0.0, 0.3]))
             for space in (PROFILE_SPACE, SOURCE_SPACE):
                 assert_matches_scalar_residual(mk_cert(c), cfg, space)
-
-
-class TestTailEnvelope:
-    def test_zero_profile(self):
-        b = tail_envelope_bound(
-            mk_cert(CoefficientVector()), mk_cfg(1.0), PROFILE_SPACE
-        )
-        assert (b.lo, b.hi) == (0.0, 0.0)
-
-    def test_fitted_amplitude_from_bundled_rows(self, bundled_certificate_path):
-        cert = load_certificate(bundled_certificate_path)
-        cfg = mk_cfg(1.0, N=450)
-        # the j=1 row dominates: A = 5 e^{0.08}
-        fit = max(
-            (abs(c) * math.exp(cert.tau_audited * j)).hi
-            for j, c in cert.coefficients.items()
-        )
-        assert abs(fit - 5.4164353383747928) < 1e-12
-        b = tail_envelope_bound(cert, cfg, PROFILE_SPACE)
-        assert b.hi > 0.0 and b.lo == 0.0
-
-    def test_explicit_amplitude_violation_names_mode(self):
-        c = CoefficientVector(((1, iv(1.0)), (7, iv(0.9))))
-        cert = mk_cert(c)
-        with pytest.raises(CertificationError) as exc:
-            tail_envelope_bound(cert, mk_cfg(1.0), PROFILE_SPACE, amplitude=1.5)
-        assert "mode 7" in str(exc.value)
-
-    def test_explicit_amplitude_accepted_when_valid(self):
-        c = CoefficientVector(((1, iv(0.5)),))
-        b = tail_envelope_bound(
-            mk_cert(c), mk_cfg(1.0), PROFILE_SPACE, amplitude=1.0
-        )
-        assert b.hi > 0.0
-
-    def test_dominates_direct_tail_summation(self):
-        rng = random.Random(61)
-        for _ in range(15):
-            N = rng.randint(4, 12)
-            coupling = rng.uniform(0.1, 1.0)
-            tau = PROFILE_SPACE.tau
-            modes = {}
-            for j in rng.sample(range(1, N + 1), rng.randint(1, min(5, N))):
-                # respect the envelope by construction
-                modes[j] = rng.uniform(-1, 1) * math.exp(-tau * j)
-            c = CoefficientVector(tuple((j, iv(x)) for j, x in modes.items()))
-            cert = mk_cert(c, tau=tau)
-            cfg = mk_cfg(coupling, N=N, coupling_rec=coupling)
-            rep = certify_residual(cert, cfg, PROFILE_SPACE)
-            env = tail_envelope_bound(cert, cfg, PROFILE_SPACE)
-            assert rep.delta_tail.hi <= sqrt_iv(env).hi
-
-    def test_space_rate_must_not_exceed_envelope_rate(self):
-        c = CoefficientVector(((1, iv(0.5)),))
-        cert = mk_cert(c, tau=0.05)  # weaker than the space's 0.08
-        with pytest.raises(CertificationError):
-            tail_envelope_bound(cert, mk_cfg(1.0), PROFILE_SPACE)

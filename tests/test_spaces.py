@@ -17,10 +17,8 @@ from spikecert.spaces import (
     WeightedSpace,
     load_certificate,
     norm,
-    norm_ratio_multiplier,
     save_certificate,
     weight_sq,
-    weight_sq_log10,
 )
 
 mpmath.mp.dps = 50
@@ -74,13 +72,6 @@ class TestWeights:
                 w = weight_sq(j, space)
                 truth = mp_weight_sq(j, space)
                 assert mpmath.mpf(w.lo) <= truth <= mpmath.mpf(w.hi)
-
-    def test_log10_fallback_agrees(self):
-        for j in (10, 450, 5000, 100_000):
-            lg = weight_sq_log10(j, PROFILE_SPACE)
-            truth = mpmath.log10(mp_weight_sq(j, PROFILE_SPACE))
-            assert lg.log10_value >= float(truth) - 1e-12
-            assert lg.log10_value - float(truth) < 1e-9
 
     def test_space_validation(self):
         with pytest.raises(ValueError):
@@ -138,28 +129,6 @@ class TestNorm:
             # strict on nonzero vectors since every weight is larger
             if any(e.mag() > 0 for _, e in entries):
                 assert norm(c, SOURCE_SPACE).hi > norm(c, PROFILE_SPACE).hi * 0.999
-
-
-class TestNormRatioMultiplier:
-    def test_k_equals_one(self):
-        r = norm_ratio_multiplier(1)
-        assert r.contains(0.70640002784092990)  # 2^{-1/2} e^{-0.001}
-        assert r.width / r.lo < 1e-13
-
-    def test_supremum_neighborhood(self):
-        r = norm_ratio_multiplier(2500)
-        # 2500^{7/2} 6250001^{-1/2} e^{-2.5} to 25 digits: 25651560.01784365414797087
-        assert r.contains(25651560.017843654)
-        assert r.width / r.lo < 1e-12
-
-    def test_deep_tail_goes_log_domain(self):
-        r = norm_ratio_multiplier(10**6)
-        assert r.lo >= 0.0
-        assert 0.0 < r.hi < 1e-300
-
-    def test_rejects_bad_index(self):
-        with pytest.raises(ValueError):
-            norm_ratio_multiplier(0)
 
 
 class TestCoefficientVector:

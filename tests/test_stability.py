@@ -104,7 +104,7 @@ def test_non_matrix_rejected():
 
 
 def test_zero_profile_jacobian_pipeline():
-    cfg = OperatorConfig(reference_model(0, 1.0), make_interval(0.005, 0.0), truncation_N=8)
+    cfg = OperatorConfig(reference_model(1.0), make_interval(0.005, 0.0), truncation_N=8)
     J = assemble_jacobian(CoefficientVector(), cfg)
     rep = certify_inverse(J)
     assert rep.verified
@@ -259,7 +259,7 @@ def bundled(bundled_certificate_path):
 
 
 def reference_config(nu, N=450):
-    return OperatorConfig(reference_model(0, 1.0), nu, truncation_N=N)
+    return OperatorConfig(reference_model(1.0), nu, truncation_N=N)
 
 
 def test_zero_profile_gamma_is_exact(bundled):
@@ -426,7 +426,7 @@ def test_window_scan_matches_scalar_loop_on_random_profiles(monkeypatch):
             sigma=0.05,
             tau_audited=rng.choice([0.01, 0.08, 0.5]),
         )
-        cfg = OperatorConfig(reference_model(0, 1.0), cert.nu, truncation_N=N)
+        cfg = OperatorConfig(reference_model(1.0), cert.nu, truncation_N=N)
         C_prof = rng.choice([0.0, 0.125, 3.0])
         assert_matches_scalar_scan(cert, cfg, C_prof, N + 1 + rng.randint(0, 99), rng.randint(0, 59))
 

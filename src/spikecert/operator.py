@@ -124,13 +124,42 @@ def apply_quadratic(
 
 
 def apply_G(c: CoefficientVector, cfg: OperatorConfig) -> CoefficientVector:
-    """Full operator: linear part + Q(c,c) + 2 Q(recover_velocity(c), c)."""
+    """Full operator: linear part + Q(c,c) + 2 Q(recover_velocity(c), c).
+
+    The three parts are joined as rows over modes 1..2N, in that order.
+    """
     _check_support(c, cfg, "apply_G")
-    lin = apply_linear(c, cfg)
-    advection = apply_quadratic(c, c, cfg)
-    stretching = apply_quadratic(recover_velocity(c, cfg), c, cfg)
-    out = lin + advection + stretching.scaled(2.0)
-    return CoefficientVector(out.entries, 2 * cfg.truncation_N)
+    n2 = 2 * cfg.truncation_N
+    lin = _dense(apply_linear(c, cfg), n2)
+    advection = _dense(apply_quadratic(c, c, cfg), n2)
+    stretching, in_stretching = _dense(
+        apply_quadratic(recover_velocity(c, cfg), c, cfg), n2
+    )
+    out, present = _join(_join(lin, advection), (stretching * 2.0, in_stretching))
+    return CoefficientVector(
+        tuple((int(i) + 1, out.entry(0, i)) for i in np.flatnonzero(present)), n2
+    )
+
+
+def _dense(c: CoefficientVector, n: int):
+    """c as a 1 x n row over modes 1..n (0 off its support) and its support mask."""
+    at = np.array(c.support, dtype=np.intp) - 1
+    lo, hi = np.zeros((1, n)), np.zeros((1, n))
+    lo[0, at] = [x.lo for _, x in c.items()]
+    hi[0, at] = [x.hi for _, x in c.items()]
+    present = np.zeros(n, dtype=bool)
+    present[at] = True
+    return IntervalMatrix(lo, hi), present
+
+
+def _join(a, b):
+    """Sum of two (row, mask) parts as CoefficientVector addition forms it:
+    a mode in both supports gets a + b, a mode in one keeps its entry."""
+    (ra, in_a), (rb, in_b) = a, b
+    s = ra + rb
+    lo = np.where(in_a & in_b, s.lo, np.where(in_a, ra.lo, rb.lo))
+    hi = np.where(in_a & in_b, s.hi, np.where(in_a, ra.hi, rb.hi))
+    return IntervalMatrix(lo, hi), in_a | in_b
 
 
 def _row(entries) -> IntervalMatrix:

@@ -14,6 +14,9 @@ Conjugation uses second-order central differences, so its discrepancy
 on smooth non-polynomial fields shrinks by ~4x when the spacing halves.
 The divergence check uses fourth-order stencils instead: its test cases
 are quartic polynomials that second-order differences would miss.
+
+The two quadrature checks import scipy on their first call, so importing
+the package (and with it every audit and CLI call) does not load it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 
 @dataclass(frozen=True)
@@ -268,6 +270,8 @@ def check_axis_vanishing(
         raise ValueError("radii must be positive")
     if any(a <= b for a, b in zip(eps, eps[1:])):
         raise ValueError("radii must be strictly decreasing")
+    from scipy.integrate import quad
+
     test = phi if phi is not None else (lambda zeta: np.ones_like(zeta))
 
     values = []
@@ -346,6 +350,8 @@ def check_reconstruction_scaling(
         spread = (hi - lo) / hi if hi > 0.0 else 0.0
     else:
         spread = 0.0
+
+    from scipy.integrate import quad
 
     integral, _ = quad(
         lambda t: omega_sup / (T_star - t),

@@ -21,7 +21,6 @@ from spikecert.errors import CertificationError
 from spikecert.interval import (
     EMPTY,
     IntervalScalar,
-    LogMagnitude,
     exp_iv,
     interval_from_decimal,
 )

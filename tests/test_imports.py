@@ -1,0 +1,102 @@
+"""Import hygiene: what `import spikecert` loads, and imports nobody reads.
+
+scipy is needed only by the quadrature checks in `oracle.py`, which import
+it on their first call; the package, the CLI and the audit stay free of it,
+so a CLI call does not pay for loading it.  The check runs in a fresh
+interpreter, because this test process has scipy loaded already.
+
+No linter is installed, so an `ast` scan guards against imported names that
+a module never references.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+CHILD = """
+import contextlib, io, sys
+
+import spikecert
+assert "scipy" not in sys.modules, "import spikecert"
+
+from spikecert.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(["closure", "--delta", "8.421739e-12", "--M", "482.6", "--K", "1.1e4"])
+assert code == 0 and "local verdict = True" in out.getvalue(), (code, out.getvalue())
+assert "scipy" not in sys.modules, "spikecert closure"
+
+from pathlib import Path
+bundled = Path(spikecert.__file__).parent / "data" / "reference_certificate.json"
+result = spikecert.run_audit(bundled)
+assert result.exit_code == 0 and result.verified, result.log
+assert "scipy" not in sys.modules, "run_audit"
+
+report = spikecert.check_reconstruction_scaling(1.0, 1.0, [0.0, 0.5])
+assert report.passed, report
+assert "scipy.integrate" in sys.modules
+print("ok")
+"""
+
+
+def test_package_cli_and_audit_do_not_load_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+def unused_imports(path: Path):
+    """Names a module imports but never references, with their lines.
+
+    `from __future__` imports are directives, not names, and are skipped.
+    """
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+# __init__.py files import names to re-export them, not to use them
+MODULES = sorted(
+    p
+    for p in [*(SRC / "spikecert").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    if p.name != "__init__.py"
+)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_unused_import_scan_flags_an_unread_name(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import math as m\n"
+        "from typing import List, Optional\n"
+        "def f(x: Optional[int]) -> float:\n"
+        "    return m.pi + len(os.sep)\n"
+    )
+    assert unused_imports(module) == [(4, "List")]

@@ -14,7 +14,7 @@ from spikecert.operator import (
     assemble_jacobian,
     recover_velocity,
 )
-from spikecert.spaces import CoefficientVector
+from spikecert.spaces import CoefficientVector, load_certificate
 
 mpmath.mp.dps = 40
 
@@ -364,6 +364,50 @@ class TestQuadraticMatchesScalarLoop:
         c = CoefficientVector(((2, EMPTY), (3, iv(0.5))), 6)
         with pytest.raises(IntervalError):
             apply_quadratic(c, c, cfg_for(1.0, N=6))
+
+
+def joined_apply_G(c, cfg):
+    """G(c) with the three parts joined by CoefficientVector addition, as
+    apply_G did before its row join; the bitwise reference for it."""
+    out = (
+        apply_linear(c, cfg)
+        + apply_quadratic(c, c, cfg)
+        + apply_quadratic(recover_velocity(c, cfg), c, cfg).scaled(2.0)
+    )
+    return CoefficientVector(out.entries, 2 * cfg.truncation_N)
+
+
+class TestApplyGMatchesVectorJoin:
+    def test_random_profiles_bit_for_bit(self):
+        for seed in (47, 2026):
+            rng = random.Random(seed)
+            for _ in range(40):
+                c, cfg = random_problem(rng)
+                assert same_vector(apply_G(c, cfg), joined_apply_G(c, cfg)), (c, cfg)
+
+    @pytest.mark.parametrize(
+        "coupling, crec, modes",
+        [
+            (0.0, 0.7, {2: -0.4, 5: 0.3}),  # linear part alone
+            (0.9, 0.0, {1: 0.5, 7: -0.2}),  # no stretching
+            (0.9, 0.4, {}),  # empty profile
+            (1.3, 0.6, {3: 0.25, 12: -1.5}),  # a mode at exactly N
+            (0.8, 0.5, {4: 0.0, 6: 0.75}),  # an exactly zero coefficient
+            (1.0, 1.0, {2: 1e-300, 5: -3e-295}),  # below the error-free band
+            (1.0, 1.0, {3: 1e300, 9: -2e290}),  # parts that overflow
+        ],
+    )
+    def test_edge_cases_bit_for_bit(self, coupling, crec, modes):
+        cfg = cfg_for(coupling, nu=0.003, N=12, coupling_rec=crec)
+        c = vec(modes, 12)
+        assert same_vector(apply_G(c, cfg), joined_apply_G(c, cfg))
+
+    def test_bundled_certificate_bit_for_bit(self, bundled_certificate_path):
+        cert = load_certificate(bundled_certificate_path)
+        cfg = OperatorConfig(model=reference_model(1.0), nu=cert.nu, truncation_N=450)
+        out = apply_G(cert.coefficients, cfg)
+        assert same_vector(out, joined_apply_G(cert.coefficients, cfg))
+        assert len(out) > len(cert.coefficients)
 
 
 class TestJacobian:

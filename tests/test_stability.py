@@ -7,7 +7,6 @@ it on every trial.  Coercivity values are frozen from a 40-digit mpmath
 evaluation of the envelope formula.
 """
 
-import math
 import random
 
 import numpy as np

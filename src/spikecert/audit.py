@@ -1,8 +1,11 @@
 """End-to-end audit driver: certificate in, tagged log and exit code out.
 
-The audit runs the full pipeline in a fixed order (residual, inverse
-bound, tail coercivity, constants, closure) and writes one line per
-result in a small tagged grammar:
+`run_audit` loads the certificate and calls one stage function per bound
+in a fixed order, `_residual` (delta), `_inverse` (M), `_tail` (gamma),
+`_constants` (K), `_transfer` (eps) and `_closure` (verdict and status),
+which all write through one `_Run`.  A stage that cannot produce its value
+logs a failing RSLT line, so content problems end in REJECTED, never in an
+exception.  The log has one line per result in a small tagged grammar:
 
     [EXEC]    run identification, magic string first
     [PREC]    arithmetic precision statement
@@ -33,7 +36,6 @@ sets than a portable certificate carries.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import List, Optional, Tuple
@@ -124,267 +126,261 @@ def _iv(x: IntervalScalar) -> str:
     return f"[{x.lo:.6e}, {x.hi:.6e}]"
 
 
+class _Run:
+    """The lines and failed gates of one audit, in the order the stages add them."""
+
+    def __init__(self) -> None:
+        self.lines: List[Tuple[str, str]] = []
+        self.failures: List[str] = []
+
+    def add(self, tag: str, text: str) -> None:
+        self.lines.append((tag, text))
+
+    def fail(self, name: str, text: str) -> None:
+        self.failures.append(name)
+        self.add("RSLT", f"{text}: FAIL")
+
+    def gate(self, name: str, ok: bool, text: str) -> None:
+        if ok:
+            self.add("RSLT", f"{text}: pass")
+        else:
+            self.fail(name, text)
+
+    def cap(self, name: str, label: str, declared: Optional[IntervalScalar]):
+        """Gate a declared constant against its fixed cap; hand the constant back."""
+        if declared is not None:
+            cap = _CAPS[name].hi
+            text = f"{label} (declared) = {_iv(declared)}, cap {cap:.6e}"
+            self.gate(name, declared.hi <= cap, text)
+        return declared
+
+    def end(self, status: str, exit_code: int = 1) -> AuditResult:
+        self.add("STATUS", status)
+        return AuditResult(AuditLog(self.lines), exit_code, exit_code == 0)
+
+
 def run_audit(certificate_path, config: Optional[AuditConfig] = None) -> AuditResult:
     """Audit one certificate file; never raises for content problems."""
     cfg = config or AuditConfig()
-    lines: List[Tuple[str, str]] = []
-    failures: List[str] = []
+    run = _Run()
+    run.add("EXEC", AUDIT_MAGIC)
+    stamp = cfg.timestamp or datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    run.add("EXEC", f"run started {stamp}")
+    run.add("PREC", "binary64 interval endpoints, outward rounding, 53 mantissa bits")
 
-    def add(tag: str, text: str) -> None:
-        lines.append((tag, text))
-
-    def gate(name: str, ok: bool, text: str) -> None:
-        add("RSLT", f"{text}: {'pass' if ok else 'FAIL'}")
-        if not ok:
-            failures.append(name)
-
-    add("EXEC", AUDIT_MAGIC)
-    stamp = cfg.timestamp or datetime.now(timezone.utc).strftime(
-        "%Y-%m-%dT%H:%M:%SZ"
-    )
-    add("EXEC", f"run started {stamp}")
-    add("PREC", "binary64 interval endpoints, outward rounding, 53 mantissa bits")
-
-    add("TASK", "certificate load")
+    run.add("TASK", "certificate load")
     try:
         cert = load_certificate(certificate_path)
-    except (CertificateError, OSError, ValueError, json.JSONDecodeError) as exc:
-        add("STATUS", f"certificate REJECTED, unreadable: {exc}")
-        return AuditResult(AuditLog(lines), 2, False)
-    n_modes = len(cert.coefficients)
-    max_mode = cert.coefficients.max_mode
-    add(
+    except (CertificateError, OSError, ValueError) as exc:
+        return run.end(f"certificate REJECTED, unreadable: {exc}", 2)
+    run.add(
         "STEP",
-        f"loaded {n_modes} modes, max mode {max_mode}, "
+        f"loaded {len(cert.coefficients)} modes, "
+        f"max mode {cert.coefficients.max_mode}, "
         f"nu = {_iv(cert.nu)}, tau = {cert.tau_audited:.6e}, "
         f"sigma = {cert.sigma:.6e}",
     )
-
     model = reference_model(cfg.coupling, cfg.coupling_rec)
-    op_cfg = OperatorConfig(
-        model=model, nu=cert.nu, truncation_N=cfg.truncation_N
-    )
+    op_cfg = OperatorConfig(model=model, nu=cert.nu, truncation_N=cfg.truncation_N)
 
-    def declared(name: str) -> Optional[IntervalScalar]:
-        return cert.constant(name)
+    delta = _residual(run, cert, cfg, op_cfg)
+    m = _inverse(run, cert, op_cfg)
+    _tail(run, cert, cfg, op_cfg)
+    k = _constants(run, cert, cfg, model)
+    eps = _transfer(run, cert, cfg)
+    return _closure(run, delta, m, k, eps)
 
-    # ---------------------------------------------------------- residual
-    add("TASK", "residual bound")
-    delta_used = None
-    d_delta = declared("delta")
+
+def _residual(run, cert, cfg, op_cfg) -> Optional[IntervalScalar]:
+    """delta: declared if given (the recomputation is a diagnostic), else computed."""
+    run.add("TASK", "residual bound")
     try:
-        residual_rep = certify_residual(cert, op_cfg, PROFILE_SPACE)
+        computed = certify_residual(cert, op_cfg, PROFILE_SPACE).delta
     except (ValueError, CertificationError) as exc:
-        residual_rep = None
-        add("CALC", f"residual recomputation skipped: {exc}")
-    if d_delta is not None:
-        add("RSLT", f"residual delta (declared) = {_iv(d_delta)}")
-        delta_used = d_delta
-        if residual_rep is not None:
-            add(
+        computed = None
+        run.add("CALC", f"residual recomputation skipped: {exc}")
+    declared = cert.constant("delta")
+    if declared is not None:
+        run.add("RSLT", f"residual delta (declared) = {_iv(declared)}")
+        if computed is not None:
+            run.add(
                 "CALC",
                 f"residual delta (computed, diagnostic, N={cfg.truncation_N}) "
-                f"= {_iv(residual_rep.delta)}",
+                f"= {_iv(computed)}",
             )
-    elif residual_rep is not None:
-        add("RSLT", f"residual delta (computed) = {_iv(residual_rep.delta)}")
-        delta_used = residual_rep.delta
-    else:
-        failures.append("delta")
-        add("RSLT", "residual delta: neither declared nor computable: FAIL")
+        return declared
+    if computed is not None:
+        run.add("RSLT", f"residual delta (computed) = {_iv(computed)}")
+        return computed
+    run.fail("delta", "residual delta: neither declared nor computable")
+    return None
 
-    # ------------------------------------------------------------ inverse
-    add("TASK", "inverse bound")
-    m_used = None
-    d_m = declared("M")
-    if d_m is not None:
-        add("RSLT", f"inverse bound M (declared) = {_iv(d_m)}")
-        m_used = d_m
-    else:
-        inv_rep = certify_inverse(assemble_jacobian(cert.coefficients, op_cfg))
-        if inv_rep.verified:
-            add("RSLT", f"inverse bound M (computed) = {_iv(inv_rep.M)}")
-            m_used = inv_rep.M
-        else:
-            failures.append("M")
-            add("RSLT", f"inverse bound M not certified: {inv_rep.diagnostic}: FAIL")
 
-    # ----------------------------------------------------- tail coercivity
-    add("TASK", "tail coercivity")
-    d_cprof = declared("C_prof")
-    if d_cprof is not None:
-        cap = _CAPS["C_prof"]
-        gate(
-            "C_prof",
-            d_cprof.hi <= cap.hi,
-            f"profile envelope constant (declared) = {_iv(d_cprof)}, "
-            f"cap {cap.hi:.6e}",
-        )
-        cprof_used = d_cprof
-    else:
-        cprof_used = _CAPS["C_prof"]
-        add("CALC", f"profile envelope constant defaulted to cap {_iv(cprof_used)}")
+def _inverse(run, cert, op_cfg) -> Optional[IntervalScalar]:
+    """M: declared if given, else the verified inverse bound of the Jacobian."""
+    run.add("TASK", "inverse bound")
+    declared = cert.constant("M")
+    if declared is not None:
+        run.add("RSLT", f"inverse bound M (declared) = {_iv(declared)}")
+        return declared
+    try:
+        rep = certify_inverse(assemble_jacobian(cert.coefficients, op_cfg))
+    except (ValueError, CertificationError) as exc:
+        run.fail("M", f"inverse bound M not computable: {exc}")
+        return None
+    if rep.verified:
+        run.add("RSLT", f"inverse bound M (computed) = {_iv(rep.M)}")
+        return rep.M
+    run.fail("M", f"inverse bound M not certified: {rep.diagnostic}")
+    return None
+
+
+def _tail(run, cert, cfg, op_cfg) -> None:
+    """Gate C_prof against its cap, certify gamma, gate a declared gamma."""
+    run.add("TASK", "tail coercivity")
+    c_prof = run.cap("C_prof", "profile envelope constant", cert.constant("C_prof"))
+    if c_prof is None:
+        c_prof = _CAPS["C_prof"]
+        run.add("CALC", f"profile envelope constant defaulted to cap {_iv(c_prof)}")
     try:
         coer = certify_tail_coercivity(
-            cert, op_cfg, cprof_used, j_min=cfg.j_min, window=cfg.window
+            cert, op_cfg, c_prof, j_min=cfg.j_min, window=cfg.window
         )
-        add(
-            "CALC",
-            f"coercivity gamma (computed, j_min={cfg.j_min}, "
-            f"window={cfg.window}) = {_iv(coer.gamma)}",
-        )
-        add(
-            "CALC",
-            "monotone tail ratio "
-            + ("verified" if coer.monotone_tail_verified else "NOT verified")
-            + f" at j = {cfg.j_min}",
-        )
-        if not coer.verified:
-            failures.append("gamma")
-            add("RSLT", f"tail coercivity not certified: {coer.diagnostic}: FAIL")
-        d_gamma = declared("gamma")
-        if d_gamma is not None and coer.verified:
-            gate(
-                "gamma",
-                d_gamma.hi <= coer.gamma.lo,
-                f"coercivity gamma (declared) = {_iv(d_gamma)}, "
-                f"gate declared <= certified lower bound {coer.gamma.lo:.6e}",
-            )
     except (ValueError, CertificationError) as exc:
-        failures.append("gamma")
-        add("RSLT", f"tail coercivity stage failed: {exc}: FAIL")
+        run.fail("gamma", f"tail coercivity stage failed: {exc}")
+        return
+    run.add(
+        "CALC",
+        f"coercivity gamma (computed, j_min={cfg.j_min}, "
+        f"window={cfg.window}) = {_iv(coer.gamma)}",
+    )
+    monotone = "verified" if coer.monotone_tail_verified else "NOT verified"
+    run.add("CALC", f"monotone tail ratio {monotone} at j = {cfg.j_min}")
+    if not coer.verified:
+        run.fail("gamma", f"tail coercivity not certified: {coer.diagnostic}")
+        return
+    declared = cert.constant("gamma")
+    if declared is not None:
+        run.gate(
+            "gamma",
+            declared.hi <= coer.gamma.lo,
+            f"coercivity gamma (declared) = {_iv(declared)}, "
+            f"gate declared <= certified lower bound {coer.gamma.lo:.6e}",
+        )
 
-    # ---------------------------------------------------------- constants
-    add("TASK", "constants")
-    rec = recovery_mapping_constant(cert.tau_audited, cfg.tau_prime)
-    add(
+
+def _constants(run, cert, cfg, model) -> Optional[IntervalScalar]:
+    """K: declared (gated against C_rec_map * C_conv if C_conv is declared) or
+    computed; the stage ends early if C_rec_map cannot be recomputed."""
+    run.add("TASK", "constants")
+    try:
+        rec = recovery_mapping_constant(cert.tau_audited, cfg.tau_prime)
+    except (ValueError, CertificationError) as exc:
+        run.fail("C_rec_map", f"recovery mapping constant not computable: {exc}")
+        return None
+    run.add(
         "CALC",
         f"recovery mapping constant (computed) = {_iv(rec.value)}, "
         f"argmax k = {rec.argmax_k}",
     )
-    d_recmap = declared("C_rec_map")
-    if d_recmap is not None:
-        gate(
+    rec_map = cert.constant("C_rec_map")
+    if rec_map is not None:
+        run.gate(
             "C_rec_map",
-            rec.value.hi <= d_recmap.hi <= _HEADROOM * rec.value.hi,
-            f"recovery mapping constant (declared) = {_iv(d_recmap)}, "
+            rec.value.hi <= rec_map.hi <= _HEADROOM * rec.value.hi,
+            f"recovery mapping constant (declared) = {_iv(rec_map)}, "
             f"gate within [1, {_HEADROOM}] times computed",
         )
-        recmap_used = d_recmap
     else:
-        recmap_used = rec.value
-    d_recker = declared("C_rec_ker")
-    if d_recker is not None:
-        cap = _CAPS["C_rec_ker"]
-        gate(
-            "C_rec_ker",
-            d_recker.hi <= cap.hi,
-            f"recovery kernel constant (declared) = {_iv(d_recker)}, "
-            f"cap {cap.hi:.6e}",
-        )
-    d_conv = declared("C_conv")
-    conv_used = None
-    if d_conv is not None:
-        add(
+        rec_map = rec.value
+    run.cap("C_rec_ker", "recovery kernel constant", cert.constant("C_rec_ker"))
+    conv = cert.constant("C_conv")
+    if conv is not None:
+        run.add(
             "RSLT",
-            f"convolution constant (declared) = {_iv(d_conv)}, "
+            f"convolution constant (declared) = {_iv(conv)}, "
             "pass-through, gated via K consistency",
         )
-        conv_used = d_conv
-    k_used = None
-    d_k = declared("K")
-    if d_k is not None and conv_used is not None:
-        product = recmap_used * conv_used
-        gate(
+    k = cert.constant("K")
+    if k is not None and conv is not None:
+        product = rec_map * conv
+        run.gate(
             "K",
-            0.95 * product.lo <= d_k.lo and d_k.hi <= _HEADROOM * product.hi,
-            f"lipschitz constant K (declared) = {_iv(d_k)}, gate within "
+            0.95 * product.lo <= k.lo and k.hi <= _HEADROOM * product.hi,
+            f"lipschitz constant K (declared) = {_iv(k)}, gate within "
             f"five percent of C_rec_map * C_conv = {_iv(product)}",
         )
-        k_used = d_k
-    elif d_k is not None:
-        add(
+        return k
+    if k is not None:
+        run.add(
             "RSLT",
-            f"lipschitz constant K (declared) = {_iv(d_k)}, "
+            f"lipschitz constant K (declared) = {_iv(k)}, "
             "no C_conv declared, admitted without the consistency gate",
         )
-        k_used = d_k
-    else:
-        try:
-            cons = certify_constants(
-                cert.tau_audited,
-                cfg.tau_prime,
-                model,
-                cfg.truncation_N,
-                PROFILE_SPACE,
-                SOURCE_SPACE,
-                rec=rec,
-            )
-            add(
-                "RSLT",
-                f"lipschitz constant K (computed) = {_iv(cons.K)}, "
-                f"C_conv (computed) = {_iv(cons.C_conv)}",
-            )
-            k_used = cons.K
-        except (ValueError, CertificationError) as exc:
-            failures.append("K")
-            add("RSLT", f"lipschitz constant K not computable: {exc}: FAIL")
-
-    # ------------------------------------------------------ transfer error
-    add("TASK", "transfer error")
-    d_eps = declared("eps_T3")
-    if d_eps is not None:
-        cap = _CAPS["eps_T3"]
-        gate(
-            "eps_T3",
-            d_eps.hi <= cap.hi,
-            f"transfer error (declared) = {_iv(d_eps)}, cap {cap.hi:.6e}",
+        return k
+    try:
+        cons = certify_constants(
+            cert.tau_audited,
+            cfg.tau_prime,
+            model,
+            cfg.truncation_N,
+            PROFILE_SPACE,
+            SOURCE_SPACE,
+            rec=rec,
         )
-        eps_used = d_eps
-    else:
+    except (ValueError, CertificationError) as exc:
+        run.fail("K", f"lipschitz constant K not computable: {exc}")
+        return None
+    run.add(
+        "RSLT",
+        f"lipschitz constant K (computed) = {_iv(cons.K)}, "
+        f"C_conv (computed) = {_iv(cons.C_conv)}",
+    )
+    return cons.K
+
+
+def _transfer(run, cert, cfg) -> Optional[IntervalScalar]:
+    """eps: declared and capped if given, else the image-overlap bound."""
+    run.add("TASK", "transfer error")
+    eps = run.cap("eps_T3", "transfer error", cert.constant("eps_T3"))
+    if eps is not None:
+        return eps
+    try:
         overlap = image_overlap_bound(cert.sigma, cfg.lattice_radius)
-        eps_used = overlap.to_interval()
-        add(
-            "RSLT",
-            f"transfer error (computed from image overlap) = {_iv(eps_used)}, "
-            f"log10 <= {overlap.log10_value:.6e}",
-        )
+    except (ValueError, CertificationError) as exc:
+        run.fail("eps_T3", f"transfer error not computable: {exc}")
+        return None
+    eps = overlap.to_interval()
+    run.add(
+        "RSLT",
+        f"transfer error (computed from image overlap) = {_iv(eps)}, "
+        f"log10 <= {overlap.log10_value:.6e}",
+    )
+    return eps
 
-    # ------------------------------------------------------------- closure
-    add("TASK", "closure")
-    if delta_used is None or m_used is None or k_used is None:
-        add("VERDICT", "closure product not computable")
-        add(
-            "STATUS",
-            "certificate REJECTED: " + ", ".join(sorted(set(failures))),
-        )
-        return AuditResult(AuditLog(lines), 1, False)
 
-    local = nk_closure(delta_used, m_used, k_used)
-    torus = torus_closure(delta_used, eps_used, m_used, k_used)
-    add("CALC", f"local product 2 delta M K = {_iv(local.product)}")
-    add("CALC", f"torus product 2 (delta + eps) M K = {_iv(torus.product)}")
-    add(
+def _closure(run, delta, m, k, eps) -> AuditResult:
+    """Both contraction products, the verdict and the status."""
+    run.add("TASK", "closure")
+    if any(x is None for x in (delta, m, k, eps)):
+        run.add("VERDICT", "closure product not computable")
+        return run.end("certificate REJECTED: " + ", ".join(sorted(set(run.failures))))
+    local = nk_closure(delta, m, k)
+    torus = torus_closure(delta, eps, m, k)
+    run.add("CALC", f"local product 2 delta M K = {_iv(local.product)}")
+    run.add("CALC", f"torus product 2 (delta + eps) M K = {_iv(torus.product)}")
+    run.add(
         "CALC",
         "closure product digit variants on record: 8.9e-05, 8.9328e-05, "
         f"8.9415e-05; this run rounds to {torus.product.hi:.4e}",
     )
-
     closed = local.verdict and torus.verdict
-    worst = torus.product
-    add(
-        "VERDICT",
-        f"{worst.hi:.6e} {'<' if closed else '>='} 1.000000e+00",
+    run.add(
+        "VERDICT", f"{torus.product.hi:.6e} {'<' if closed else '>='} 1.000000e+00"
     )
-    if closed and not failures:
-        add(
-            "STATUS",
-            f"certificate VERIFIED, closure margin >= {torus.margin.lo:.6e}",
+    if closed and not run.failures:
+        return run.end(
+            f"certificate VERIFIED, closure margin >= {torus.margin.lo:.6e}", 0
         )
-        return AuditResult(AuditLog(lines), 0, True)
-    reasons = []
-    if not closed:
-        reasons.append("closure product reaches one")
-    reasons.extend(sorted(set(failures)))
-    add("STATUS", "certificate REJECTED: " + ", ".join(reasons))
-    return AuditResult(AuditLog(lines), 1, False)
+    reasons = [] if closed else ["closure product reaches one"]
+    return run.end("certificate REJECTED: " + ", ".join(reasons + sorted(set(run.failures))))

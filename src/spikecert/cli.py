@@ -17,14 +17,14 @@ import random
 import sys
 from typing import Dict, List, Optional
 
-from .audit import AuditConfig, run_audit
+from .audit import _CAPS, AuditConfig, _iv, run_audit
 from .basis import reference_model
 from .closure import nk_closure, torus_closure
 from .constants import certify_constants
 from .errors import CertificateError, CertificationError
 from .interval import IntervalScalar, interval_from_decimal
 from .operator import OperatorConfig, assemble_jacobian
-from .oracle import MeridionalGrid, standard_checks
+from .oracle import _SUITES, MeridionalGrid, standard_checks
 from .residual import certify_residual
 from .spaces import (
     PROFILE_SPACE,
@@ -36,10 +36,8 @@ from .spaces import (
 )
 from .stability import certify_inverse, certify_tail_coercivity, inverse_bound_from_norms
 
-_INT_KEYS = {"modes", "seed", "j_min", "window", "grid", "lattice_radius"}
-_FLOAT_KEYS = {"coupling", "coupling_rec", "tau", "tau_prime", "sigma", "amplitude"}
-# decimal-string keys (nu, delta, M, K, eps, r_norm, e_norm) stay strings so
-# the exact decimal reaches interval_from_decimal unrounded
+# AuditConfig's defaults, read by every flag that sets one of its fields
+_AUDIT = AuditConfig()
 
 
 def _read_config(path: str) -> Dict[str, str]:
@@ -60,20 +58,28 @@ def _read_config(path: str) -> Dict[str, str]:
     return values
 
 
-def _convert_config(values: Dict[str, str]) -> Dict[str, object]:
-    out: Dict[str, object] = {}
-    for key, val in values.items():
-        if key in _INT_KEYS:
-            out[key] = int(val)
-        elif key in _FLOAT_KEYS:
-            out[key] = float(val)
-        else:
-            out[key] = val
-    return out
-
-
-def _iv(x: IntervalScalar) -> str:
-    return f"[{x.lo:.6e}, {x.hi:.6e}]"
+def _apply_config(values: Dict[str, str], subparsers) -> None:
+    """Make config values the defaults of each subcommand with that option,
+    converted by the option's `type=`; decimal options have none and keep the
+    exact string.  ValueError names an unknown key or an unconvertible value."""
+    owners = [
+        (p, {a.dest: a.type or str for a in p._actions}) for p in subparsers.values()
+    ]
+    for key in values:
+        if not any(key in types for _, types in owners):
+            raise ValueError(f"unknown key {key!r}")
+    for p, types in owners:
+        defaults = {}
+        for key, val in values.items():
+            if key not in types:
+                continue
+            try:
+                defaults[key] = types[key](val)
+            except ValueError:
+                raise ValueError(
+                    f"{key} = {val!r} is not a valid {types[key].__name__}"
+                ) from None
+        p.set_defaults(**defaults)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -97,19 +103,21 @@ def _build_parser():
         if "profile" in names:
             p.add_argument("--profile", help="certificate JSON path")
         if "model" in names:
-            p.add_argument("--coupling", type=float, default=1.0)
-            p.add_argument("--coupling-rec", type=float, default=None)
+            p.add_argument("--coupling", type=float, default=_AUDIT.coupling)
+            p.add_argument("--coupling-rec", type=float, default=_AUDIT.coupling_rec)
         if "modes" in names:
-            p.add_argument("--modes", type=int, default=450, help="truncation level")
+            p.add_argument(
+                "--modes", type=int, default=_AUDIT.truncation_N, help="truncation level"
+            )
         if "out" in names:
             p.add_argument("--out", help="also write the output to this path")
 
     p = sub.add_parser("audit", help="full pipeline, tagged log, exit code")
     common(p, "profile", "model", "modes", "out")
-    p.add_argument("--tau-prime", type=float, default=SOURCE_SPACE.tau)
-    p.add_argument("--j-min", type=int, default=1200)
-    p.add_argument("--window", type=int, default=2048)
-    p.add_argument("--lattice-radius", type=int, default=3)
+    p.add_argument("--tau-prime", type=float, default=_AUDIT.tau_prime)
+    p.add_argument("--j-min", type=int, default=_AUDIT.j_min)
+    p.add_argument("--window", type=int, default=_AUDIT.window)
+    p.add_argument("--lattice-radius", type=int, default=_AUDIT.lattice_radius)
 
     p = sub.add_parser("residual", help="certified residual norm of a profile")
     common(p, "profile", "model", "modes", "out")
@@ -122,14 +130,14 @@ def _build_parser():
 
     p = sub.add_parser("tail", help="tail coercivity constant gamma")
     common(p, "profile", "model", "modes", "out")
-    p.add_argument("--j-min", type=int, default=1200)
-    p.add_argument("--window", type=int, default=2048)
+    p.add_argument("--j-min", type=int, default=_AUDIT.j_min)
+    p.add_argument("--window", type=int, default=_AUDIT.window)
     p.add_argument("--c-prof", help="profile envelope constant (decimal)")
 
     p = sub.add_parser("constants", help="recovery, convolution and K constants")
     common(p, "model", "modes", "out")
     p.add_argument("--tau", type=float, default=PROFILE_SPACE.tau)
-    p.add_argument("--tau-prime", type=float, default=SOURCE_SPACE.tau)
+    p.add_argument("--tau-prime", type=float, default=_AUDIT.tau_prime)
 
     p = sub.add_parser("closure", help="scalar closure verdict from constants")
     common(p, "out")
@@ -139,12 +147,7 @@ def _build_parser():
     p.add_argument("--eps", help="transfer error for the torus variant (decimal)")
 
     p = sub.add_parser("oracle", help="grid falsification battery")
-    p.add_argument(
-        "suite",
-        nargs="?",
-        default="all",
-        choices=["all", "conjugation", "divergence", "axis", "reconstruction"],
-    )
+    p.add_argument("suite", nargs="?", default="all", choices=("all", *_SUITES))
     p.add_argument("--grid", type=int, default=256, help="nodes per direction")
     common(p, "out")
 
@@ -231,7 +234,7 @@ def _cmd_tail(args) -> int:
     if args.c_prof:
         c_prof = interval_from_decimal(args.c_prof)
     else:
-        c_prof = cert.constant("C_prof") or interval_from_decimal("0.125")
+        c_prof = cert.constant("C_prof") or _CAPS["C_prof"]
     rep = certify_tail_coercivity(
         cert, _op_config(args, cert), c_prof, j_min=args.j_min, window=args.window
     )
@@ -284,20 +287,9 @@ def _cmd_closure(args) -> int:
     return 0 if verdict else 1
 
 
-_SUITE_PREFIX = {
-    "conjugation": "conjugation",
-    "divergence": "divergence",
-    "axis": "axis",
-    "reconstruction": "blowup",
-}
-
-
 def _cmd_oracle(args) -> int:
     grid = MeridionalGrid(n_rho=args.grid, n_zeta=args.grid)
-    rows = standard_checks(grid)
-    if args.suite != "all":
-        prefix = _SUITE_PREFIX[args.suite]
-        rows = [r for r in rows if r["check"].startswith(prefix)]
+    rows = standard_checks(grid, args.suite)
     width = max(len(r["check"]) for r in rows)
     lines = [
         f"{r['check']:<{width}}  {r['value']:>14.6e}  "
@@ -357,18 +349,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     known, _ = probe.parse_known_args(argv)
     if known.config:
         try:
-            overrides = _convert_config(_read_config(known.config))
+            _apply_config(_read_config(known.config), subparsers)
         except (OSError, ValueError) as exc:
             sys.stderr.write(f"spikecert: bad config file: {exc}\n")
             return 2
-        dests = {name: {a.dest for a in p._actions} for name, p in subparsers.items()}
-        known = set().union(*dests.values())
-        for key in overrides:
-            if key not in known:
-                sys.stderr.write(f"spikecert: bad config file: unknown key {key!r}\n")
-                return 2
-        for name, p in subparsers.items():
-            p.set_defaults(**{k: v for k, v in overrides.items() if k in dests[name]})
 
     args = parser.parse_args(argv)
     if not args.command:

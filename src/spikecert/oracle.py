@@ -372,12 +372,20 @@ def check_reconstruction_scaling(
     )
 
 
-def standard_checks(grid: Optional[MeridionalGrid] = None) -> List[dict]:
+_SUITES = ("conjugation", "divergence", "axis", "reconstruction")
+
+
+def standard_checks(
+    grid: Optional[MeridionalGrid] = None, suite: str = "all"
+) -> List[dict]:
     """The fixed battery the command line prints as a pass/fail table.
 
     Each row carries the check name, the measured value, the criterion
-    text, and the verdict.
+    text, and the verdict.  `suite` names one of `_SUITES` to run only its
+    rows, or is "all".
     """
+    if suite != "all" and suite not in _SUITES:
+        raise ValueError(f"unknown suite {suite!r}; expected 'all' or one of {_SUITES}")
     grid = grid or default_grid()
     rows: List[dict] = []
 
@@ -395,36 +403,40 @@ def standard_checks(grid: Optional[MeridionalGrid] = None) -> List[dict]:
     # requested grid's nodes; the convergence case always uses the
     # fixed 256 -> 511 pair, which is deep enough in the asymptotic
     # regime for the clean second-order window
-    r2z = PolynomialField([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-    d = check_conjugation(r2z, grid)
-    row("conjugation r^2 z", d, "<= 1e-12", d <= 1e-12)
-    r4 = PolynomialField([[0.0], [0.0], [0.0], [0.0], [1.0]])
-    d = check_conjugation(r4, grid)
-    row("conjugation r^4", d, "<= 1e-12", d <= 1e-12)
-    gauss = lambda r, z: r ** 3 * np.exp(-r * r - z * z)
-    c1 = check_conjugation(gauss, MeridionalGrid(n_rho=256, n_zeta=256))
-    c2 = check_conjugation(gauss, MeridionalGrid(n_rho=511, n_zeta=511))
-    ratio = c1 / c2 if c2 > 0.0 else math.inf
-    row("conjugation h->h/2 ratio", ratio, "in [3.5, 4.5]", 3.5 <= ratio <= 4.5)
-    d = check_divergence(lambda r, z: r ** 4 * z, grid)
-    row("divergence rho^4 zeta", d, "<= 1e-6", d <= 1e-6)
-    d = check_divergence(lambda r, z: r ** 4 * z ** 3, grid)
-    h2 = grid.h_rho ** 2 + grid.h_zeta ** 2
-    row("divergence rho^4 zeta^3", d, f"<= h^2 = {h2:.3e}", d <= h2)
-    d = check_divergence(lambda r, z: np.zeros_like(r), grid)
-    row("divergence zero field", d, "== 0", d == 0.0)
-    rep = check_axis_vanishing(lambda r, z: r * r * np.exp(-r * r - z * z))
-    row(
-        "axis exponent rho^2 gaussian",
-        rep.exponent,
-        ">= 3.9",
-        rep.passed and rep.exponent >= 3.9,
-    )
-    rec = check_reconstruction_scaling(1.0, 1.0, [0.0, 0.5, 0.9, 0.999])
-    row(
-        "blowup integral vs ln(1e6)",
-        rec.partial_integral,
-        "matches closed form to 1e-9",
-        rec.passed,
-    )
+    if suite in ("all", "conjugation"):
+        r2z = PolynomialField([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+        d = check_conjugation(r2z, grid)
+        row("conjugation r^2 z", d, "<= 1e-12", d <= 1e-12)
+        r4 = PolynomialField([[0.0], [0.0], [0.0], [0.0], [1.0]])
+        d = check_conjugation(r4, grid)
+        row("conjugation r^4", d, "<= 1e-12", d <= 1e-12)
+        gauss = lambda r, z: r ** 3 * np.exp(-r * r - z * z)
+        c1 = check_conjugation(gauss, MeridionalGrid(n_rho=256, n_zeta=256))
+        c2 = check_conjugation(gauss, MeridionalGrid(n_rho=511, n_zeta=511))
+        ratio = c1 / c2 if c2 > 0.0 else math.inf
+        row("conjugation h->h/2 ratio", ratio, "in [3.5, 4.5]", 3.5 <= ratio <= 4.5)
+    if suite in ("all", "divergence"):
+        d = check_divergence(lambda r, z: r ** 4 * z, grid)
+        row("divergence rho^4 zeta", d, "<= 1e-6", d <= 1e-6)
+        d = check_divergence(lambda r, z: r ** 4 * z ** 3, grid)
+        h2 = grid.h_rho ** 2 + grid.h_zeta ** 2
+        row("divergence rho^4 zeta^3", d, f"<= h^2 = {h2:.3e}", d <= h2)
+        d = check_divergence(lambda r, z: np.zeros_like(r), grid)
+        row("divergence zero field", d, "== 0", d == 0.0)
+    if suite in ("all", "axis"):
+        rep = check_axis_vanishing(lambda r, z: r * r * np.exp(-r * r - z * z))
+        row(
+            "axis exponent rho^2 gaussian",
+            rep.exponent,
+            ">= 3.9",
+            rep.passed and rep.exponent >= 3.9,
+        )
+    if suite in ("all", "reconstruction"):
+        rec = check_reconstruction_scaling(1.0, 1.0, [0.0, 0.5, 0.9, 0.999])
+        row(
+            "blowup integral vs ln(1e6)",
+            rec.partial_integral,
+            "matches closed form to 1e-9",
+            rec.passed,
+        )
     return rows

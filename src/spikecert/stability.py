@@ -21,8 +21,7 @@ sufficient for the full operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,7 +160,6 @@ class CoercivityReport:
 
     gamma: IntervalScalar
     j_min: int
-    window_values: Dict[int, IntervalScalar] = field(repr=False)
     monotone_tail_verified: bool = False
     verified: bool = False
     diagnostic: str = ""
@@ -200,7 +198,6 @@ def certify_tail_coercivity(
     cp = as_nonneg(C_prof, "C_prof")
     tau = IntervalScalar(cert.tau_audited, cert.tau_audited)
     total = _envelope_total(cert)
-    values: Dict[int, IntervalScalar] = {}
     lo_min = np.inf
     hi_min = np.inf
     # nu*j^2 - interaction_envelope(j) over the window, a chunk of modes at a
@@ -213,7 +210,6 @@ def certify_tail_coercivity(
             jj = IntervalMatrix.from_point(j.astype(np.float64))
             val = val - cp * (jj.intpow(3) * jj.sqrt()) * (-(tau * jj)).exp() * total
         lo, hi = val.lo[0], val.hi[0]
-        values.update(zip(j[0].tolist(), map(IntervalScalar, lo.tolist(), hi.tolist())))
         lo_min = min(lo_min, lo[np.argmin(lo)])
         hi_min = min(hi_min, hi[np.argmin(hi)])
     gamma = IntervalScalar(float(lo_min), float(hi_min))
@@ -242,7 +238,6 @@ def certify_tail_coercivity(
     return CoercivityReport(
         gamma=gamma,
         j_min=j_min,
-        window_values=values,
         monotone_tail_verified=monotone,
         verified=verified,
         diagnostic="; ".join(notes),

@@ -13,6 +13,7 @@ from spikecert.audit import (
     AuditLog,
     run_audit,
 )
+from spikecert.cli import main
 
 FAST = AuditConfig(window=64, timestamp="2026-08-18T00:00:00Z")
 
@@ -263,3 +264,49 @@ def test_exit_code_matches_status_contract(bundled, tmp_path):
     runs.append(run_audit(tmp_path / "absent.json", FAST))
     for result in runs:
         assert (result.exit_code == 0) == ("VERIFIED" in result.log.status)
+
+
+# ------------------------------------------------ content that stops a stage
+
+
+def edited_copy(src, tmp_path, drop=(), **fields):
+    doc = json.loads(pathlib.Path(src).read_text())
+    doc.update(fields)
+    for name in drop:
+        del doc["constants"][name]
+    out = tmp_path / "edited.json"
+    out.write_text(json.dumps(doc))
+    return out
+
+
+@pytest.mark.parametrize(
+    "fields, drop, cfg, name, line",
+    [
+        # tau at or above tau_prime = 0.081 leaves the recovery scan no buffer
+        ({"tau": "0.09"}, (), FAST, "C_rec_map", "recovery mapping constant not computable"),
+        # no declared eps_T3, and sigma^2 underflows, so the overlap bound divides by zero
+        ({"sigma": "1e-300"}, ("eps_T3",), FAST, "eps_T3", "transfer error not computable"),
+        # no declared M and modes past the truncation the Jacobian is built at
+        ({}, ("M",), AuditConfig(truncation_N=100, window=64), "M", "inverse bound M not computable"),
+    ],
+    ids=["tau", "sigma", "modes"],
+)
+def test_stage_that_cannot_compute_rejects_with_a_log(
+    bundled, tmp_path, fields, drop, cfg, name, line
+):
+    result = run_audit(edited_copy(bundled, tmp_path, drop, **fields), cfg)
+    assert result.exit_code == 1
+    assert not result.verified
+    assert result.log.lines[-1] == ("STATUS", f"certificate REJECTED: {name}")
+    assert ("VERDICT", "closure product not computable") in result.log.lines
+    fails = [text for tag, text in result.log if text.startswith(line)]
+    assert len(fails) == 1 and fails[0].endswith(": FAIL")
+    assert ("RSLT", fails[0]) in result.log.lines
+
+
+def test_tau_past_tau_prime_through_the_cli(bundled, tmp_path, capsys):
+    path = edited_copy(bundled, tmp_path, tau="0.09")
+    code = main(["audit", "--profile", str(path), "--window", "64"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.splitlines()[-1] == "[STATUS] certificate REJECTED: C_rec_map"

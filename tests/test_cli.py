@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+import spikecert.cli as cli
+from spikecert.audit import AuditConfig, run_audit
 from spikecert.cli import main
 from spikecert.spaces import load_certificate
 
@@ -313,3 +315,34 @@ def test_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_config_value_its_option_cannot_convert(capsys, tmp_path, bundled_certificate_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("window = x\n")
+    code, out, err = run(
+        capsys, "--config", str(cfg), "tail", "--profile", str(bundled_certificate_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert "bad config file: window = 'x' is not a valid int" in err
+
+
+def test_config_values_take_the_type_of_their_option(monkeypatch, tmp_path):
+    # ints and floats are converted; decimal strings stay exact strings
+    seen = {}
+    monkeypatch.setitem(cli._HANDLERS, "residual", lambda args: seen.update(vars(args)) or 0)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("modes = 64\ncoupling = 0.5\nnu = 0.0050000000000000000001\n")
+    assert main(["--config", str(cfg), "residual", "--profile", "p.json"]) == 0
+    assert seen["modes"] == 64 and isinstance(seen["modes"], int)
+    assert seen["coupling"] == 0.5
+    assert seen["nu"] == "0.0050000000000000000001"
+
+
+def test_bare_audit_flags_give_the_default_audit_config(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_audit", lambda path, cfg: seen.append(cfg) or run_audit(path, cfg))
+    monkeypatch.setattr(cli, "_emit", lambda text, out: None)
+    assert main(["audit", "--profile", "absent.json"]) == 2
+    assert seen == [AuditConfig()]

@@ -1,9 +1,10 @@
 """Import hygiene: what `import spikecert` loads, and imports nobody reads.
 
 scipy is needed only by the quadrature checks in `oracle.py`, which import
-it on their first call; the package, the CLI and the audit stay free of it,
-so a CLI call does not pay for loading it.  The check runs in a fresh
-interpreter, because this test process has scipy loaded already.
+it on their first call; the package, the CLI, the audit and the oracle
+suites without a quadrature stay free of it, so those calls do not pay for
+loading it.  The checks run in a fresh interpreter, because this test
+process has scipy loaded already.
 
 No linter is installed, so an `ast` scan guards against imported names that
 a module never references.
@@ -45,9 +46,21 @@ print("ok")
 """
 
 
-def test_package_cli_and_audit_do_not_load_scipy():
+ORACLE_CHILD = """
+import contextlib, io, sys
+
+from spikecert.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(["oracle", "conjugation", "--grid", "64"])
+assert code == 0 and len(out.getvalue().splitlines()) == 3, (code, out.getvalue())
+assert "scipy" not in sys.modules, "spikecert oracle conjugation"
+print("ok")
+"""
+
+
+def run_child(code):
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD],
+        [sys.executable, "-c", code],
         cwd=ROOT,
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
@@ -56,6 +69,14 @@ def test_package_cli_and_audit_do_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_package_cli_and_audit_do_not_load_scipy():
+    run_child(CHILD)
+
+
+def test_oracle_conjugation_suite_does_not_load_scipy():
+    run_child(ORACLE_CHILD)
 
 
 def unused_imports(path: Path):

@@ -319,3 +319,27 @@ def test_standard_checks_on_coarse_grid_still_pass():
     names = [r["check"] for r in rows]
     assert "conjugation h->h/2 ratio" in names
     assert all(r["passed"] for r in rows)
+
+
+# the row-name prefixes by which the command line used to keep one suite's
+# rows out of the full battery
+SUITE_PREFIX = {
+    "conjugation": "conjugation",
+    "divergence": "divergence",
+    "axis": "axis",
+    "reconstruction": "blowup",
+}
+
+
+def test_each_suite_builds_the_rows_the_full_battery_has_for_it():
+    grid = MeridionalGrid(n_rho=32, n_zeta=32)
+    everything = standard_checks(grid)
+    suites = {name: standard_checks(grid, name) for name in SUITE_PREFIX}
+    for name, prefix in SUITE_PREFIX.items():
+        assert suites[name] == [r for r in everything if r["check"].startswith(prefix)]
+    assert [r for rows in suites.values() for r in rows] == everything
+
+
+def test_unknown_suite_is_refused():
+    with pytest.raises(ValueError, match="banana"):
+        standard_checks(MeridionalGrid(n_rho=32, n_zeta=32), "banana")

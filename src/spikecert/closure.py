@@ -19,6 +19,7 @@ from itertools import product as iter_product
 
 from .errors import CertificationError
 from .interval import (
+    _TWO,
     LN10,
     ONE,
     PI,
@@ -30,8 +31,6 @@ from .interval import (
     ln_iv,
     sqrt_iv,
 )
-
-_TWO = IntervalScalar(2.0, 2.0)
 
 # refuse lattice tails that need more terms than this before the
 # geometric comparison kicks in (concentration scale too coarse)
@@ -79,7 +78,7 @@ def torus_closure(delta, eps, M, K) -> ClosureReport:
 
 
 def image_overlap_bound(
-    sigma: float, lattice_radius: int = 3, nearest_only: bool = False
+    sigma: float, lattice_radius: int, nearest_only: bool = False
 ) -> LogMagnitude:
     """Log-domain bound on the Gaussian mass the periodic images overlap.
 
@@ -94,6 +93,10 @@ def image_overlap_bound(
 
     ``nearest_only`` returns the single nearest-image bound, the scale
     the headline estimates quote.
+
+    The ratio of consecutive tail terms never grows with the shell index,
+    so a sigma whose ratio test fails at the last shell the walk may reach
+    is refused before the walk starts.
     """
     sigma = float(sigma)
     if not (math.isfinite(sigma) and sigma > 0.0):
@@ -126,23 +129,25 @@ def image_overlap_bound(
     # c = pi^2 R / (sigma^2 sqrt(3)); shell count at l1-size t is 4t^2+2
     c = base * float(R) / sqrt_iv(IntervalScalar(3.0, 3.0))
     x = exp_iv(-c)
+
+    def ratio(t: int) -> IntervalScalar:
+        return x * (float(4 * (t + 1) * (t + 1) + 2) / float(4 * t * t + 2))
+
+    if ratio(R + _TAIL_LIMIT).hi >= 1.0 - 1e-6:
+        raise CertificationError(
+            f"lattice tail at sigma={sigma!r} does not reach geometric "
+            f"domination within {_TAIL_LIMIT} shells"
+        )
     tail = ZERO
     t = R + 1
     while True:
-        coeff = float(4 * t * t + 2)
-        term = exp_iv(base - c * float(t)) * coeff
+        term = exp_iv(base - c * float(t)) * float(4 * t * t + 2)
         tail = tail + term
-        next_coeff = float(4 * (t + 1) * (t + 1) + 2)
-        rho = x * (next_coeff / coeff)
+        rho = ratio(t)
         if rho.hi < 1.0 - 1e-6:
             tail = tail + term * (rho / (ONE - rho))
             break
         t += 1
-        if t - R > _TAIL_LIMIT:
-            raise CertificationError(
-                f"lattice tail at sigma={sigma!r} does not reach geometric "
-                f"domination within {_TAIL_LIMIT} shells"
-            )
     grand = scaled + tail
     total = nearest_log10 + ln_iv(grand) / LN10
     return LogMagnitude(total.hi, 1)

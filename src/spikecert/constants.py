@@ -27,12 +27,13 @@ import numpy as np
 from .basis import BasisModel
 from .errors import CertificationError
 from .interval import (
+    _TWO,
     ONE,
     ZERO,
     IntervalMatrix,
     IntervalScalar,
     _chunks,
-    _float_rounded_up,
+    _float_rounded,
     as_nonneg,
     exp_iv,
     intpow_iv,
@@ -41,8 +42,6 @@ from .interval import (
     sqrt_iv,
 )
 from .spaces import WeightedSpace
-
-_TWO = IntervalScalar(2.0, 2.0)
 
 # refuse scans that would walk more modes than this; the buffer is then
 # too thin for the finite-scan strategy to make sense
@@ -204,7 +203,7 @@ def _ceil_two_significant(x: float) -> float:
         ctx.prec = 60
         d = Decimal(x)
         q = d.quantize(Decimal(1).scaleb(d.adjusted() - 1), rounding=ROUND_CEILING)
-    return _float_rounded_up(q)
+    return _float_rounded(q, True)
 
 
 def lipschitz_constant(C_rec_map, C_conv) -> IntervalScalar:

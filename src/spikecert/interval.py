@@ -8,6 +8,13 @@ endpoints, with a one-ulp ``math.nextafter`` nudge otherwise.  Transcendental
 functions call libm and widen by two ulps per endpoint, which covers any
 faithfully rounded implementation.
 
+The scalar core has one routine per operation: ``_add(a, b, up)`` and
+``_sqrt(x, up)`` round in the direction asked for, ``_mul(a, b)`` and
+``_div(a, b)`` return the (down, up) pair and share the decision helper
+``_directed``.  The elementwise kernels behind ``IntervalMatrix`` are their
+twins (``_np_add``, ``_np_mul``, ``_np_div``, ``_np_sqrt``, ``_np_directed``)
+and give the same bits entry by entry.
+
 A NaN endpoint never propagates silently: it collapses to the distinguished
 EMPTY interval, which poisons everything computed from it.  Division by an
 interval containing zero raises instead, since a certification pipeline must
@@ -107,129 +114,69 @@ def _eft_ok(a: float, b: float, p: float) -> bool:
     return abs(a) < _EFT_HI and abs(b) < _EFT_HI and _EFT_LO < abs(p) < _EFT_HI
 
 
-def _add_down(a: float, b: float) -> float:
-    s = a + b
+def _add(a: float, b: float, up: bool) -> float:
+    """a + b rounded up or down; the scalar twin of _np_add."""
+    s, e = _two_sum(a, b)
+    if math.isfinite(s):
+        if up:
+            return _up(s) if e > 0 else s
+        return _down(s) if e < 0 else s
     if s != s:
-        return -_INF
-    if math.isinf(s):
-        return s if s < 0 else _MAX
-    _, e = _two_sum(a, b)
-    return _down(s) if e < 0 else s
+        return _INF if up else -_INF
+    return s if (s > 0) == up else math.copysign(_MAX, s)
 
 
-def _add_up(a: float, b: float) -> float:
-    s = a + b
-    if s != s:
-        return _INF
-    if math.isinf(s):
-        return s if s > 0 else -_MAX
-    _, e = _two_sum(a, b)
-    return _up(s) if e > 0 else s
+def _directed(x: float, zero: bool, down_nudge: bool, up_nudge: bool, same_sign: bool):
+    """(down, up) of a rounded product or quotient x; the scalar twin of
+    _np_directed, taking its branches in the same order."""
+    if zero:
+        return 0.0, 0.0
+    if x != x:
+        return -_INF, _INF
+    if math.isinf(x):
+        return (x, -_MAX) if x < 0 else (_MAX, x)
+    if x == 0.0:  # full underflow: keep the sign of the true result
+        return (0.0, 5e-324) if same_sign else (-5e-324, 0.0)
+    return (_down(x) if down_nudge else x), (_up(x) if up_nudge else x)
 
 
-def _mul_down(a: float, b: float) -> float:
-    if a == 0.0 or b == 0.0:
-        return 0.0
+def _mul(a: float, b: float):
+    """(a * b rounded down, rounded up); the scalar twin of _np_mul."""
     p = a * b
-    if p != p:
-        return -_INF
-    if math.isinf(p):
-        return p if p < 0 else _MAX
-    if _eft_ok(a, b, p):
-        e = _prod_err(a, b, p)
-        return _down(p) if e < 0 else p
-    if p == 0.0:  # full underflow: keep the sign of the true product
-        return 0.0 if (a > 0) == (b > 0) else -5e-324
-    return _down(p)
+    eft = _eft_ok(a, b, p)
+    e = _prod_err(a, b, p) if eft else 0.0
+    return _directed(
+        p, a == 0.0 or b == 0.0, not eft or e < 0, not eft or e > 0, (a > 0) == (b > 0)
+    )
 
 
-def _mul_up(a: float, b: float) -> float:
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    p = a * b
-    if p != p:
-        return _INF
-    if math.isinf(p):
-        return p if p > 0 else -_MAX
-    if _eft_ok(a, b, p):
-        e = _prod_err(a, b, p)
-        return _up(p) if e > 0 else p
-    if p == 0.0:
-        return 5e-324 if (a > 0) == (b > 0) else 0.0
-    return _up(p)
-
-
-def _residual_sign(a: float, b: float, q: float) -> int:
+def _div(a: float, b: float):
+    """(a / b rounded down, rounded up) for b != 0; the scalar twin of _np_div."""
+    q = a / b
+    p = q * b
+    eft = _eft_ok(q, b, p)
     # Sign of a - q*b, exact: q*b = p + e by Dekker, a - p exact by Sterbenz
     # (p is within one rounding of a), and the sign of a float difference is
     # the sign of the real difference.
-    p = q * b
-    e = _prod_err(q, b, p)
-    d = (a - p) - e
-    return (d > 0) - (d < 0)
+    d = (a - p) - _prod_err(q, b, p) if eft else 0.0
+    above = d != 0.0 and (d > 0) == (b > 0)  # true quotient above q
+    below = d != 0.0 and (d > 0) != (b > 0)
+    return _directed(q, a == 0.0, not eft or below, not eft or above, (a > 0) == (b > 0))
 
 
-def _div_down(a: float, b: float) -> float:
-    if a == 0.0:
-        return 0.0
-    q = a / b
-    if q != q:
-        return -_INF
-    if math.isinf(q):
-        return q if q < 0 else _MAX
-    if _eft_ok(q, b, q * b):
-        r = _residual_sign(a, b, q)
-        if r == 0:
-            return q
-        # true quotient = q + r/b in sign
-        return q if (r > 0) == (b > 0) else _down(q)
-    if q == 0.0:
-        return 0.0 if (a > 0) == (b > 0) else -5e-324
-    return _down(q)
-
-
-def _div_up(a: float, b: float) -> float:
-    if a == 0.0:
-        return 0.0
-    q = a / b
-    if q != q:
-        return _INF
-    if math.isinf(q):
-        return q if q > 0 else -_MAX
-    if _eft_ok(q, b, q * b):
-        r = _residual_sign(a, b, q)
-        if r == 0:
-            return q
-        return q if (r > 0) != (b > 0) else _up(q)
-    if q == 0.0:
-        return 5e-324 if (a > 0) == (b > 0) else 0.0
-    return _up(q)
-
-
-def _sqrt_down(x: float) -> float:
+def _sqrt(x: float, up: bool) -> float:
+    """sqrt(x) rounded up or down for x >= 0; the scalar twin of _np_sqrt."""
     if x == 0.0:
         return 0.0
     s = math.sqrt(x)
-    if _eft_ok(s, s, s * s):
-        p = s * s
-        e = _prod_err(s, s, p)
-        if p > x or (p == x and e > 0):
-            return _down(s)
-        return s
-    return _down(s)
-
-
-def _sqrt_up(x: float) -> float:
-    if x == 0.0:
-        return 0.0
-    s = math.sqrt(x)
-    if _eft_ok(s, s, s * s):
-        p = s * s
-        e = _prod_err(s, s, p)
-        if p < x or (p == x and e < 0):
-            return _up(s)
-        return s
-    return _up(s)
+    p = s * s
+    if _eft_ok(s, s, p):
+        e = _prod_err(s, s, p)  # s*s = p + e exactly
+        below = p < x or (p == x and e < 0)  # s under the true root
+        above = p > x or (p == x and e > 0)
+        if not (below if up else above):
+            return s
+    return _up(s) if up else _down(s)
 
 
 @dataclass(frozen=True)
@@ -267,7 +214,7 @@ class IntervalScalar:
     def width(self) -> float:
         if self.is_empty:
             return _NAN
-        return _add_up(self.hi, -self.lo)
+        return _add(self.hi, -self.lo, True)
 
     def contains(self, x: float) -> bool:
         if self.is_empty:
@@ -302,13 +249,21 @@ class IntervalScalar:
             return IntervalScalar(f, f)
         return NotImplemented  # type: ignore[return-value]
 
+    def _corners(self, b: "IntervalScalar", kernel) -> "IntervalScalar":
+        # kernel (_mul or _div) gives (down, up) of each corner once; min()
+        # and max() keep the first of equal bounds, as the matrix kernels do
+        downs, ups = zip(
+            *map(kernel, (self.lo, self.lo, self.hi, self.hi), (b.lo, b.hi, b.lo, b.hi))
+        )
+        return IntervalScalar(min(downs), max(ups))
+
     def __add__(self, other):
         b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
         if self.is_empty or b.is_empty:
             return EMPTY
-        return IntervalScalar(_add_down(self.lo, b.lo), _add_up(self.hi, b.hi))
+        return IntervalScalar(_add(self.lo, b.lo, False), _add(self.hi, b.hi, True))
 
     __radd__ = __add__
 
@@ -335,11 +290,7 @@ class IntervalScalar:
             return NotImplemented
         if self.is_empty or b.is_empty:
             return EMPTY
-        pairs = ((self.lo, b.lo), (self.lo, b.hi), (self.hi, b.lo), (self.hi, b.hi))
-        return IntervalScalar(
-            min(_mul_down(x, y) for x, y in pairs),
-            max(_mul_up(x, y) for x, y in pairs),
-        )
+        return self._corners(b, _mul)
 
     __rmul__ = __mul__
 
@@ -353,11 +304,7 @@ class IntervalScalar:
             raise SingularDivisionError(
                 f"divisor {b} contains zero (possible singularity)"
             )
-        pairs = ((self.lo, b.lo), (self.lo, b.hi), (self.hi, b.lo), (self.hi, b.hi))
-        return IntervalScalar(
-            min(_div_down(x, y) for x, y in pairs),
-            max(_div_up(x, y) for x, y in pairs),
-        )
+        return self._corners(b, _div)
 
     def __rtruediv__(self, other):
         b = self._coerce(other)
@@ -379,6 +326,7 @@ class IntervalScalar:
 EMPTY = IntervalScalar(_NAN, _NAN)
 ZERO = IntervalScalar(0.0, 0.0)
 ONE = IntervalScalar(1.0, 1.0)
+_TWO = IntervalScalar(2.0, 2.0)
 
 
 def as_nonneg(x, what: str) -> IntervalScalar:
@@ -409,7 +357,7 @@ def make_interval(mid: float, rad: float) -> IntervalScalar:
         raise IntervalError(f"negative radius {rad!r}")
     if rad == 0.0:
         return IntervalScalar(mid, mid)
-    return IntervalScalar(_add_down(mid, -rad), _add_up(mid, rad))
+    return IntervalScalar(_add(mid, -rad, False), _add(mid, rad, True))
 
 
 def arith(op: str, a: IntervalScalar, b: IntervalScalar) -> IntervalScalar:
@@ -466,7 +414,7 @@ def sqrt_iv(x: IntervalScalar) -> IntervalScalar:
         return EMPTY
     if x.lo < 0.0:
         raise IntervalError(f"sqrt of partially negative interval {x}")
-    return IntervalScalar(_sqrt_down(x.lo), _sqrt_up(x.hi))
+    return IntervalScalar(_sqrt(x.lo, False), _sqrt(x.hi, True))
 
 
 def intpow_iv(x: IntervalScalar, n: int) -> IntervalScalar:
@@ -482,7 +430,7 @@ def intpow_iv(x: IntervalScalar, n: int) -> IntervalScalar:
     def pow_pos(v: float, up: bool) -> float:
         acc = 1.0
         for _ in range(n):
-            acc = _mul_up(acc, v) if up else _mul_down(acc, v)
+            acc = _mul(acc, v)[1 if up else 0]
         return acc
 
     if n % 2 == 0:
@@ -568,31 +516,15 @@ class LogMagnitude:
 _DEC_PREC = 1200  # enough digits for exact arithmetic on double expansions
 
 
-def _float_rounded_down(d: Decimal) -> float:
-    try:
-        f = float(d)
-    except OverflowError:
-        f = _INF if d > 0 else -_INF
+def _float_rounded(d: Decimal, up: bool) -> float:
+    """The double nearest to d at or above it (``up``) or at or below it."""
+    f = float(d)  # infinite beyond double range, never an OverflowError
     if math.isinf(f):
-        if f > 0:
-            return _MAX
-        raise IntervalError(f"decimal {d} below double range")
-    while Decimal(f) > d:
-        f = _down(f)
-    return f
-
-
-def _float_rounded_up(d: Decimal) -> float:
-    try:
-        f = float(d)
-    except OverflowError:
-        f = _INF if d > 0 else -_INF
-    if math.isinf(f):
-        if f < 0:
-            return -_MAX
-        raise IntervalError(f"decimal {d} above double range")
-    while Decimal(f) < d:
-        f = _up(f)
+        if (f > 0) != up:
+            return math.copysign(_MAX, f)
+        raise IntervalError(f"decimal {d} {'above' if up else 'below'} double range")
+    while (Decimal(f) < d) if up else (Decimal(f) > d):
+        f = _up(f) if up else _down(f)
     return f
 
 
@@ -609,7 +541,7 @@ def _parse_decimal(s: str, what: str) -> Decimal:
 def interval_from_decimal(s: str) -> IntervalScalar:
     """Tightest double interval containing the decimal value ``s``."""
     d = _parse_decimal(s, "value")
-    return IntervalScalar(_float_rounded_down(d), _float_rounded_up(d))
+    return IntervalScalar(_float_rounded(d, False), _float_rounded(d, True))
 
 
 def interval_from_mid_rad_decimal(mid: str, rad: str) -> IntervalScalar:
@@ -631,7 +563,7 @@ def interval_from_mid_rad_decimal(mid: str, rad: str) -> IntervalScalar:
         lo = dm - dr
         ctx.rounding = ROUND_CEILING
         hi = dm + dr
-    return IntervalScalar(_float_rounded_down(lo), _float_rounded_up(hi))
+    return IntervalScalar(_float_rounded(lo, False), _float_rounded(hi, True))
 
 
 def float_to_decimal_string(f: float) -> str:
@@ -656,12 +588,13 @@ def _np_up(a: np.ndarray, steps: int = 1) -> np.ndarray:
     return a
 
 
-# Elementwise counterparts of the scalar directed routines (_add_*, _mul_*,
-# _div_*, _sqrt_*).  Each takes the same branches as the scalar routine
-# (error-free transformation, the _eft_ok fallback, zero operands,
-# underflow, overflow, NaN), so every entry carries exactly the bits the
-# scalar routine returns for it.  Overflow to infinity is one of those
-# branches, hence the silenced warnings.
+# Elementwise twins of the scalar directed routines: _np_add of _add,
+# _np_mul of _mul, _np_div of _div, _np_sqrt of _sqrt, and _np_directed of
+# _directed.  Each takes the same branches as its scalar twin (error-free
+# transformation, the _eft_ok fallback, zero operands, underflow, overflow,
+# NaN), so every entry carries exactly the bits the scalar routine returns
+# for it.  Overflow to infinity is one of those branches, hence the silenced
+# warnings.
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -698,7 +631,7 @@ def _np_directed(x, zero, down_nudge, up_nudge, same_sign):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _np_mul(a, b):
-    """Elementwise (_mul_down(a, b), _mul_up(a, b))."""
+    """Elementwise _mul(a, b)."""
     p = a * b
     e = _prod_err(a, b, p)
     eft = _np_eft_ok(a, b, p)
@@ -709,11 +642,11 @@ def _np_mul(a, b):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _np_div(a, b):
-    """Elementwise (_div_down(a, b), _div_up(a, b)) for divisors without 0."""
+    """Elementwise _div(a, b) for divisors without 0."""
     q = a / b
     p = q * b
     eft = _np_eft_ok(q, b, p)
-    d = (a - p) - _prod_err(q, b, p)  # sign of a - q*b, as in _residual_sign
+    d = (a - p) - _prod_err(q, b, p)  # sign of a - q*b, as in _div
     above = (d != 0.0) & ((d > 0) == (b > 0))  # true quotient above q
     below = (d != 0.0) & ((d > 0) != (b > 0))
     return _np_directed(q, a == 0.0, ~eft | below, ~eft | above, (a > 0) == (b > 0))
@@ -721,7 +654,7 @@ def _np_div(a, b):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _np_sqrt(x, up: bool) -> np.ndarray:
-    """Elementwise _sqrt_up(x) or _sqrt_down(x) for x >= 0."""
+    """Elementwise _sqrt(x, up) for x >= 0."""
     s = np.sqrt(x)
     p = s * s
     e = _prod_err(s, s, p)
@@ -965,8 +898,8 @@ def row_sum(row: IntervalMatrix) -> IntervalScalar:
     bits of the same running sum in IntervalScalar arithmetic."""
     lo = hi = 0.0
     for a, b in zip(row.lo[0].tolist(), row.hi[0].tolist()):
-        lo = _add_down(lo, a)
-        hi = _add_up(hi, b)
+        lo = _add(lo, a, False)
+        hi = _add(hi, b, True)
     return IntervalScalar(lo, hi)
 
 

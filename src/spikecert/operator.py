@@ -119,8 +119,7 @@ def apply_quadratic(
             out = slice(band.start - 1, band.stop - 1)
             _put(acc, out, _take(acc, out) + terms[:, start : start + size])
             start += size
-    reached = np.flatnonzero(~_absent(acc)[0])
-    return CoefficientVector(tuple((int(i) + 1, acc.entry(0, i)) for i in reached), n2)
+    return _vector(acc)
 
 
 def apply_G(c: CoefficientVector, cfg: OperatorConfig) -> CoefficientVector:
@@ -132,34 +131,25 @@ def apply_G(c: CoefficientVector, cfg: OperatorConfig) -> CoefficientVector:
     n2 = 2 * cfg.truncation_N
     lin = _dense(apply_linear(c, cfg), n2)
     advection = _dense(apply_quadratic(c, c, cfg), n2)
-    stretching, in_stretching = _dense(
-        apply_quadratic(recover_velocity(c, cfg), c, cfg), n2
-    )
-    out, present = _join(_join(lin, advection), (stretching * 2.0, in_stretching))
-    return CoefficientVector(
-        tuple((int(i) + 1, out.entry(0, i)) for i in np.flatnonzero(present)), n2
-    )
+    stretching = _dense(apply_quadratic(recover_velocity(c, cfg), c, cfg), n2)
+    return _vector((lin + advection) + _unless(_absent(stretching), stretching * 2.0))
 
 
-def _dense(c: CoefficientVector, n: int):
-    """c as a 1 x n row over modes 1..n (0 off its support) and its support mask."""
+def _dense(c: CoefficientVector, n: int) -> IntervalMatrix:
+    """c as a 1 x n row over modes 1..n, absent (-0.0) off its support."""
     at = np.array(c.support, dtype=np.intp) - 1
-    lo, hi = np.zeros((1, n)), np.zeros((1, n))
+    lo, hi = np.full((1, n), -0.0), np.full((1, n), -0.0)
     lo[0, at] = [x.lo for _, x in c.items()]
     hi[0, at] = [x.hi for _, x in c.items()]
-    present = np.zeros(n, dtype=bool)
-    present[at] = True
-    return IntervalMatrix(lo, hi), present
+    return IntervalMatrix(lo, hi)
 
 
-def _join(a, b):
-    """Sum of two (row, mask) parts as CoefficientVector addition forms it:
-    a mode in both supports gets a + b, a mode in one keeps its entry."""
-    (ra, in_a), (rb, in_b) = a, b
-    s = ra + rb
-    lo = np.where(in_a & in_b, s.lo, np.where(in_a, ra.lo, rb.lo))
-    hi = np.where(in_a & in_b, s.hi, np.where(in_a, ra.hi, rb.hi))
-    return IntervalMatrix(lo, hi), in_a | in_b
+def _vector(row: IntervalMatrix) -> CoefficientVector:
+    """The entries of a 1 x n row that are not absent, as a vector over modes 1..n."""
+    reached = np.flatnonzero(~_absent(row)[0])
+    return CoefficientVector(
+        tuple((int(i) + 1, row.entry(0, i)) for i in reached), row.shape[1]
+    )
 
 
 def _row(entries) -> IntervalMatrix:
@@ -180,7 +170,7 @@ def _put(M: IntervalMatrix, flat: np.ndarray, row: IntervalMatrix) -> None:
     M.hi.reshape(-1)[flat] = row.hi[0]
 
 
-# While a quadratic form or the Jacobian is accumulated, an entry that no
+# While a quadratic form, apply_G or the Jacobian is accumulated, an entry that no
 # term has reached is -0.0 in both endpoints, and a term the scalar loop
 # skips is -0.0 too.
 # -0.0 is the exact identity of both directed sums, so a running sum that

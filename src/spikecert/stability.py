@@ -169,8 +169,8 @@ def certify_tail_coercivity(
     cert: ProfileCertificate,
     cfg: OperatorConfig,
     C_prof,
-    j_min: int = 1200,
-    window: int = 2048,
+    j_min: int,
+    window: int,
 ) -> CoercivityReport:
     """Certify nu*j^2 - Inter(j) >= gamma.lo for every j >= j_min.
 

@@ -203,14 +203,14 @@ def test_criterion_05_lipschitz_headline():
 
 def test_criterion_06_torus_overlap_magnitude():
     def work():
-        return image_overlap_bound(0.05, nearest_only=True)
+        return image_overlap_bound(0.05, lattice_radius=3, nearest_only=True)
 
     mag, elapsed = best_of(work)
     assert -1714.6 <= mag.log10_value <= -1714.4
     assert elapsed < 1e-3
     # the full lattice sum sits above the per-image scale by the shell
     # multiplicity, still absurdly small
-    full = image_overlap_bound(0.05)
+    full = image_overlap_bound(0.05, lattice_radius=3)
     assert mag.log10_value <= full.log10_value <= -1713.7
     report(6, f"overlap log10 = {mag.log10_value:.4f}", elapsed, 1e-3)
 

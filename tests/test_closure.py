@@ -8,6 +8,7 @@ upper bounds) and, at the reference concentration, within 1e-9 of it.
 
 import math
 import random
+import time
 
 import pytest
 
@@ -139,7 +140,7 @@ def test_closure_monotonicity():
 
 
 def test_nearest_image_reference_concentration():
-    ov = image_overlap_bound(0.05, nearest_only=True)
+    ov = image_overlap_bound(0.05, lattice_radius=3, nearest_only=True)
     assert ov.sign == 1
     # -pi^2 / (0.05^2 ln 10) to 20 digits: -1714.5258919844626294
     assert ov.log10_value >= -1714.5258919844626294
@@ -147,13 +148,13 @@ def test_nearest_image_reference_concentration():
 
 
 def test_nearest_image_wide_concentration():
-    ov = image_overlap_bound(10.0, nearest_only=True)
+    ov = image_overlap_bound(10.0, lattice_radius=3, nearest_only=True)
     assert ov.log10_value >= -0.042863147299611570495
     assert ov.log10_value <= -0.042863147299611570495 + 1e-12
 
 
 def test_full_lattice_sum_reference_concentration():
-    ov = image_overlap_bound(0.05)
+    ov = image_overlap_bound(0.05, lattice_radius=3)
     # six nearest images dominate: log10(6) - 1714.5258919... to 20
     # digits: -1713.7477407340791762
     assert ov.log10_value >= -1713.7477407340791762
@@ -161,7 +162,7 @@ def test_full_lattice_sum_reference_concentration():
 
 
 def test_full_lattice_sum_clears_enumerated_shells():
-    ov = image_overlap_bound(10.0)
+    ov = image_overlap_bound(10.0, lattice_radius=3)
     # direct 50-digit enumeration of the |n| <= 3 shells gives
     # log10 = 1.8512321005862803; the certified bound must clear it
     # (the linearized tail is deliberately slack at this scale)
@@ -182,15 +183,41 @@ def test_radius_one_still_covers_the_six_images():
 
 def test_overlap_validation():
     with pytest.raises(CertificationError):
-        image_overlap_bound(0.0)
+        image_overlap_bound(0.0, lattice_radius=3)
     with pytest.raises(CertificationError):
-        image_overlap_bound(-1.0)
+        image_overlap_bound(-1.0, lattice_radius=3)
     with pytest.raises(CertificationError):
-        image_overlap_bound(math.inf)
+        image_overlap_bound(math.inf, lattice_radius=3)
     with pytest.raises(CertificationError):
         image_overlap_bound(0.05, lattice_radius=-1)
     with pytest.raises(CertificationError):
         image_overlap_bound(0.05, lattice_radius=True)
+
+
+@pytest.mark.parametrize(
+    "sigma, log10_hex",
+    [
+        (0.05, "-0x1.ac6fdafbf3afdp+10"),
+        (10.0, "0x1.ed10aef1ffacep+1"),
+        (300.0, "0x1.b8f3dc6cf7b52p+3"),  # a long walk that still passes
+    ],
+)
+def test_overlap_values_are_pinned(sigma, log10_hex):
+    ov = image_overlap_bound(sigma, lattice_radius=3)
+    assert ov.log10_value == float.fromhex(log10_hex)
+
+
+def test_hopeless_tail_is_refused_before_the_walk():
+    # the tail ratio at sigma = 1e4 stays above 1 - 1e-6 up to the last
+    # shell the walk may reach, so the bound is refused at once
+    t0 = time.perf_counter()
+    with pytest.raises(CertificationError) as err:
+        image_overlap_bound(1e4, lattice_radius=3)
+    assert time.perf_counter() - t0 < 1.0
+    assert str(err.value) == (
+        "lattice tail at sigma=10000.0 does not reach geometric domination "
+        "within 200000 shells"
+    )
 
 
 def test_log_linear_consistency():
@@ -205,15 +232,15 @@ def test_log_linear_consistency():
                 m = n1 * n1 + n2 * n2 + n3 * n3
                 if 0 < m <= 9:
                     direct = direct + exp_iv(-(PI * PI) * float(m) / sig2)
-    promoted = image_overlap_bound(10.0).to_interval()
+    promoted = image_overlap_bound(10.0, lattice_radius=3).to_interval()
     assert promoted.hi >= direct.lo
-    nearest = image_overlap_bound(10.0, nearest_only=True).to_interval()
+    nearest = image_overlap_bound(10.0, lattice_radius=3, nearest_only=True).to_interval()
     single = exp_iv(-(PI * PI) / sig2)
     assert nearest.hi >= single.lo
 
 
 def test_saturating_promotion_at_reference_scale():
-    ov = image_overlap_bound(0.05)
+    ov = image_overlap_bound(0.05, lattice_radius=3)
     iv = ov.to_interval()
     assert iv.lo == 0.0
     assert 0.0 < iv.hi <= 1e-300

@@ -722,3 +722,170 @@ class TestProperties:
     def test_sqrt_contains_true_value(self, x):
         r = sqrt_iv(IntervalScalar(x, x))
         assert Fraction(r.lo) ** 2 <= Fraction(x) <= Fraction(r.hi) ** 2
+
+
+# ---------------------------------------------------------------------------
+# the scalar core against exact rationals, branch by branch
+#
+# Point operands from a fixed table, through public names only.  Inside the
+# error-free band (operands below 1e300, the rounded product or the divisor
+# times the rounded quotient strictly between 1e-290 and 1e300) the
+# endpoints are the tightest doubles around the exact value; outside it the
+# documented fallback holds: a one-ulp nudge of the rounded value, the
+# signed floor +-5e-324 where it underflows to 0, and the clamp to +-MAX
+# where it overflows.
+
+_MAX = sys.float_info.max
+_LO, _HI = 1e-290, 1e300
+_POSITIVE = [
+    _TINY,
+    2.0 ** -1022,
+    math.nextafter(_LO, 0.0),
+    _LO,
+    math.nextafter(_LO, 1.0),
+    1e-160,
+    0.1,
+    1 / 3,
+    1.0,
+    3.0,
+    1e155,
+    1e160,
+    math.nextafter(_HI, 0.0),
+    _HI,
+    math.nextafter(_HI, math.inf),
+    _MAX,
+]
+_TABLE = [0.0, -0.0] + _POSITIVE + [-v for v in _POSITIVE]
+
+
+def _below(q):
+    """The largest double at or below q (-inf if none)."""
+    if q >= _MAX:
+        return _MAX
+    if q < -_MAX:
+        return -math.inf
+    f = float(q)  # rounded to nearest, so at most one ulp above q
+    return math.nextafter(f, -math.inf) if Fraction(f) > q else f
+
+
+def _above(q):
+    """The smallest double at or above q (inf if none)."""
+    return -_below(-q)
+
+
+def _tight(q):
+    return _below(q), _above(q)
+
+
+def _nudged(p):
+    return math.nextafter(p, -math.inf), math.nextafter(p, math.inf)
+
+
+def _in_band(x, y, p):
+    return abs(x) < _HI and abs(y) < _HI and _LO < abs(p) < _HI
+
+
+def _ends(r):
+    return r.lo, r.hi
+
+
+def _contains(r, q):
+    return (r.lo == -math.inf or Fraction(r.lo) <= q) and (
+        r.hi == math.inf or q <= Fraction(r.hi)
+    )
+
+
+def _fallback(q, p, zero):
+    """Endpoints outside the error-free band: exact 0, clamp, floor, nudge."""
+    if zero:
+        return 0.0, 0.0
+    if math.isinf(p):
+        return _tight(q)  # the clamp to +-MAX on the inner side
+    if p == 0.0:
+        return (0.0, _TINY) if q > 0 else (-_TINY, 0.0)
+    return _nudged(p)
+
+
+class TestScalarCoreOracle:
+    pairs = [(a, b) for a in _TABLE for b in _TABLE]
+
+    def test_sum_and_difference_are_tight(self):
+        for a, b in self.pairs:
+            x, y = IntervalScalar(a, a), IntervalScalar(b, b)
+            for got, q in ((x + y, Fraction(a) + Fraction(b)), (x - y, Fraction(a) - Fraction(b))):
+                assert _contains(got, q), (a, b)
+                assert _ends(got) == _tight(q), (a, b, got)
+
+    def test_product(self):
+        for a, b in self.pairs:
+            got = IntervalScalar(a, a) * IntervalScalar(b, b)
+            q = Fraction(a) * Fraction(b)
+            p = a * b
+            assert _contains(got, q), (a, b, got)
+            if a != 0.0 and b != 0.0 and _in_band(a, b, p):
+                want = _tight(q)
+            else:
+                want = _fallback(q, p, a == 0.0 or b == 0.0)
+            assert _ends(got) == want, (a, b, got, want)
+
+    def test_quotient(self):
+        for a, b in self.pairs:
+            if b == 0.0:
+                with pytest.raises(SingularDivisionError):
+                    IntervalScalar(a, a) / IntervalScalar(b, b)
+                continue
+            got = IntervalScalar(a, a) / IntervalScalar(b, b)
+            q = Fraction(a) / Fraction(b)
+            p = a / b
+            assert _contains(got, q), (a, b, got)
+            if a != 0.0 and math.isfinite(p) and _in_band(p, b, p * b):
+                want = _tight(q)
+            else:
+                want = _fallback(q, p, a == 0.0)
+            assert _ends(got) == want, (a, b, got, want)
+
+    def test_square_root(self):
+        for x in [v for v in _TABLE if v >= 0.0]:
+            got = sqrt_iv(IntervalScalar(x, x))
+            s = math.sqrt(x)
+            assert Fraction(got.lo) ** 2 <= Fraction(x) <= Fraction(got.hi) ** 2, x
+            if x == 0.0:
+                want = (0.0, 0.0)
+            elif _in_band(s, s, s * s):
+                # the tightest doubles around the root: s itself when s^2 = x,
+                # else s and its neighbour on the side of the root
+                square = Fraction(s) ** 2
+                if square == x:
+                    want = (s, s)
+                elif square < x:
+                    want = (s, math.nextafter(s, math.inf))
+                else:
+                    want = (math.nextafter(s, -math.inf), s)
+            else:
+                want = _nudged(s)
+            assert _ends(got) == want, (x, got, want)
+
+    def test_make_interval(self):
+        for mid, rad in self.pairs:
+            rad = abs(rad)
+            got = make_interval(mid, rad)
+            if rad == 0.0:
+                want = (mid, mid)
+            else:
+                want = (_below(Fraction(mid) - Fraction(rad)), _above(Fraction(mid) + Fraction(rad)))
+            assert _ends(got) == want, (mid, rad, got, want)
+
+    @pytest.mark.parametrize(
+        "text",
+        [repr(v) for v in _TABLE]
+        + ["0.1", "-0.3", "1e-400", "-1e-400", "2.5e-324", "1e-290", "1e300", "1e400", "-1e400"]
+        + ["1.7976931348623158e308", "-1.7976931348623158e308"],
+    )
+    def test_decimal_endpoints(self, text):
+        q = Fraction(Decimal(text))
+        try:
+            got = interval_from_decimal(text)
+        except IntervalError:
+            assert abs(q) > _MAX, text
+            return
+        assert _ends(got) == _tight(q), (text, got)

@@ -268,7 +268,9 @@ def test_zero_profile_gamma_is_exact(bundled):
         sigma=0.05,
         tau_audited=0.08,
     )
-    rep = certify_tail_coercivity(cert, reference_config(bundled.nu), 0.125, window=16)
+    rep = certify_tail_coercivity(
+        cert, reference_config(bundled.nu), 0.125, j_min=1200, window=16
+    )
     assert rep.verified
     assert rep.monotone_tail_verified
     # nu carries the decimal value 0.005, so nu * 1200^2 encloses 7200
@@ -279,7 +281,7 @@ def test_zero_profile_gamma_is_exact(bundled):
 
 def test_bundled_certificate_coercivity(bundled):
     cfg = reference_config(bundled.nu)
-    rep = certify_tail_coercivity(bundled, cfg, 0.125, window=64)
+    rep = certify_tail_coercivity(bundled, cfg, 0.125, j_min=1200, window=64)
     assert rep.verified
     assert rep.monotone_tail_verified
     assert rep.gamma.contains(7200.0)
@@ -292,7 +294,7 @@ def test_bundled_certificate_coercivity(bundled):
 
 def test_window_minimum_sits_at_the_left_edge(bundled):
     cfg = reference_config(bundled.nu)
-    rep = certify_tail_coercivity(bundled, cfg, 0.125, window=8)
+    rep = certify_tail_coercivity(bundled, cfg, 0.125, j_min=1200, window=8)
     vals, _ = scalar_window_scan(bundled, cfg, 0.125, 1200, 8)
     assert all(vals[j].lo <= vals[j + 1].lo for j in range(1200, 1208))
     assert rep.gamma.lo == vals[1200].lo
@@ -300,7 +302,7 @@ def test_window_minimum_sits_at_the_left_edge(bundled):
 
 def test_zero_nu_is_a_verdict(bundled):
     rep = certify_tail_coercivity(
-        bundled, reference_config(IntervalScalar(0.0, 0.0)), 0.125, window=4
+        bundled, reference_config(IntervalScalar(0.0, 0.0)), 0.125, j_min=1200, window=4
     )
     assert not rep.verified
     assert not rep.monotone_tail_verified
@@ -311,20 +313,20 @@ def test_zero_nu_is_a_verdict(bundled):
 def test_j_min_must_clear_truncation(bundled):
     with pytest.raises(CertificationError):
         certify_tail_coercivity(
-            bundled, reference_config(bundled.nu), 0.125, j_min=450
+            bundled, reference_config(bundled.nu), 0.125, j_min=450, window=2048
         )
     with pytest.raises(CertificationError):
         certify_tail_coercivity(
-            bundled, reference_config(bundled.nu, N=8), 0.125, j_min=300
+            bundled, reference_config(bundled.nu, N=8), 0.125, j_min=300, window=2048
         )
 
 
 def test_bad_window_arguments(bundled):
     cfg = reference_config(bundled.nu)
     with pytest.raises(CertificationError):
-        certify_tail_coercivity(bundled, cfg, 0.125, j_min=0)
+        certify_tail_coercivity(bundled, cfg, 0.125, j_min=0, window=2048)
     with pytest.raises(CertificationError):
-        certify_tail_coercivity(bundled, cfg, 0.125, window=-1)
+        certify_tail_coercivity(bundled, cfg, 0.125, j_min=1200, window=-1)
 
 
 def test_envelope_ratio_bound_value(bundled):
@@ -344,7 +346,7 @@ def test_envelope_ratio_bound_value(bundled):
 def test_gamma_lower_bound_holds_far_beyond_window(bundled):
     """Spot-check the global claim at indices past the scanned window."""
     cfg = reference_config(bundled.nu)
-    rep = certify_tail_coercivity(bundled, cfg, 0.125, window=32)
+    rep = certify_tail_coercivity(bundled, cfg, 0.125, j_min=1200, window=32)
     for j in (1300, 2000, 5000, 25000):
         val = cfg.nu * float(j * j) - interaction_envelope(bundled, 0.125, j)
         assert val.lo >= rep.gamma.lo
@@ -352,7 +354,7 @@ def test_gamma_lower_bound_holds_far_beyond_window(bundled):
 
 def test_report_types(bundled):
     rep = certify_tail_coercivity(
-        bundled, reference_config(bundled.nu), 0.125, window=2
+        bundled, reference_config(bundled.nu), 0.125, j_min=1200, window=2
     )
     assert isinstance(rep, CoercivityReport)
     inv = inverse_bound_from_norms(2.0, 0.5)
@@ -445,5 +447,7 @@ def test_window_scan_computes_the_envelope_total_once(bundled, monkeypatch):
         return exp_iv(x)
 
     monkeypatch.setattr(stability_module, "exp_iv", counting_exp_iv)
-    certify_tail_coercivity(bundled, reference_config(bundled.nu), 0.125)
+    certify_tail_coercivity(
+        bundled, reference_config(bundled.nu), 0.125, j_min=1200, window=2048
+    )
     assert 0 < len(calls) <= len(bundled.coefficients) + 2

@@ -14,7 +14,6 @@ from .constants import (
 )
 from .errors import CertificateError, CertificationError
 from .interval import (
-    EMPTY,
     IntervalError,
     IntervalMatrix,
     IntervalOverflowError,

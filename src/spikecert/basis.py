@@ -11,6 +11,7 @@ kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,12 +50,11 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
     triangle band |k-l| <= j <= k+l and zero outside, K_rec(k) =
     coupling_rec * k^{7/2} (coupling_rec defaults to coupling).
     """
-    if coupling < 0.0:
-        raise ValueError(f"coupling must be nonnegative, got {coupling!r}")
     if coupling_rec is None:
         coupling_rec = coupling
-    if coupling_rec < 0.0:
-        raise ValueError(f"coupling_rec must be nonnegative, got {coupling_rec!r}")
+    for name, x in (("coupling", coupling), ("coupling_rec", coupling_rec)):
+        if not 0.0 <= x < math.inf:  # also refuses NaN
+            raise ValueError(f"{name} must be finite and nonnegative, got {x!r}")
     cpl = IntervalScalar(coupling, coupling)
     crec = IntervalScalar(coupling_rec, coupling_rec)
     # quotients[d] = cpl / (1 + d), the interaction at distance d = |j - k - l|

@@ -40,6 +40,17 @@ from .stability import certify_inverse, certify_tail_coercivity, inverse_bound_f
 _AUDIT = AuditConfig()
 
 
+def _finite_float(text: str) -> float:
+    """The type of every float option: NaN and infinities are refused."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {text!r}")
+    return x
+
+
+_finite_float.__name__ = "finite float"  # as argparse and config errors name it
+
+
 def _read_config(path: str) -> Dict[str, str]:
     values: Dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -103,8 +114,8 @@ def _build_parser():
         if "profile" in names:
             p.add_argument("--profile", help="certificate JSON path")
         if "model" in names:
-            p.add_argument("--coupling", type=float, default=_AUDIT.coupling)
-            p.add_argument("--coupling-rec", type=float, default=_AUDIT.coupling_rec)
+            p.add_argument("--coupling", type=_finite_float, default=_AUDIT.coupling)
+            p.add_argument("--coupling-rec", type=_finite_float, default=_AUDIT.coupling_rec)
         if "modes" in names:
             p.add_argument(
                 "--modes", type=int, default=_AUDIT.truncation_N, help="truncation level"
@@ -114,7 +125,7 @@ def _build_parser():
 
     p = sub.add_parser("audit", help="full pipeline, tagged log, exit code")
     common(p, "profile", "model", "modes", "out")
-    p.add_argument("--tau-prime", type=float, default=_AUDIT.tau_prime)
+    p.add_argument("--tau-prime", type=_finite_float, default=_AUDIT.tau_prime)
     p.add_argument("--j-min", type=int, default=_AUDIT.j_min)
     p.add_argument("--window", type=int, default=_AUDIT.window)
     p.add_argument("--lattice-radius", type=int, default=_AUDIT.lattice_radius)
@@ -136,8 +147,8 @@ def _build_parser():
 
     p = sub.add_parser("constants", help="recovery, convolution and K constants")
     common(p, "model", "modes", "out")
-    p.add_argument("--tau", type=float, default=PROFILE_SPACE.tau)
-    p.add_argument("--tau-prime", type=float, default=_AUDIT.tau_prime)
+    p.add_argument("--tau", type=_finite_float, default=PROFILE_SPACE.tau)
+    p.add_argument("--tau-prime", type=_finite_float, default=_AUDIT.tau_prime)
 
     p = sub.add_parser("closure", help="scalar closure verdict from constants")
     common(p, "out")
@@ -155,9 +166,9 @@ def _build_parser():
     common(p, "modes", "out")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nu", default="0.005")
-    p.add_argument("--tau", type=float, default=PROFILE_SPACE.tau)
-    p.add_argument("--sigma", type=float, default=0.05)
-    p.add_argument("--amplitude", type=float, default=1.0)
+    p.add_argument("--tau", type=_finite_float, default=PROFILE_SPACE.tau)
+    p.add_argument("--sigma", type=_finite_float, default=0.05)
+    p.add_argument("--amplitude", type=_finite_float, default=1.0)
     return parser, sub.choices
 
 
@@ -218,8 +229,8 @@ def _cmd_inverse(args) -> int:
         cert = load_certificate(_require_profile(args))
         rep = certify_inverse(assemble_jacobian(cert.coefficients, _op_config(args, cert)))
     lines = [
-        f"R_norm = {_iv(rep.R_norm)}",
-        f"E_norm = {_iv(rep.E_norm)}",
+        f"R_norm = {'(not computed)' if rep.R_norm is None else _iv(rep.R_norm)}",
+        f"E_norm = {'(not computed)' if rep.E_norm is None else _iv(rep.E_norm)}",
         f"M      = {_iv(rep.M)}" if rep.verified else "M      = (not certified)",
         f"verified = {rep.verified}",
     ]

@@ -46,8 +46,7 @@ class ClosureReport:
     verdict: bool
 
     def __post_init__(self):
-        want = (not self.product.is_empty) and self.product.hi < 1.0
-        if self.verdict != want:
+        if self.verdict != (self.product.hi < 1.0):
             raise CertificationError(
                 f"verdict {self.verdict} contradicts product upper bound "
                 f"{self.product.hi!r}"
@@ -108,7 +107,7 @@ def image_overlap_bound(
     base = (PI * PI) / (IntervalScalar(sigma, sigma) * IntervalScalar(sigma, sigma))
     nearest_log10 = (-base) / LN10
     if nearest_only:
-        return LogMagnitude(nearest_log10.hi, 1)
+        return LogMagnitude(nearest_log10.hi)
     if lattice_radius == 0:
         return LogMagnitude.zero()
     R = lattice_radius
@@ -150,4 +149,4 @@ def image_overlap_bound(
         t += 1
     grand = scaled + tail
     total = nearest_log10 + ln_iv(grand) / LN10
-    return LogMagnitude(total.hi, 1)
+    return LogMagnitude(total.hi)

@@ -162,7 +162,7 @@ def convolution_constant(
             f"X.s={X.s!r}, Y.s={Y.s!r}"
         )
     cb = model.interaction_bound
-    if cb.is_empty or cb.lo < 0.0:
+    if cb.lo < 0.0:
         raise CertificationError(f"interaction bound must be nonnegative, got {cb}")
     if cb.hi == 0.0:
         return ZERO

@@ -15,10 +15,13 @@ The scalar core has one routine per operation: ``_add(a, b, up)`` and
 twins (``_np_add``, ``_np_mul``, ``_np_div``, ``_np_sqrt``, ``_np_directed``)
 and give the same bits entry by entry.
 
-A NaN endpoint never propagates silently: it collapses to the distinguished
-EMPTY interval, which poisons everything computed from it.  Division by an
-interval containing zero raises instead, since a certification pipeline must
-not continue across a possible singularity.
+A NaN endpoint is refused where it forms: building an ``IntervalScalar`` or
+an ``IntervalMatrix`` with one raises ``IntervalError``.  The directed
+routines never form one: an indeterminate sum, product or quotient (inf - inf,
+inf / inf) widens to the whole line, and overflow in ``+ - * /`` widens the
+outward endpoint to infinity.  Only ``exp_iv`` (and ``IntervalMatrix.exp``)
+and ``LogMagnitude.to_interval`` raise on overflow.  Division by an interval containing zero raises, since a
+certification pipeline must not continue across a possible singularity.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ __all__ = [
     "IntervalError",
     "SingularDivisionError",
     "IntervalOverflowError",
-    "EMPTY",
     "ZERO",
     "ONE",
     "as_nonneg",
@@ -59,7 +61,6 @@ __all__ = [
 ]
 
 _INF = math.inf
-_NAN = math.nan
 _MAX = sys.float_info.max
 _U = 2.0 ** -53  # unit roundoff for binary64
 
@@ -181,7 +182,7 @@ def _sqrt(x: float, up: bool) -> float:
 
 @dataclass(frozen=True)
 class IntervalScalar:
-    """Closed interval [lo, hi] of doubles; NaN endpoints mean EMPTY/poisoned."""
+    """Closed interval [lo, hi] of doubles, lo <= hi; a NaN endpoint is refused."""
 
     lo: float
     hi: float
@@ -190,9 +191,7 @@ class IntervalScalar:
         lo = float(self.lo)
         hi = float(self.hi)
         if lo != lo or hi != hi:
-            object.__setattr__(self, "lo", _NAN)
-            object.__setattr__(self, "hi", _NAN)
-            return
+            raise IntervalError(f"NaN endpoint lo={lo!r}, hi={hi!r}")
         if lo > hi:
             raise IntervalError(f"inverted endpoints lo={lo!r} > hi={hi!r}")
         object.__setattr__(self, "lo", lo)
@@ -201,29 +200,17 @@ class IntervalScalar:
     # -- state ---------------------------------------------------------------
 
     @property
-    def is_empty(self) -> bool:
-        return self.lo != self.lo
-
-    @property
     def mid(self) -> float:
-        if self.is_empty:
-            return _NAN
         return 0.5 * self.lo + 0.5 * self.hi
 
     @property
     def width(self) -> float:
-        if self.is_empty:
-            return _NAN
         return _add(self.hi, -self.lo, True)
 
     def contains(self, x: float) -> bool:
-        if self.is_empty:
-            return False
         return self.lo <= x <= self.hi
 
     def encloses(self, other: "IntervalScalar") -> bool:
-        if self.is_empty or other.is_empty:
-            return False
         return self.lo <= other.lo and other.hi <= self.hi
 
     def mag(self) -> float:
@@ -261,15 +248,11 @@ class IntervalScalar:
         b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        if self.is_empty or b.is_empty:
-            return EMPTY
         return IntervalScalar(_add(self.lo, b.lo, False), _add(self.hi, b.hi, True))
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.is_empty:
-            return EMPTY
         return IntervalScalar(-self.hi, -self.lo)
 
     def __sub__(self, other):
@@ -288,8 +271,6 @@ class IntervalScalar:
         b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        if self.is_empty or b.is_empty:
-            return EMPTY
         return self._corners(b, _mul)
 
     __rmul__ = __mul__
@@ -298,8 +279,6 @@ class IntervalScalar:
         b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        if self.is_empty or b.is_empty:
-            return EMPTY
         if b.lo <= 0.0 <= b.hi:
             raise SingularDivisionError(
                 f"divisor {b} contains zero (possible singularity)"
@@ -313,30 +292,23 @@ class IntervalScalar:
         return b / self
 
     def __abs__(self):
-        if self.is_empty:
-            return EMPTY
         return IntervalScalar(self.mig(), self.mag())
 
     def __repr__(self):
-        if self.is_empty:
-            return "IntervalScalar(EMPTY)"
         return f"IntervalScalar({self.lo!r}, {self.hi!r})"
 
 
-EMPTY = IntervalScalar(_NAN, _NAN)
 ZERO = IntervalScalar(0.0, 0.0)
 ONE = IntervalScalar(1.0, 1.0)
 _TWO = IntervalScalar(2.0, 2.0)
 
 
 def as_nonneg(x, what: str) -> IntervalScalar:
-    """``x`` as an interval, refused when poisoned or partly negative."""
+    """``x`` as an interval, refused when partly negative."""
     if isinstance(x, IntervalScalar):
         iv = x
     else:
         iv = IntervalScalar(float(x), float(x))
-    if iv.is_empty:
-        raise CertificationError(f"{what} is poisoned")
     if iv.lo < 0.0:
         raise CertificationError(f"{what} must be nonnegative, got {iv}")
     return iv
@@ -380,8 +352,6 @@ _TINY_EXP_UP = 1e-320  # safe ceiling for a fully underflowed exp
 
 def exp_iv(x: IntervalScalar) -> IntervalScalar:
     """Enclosure of exp over x.  Widens libm by 2 ulps per endpoint."""
-    if x.is_empty:
-        return EMPTY
     try:
         vlo = math.exp(x.lo)
         vhi = math.exp(x.hi)
@@ -394,24 +364,17 @@ def exp_iv(x: IntervalScalar) -> IntervalScalar:
         hi = _TINY_EXP_UP if vhi == 0.0 else vhi * 4.0
         return IntervalScalar(0.0 if vlo == 0.0 else vlo * 0.25, hi)
     lo = max(0.0, _down(_down(vlo)))
-    hi = _up(_up(vhi))
-    if vhi == 0.0:
-        hi = _TINY_EXP_UP
-    return IntervalScalar(lo, hi)
+    return IntervalScalar(lo, _up(_up(vhi)))
 
 
 def ln_iv(x: IntervalScalar) -> IntervalScalar:
     """Enclosure of the natural log; requires x strictly positive."""
-    if x.is_empty:
-        return EMPTY
     if x.lo <= 0.0:
         raise IntervalError(f"ln of non-positive interval {x}")
     return IntervalScalar(_down(_down(math.log(x.lo))), _up(_up(math.log(x.hi))))
 
 
 def sqrt_iv(x: IntervalScalar) -> IntervalScalar:
-    if x.is_empty:
-        return EMPTY
     if x.lo < 0.0:
         raise IntervalError(f"sqrt of partially negative interval {x}")
     return IntervalScalar(_sqrt(x.lo, False), _sqrt(x.hi, True))
@@ -421,8 +384,6 @@ def intpow_iv(x: IntervalScalar, n: int) -> IntervalScalar:
     """x**n for integer n >= 0 with per-step directed rounding."""
     if n < 0:
         raise IntervalError("negative exponent; divide explicitly")
-    if x.is_empty:
-        return EMPTY
     if n == 0:
         return ONE
     a = abs(x)
@@ -470,27 +431,23 @@ LN10 = _const_interval(math.log(10.0), ulps=2)
 
 @dataclass(frozen=True)
 class LogMagnitude:
-    """Magnitude sign * 10**log10_value for quantities far below double range.
+    """Nonnegative magnitude 10**log10_value for quantities far below double
+    range.
 
     ``log10_value`` is a certified upper bound on log10 of the magnitude, the
-    conservative direction for the error bounds this type carries.  A zero
-    sign denotes an exactly zero magnitude.
+    conservative direction for the error bounds this type carries; -inf
+    denotes an exactly zero magnitude.
     """
 
     log10_value: float
-    sign: int = 1
 
     def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise IntervalError(f"sign must be -1, 0 or +1, got {self.sign!r}")
-        if self.sign == 0:
-            object.__setattr__(self, "log10_value", -_INF)
-        elif self.log10_value != self.log10_value:
+        if self.log10_value != self.log10_value:
             raise IntervalError("NaN log10 magnitude")
 
     @staticmethod
     def zero() -> "LogMagnitude":
-        return LogMagnitude(-_INF, 0)
+        return LogMagnitude(-_INF)
 
     def to_interval(self) -> IntervalScalar:
         """Promote to a linear-domain upper-bound interval [0, m].
@@ -498,7 +455,7 @@ class LogMagnitude:
         Magnitudes below the subnormal floor saturate to the smallest positive
         double, which is still a valid upper bound for them.
         """
-        if self.sign == 0:
+        if self.log10_value == -_INF:
             return ZERO
         if self.log10_value > 308.0:
             raise IntervalOverflowError(
@@ -519,12 +476,12 @@ _DEC_PREC = 1200  # enough digits for exact arithmetic on double expansions
 def _float_rounded(d: Decimal, up: bool) -> float:
     """The double nearest to d at or above it (``up``) or at or below it."""
     f = float(d)  # infinite beyond double range, never an OverflowError
+    while math.isfinite(f) and ((Decimal(f) < d) if up else (Decimal(f) > d)):
+        f = _up(f) if up else _down(f)  # past +-MAX this steps to +-inf
     if math.isinf(f):
         if (f > 0) != up:
             return math.copysign(_MAX, f)
         raise IntervalError(f"decimal {d} {'above' if up else 'below'} double range")
-    while (Decimal(f) < d) if up else (Decimal(f) > d):
-        f = _up(f) if up else _down(f)
     return f
 
 
@@ -760,8 +717,6 @@ class IntervalMatrix:
         if isinstance(x, (int, float)):
             x = IntervalScalar._coerce(x)
         if isinstance(x, IntervalScalar):
-            if x.is_empty:
-                raise IntervalError("poisoned operand for an interval matrix")
             return np.float64(x.lo), np.float64(x.hi)
         return NotImplemented
 

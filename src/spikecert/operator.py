@@ -54,8 +54,6 @@ class OperatorConfig:
             raise ValueError(
                 f"truncation_N must be a positive integer, got {self.truncation_N!r}"
             )
-        if self.nu.is_empty:
-            raise ValueError("nu is poisoned")
 
 
 def _check_support(c: CoefficientVector, cfg: OperatorConfig, who: str) -> None:

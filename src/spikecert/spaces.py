@@ -172,8 +172,6 @@ def norm(c: CoefficientVector, space: WeightedSpace) -> IntervalScalar:
     """
     acc = ZERO
     for j, cj in sorted(c.entries, reverse=True):
-        if cj.is_empty:
-            return cj  # poison propagates to the norm
         a = abs(cj)
         acc = acc + weight_sq(j, space) * a * a
     return sqrt_iv(acc)
@@ -213,7 +211,7 @@ class ProfileCertificate:
             for name, val in self.constants.items():
                 if name not in CONSTANT_NAMES:
                     raise CertificateError(f"unknown constant name {name!r}")
-                if val.is_empty or val.lo < 0.0:
+                if val.lo < 0.0:
                     raise CertificateError(
                         f"constant {name} must be a nonnegative interval, got {val}"
                     )

@@ -22,12 +22,12 @@ sufficient for the full operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import CertificationError
 from .interval import (
-    EMPTY,
     ONE,
     ZERO,
     IntervalMatrix,
@@ -48,12 +48,13 @@ from .spaces import ProfileCertificate
 
 @dataclass(frozen=True)
 class InverseReport:
-    """Outcome of the approximate-inverse residual test."""
+    """Outcome of the approximate-inverse residual test; a value that was
+    never formed is None."""
 
-    R_norm: IntervalScalar
-    E_norm: IntervalScalar
-    M: IntervalScalar
     verified: bool
+    R_norm: Optional[IntervalScalar] = None
+    E_norm: Optional[IntervalScalar] = None
+    M: Optional[IntervalScalar] = None
     diagnostic: str = ""
 
 
@@ -64,7 +65,6 @@ def _bound_report(r_norm: IntervalScalar, e_norm: IntervalScalar) -> InverseRepo
     return InverseReport(
         R_norm=r_norm,
         E_norm=e_norm,
-        M=EMPTY,
         verified=False,
         diagnostic=(
             f"residual norm upper bound {e_norm.hi!r} is not below one; "
@@ -104,19 +104,11 @@ def certify_inverse(J: IntervalMatrix) -> InverseReport:
         R = np.linalg.inv(mid)
     except np.linalg.LinAlgError:
         return InverseReport(
-            R_norm=EMPTY,
-            E_norm=EMPTY,
-            M=EMPTY,
-            verified=False,
-            diagnostic="midpoint matrix is singular; no candidate inverse",
+            verified=False, diagnostic="midpoint matrix is singular; no candidate inverse"
         )
     if not np.isfinite(R).all():
         return InverseReport(
-            R_norm=EMPTY,
-            E_norm=EMPTY,
-            M=EMPTY,
-            verified=False,
-            diagnostic="midpoint inverse overflowed; no candidate inverse",
+            verified=False, diagnostic="midpoint inverse overflowed; no candidate inverse"
         )
     e_norm = inf_norm(identity_minus(point_times_interval(R, J)))
     r_norm = inf_norm(IntervalMatrix.from_point(R))

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -115,6 +116,13 @@ class TestReferenceModel:
             reference_model(-1.0)
         with pytest.raises(ValueError):
             reference_model(1.0, coupling_rec=-2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_coupling_is_refused(self, bad):
+        with pytest.raises(ValueError, match="coupling must be finite"):
+            reference_model(bad)
+        with pytest.raises(ValueError, match="coupling_rec must be finite"):
+            reference_model(1.0, coupling_rec=bad)
 
     def test_index_validation(self):
         m = reference_model(1.0)

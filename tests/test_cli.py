@@ -1,12 +1,15 @@
 """Command line driver: subcommands, config merging, exit codes."""
 
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import spikecert.cli as cli
 from spikecert.audit import AuditConfig, run_audit
 from spikecert.cli import main
+from spikecert.interval import IntervalMatrix
 from spikecert.spaces import load_certificate
 
 AUDIT_FAST = ["--modes", "64", "--window", "64"]
@@ -50,6 +53,31 @@ def test_audit_missing_profile_flag(capsys):
     code, _, err = run(capsys, "audit")
     assert code == 2
     assert "--profile is required" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--coupling", "nan"), ("--coupling-rec", "inf")])
+def test_audit_refuses_a_non_finite_model_option(capsys, bundled_certificate_path, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--profile", str(bundled_certificate_path), flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid finite float value: '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--profile", "cert.json", "--tau-prime", "1e999"],
+        ["constants", "--tau", "nan"],
+        ["gen-profile", "--out", "cert.json", "--sigma", "inf"],
+        ["gen-profile", "--out", "cert.json", "--amplitude", "nan"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_float_options_refuse_non_finite_values(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}: invalid finite float value" in capsys.readouterr().err
 
 
 def test_audit_nonexistent_file(capsys, tmp_path):
@@ -191,7 +219,27 @@ def test_inverse_norm_flags_must_pair(capsys):
 def test_inverse_contractive_norm_required(capsys):
     code, out, _ = run(capsys, "inverse", "--r-norm", "482.540", "--e-norm", "1.5")
     assert code == 1
+    assert "E_norm = [1.500000e+00, 1.500000e+00]" in out
+    assert "M      = (not certified)" in out
     assert "verified = False" in out
+
+
+def test_inverse_without_a_candidate_inverse(capsys, monkeypatch):
+    # a singular midpoint leaves no R, so no norm was ever formed
+    monkeypatch.setattr(cli, "load_certificate", lambda path: SimpleNamespace(coefficients=None))
+    monkeypatch.setattr(cli, "_op_config", lambda args, cert: None)
+    monkeypatch.setattr(
+        cli, "assemble_jacobian", lambda c, cfg: IntervalMatrix.from_point(np.ones((2, 2)))
+    )
+    code, out, _ = run(capsys, "inverse", "--profile", "cert.json")
+    assert code == 1
+    assert out == (
+        "R_norm = (not computed)\n"
+        "E_norm = (not computed)\n"
+        "M      = (not certified)\n"
+        "verified = False\n"
+        "diagnostic = midpoint matrix is singular; no candidate inverse\n"
+    )
 
 
 # ---------------------------------------------------------------- tail
@@ -326,6 +374,17 @@ def test_config_value_its_option_cannot_convert(capsys, tmp_path, bundled_certif
     assert code == 2
     assert out == ""
     assert "bad config file: window = 'x' is not a valid int" in err
+
+
+def test_config_refuses_a_non_finite_float(capsys, tmp_path, bundled_certificate_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("coupling = nan\n")
+    code, out, err = run(
+        capsys, "--config", str(cfg), "audit", "--profile", str(bundled_certificate_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert "bad config file: coupling = 'nan' is not a valid finite float" in err
 
 
 def test_config_values_take_the_type_of_their_option(monkeypatch, tmp_path):

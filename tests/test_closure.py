@@ -20,7 +20,7 @@ from spikecert.closure import (
 )
 from spikecert.errors import CertificationError
 from spikecert.interval import (
-    EMPTY,
+    IntervalError,
     IntervalScalar,
     exp_iv,
     interval_from_decimal,
@@ -71,10 +71,16 @@ def test_product_exactly_one_fails():
 
 
 def test_invalid_inputs_rejected():
-    with pytest.raises(CertificationError):
+    with pytest.raises(CertificationError, match="delta must be nonnegative"):
         nk_closure(point(-1e-12), point(1.0), point(1.0))
-    with pytest.raises(CertificationError):
-        nk_closure(EMPTY, point(1.0), point(1.0))
+    with pytest.raises(CertificationError, match="eps must be nonnegative"):
+        torus_closure(point(0.0), point(-1e-12), point(1.0), point(1.0))
+    # a NaN operand is refused when it becomes an interval
+    for args in ((math.nan, 1.0, 1.0), (0.0, 1.0, math.nan)):
+        with pytest.raises(IntervalError, match="NaN"):
+            nk_closure(*args)
+    with pytest.raises(IntervalError, match="NaN"):
+        torus_closure(0.0, math.nan, 1.0, 1.0)
 
 
 def test_report_invariant_enforced():
@@ -141,7 +147,6 @@ def test_closure_monotonicity():
 
 def test_nearest_image_reference_concentration():
     ov = image_overlap_bound(0.05, lattice_radius=3, nearest_only=True)
-    assert ov.sign == 1
     # -pi^2 / (0.05^2 ln 10) to 20 digits: -1714.5258919844626294
     assert ov.log10_value >= -1714.5258919844626294
     assert ov.log10_value <= -1714.5258919844626294 + 1e-9
@@ -172,7 +177,7 @@ def test_full_lattice_sum_clears_enumerated_shells():
 
 def test_zero_radius_is_empty_sum():
     ov = image_overlap_bound(0.05, lattice_radius=0)
-    assert ov.sign == 0
+    assert ov.log10_value == -math.inf
     assert ov.to_interval().hi == 0.0
 
 

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikecert.closure import nk_closure
 from spikecert.interval import (
-    EMPTY,
     LN10,
     PI,
     IntervalError,
@@ -21,6 +21,7 @@ from spikecert.interval import (
     LogMagnitude,
     SingularDivisionError,
     arith,
+    as_nonneg,
     exp_iv,
     float_to_decimal_string,
     identity_minus,
@@ -35,6 +36,7 @@ from spikecert.interval import (
     row_sum,
     sqrt_iv,
 )
+from spikecert.stability import inverse_bound_from_norms
 
 
 def iv(lo, hi=None):
@@ -174,21 +176,21 @@ class TestLibmEnclosures:
         assert p.width / p.lo < 1e-14
 
 
-class TestEmptyPoison:
-    def test_nan_collapses_to_empty(self):
-        assert IntervalScalar(math.nan, 1.0).is_empty
-        assert IntervalScalar(1.0, math.nan).is_empty
-
-    def test_empty_poisons_arithmetic(self):
-        for op in ("add", "sub", "mul"):
-            assert arith(op, EMPTY, iv(1.0)).is_empty
-            assert arith(op, iv(1.0), EMPTY).is_empty
-        assert (EMPTY / iv(1.0)).is_empty
-        assert exp_iv(EMPTY).is_empty
-        assert sqrt_iv(EMPTY).is_empty
-
-    def test_empty_contains_nothing(self):
-        assert not EMPTY.contains(0.0)
+class TestConstruction:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: IntervalScalar(math.nan, 1.0),
+            lambda: IntervalScalar(1.0, math.nan),
+            lambda: as_nonneg(math.nan, "x"),
+            lambda: nk_closure(math.nan, iv(1.0), iv(1.0)),
+            lambda: inverse_bound_from_norms(math.nan, 0.5),
+        ],
+        ids=["lo", "hi", "as_nonneg", "nk_closure", "inverse_bound_from_norms"],
+    )
+    def test_nan_endpoint_is_refused(self, build):
+        with pytest.raises(IntervalError, match="NaN"):
+            build()
 
     def test_inverted_raises(self):
         with pytest.raises(IntervalError):
@@ -212,23 +214,23 @@ class TestDivisionGuards:
 class TestLogMagnitude:
     def test_zero_magnitude(self):
         z = LogMagnitude.zero()
-        assert z.sign == 0
+        assert z.log10_value == -math.inf
         t = z.to_interval()
         assert (t.lo, t.hi) == (0.0, 0.0)
 
     def test_promotion_saturates(self):
-        t = LogMagnitude(-1714.5, 1).to_interval()
+        t = LogMagnitude(-1714.5).to_interval()
         assert t.lo == 0.0
         assert 0.0 < t.hi <= 1e-322
 
     def test_promotion_moderate(self):
-        t = LogMagnitude(-5.0, 1).to_interval()
+        t = LogMagnitude(-5.0).to_interval()
         assert t.lo == 0.0
         assert 1e-5 <= t.hi <= 1.0001e-5
 
     def test_promotion_overflow(self):
         with pytest.raises(IntervalOverflowError):
-            LogMagnitude(400.0, 1).to_interval()
+            LogMagnitude(400.0).to_interval()
 
 
 class TestDecimalEndpoints:
@@ -274,6 +276,17 @@ class TestDecimalEndpoints:
             interval_from_mid_rad_decimal("1.0", "-1e-3")
         with pytest.raises(IntervalError):
             interval_from_decimal("1e999")
+
+    @pytest.mark.parametrize("sign, side", [("", "above"), ("-", "below")])
+    def test_within_half_an_ulp_beyond_max_is_refused(self, sign, side):
+        # rounds to nearest onto +-MAX, but its enclosure needs +-inf
+        text = sign + "1.7976931348623158e308"
+        with pytest.raises(IntervalError, match=f"{side} double range"):
+            interval_from_decimal(text)
+        with pytest.raises(IntervalError, match=f"{side} double range"):
+            interval_from_mid_rad_decimal(text, "0")
+        big = interval_from_decimal(sign + "1.7976931348623157e308")
+        assert big.mag() == sys.float_info.max
 
 
 class TestMatrix:
@@ -535,8 +548,6 @@ class TestMatrixKernels:
 
     def test_poisoned_or_foreign_operands_rejected(self):
         A = IntervalMatrix.from_point(np.ones((2, 2)))
-        with pytest.raises(IntervalError):
-            A + EMPTY
         with pytest.raises(IntervalError):
             A * math.inf
         with pytest.raises(TypeError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spikecert.basis import reference_model
-from spikecert.interval import EMPTY, IntervalError, IntervalScalar, make_interval
+from spikecert.interval import IntervalScalar, make_interval
 from spikecert.operator import (
     OperatorConfig,
     apply_G,
@@ -358,12 +358,6 @@ class TestQuadraticMatchesScalarLoop:
         c = vec(modes, 12)
         for u, v in ((c, c), (recover_velocity(c, cfg), c)):
             assert same_vector(apply_quadratic(u, v, cfg), scalar_apply_quadratic(u, v, cfg))
-
-    def test_poisoned_coefficient_raises(self):
-        # the scalar loop would carry EMPTY; the elementwise form refuses it
-        c = CoefficientVector(((2, EMPTY), (3, iv(0.5))), 6)
-        with pytest.raises(IntervalError):
-            apply_quadratic(c, c, cfg_for(1.0, N=6))
 
 
 def joined_apply_G(c, cfg):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikecert.errors import CertificateError
-from spikecert.interval import EMPTY, IntervalScalar, make_interval
+from spikecert.interval import IntervalScalar, make_interval
 from spikecert.spaces import (
     PROFILE_SPACE,
     SOURCE_SPACE,
@@ -97,10 +97,6 @@ class TestNorm:
         n1 = norm(c1, PROFILE_SPACE)
         n2 = norm(c2, PROFILE_SPACE)
         assert (n1.lo, n1.hi) == (n2.lo, n2.hi)
-
-    def test_poison_propagates(self):
-        c = CoefficientVector(((1, iv(1.0)), (3, EMPTY)))
-        assert norm(c, PROFILE_SPACE).is_empty
 
     def test_homogeneity_exact_for_power_of_two(self):
         c = CoefficientVector(((1, iv(0.7)), (4, iv(-0.3)), (9, iv(0.05))))
@@ -236,6 +232,15 @@ class TestCertificateIO:
             ),
             "modes[1].j",
         )
+
+    @pytest.mark.parametrize("sign, side", [("", "above"), ("-", "below")])
+    def test_mid_just_beyond_double_range_names_field(self, tmp_path, sign, side):
+        # rounds to nearest onto +-MAX, but its enclosure would need +-inf
+        mid = sign + "1.7976931348623158e308"
+        modes = [{"j": 1, "mid": "1.5", "rad": "0"}, {"j": 2, "mid": mid, "rad": "0"}]
+        doc = self._doc(modes=modes)
+        self._expect_error(tmp_path, doc, "modes[1]: decimal ")
+        self._expect_error(tmp_path, doc, f"{side} double range")
 
     def test_bad_version_rejected(self, tmp_path):
         self._expect_error(tmp_path, self._doc(format_version="0.9"), "format_version")

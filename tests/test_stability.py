@@ -16,7 +16,7 @@ import spikecert.interval as interval_module
 import spikecert.stability as stability_module
 from spikecert.basis import reference_model
 from spikecert.errors import CertificationError
-from spikecert.interval import EMPTY, IntervalMatrix, IntervalScalar, exp_iv, make_interval
+from spikecert.interval import IntervalMatrix, IntervalScalar, exp_iv, make_interval
 from spikecert.operator import OperatorConfig, assemble_jacobian
 from spikecert.spaces import (
     CoefficientVector,
@@ -72,7 +72,7 @@ def test_singular_midpoint_is_a_verdict():
     rep = certify_inverse(point_matrix([[1.0, 1.0], [1.0, 1.0]]))
     assert not rep.verified
     assert "singular" in rep.diagnostic
-    assert rep.M.is_empty
+    assert rep.R_norm is rep.E_norm is rep.M is None
 
 
 def test_interval_containing_singular_matrix_fails():
@@ -88,7 +88,7 @@ def test_wide_radii_defeat_certification():
     a = np.eye(2)
     rep = certify_inverse(IntervalMatrix(a - 1.5, a + 1.5))
     assert not rep.verified
-    assert rep.M.is_empty
+    assert rep.M is None
     assert "not below one" in rep.diagnostic
 
 
@@ -177,15 +177,16 @@ def test_declared_norms_interval_inputs():
 def test_residual_norm_at_one_fails():
     rep = inverse_bound_from_norms(3.0, 1.0)
     assert not rep.verified
-    assert rep.M.is_empty
+    assert rep.M is None
+    assert rep.E_norm.hi == 1.0
     assert "not below one" in rep.diagnostic
 
 
 def test_negative_norm_rejected():
-    with pytest.raises(CertificationError):
+    with pytest.raises(CertificationError, match="approximate inverse must be nonnegative"):
         inverse_bound_from_norms(-1.0, 0.5)
-    with pytest.raises(CertificationError):
-        inverse_bound_from_norms(EMPTY, 0.5)
+    with pytest.raises(CertificationError, match="residual norm must be nonnegative"):
+        inverse_bound_from_norms(1.0, IntervalScalar(-0.5, 0.5))
 
 
 # ---------------------------------------------------------------------------

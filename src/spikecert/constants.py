@@ -39,6 +39,7 @@ from .interval import (
     intpow_iv,
     ln_iv,
     pow_seven_halves,
+    row_sum,
     sqrt_iv,
 )
 from .spaces import WeightedSpace
@@ -170,20 +171,19 @@ def convolution_constant(
     beta = two_beta * 0.5
     p = (Y.s - X.s) / 2.0
 
-    s1 = ZERO
-    for k in range(N, 0, -1):
-        one_plus = IntervalScalar(float(1 + k * k), float(1 + k * k))
-        if p == 0.0:
-            poly = ONE
-        elif p == 0.5:
-            poly = ONE / sqrt_iv(one_plus)
-        else:
-            poly = exp_iv(ln_iv(one_plus) * (-p))
-        s1 = s1 + poly * exp_iv(-(beta * float(k)))
-
-    geo = ZERO
-    for j in range(2 * N, 0, -1):
-        geo = geo + exp_iv(-(two_beta * float(j)))
+    # both sums run from the top mode down, each term formed on a row
+    k = np.arange(N, 0, -1)
+    kk = IntervalMatrix.from_point(k[None, :].astype(np.float64))
+    one_plus = IntervalMatrix.from_point((1 + k * k)[None, :].astype(np.float64))
+    if p == 0.0:
+        poly = ONE
+    elif p == 0.5:
+        poly = ONE / one_plus.sqrt()
+    else:
+        poly = (one_plus.log() * (-p)).exp()
+    s1 = row_sum(poly * (-(beta * kk)).exp())
+    jj = IntervalMatrix.from_point(np.arange(2 * N, 0, -1, dtype=np.float64)[None, :])
+    geo = row_sum((-(two_beta * jj)).exp())
 
     s_half = X.s / 2.0
     if float(s_half).is_integer():
@@ -203,7 +203,7 @@ def _ceil_two_significant(x: float) -> float:
         ctx.prec = 60
         d = Decimal(x)
         q = d.quantize(Decimal(1).scaleb(d.adjusted() - 1), rounding=ROUND_CEILING)
-    return _float_rounded(q, True)
+    return _float_rounded(q, True, str(q))
 
 
 def lipschitz_constant(C_rec_map, C_conv) -> IntervalScalar:

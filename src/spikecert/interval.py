@@ -12,8 +12,11 @@ The scalar core has one routine per operation: ``_add(a, b, up)`` and
 ``_sqrt(x, up)`` round in the direction asked for, ``_mul(a, b)`` and
 ``_div(a, b)`` return the (down, up) pair and share the decision helper
 ``_directed``.  The elementwise kernels behind ``IntervalMatrix`` are their
-twins (``_np_add``, ``_np_mul``, ``_np_div``, ``_np_sqrt``, ``_np_directed``)
-and give the same bits entry by entry.
+twins (``_np_add``, ``_np_mul``, ``_np_div``, ``_np_sqrt``, ``_np_directed``),
+each taking the side it rounds to, and give the same bits entry by entry.
+``IntervalScalar`` multiplies and divides by the four-corner rule;
+``IntervalMatrix`` forms only the two corners the sign table picks wherever
+that gives the same bits (see the kernel notes below).
 
 A NaN endpoint is refused where it forms: building an ``IntervalScalar`` or
 an ``IntervalMatrix`` with one raises ``IntervalError``.  The directed
@@ -473,15 +476,16 @@ class LogMagnitude:
 _DEC_PREC = 1200  # enough digits for exact arithmetic on double expansions
 
 
-def _float_rounded(d: Decimal, up: bool) -> float:
-    """The double nearest to d at or above it (``up``) or at or below it."""
+def _float_rounded(d: Decimal, up: bool, text: str) -> float:
+    """The double nearest to d at or above it (``up``) or at or below it;
+    ``text`` is the decimal as its source wrote it, for the error message."""
     f = float(d)  # infinite beyond double range, never an OverflowError
     while math.isfinite(f) and ((Decimal(f) < d) if up else (Decimal(f) > d)):
         f = _up(f) if up else _down(f)  # past +-MAX this steps to +-inf
     if math.isinf(f):
         if (f > 0) != up:
             return math.copysign(_MAX, f)
-        raise IntervalError(f"decimal {d} {'above' if up else 'below'} double range")
+        raise IntervalError(f"decimal {text} {'above' if up else 'below'} double range")
     return f
 
 
@@ -498,7 +502,7 @@ def _parse_decimal(s: str, what: str) -> Decimal:
 def interval_from_decimal(s: str) -> IntervalScalar:
     """Tightest double interval containing the decimal value ``s``."""
     d = _parse_decimal(s, "value")
-    return IntervalScalar(_float_rounded(d, False), _float_rounded(d, True))
+    return IntervalScalar(_float_rounded(d, False, s), _float_rounded(d, True, s))
 
 
 def interval_from_mid_rad_decimal(mid: str, rad: str) -> IntervalScalar:
@@ -520,7 +524,9 @@ def interval_from_mid_rad_decimal(mid: str, rad: str) -> IntervalScalar:
         lo = dm - dr
         ctx.rounding = ROUND_CEILING
         hi = dm + dr
-    return IntervalScalar(_float_rounded(lo, False), _float_rounded(hi, True))
+    return IntervalScalar(
+        _float_rounded(lo, False, f"{mid} - {rad}"), _float_rounded(hi, True, f"{mid} + {rad}")
+    )
 
 
 def float_to_decimal_string(f: float) -> str:
@@ -551,7 +557,24 @@ def _np_up(a: np.ndarray, steps: int = 1) -> np.ndarray:
 # transformation, the _eft_ok fallback, zero operands, underflow, overflow,
 # NaN), so every entry carries exactly the bits the scalar routine returns
 # for it.  Overflow to infinity is one of those branches, hence the silenced
-# warnings.
+# warnings.  Each rounds to one side, ``up`` or down: _np_mul(a, b, up) is
+# _mul(a, b)[up].
+#
+# IntervalMatrix products and quotients are sign-aware.  Where both operands
+# are strictly signed, Moore's sign table names the corner that holds the
+# exact minimum and the one that holds the maximum.  Where, moreover, every
+# corner lies in the error-free band (its operands below _EFT_HI in
+# magnitude, its result between _EFT_LO and _EFT_HI), each corner's directed
+# result is its exact value rounded to the next double below or above: a
+# monotone map that never gives 0.  So the picked corner rounded down is the
+# least of the four corners' lower bounds, bit for bit, and the other picked
+# corner rounded up the greatest of their upper bounds; only those two are
+# formed.  Every other entry (an endpoint that is 0, -0.0 or infinite, an
+# operand that straddles 0, underflow, overflow, the _eft_ok fallback) takes
+# the four-corner rule of IntervalScalar.  The band also keeps out results
+# that round to 0, where the sign of a zero bound depends on which corner
+# comes first: [-2e-323, -1e-323] * 0.15000000000000002 has the upper bound
+# -0.0 by the four corners but +0.0 from the picked corner alone.
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -568,45 +591,55 @@ def _np_eft_ok(a, b, p) -> np.ndarray:
     return (np.abs(a) < _EFT_HI) & (np.abs(b) < _EFT_HI) & (_EFT_LO < ap) & (ap < _EFT_HI)
 
 
-def _np_directed(x, zero, down_nudge, up_nudge, same_sign):
-    """(down, up) of a rounded product or quotient x: nudged one ulp where the
-    error-free test asks for it, the signed underflow floor where x is 0, the
-    clamps where it overflowed, and 0 where ``zero`` marks an exact zero."""
-
-    def directed(nudge, toward, clamp, underflow):
-        out = np.where(nudge, np.nextafter(x, toward), x)
-        out = np.where(x == 0.0, underflow, out)
-        out = np.where(np.isinf(x), np.where(x == toward, x, clamp), out)
-        out = np.where(np.isnan(x), toward, out)
-        return np.where(zero, 0.0, out)
-
-    return (
-        directed(down_nudge, -_INF, _MAX, np.where(same_sign, 0.0, -5e-324)),
-        directed(up_nudge, _INF, -_MAX, np.where(same_sign, 5e-324, 0.0)),
-    )
+def _np_directed(x, zero, nudge, same_sign, up: bool):
+    """x, a rounded product or quotient, rounded up or down: nudged one ulp
+    where the error-free test asks for it, the signed underflow floor where x
+    is 0, the clamp where it overflowed, and 0 where ``zero`` marks an exact
+    zero."""
+    if up:
+        toward, clamp, underflow = _INF, -_MAX, np.where(same_sign, 5e-324, 0.0)
+    else:
+        toward, clamp, underflow = -_INF, _MAX, np.where(same_sign, 0.0, -5e-324)
+    out = np.where(nudge, np.nextafter(x, toward), x)
+    out = np.where(x == 0.0, underflow, out)
+    out = np.where(np.isinf(x), np.where(x == toward, x, clamp), out)
+    out = np.where(np.isnan(x), toward, out)
+    return np.where(zero, 0.0, out)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _np_mul(a, b):
-    """Elementwise _mul(a, b)."""
+def _np_mul(a, b, up: bool) -> np.ndarray:
+    """Elementwise _mul(a, b), its upper bound if ``up``, else its lower."""
     p = a * b
     e = _prod_err(a, b, p)
-    eft = _np_eft_ok(a, b, p)
-    return _np_directed(
-        p, (a == 0.0) | (b == 0.0), ~eft | (e < 0), ~eft | (e > 0), (a > 0) == (b > 0)
-    )
+    nudge = ~_np_eft_ok(a, b, p) | (e > 0 if up else e < 0)
+    return _np_directed(p, (a == 0.0) | (b == 0.0), nudge, (a > 0) == (b > 0), up)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _np_div(a, b):
-    """Elementwise _div(a, b) for divisors without 0."""
+def _np_div(a, b, up: bool) -> np.ndarray:
+    """Elementwise _div(a, b) for divisors without 0, its upper bound if
+    ``up``, else its lower."""
     q = a / b
     p = q * b
-    eft = _np_eft_ok(q, b, p)
     d = (a - p) - _prod_err(q, b, p)  # sign of a - q*b, as in _div
-    above = (d != 0.0) & ((d > 0) == (b > 0))  # true quotient above q
-    below = (d != 0.0) & ((d > 0) != (b > 0))
-    return _np_directed(q, a == 0.0, ~eft | below, ~eft | above, (a > 0) == (b > 0))
+    above = (d > 0) == (b > 0)  # true quotient above q, where d != 0
+    nudge = ~_np_eft_ok(q, b, p) | ((d != 0.0) & (above if up else ~above))
+    return _np_directed(q, a == 0.0, nudge, (a > 0) == (b > 0), up)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _np_banded(kernel, x, y) -> np.ndarray:
+    """Where a picked corner x * y (kernel _np_mul) or x / y (_np_div) lies
+    in the error-free band with its operands.  Holding both on the two picked
+    corners holds it on all four: between them they take each operand's two
+    endpoints and the results of least and greatest magnitude.  _np_div tests
+    q * y, within two roundings of the dividend x, so x keeps a factor of two
+    from the band's edges."""
+    if kernel is _np_mul:
+        return _np_eft_ok(x, y, x * y)
+    q, ax = x / y, np.abs(x)
+    return _np_eft_ok(q, y, q) & (2.0 * _EFT_LO < ax) & (ax < 0.5 * _EFT_HI)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -721,17 +754,43 @@ class IntervalMatrix:
         return NotImplemented
 
     @staticmethod
-    def _corners(a, b, kernel) -> "IntervalMatrix":
+    def _corners(a, b, kernel):
         # corners in the scalar order, one at a time; like min() and max(), a
         # later corner replaces the running bound only when strictly beyond it
         lo = hi = None
         for x, y in ((a[0], b[0]), (a[0], b[1]), (a[1], b[0]), (a[1], b[1])):
-            down, up = kernel(x, y)
+            down, up = kernel(x, y, False), kernel(x, y, True)
             if lo is None:
                 lo, hi = down, up
             else:
                 lo = np.where(down < lo, down, lo)
                 hi = np.where(up > hi, up, hi)
+        return lo, hi
+
+    @staticmethod
+    def _product(a, b, kernel) -> "IntervalMatrix":
+        """a * b (kernel _np_mul) or a / b (_np_div) of endpoint pairs a and b,
+        entry by entry: the two corners the sign table picks where that has
+        the bits of the four-corner rule, the four corners elsewhere."""
+        a0, a1, b0, b1 = np.broadcast_arrays(a[0], a[1], b[0], b[1])
+        pos_a, pos_b = a0 > 0.0, b0 > 0.0
+        # 1/b has the endpoints 1/b1, 1/b0: a quotient takes b's the other way
+        c0, c1 = (b0, b1) if kernel is _np_mul else (b1, b0)
+        x_lo, y_lo = np.where(pos_b, a0, a1), np.where(pos_a, c0, c1)
+        x_hi, y_hi = np.where(pos_b, a1, a0), np.where(pos_a, c1, c0)
+        lo, hi = kernel(x_lo, y_lo, False), kernel(x_hi, y_hi, True)
+        # the rest: an operand that is not strictly signed, or a corner
+        # outside the error-free band
+        rest = ~(
+            (pos_a | (a1 < 0.0))
+            & (pos_b | (b1 < 0.0))
+            & _np_banded(kernel, x_lo, y_lo)
+            & _np_banded(kernel, x_hi, y_hi)
+        )
+        if rest.any():
+            lo[rest], hi[rest] = IntervalMatrix._corners(
+                (a0[rest], a1[rest]), (b0[rest], b1[rest]), kernel
+            )
         return IntervalMatrix(lo, hi)
 
     def __add__(self, other):
@@ -760,13 +819,13 @@ class IntervalMatrix:
         b = self._endpoints(other)
         if b is NotImplemented:
             return NotImplemented
-        return self._corners((self.lo, self.hi), b, _np_mul)
+        return self._product((self.lo, self.hi), b, _np_mul)
 
     def __rmul__(self, other):
         b = self._endpoints(other)
         if b is NotImplemented:
             return NotImplemented
-        return self._corners(b, (self.lo, self.hi), _np_mul)
+        return self._product(b, (self.lo, self.hi), _np_mul)
 
     @staticmethod
     def _divisor(lo, hi):
@@ -782,13 +841,13 @@ class IntervalMatrix:
         b = self._endpoints(other)
         if b is NotImplemented:
             return NotImplemented
-        return self._corners((self.lo, self.hi), self._divisor(*b), _np_div)
+        return self._product((self.lo, self.hi), self._divisor(*b), _np_div)
 
     def __rtruediv__(self, other):
         b = self._endpoints(other)
         if b is NotImplemented:
             return NotImplemented
-        return self._corners(b, self._divisor(self.lo, self.hi), _np_div)
+        return self._product(b, self._divisor(self.lo, self.hi), _np_div)
 
     def sqrt(self) -> "IntervalMatrix":
         """Entrywise sqrt_iv."""
@@ -809,8 +868,8 @@ class IntervalMatrix:
             raise IntervalError(f"power of partially negative interval {bad}")
         lo = hi = np.ones(self.shape)
         for _ in range(n):
-            lo = _np_mul(lo, self.lo)[0]
-            hi = _np_mul(hi, self.hi)[1]
+            lo = _np_mul(lo, self.lo, up=False)
+            hi = _np_mul(hi, self.hi, up=True)
         return IntervalMatrix(lo, hi)
 
     @np.errstate(over="ignore")

@@ -14,6 +14,7 @@ load/save/load cycle reproduces identical double endpoints.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import Mapping, Optional
@@ -246,9 +247,12 @@ def _decimal_field(obj, where: str) -> float:
     if not isinstance(obj, str):
         raise CertificateError(f"{where}: expected a decimal string")
     try:
-        return float(_parse_decimal(obj, where))
+        value = float(_parse_decimal(obj, where))
     except ValueError as exc:
         raise CertificateError(f"{where}: {exc}") from None
+    if not math.isfinite(value):
+        raise CertificateError(f"{where}: decimal {obj} beyond double range")
+    return value
 
 
 def load_certificate(path) -> ProfileCertificate:

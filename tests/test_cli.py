@@ -1,5 +1,6 @@
 """Command line driver: subcommands, config merging, exit codes."""
 
+import json
 import math
 from types import SimpleNamespace
 
@@ -78,6 +79,17 @@ def test_float_options_refuse_non_finite_values(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {argv[-2]}: invalid finite float value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1e999", "-1e999"])
+def test_audit_refuses_sigma_beyond_double_range(capsys, tmp_path, bundled_certificate_path, value):
+    doc = json.loads(bundled_certificate_path.read_text())
+    doc["sigma"] = value
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "audit", "--profile", str(path), *AUDIT_FAST)
+    assert code == 2
+    assert f"REJECTED, unreadable: sigma: decimal {value} beyond double range" in out
 
 
 def test_audit_nonexistent_file(capsys, tmp_path):

@@ -26,7 +26,18 @@ from spikecert.constants import (
     recovery_mapping_constant,
 )
 from spikecert.errors import CertificationError
-from spikecert.interval import IntervalMatrix, IntervalScalar, interval_from_decimal, make_interval
+from spikecert.interval import (
+    ONE,
+    ZERO,
+    IntervalMatrix,
+    IntervalScalar,
+    exp_iv,
+    interval_from_decimal,
+    intpow_iv,
+    ln_iv,
+    make_interval,
+    sqrt_iv,
+)
 from spikecert.operator import OperatorConfig, apply_quadratic
 from spikecert.spaces import (
     PROFILE_SPACE,
@@ -201,6 +212,49 @@ def test_constant_scales_with_interaction_bound():
     c1 = convolution_constant(reference_model(1.0), 8, PROFILE_SPACE, SOURCE_SPACE)
     c3 = convolution_constant(reference_model(3.0), 8, PROFILE_SPACE, SOURCE_SPACE)
     assert c3.contains(3.0 * c1.mid)
+
+
+def scalar_convolution_constant(model, N, X, Y):
+    """convolution_constant as two scalar loops, one term at a time, from the
+    top mode down, as the function once computed it."""
+    two_beta = IntervalScalar(Y.tau, Y.tau) - IntervalScalar(X.tau, X.tau)
+    beta = two_beta * 0.5
+    p = (Y.s - X.s) / 2.0
+    s1 = ZERO
+    for k in range(N, 0, -1):
+        one_plus = IntervalScalar(float(1 + k * k), float(1 + k * k))
+        if p == 0.0:
+            poly = ONE
+        elif p == 0.5:
+            poly = ONE / sqrt_iv(one_plus)
+        else:
+            poly = exp_iv(ln_iv(one_plus) * (-p))
+        s1 = s1 + poly * exp_iv(-(beta * float(k)))
+    geo = ZERO
+    for j in range(2 * N, 0, -1):
+        geo = geo + exp_iv(-(two_beta * float(j)))
+    s_half = X.s / 2.0
+    if float(s_half).is_integer():
+        pref = intpow_iv(IntervalScalar(2.0, 2.0), int(s_half))
+    else:
+        pref = exp_iv(ln_iv(IntervalScalar(2.0, 2.0)) * s_half)
+    return pref * model.interaction_bound * sqrt_iv(geo) * s1 * s1
+
+
+@pytest.mark.parametrize("N", [1, 7, 128, 450])
+@pytest.mark.parametrize(
+    "X, Y, coupling",
+    [
+        (WeightedSpace(6.0, 0.08), WeightedSpace(6.0, 0.081), 1.0),  # p = 0
+        (PROFILE_SPACE, SOURCE_SPACE, 1.0),  # p = 0.5, the audit's pair
+        (WeightedSpace(5.0, 0.08), WeightedSpace(7.3, 0.1), 0.37),  # p = 1.15, s_X odd
+    ],
+    ids=["p0", "p0.5", "p1.15"],
+)
+def test_convolution_constant_matches_scalar_loops(N, X, Y, coupling):
+    model = reference_model(coupling)
+    c = convolution_constant(model, N, X, Y)
+    assert bits(c) == bits(scalar_convolution_constant(model, N, X, Y))
 
 
 def test_missing_buffer_refused():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spikecert.closure import nk_closure
@@ -395,12 +395,98 @@ def _same(entry_lo, entry_hi, scalar):
     return _bits(entry_lo) == _bits(scalar.lo) and _bits(entry_hi) == _bits(scalar.hi)
 
 
+# Explicit operands at the edges of the sign-aware product and quotient: the
+# two corners the sign table picks have the four-corner bits only inside the
+# error-free band.  [-2e-323, -1e-323] * 0.15000000000000002 (and its
+# quotient by 6.666666666666667) underflows: the four corners give the upper
+# endpoint -0.0, the picked corner alone +0.0.  Mixed in are subnormal
+# results, operands at 1e300, results at 1e-290, a quotient in the band whose
+# dividend is not (2**-980 / 2**-30), signed and infinite endpoints and
+# entries that straddle 0.
+_NEG_ZERO_TRAP = iv(-2e-323, -1e-323)
+_EDGE = [
+    _NEG_ZERO_TRAP,
+    iv(1e-300, 2e-300),
+    iv(1e300, 1e300),
+    iv(1e-290, 2e-290),
+    iv(-0.0, 2.0),
+    iv(-1.0, 3.0),
+]
+_MIXED = [
+    iv(2.0, 3.0),
+    iv(-0.0, 0.0),
+    iv(-5.0, -4.0),
+    iv(-math.inf, -1.0),
+    iv(0.1, 0.7),
+    iv(-1e-300, 1e-300),
+]
+_BAND = [
+    iv(1e-145, 3e-145),
+    iv(math.nextafter(1e300, 0.0)),
+    iv(-1e300, -2.0),
+    iv(2.0 ** -980, 2.0 ** -979),
+    iv(-2e-290, -1e-290),
+    iv(0.5),
+]
+_EDGE_FACTORS = [
+    iv(0.15000000000000002),
+    iv(1e-20, 3e-20),
+    iv(2.0, 3.0),
+    iv(1.0, 1.5),
+    iv(0.5, math.inf),
+    iv(-3.0, -2.0),
+]
+_MIXED_FACTORS = [
+    iv(-3.0, -2.0),
+    iv(1.5, 2.5),
+    iv(-0.0, 4.0),
+    iv(3.0, 7.0),
+    iv(-2.0, -0.5),
+    iv(0.25, 0.75),
+]
+_BAND_FACTORS = [
+    iv(1e-145),
+    iv(1.0, 2.0),
+    iv(0.5, 0.75),
+    iv(2.0 ** -30, 2.0 ** -29),
+    iv(-1.0, -0.5),
+    iv(1e-290),
+]
+_EDGE_DIVISORS = [
+    iv(6.666666666666667),
+    iv(1e-20, 3e-20),
+    iv(0.5, 3.0),
+    iv(1.0, 1.5),
+    iv(0.5, math.inf),
+    iv(-3.0, -2.0),
+]
+_MIXED_DIVISORS = [
+    iv(-3.0, -2.0),
+    iv(1.5, 2.5),
+    iv(1e-300, 1e300),
+    iv(3.0, 7.0),
+    iv(-2.0, -0.5),
+    iv(5e-324, 0.75),
+]
+_BAND_DIVISORS = [
+    iv(1e145),
+    iv(1.0, 2.0),
+    iv(-1e300, -0.5),
+    iv(2.0 ** -30, 2.0 ** -29),
+    iv(-1.0, -0.5),
+    iv(1e290, 1e300),
+]
+
+
 class TestMatrixKernels:
     @given(
         st.lists(kernel_intervals(), min_size=6, max_size=6),
         st.lists(kernel_intervals(), min_size=6, max_size=6),
         kernel_intervals(),
     )
+    @example(xs=_EDGE, ys=_EDGE_FACTORS, s=iv(0.15000000000000002))
+    @example(xs=_MIXED, ys=_MIXED_FACTORS, s=_NEG_ZERO_TRAP)
+    @example(xs=_BAND, ys=_BAND_FACTORS, s=iv(1e-290, 1e-289))
     @settings(max_examples=400, deadline=None)
     def test_elementwise_matches_scalar_bit_for_bit(self, xs, ys, s):
         A = IntervalMatrix.from_scalars([xs[:3], xs[3:]])
@@ -433,6 +519,9 @@ class TestMatrixKernels:
         kernel_intervals(),
         _divisors,
     )
+    @example(xs=_EDGE, ys=_MIXED, ds=_EDGE_DIVISORS, s=_NEG_ZERO_TRAP, d=iv(6.666666666666667))
+    @example(xs=_MIXED, ys=_BAND, ds=_MIXED_DIVISORS, s=iv(1e-290, 1e300), d=iv(-math.inf, -1e-10))
+    @example(xs=_BAND, ys=_EDGE, ds=_BAND_DIVISORS, s=iv(-1e-300, -1e-310), d=iv(1e-10, 1e290))
     @settings(max_examples=200, deadline=None)
     def test_sub_div_and_unary_match_scalar_bit_for_bit(self, xs, ys, ds, s, d):
         A = IntervalMatrix.from_scalars([xs[:3], xs[3:]])

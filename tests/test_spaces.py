@@ -237,10 +237,23 @@ class TestCertificateIO:
     def test_mid_just_beyond_double_range_names_field(self, tmp_path, sign, side):
         # rounds to nearest onto +-MAX, but its enclosure would need +-inf
         mid = sign + "1.7976931348623158e308"
+        op = "+" if side == "above" else "-"
         modes = [{"j": 1, "mid": "1.5", "rad": "0"}, {"j": 2, "mid": mid, "rad": "0"}]
-        doc = self._doc(modes=modes)
-        self._expect_error(tmp_path, doc, "modes[1]: decimal ")
-        self._expect_error(tmp_path, doc, f"{side} double range")
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(self._doc(modes=modes)))
+        with pytest.raises(CertificateError) as exc:
+            load_certificate(p)
+        # the certificate's own strings, not the 309-digit enclosure endpoint
+        assert str(exc.value) == f"modes[1]: decimal {mid} {op} 0 {side} double range"
+
+    @pytest.mark.parametrize("field", ["sigma", "tau"])
+    @pytest.mark.parametrize("value", ["1e999", "-1e999"])
+    def test_rate_beyond_double_range_names_field(self, tmp_path, field, value):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(self._doc(**{field: value})))
+        with pytest.raises(CertificateError) as exc:
+            load_certificate(p)
+        assert str(exc.value) == f"{field}: decimal {value} beyond double range"
 
     def test_bad_version_rejected(self, tmp_path):
         self._expect_error(tmp_path, self._doc(format_version="0.9"), "format_version")

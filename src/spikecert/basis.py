@@ -31,14 +31,16 @@ class BasisModel:
     zero off the triangle band |k-l| <= j <= k+l: the Jacobian assembly
     reads Q(e_m, c) and Q(c, e_m) from the same entries.
     ``interaction_matrix(k, N)`` is the N x N slice of that tensor for one
-    source mode k, entry [j-1, m-1] = C_{kmj}, with exactly the endpoints
-    ``interaction`` gives.
+    source mode k, entry [j-1, m-1] = C_{kmj}, and ``interaction_row(k, l, n)``
+    the 1 x n row of one pair, entry [0, j-1] = C_{klj}; both hold exactly
+    the endpoints ``interaction`` gives.
     """
 
     diffusion_eig: Callable[[int], IntervalScalar]
     drift_eig: Callable[[int], IntervalScalar]
     interaction: Callable[[int, int, int], IntervalScalar]
     interaction_matrix: Callable[[int, int], IntervalMatrix]
+    interaction_row: Callable[[int, int, int], IntervalMatrix]
     interaction_bound: IntervalScalar
     recovery_kernel: Callable[[int], IntervalScalar]
 
@@ -57,16 +59,19 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
             raise ValueError(f"{name} must be finite and nonnegative, got {x!r}")
     cpl = IntervalScalar(coupling, coupling)
     crec = IntervalScalar(coupling_rec, coupling_rec)
-    # quotients[d] = cpl / (1 + d), the interaction at distance d = |j - k - l|
-    # from the band's top edge; grown on demand, each computed once
-    quotients: list = []
+    # q_lo[d], q_hi[d]: cpl / (1 + d), the interaction at distance
+    # d = |j - k - l| from the band's top edge; grown on demand, each entry
+    # computed once
+    q_lo = q_hi = np.zeros(0)
 
-    def quotients_to(d_max: int) -> list:
-        if d_max >= len(quotients):
-            ds = np.arange(len(quotients) + 1, d_max + 2, dtype=np.float64)[None, :]
+    def quotients_to(d_max: int):
+        nonlocal q_lo, q_hi
+        if d_max >= q_lo.size:
+            ds = np.arange(q_lo.size + 1, d_max + 2, dtype=np.float64)[None, :]
             q = cpl / IntervalMatrix.from_point(ds)
-            quotients.extend(map(IntervalScalar, q.lo[0].tolist(), q.hi[0].tolist()))
-        return quotients
+            q_lo = np.concatenate((q_lo, q.lo[0]))
+            q_hi = np.concatenate((q_hi, q.hi[0]))
+        return q_lo, q_hi
 
     def diffusion_eig(j: int) -> IntervalScalar:
         _check_index(j)
@@ -83,7 +88,8 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
         if coupling == 0.0 or not (abs(k - l) <= j <= k + l):
             return ZERO
         d = k + l - j
-        return quotients_to(d)[d]
+        lo, hi = quotients_to(d)
+        return IntervalScalar(float(lo[d]), float(hi[d]))
 
     def interaction_matrix(k: int, N: int) -> IntervalMatrix:
         _check_index(k)
@@ -92,12 +98,27 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
         m = np.arange(1, N + 1)[None, :]
         band = (np.abs(k - m) <= j) & (j <= k + m)
         # on the band |j - k - m| = k + m - j, which runs over 0 .. 2 min(k, N)
-        table = quotients_to(2 * min(k, N))
+        table_lo, table_hi = quotients_to(2 * min(k, N))
         d = (k + m - j)[band]
         lo = np.zeros((N, N))
         hi = np.zeros((N, N))
-        lo[band] = np.array([q.lo for q in table])[d]
-        hi[band] = np.array([q.hi for q in table])[d]
+        lo[band] = table_lo[d]
+        hi[band] = table_hi[d]
+        return IntervalMatrix(lo, hi)
+
+    def interaction_row(k: int, l: int, n: int) -> IntervalMatrix:
+        _check_index(k)
+        _check_index(l)
+        _check_index(n)
+        lo = np.zeros((1, n))
+        hi = np.zeros((1, n))
+        first, last = max(1, abs(k - l)), min(k + l, n)
+        if coupling != 0.0 and first <= last:
+            # modes first..last sit at distances k + l - first down to k + l - last
+            table_lo, table_hi = quotients_to(k + l - first)
+            ds = slice(k + l - last, k + l - first + 1)
+            lo[0, first - 1 : last] = table_lo[ds][::-1]
+            hi[0, first - 1 : last] = table_hi[ds][::-1]
         return IntervalMatrix(lo, hi)
 
     def recovery_kernel(k: int) -> IntervalScalar:
@@ -111,6 +132,7 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
         drift_eig=drift_eig,
         interaction=interaction,
         interaction_matrix=interaction_matrix,
+        interaction_row=interaction_row,
         interaction_bound=cpl,
         recovery_kernel=recovery_kernel,
     )

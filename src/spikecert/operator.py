@@ -94,19 +94,31 @@ def apply_quadratic(
     pair into the band of output modes each reaches: every mode sums its
     terms in pair order, so its endpoints are those of a scalar running sum.
     """
+    return _vector(_quadratic_row(u, v, cfg))
+
+
+def _quadratic_row(
+    u: CoefficientVector, v: CoefficientVector, cfg: OperatorConfig
+) -> IntervalMatrix:
+    """Q(u, v) as a 1 x 2N row, absent (-0.0) where no term reaches."""
     _check_support(u, cfg, "apply_quadratic")
     _check_support(v, cfg, "apply_quadratic")
     n2 = 2 * cfg.truncation_N
     acc = IntervalMatrix(np.full((1, n2), -0.0), np.full((1, n2), -0.0))
+    # each pair's band of output modes max(1, |k-l|) .. min(k+l, 2N), 0-based
     pairs = [
-        (range(max(1, abs(k - l)), min(k + l, n2) + 1), k, l, uk * vl)
+        (slice(max(1, abs(k - l)) - 1, min(k + l, n2)), k, l, uk * vl)
         for k, uk in u.items()
         if not (uk.mag() == 0.0 and uk.lo == uk.hi)
         for l, vl in v.items()
     ]
     for batch in _batches(pairs):
-        ckl = _row([cfg.model.interaction(k, l, j) for band, k, l, _ in batch for j in band])
-        sizes = [len(band) for band, *_ in batch]
+        rows = [(cfg.model.interaction_row(k, l, n2), band) for band, k, l, _ in batch]
+        ckl = IntervalMatrix(
+            np.concatenate([row.lo[0, band] for row, band in rows])[None, :],
+            np.concatenate([row.hi[0, band] for row, band in rows])[None, :],
+        )
+        sizes = [band.stop - band.start for band, *_ in batch]
         prod = IntervalMatrix(
             np.repeat([p.lo for *_, p in batch], sizes)[None, :],
             np.repeat([p.hi for *_, p in batch], sizes)[None, :],
@@ -114,10 +126,9 @@ def apply_quadratic(
         terms = _unless(_zeros(ckl), ckl * prod)
         start = 0
         for (band, *_), size in zip(batch, sizes):
-            out = slice(band.start - 1, band.stop - 1)
-            _put(acc, out, _take(acc, out) + terms[:, start : start + size])
+            _put(acc, band, _take(acc, band) + terms[:, start : start + size])
             start += size
-    return _vector(acc)
+    return acc
 
 
 def apply_G(c: CoefficientVector, cfg: OperatorConfig) -> CoefficientVector:
@@ -125,12 +136,16 @@ def apply_G(c: CoefficientVector, cfg: OperatorConfig) -> CoefficientVector:
 
     The three parts are joined as rows over modes 1..2N, in that order.
     """
+    return _vector(_G_row(c, cfg))
+
+
+def _G_row(c: CoefficientVector, cfg: OperatorConfig) -> IntervalMatrix:
+    """apply_G(c) as a 1 x 2N row, absent (-0.0) where no part reaches."""
     _check_support(c, cfg, "apply_G")
-    n2 = 2 * cfg.truncation_N
-    lin = _dense(apply_linear(c, cfg), n2)
-    advection = _dense(apply_quadratic(c, c, cfg), n2)
-    stretching = _dense(apply_quadratic(recover_velocity(c, cfg), c, cfg), n2)
-    return _vector((lin + advection) + _unless(_absent(stretching), stretching * 2.0))
+    lin = _dense(apply_linear(c, cfg), 2 * cfg.truncation_N)
+    advection = _quadratic_row(c, c, cfg)
+    stretching = _quadratic_row(recover_velocity(c, cfg), c, cfg)
+    return (lin + advection) + _unless(_absent(stretching), stretching * 2.0)
 
 
 def _dense(c: CoefficientVector, n: int) -> IntervalMatrix:
@@ -186,15 +201,16 @@ def _unless(skip: np.ndarray, M: IntervalMatrix) -> IntervalMatrix:
 
 
 def _batches(pairs):
-    """Consecutive runs of (band, ...) pairs, each covering at most _CHUNK
-    band entries unless a single band is longer."""
+    """Consecutive runs of (band slice, ...) pairs, each covering at most
+    _CHUNK band entries unless a single band is longer."""
     batch, size = [], 0
     for pair in pairs:
-        if batch and size + len(pair[0]) > _CHUNK:
+        n = pair[0].stop - pair[0].start
+        if batch and size + n > _CHUNK:
             yield batch
             batch, size = [], 0
         batch.append(pair)
-        size += len(pair[0])
+        size += n
     if batch:
         yield batch
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interval import IntervalMatrix, IntervalScalar, row_sum, sqrt_iv
-from .operator import OperatorConfig, apply_G
+from .interval import IntervalScalar, row_sum, sqrt_iv
+from .operator import OperatorConfig, _absent, _G_row
 from .spaces import ProfileCertificate, WeightedSpace, weight_sq_row
 
 __all__ = ["ResidualReport", "certify_residual"]
@@ -42,15 +42,15 @@ def certify_residual(
             f"certificate mode {coeffs.support[-1]} exceeds truncation "
             f"N={cfg.truncation_N}"
         )
-    residual = apply_G(coeffs, cfg)
+    residual = _G_row(coeffs, cfg)
     N = cfg.truncation_N
-    # the terms weight_sq(j) |r_j|^2 in descending j, tail modes j > N first;
-    # each sum runs over its terms in that order, as the scalar loop did
-    desc = sorted(residual.items(), reverse=True)
-    r = IntervalMatrix.from_scalars([[rj for _, rj in desc]])
-    a = abs(r)
-    terms = weight_sq_row(np.array([j for j, _ in desc], dtype=np.int64), space) * a * a
-    n_tail = sum(1 for j, _ in desc if j > N)
+    # the terms weight_sq(j) |r_j|^2 over the modes G reaches, in descending
+    # j, tail modes j > N first; each sum runs over its terms in that order,
+    # as the scalar loop did
+    at = np.flatnonzero(~_absent(residual)[0])[::-1]
+    a = abs(residual[:, at])
+    terms = weight_sq_row(at + 1, space) * a * a
+    n_tail = int(np.count_nonzero(at >= N))
     sq_tail = row_sum(terms[:, :n_tail])
     sq_fin = row_sum(terms[:, n_tail:])
     delta_fin = sqrt_iv(sq_fin)

@@ -68,19 +68,67 @@ class TestReferenceModel:
                 got = (float(C.lo[j - 1, l - 1]).hex(), float(C.hi[j - 1, l - 1]).hex())
                 assert got == (e.lo.hex(), e.hi.hex()), (k, l, j)
 
+    @pytest.mark.parametrize("coupling", [0.0, 0.37, 1.0, 2.9])
+    @pytest.mark.parametrize(
+        "k, l, n",
+        [
+            (1, 1, 1),  # the band 1..2 cut to its first mode
+            (9, 4, 3),  # n below |k-l|: nothing on the band
+            (9, 4, 5),  # n at |k-l|: one mode
+            (6, 6, 7),  # n below k+l: a cut band
+            (7, 11, 18),  # n at k+l
+            (7, 11, 40),  # n above k+l
+            (30, 2, 64),
+            (450, 449, 900),  # the bundled certificate's largest pair at N = 450
+        ],
+    )
+    def test_interaction_row_matches_interaction(self, coupling, k, l, n):
+        m = reference_model(coupling)
+        row = m.interaction_row(k, l, n)
+        assert row.shape == (1, n)
+        for j in range(1, n + 1):
+            e = m.interaction(k, l, j)
+            got = (float(row.lo[0, j - 1]).hex(), float(row.hi[0, j - 1]).hex())
+            assert got == (e.lo.hex(), e.hi.hex()), (k, l, j)
+
     @pytest.mark.parametrize("coupling", [0.37, 1.0, 2.9])
     def test_shared_quotient_table_is_the_scalar_quotient(self, coupling):
-        # the table grows in pieces, by interaction and by interaction_matrix
-        # calls; every entry has the bits of cpl / (1 + |j - k - l|)
+        # the table grows in pieces through interaction, interaction_matrix
+        # and interaction_row, interleaved; every entry has the bits of
+        # cpl / (1 + |j - k - l|) whichever accessor formed it
         m = reference_model(coupling)
         cpl = IntervalScalar(coupling, coupling)
-        for k, l in ((1, 1), (3, 8), (40, 2), (30, 35), (2, 70)):
-            if k == 30:
-                m.interaction_matrix(k, 50)
-            for j in range(abs(k - l), k + l + 1):
-                e = m.interaction(k, l, max(j, 1))
-                want = cpl / float(1 + abs(max(j, 1) - k - l))
-                assert (e.lo.hex(), e.hi.hex()) == (want.lo.hex(), want.hi.hex()), (k, l, j)
+
+        def want(k, l, j):
+            if not abs(k - l) <= j <= k + l:
+                return ("0x0.0p+0", "0x0.0p+0")
+            q = cpl / float(1 + abs(j - k - l))
+            return q.lo.hex(), q.hi.hex()
+
+        for k, l, grow in (
+            (1, 1, None),
+            (3, 8, "row"),
+            (40, 2, None),
+            (12, 9, "matrix"),
+            (30, 35, "row"),
+            (2, 70, "matrix"),
+            (60, 61, None),
+            (80, 75, "row"),
+        ):
+            n = 2 * (k + l)
+            if grow == "matrix":
+                C = m.interaction_matrix(k, n)
+                for j, mm in ((j, mm) for j in range(1, n + 1) for mm in (1, l, n)):
+                    got = (float(C.lo[j - 1, mm - 1]).hex(), float(C.hi[j - 1, mm - 1]).hex())
+                    assert got == want(k, mm, j), (k, mm, j)
+            if grow == "row":
+                row = m.interaction_row(k, l, n)
+                for j in range(1, n + 1):
+                    got = (float(row.lo[0, j - 1]).hex(), float(row.hi[0, j - 1]).hex())
+                    assert got == want(k, l, j), (k, l, j)
+            for j in range(max(1, abs(k - l)), k + l + 1):
+                e = m.interaction(k, l, j)
+                assert (e.lo.hex(), e.hi.hex()) == want(k, l, j), (k, l, j)
 
     def test_interaction_matrix_index_validation(self):
         m = reference_model(1.0)
@@ -88,6 +136,11 @@ class TestReferenceModel:
             m.interaction_matrix(0, 5)
         with pytest.raises(ValueError):
             m.interaction_matrix(3, 0)
+
+    @pytest.mark.parametrize("k, l, n", [(0, 1, 5), (1, -2, 5), (2, 3, 0), (True, 1, 5), (1, 1, 2.0)])
+    def test_interaction_row_index_validation(self, k, l, n):
+        with pytest.raises(ValueError, match="mode index must be a positive integer"):
+            reference_model(1.0).interaction_row(k, l, n)
 
     def test_selection_rule_random(self):
         import random
@@ -169,6 +222,7 @@ class TestRecoveryKernelBound:
             drift_eig=m.drift_eig,
             interaction=m.interaction,
             interaction_matrix=m.interaction_matrix,
+            interaction_row=m.interaction_row,
             interaction_bound=m.interaction_bound,
             recovery_kernel=kern,
         )

@@ -92,6 +92,65 @@ def test_audit_refuses_sigma_beyond_double_range(capsys, tmp_path, bundled_certi
     assert f"REJECTED, unreadable: sigma: decimal {value} beyond double range" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["audit", "--modes", "0"], "argument --modes: must be at least 1, got 0"),
+        # the ceiling + 1, refused before any handler allocates anything
+        (["audit", "--modes", "2049"], "argument --modes: must be at most 2048, got 2049"),
+        (["audit", "--j-min", "0"], "argument --j-min: must be at least 1, got 0"),
+        (["audit", "--window", "-5"], "argument --window: must be at least 0, got -5"),
+        (
+            ["audit", "--lattice-radius", "-1"],
+            "argument --lattice-radius: must be at least 0, got -1",
+        ),
+        (["audit", "--modes", "1.5"], "argument --modes: invalid int value: '1.5'"),
+        (["residual", "--modes", "-3"], "argument --modes: must be at least 1, got -3"),
+        (["tail", "--window", "-1"], "argument --window: must be at least 0, got -1"),
+        (["gen-profile", "--modes", "0"], "argument --modes: must be at least 1, got 0"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+)
+def test_integer_options_refuse_values_out_of_range(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli, "_HANDLERS", {})  # no handler may run
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", "out.txt"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_integer_options_accept_their_bounds(monkeypatch):
+    seen = {}
+    monkeypatch.setitem(cli._HANDLERS, "audit", lambda args: seen.update(vars(args)) or 0)
+    argv = ["--modes", str(cli._MAX_MODES), "--j-min", "1", "--window", "0", "--lattice-radius", "0"]
+    assert main(["audit", "--profile", "p.json", *argv]) == 0
+    assert (seen["modes"], seen["j_min"], seen["window"], seen["lattice_radius"]) == (
+        cli._MAX_MODES,
+        1,
+        0,
+        0,
+    )
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("modes = 100000000", "modes = '100000000': must be at most 2048, got 100000000"),
+        ("modes = 0", "modes = '0': must be at least 1, got 0"),
+        ("lattice-radius = -1", "lattice_radius = '-1': must be at least 0, got -1"),
+    ],
+    ids=["modes-above-ceiling", "modes-zero", "lattice-radius-negative"],
+)
+def test_config_refuses_integers_out_of_range(capsys, tmp_path, monkeypatch, line, message):
+    monkeypatch.setattr(cli, "_HANDLERS", {})  # no handler may run
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run(capsys, "--config", str(cfg), "audit", "--profile", "cert.json")
+    assert code == 2
+    assert out == ""
+    assert f"bad config file: {message}" in err
+
+
 def test_audit_nonexistent_file(capsys, tmp_path):
     code, out, _ = run(capsys, "audit", "--profile", str(tmp_path / "no.json"))
     assert code == 2

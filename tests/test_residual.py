@@ -1,10 +1,12 @@
+import dataclasses
 import random
 
 import mpmath
+import numpy as np
 import pytest
 
 from spikecert.basis import reference_model
-from spikecert.interval import IntervalScalar, make_interval, sqrt_iv
+from spikecert.interval import IntervalMatrix, IntervalScalar, make_interval, row_sum, sqrt_iv
 from spikecert.operator import OperatorConfig, apply_G
 from spikecert.residual import certify_residual
 from spikecert.spaces import (
@@ -15,6 +17,7 @@ from spikecert.spaces import (
     WeightedSpace,
     load_certificate,
     weight_sq,
+    weight_sq_row,
 )
 
 mpmath.mp.dps = 40
@@ -184,3 +187,70 @@ class TestResidualMatchesScalarLoop:
             cfg = mk_cfg(rng.choice([0.0, 0.6]), N=N, coupling_rec=rng.choice([0.0, 0.3]))
             for space in (PROFILE_SPACE, SOURCE_SPACE):
                 assert_matches_scalar_residual(mk_cert(c), cfg, space)
+
+
+def listed_residual(cert, cfg, space):
+    """certify_residual by way of the mode list: apply_G's vector, sorted
+    descending, back into a row; the bitwise reference for reading G's row."""
+    desc = sorted(apply_G(cert.coefficients, cfg).items(), reverse=True)
+    a = abs(IntervalMatrix.from_scalars([[rj for _, rj in desc]]))
+    terms = weight_sq_row(np.array([j for j, _ in desc], dtype=np.int64), space) * a * a
+    n_tail = sum(1 for j, _ in desc if j > cfg.truncation_N)
+    delta_fin = sqrt_iv(row_sum(terms[:, n_tail:]))
+    delta_tail = sqrt_iv(row_sum(terms[:, :n_tail]))
+    delta = sqrt_iv(delta_fin * delta_fin + delta_tail * delta_tail)
+    return delta_fin, delta_tail, delta
+
+
+def assert_matches_listed_residual(cert, cfg, space=PROFILE_SPACE):
+    rep = certify_residual(cert, cfg, space)
+    delta_fin, delta_tail, delta = listed_residual(cert, cfg, space)
+    assert bits(rep.delta_fin) == bits(delta_fin)
+    assert bits(rep.delta_tail) == bits(delta_tail)
+    assert bits(rep.delta) == bits(delta)
+
+
+class TestResidualReadsTheRowOfG:
+    def test_random_sparse_profiles(self):
+        rng = random.Random(54)
+        for N in (1, 2, 5, 17, 40, 96):
+            for _ in range(4):
+                modes = rng.sample(range(1, N + 1), rng.randint(1, min(6, N)))
+                c = CoefficientVector(
+                    tuple((j, make_interval(rng.uniform(-1.0, 1.0), 1e-6)) for j in modes), N
+                )
+                cfg = mk_cfg(rng.uniform(0.1, 1.5), N=N, coupling_rec=rng.uniform(0.0, 0.5))
+                for space in (PROFILE_SPACE, SOURCE_SPACE):
+                    assert_matches_listed_residual(mk_cert(c), cfg, space)
+
+    @pytest.mark.parametrize(
+        "coupling, crec, modes",
+        [
+            (0.9, 0.4, {}),  # the empty profile
+            (0.8, 0.5, {4: 0.0, 6: 0.75}),  # an exactly zero coefficient
+            (0.0, 0.7, {2: -0.4, 5: 0.3}),  # coupling 0: no spillover
+            (0.0, 0.0, {1: 1.0, 12: -0.5}),
+            (1.3, 0.6, {3: 0.25, 12: -1.5}),  # a mode at exactly N
+        ],
+    )
+    def test_edge_cases(self, coupling, crec, modes):
+        c = CoefficientVector(tuple((j, iv(x)) for j, x in modes.items()), 12)
+        assert_matches_listed_residual(mk_cert(c), mk_cfg(coupling, N=12, coupling_rec=crec))
+
+    def test_bundled_certificate(self, bundled_certificate_path):
+        cert = load_certificate(bundled_certificate_path)
+        assert_matches_listed_residual(cert, mk_cfg(1.0, nu=0.005, N=450))
+
+    def test_no_scalar_interaction_callback(self, bundled_certificate_path):
+        # the residual reads whole interaction rows; a per-entry callback
+        # that comes back fails here
+        def refuse(k, l, j):
+            raise AssertionError(f"scalar interaction({k}, {l}, {j}) called")
+
+        cert = load_certificate(bundled_certificate_path)
+        cfg = mk_cfg(1.0, nu=0.005, N=450)
+        guarded = dataclasses.replace(
+            cfg, model=dataclasses.replace(cfg.model, interaction=refuse)
+        )
+        rep = certify_residual(cert, guarded, PROFILE_SPACE)
+        assert bits(rep.delta) == bits(certify_residual(cert, cfg, PROFILE_SPACE).delta)

@@ -5,7 +5,9 @@ in a fixed order, `_residual` (delta), `_inverse` (M), `_tail` (gamma),
 `_constants` (K), `_transfer` (eps) and `_closure` (verdict and status),
 which all write through one `_Run`.  A stage that cannot produce its value
 logs a failing RSLT line, so content problems end in REJECTED, never in an
-exception.  The log has one line per result in a small tagged grammar:
+exception.  A computed M is not assembled when the options alone fail the
+tail stage (`j_min` not above N); a CALC line says so.  The log has one
+line per result in a small tagged grammar:
 
     [EXEC]    run identification, magic string first
     [PREC]    arithmetic precision statement
@@ -184,7 +186,7 @@ def run_audit(certificate_path, config: Optional[AuditConfig] = None) -> AuditRe
     op_cfg = OperatorConfig(model=model, nu=cert.nu, truncation_N=cfg.truncation_N)
 
     delta = _residual(run, cert, cfg, op_cfg)
-    m = _inverse(run, cert, op_cfg)
+    m = _inverse(run, cert, cfg, op_cfg)
     _tail(run, cert, cfg, op_cfg)
     k = _constants(run, cert, cfg, model)
     eps = _transfer(run, cert, cfg)
@@ -216,13 +218,21 @@ def _residual(run, cert, cfg, op_cfg) -> Optional[IntervalScalar]:
     return None
 
 
-def _inverse(run, cert, op_cfg) -> Optional[IntervalScalar]:
-    """M: declared if given, else the verified inverse bound of the Jacobian."""
+def _inverse(run, cert, cfg, op_cfg) -> Optional[IntervalScalar]:
+    """M: declared if given, else the verified inverse bound of the Jacobian,
+    which is not assembled when the tail stage must fail on the options."""
     run.add("TASK", "inverse bound")
     declared = cert.constant("M")
     if declared is not None:
         run.add("RSLT", f"inverse bound M (declared) = {_iv(declared)}")
         return declared
+    if cfg.j_min <= cfg.truncation_N:
+        run.add(
+            "CALC",
+            f"inverse bound M skipped: the tail stage needs j_min={cfg.j_min} "
+            f"above the truncation N={cfg.truncation_N}",
+        )
+        return None
     try:
         rep = certify_inverse(assemble_jacobian(cert.coefficients, op_cfg))
     except (ValueError, CertificationError) as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,19 +28,19 @@ class BasisModel:
 
     ``interaction(k, l, j)`` is the coefficient C_{klj} of mode j in the
     product of modes k and l.  It must be symmetric, C_{klj} = C_{lkj}, and
-    zero off the triangle band |k-l| <= j <= k+l: the Jacobian assembly
-    reads Q(e_m, c) and Q(c, e_m) from the same entries.
-    ``interaction_matrix(k, N)`` is the N x N slice of that tensor for one
-    source mode k, entry [j-1, m-1] = C_{kmj}, and ``interaction_row(k, l, n)``
-    the 1 x n row of one pair, entry [0, j-1] = C_{klj}; both hold exactly
-    the endpoints ``interaction`` gives.
+    zero for j > k+l: the Jacobian assembly reads Q(e_m, c) and Q(c, e_m)
+    from the same entries, and the quadratic form stops at mode 2N.
+    ``interaction_block(k, ls, n)`` is the n x len(ls) slab of that tensor
+    for one source mode k, entry [j-1, i] = C_{k, ls[i], j}, with exactly the
+    endpoints ``interaction`` gives; the operator reads the tensor only
+    through it.  The scalar ``interaction`` stays only as the reference the
+    oracles compare against and as the hook a call tracer wraps.
     """
 
     diffusion_eig: Callable[[int], IntervalScalar]
     drift_eig: Callable[[int], IntervalScalar]
     interaction: Callable[[int, int, int], IntervalScalar]
-    interaction_matrix: Callable[[int, int], IntervalMatrix]
-    interaction_row: Callable[[int, int, int], IntervalMatrix]
+    interaction_block: Callable[[int, Sequence[int], int], IntervalMatrix]
     interaction_bound: IntervalScalar
     recovery_kernel: Callable[[int], IntervalScalar]
 
@@ -91,34 +91,21 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
         lo, hi = quotients_to(d)
         return IntervalScalar(float(lo[d]), float(hi[d]))
 
-    def interaction_matrix(k: int, N: int) -> IntervalMatrix:
+    def interaction_block(k: int, ls: Sequence[int], n: int) -> IntervalMatrix:
         _check_index(k)
-        _check_index(N)
-        j = np.arange(1, N + 1)[:, None]
-        m = np.arange(1, N + 1)[None, :]
-        band = (np.abs(k - m) <= j) & (j <= k + m)
-        # on the band |j - k - m| = k + m - j, which runs over 0 .. 2 min(k, N)
-        table_lo, table_hi = quotients_to(2 * min(k, N))
-        d = (k + m - j)[band]
-        lo = np.zeros((N, N))
-        hi = np.zeros((N, N))
-        lo[band] = table_lo[d]
-        hi[band] = table_hi[d]
-        return IntervalMatrix(lo, hi)
-
-    def interaction_row(k: int, l: int, n: int) -> IntervalMatrix:
-        _check_index(k)
-        _check_index(l)
+        for l in ls:
+            _check_index(l)
         _check_index(n)
-        lo = np.zeros((1, n))
-        hi = np.zeros((1, n))
-        first, last = max(1, abs(k - l)), min(k + l, n)
-        if coupling != 0.0 and first <= last:
-            # modes first..last sit at distances k + l - first down to k + l - last
-            table_lo, table_hi = quotients_to(k + l - first)
-            ds = slice(k + l - last, k + l - first + 1)
-            lo[0, first - 1 : last] = table_lo[ds][::-1]
-            hi[0, first - 1 : last] = table_hi[ds][::-1]
+        j = np.arange(1, n + 1)[:, None]
+        l = np.array(ls, dtype=np.intp).reshape(1, -1)
+        band = (np.abs(k - l) <= j) & (j <= k + l)
+        lo = np.zeros(band.shape)
+        hi = np.zeros(band.shape)
+        if band.any():
+            d = (k + l - j)[band]
+            table_lo, table_hi = quotients_to(int(d.max()))
+            lo[band] = table_lo[d]
+            hi[band] = table_hi[d]
         return IntervalMatrix(lo, hi)
 
     def recovery_kernel(k: int) -> IntervalScalar:
@@ -131,8 +118,7 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
         diffusion_eig=diffusion_eig,
         drift_eig=drift_eig,
         interaction=interaction,
-        interaction_matrix=interaction_matrix,
-        interaction_row=interaction_row,
+        interaction_block=interaction_block,
         interaction_bound=cpl,
         recovery_kernel=recovery_kernel,
     )

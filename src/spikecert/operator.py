@@ -7,6 +7,9 @@ kernel.  Inputs live on modes 1..N; quadratic output spills into modes up to
 2N and is deliberately not projected away, since the residual certification
 needs exactly that spillover block.
 
+The operator reads the interaction tensor only through the basis's
+interaction_block, one slab per source mode k, and takes the modes k reaches
+from the slab's nonzero entries; it assumes no selection rule of its own.
 The Jacobian is assembled analytically from the bilinear structure.  For a
 symmetric interaction C_{kmj} its column m is
 
@@ -14,23 +17,23 @@ symmetric interaction C_{kmj} its column m is
                              + 2 (C_{kmj} (K_m c_k) + C_{kmj} (K_k c_k)) ]
               + delta_{jm} (1 + d_m + nu lambda_m),
 
-S the support of c and K the recovery kernel.  C_{kmj} vanishes off the
-triangle band |k-m| <= j <= k+m, so the assembly loops over the few source
-modes k and updates the band of each with elementwise interval arithmetic.
-The terms are formed and summed in the order apply_quadratic uses, so every
-endpoint is the one a column-by-column scalar assembly gives.  Interval
-finite differences could never certify anything; they appear only in tests
-as a consistency oracle for midpoints.
+S the support of c and K the recovery kernel.  The assembly loops over the
+few source modes k and updates the nonzero entries of each slab with
+elementwise interval arithmetic.  The terms are formed and summed in the
+order apply_quadratic uses, so every endpoint is the one a column-by-column
+scalar assembly gives.  Interval finite differences could never certify
+anything; they appear only in tests as a consistency oracle for midpoints.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import BasisModel
-from .interval import _CHUNK, ONE, IntervalMatrix, IntervalScalar, _chunks
+from .interval import ONE, IntervalMatrix, IntervalScalar, _chunks, _np_add
 from .spaces import CoefficientVector
 
 __all__ = [
@@ -88,13 +91,17 @@ def apply_quadratic(
 ) -> CoefficientVector:
     """Bilinear form Q(u,v)_j = sum_{k,l<=N} C_{klj} u_k v_l, supported on 1..2N.
 
-    Iterates over support pairs, so sparse inputs cost O(|u||v| * band width)
-    rather than O(N^3).  The terms C_{klj} (u_k v_l) of a run of pairs are
-    formed at once with elementwise interval arithmetic, then added pair by
-    pair into the band of output modes each reaches: every mode sums its
-    terms in pair order, so its endpoints are those of a scalar running sum.
+    Iterates over support pairs, so sparse inputs cost O(|u||v| N) rather
+    than O(N^3).  The terms C_{klj} (u_k v_l) of a run of pairs are formed
+    at once with elementwise interval arithmetic, only where C_{klj} is
+    nonzero, then added pair by pair over all output modes: every mode sums
+    its terms in pair order, so its endpoints are those of a scalar running
+    sum.
     """
     return _vector(_quadratic_row(u, v, cfg))
+
+
+_STACK = 1 << 15  # entries per stack of interaction blocks; bounds the temporaries
 
 
 def _quadratic_row(
@@ -104,31 +111,30 @@ def _quadratic_row(
     _check_support(u, cfg, "apply_quadratic")
     _check_support(v, cfg, "apply_quadratic")
     n2 = 2 * cfg.truncation_N
-    acc = IntervalMatrix(np.full((1, n2), -0.0), np.full((1, n2), -0.0))
-    # each pair's band of output modes max(1, |k-l|) .. min(k+l, 2N), 0-based
+    lo, hi = np.full(n2, -0.0), np.full(n2, -0.0)
     pairs = [
-        (slice(max(1, abs(k - l)) - 1, min(k + l, n2)), k, l, uk * vl)
+        (k, l, uk * vl)
         for k, uk in u.items()
         if not (uk.mag() == 0.0 and uk.lo == uk.hi)
         for l, vl in v.items()
     ]
-    for batch in _batches(pairs):
-        rows = [(cfg.model.interaction_row(k, l, n2), band) for band, k, l, _ in batch]
+    width = max(1, _STACK // n2)  # pairs per stack
+    for run in (pairs[a : a + width] for a in range(0, len(pairs), width)):
+        # the blocks of the run's source modes side by side, transposed: row
+        # p is pair p in (k, l) order
+        blocks = [
+            cfg.model.interaction_block(k, [l for _, l, _ in group], n2)
+            for k, group in itertools.groupby(run, key=lambda pair: pair[0])
+        ]
         ckl = IntervalMatrix(
-            np.concatenate([row.lo[0, band] for row, band in rows])[None, :],
-            np.concatenate([row.hi[0, band] for row, band in rows])[None, :],
+            np.vstack([b.lo.T for b in blocks]), np.vstack([b.hi.T for b in blocks])
         )
-        sizes = [band.stop - band.start for band, *_ in batch]
-        prod = IntervalMatrix(
-            np.repeat([p.lo for *_, p in batch], sizes)[None, :],
-            np.repeat([p.hi for *_, p in batch], sizes)[None, :],
-        )
-        terms = _unless(_zeros(ckl), ckl * prod)
-        start = 0
-        for (band, *_), size in zip(batch, sizes):
-            _put(acc, band, _take(acc, band) + terms[:, start : start + size])
-            start += size
-    return acc
+        at = np.flatnonzero(~_zeros(ckl))
+        terms = IntervalMatrix(np.full(ckl.shape, -0.0), np.full(ckl.shape, -0.0))
+        _put(terms, at, _take(ckl, at) * _take(_row([p for *_, p in run]), at // n2))
+        for t_lo, t_hi in zip(terms.lo, terms.hi):
+            lo, hi = _np_add(lo, t_lo, up=False), _np_add(hi, t_hi, up=True)
+    return IntervalMatrix(lo[None, :], hi[None, :])
 
 
 def apply_G(c: CoefficientVector, cfg: OperatorConfig) -> CoefficientVector:
@@ -169,8 +175,8 @@ def _row(entries) -> IntervalMatrix:
     return IntervalMatrix.from_scalars([entries])
 
 
-def _zeros(row: IntervalMatrix) -> np.ndarray:
-    return (row.lo[0] == 0.0) & (row.hi[0] == 0.0)
+def _zeros(M: IntervalMatrix) -> np.ndarray:
+    return (M.lo == 0.0) & (M.hi == 0.0)
 
 
 def _take(M: IntervalMatrix, flat: np.ndarray) -> IntervalMatrix:
@@ -200,29 +206,15 @@ def _unless(skip: np.ndarray, M: IntervalMatrix) -> IntervalMatrix:
     return IntervalMatrix(np.where(skip, -0.0, M.lo), np.where(skip, -0.0, M.hi))
 
 
-def _batches(pairs):
-    """Consecutive runs of (band slice, ...) pairs, each covering at most
-    _CHUNK band entries unless a single band is longer."""
-    batch, size = [], 0
-    for pair in pairs:
-        n = pair[0].stop - pair[0].start
-        if batch and size + n > _CHUNK:
-            yield batch
-            batch, size = [], 0
-        batch.append(pair)
-        size += n
-    if batch:
-        yield batch
-
-
 def assemble_jacobian(c: CoefficientVector, cfg: OperatorConfig) -> IntervalMatrix:
     """N x N projected Frechet derivative of apply_G at c.
 
     Column m collects the linear symbol at row m plus the bilinear
     derivatives Q(e_m, c) + Q(c, e_m) and the stretching analogue
     2[Q(K e_m, c) + Q(K c, e_m)], rows cut at N.  One pass over the support
-    of c updates the triangle band of each source mode k; the endpoints are
-    those of assembling each column from apply_quadratic calls.
+    of c updates the nonzero entries of each source mode's interaction
+    block; the endpoints are those of assembling each column from
+    apply_quadratic calls.
 
     Q(e_m, c) + Q(c, e_m) is formed as Q(e_m, c) + Q(e_m, c), with the same
     bits: the interaction is symmetric, 1 * c_k and c_k * 1 round alike, and
@@ -233,34 +225,30 @@ def assemble_jacobian(c: CoefficientVector, cfg: OperatorConfig) -> IntervalMatr
     _check_support(c, cfg, "assemble_jacobian")
     N = cfg.truncation_N
     model = cfg.model
-    j = np.arange(1, N + 1)[:, None]
-    m = np.arange(1, N + 1)[None, :]
     vel_e = _row([model.recovery_kernel(mm) * ONE for mm in range(1, N + 1)])
-    vel_e_zero = _zeros(vel_e)
+    vel_e_zero = _zeros(vel_e)[0]
     # Q(e_m, c), Q(K e_m, c), Q(K c, e_m); the first ends up holding J
     q_ec, q_vc, q_cv = (
         IntervalMatrix(np.full((N, N), -0.0), np.full((N, N), -0.0)) for _ in range(3)
     )
 
-    def accumulate(q: IntervalMatrix, idx, skip, term: IntervalMatrix) -> None:
-        _put(q, idx, _take(q, idx) + _unless(skip, term))
+    def accumulate(q: IntervalMatrix, idx, term: IntervalMatrix) -> None:
+        _put(q, idx, _take(q, idx) + term)
 
     def add_source_mode(k: int, ck: IntervalScalar) -> None:
-        band = np.flatnonzero((np.abs(k - m) <= j) & (j <= k + m))
-        ckl_band = _take(model.interaction_matrix(k, N), band)
+        block = model.interaction_block(k, range(1, N + 1), N)
+        nonzero = np.flatnonzero(~_zeros(block))
         unit_ck = ONE * ck
         vel_ck = model.recovery_kernel(k) * ck
-        for part in _chunks(0, band.size):
-            idx = band[part]
-            ckl = _take(ckl_band, part)
-            skip = _zeros(ckl)
-            if skip.all():
-                continue
-            accumulate(q_ec, idx, skip, ckl * unit_ck)
+        for part in _chunks(0, nonzero.size):
+            idx = nonzero[part]
+            ckl = _take(block, idx)
+            accumulate(q_ec, idx, ckl * unit_ck)
             cols = idx % N
-            accumulate(q_vc, idx, skip | vel_e_zero[cols], ckl * (_take(vel_e, cols) * ck))
+            vel = ckl * (_take(vel_e, cols) * ck)
+            accumulate(q_vc, idx, _unless(vel_e_zero[cols], vel))
             if vel_ck.lo != 0.0 or vel_ck.hi != 0.0:  # Q(K c, e_m) skips zero sources
-                accumulate(q_cv, idx, skip, ckl * (vel_ck * ONE))
+                accumulate(q_cv, idx, ckl * (vel_ck * ONE))
 
     for k, ck in c.items():
         add_source_mode(k, ck)

@@ -232,6 +232,30 @@ def test_constant_free_bundled_audit_fails_fast(bundled, tmp_path):
     assert elapsed < 20.0, f"constant-free audit took {elapsed:.1f} s"
 
 
+def test_constant_free_audit_past_j_min_assembles_no_jacobian(bundled, tmp_path):
+    # at N = 2048 the tail scan's j_min = 1200 fails on the options alone, so
+    # the N x N Jacobian and its inverse are not built for a verdict it
+    # cannot change
+    doc = json.loads(pathlib.Path(bundled).read_text())
+    del doc["constants"]
+    path = tmp_path / "constant_free.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    result = run_audit(path, AuditConfig(truncation_N=2048, timestamp="2026-08-18T00:00:00Z"))
+    elapsed = time.perf_counter() - t0
+    assert result.exit_code == 1
+    assert result.log.status == "certificate REJECTED: gamma"
+    assert (
+        "CALC",
+        "inverse bound M skipped: the tail stage needs j_min=1200 above the truncation N=2048",
+    ) in result.log.lines
+    assert (
+        "RSLT",
+        "tail coercivity stage failed: j_min=1200 must exceed the truncation N=2048: FAIL",
+    ) in result.log.lines
+    assert elapsed < 5.0, f"audit took {elapsed:.1f} s"
+
+
 # ---------------------------------------------------------------- bad input
 
 

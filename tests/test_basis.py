@@ -9,6 +9,17 @@ from spikecert.operator import OperatorConfig, recover_velocity
 from spikecert.spaces import CoefficientVector
 
 
+def assert_block_matches(m, k, ls, n):
+    """interaction_block(k, ls, n) has the bits of scalar interaction in
+    every entry: [j-1, i] = C_{k, ls[i], j}."""
+    block = m.interaction_block(k, ls, n)
+    assert block.shape == (n, len(ls))
+    for (i, l), j in itertools.product(enumerate(ls), range(1, n + 1)):
+        e = m.interaction(k, l, j)
+        got = (float(block.lo[j - 1, i]).hex(), float(block.hi[j - 1, i]).hex())
+        assert got == (e.lo.hex(), e.hi.hex()), (k, l, j)
+
+
 class TestReferenceModel:
     def test_decoupled_model_is_linear(self):
         m = reference_model(0.0)
@@ -59,14 +70,11 @@ class TestReferenceModel:
 
     @pytest.mark.parametrize("coupling", [0.0, 0.37, 1.0, 2.9])
     def test_interaction_matrix_matches_interaction(self, coupling):
+        # the interaction matrix of source mode k, all modes up to N: the
+        # square block the Jacobian assembly reads
         m = reference_model(coupling)
         for N, k in ((1, 1), (6, 1), (6, 6), (9, 4), (9, 20), (17, 11)):
-            C = m.interaction_matrix(k, N)
-            assert C.shape == (N, N)
-            for j, l in itertools.product(range(1, N + 1), repeat=2):
-                e = m.interaction(k, l, j)
-                got = (float(C.lo[j - 1, l - 1]).hex(), float(C.hi[j - 1, l - 1]).hex())
-                assert got == (e.lo.hex(), e.hi.hex()), (k, l, j)
+            assert_block_matches(m, k, range(1, N + 1), N)
 
     @pytest.mark.parametrize("coupling", [0.0, 0.37, 1.0, 2.9])
     @pytest.mark.parametrize(
@@ -83,19 +91,22 @@ class TestReferenceModel:
         ],
     )
     def test_interaction_row_matches_interaction(self, coupling, k, l, n):
+        # the interaction row C_{kl.} of one pair: a one-column block, as
+        # the quadratic form reads them side by side
+        assert_block_matches(reference_model(coupling), k, [l], n)
+
+    @pytest.mark.parametrize("coupling", [0.0, 0.37, 1.0, 2.9])
+    def test_interaction_block_columns_in_any_order(self, coupling):
         m = reference_model(coupling)
-        row = m.interaction_row(k, l, n)
-        assert row.shape == (1, n)
-        for j in range(1, n + 1):
-            e = m.interaction(k, l, j)
-            got = (float(row.lo[0, j - 1]).hex(), float(row.hi[0, j - 1]).hex())
-            assert got == (e.lo.hex(), e.hi.hex()), (k, l, j)
+        assert_block_matches(m, 5, [9, 2, 9, 30, 1], 20)
+        assert_block_matches(m, 12, [40, 3, 12], 100)
+        assert m.interaction_block(3, [], 7).shape == (7, 0)
 
     @pytest.mark.parametrize("coupling", [0.37, 1.0, 2.9])
     def test_shared_quotient_table_is_the_scalar_quotient(self, coupling):
-        # the table grows in pieces through interaction, interaction_matrix
-        # and interaction_row, interleaved; every entry has the bits of
-        # cpl / (1 + |j - k - l|) whichever accessor formed it
+        # the table grows in pieces through interaction and interaction_block,
+        # square or one column at a time, interleaved; every entry has the
+        # bits of cpl / (1 + |j - k - l|) whichever call formed it
         m = reference_model(coupling)
         cpl = IntervalScalar(coupling, coupling)
 
@@ -107,24 +118,24 @@ class TestReferenceModel:
 
         for k, l, grow in (
             (1, 1, None),
-            (3, 8, "row"),
+            (3, 8, "column"),
             (40, 2, None),
-            (12, 9, "matrix"),
-            (30, 35, "row"),
-            (2, 70, "matrix"),
+            (12, 9, "square"),
+            (30, 35, "column"),
+            (2, 70, "square"),
             (60, 61, None),
-            (80, 75, "row"),
+            (80, 75, "column"),
         ):
             n = 2 * (k + l)
-            if grow == "matrix":
-                C = m.interaction_matrix(k, n)
+            if grow == "square":
+                C = m.interaction_block(k, range(1, n + 1), n)
                 for j, mm in ((j, mm) for j in range(1, n + 1) for mm in (1, l, n)):
                     got = (float(C.lo[j - 1, mm - 1]).hex(), float(C.hi[j - 1, mm - 1]).hex())
                     assert got == want(k, mm, j), (k, mm, j)
-            if grow == "row":
-                row = m.interaction_row(k, l, n)
+            if grow == "column":
+                col = m.interaction_block(k, [l], n)
                 for j in range(1, n + 1):
-                    got = (float(row.lo[0, j - 1]).hex(), float(row.hi[0, j - 1]).hex())
+                    got = (float(col.lo[j - 1, 0]).hex(), float(col.hi[j - 1, 0]).hex())
                     assert got == want(k, l, j), (k, l, j)
             for j in range(max(1, abs(k - l)), k + l + 1):
                 e = m.interaction(k, l, j)
@@ -133,14 +144,29 @@ class TestReferenceModel:
     def test_interaction_matrix_index_validation(self):
         m = reference_model(1.0)
         with pytest.raises(ValueError):
-            m.interaction_matrix(0, 5)
+            m.interaction_block(0, range(1, 6), 5)
         with pytest.raises(ValueError):
-            m.interaction_matrix(3, 0)
+            m.interaction_block(3, range(1, 1), 0)
 
     @pytest.mark.parametrize("k, l, n", [(0, 1, 5), (1, -2, 5), (2, 3, 0), (True, 1, 5), (1, 1, 2.0)])
     def test_interaction_row_index_validation(self, k, l, n):
         with pytest.raises(ValueError, match="mode index must be a positive integer"):
-            reference_model(1.0).interaction_row(k, l, n)
+            reference_model(1.0).interaction_block(k, [l], n)
+
+    @pytest.mark.parametrize(
+        "ls, n",
+        [
+            ([1, 0], 5),  # a bad entry after a good one
+            ([2, True], 5),
+            ([2.0], 5),
+            ([4, -1, 2], 5),
+            ([1], -4),  # n
+            ([1], True),
+        ],
+    )
+    def test_interaction_block_index_validation(self, ls, n):
+        with pytest.raises(ValueError, match="mode index must be a positive integer"):
+            reference_model(1.0).interaction_block(3, ls, n)
 
     def test_selection_rule_random(self):
         import random
@@ -221,8 +247,7 @@ class TestRecoveryKernelBound:
             diffusion_eig=m.diffusion_eig,
             drift_eig=m.drift_eig,
             interaction=m.interaction,
-            interaction_matrix=m.interaction_matrix,
-            interaction_row=m.interaction_row,
+            interaction_block=m.interaction_block,
             interaction_bound=m.interaction_bound,
             recovery_kernel=kern,
         )

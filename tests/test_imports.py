@@ -6,8 +6,9 @@ suites without a quadrature stay free of it, so those calls do not pay for
 loading it.  The checks run in a fresh interpreter, because this test
 process has scipy loaded already.
 
-No linter is installed, so an `ast` scan guards against imported names that
-a module never references.
+No linter is installed, so `ast` scans guard against imported names that a
+module never references, and against private module-level helpers of the
+package that nothing references.
 """
 
 import ast
@@ -121,3 +122,61 @@ def test_unused_import_scan_flags_an_unread_name(tmp_path):
         "    return m.pi + len(os.sep)\n"
     )
     assert unused_imports(module) == [(4, "List")]
+
+
+def dead_private_names(paths):
+    """Module-level private names (`_x`) defined in one of `paths` that are
+    referenced neither in their own module, other than at their definition,
+    nor by an import in another, with their files and lines."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    imported = {
+        (node.module.rsplit(".", 1)[-1], alias.name)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+        for alias in node.names
+    }
+    dead = []
+    for path, tree in trees.items():
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            for name in names:
+                private = name.startswith("_") and not name.startswith("__")
+                if private and name not in read and (path.stem, name) not in imported:
+                    dead.append((path.name, node.lineno, name))
+    return sorted(dead)
+
+
+def test_no_dead_private_helpers():
+    assert dead_private_names(sorted((SRC / "spikecert").glob("*.py"))) == []
+
+
+def test_dead_helper_scan_flags_an_unreferenced_helper(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_LIMIT = 3\n"
+        "_unused: int = 4\n"
+        "def _helper(x):\n"
+        "    return x + _LIMIT\n"
+        "def _shared():\n"
+        "    return 1\n"
+        "def _orphan():\n"
+        "    _orphan_local = 2\n"
+        "    return _orphan_local\n"
+        "def public():\n"
+        "    return _helper(1)\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import _shared\nprint(_shared())\n")
+    paths = [tmp_path / "a.py", tmp_path / "b.py"]
+    assert dead_private_names(paths) == [("a.py", 2, "_unused"), ("a.py", 7, "_orphan")]

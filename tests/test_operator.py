@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import mpmath
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from spikecert.basis import reference_model
-from spikecert.interval import IntervalScalar, make_interval
+from spikecert.interval import IntervalMatrix, IntervalScalar, make_interval
 from spikecert.operator import (
     OperatorConfig,
     apply_G,
@@ -219,8 +220,8 @@ class TestApplyG:
 _ONE = IntervalScalar(1.0, 1.0)
 
 
-def column_jacobian(c, cfg):
-    """The Jacobian one column at a time from scalar apply_quadratic calls:
+def column_jacobian(c, cfg, quadratic=apply_quadratic):
+    """The Jacobian one column at a time from scalar quadratic-form calls:
     column m is Q(e_m, c) + Q(c, e_m) + 2[Q(K e_m, c) + Q(K c, e_m)] plus the
     linear symbol at row m, rows cut at N."""
     N = cfg.truncation_N
@@ -230,10 +231,8 @@ def column_jacobian(c, cfg):
     for m in range(1, N + 1):
         em = CoefficientVector(((m, _ONE),), N)
         vel_em = recover_velocity(em, cfg)
-        col = apply_quadratic(em, c, cfg) + apply_quadratic(c, em, cfg)
-        col = col + (
-            apply_quadratic(vel_em, c, cfg) + apply_quadratic(vel_c, em, cfg)
-        ).scaled(2.0)
+        col = quadratic(em, c, cfg) + quadratic(c, em, cfg)
+        col = col + (quadratic(vel_em, c, cfg) + quadratic(vel_c, em, cfg)).scaled(2.0)
         sym = _ONE + cfg.model.drift_eig(m) + cfg.nu * cfg.model.diffusion_eig(m)
         col = col + CoefficientVector(((m, sym),), 2 * N)
         for j, val in col.items():
@@ -251,8 +250,8 @@ def same_bits(a, b):
     )
 
 
-def random_problem(rng):
-    N = rng.randint(1, 24)
+def random_problem(rng, max_N=24):
+    N = rng.randint(1, max_N)
     coupling = rng.choice([0.0, rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)])
     crec = rng.choice([0.0, None, rng.uniform(0.0, 3.0)])
     nu = make_interval(rng.uniform(1e-4, 0.1), rng.choice([0.0, 1e-7]))
@@ -304,8 +303,9 @@ class TestJacobianMatchesColumnAssembly:
 
 
 def scalar_apply_quadratic(u, v, cfg):
-    """Q(u, v) by the scalar triple loop apply_quadratic replaced, summing
-    each mode's terms in (k, l) order; the bitwise reference for it."""
+    """Q(u, v) by the scalar triple loop over every output mode j <= 2N,
+    summing each mode's terms in (k, l) order; the bitwise reference for
+    apply_quadratic."""
     n2 = 2 * cfg.truncation_N
     acc = {}
     for k, uk in u.items():
@@ -313,7 +313,7 @@ def scalar_apply_quadratic(u, v, cfg):
             continue
         for l, vl in v.items():
             prod = uk * vl
-            for j in range(max(1, abs(k - l)), min(k + l, n2) + 1):
+            for j in range(1, n2 + 1):
                 ckl = cfg.model.interaction(k, l, j)
                 if ckl.lo == 0.0 == ckl.hi:
                     continue
@@ -358,6 +358,59 @@ class TestQuadraticMatchesScalarLoop:
         c = vec(modes, 12)
         for u, v in ((c, c), (recover_velocity(c, cfg), c)):
             assert same_vector(apply_quadratic(u, v, cfg), scalar_apply_quadratic(u, v, cfg))
+
+
+def off_band_model(model):
+    """A basis whose nonzeros are not the triangle band: C_{klj} = cpl /
+    (1 + k + l - j) for every 1 <= j <= k+l, symmetric and zero above k+l,
+    with cpl the reference model's coupling and its block built entry by
+    entry from that scalar."""
+    cpl = model.interaction_bound
+
+    def interaction(k, l, j):
+        return IntervalScalar(0.0, 0.0) if j > k + l else cpl / float(1 + k + l - j)
+
+    def interaction_block(k, ls, n):
+        return IntervalMatrix.from_scalars(
+            [[interaction(k, l, j) for l in ls] for j in range(1, n + 1)]
+        )
+
+    return dataclasses.replace(
+        model, interaction=interaction, interaction_block=interaction_block
+    )
+
+
+class TestOperatorReadsOnlyTheBasis:
+    """The operator takes its nonzeros from the basis, not from a band rule
+    of its own: with a basis that reaches every mode j <= k+l, both the
+    quadratic form and the Jacobian match scalar loops over every j <= 2N."""
+
+    def test_quadratic_form_bit_for_bit(self):
+        rng = random.Random(11)
+        for _ in range(25):
+            c, cfg = random_problem(rng, max_N=12)
+            cfg = dataclasses.replace(cfg, model=off_band_model(cfg.model))
+            vel = recover_velocity(c, cfg)
+            for u, v in ((c, c), (vel, c), (c, vel)):
+                assert same_vector(apply_quadratic(u, v, cfg), scalar_apply_quadratic(u, v, cfg))
+
+    def test_jacobian_bit_for_bit(self):
+        rng = random.Random(12)
+        for _ in range(15):
+            c, cfg = random_problem(rng, max_N=12)
+            cfg = dataclasses.replace(cfg, model=off_band_model(cfg.model))
+            lo, hi = column_jacobian(c, cfg, quadratic=scalar_apply_quadratic)
+            J = assemble_jacobian(c, cfg)
+            assert same_bits(J.lo, lo) and same_bits(J.hi, hi), (c, cfg)
+
+    def test_reaches_modes_below_the_band(self):
+        # modes 9 and 2 reach j = 1..6 through this basis, all below |k-l| = 7
+        cfg = cfg_for(1.0, N=10)
+        cfg = dataclasses.replace(cfg, model=off_band_model(cfg.model))
+        q = apply_quadratic(vec({9: 1.0}, 10), vec({2: 1.0}, 10), cfg)
+        assert q.support == tuple(range(1, 12))
+        J = assemble_jacobian(vec({9: 1.0}, 10), cfg)
+        assert (J.lo[0, 1], J.hi[0, 1]) != (0.0, 0.0)
 
 
 def joined_apply_G(c, cfg):

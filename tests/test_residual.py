@@ -1,11 +1,15 @@
+import contextlib
 import dataclasses
+import io
 import random
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
 from spikecert.basis import reference_model
+from spikecert.cli import main as cli_main
 from spikecert.interval import IntervalMatrix, IntervalScalar, make_interval, row_sum, sqrt_iv
 from spikecert.operator import OperatorConfig, apply_G
 from spikecert.residual import certify_residual
@@ -254,3 +258,22 @@ class TestResidualReadsTheRowOfG:
         )
         rep = certify_residual(cert, guarded, PROFILE_SPACE)
         assert bits(rep.delta) == bits(certify_residual(cert, cfg, PROFILE_SPACE).delta)
+
+
+def test_dense_profile_residual_stays_small(tmp_path):
+    # every mode up to 96 carries a coefficient: 9,216 support pairs per
+    # quadratic form; the stacked interaction blocks must stay bounded
+    path = tmp_path / "dense.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(["gen-profile", "--modes", "96", "--seed", "1", "--out", str(path)])
+    assert code == 0
+    cert = load_certificate(path)
+    cfg = OperatorConfig(model=reference_model(1.0), nu=cert.nu, truncation_N=128)
+    tracemalloc.start()
+    try:
+        delta = certify_residual(cert, cfg, PROFILE_SPACE).delta
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
+    assert (delta.lo.hex(), delta.hi.hex()) == ("0x1.cf46237b937d2p+71", "0x1.cf46237b93917p+71")

@@ -28,8 +28,9 @@ class BasisModel:
 
     ``interaction(k, l, j)`` is the coefficient C_{klj} of mode j in the
     product of modes k and l.  It must be symmetric, C_{klj} = C_{lkj}, and
-    zero for j > k+l: the Jacobian assembly reads Q(e_m, c) and Q(c, e_m)
-    from the same entries, and the quadratic form stops at mode 2N.
+    zero for j > k+l: the operator forms G and its Jacobian from sums over
+    the first index alone, which needs Q(u, v) = Q(v, u), and the quadratic
+    form stops at mode 2N.
     ``interaction_block(k, ls, n)`` is the n x len(ls) slab of that tensor
     for one source mode k, entry [j-1, i] = C_{k, ls[i], j}, with exactly the
     endpoints ``interaction`` gives; the operator reads the tensor only

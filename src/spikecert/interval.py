@@ -569,12 +569,14 @@ def _np_up(a: np.ndarray, steps: int = 1) -> np.ndarray:
 # monotone map that never gives 0.  So the picked corner rounded down is the
 # least of the four corners' lower bounds, bit for bit, and the other picked
 # corner rounded up the greatest of their upper bounds; only those two are
-# formed.  Every other entry (an endpoint that is 0, -0.0 or infinite, an
-# operand that straddles 0, underflow, overflow, the _eft_ok fallback) takes
-# the four-corner rule of IntervalScalar.  The band also keeps out results
-# that round to 0, where the sign of a zero bound depends on which corner
-# comes first: [-2e-323, -1e-323] * 0.15000000000000002 has the upper bound
-# -0.0 by the four corners but +0.0 from the picked corner alone.
+# formed.  Where an operand is exactly [0, 0], every corner is +0.0, so the
+# picked ones already are the four-corner result.  Every other entry (an
+# endpoint that is 0, -0.0 or infinite, an operand that straddles 0,
+# underflow, overflow, the _eft_ok fallback) takes the four-corner rule of
+# IntervalScalar.  The band also keeps out results that round to 0, where
+# the sign of a zero bound depends on which corner comes first:
+# [-2e-323, -1e-323] * 0.15000000000000002 has the upper bound -0.0 by the
+# four corners but +0.0 from the picked corner alone.
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -780,12 +782,15 @@ class IntervalMatrix:
         x_hi, y_hi = np.where(pos_b, a1, a0), np.where(pos_a, c1, c0)
         lo, hi = kernel(x_lo, y_lo, False), kernel(x_hi, y_hi, True)
         # the rest: an operand that is not strictly signed, or a corner
-        # outside the error-free band
+        # outside the error-free band, unless an operand is exactly [0, 0]:
+        # then every corner, picked or not, is +0.0
+        zero = ((a0 == 0.0) & (a1 == 0.0)) | ((b0 == 0.0) & (b1 == 0.0))
         rest = ~(
             (pos_a | (a1 < 0.0))
             & (pos_b | (b1 < 0.0))
             & _np_banded(kernel, x_lo, y_lo)
             & _np_banded(kernel, x_hi, y_hi)
+            | zero
         )
         if rest.any():
             lo[rest], hi[rest] = IntervalMatrix._corners(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interval import IntervalScalar, row_sum, sqrt_iv
-from .operator import OperatorConfig, _absent, _G_row
+from .operator import OperatorConfig, _G_row
 from .spaces import ProfileCertificate, WeightedSpace, weight_sq_row
 
 __all__ = ["ResidualReport", "certify_residual"]
@@ -44,10 +44,10 @@ def certify_residual(
         )
     residual = _G_row(coeffs, cfg)
     N = cfg.truncation_N
-    # the terms weight_sq(j) |r_j|^2 over the modes G reaches, in descending
-    # j, tail modes j > N first; each sum runs over its terms in that order,
-    # as the scalar loop did
-    at = np.flatnonzero(~_absent(residual)[0])[::-1]
+    # the terms weight_sq(j) |r_j|^2 over the modes where G is not exactly
+    # [0, 0] (a zero adds exactly 0), in descending j, tail modes j > N
+    # first; each sum runs over its terms in that order, as the scalar loop did
+    at = np.flatnonzero((residual.lo[0] != 0.0) | (residual.hi[0] != 0.0))[::-1]
     a = abs(residual[:, at])
     terms = weight_sq_row(at + 1, space) * a * a
     n_tail = int(np.count_nonzero(at >= N))

@@ -108,6 +108,9 @@ def test_audit_refuses_sigma_beyond_double_range(capsys, tmp_path, bundled_certi
         (["residual", "--modes", "-3"], "argument --modes: must be at least 1, got -3"),
         (["tail", "--window", "-1"], "argument --window: must be at least 0, got -1"),
         (["gen-profile", "--modes", "0"], "argument --modes: must be at least 1, got 0"),
+        (["oracle", "--grid", "1"], "argument --grid: must be at least 9, got 1"),
+        (["oracle", "divergence", "--grid", "8"], "argument --grid: must be at least 9, got 8"),
+        (["oracle", "--grid", "1025"], "argument --grid: must be at most 1024, got 1025"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else "",
 )
@@ -130,6 +133,10 @@ def test_integer_options_accept_their_bounds(monkeypatch):
         0,
         0,
     )
+    for grid in (9, 1024):
+        monkeypatch.setitem(cli._HANDLERS, "oracle", lambda args: seen.update(vars(args)) or 0)
+        assert main(["oracle", "--grid", str(grid)]) == 0
+        assert seen["grid"] == grid
 
 
 @pytest.mark.parametrize(
@@ -138,8 +145,16 @@ def test_integer_options_accept_their_bounds(monkeypatch):
         ("modes = 100000000", "modes = '100000000': must be at most 2048, got 100000000"),
         ("modes = 0", "modes = '0': must be at least 1, got 0"),
         ("lattice-radius = -1", "lattice_radius = '-1': must be at least 0, got -1"),
+        ("grid = 8", "grid = '8': must be at least 9, got 8"),
+        ("grid = 1025", "grid = '1025': must be at most 1024, got 1025"),
     ],
-    ids=["modes-above-ceiling", "modes-zero", "lattice-radius-negative"],
+    ids=[
+        "modes-above-ceiling",
+        "modes-zero",
+        "lattice-radius-negative",
+        "grid-below-floor",
+        "grid-above-ceiling",
+    ],
 )
 def test_config_refuses_integers_out_of_range(capsys, tmp_path, monkeypatch, line, message):
     monkeypatch.setattr(cli, "_HANDLERS", {})  # no handler may run

@@ -452,6 +452,17 @@ _BAND_FACTORS = [
     iv(-1.0, -0.5),
     iv(1e-290),
 ]
+# exact zeros, of either sign, against infinite, straddling and signed
+# entries: the products take the picked corners only
+_ZEROS = [iv(0.0), iv(-0.0), iv(0.0), iv(1.0, 2.0), iv(-3.0, -2.0), iv(-0.0, 0.0)]
+_ZERO_FACTORS = [
+    iv(-math.inf, 5.0),
+    iv(0.5, math.inf),
+    iv(-1.0, 1.0),
+    iv(0.0),
+    iv(-0.0),
+    iv(-math.inf, math.inf),
+]
 _EDGE_DIVISORS = [
     iv(6.666666666666667),
     iv(1e-20, 3e-20),
@@ -487,6 +498,7 @@ class TestMatrixKernels:
     @example(xs=_EDGE, ys=_EDGE_FACTORS, s=iv(0.15000000000000002))
     @example(xs=_MIXED, ys=_MIXED_FACTORS, s=_NEG_ZERO_TRAP)
     @example(xs=_BAND, ys=_BAND_FACTORS, s=iv(1e-290, 1e-289))
+    @example(xs=_ZEROS, ys=_ZERO_FACTORS, s=iv(-0.0))
     @settings(max_examples=400, deadline=None)
     def test_elementwise_matches_scalar_bit_for_bit(self, xs, ys, s):
         A = IntervalMatrix.from_scalars([xs[:3], xs[3:]])
@@ -522,6 +534,7 @@ class TestMatrixKernels:
     @example(xs=_EDGE, ys=_MIXED, ds=_EDGE_DIVISORS, s=_NEG_ZERO_TRAP, d=iv(6.666666666666667))
     @example(xs=_MIXED, ys=_BAND, ds=_MIXED_DIVISORS, s=iv(1e-290, 1e300), d=iv(-math.inf, -1e-10))
     @example(xs=_BAND, ys=_EDGE, ds=_BAND_DIVISORS, s=iv(-1e-300, -1e-310), d=iv(1e-10, 1e290))
+    @example(xs=_ZEROS, ys=_ZERO_FACTORS, ds=_EDGE_DIVISORS, s=iv(0.0), d=iv(0.5, math.inf))
     @settings(max_examples=200, deadline=None)
     def test_sub_div_and_unary_match_scalar_bit_for_bit(self, xs, ys, ds, s, d):
         A = IntervalMatrix.from_scalars([xs[:3], xs[3:]])

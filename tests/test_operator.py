@@ -1,11 +1,20 @@
+import contextlib
 import dataclasses
+import inspect
+import io
+import math
 import random
+import sys
+import tracemalloc
+import types
 
 import mpmath
 import numpy as np
 import pytest
 
+from spikecert import operator
 from spikecert.basis import reference_model
+from spikecert.cli import main as cli_main
 from spikecert.interval import IntervalMatrix, IntervalScalar, make_interval
 from spikecert.operator import (
     OperatorConfig,
@@ -215,19 +224,41 @@ class TestApplyG:
         assert out.support[-1] <= 2 * N
 
 
-# -- column-by-column reference assembly ----------------------------------------
+# -- scalar references ----------------------------------------------------------
 
 _ONE = IntervalScalar(1.0, 1.0)
 
 
-def column_jacobian(c, cfg, quadratic=apply_quadratic):
+def scalar_apply_quadratic(u, v, cfg):
+    """Q(u, v) by the scalar triple loop over the output modes
+    j <= min(2N, k+l) (the basis is zero above k+l), summing each mode's
+    terms in (k, l) order; the width reference for apply_quadratic."""
+    n2 = 2 * cfg.truncation_N
+    acc = {}
+    for k, uk in u.items():
+        if uk.mag() == 0.0 and uk.lo == uk.hi:
+            continue
+        for l, vl in v.items():
+            prod = uk * vl
+            for j in range(1, min(n2, k + l) + 1):
+                ckl = cfg.model.interaction(k, l, j)
+                if ckl.lo == 0.0 == ckl.hi:
+                    continue
+                term = ckl * prod
+                acc[j] = acc[j] + term if j in acc else term
+    return CoefficientVector(tuple(sorted(acc.items())), n2)
+
+
+def column_jacobian(c, cfg):
     """The Jacobian one column at a time from scalar quadratic-form calls:
     column m is Q(e_m, c) + Q(c, e_m) + 2[Q(K e_m, c) + Q(K c, e_m)] plus the
-    linear symbol at row m, rows cut at N."""
+    linear symbol at row m, rows cut at N; the width reference for
+    assemble_jacobian."""
     N = cfg.truncation_N
     lo = np.zeros((N, N))
     hi = np.zeros((N, N))
     vel_c = recover_velocity(c, cfg)
+    quadratic = scalar_apply_quadratic
     for m in range(1, N + 1):
         em = CoefficientVector(((m, _ONE),), N)
         vel_em = recover_velocity(em, cfg)
@@ -243,11 +274,15 @@ def column_jacobian(c, cfg, quadratic=apply_quadratic):
     return lo, hi
 
 
-def same_bits(a, b):
-    return np.array_equal(
-        np.asarray(a, dtype=np.float64).view(np.uint64),
-        np.asarray(b, dtype=np.float64).view(np.uint64),
+def joined_apply_G(c, cfg):
+    """G(c) with the three parts formed by the scalar loops and joined by
+    CoefficientVector addition; the width reference for apply_G."""
+    out = (
+        apply_linear(c, cfg)
+        + scalar_apply_quadratic(c, c, cfg)
+        + scalar_apply_quadratic(recover_velocity(c, cfg), c, cfg).scaled(2.0)
     )
+    return CoefficientVector(out.entries, 2 * cfg.truncation_N)
 
 
 def random_problem(rng, max_N=24):
@@ -267,97 +302,6 @@ def random_problem(rng, max_N=24):
         model=reference_model(coupling, coupling_rec=crec), nu=nu, truncation_N=N
     )
     return CoefficientVector(tuple(entries), N), cfg
-
-
-class TestJacobianMatchesColumnAssembly:
-    def test_random_problems_bit_for_bit(self):
-        rng = random.Random(47)
-        for _ in range(40):
-            c, cfg = random_problem(rng)
-            lo, hi = column_jacobian(c, cfg)
-            J = assemble_jacobian(c, cfg)
-            assert same_bits(J.lo, lo) and same_bits(J.hi, hi), (c, cfg)
-
-    @pytest.mark.parametrize(
-        "coupling, crec, modes",
-        [
-            (0.0, 0.7, {2: -0.4, 5: 0.3}),  # no interaction at all
-            (0.9, 0.0, {1: 0.5, 7: -0.2}),  # no stretching
-            (0.9, 0.4, {}),  # empty profile: the linear symbol alone
-            (1.3, 0.6, {3: 0.25, 12: -1.5}),  # a mode at exactly N
-            (0.8, 0.5, {4: 0.0, 6: 0.75}),  # an exactly zero coefficient
-            (1.0, 0.0, {2: 1e-300, 5: -3e-295}),  # below the error-free band
-            (1.0, 1.0, {3: 1e300, 9: -2e290}),  # products that overflow
-        ],
-    )
-    def test_edge_cases_bit_for_bit(self, coupling, crec, modes):
-        N = 12
-        cfg = cfg_for(coupling, nu=0.003, N=N, coupling_rec=crec)
-        c = vec(modes, N)
-        lo, hi = column_jacobian(c, cfg)
-        J = assemble_jacobian(c, cfg)
-        assert same_bits(J.lo, lo) and same_bits(J.hi, hi)
-
-
-# -- the scalar quadratic form -----------------------------------------------
-
-
-def scalar_apply_quadratic(u, v, cfg):
-    """Q(u, v) by the scalar triple loop over every output mode j <= 2N,
-    summing each mode's terms in (k, l) order; the bitwise reference for
-    apply_quadratic."""
-    n2 = 2 * cfg.truncation_N
-    acc = {}
-    for k, uk in u.items():
-        if uk.mag() == 0.0 and uk.lo == uk.hi:
-            continue
-        for l, vl in v.items():
-            prod = uk * vl
-            for j in range(1, n2 + 1):
-                ckl = cfg.model.interaction(k, l, j)
-                if ckl.lo == 0.0 == ckl.hi:
-                    continue
-                term = ckl * prod
-                acc[j] = acc[j] + term if j in acc else term
-    return CoefficientVector(tuple(acc.items()), n2)
-
-
-def same_vector(a, b):
-    return a.max_mode == b.max_mode and [
-        (j, float(x.lo).hex(), float(x.hi).hex()) for j, x in a.items()
-    ] == [(j, float(x.lo).hex(), float(x.hi).hex()) for j, x in b.items()]
-
-
-class TestQuadraticMatchesScalarLoop:
-    def test_random_sparse_profiles_bit_for_bit(self):
-        rng = random.Random(2026)
-        for _ in range(40):
-            c, cfg = random_problem(rng)
-            entries = list(c.entries)
-            if entries and rng.random() < 0.3:  # an exactly zero coefficient
-                k, _ = entries[rng.randrange(len(entries))]
-                entries = [(j, iv(0.0) if j == k else x) for j, x in entries]
-            c = CoefficientVector(tuple(entries), cfg.truncation_N)
-            vel = recover_velocity(c, cfg)
-            for u, v in ((c, c), (vel, c), (c, vel)):
-                assert same_vector(apply_quadratic(u, v, cfg), scalar_apply_quadratic(u, v, cfg))
-
-    @pytest.mark.parametrize(
-        "coupling, modes",
-        [
-            (0.0, {2: -0.4, 5: 0.3}),  # coupling 0: no mode is reached
-            (1.3, {3: 0.25, 12: -1.5}),  # a mode at exactly N
-            (0.8, {4: 0.0, 6: 0.75}),  # an exactly zero coefficient
-            (1.0, {2: 1e-300, 5: -3e-295}),  # below the error-free band
-            (1.0, {3: 1e300, 9: -2e290}),  # products that overflow
-            (0.7, {}),
-        ],
-    )
-    def test_edge_cases_bit_for_bit(self, coupling, modes):
-        cfg = cfg_for(coupling, N=12, coupling_rec=0.5)
-        c = vec(modes, 12)
-        for u, v in ((c, c), (recover_velocity(c, cfg), c)):
-            assert same_vector(apply_quadratic(u, v, cfg), scalar_apply_quadratic(u, v, cfg))
 
 
 def off_band_model(model):
@@ -380,28 +324,245 @@ def off_band_model(model):
     )
 
 
+# -- containment oracles --------------------------------------------------------
+#
+# Each enclosure is checked two ways: (a) at the lower endpoints, the upper
+# endpoints and the midpoints of every input interval, the 40-digit value of
+# Q, G or J lies in it, and an infinite endpoint bounds the side it stands
+# for; (b) it is at most 4 times as wide as the scalar reference's enclosure,
+# plus 4 ulp.  The 40-digit values take the tensor straight from its
+# definition, without the symmetry the operator relies on.
+
+
+def _picks(x):
+    lo, hi = mpmath.mpf(x.lo), mpmath.mpf(x.hi)
+    return lo, hi, (lo + hi) / 2
+
+
+class Exact:
+    """The reference model of cfg (or its off-band variant) in 40 digits."""
+
+    def __init__(self, cfg, off_band=False):
+        kernel = cfg.model.recovery_kernel(1)  # coupling_rec * 1^{7/2}, a point
+        assert kernel.lo == kernel.hi
+        self.coupling = mpmath.mpf(cfg.model.interaction_bound.lo)
+        self.crec = mpmath.mpf(kernel.lo)
+        self.off_band = off_band
+
+    def C(self, k, l, j):
+        if self.off_band:
+            return self.coupling / (1 + k + l - j) if j <= k + l else 0
+        return brute_interaction(k, l, j, self.coupling)
+
+    def K(self, k):
+        return self.crec * mpmath.mpf(k) ** mpmath.mpf("3.5")
+
+    def Q(self, u, v, n):
+        out = {}
+        for k, uk in u.items():
+            for l, vl in v.items():
+                for j in range(1, min(n, k + l) + 1):
+                    ckl = self.C(k, l, j)
+                    if ckl:
+                        out[j] = out.get(j, 0) + ckl * uk * vl
+        return out
+
+    def G(self, c, nu, N):
+        out = {j: (1 + mpmath.mpf(j) / 2 + nu * j * j) * cj for j, cj in c.items()}
+        vel = {k: self.K(k) * ck for k, ck in c.items()}
+        for q, factor in ((self.Q(c, c, 2 * N), 1), (self.Q(vel, c, 2 * N), 2)):
+            for j, x in q.items():
+                out[j] = out.get(j, 0) + factor * x
+        return out
+
+    def J(self, c, nu, N):
+        """DG(c) column by column: Q(e_m, c) + Q(c, e_m) + 2 Q(K e_m, c)
+        + 2 Q(K c, e_m) + L e_m, rows cut at N."""
+        J = [[mpmath.mpf(0)] * N for _ in range(N)]
+        stretch = {m: 1 + 2 * self.K(m) for m in range(1, N + 1)}
+        for m in range(1, N + 1):
+            J[m - 1][m - 1] = 1 + mpmath.mpf(m) / 2 + nu * m * m
+            for k, ck in c.items():
+                # Q(e_m, c) + 2 Q(K e_m, c), then Q(c, e_m) + 2 Q(K c, e_m)
+                a, b = ck * stretch[m], ck * stretch[k]
+                for j in range(1, min(N, k + m) + 1):
+                    J[j - 1][m - 1] += self.C(m, k, j) * a + self.C(k, m, j) * b
+        return J
+
+    @staticmethod
+    def points(*inputs):
+        """The inputs, vectors or scalars, at their lower endpoints, at their
+        upper endpoints and at their midpoints."""
+        for p in range(3):
+            yield [
+                {j: _picks(x)[p] for j, x in v.items()}
+                if isinstance(v, CoefficientVector)
+                else _picks(v)[p]
+                for v in inputs
+            ]
+
+
+def assert_entry(lo, hi, ref_lo, ref_hi, exact, where):
+    assert lo != math.inf and hi != -math.inf, f"{where}: [{lo}, {hi}]"
+    for t in exact:
+        assert mpmath.mpf(lo) <= t <= mpmath.mpf(hi), f"{where}: {t} not in [{lo}, {hi}]"
+    width = mpmath.mpf(hi) - mpmath.mpf(lo)
+    ref = mpmath.mpf(ref_hi) - mpmath.mpf(ref_lo)
+    slack = 4 * math.ulp(max(abs(ref_lo), abs(ref_hi)))
+    assert width <= 4 * ref + slack, f"{where}: [{lo}, {hi}] wider than 4 x [{ref_lo}, {ref_hi}]"
+
+
+def assert_vector(out, ref, exact, n):
+    for j in range(1, n + 1):
+        x, r = out.get(j), ref.get(j)
+        assert_entry(x.lo, x.hi, r.lo, r.hi, [t.get(j, 0) for t in exact], f"mode {j}")
+
+
+def check_quadratic(u, v, cfg, exact):
+    n2 = 2 * cfg.truncation_N
+    values = [exact.Q(up, vp, n2) for up, vp in Exact.points(u, v)]
+    assert_vector(apply_quadratic(u, v, cfg), scalar_apply_quadratic(u, v, cfg), values, n2)
+
+
+def check_G(c, cfg, exact):
+    N = cfg.truncation_N
+    values = [exact.G(cp, nup, N) for cp, nup in Exact.points(c, cfg.nu)]
+    assert_vector(apply_G(c, cfg), joined_apply_G(c, cfg), values, 2 * N)
+
+
+def check_jacobian(c, cfg, exact, assemble=assemble_jacobian):
+    N = cfg.truncation_N
+    J = assemble(c, cfg)
+    ref_lo, ref_hi = column_jacobian(c, cfg)
+    values = [exact.J(cp, nup, N) for cp, nup in Exact.points(c, cfg.nu)]
+    for j in range(N):
+        for m in range(N):
+            assert_entry(
+                J.lo[j, m], J.hi[j, m], ref_lo[j, m], ref_hi[j, m],
+                [t[j][m] for t in values], f"J[{j + 1}, {m + 1}]",
+            )
+
+
+class TestJacobianMatchesColumnAssembly:
+    """assemble_jacobian encloses the 40-digit Jacobian and is at most 4
+    times as wide as the column-by-column scalar assembly (the test names
+    are those of the bitwise tests these replace, so their IDs stay)."""
+
+    def test_random_problems_bit_for_bit(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            c, cfg = random_problem(rng)
+            check_jacobian(c, cfg, Exact(cfg))
+
+    @pytest.mark.parametrize(
+        "coupling, crec, modes",
+        [
+            (0.0, 0.7, {2: -0.4, 5: 0.3}),  # no interaction at all
+            (0.9, 0.0, {1: 0.5, 7: -0.2}),  # no stretching
+            (0.9, 0.4, {}),  # empty profile: the linear symbol alone
+            (1.3, 0.6, {3: 0.25, 12: -1.5}),  # a mode at exactly N
+            (0.8, 0.5, {4: 0.0, 6: 0.75}),  # an exactly zero coefficient
+            (1.0, 0.0, {2: 1e-300, 5: -3e-295}),  # below the error-free band
+            (1.0, 1.0, {3: 1e300, 9: -2e290}),  # products that overflow
+        ],
+    )
+    def test_edge_cases_bit_for_bit(self, coupling, crec, modes):
+        cfg = cfg_for(coupling, nu=0.003, N=12, coupling_rec=crec)
+        check_jacobian(vec(modes, 12), cfg, Exact(cfg))
+
+
+def mutant_operator(monkeypatch, old, new):
+    """spikecert.operator with the one occurrence of ``old`` replaced by ``new``."""
+    source = inspect.getsource(operator)
+    assert source.count(old) == 1, old
+    module = types.ModuleType("spikecert.mutant_operator")
+    module.__package__ = "spikecert"
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(source.replace(old, new), module.__name__, "exec"), module.__dict__)
+    return module
+
+
+class TestJacobianOracleCatchesMutants:
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("(a * K + a_kc[band])", "a_kc[band]"),  # drops 2 A_c K
+            ("(a * K + a_kc[band])", "(a * K)"),  # drops 2 A_{Kc}
+            # swaps k and cols: the weight of the column mode, not the source
+            (
+                "term = block[None, j, i] * wk",
+                "term = block[None, j, i] * _row([weights.get(m) for m in cols])[None, 0, i]",
+            ),
+        ],
+        ids=["no-A_c-K", "no-A_Kc", "k-cols-swapped"],
+    )
+    def test_mutant_fails_the_oracle(self, monkeypatch, old, new):
+        mutant = mutant_operator(monkeypatch, old, new)
+        cfg = cfg_for(0.9, nu=0.003, N=12, coupling_rec=0.4)
+        c = vec({2: 0.5, 5: -0.25, 9: 0.125}, 12)
+        check_jacobian(c, cfg, Exact(cfg))  # the real assembly passes
+        with pytest.raises(AssertionError):
+            check_jacobian(c, cfg, Exact(cfg), assemble=mutant.assemble_jacobian)
+
+
+class TestQuadraticMatchesScalarLoop:
+    """apply_quadratic encloses the 40-digit Q(u, v) and is at most 4 times
+    as wide as the scalar triple loop (names kept from the bitwise tests)."""
+
+    def test_random_sparse_profiles_bit_for_bit(self):
+        rng = random.Random(2026)
+        for _ in range(40):
+            c, cfg = random_problem(rng)
+            entries = list(c.entries)
+            if entries and rng.random() < 0.3:  # an exactly zero coefficient
+                k, _ = entries[rng.randrange(len(entries))]
+                entries = [(j, iv(0.0) if j == k else x) for j, x in entries]
+            c = CoefficientVector(tuple(entries), cfg.truncation_N)
+            vel = recover_velocity(c, cfg)
+            for u, v in ((c, c), (vel, c), (c, vel)):
+                check_quadratic(u, v, cfg, Exact(cfg))
+
+    @pytest.mark.parametrize(
+        "coupling, modes",
+        [
+            (0.0, {2: -0.4, 5: 0.3}),  # coupling 0: no mode is reached
+            (1.3, {3: 0.25, 12: -1.5}),  # a mode at exactly N
+            (0.8, {4: 0.0, 6: 0.75}),  # an exactly zero coefficient
+            (1.0, {2: 1e-300, 5: -3e-295}),  # below the error-free band
+            (1.0, {3: 1e300, 9: -2e290}),  # products that overflow
+            (0.7, {}),
+        ],
+    )
+    def test_edge_cases_bit_for_bit(self, coupling, modes):
+        cfg = cfg_for(coupling, N=12, coupling_rec=0.5)
+        c = vec(modes, 12)
+        for u, v in ((c, c), (recover_velocity(c, cfg), c)):
+            check_quadratic(u, v, cfg, Exact(cfg))
+
+
 class TestOperatorReadsOnlyTheBasis:
     """The operator takes its nonzeros from the basis, not from a band rule
     of its own: with a basis that reaches every mode j <= k+l, both the
-    quadratic form and the Jacobian match scalar loops over every j <= 2N."""
+    quadratic form and the Jacobian pass the oracles built on that basis
+    (names kept from the bitwise tests)."""
 
     def test_quadratic_form_bit_for_bit(self):
         rng = random.Random(11)
         for _ in range(25):
             c, cfg = random_problem(rng, max_N=12)
+            exact = Exact(cfg, off_band=True)
             cfg = dataclasses.replace(cfg, model=off_band_model(cfg.model))
             vel = recover_velocity(c, cfg)
             for u, v in ((c, c), (vel, c), (c, vel)):
-                assert same_vector(apply_quadratic(u, v, cfg), scalar_apply_quadratic(u, v, cfg))
+                check_quadratic(u, v, cfg, exact)
 
     def test_jacobian_bit_for_bit(self):
         rng = random.Random(12)
         for _ in range(15):
             c, cfg = random_problem(rng, max_N=12)
+            exact = Exact(cfg, off_band=True)
             cfg = dataclasses.replace(cfg, model=off_band_model(cfg.model))
-            lo, hi = column_jacobian(c, cfg, quadratic=scalar_apply_quadratic)
-            J = assemble_jacobian(c, cfg)
-            assert same_bits(J.lo, lo) and same_bits(J.hi, hi), (c, cfg)
+            check_jacobian(c, cfg, exact)
 
     def test_reaches_modes_below_the_band(self):
         # modes 9 and 2 reach j = 1..6 through this basis, all below |k-l| = 7
@@ -413,24 +574,16 @@ class TestOperatorReadsOnlyTheBasis:
         assert (J.lo[0, 1], J.hi[0, 1]) != (0.0, 0.0)
 
 
-def joined_apply_G(c, cfg):
-    """G(c) with the three parts joined by CoefficientVector addition, as
-    apply_G did before its row join; the bitwise reference for it."""
-    out = (
-        apply_linear(c, cfg)
-        + apply_quadratic(c, c, cfg)
-        + apply_quadratic(recover_velocity(c, cfg), c, cfg).scaled(2.0)
-    )
-    return CoefficientVector(out.entries, 2 * cfg.truncation_N)
-
-
 class TestApplyGMatchesVectorJoin:
+    """apply_G encloses the 40-digit G(c) and is at most 4 times as wide as
+    the scalar parts joined as vectors (names kept from the bitwise tests)."""
+
     def test_random_profiles_bit_for_bit(self):
         for seed in (47, 2026):
             rng = random.Random(seed)
             for _ in range(40):
                 c, cfg = random_problem(rng)
-                assert same_vector(apply_G(c, cfg), joined_apply_G(c, cfg)), (c, cfg)
+                check_G(c, cfg, Exact(cfg))
 
     @pytest.mark.parametrize(
         "coupling, crec, modes",
@@ -446,15 +599,20 @@ class TestApplyGMatchesVectorJoin:
     )
     def test_edge_cases_bit_for_bit(self, coupling, crec, modes):
         cfg = cfg_for(coupling, nu=0.003, N=12, coupling_rec=crec)
-        c = vec(modes, 12)
-        assert same_vector(apply_G(c, cfg), joined_apply_G(c, cfg))
+        check_G(vec(modes, 12), cfg, Exact(cfg))
 
     def test_bundled_certificate_bit_for_bit(self, bundled_certificate_path):
         cert = load_certificate(bundled_certificate_path)
         cfg = OperatorConfig(model=reference_model(1.0), nu=cert.nu, truncation_N=450)
-        out = apply_G(cert.coefficients, cfg)
-        assert same_vector(out, joined_apply_G(cert.coefficients, cfg))
-        assert len(out) > len(cert.coefficients)
+        check_G(cert.coefficients, cfg, Exact(cfg))
+        assert len(apply_G(cert.coefficients, cfg)) > len(cert.coefficients)
+
+    def test_only_nonzero_entries_are_returned(self):
+        # coupling 0 and an exactly zero coefficient: every mode G does not
+        # reach, and the zero one, is left out, as CoefficientVector leaves
+        # out exact zeros
+        out = apply_G(vec({4: 0.0, 6: 0.75}, 12), cfg_for(0.0, N=12))
+        assert out.support == (6,)
 
 
 class TestJacobian:
@@ -512,6 +670,22 @@ class TestJacobian:
                     e = J.entry(j - 1, m - 1)
                     scale = max(abs(fd[j - 1]), e.mag(), 1.0)
                     assert abs(e.mid - fd[j - 1]) <= 1e-6 * scale
+
+    def test_assembly_memory_stays_bounded(self, tmp_path):
+        # N = 450: the two N x N interaction sums, one slab and the combine's
+        # row bands; combining the whole N x N at once peaked at 50 MB
+        path = tmp_path / "five.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(["gen-profile", "--modes", "5", "--seed", "1", "--out", str(path)]) == 0
+        cert = load_certificate(path)
+        cfg = OperatorConfig(model=reference_model(1.0), nu=cert.nu, truncation_N=450)
+        tracemalloc.start()
+        try:
+            assemble_jacobian(cert.coefficients, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, f"traced peak {peak / 1e6:.1f} MB"
 
     def test_rejects_oversized_profile(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .interval import ZERO, IntervalMatrix, IntervalScalar, pow_seven_halves
+from .interval import ZERO, IntervalMatrix, IntervalScalar
 
 __all__ = ["BasisModel", "reference_model"]
 
@@ -51,7 +51,10 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
 
     lambda_j = j^2, d_j = j/2, C_{klj} = coupling / (1 + |j-k-l|) inside the
     triangle band |k-l| <= j <= k+l and zero outside, K_rec(k) =
-    coupling_rec * k^{7/2} (coupling_rec defaults to coupling).
+    coupling_rec * k^{7/2} (coupling_rec defaults to coupling).  The
+    quotients and the recovery kernel are read from endpoint tables that
+    grow on demand, formed with the IntervalMatrix twins of the scalar
+    expressions, so each entry has the bits of the scalar one.
     """
     if coupling_rec is None:
         coupling_rec = coupling
@@ -73,6 +76,24 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
             q_lo = np.concatenate((q_lo, q.lo[0]))
             q_hi = np.concatenate((q_hi, q.hi[0]))
         return q_lo, q_hi
+
+    # r_lo[k-1], r_hi[k-1]: K_rec(k) = crec * (k^3 * sqrt(k)), formed
+    # entrywise with the bits of crec * pow_seven_halves(k); grown on demand
+    # to at least twice its size and at least 512 entries, since a step of
+    # up to 512 entries costs about what one entry does (numpy's per-call
+    # overhead), so a scan over k = 1, 2, ... takes O(log k) steps
+    r_lo = r_hi = np.zeros(0)
+
+    def kernels_to(k_max: int):
+        nonlocal r_lo, r_hi
+        if k_max > r_lo.size:
+            top = max(k_max, 2 * r_lo.size, 512)
+            ks = np.arange(r_lo.size + 1, top + 1, dtype=np.float64)
+            k = IntervalMatrix.from_point(ks[None, :])
+            r = crec * (k.intpow(3) * k.sqrt())
+            r_lo = np.concatenate((r_lo, r.lo[0]))
+            r_hi = np.concatenate((r_hi, r.hi[0]))
+        return r_lo, r_hi
 
     def diffusion_eig(j: int) -> IntervalScalar:
         _check_index(j)
@@ -113,7 +134,8 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
         _check_index(k)
         if coupling_rec == 0.0:
             return ZERO
-        return crec * pow_seven_halves(k)
+        lo, hi = kernels_to(k)
+        return IntervalScalar(float(lo[k - 1]), float(hi[k - 1]))
 
     return BasisModel(
         diffusion_eig=diffusion_eig,

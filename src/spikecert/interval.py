@@ -14,6 +14,12 @@ The scalar core has one routine per operation: ``_add(a, b, up)`` and
 ``_directed``.  The elementwise kernels behind ``IntervalMatrix`` are their
 twins (``_np_add``, ``_np_mul``, ``_np_div``, ``_np_sqrt``, ``_np_directed``),
 each taking the side it rounds to, and give the same bits entry by entry.
+A common entry, with finite operands and a result inside Dekker's band,
+costs only its error-free transformation and one nudge: the zero,
+underflow and NaN branches run only on the entries the band mask flags,
+and the inf and NaN branches of a sum only when some sum is non-finite.
+The scalar routine takes none of those branches for an in-band entry, so
+the bits are unchanged (see the kernel notes below).
 ``IntervalScalar`` multiplies and divides by the four-corner rule;
 ``IntervalMatrix`` forms only the two corners the sign table picks wherever
 that gives the same bits (see the kernel notes below).
@@ -137,10 +143,9 @@ def _directed(x: float, zero: bool, down_nudge: bool, up_nudge: bool, same_sign:
         return 0.0, 0.0
     if x != x:
         return -_INF, _INF
-    if math.isinf(x):
-        return (x, -_MAX) if x < 0 else (_MAX, x)
     if x == 0.0:  # full underflow: keep the sign of the true result
         return (0.0, 5e-324) if same_sign else (-5e-324, 0.0)
+    # an overflowed x nudges to the clamp: nextafter(inf, -inf) is MAX
     return (_down(x) if down_nudge else x), (_up(x) if up_nudge else x)
 
 
@@ -553,12 +558,20 @@ def _np_up(a: np.ndarray, steps: int = 1) -> np.ndarray:
 
 # Elementwise twins of the scalar directed routines: _np_add of _add,
 # _np_mul of _mul, _np_div of _div, _np_sqrt of _sqrt, and _np_directed of
-# _directed.  Each takes the same branches as its scalar twin (error-free
-# transformation, the _eft_ok fallback, zero operands, underflow, overflow,
-# NaN), so every entry carries exactly the bits the scalar routine returns
-# for it.  Overflow to infinity is one of those branches, hence the silenced
-# warnings.  Each rounds to one side, ``up`` or down: _np_mul(a, b, up) is
-# _mul(a, b)[up].
+# _directed.  Each rounds to one side, ``up`` or down: _np_mul(a, b, up)[0]
+# is _mul(a, b)[up].  Every entry carries exactly the bits its scalar twin
+# returns for it, although the branches run only where an entry needs them.
+# A product or quotient inside the error-free band (finite operands below
+# _EFT_HI in magnitude, a result between _EFT_LO and _EFT_HI) is nonzero and
+# finite, so its scalar twin takes none of the zero, underflow, overflow and
+# NaN branches: it is the rounded result, nudged one ulp where the
+# transformation says the exact value lies beyond it.  Every entry computes
+# that much.  The band mask flags the rest, and only those entries are
+# recomputed, by _np_directed, through the scalar branches in their order,
+# with the unconditional nudge the scalar routine gives outside the band.
+# A sum is likewise the nudged two-sum wherever it is finite; the inf and
+# NaN branches run only when some sum is not.  Overflow to infinity is one
+# of those branches, hence the silenced warnings.
 #
 # IntervalMatrix products and quotients are sign-aware.  Where both operands
 # are strictly signed, Moore's sign table names the corner that holds the
@@ -569,14 +582,16 @@ def _np_up(a: np.ndarray, steps: int = 1) -> np.ndarray:
 # monotone map that never gives 0.  So the picked corner rounded down is the
 # least of the four corners' lower bounds, bit for bit, and the other picked
 # corner rounded up the greatest of their upper bounds; only those two are
-# formed.  Where an operand is exactly [0, 0], every corner is +0.0, so the
-# picked ones already are the four-corner result.  Every other entry (an
-# endpoint that is 0, -0.0 or infinite, an operand that straddles 0,
-# underflow, overflow, the _eft_ok fallback) takes the four-corner rule of
-# IntervalScalar.  The band also keeps out results that round to 0, where
-# the sign of a zero bound depends on which corner comes first:
-# [-2e-323, -1e-323] * 0.15000000000000002 has the upper bound -0.0 by the
-# four corners but +0.0 from the picked corner alone.
+# formed.  The kernels return that band test of the picked corners beside
+# their results, so it is computed once.  Where an operand is exactly
+# [0, 0], every corner is +0.0, so the picked ones already are the
+# four-corner result.  Every other entry (an endpoint that is 0, -0.0 or
+# infinite, an operand that straddles 0, underflow, overflow, the _eft_ok
+# fallback) takes the four-corner rule of IntervalScalar.  The band also
+# keeps out results that round to 0, where the sign of a zero bound depends
+# on which corner comes first: [-2e-323, -1e-323] * 0.15000000000000002 has
+# the upper bound -0.0 by the four corners but +0.0 from the picked corner
+# alone.
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -584,6 +599,8 @@ def _np_add(a, b, up: bool) -> np.ndarray:
     s, e = _two_sum(a, b)
     toward, clamp = (_INF, -_MAX) if up else (-_INF, _MAX)
     out = np.where(e > 0 if up else e < 0, np.nextafter(s, toward), s)
+    if np.isfinite(s).all():
+        return out
     out = np.where(np.isinf(s), np.where(s == toward, s, clamp), out)
     return np.where(np.isnan(s), toward, out)
 
@@ -593,55 +610,58 @@ def _np_eft_ok(a, b, p) -> np.ndarray:
     return (np.abs(a) < _EFT_HI) & (np.abs(b) < _EFT_HI) & (_EFT_LO < ap) & (ap < _EFT_HI)
 
 
-def _np_directed(x, zero, nudge, same_sign, up: bool):
-    """x, a rounded product or quotient, rounded up or down: nudged one ulp
-    where the error-free test asks for it, the signed underflow floor where x
-    is 0, the clamp where it overflowed, and 0 where ``zero`` marks an exact
-    zero."""
+def _np_directed(out, x, band, a, b, zero_b: bool, up: bool) -> None:
+    """Overwrite the entries of ``out`` outside ``band`` with _directed's
+    branches for x = a * b or a / b there: 0 where an operand (a, or b too
+    if ``zero_b``) is 0, the whole line where x is NaN, the signed underflow
+    floor where it is 0, and x nudged one ulp everywhere else, which takes
+    an overflowed x to the clamp.  a and b have the shape of x."""
+    if band.all():
+        return
+    at = ~band
+    x, a, b = x[at], a[at], b[at]
+    same_sign = (a > 0) == (b > 0)
     if up:
-        toward, clamp, underflow = _INF, -_MAX, np.where(same_sign, 5e-324, 0.0)
+        toward, underflow = _INF, np.where(same_sign, 5e-324, 0.0)
     else:
-        toward, clamp, underflow = -_INF, _MAX, np.where(same_sign, 0.0, -5e-324)
-    out = np.where(nudge, np.nextafter(x, toward), x)
-    out = np.where(x == 0.0, underflow, out)
-    out = np.where(np.isinf(x), np.where(x == toward, x, clamp), out)
-    out = np.where(np.isnan(x), toward, out)
-    return np.where(zero, 0.0, out)
+        toward, underflow = -_INF, np.where(same_sign, 0.0, -5e-324)
+    fixed = np.where(x == 0.0, underflow, np.nextafter(x, toward))
+    fixed = np.where(np.isnan(x), toward, fixed)
+    out[at] = np.where((a == 0.0) | (b == 0.0) if zero_b else a == 0.0, 0.0, fixed)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _np_mul(a, b, up: bool) -> np.ndarray:
-    """Elementwise _mul(a, b), its upper bound if ``up``, else its lower."""
+def _np_mul(a, b, up: bool):
+    """Elementwise _mul(a, b), its upper bound if ``up``, else its lower,
+    and the mask of the entries in the error-free band."""
     p = a * b
     e = _prod_err(a, b, p)
-    nudge = ~_np_eft_ok(a, b, p) | (e > 0 if up else e < 0)
-    return _np_directed(p, (a == 0.0) | (b == 0.0), nudge, (a > 0) == (b > 0), up)
+    out = np.where(e > 0 if up else e < 0, np.nextafter(p, _INF if up else -_INF), p)
+    band = _np_eft_ok(a, b, p)
+    _np_directed(out, p, band, a, b, True, up)
+    return out, band
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _np_div(a, b, up: bool) -> np.ndarray:
+def _np_div(a, b, up: bool):
     """Elementwise _div(a, b) for divisors without 0, its upper bound if
-    ``up``, else its lower."""
+    ``up``, else its lower, and the mask of the entries that lie in the
+    error-free band with a margin: _np_eft_ok tests q * b, within two
+    roundings of the dividend, so the dividend keeps a factor of two from
+    the band's edges there, and the quotient q lies in the band too.  Holding
+    that on the two picked corners holds it on all four: between them they
+    take each operand's two endpoints and the results of least and greatest
+    magnitude."""
     q = a / b
     p = q * b
     d = (a - p) - _prod_err(q, b, p)  # sign of a - q*b, as in _div
     above = (d > 0) == (b > 0)  # true quotient above q, where d != 0
-    nudge = ~_np_eft_ok(q, b, p) | ((d != 0.0) & (above if up else ~above))
-    return _np_directed(q, a == 0.0, nudge, (a > 0) == (b > 0), up)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _np_banded(kernel, x, y) -> np.ndarray:
-    """Where a picked corner x * y (kernel _np_mul) or x / y (_np_div) lies
-    in the error-free band with its operands.  Holding both on the two picked
-    corners holds it on all four: between them they take each operand's two
-    endpoints and the results of least and greatest magnitude.  _np_div tests
-    q * y, within two roundings of the dividend x, so x keeps a factor of two
-    from the band's edges."""
-    if kernel is _np_mul:
-        return _np_eft_ok(x, y, x * y)
-    q, ax = x / y, np.abs(x)
-    return _np_eft_ok(q, y, q) & (2.0 * _EFT_LO < ax) & (ax < 0.5 * _EFT_HI)
+    nudge = (d != 0.0) & (above if up else ~above)
+    out = np.where(nudge, np.nextafter(q, _INF if up else -_INF), q)
+    eft = _np_eft_ok(q, b, p)
+    _np_directed(out, q, eft, a, b, False, up)
+    aa = np.abs(a)
+    return out, eft & (_EFT_LO < np.abs(q)) & (2.0 * _EFT_LO < aa) & (aa < 0.5 * _EFT_HI)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -699,9 +719,9 @@ class IntervalMatrix:
         hi = np.asarray(hi, dtype=np.float64)
         if lo.shape != hi.shape or lo.ndim != 2:
             raise IntervalError(f"endpoint shape mismatch {lo.shape} vs {hi.shape}")
-        if np.isnan(lo).any() or np.isnan(hi).any():
-            raise IntervalError("NaN endpoint in interval matrix")
-        if (lo > hi).any():
+        if not (lo <= hi).all():  # also false at a NaN endpoint
+            if np.isnan(lo).any() or np.isnan(hi).any():
+                raise IntervalError("NaN endpoint in interval matrix")
             raise IntervalError("inverted endpoints in interval matrix")
         self.lo = lo
         self.hi = hi
@@ -761,7 +781,7 @@ class IntervalMatrix:
         # later corner replaces the running bound only when strictly beyond it
         lo = hi = None
         for x, y in ((a[0], b[0]), (a[0], b[1]), (a[1], b[0]), (a[1], b[1])):
-            down, up = kernel(x, y, False), kernel(x, y, True)
+            down, up = kernel(x, y, False)[0], kernel(x, y, True)[0]
             if lo is None:
                 lo, hi = down, up
             else:
@@ -773,29 +793,24 @@ class IntervalMatrix:
     def _product(a, b, kernel) -> "IntervalMatrix":
         """a * b (kernel _np_mul) or a / b (_np_div) of endpoint pairs a and b,
         entry by entry: the two corners the sign table picks where that has
-        the bits of the four-corner rule, the four corners elsewhere."""
-        a0, a1, b0, b1 = np.broadcast_arrays(a[0], a[1], b[0], b[1])
+        the bits of the four-corner rule, the four corners elsewhere.  The
+        picked corners come out of np.where at the broadcast shape; the
+        endpoints are broadcast themselves only for the entries left over."""
+        (a0, a1), (b0, b1) = a, b
         pos_a, pos_b = a0 > 0.0, b0 > 0.0
         # 1/b has the endpoints 1/b1, 1/b0: a quotient takes b's the other way
         c0, c1 = (b0, b1) if kernel is _np_mul else (b1, b0)
         x_lo, y_lo = np.where(pos_b, a0, a1), np.where(pos_a, c0, c1)
         x_hi, y_hi = np.where(pos_b, a1, a0), np.where(pos_a, c1, c0)
-        lo, hi = kernel(x_lo, y_lo, False), kernel(x_hi, y_hi, True)
+        (lo, band_lo), (hi, band_hi) = kernel(x_lo, y_lo, False), kernel(x_hi, y_hi, True)
         # the rest: an operand that is not strictly signed, or a corner
         # outside the error-free band, unless an operand is exactly [0, 0]:
         # then every corner, picked or not, is +0.0
         zero = ((a0 == 0.0) & (a1 == 0.0)) | ((b0 == 0.0) & (b1 == 0.0))
-        rest = ~(
-            (pos_a | (a1 < 0.0))
-            & (pos_b | (b1 < 0.0))
-            & _np_banded(kernel, x_lo, y_lo)
-            & _np_banded(kernel, x_hi, y_hi)
-            | zero
-        )
+        rest = ~((pos_a | (a1 < 0.0)) & (pos_b | (b1 < 0.0)) & band_lo & band_hi | zero)
         if rest.any():
-            lo[rest], hi[rest] = IntervalMatrix._corners(
-                (a0[rest], a1[rest]), (b0[rest], b1[rest]), kernel
-            )
+            a0, a1, b0, b1 = (np.broadcast_to(x, rest.shape)[rest] for x in (a0, a1, b0, b1))
+            lo[rest], hi[rest] = IntervalMatrix._corners((a0, a1), (b0, b1), kernel)
         return IntervalMatrix(lo, hi)
 
     def __add__(self, other):
@@ -873,8 +888,8 @@ class IntervalMatrix:
             raise IntervalError(f"power of partially negative interval {bad}")
         lo = hi = np.ones(self.shape)
         for _ in range(n):
-            lo = _np_mul(lo, self.lo, up=False)
-            hi = _np_mul(hi, self.hi, up=True)
+            lo = _np_mul(lo, self.lo, up=False)[0]
+            hi = _np_mul(hi, self.hi, up=True)[0]
         return IntervalMatrix(lo, hi)
 
     @np.errstate(over="ignore")

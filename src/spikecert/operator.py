@@ -94,27 +94,34 @@ def recover_velocity(c: CoefficientVector, cfg: OperatorConfig) -> CoefficientVe
     )
 
 
-def _interaction_sum(
-    weights: CoefficientVector, cols: Sequence[int], n: int, cfg: OperatorConfig
-) -> IntervalMatrix:
-    """A_w, the n x len(cols) matrix with [j-1, i] = sum_k C_{k, cols[i], j} w_k.
+def _interaction_sums(
+    weights: Sequence[CoefficientVector], cols: Sequence[int], n: int, cfg: OperatorConfig
+) -> list:
+    """A_w for each w in ``weights``: the n x len(cols) matrix with
+    [j-1, i] = sum_k C_{k, cols[i], j} w_k.
 
-    The sum runs over the nonzero weights in their order, each term added
+    Each sum runs over its nonzero weights in mode order, each term added
     only where its slab is nonzero, at most _CHUNK entries at a time; an
-    entry no term reaches is [0, 0].
+    entry no term reaches is [0, 0].  A source mode's slab and its nonzeros
+    are formed once and serve every sum with a nonzero weight there.
     """
-    lo, hi = np.zeros((n, len(cols))), np.zeros((n, len(cols)))
-    for k, wk in weights.items():
-        if wk.lo == 0.0 == wk.hi:
+    sums = [(np.zeros((n, len(cols))), np.zeros((n, len(cols)))) for _ in weights]
+    by_mode = [dict(w.items()) for w in weights]
+    for k in sorted(set().union(*by_mode)):
+        terms = [(acc, ws[k]) for acc, ws in zip(sums, by_mode) if k in ws]
+        terms = [(acc, wk) for acc, wk in terms if not wk.lo == 0.0 == wk.hi]
+        if not terms:
             continue
         block = cfg.model.interaction_block(k, cols, n)
         rows, at = np.nonzero(~_zeros(block))
         for part in _chunks(0, rows.size):
             j, i = rows[part], at[part]
-            term = block[None, j, i] * wk
-            lo[j, i] = _np_add(lo[j, i], term.lo[0], up=False)
-            hi[j, i] = _np_add(hi[j, i], term.hi[0], up=True)
-    return IntervalMatrix(lo, hi)
+            entries = block[None, j, i]
+            for (lo, hi), wk in terms:
+                term = entries * wk
+                lo[j, i] = _np_add(lo[j, i], term.lo[0], up=False)
+                hi[j, i] = _np_add(hi[j, i], term.hi[0], up=True)
+    return [IntervalMatrix(lo, hi) for lo, hi in sums]
 
 
 def _times(A: IntervalMatrix, v: CoefficientVector) -> IntervalMatrix:
@@ -137,7 +144,8 @@ def apply_quadratic(
     """
     _check_support(u, cfg, "apply_quadratic")
     _check_support(v, cfg, "apply_quadratic")
-    return _vector(_times(_interaction_sum(u, v.support, 2 * cfg.truncation_N, cfg), v))
+    (A,) = _interaction_sums((u,), v.support, 2 * cfg.truncation_N, cfg)
+    return _vector(_times(A, v))
 
 
 def apply_G(c: CoefficientVector, cfg: OperatorConfig) -> CoefficientVector:
@@ -150,7 +158,7 @@ def _G_row(c: CoefficientVector, cfg: OperatorConfig) -> IntervalMatrix:
     part reaches."""
     _check_support(c, cfg, "apply_G")
     n2 = 2 * cfg.truncation_N
-    A = _interaction_sum(c, c.support, n2, cfg)
+    (A,) = _interaction_sums((c,), c.support, n2, cfg)
     lin = _dense(apply_linear(c, cfg), n2)
     return (lin + _times(A, c)) + _times(A, recover_velocity(c, cfg)) * 2.0
 
@@ -187,13 +195,14 @@ def assemble_jacobian(c: CoefficientVector, cfg: OperatorConfig) -> IntervalMatr
         J = L + 2 A_c + 2 A_c K + 2 A_{Kc}
 
     (derived in the module docstring), combined a band of rows at a time.
+    A_c and A_{Kc} come from one pass over the source modes.
     """
     _check_support(c, cfg, "assemble_jacobian")
     N = cfg.truncation_N
     model = cfg.model
     modes = range(1, N + 1)
-    J = _interaction_sum(c, modes, N, cfg)  # A_c, overwritten by J
-    a_kc = _interaction_sum(recover_velocity(c, cfg), modes, N, cfg)
+    # A_c, overwritten by J
+    J, a_kc = _interaction_sums((c, recover_velocity(c, cfg)), modes, N, cfg)
     K = _row([model.recovery_kernel(m) for m in modes])
     step = max(1, _CHUNK // N)  # rows per band; bounds the temporaries
     for r in range(0, N, step):
@@ -202,7 +211,8 @@ def assemble_jacobian(c: CoefficientVector, cfg: OperatorConfig) -> IntervalMatr
         out = (a + a) + (a * K + a_kc[band]) * 2.0
         J.lo[band], J.hi[band] = out.lo, out.hi
     d = np.arange(N)
-    sym = _row([ONE + model.drift_eig(m) + cfg.nu * model.diffusion_eig(m) for m in modes])
+    drift = _row([model.drift_eig(m) for m in modes])
+    sym = (drift + ONE) + cfg.nu * _row([model.diffusion_eig(m) for m in modes])
     diag = J[None, d, d] + sym
     J.lo[d, d], J.hi[d, d] = diag.lo[0], diag.hi[0]
     return J

@@ -1,5 +1,6 @@
 """Audit driver: grammar invariants, trust gates, tamper matrix, exit codes."""
 
+import dataclasses
 import json
 import pathlib
 import time
@@ -13,6 +14,7 @@ from spikecert.audit import (
     AuditLog,
     run_audit,
 )
+from spikecert.basis import reference_model
 from spikecert.cli import main
 
 FAST = AuditConfig(window=64, timestamp="2026-08-18T00:00:00Z")
@@ -254,6 +256,34 @@ def test_constant_free_audit_past_j_min_assembles_no_jacobian(bundled, tmp_path)
         "tail coercivity stage failed: j_min=1200 must exceed the truncation N=2048: FAIL",
     ) in result.log.lines
     assert elapsed < 5.0, f"audit took {elapsed:.1f} s"
+
+
+def test_constant_free_audit_builds_each_slab_once(bundled, tmp_path, monkeypatch):
+    # the five-mode shape at N = 128: one 256 x 5 slab per source mode for
+    # G, then one 128 x 128 slab per source mode feeding both A_c and A_{Kc}
+    import spikecert.audit
+
+    calls = []
+
+    def counted_model(*args):
+        model = reference_model(*args)
+
+        def interaction_block(k, ls, n):
+            calls.append((k, len(ls), n))
+            return model.interaction_block(k, ls, n)
+
+        return dataclasses.replace(model, interaction_block=interaction_block)
+
+    monkeypatch.setattr(spikecert.audit, "reference_model", counted_model)
+    doc = json.loads(pathlib.Path(bundled).read_text())
+    del doc["constants"]
+    doc["modes"] = [dict(m, j=j) for m, j in zip(doc["modes"], (1, 14, 43, 85, 128))]
+    path = tmp_path / "constant_free.json"
+    path.write_text(json.dumps(doc))
+    result = run_audit(path, AuditConfig(truncation_N=128, timestamp="2026-08-18T00:00:00Z"))
+    assert result.exit_code == 1
+    modes = [1, 14, 43, 85, 128]
+    assert calls == [(k, 5, 256) for k in modes] + [(k, 128, 128) for k in modes]
 
 
 # ---------------------------------------------------------------- bad input

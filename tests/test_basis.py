@@ -229,6 +229,31 @@ class TestRecoveryKernelBound:
         with pytest.raises(ValueError):
             m.recovery_kernel(0)
 
+    @pytest.mark.parametrize("coupling_rec", [0.0, 0.37, 1.0, 2.9])
+    def test_table_is_the_scalar_chain(self, coupling_rec):
+        # K_rec(k) comes from a table grown on demand; every entry keeps the
+        # bits of crec * k**3.5 in scalar arithmetic, whatever the order of
+        # the queries that grew it
+        crec = IntervalScalar(coupling_rec, coupling_rec)
+        ks = range(1, 2051)
+        expect = {k: crec * pow_seven_halves(k) for k in ks}
+        descending = list(reversed(ks))
+        # ascending, each k asked again after an earlier one, across the growth steps
+        growing = [q for k in ks for q in (k, k // 2 + 1, k)]
+        for order in (descending * 2, growing):
+            m = reference_model(1.0, coupling_rec=coupling_rec)
+            for k in order:
+                got = m.recovery_kernel(k)
+                assert (got.lo.hex(), got.hi.hex()) == (expect[k].lo.hex(), expect[k].hi.hex()), k
+
+    @pytest.mark.parametrize("coupling_rec", [0.0, 1.0])
+    @pytest.mark.parametrize("bad", [0, -3, True, 2.0])
+    def test_index_validation(self, coupling_rec, bad):
+        m = reference_model(1.0, coupling_rec=coupling_rec)
+        m.recovery_kernel(4)
+        with pytest.raises(ValueError, match="positive integer"):
+            m.recovery_kernel(bad)
+
     def test_growth_rate(self):
         m = reference_model(1.0, coupling_rec=0.5)
         for k in (1, 2, 10, 37):

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import struct
 import sys
@@ -195,6 +196,14 @@ class TestConstruction:
     def test_inverted_raises(self):
         with pytest.raises(IntervalError):
             IntervalScalar(2.0, 1.0)
+
+    def test_nan_named_before_inverted_endpoints(self):
+        lo = np.array([[2.0, math.nan, 0.0]])
+        hi = np.array([[1.0, 0.0, math.nan]])
+        with pytest.raises(IntervalError, match="NaN endpoint in interval matrix"):
+            IntervalMatrix(lo, hi)
+        with pytest.raises(IntervalError, match="inverted endpoints in interval matrix"):
+            IntervalMatrix(lo[:, :1], hi[:, :1])
 
 
 class TestDivisionGuards:
@@ -654,6 +663,84 @@ class TestMatrixKernels:
             A * math.inf
         with pytest.raises(TypeError):
             A * "2"
+
+
+# One matrix whose in-band entries sit beside every kind of entry the kernels
+# flag for their branches: signed zeros, infinite endpoints, a subnormal,
+# operands below the error-free band, pairs whose products overflow
+# (1e300 * 1e10) or underflow (1e-200 * 1e-200), and pairs whose sums
+# overflow against the rounding direction or meet as inf - inf.  _FLAGGED_B
+# pairs with _FLAGGED_A entry by entry; the divisors _FLAGGED_D leave out 0.
+_FLAGGED_A = [
+    iv(1.5, 2.5), iv(0.0), iv(-0.0), iv(-0.0, 0.0), iv(-3.0, -0.7), iv(1e300),
+    iv(1.5e308, math.inf), iv(-math.inf, -1.0), iv(2.0, math.inf), iv(_TINY),
+    iv(1e-300, 2e-300), iv(1e-200), iv(-1.0, 2.0), iv(-1.5e308, -1e308),
+]
+_FLAGGED_B = [
+    iv(-0.7, -0.3), iv(-2.0, 3.0), iv(1.25), iv(5.0, 6.0), iv(1e-200), iv(1e10),
+    iv(1e308), iv(math.inf), iv(-math.inf, -2.0), iv(-3.0),
+    iv(0.1, 0.3), iv(-1e-200), iv(1e300), iv(-1e308),
+]
+_FLAGGED_D = [
+    iv(-0.7, -0.3), iv(1e-300), iv(1.25), iv(5.0, 6.0), iv(1e-200), iv(1e-10),
+    iv(1e308), iv(0.5, math.inf), iv(-math.inf, -2.0), iv(-3.0),
+    iv(_TINY, 0.3), iv(-1e200), iv(1e300), iv(-1e308, -1e-308),
+]
+_FLAGGED_SCALARS = [iv(1e10), iv(-1e-200), iv(0.0), iv(-0.0), iv(0.75, 1.25), iv(-2.0, 1e300)]
+
+
+class TestFlaggedEntries:
+    """Entries outside the error-free band take the scalar branches, in a
+    matrix whose other entries skip them, with the bits of IntervalScalar,
+    the sign of a zero endpoint included."""
+
+    @staticmethod
+    def _check(M, xs, ys, op, cols=7):
+        assert M.shape == (2, cols)
+        for i in range(2):
+            for j in range(cols):
+                r = op(xs(i, j), ys(i, j))
+                assert _same(M.lo[i, j], M.hi[i, j], r), (i, j, xs(i, j), ys(i, j))
+
+    def test_matrix_matrix_row_and_scalar_in_both_orders(self):
+        def matrix(xs):
+            return IntervalMatrix.from_scalars([xs[:7], xs[7:]]), lambda i, j: xs[7 * i + j]
+
+        def rows(xs):
+            for r in (0, 1):
+                yield IntervalMatrix.from_scalars([xs[7 * r : 7 * r + 7]]), (
+                    lambda i, j, r=r: xs[7 * r + j]
+                )
+
+        (A, a), (B, b), (D, d) = map(matrix, (_FLAGGED_A, _FLAGGED_B, _FLAGGED_D))
+        for op in (operator.add, operator.sub, operator.mul):
+            self._check(op(A, B), a, b, op)
+            self._check(op(B, A), b, a, op)
+            for R, r in rows(_FLAGGED_B):
+                self._check(op(A, R), a, r, op)
+                self._check(op(R, A), r, a, op)
+            for s in _FLAGGED_SCALARS:
+                self._check(op(A, s), a, lambda i, j: s, op)
+                if op is operator.mul:  # the reflected scalar operators are * and /
+                    self._check(op(s, A), lambda i, j: s, a, op)
+        div = operator.truediv
+        self._check(A / D, a, d, div)
+        self._check(D / D[::-1], d, lambda i, j: d(1 - i, j), div)
+        for R, r in rows(_FLAGGED_D):
+            self._check(A / R, a, r, div)
+            self._check(R / D, r, d, div)
+        for s in _FLAGGED_SCALARS:
+            self._check(s / D, lambda i, j: s, d, div)
+            if not s.lo <= 0.0 <= s.hi:
+                self._check(A / s, a, lambda i, j: s, div)
+
+    def test_sqrt_and_intpow(self):
+        xs = [iv(0.0, x.mag()) if x.lo < 0.0 else x for x in _FLAGGED_A]
+        A = IntervalMatrix.from_scalars([xs[:7], xs[7:]])
+        x = lambda i, j: xs[7 * i + j]
+        self._check(A.sqrt(), x, x, lambda v, _: sqrt_iv(v))
+        for n in range(6):
+            self._check(A.intpow(n), x, x, lambda v, _: intpow_iv(v, n))
 
 
 class TestContainmentFuzz:

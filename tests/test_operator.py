@@ -490,8 +490,9 @@ class TestJacobianOracleCatchesMutants:
             ("(a * K + a_kc[band])", "(a * K)"),  # drops 2 A_{Kc}
             # swaps k and cols: the weight of the column mode, not the source
             (
-                "term = block[None, j, i] * wk",
-                "term = block[None, j, i] * _row([weights.get(m) for m in cols])[None, 0, i]",
+                "term = entries * wk",
+                "term = entries * _row([next(w for (acc, _), w in zip(sums, weights)"
+                " if acc is lo).get(m) for m in cols])[None, 0, i]",
             ),
         ],
         ids=["no-A_c-K", "no-A_Kc", "k-cols-swapped"],

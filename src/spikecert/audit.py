@@ -109,9 +109,12 @@ class AuditConfig:
 
     ``coupling`` and ``coupling_rec`` select the reference basis model,
     ``truncation_N`` the operator truncation, ``tau_prime`` the source-space
-    rate of the recovery scan, ``j_min`` and ``window`` the tail-coercivity
-    scan, ``lattice_radius`` the image-overlap enumeration; a fixed
-    ``timestamp`` makes the whole log reproducible.
+    rate of the recovery scan, ``j_min`` the first mode of the tail
+    coercivity bound, ``lattice_radius`` the image-overlap enumeration; a
+    fixed ``timestamp`` makes the whole log reproducible.  ``window`` is
+    read by nothing: the tail bound is its value at ``j_min`` alone.  It
+    stays only because the benchmark's tests build ``AuditConfig(window=64)``;
+    the next change to the benchmark deletes it.
     """
 
     coupling: float = 1.0
@@ -253,17 +256,11 @@ def _tail(run, cert, cfg, op_cfg) -> None:
         c_prof = _CAPS["C_prof"]
         run.add("CALC", f"profile envelope constant defaulted to cap {_iv(c_prof)}")
     try:
-        coer = certify_tail_coercivity(
-            cert, op_cfg, c_prof, j_min=cfg.j_min, window=cfg.window
-        )
+        coer = certify_tail_coercivity(cert, op_cfg, c_prof, j_min=cfg.j_min)
     except (ValueError, CertificationError) as exc:
         run.fail("gamma", f"tail coercivity stage failed: {exc}")
         return
-    run.add(
-        "CALC",
-        f"coercivity gamma (computed, j_min={cfg.j_min}, "
-        f"window={cfg.window}) = {_iv(coer.gamma)}",
-    )
+    run.add("CALC", f"coercivity gamma (computed, j_min={cfg.j_min}) = {_iv(coer.gamma)}")
     monotone = "verified" if coer.monotone_tail_verified else "NOT verified"
     run.add("CALC", f"monotone tail ratio {monotone} at j = {cfg.j_min}")
     if not coer.verified:

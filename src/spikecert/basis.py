@@ -115,8 +115,11 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
 
     def interaction_block(k: int, ls: Sequence[int], n: int) -> IntervalMatrix:
         _check_index(k)
-        for l in ls:
-            _check_index(l)
+        # every column at once: all exactly int (so no bool) and none below 1;
+        # otherwise one by one, to name the first bad index
+        if not (set(map(type, ls)) <= {int} and min(ls, default=1) >= 1):
+            for l in ls:
+                _check_index(l)
         _check_index(n)
         j = np.arange(1, n + 1)[:, None]
         l = np.array(ls, dtype=np.intp).reshape(1, -1)

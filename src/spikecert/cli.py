@@ -154,7 +154,6 @@ def _build_parser():
     common(p, "profile", "model", "modes", "out")
     p.add_argument("--tau-prime", type=_finite_float, default=_AUDIT.tau_prime)
     p.add_argument("--j-min", type=_bounded_int(1), default=_AUDIT.j_min)
-    p.add_argument("--window", type=_bounded_int(0), default=_AUDIT.window)
     p.add_argument("--lattice-radius", type=_bounded_int(0), default=_AUDIT.lattice_radius)
 
     p = sub.add_parser("residual", help="certified residual norm of a profile")
@@ -169,7 +168,6 @@ def _build_parser():
     p = sub.add_parser("tail", help="tail coercivity constant gamma")
     common(p, "profile", "model", "modes", "out")
     p.add_argument("--j-min", type=_bounded_int(1), default=_AUDIT.j_min)
-    p.add_argument("--window", type=_bounded_int(0), default=_AUDIT.window)
     p.add_argument("--c-prof", help="profile envelope constant (decimal)")
 
     p = sub.add_parser("constants", help="recovery, convolution and K constants")
@@ -229,7 +227,6 @@ def _cmd_audit(args) -> int:
         truncation_N=args.modes,
         tau_prime=args.tau_prime,
         j_min=args.j_min,
-        window=args.window,
         lattice_radius=args.lattice_radius,
     )
     result = run_audit(path, cfg)
@@ -277,9 +274,7 @@ def _cmd_tail(args) -> int:
         c_prof = interval_from_decimal(args.c_prof)
     else:
         c_prof = cert.constant("C_prof") or _CAPS["C_prof"]
-    rep = certify_tail_coercivity(
-        cert, _op_config(args, cert), c_prof, j_min=args.j_min, window=args.window
-    )
+    rep = certify_tail_coercivity(cert, _op_config(args, cert), c_prof, j_min=args.j_min)
     text = (
         f"gamma = {_iv(rep.gamma)}\n"
         f"j_min = {rep.j_min}\n"

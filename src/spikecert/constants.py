@@ -35,6 +35,7 @@ from .interval import (
     _chunks,
     _float_rounded,
     as_nonneg,
+    decay_ratio,
     exp_iv,
     intpow_iv,
     ln_iv,
@@ -119,10 +120,7 @@ def recovery_mapping_constant(tau: float, tau_prime: float) -> RecoveryMapResult
         i = int(np.argmax(lo))
         if lo[i] > best_lo:
             best_lo = float(lo[i])
-    step = IntervalScalar(float(k_end + 1), float(k_end + 1)) / IntervalScalar(
-        float(k_end), float(k_end)
-    )
-    ratio = sqrt_iv(intpow_iv(step, 7)) * exp_iv(-b)
+    ratio = decay_ratio(k_end, b)
     if not ratio.hi < 1.0:
         raise CertificationError(
             f"monotone-decrease ratio test failed at k={k_end}: bound {ratio.hi!r}"

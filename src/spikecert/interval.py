@@ -422,6 +422,14 @@ def pow_seven_halves(k: int) -> IntervalScalar:
     return intpow_iv(kk, 3) * sqrt_iv(kk)
 
 
+def decay_ratio(k: int, rate: IntervalScalar) -> IntervalScalar:
+    """Enclosure of e^{-rate} ((k+1)/k)^{7/2}, the one-step ratio of
+    k^{7/2} e^{-rate*k}; below one at k, it stays below one for every
+    later k, since ((k+1)/k)^{7/2} decreases."""
+    step = IntervalScalar(float(k + 1), float(k + 1)) / IntervalScalar(float(k), float(k))
+    return exp_iv(-rate) * sqrt_iv(intpow_iv(step, 7))
+
+
 def _const_interval(x: float, ulps: int = 1) -> IntervalScalar:
     lo, hi = x, x
     for _ in range(ulps):

@@ -13,10 +13,10 @@ term admits the envelope
 
     Inter(j) <= C_prof * j^{7/2} * e^{-tau*j} * sum_k |c_k| e^{tau*k},
 
-so the diagonal growth nu*j^2 wins for every j beyond a finite window
-once a single ratio test passes.  The window minimum is then a global
-coercivity constant, which is what makes the finite residual test
-sufficient for the full operator.
+and once its one-step ratio is below one at j_min (and nu > 0) the gap
+nu*j^2 - Inter(j) increases for every j >= j_min.  Its value at j_min is
+then a global coercivity constant, which is what makes the finite
+residual test sufficient for the full operator.
 """
 
 from __future__ import annotations
@@ -32,15 +32,13 @@ from .interval import (
     ZERO,
     IntervalMatrix,
     IntervalScalar,
-    _chunks,
     as_nonneg,
+    decay_ratio,
     exp_iv,
     identity_minus,
     inf_norm,
-    intpow_iv,
     point_times_interval,
     pow_seven_halves,
-    sqrt_iv,
 )
 from .operator import OperatorConfig
 from .spaces import ProfileCertificate
@@ -148,7 +146,7 @@ def interaction_envelope(cert: ProfileCertificate, C_prof, j: int) -> IntervalSc
 
 @dataclass(frozen=True)
 class CoercivityReport:
-    """Window scan plus tail argument for the diagonal-dominance constant."""
+    """The coercivity gap at j_min and the tail argument that makes it global."""
 
     gamma: IntervalScalar
     j_min: int
@@ -162,21 +160,18 @@ def certify_tail_coercivity(
     cfg: OperatorConfig,
     C_prof,
     j_min: int,
-    window: int,
 ) -> CoercivityReport:
     """Certify nu*j^2 - Inter(j) >= gamma.lo for every j >= j_min.
 
-    The scan takes the elementwise minimum over [j_min, j_min+window].
-    Beyond the window the bound persists because nu*j^2 is increasing
-    (needs nu > 0) while the envelope is decreasing: its one-step ratio
-    e^{-tau} ((j+1)/j)^{7/2} is itself decreasing in j, so checking it
-    once at j_min covers the whole tail.  Failed monotonicity is a
-    verdict, not an exception.
+    gamma is the gap at j_min alone.  It bounds the whole tail because
+    nu*j^2 is increasing (needs nu > 0) while the envelope is decreasing
+    once its one-step ratio e^{-tau} ((j+1)/j)^{7/2} is below one; that
+    ratio is itself decreasing in j, so checking it once at j_min covers
+    every later mode, and the gap is smallest at j_min.  Failed
+    monotonicity is a verdict, not an exception.
     """
     if not isinstance(j_min, int) or j_min < 1:
         raise CertificationError(f"j_min must be a positive integer, got {j_min!r}")
-    if not isinstance(window, int) or window < 0:
-        raise CertificationError(f"window must be a nonnegative integer, got {window!r}")
     if j_min <= cfg.truncation_N:
         raise CertificationError(
             f"j_min={j_min} must exceed the truncation N={cfg.truncation_N}"
@@ -187,34 +182,13 @@ def certify_tail_coercivity(
             f"{cert.coefficients.max_mode}"
         )
     nu = cfg.nu
-    cp = as_nonneg(C_prof, "C_prof")
-    tau = IntervalScalar(cert.tau_audited, cert.tau_audited)
-    total = _envelope_total(cert)
-    lo_min = np.inf
-    hi_min = np.inf
-    # nu*j^2 - interaction_envelope(j) over the window, a chunk of modes at a
-    # time; each entry has the bits of the scalar expression, and the running
-    # minima keep the first of equal values, as min() does
-    for part in _chunks(j_min, j_min + window + 1):
-        j = np.arange(part.start, part.stop)[None, :]
-        val = nu * IntervalMatrix.from_point((j * j).astype(np.float64))
-        if cert.coefficients.entries:  # else the envelope is ZERO, and x - ZERO is x
-            jj = IntervalMatrix.from_point(j.astype(np.float64))
-            val = val - cp * (jj.intpow(3) * jj.sqrt()) * (-(tau * jj)).exp() * total
-        lo, hi = val.lo[0], val.hi[0]
-        lo_min = min(lo_min, lo[np.argmin(lo)])
-        hi_min = min(hi_min, hi[np.argmin(hi)])
-    gamma = IntervalScalar(float(lo_min), float(hi_min))
+    gamma = nu * float(j_min * j_min) - interaction_envelope(cert, C_prof, j_min)
 
     notes = []
-    empty_profile = not cert.coefficients.entries
-    if empty_profile:
-        ratio_ok = True
-    else:
-        step = IntervalScalar(float(j_min + 1), float(j_min + 1)) / IntervalScalar(
-            float(j_min), float(j_min)
-        )
-        ratio = exp_iv(-tau) * sqrt_iv(intpow_iv(step, 7))
+    ratio_ok = True  # an empty profile has no envelope to decay
+    if cert.coefficients.entries:
+        tau = IntervalScalar(cert.tau_audited, cert.tau_audited)
+        ratio = decay_ratio(j_min, tau)
         ratio_ok = ratio.hi < 1.0
         if not ratio_ok:
             notes.append(
@@ -226,7 +200,7 @@ def certify_tail_coercivity(
     monotone = ratio_ok and increasing_ok
     verified = monotone and gamma.lo > 0.0
     if monotone and not verified:
-        notes.append(f"window minimum lower bound {gamma.lo!r} is not positive")
+        notes.append(f"coercivity lower bound {gamma.lo!r} at j={j_min} is not positive")
     return CoercivityReport(
         gamma=gamma,
         j_min=j_min,

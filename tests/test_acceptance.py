@@ -93,9 +93,7 @@ def test_criterion_01_scalar_closure_reproduction(bundled_certificate_path):
     assert elapsed < 1e-3
 
     # the three circulating roundings of the product must be on record
-    log_text = run_audit(
-        bundled_certificate_path, AuditConfig(window=64, timestamp="t")
-    ).log.render()
+    log_text = run_audit(bundled_certificate_path, AuditConfig(timestamp="t")).log.render()
     for variant in ("8.9e-05", "8.9328e-05", "8.9415e-05"):
         assert variant in log_text
     report(1, "scalar closure reproduction", elapsed, 1e-3)
@@ -147,9 +145,7 @@ def test_criterion_03_tail_coercivity(bundled_certificate_path):
     )
 
     def work():
-        return certify_tail_coercivity(
-            cert, cfg, interval_from_decimal("0.125"), j_min=1200, window=2048
-        )
+        return certify_tail_coercivity(cert, cfg, interval_from_decimal("0.125"), j_min=1200)
 
     t0 = time.perf_counter()
     rep = work()
@@ -400,7 +396,7 @@ def test_criterion_10_calculus_oracle():
 
 def test_criterion_11_end_to_end_audit(bundled_certificate_path, tmp_path):
     t0 = time.perf_counter()
-    cfg = AuditConfig(window=64, timestamp="2026-08-18T00:00:00Z")
+    cfg = AuditConfig(timestamp="2026-08-18T00:00:00Z")
     first = run_audit(bundled_certificate_path, cfg)
     second = run_audit(bundled_certificate_path, cfg)
     assert first.exit_code == 0

@@ -17,7 +17,7 @@ from spikecert.audit import (
 from spikecert.basis import reference_model
 from spikecert.cli import main
 
-FAST = AuditConfig(window=64, timestamp="2026-08-18T00:00:00Z")
+FAST = AuditConfig(timestamp="2026-08-18T00:00:00Z")
 
 DECLARED = [
     "delta",
@@ -129,8 +129,8 @@ def test_rslt_lines_marked_declared_or_computed(bundled):
 
 
 def test_determinism_modulo_timestamp(bundled):
-    a = run_audit(bundled, AuditConfig(window=64)).log.render()
-    b = run_audit(bundled, AuditConfig(window=64)).log.render()
+    a = run_audit(bundled).log.render()
+    b = run_audit(bundled).log.render()
     strip = lambda t: [l for l in t.splitlines() if not l.startswith("[EXEC] run started")]
     assert strip(a) == strip(b)
 
@@ -143,7 +143,7 @@ def test_fixed_timestamp_injection(bundled):
 def test_precision_line_is_fixed_binary64(bundled):
     # the arithmetic is binary64 throughout; no knob requests more bits
     with pytest.raises(TypeError):
-        AuditConfig(window=64, precision=212)
+        AuditConfig(precision=212)
     prec = [line for tag, line in run_audit(bundled, FAST).log if tag == "PREC"]
     assert prec == ["binary64 interval endpoints, outward rounding, 53 mantissa bits"]
 
@@ -201,7 +201,6 @@ def test_zero_profile_coupling_zero_trivially_closes(tmp_path):
     cfg = AuditConfig(
         coupling=0.0,
         truncation_N=16,
-        window=32,
         timestamp="2026-08-18T00:00:00Z",
     )
     result = run_audit(path, cfg)
@@ -341,7 +340,7 @@ def edited_copy(src, tmp_path, drop=(), **fields):
         # no declared eps_T3, and sigma^2 underflows, so the overlap bound divides by zero
         ({"sigma": "1e-300"}, ("eps_T3",), FAST, "eps_T3", "transfer error not computable"),
         # no declared M and modes past the truncation the Jacobian is built at
-        ({}, ("M",), AuditConfig(truncation_N=100, window=64), "M", "inverse bound M not computable"),
+        ({}, ("M",), AuditConfig(truncation_N=100), "M", "inverse bound M not computable"),
     ],
     ids=["tau", "sigma", "modes"],
 )
@@ -360,7 +359,7 @@ def test_stage_that_cannot_compute_rejects_with_a_log(
 
 def test_tau_past_tau_prime_through_the_cli(bundled, tmp_path, capsys):
     path = edited_copy(bundled, tmp_path, tau="0.09")
-    code = main(["audit", "--profile", str(path), "--window", "64"])
+    code = main(["audit", "--profile", str(path)])
     out = capsys.readouterr().out
     assert code == 1
     assert out.splitlines()[-1] == "[STATUS] certificate REJECTED: C_rec_map"

@@ -209,6 +209,12 @@ class TestReferenceModel:
             m.diffusion_eig(0)
         with pytest.raises(ValueError):
             m.interaction(1, -1, 2)
+        # the block checks its columns at once, yet names the first bad one
+        for bad in (0, -3, True, 2.0):
+            with pytest.raises(ValueError, match=f"positive integer, got {bad!r}$"):
+                m.interaction_block(3, [*range(1, 128), bad], 5)
+            with pytest.raises(ValueError, match=f"got {bad!r}$"):
+                m.interaction_block(3, [bad, *range(1, 127), -7], 5)
 
     def test_coupling_rec_defaults_to_coupling(self):
         m = reference_model(2.0)

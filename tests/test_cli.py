@@ -13,7 +13,7 @@ from spikecert.cli import main
 from spikecert.interval import IntervalMatrix
 from spikecert.spaces import load_certificate
 
-AUDIT_FAST = ["--modes", "64", "--window", "64"]
+AUDIT_FAST = ["--modes", "64"]
 
 
 def run(capsys, *argv):
@@ -26,9 +26,7 @@ def run(capsys, *argv):
 
 
 def test_audit_bundled_verifies(capsys, bundled_certificate_path):
-    code, out, _ = run(
-        capsys, "audit", "--profile", str(bundled_certificate_path), "--window", "64"
-    )
+    code, out, _ = run(capsys, "audit", "--profile", str(bundled_certificate_path))
     assert code == 0
     assert out.startswith("[EXEC] NS_GHOST_SPIKE_AUDIT_v1.0\n")
     assert "certificate VERIFIED" in out
@@ -41,8 +39,6 @@ def test_audit_writes_out_file(capsys, tmp_path, bundled_certificate_path):
         "audit",
         "--profile",
         str(bundled_certificate_path),
-        "--window",
-        "64",
         "--out",
         str(out_path),
     )
@@ -99,14 +95,12 @@ def test_audit_refuses_sigma_beyond_double_range(capsys, tmp_path, bundled_certi
         # the ceiling + 1, refused before any handler allocates anything
         (["audit", "--modes", "2049"], "argument --modes: must be at most 2048, got 2049"),
         (["audit", "--j-min", "0"], "argument --j-min: must be at least 1, got 0"),
-        (["audit", "--window", "-5"], "argument --window: must be at least 0, got -5"),
         (
             ["audit", "--lattice-radius", "-1"],
             "argument --lattice-radius: must be at least 0, got -1",
         ),
         (["audit", "--modes", "1.5"], "argument --modes: invalid int value: '1.5'"),
         (["residual", "--modes", "-3"], "argument --modes: must be at least 1, got -3"),
-        (["tail", "--window", "-1"], "argument --window: must be at least 0, got -1"),
         (["gen-profile", "--modes", "0"], "argument --modes: must be at least 1, got 0"),
         (["oracle", "--grid", "1"], "argument --grid: must be at least 9, got 1"),
         (["oracle", "divergence", "--grid", "8"], "argument --grid: must be at least 9, got 8"),
@@ -125,14 +119,9 @@ def test_integer_options_refuse_values_out_of_range(capsys, monkeypatch, argv, m
 def test_integer_options_accept_their_bounds(monkeypatch):
     seen = {}
     monkeypatch.setitem(cli._HANDLERS, "audit", lambda args: seen.update(vars(args)) or 0)
-    argv = ["--modes", str(cli._MAX_MODES), "--j-min", "1", "--window", "0", "--lattice-radius", "0"]
+    argv = ["--modes", str(cli._MAX_MODES), "--j-min", "1", "--lattice-radius", "0"]
     assert main(["audit", "--profile", "p.json", *argv]) == 0
-    assert (seen["modes"], seen["j_min"], seen["window"], seen["lattice_radius"]) == (
-        cli._MAX_MODES,
-        1,
-        0,
-        0,
-    )
+    assert (seen["modes"], seen["j_min"], seen["lattice_radius"]) == (cli._MAX_MODES, 1, 0)
     for grid in (9, 1024):
         monkeypatch.setitem(cli._HANDLERS, "oracle", lambda args: seen.update(vars(args)) or 0)
         assert main(["oracle", "--grid", str(grid)]) == 0
@@ -332,14 +321,7 @@ def test_inverse_without_a_candidate_inverse(capsys, monkeypatch):
 
 
 def test_tail_bundled(capsys, bundled_certificate_path):
-    code, out, _ = run(
-        capsys,
-        "tail",
-        "--profile",
-        str(bundled_certificate_path),
-        "--window",
-        "64",
-    )
+    code, out, _ = run(capsys, "tail", "--profile", str(bundled_certificate_path))
     assert code == 0
     assert "gamma = [7.200000e+03" in out
     assert "verified = True" in out
@@ -367,7 +349,7 @@ def test_oracle_bad_suite_name(capsys):
 
 def test_config_file_sets_defaults(capsys, tmp_path, bundled_certificate_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# fast settings\nwindow = 64\nj-min = 1300\n")
+    cfg.write_text("# tail settings\nj-min = 1300\n")
     code, out, _ = run(
         capsys,
         "--config",
@@ -382,7 +364,7 @@ def test_config_file_sets_defaults(capsys, tmp_path, bundled_certificate_path):
 
 def test_explicit_flag_beats_config(capsys, tmp_path, bundled_certificate_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("window = 64\nj-min = 1300\n")
+    cfg.write_text("j-min = 1300\n")
     code, out, _ = run(
         capsys,
         "--config",
@@ -399,7 +381,7 @@ def test_explicit_flag_beats_config(capsys, tmp_path, bundled_certificate_path):
 
 def test_malformed_config_rejected(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("window 64\n")
+    cfg.write_text("j-min 1300\n")
     code, _, err = run(capsys, "--config", str(cfg), "closure", "--delta", "1e-12",
                        "--M", "1", "--K", "1")
     assert code == 2
@@ -414,7 +396,7 @@ def test_unknown_config_key_rejected(capsys, tmp_path):
     assert code == 2
     assert "bad config file: unknown key 'windw'" in err
     # a key of another subcommand is not unknown
-    cfg.write_text("window = 64\n")
+    cfg.write_text("lattice-radius = 2\n")
     code, _, _ = run(capsys, "--config", str(cfg), *closure)
     assert code == 0
 
@@ -435,14 +417,27 @@ def test_no_subcommand_prints_usage(capsys):
         for cmd in ("audit", "residual")
         for flag in (["--model", "x"], ["--seed", "1"], ["--precision", "128"])
     ]
-    + [["constants", "--kernel-cap", "200"]],
+    + [["constants", "--kernel-cap", "200"]]
+    + [[cmd, "--profile", "cert.json", "--window", "64"] for cmd in ("audit", "tail")],
     ids=lambda argv: f"{argv[0]}{argv[-2]}",
 )
 def test_removed_flags_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+def test_removed_window_config_key_is_unknown(capsys, tmp_path, bundled_certificate_path):
+    # the tail bound is the gap at j_min alone; no subcommand reads a window
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("window = 64\n")
+    code, out, err = run(
+        capsys, "--config", str(cfg), "audit", "--profile", str(bundled_certificate_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert "bad config file: unknown key 'window'" in err
 
 
 def test_unknown_subcommand(capsys):
@@ -453,13 +448,13 @@ def test_unknown_subcommand(capsys):
 
 def test_config_value_its_option_cannot_convert(capsys, tmp_path, bundled_certificate_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("window = x\n")
+    cfg.write_text("j-min = x\n")
     code, out, err = run(
         capsys, "--config", str(cfg), "tail", "--profile", str(bundled_certificate_path)
     )
     assert code == 2
     assert out == ""
-    assert "bad config file: window = 'x' is not a valid int" in err
+    assert "bad config file: j_min = 'x' is not a valid int" in err
 
 
 def test_config_refuses_a_non_finite_float(capsys, tmp_path, bundled_certificate_path):

@@ -86,7 +86,7 @@ def _empty_profile(tmp):
         "tau": "0.08",
         "modes": [],
     }
-    return _audit(doc, tmp, coupling=0.0, truncation_N=16, window=32)
+    return _audit(doc, tmp, coupling=0.0, truncation_N=16)
 
 
 def _wide_sigma(lattice_radius: int):

@@ -7,17 +7,22 @@ loading it.  The checks run in a fresh interpreter, because this test
 process has scipy loaded already.
 
 No linter is installed, so `ast` scans guard against imported names that a
-module never references, and against private module-level helpers of the
-package that nothing references.
+module never references, against private module-level helpers of the
+package that nothing references, and against fields of the audit and
+operator configurations that nothing reads: a knob that changes nothing.
 """
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from spikecert.audit import AuditConfig
+from spikecert.operator import OperatorConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -180,3 +185,66 @@ def test_dead_helper_scan_flags_an_unreferenced_helper(tmp_path):
     (tmp_path / "b.py").write_text("from .a import _shared\nprint(_shared())\n")
     paths = [tmp_path / "a.py", tmp_path / "b.py"]
     assert dead_private_names(paths) == [("a.py", 2, "_unused"), ("a.py", 7, "_orphan")]
+
+
+def unread_fields(paths, classes):
+    """(class name, field) for each dataclass field of ``classes`` that no
+    attribute load in ``paths`` reads, other than inside that class."""
+    trees = [ast.parse(path.read_text(), str(path)) for path in paths]
+    names = {cls.__name__ for cls in classes}
+    inside = {
+        id(node)
+        for tree in trees
+        for top in tree.body
+        if isinstance(top, ast.ClassDef) and top.name in names
+        for node in ast.walk(top)
+    }
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and id(node) not in inside
+    }
+    return sorted(
+        (cls.__name__, f.name)
+        for cls in classes
+        for f in dataclasses.fields(cls)
+        if f.name not in read
+    )
+
+
+# AuditConfig.window is read by nothing: the tail bound is the gap at j_min
+# alone.  It stays only because the benchmark's own tests build
+# AuditConfig(window=64); the benchmark change that deletes it empties this
+# list
+UNREAD = [("AuditConfig", "window")]
+
+
+def test_every_config_field_is_read():
+    configs = [AuditConfig, OperatorConfig]
+    fields = {(cls.__name__, f.name) for cls in configs for f in dataclasses.fields(cls)}
+    assert set(UNREAD) <= fields, "a deleted field leaves UNREAD too"
+    paths = sorted((SRC / "spikecert").glob("*.py"))
+    assert unread_fields(paths, configs) == UNREAD
+
+
+def test_unread_field_scan_skips_reads_inside_the_class(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "class Config:\n"
+        "    def __post_init__(self):\n"
+        "        assert self.size > 0\n"
+        "def run(cfg):\n"
+        "    cfg.seed = 3\n"
+        "    return cfg.name\n"
+    )
+
+    @dataclasses.dataclass
+    class Config:
+        name: str
+        size: int
+        seed: int
+
+    assert unread_fields([module], [Config]) == [("Config", "seed"), ("Config", "size")]

@@ -614,6 +614,22 @@ class TestMatrixKernels:
             Q = IntervalMatrix.from_scalars([[x]]) / y
             assert _same(Q.lo[0, 0], Q.hi[0, 0], x / y), (x, y)
 
+    def test_quotient_band_margin_covers_a_corner_that_leaves_the_band(self):
+        # both picked corners, x.lo / y.hi and x.hi / y.lo, lie in the plain
+        # error-free band; the other corner x.lo / y.lo does not: its
+        # quotient is subnormal, so q * y.lo falls below _EFT_LO, and its
+        # unconditional nudge gives the least lower bound of the four; the
+        # margins on the quotient and on the dividend each send the entry to
+        # the four-corner rule
+        x = iv(float.fromhex("0x1.8f2b061aec000p-964"), float.fromhex("0x1.8f2b061aec000p-963"))
+        y = iv(float.fromhex("0x1.fffffffffd73ep+71"), float.fromhex("0x1p+72"))
+        lower = float.fromhex("0x0.00063cac186bap-1022")
+        assert (x / y).lo == lower
+        X, Y = IntervalMatrix.from_scalars([[x]]), IntervalMatrix.from_scalars([[y]])
+        for Q in (X / y, X / Y, x / Y):
+            assert _same(Q.lo[0, 0], Q.hi[0, 0], x / y)
+            assert Q.lo[0, 0] == lower
+
     def test_exp_deep_underflow_and_overflow(self):
         xs = [iv(-800.0), iv(-745.2, -744.9), iv(-720.0, -709.0), iv(-709.5, -708.0), iv(-0.0, 0.0)]
         E = IntervalMatrix.from_scalars([xs]).exp()

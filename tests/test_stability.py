@@ -7,6 +7,7 @@ it on every trial.  Coercivity values are frozen from a 40-digit mpmath
 evaluation of the envelope formula.
 """
 
+import math
 import random
 
 import numpy as np
@@ -16,7 +17,15 @@ import spikecert.interval as interval_module
 import spikecert.stability as stability_module
 from spikecert.basis import reference_model
 from spikecert.errors import CertificationError
-from spikecert.interval import IntervalMatrix, IntervalScalar, exp_iv, make_interval
+from spikecert.interval import (
+    IntervalMatrix,
+    IntervalScalar,
+    decay_ratio,
+    exp_iv,
+    intpow_iv,
+    make_interval,
+    sqrt_iv,
+)
 from spikecert.operator import OperatorConfig, assemble_jacobian
 from spikecert.spaces import (
     CoefficientVector,
@@ -269,9 +278,7 @@ def test_zero_profile_gamma_is_exact(bundled):
         sigma=0.05,
         tau_audited=0.08,
     )
-    rep = certify_tail_coercivity(
-        cert, reference_config(bundled.nu), 0.125, j_min=1200, window=16
-    )
+    rep = certify_tail_coercivity(cert, reference_config(bundled.nu), 0.125, j_min=1200)
     assert rep.verified
     assert rep.monotone_tail_verified
     # nu carries the decimal value 0.005, so nu * 1200^2 encloses 7200
@@ -282,28 +289,29 @@ def test_zero_profile_gamma_is_exact(bundled):
 
 def test_bundled_certificate_coercivity(bundled):
     cfg = reference_config(bundled.nu)
-    rep = certify_tail_coercivity(bundled, cfg, 0.125, j_min=1200, window=64)
+    rep = certify_tail_coercivity(bundled, cfg, 0.125, j_min=1200)
     assert rep.verified
     assert rep.monotone_tail_verified
     assert rep.gamma.contains(7200.0)
     assert 7199.9 <= rep.gamma.lo <= 7200.0
     # the envelope shaves an invisibly small amount off the diagonal
     at_j_min = cfg.nu * 1200.0 ** 2 - interaction_envelope(bundled, 0.125, 1200)
-    assert rep.gamma.hi <= at_j_min.hi
+    assert bits(rep.gamma) == bits(at_j_min)
     assert rep.diagnostic == ""
 
 
 def test_window_minimum_sits_at_the_left_edge(bundled):
     cfg = reference_config(bundled.nu)
-    rep = certify_tail_coercivity(bundled, cfg, 0.125, j_min=1200, window=8)
+    rep = certify_tail_coercivity(bundled, cfg, 0.125, j_min=1200)
     vals, _ = scalar_window_scan(bundled, cfg, 0.125, 1200, 8)
     assert all(vals[j].lo <= vals[j + 1].lo for j in range(1200, 1208))
-    assert rep.gamma.lo == vals[1200].lo
+    assert bits(rep.gamma) == bits(vals[1200])
+    assert bits(rep.gamma) != bits(vals[1201])
 
 
 def test_zero_nu_is_a_verdict(bundled):
     rep = certify_tail_coercivity(
-        bundled, reference_config(IntervalScalar(0.0, 0.0)), 0.125, j_min=1200, window=4
+        bundled, reference_config(IntervalScalar(0.0, 0.0)), 0.125, j_min=1200
     )
     assert not rep.verified
     assert not rep.monotone_tail_verified
@@ -311,52 +319,76 @@ def test_zero_nu_is_a_verdict(bundled):
     assert "not positive" in rep.diagnostic
 
 
+def test_non_monotone_tail_is_a_verdict_naming_the_ratio():
+    # 40 modes and j_min = 41: e^{-0.08} (42/41)^{7/2} = 1.00435..., so the
+    # envelope may still grow past j_min and the gap there bounds nothing
+    rng = random.Random(40)
+    entries = {
+        k: make_interval(rng.uniform(-1e-5, 1e-5) * math.exp(-0.08 * k), 0.0) for k in range(1, 41)
+    }
+    cert = ProfileCertificate(
+        coefficients=CoefficientVector.from_dict(entries),
+        nu=make_interval(0.005, 0.0),
+        sigma=0.05,
+        tau_audited=0.08,
+    )
+    rep = certify_tail_coercivity(cert, reference_config(cert.nu, N=40), 0.125, j_min=41)
+    assert rep.gamma.lo > 0.0  # the gap at j_min alone would pass
+    assert not rep.monotone_tail_verified
+    assert not rep.verified
+    assert rep.diagnostic == "envelope ratio bound 1.0043508681889308 at j=41 is not below one"
+
+
 def test_j_min_must_clear_truncation(bundled):
     with pytest.raises(CertificationError):
-        certify_tail_coercivity(
-            bundled, reference_config(bundled.nu), 0.125, j_min=450, window=2048
-        )
+        certify_tail_coercivity(bundled, reference_config(bundled.nu), 0.125, j_min=450)
     with pytest.raises(CertificationError):
-        certify_tail_coercivity(
-            bundled, reference_config(bundled.nu, N=8), 0.125, j_min=300, window=2048
-        )
+        certify_tail_coercivity(bundled, reference_config(bundled.nu, N=8), 0.125, j_min=300)
 
 
 def test_bad_window_arguments(bundled):
     cfg = reference_config(bundled.nu)
-    with pytest.raises(CertificationError):
-        certify_tail_coercivity(bundled, cfg, 0.125, j_min=0, window=2048)
-    with pytest.raises(CertificationError):
-        certify_tail_coercivity(bundled, cfg, 0.125, j_min=1200, window=-1)
+    for j_min in (0, -3, 1200.0):
+        with pytest.raises(CertificationError, match="j_min must be a positive integer"):
+            certify_tail_coercivity(bundled, cfg, 0.125, j_min=j_min)
+    with pytest.raises(TypeError, match="window"):
+        certify_tail_coercivity(bundled, cfg, 0.125, j_min=1200, window=2048)
 
 
-def test_envelope_ratio_bound_value(bundled):
+def test_envelope_ratio_bound_value():
     """The one-step ratio the tail argument checks is comfortably below 1.
 
-    e^{-0.08} (1201/1200)^{7/2} to 17 digits: 0.92581157483925992.
+    e^{-0.08} (1201/1200)^{7/2} to 17 digits: 0.92581157483925992.  The
+    factors in either order give the same bits.
     """
-    from spikecert.interval import exp_iv, intpow_iv, sqrt_iv
-
     tau = IntervalScalar(0.08, 0.08)
-    step = IntervalScalar(1201.0, 1201.0) / IntervalScalar(1200.0, 1200.0)
-    ratio = exp_iv(-tau) * sqrt_iv(intpow_iv(step, 7))
+    ratio = decay_ratio(1200, tau)
     assert ratio.contains(0.92581157483925992)
     assert ratio.hi < 1.0
+    step = IntervalScalar(1201.0, 1201.0) / IntervalScalar(1200.0, 1200.0)
+    growth = sqrt_iv(intpow_iv(step, 7))
+    assert bits(ratio) == bits(exp_iv(-tau) * growth) == bits(growth * exp_iv(-tau))
 
 
 def test_gamma_lower_bound_holds_far_beyond_window(bundled):
-    """Spot-check the global claim at indices past the scanned window."""
+    """Spot-check the global claim at indices far past j_min."""
     cfg = reference_config(bundled.nu)
-    rep = certify_tail_coercivity(bundled, cfg, 0.125, j_min=1200, window=32)
+    rep = certify_tail_coercivity(bundled, cfg, 0.125, j_min=1200)
     for j in (1300, 2000, 5000, 25000):
         val = cfg.nu * float(j * j) - interaction_envelope(bundled, 0.125, j)
         assert val.lo >= rep.gamma.lo
 
 
+def test_gamma_past_the_int64_square(bundled):
+    # j_min^2 = 1.6e19 exceeds the int64 range, where an integer array of
+    # modes would wrap; the stage squares a Python int
+    rep = certify_tail_coercivity(bundled, reference_config(bundled.nu), 0.125, j_min=4_000_000_000)
+    assert rep.verified
+    assert rep.gamma.contains(8e16)
+
+
 def test_report_types(bundled):
-    rep = certify_tail_coercivity(
-        bundled, reference_config(bundled.nu), 0.125, j_min=1200, window=2
-    )
+    rep = certify_tail_coercivity(bundled, reference_config(bundled.nu), 0.125, j_min=1200)
     assert isinstance(rep, CoercivityReport)
     inv = inverse_bound_from_norms(2.0, 0.5)
     assert isinstance(inv, InverseReport)
@@ -364,12 +396,13 @@ def test_report_types(bundled):
 
 
 # ---------------------------------------------------------------------------
-# the window scan against the scalar loop it replaced
+# the gap at j_min against a scalar scan of the window after it: where the
+# ratio test passes, the lemma puts the minimum at j_min, bit for bit
 
 
 def scalar_window_scan(cert, cfg, C_prof, j_min, window):
-    """nu*j^2 - interaction_envelope(j) mode by mode and the running minima,
-    as certify_tail_coercivity once computed them; the bitwise reference."""
+    """nu*j^2 - interaction_envelope(j) mode by mode and the running minima
+    over [j_min, j_min + window]; the bitwise reference."""
     values = {}
     lo_min = np.inf
     hi_min = np.inf
@@ -385,42 +418,36 @@ def bits(x):
     return float(x.lo).hex(), float(x.hi).hex()
 
 
-def assert_matches_scalar_scan(cert, cfg, C_prof, j_min, window):
-    # gamma of the window, and of one-mode windows spread over it (each such
-    # gamma is the scan's entry for that mode), has the bits of the scalar
-    # loop, and the verdict is the one the scalar gamma gives
-    rep = certify_tail_coercivity(cert, cfg, C_prof, j_min=j_min, window=window)
-    values, gamma = scalar_window_scan(cert, cfg, C_prof, j_min, window)
+@pytest.mark.parametrize(
+    "window, stride",
+    [
+        (2048, None),  # the old audit window, one-point gammas every 128 modes
+        (0, None),
+        (20, 7),  # one-point gammas at every 7th mode
+        (9, 7),
+    ],
+)
+def test_window_scan_matches_scalar_loop(bundled, window, stride):
+    # gamma has the bits of the scan minimum over the window, and the gamma
+    # with j_min moved to a mode of the window is that mode's scan entry
+    cfg = reference_config(bundled.nu)
+    rep = certify_tail_coercivity(bundled, cfg, 0.125, j_min=1200)
+    values, gamma = scalar_window_scan(bundled, cfg, 0.125, 1200, window)
     assert bits(rep.gamma) == bits(gamma)
     assert rep.verified == (rep.monotone_tail_verified and gamma.lo > 0.0)
-    spots = sorted({*list(values)[:: max(1, window // 16)], j_min + window})
+    spots = sorted({*list(values)[:: stride or max(1, window // 16)], 1200 + window})
     assert [
-        bits(certify_tail_coercivity(cert, cfg, C_prof, j_min=j, window=0).gamma)
-        for j in spots
+        bits(certify_tail_coercivity(bundled, cfg, 0.125, j_min=j).gamma) for j in spots
     ] == [bits(values[j]) for j in spots]
 
 
-@pytest.mark.parametrize(
-    "window, chunk",
-    [
-        (2048, None),  # the audit's window: 2049 modes, one past a chunk
-        (0, None),
-        (20, 7),  # 21 modes, three full chunks
-        (9, 7),  # 10 modes, a partial last chunk
-    ],
-)
-def test_window_scan_matches_scalar_loop(bundled, monkeypatch, window, chunk):
-    if chunk is not None:
-        monkeypatch.setattr(interval_module, "_CHUNK", chunk)
-    assert_matches_scalar_scan(bundled, reference_config(bundled.nu), 0.125, 1200, window)
-
-
-def test_window_scan_matches_scalar_loop_on_random_profiles(monkeypatch):
+def test_window_scan_matches_scalar_loop_on_random_profiles():
     # mixed signs, nonzero radii, exactly zero coefficients, empty profiles,
-    # nu = 0 and C_prof = 0, over windows cut into chunks of 16 modes
-    monkeypatch.setattr(interval_module, "_CHUNK", 16)
+    # C_prof = 0, and nu and j_min varied; every profile that passes the
+    # ratio test has the gamma of the scan, and at least 200 verify
     rng = random.Random(61)
-    for _ in range(12):
+    verified = 0
+    for _ in range(400):
         N = rng.randint(1, 40)
         entries = {}
         for k in rng.sample(range(1, N + 1), rng.randint(0, min(N, 6))):
@@ -428,19 +455,25 @@ def test_window_scan_matches_scalar_loop_on_random_profiles(monkeypatch):
             entries[k] = make_interval(mid, rng.choice([0.0, 1e-6]))
         cert = ProfileCertificate(
             coefficients=CoefficientVector.from_dict(entries),
-            nu=make_interval(rng.choice([0.0, 0.005, 0.02]), rng.choice([0.0, 1e-9])),
+            nu=make_interval(rng.choice([0.0, 0.005, 0.02, 1.5]), rng.choice([0.0, 1e-9])),
             sigma=0.05,
-            tau_audited=rng.choice([0.01, 0.08, 0.5]),
+            tau_audited=rng.choice([0.08, 0.5, 2.0]),
         )
         cfg = OperatorConfig(reference_model(1.0), cert.nu, truncation_N=N)
-        C_prof = rng.choice([0.0, 0.125, 3.0])
-        assert_matches_scalar_scan(cert, cfg, C_prof, N + 1 + rng.randint(0, 99), rng.randint(0, 59))
+        C_prof = rng.choice([0.0, 0.125, 3.0, 1e6])
+        j_min = N + 1 + rng.randint(0, 120)
+        rep = certify_tail_coercivity(cert, cfg, C_prof, j_min=j_min)
+        assert rep.verified == (rep.monotone_tail_verified and rep.gamma.lo > 0.0)
+        if rep.monotone_tail_verified:
+            _, gamma = scalar_window_scan(cert, cfg, C_prof, j_min, 64)
+            assert bits(rep.gamma) == bits(gamma), (entries, cert.nu, cert.tau_audited, j_min)
+        verified += rep.verified
+    assert verified >= 200
 
 
 def test_window_scan_computes_the_envelope_total_once(bundled, monkeypatch):
-    # each scalar exp_iv left in the scan: one per support mode for the
-    # j-independent total, one for the ratio test; the window itself uses
-    # the elementwise exp
+    # each scalar exp_iv of the stage: one per support mode for the
+    # j-independent total, one for the envelope at j_min, one for the ratio
     calls = []
 
     def counting_exp_iv(x):
@@ -448,7 +481,6 @@ def test_window_scan_computes_the_envelope_total_once(bundled, monkeypatch):
         return exp_iv(x)
 
     monkeypatch.setattr(stability_module, "exp_iv", counting_exp_iv)
-    certify_tail_coercivity(
-        bundled, reference_config(bundled.nu), 0.125, j_min=1200, window=2048
-    )
-    assert 0 < len(calls) <= len(bundled.coefficients) + 2
+    monkeypatch.setattr(interval_module, "exp_iv", counting_exp_iv)
+    certify_tail_coercivity(bundled, reference_config(bundled.nu), 0.125, j_min=1200)
+    assert len(calls) == len(bundled.coefficients) + 2

@@ -5,8 +5,9 @@ in a fixed order, `_residual` (delta), `_inverse` (M), `_tail` (gamma),
 `_constants` (K), `_transfer` (eps) and `_closure` (verdict and status),
 which all write through one `_Run`.  A stage that cannot produce its value
 logs a failing RSLT line, so content problems end in REJECTED, never in an
-exception.  A computed M is not assembled when the options alone fail the
-tail stage (`j_min` not above N); a CALC line says so.  The log has one
+exception.  A computed M is not assembled when the options alone fail a
+later stage, the tail (`j_min` not above N) or the constants (`tau_prime`
+not above `tau`); a CALC line says so.  The log has one
 line per result in a small tagged grammar:
 
     [EXEC]    run identification, magic string first
@@ -223,7 +224,8 @@ def _residual(run, cert, cfg, op_cfg) -> Optional[IntervalScalar]:
 
 def _inverse(run, cert, cfg, op_cfg) -> Optional[IntervalScalar]:
     """M: declared if given, else the verified inverse bound of the Jacobian,
-    which is not assembled when the tail stage must fail on the options."""
+    which is not assembled when the tail or the constants stage must fail on
+    the options."""
     run.add("TASK", "inverse bound")
     declared = cert.constant("M")
     if declared is not None:
@@ -234,6 +236,13 @@ def _inverse(run, cert, cfg, op_cfg) -> Optional[IntervalScalar]:
             "CALC",
             f"inverse bound M skipped: the tail stage needs j_min={cfg.j_min} "
             f"above the truncation N={cfg.truncation_N}",
+        )
+        return None
+    if not cfg.tau_prime > cert.tau_audited:
+        run.add(
+            "CALC",
+            f"inverse bound M skipped: the constants stage needs tau_prime="
+            f"{cfg.tau_prime:.6e} above tau={cert.tau_audited:.6e}",
         )
         return None
     try:

@@ -654,12 +654,20 @@ def _np_mul(a, b, up: bool):
 def _np_div(a, b, up: bool):
     """Elementwise _div(a, b) for divisors without 0, its upper bound if
     ``up``, else its lower, and the mask of the entries that lie in the
-    error-free band with a margin: _np_eft_ok tests q * b, within two
-    roundings of the dividend, so the dividend keeps a factor of two from
-    the band's edges there, and the quotient q lies in the band too.  Holding
-    that on the two picked corners holds it on all four: between them they
-    take each operand's two endpoints and the results of least and greatest
-    magnitude."""
+    error-free band with a margin: the dividend keeps a factor of two from
+    the band's edges.  Holding that on the two picked corners holds the
+    band on all four: between them they take each operand's two endpoints
+    and the results of least and greatest magnitude, so every corner's
+    divisor is below _EFT_HI, its quotient q between the picked ones, and
+    q * b near its dividend.  Within two roundings where q is normal; where
+    q is subnormal, q = RN(a / b) is nonzero (it is at least the picked
+    least one, whose q * b lies in the band) and so within a factor (2/3, 2)
+    of a / b, and then q * b lies within that factor of the dividend, in
+    the band, since a subnormal q needs |a| < 1e-7.  No margin on q is
+    needed: an in-band corner with a subnormal q is still its exact value
+    rounded to the next double below or above, and a bound rounded to 0
+    takes the sign every corner shares, +0.0 below a positive quotient and
+    -0.0 above a negative one."""
     q = a / b
     p = q * b
     d = (a - p) - _prod_err(q, b, p)  # sign of a - q*b, as in _div
@@ -669,7 +677,7 @@ def _np_div(a, b, up: bool):
     eft = _np_eft_ok(q, b, p)
     _np_directed(out, q, eft, a, b, False, up)
     aa = np.abs(a)
-    return out, eft & (_EFT_LO < np.abs(q)) & (2.0 * _EFT_LO < aa) & (aa < 0.5 * _EFT_HI)
+    return out, eft & (2.0 * _EFT_LO < aa) & (aa < 0.5 * _EFT_HI)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -951,22 +959,77 @@ def _gamma_factor(n: int) -> float:
     return 1.01 * g / (1.0 - g)
 
 
+@np.errstate(invalid="ignore")
+def _mid_rad(x: IntervalMatrix):
+    """(mid, rad, unbounded) of x for a midpoint-radius sum: each entry with
+    finite endpoints lies in [mid - rad, mid + rad], and rad is exactly 0
+    on an entry [x, x] whose mid is x, [0, 0] included.  mid - lo and
+    hi - mid are rounded to nearest; where their maximum is not 0, one ulp
+    up makes it an upper bound (a float difference is 0 only when exact).
+    ``unbounded`` flags the entries with an infinite endpoint, which get
+    mid = rad = 0."""
+    mid = x.lo * 0.5
+    mid += x.hi * 0.5
+    rad = mid - x.lo
+    np.maximum(rad, x.hi - mid, out=rad)
+    exact = rad == 0.0
+    np.nextafter(rad, _INF, out=rad)
+    np.copyto(rad, 0.0, where=exact)
+    unbounded = ~np.isfinite(mid)  # 0.5 lo + 0.5 hi is finite iff both are
+    if unbounded.any():
+        mid[unbounded] = rad[unbounded] = 0.0
+    return mid, rad, unbounded
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _mid_rad_enclosure(mid, rad, scale, n) -> IntervalMatrix:
+    """[mid - r, mid + r] outward, with r = rad + gamma * scale + n * 1e-300,
+    for sums formed in midpoint-radius form (Rump, *Fast and parallel
+    interval arithmetic*, BIT 39, 1999; Rump, *Verification methods*, Acta
+    Numerica 19, 2010, section 10).
+
+    The exact value s of an entry is a sum of terms x_t, each within rho_t
+    of p_t, with |p_t| + rho_t <= sigma_t, where p_t, rho_t and sigma_t are
+    real expressions in floats; mid, rad and scale are their sums evaluated
+    in floats, every term passing through at most n + 2 roundings on its
+    way in (a sum of n terms, each formed with at most three roundings,
+    added in any order; terms that are exactly 0 do not count).  n is an
+    int or an array of them, one per entry.  Then |s - mid| <= rad +
+    gamma_(n+2) / (1 - gamma_(n+2)) * scale, which _gamma_factor(n)
+    covers, plus at most 2^-1075 for each product that underflows, which
+    the underflow term n * 1e-300 covers for any count of products below
+    10^22.  An entry with n = 0 has mid = rad = scale = 0, its exact sum,
+    and stays [0, 0].  The three roundings that form r are absorbed by the
+    factor 1 + 4e-16 and two ulps, those of mid -+ r by two ulps outward.
+    Where an overflow left inf - inf, that side is unbounded.
+    """
+    r = _gamma_factor(n) * scale
+    r += rad
+    r += n * 1e-300
+    exact = r == 0.0
+    r *= 1.0 + 4e-16
+    r = _np_up(r, steps=2)
+    lo, hi = _np_down(mid - r, steps=2), _np_up(mid + r, steps=2)
+    if exact.any():
+        np.copyto(lo, mid, where=exact)
+        np.copyto(hi, mid, where=exact)
+    np.copyto(lo, -_INF, where=np.isnan(lo))
+    np.copyto(hi, _INF, where=np.isnan(hi))
+    return IntervalMatrix(lo, hi)
+
+
 def point_times_interval(A: np.ndarray, B: IntervalMatrix) -> IntervalMatrix:
-    """Enclosure of A @ B for a point matrix A, via midpoint-radius with an
-    a priori rounding bound on the float64 matmuls."""
+    """Enclosure of A @ B for a point matrix A, in midpoint-radius form:
+    terms A_ik Bm_kj, within |A_ik| Br_kj of A_ik B_kj, bounded by
+    |A_ik| (|Bm_kj| + Br_kj), summed by float64 matmuls."""
     A = np.asarray(A, dtype=np.float64)
     n = A.shape[1]
     if n != B.shape[0]:
         raise IntervalError(f"shape mismatch {A.shape} @ {B.shape}")
     Bm = 0.5 * B.lo + 0.5 * B.hi
     Br = _np_up(np.maximum(Bm - B.lo, B.hi - Bm), steps=2)
-    g = _gamma_factor(n)
     absA = np.abs(A)
-    P = A @ Bm
-    scale = absA @ (np.abs(Bm) + Br)
-    rad = (absA @ Br) + g * scale + n * 1e-300
-    rad = _np_up(rad * (1.0 + 4e-16), steps=2)
-    return IntervalMatrix(_np_down(P - rad, steps=2), _np_up(P + rad, steps=2))
+    return _mid_rad_enclosure(A @ Bm, absA @ Br, absA @ (np.abs(Bm) + Br), n)
 
 
 def identity_minus(P: IntervalMatrix) -> IntervalMatrix:

@@ -1,36 +1,36 @@
 """The stationary profile operator and its linearization, in interval arithmetic.
 
-G(c) combines a diagonal linear part (identity, scaling drift, diffusion), a
-quadratic self-advection realized through the basis interaction tensor, and a
+G(c) is a diagonal linear part (identity, scaling drift, diffusion) plus a
+quadratic self-advection through the basis interaction tensor and a
 stretching term that first passes the coefficients through the recovery
-kernel.  Inputs live on modes 1..N; quadratic output spills into modes up to
-2N and is deliberately not projected away, since the residual certification
-needs exactly that spillover block.
+kernel.  Inputs live on modes 1..N; the quadratic output spills into modes
+up to 2N, kept because the residual certification needs that block.
 
-G, its quadratic form and its Jacobian all come from one interaction sum.
-For weights w on modes 1..N,
+With L the linear symbol, K = diag(K_rec(k)) and Q(u, v)_j = sum_{k,l}
+C_{klj} u_k v_l, G(c) = L c + Q(c, c) + 2 Q(K c, c).  The basis is
+symmetric, C_{klj} = C_{lkj}, so Q(K c, c) = Q(c, K c), and in mode j of
+DG(c) h = L h + Q(h, c) + Q(c, h) + 2 Q(K h, c) + 2 Q(K c, h) the
+coefficient of h_m is sum_k C_{kmj} c_k (2 + 2 K_m + 2 K_k).  Each of
+Q, G and J is thus one sum
+over source modes k of a slab C_k = interaction_block(k, cols, n) times
+a weight row W_k formed in directed arithmetic (no selection rule assumed):
 
-    A_w[j, l] = sum_k w_k C_{klj},   so   Q(u, v) = A_u v,
+    Q(u, v)_j = sum_{k,l} u_k v_l C_{klj}
+    G(c)_j    = L_j c_j + sum_{k,l} c_k c_l (1 + 2 K_l) C_{klj}
+    J[j, m]   = L_m delta_jm + sum_k 2 c_k (1 + K_k + K_m) C_{kmj}
 
-with A_u taken over the support of v and rows 1..2N.  With L the linear
-symbol and K = diag(K_rec(k)), G(c) = L c + Q(c, c) + 2 Q(K c, c).  The
-basis is symmetric, C_{klj} = C_{lkj}, so Q(u, v) = Q(v, u); that is used
-twice and nowhere else:
-
-* G(c) = L c + A_c c + 2 A_c (K c), since Q(K c, c) = Q(c, K c): one sum,
-  A_c over the support of c with 2N rows;
-* DG(c) h = L h + Q(h, c) + Q(c, h) + 2 Q(K h, c) + 2 Q(K c, h), where
-  Q(h, c) = Q(c, h) = A_c h and Q(K h, c) = Q(c, K h) = A_c K h, while
-  Q(K c, h) = A_{Kc} h; so J = L + 2 A_c + 2 A_c K + 2 A_{Kc} on rows and
-  columns 1..N, two sums, A_c K being A_c with column m scaled by K_m.
-
-The tensor is read only through the basis's interaction_block, one slab
-per nonzero weight, added where the slab is nonzero; no selection rule is
-assumed.  Every sum and product is outward rounded entry by entry, so each
-entry encloses its exact value.  An entry no term reaches is exactly
-[0, 0], and the vectors returned leave it out, as CoefficientVector does
-for exact zeros.  Interval finite differences could never certify
-anything; they appear only in tests as a consistency oracle for midpoints.
+Each sum is formed in midpoint-radius form (Rump, *Fast and parallel
+interval arithmetic*, BIT 39, 1999; *Verification methods*, Acta Numerica
+19, 2010, section 10): with C_k and W_k split into float mid and rad,
+float arrays add up mid, rad and scale from Cm Wm, |Cm| Wr + Cr (|Wm| +
+Wr) and (|Cm| + Cr) (|Wm| + Wr).  Each exact C W lies within the second of
+Cm Wm, and |Cm Wm| plus it is at most the third, so the exact sum lies
+within rad + gamma_n scale of mid, plus an underflow term, with n bounding
+the roundings a term meets (interval._mid_rad_enclosure).  This is not
+bit-identical to directed rounding entry by entry.  An entry no term
+reaches is exactly [0, 0], left out of the vectors returned; an
+overflowing sum, or a factor with an infinite endpoint, makes its entries
+the whole line.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import BasisModel
-from .interval import _CHUNK, ONE, IntervalMatrix, IntervalScalar, _chunks, _np_add
+from .interval import ONE, IntervalMatrix, IntervalScalar, _mid_rad, _mid_rad_enclosure
 from .spaces import CoefficientVector
 
 __all__ = [
@@ -94,58 +94,73 @@ def recover_velocity(c: CoefficientVector, cfg: OperatorConfig) -> CoefficientVe
     )
 
 
-def _interaction_sums(
-    weights: Sequence[CoefficientVector], cols: Sequence[int], n: int, cfg: OperatorConfig
-) -> list:
-    """A_w for each w in ``weights``: the n x len(cols) matrix with
-    [j-1, i] = sum_k C_{k, cols[i], j} w_k.
-
-    Each sum runs over its nonzero weights in mode order, each term added
-    only where its slab is nonzero, at most _CHUNK entries at a time; an
-    entry no term reaches is [0, 0].  A source mode's slab and its nonzeros
-    are formed once and serve every sum with a nonzero weight there.
-    """
-    sums = [(np.zeros((n, len(cols))), np.zeros((n, len(cols)))) for _ in weights]
-    by_mode = [dict(w.items()) for w in weights]
-    for k in sorted(set().union(*by_mode)):
-        terms = [(acc, ws[k]) for acc, ws in zip(sums, by_mode) if k in ws]
-        terms = [(acc, wk) for acc, wk in terms if not wk.lo == 0.0 == wk.hi]
-        if not terms:
+def _slab_terms(weights: dict, cols: Sequence[int], n: int, cfg: OperatorConfig):
+    """Per source mode k, the n x len(cols) terms of C_{k, cols[i], j} W_k[i]
+    (module docstring), W_k = ``weights[k]``, and the mask of entries reached
+    (no factor [0, 0]); an infinite endpoint makes its radius term inf."""
+    for k, w in weights.items():
+        Wm, Wr, w_inf = _mid_rad(w)
+        Wa = np.abs(Wm) + Wr
+        w_live = (Wa != 0.0) | w_inf
+        if not w_live.any():
             continue
-        block = cfg.model.interaction_block(k, cols, n)
-        rows, at = np.nonzero(~_zeros(block))
-        for part in _chunks(0, rows.size):
-            j, i = rows[part], at[part]
-            entries = block[None, j, i]
-            for (lo, hi), wk in terms:
-                term = entries * wk
-                lo[j, i] = _np_add(lo[j, i], term.lo[0], up=False)
-                hi[j, i] = _np_add(hi[j, i], term.hi[0], up=True)
-    return [IntervalMatrix(lo, hi) for lo, hi in sums]
+        Cm, Cr, c_inf = _mid_rad(cfg.model.interaction_block(k, cols, n))
+        mid = Cm * Wm
+        Ca = np.abs(Cm, out=Cm)
+        rad = Ca * Wr
+        rad += Cr * Wa
+        Ca += Cr
+        reach = ((Ca != 0.0) | c_inf) & w_live
+        rad[reach & (c_inf | w_inf)] = np.inf
+        Ca *= Wa
+        del Cm, Cr  # the slab is freed before the next one is read
+        yield mid, rad, Ca, reach
+        del mid, rad, Ca
 
 
-def _times(A: IntervalMatrix, v: CoefficientVector) -> IntervalMatrix:
-    """A v as a 1 x n row, for an n x |v| matrix A over the support of v:
-    A's columns scaled by v's entries and added in support order."""
-    cols = IntervalMatrix(A.lo.T, A.hi.T)
-    out = IntervalMatrix(np.zeros((1, A.shape[0])), np.zeros((1, A.shape[0])))
-    for i, (_, vi) in enumerate(v.items()):
-        out = out + cols[i : i + 1] * vi
-    return out
+def _interaction_sum(weights: dict, cols: Sequence[int], n: int, cfg: OperatorConfig):
+    """The n x len(cols) matrix [j-1, i] = sum_k C_{k, cols[i], j} W_k[i],
+    added over k in order, so n counts the terms that reach an entry."""
+    sums = [np.zeros((n, len(cols))) for _ in range(3)]
+    count = np.zeros((n, len(cols)), dtype=np.int32)
+    for *terms, reach in _slab_terms(weights, cols, n, cfg):
+        for acc, x in zip(sums, terms):
+            acc += x
+        count += reach
+        del terms
+    return _mid_rad_enclosure(*sums, count)
+
+
+def _interaction_row(weights: dict, cols: Sequence[int], n: int, cfg: OperatorConfig):
+    """_interaction_sum summed over i, a 1 x n row added by halves over i, then
+    k: n is 1 + ceil(log2 len(cols)) + ceil(log2 #k) where a term reaches."""
+    parts, reached = ([], [], []), np.zeros(n, dtype=bool)
+    for *terms, reach in _slab_terms(weights, cols, n, cfg):
+        for part, x in zip(parts, terms):
+            part.append(_halving(x))
+        reached |= reach.any(axis=1)
+    mid, rad, scale = (_halving(np.stack(p or [np.zeros(n)], axis=1))[None] for p in parts)
+    depth = 1 + (len(cols) - 1).bit_length() + (len(parts[0]) - 1).bit_length()
+    return _mid_rad_enclosure(mid, rad, scale, np.where(reached, depth, 0)[None])
+
+
+def _halving(x: np.ndarray) -> np.ndarray:
+    """Sums along the last axis, of length m >= 1, in ceil(log2 m) rounds."""
+    while (m := x.shape[-1]) > 1:
+        x = np.concatenate((x[..., : m - 1 : 2] + x[..., 1::2], x[..., m - m % 2 :]), axis=-1)
+    return x[..., 0]
 
 
 def apply_quadratic(
     u: CoefficientVector, v: CoefficientVector, cfg: OperatorConfig
 ) -> CoefficientVector:
-    """Bilinear form Q(u,v)_j = sum_{k,l<=N} C_{klj} u_k v_l, supported on 1..2N.
-
-    Formed as A_u v with A_u over the support of v, so sparse inputs cost
-    O(|u||v| N) rather than O(N^3).
-    """
+    """Bilinear form Q(u,v)_j = sum_{k,l<=N} C_{klj} u_k v_l, supported on 1..2N,
+    over the support of v, so sparse inputs cost O(|u||v| N), not O(N^3)."""
     _check_support(u, cfg, "apply_quadratic")
     _check_support(v, cfg, "apply_quadratic")
-    (A,) = _interaction_sums((u,), v.support, 2 * cfg.truncation_N, cfg)
-    return _vector(_times(A, v))
+    v_row = _row([x for _, x in v.items()])
+    weights = {k: v_row * uk for k, uk in u.items()}
+    return _vector(_interaction_row(weights, v.support, 2 * cfg.truncation_N, cfg))
 
 
 def apply_G(c: CoefficientVector, cfg: OperatorConfig) -> CoefficientVector:
@@ -154,13 +169,13 @@ def apply_G(c: CoefficientVector, cfg: OperatorConfig) -> CoefficientVector:
 
 
 def _G_row(c: CoefficientVector, cfg: OperatorConfig) -> IntervalMatrix:
-    """apply_G(c) as a 1 x 2N row, L c + A_c c + 2 A_c (K c), [0, 0] where no
-    part reaches."""
+    """apply_G(c) as a 1 x 2N row, [0, 0] where no part reaches."""
     _check_support(c, cfg, "apply_G")
     n2 = 2 * cfg.truncation_N
-    (A,) = _interaction_sums((c,), c.support, n2, cfg)
-    lin = _dense(apply_linear(c, cfg), n2)
-    return (lin + _times(A, c)) + _times(A, recover_velocity(c, cfg)) * 2.0
+    kernel = _row([cfg.model.recovery_kernel(l) for l in c.support])
+    stretched = _row([x for _, x in c.items()]) * (kernel * 2.0 + ONE)
+    weights = {k: stretched * ck for k, ck in c.items()}
+    return _dense(apply_linear(c, cfg), n2) + _interaction_row(weights, c.support, n2, cfg)
 
 
 def _dense(c: CoefficientVector, n: int) -> IntervalMatrix:
@@ -175,7 +190,7 @@ def _dense(c: CoefficientVector, n: int) -> IntervalMatrix:
 def _vector(row: IntervalMatrix) -> CoefficientVector:
     """The entries of a 1 x n row that are not exactly [0, 0], as a vector
     over modes 1..n."""
-    reached = np.flatnonzero(~_zeros(row)[0])
+    reached = np.flatnonzero((row.lo[0] != 0.0) | (row.hi[0] != 0.0))
     return CoefficientVector(
         tuple((int(i) + 1, row.entry(0, i)) for i in reached), row.shape[1]
     )
@@ -185,31 +200,16 @@ def _row(entries) -> IntervalMatrix:
     return IntervalMatrix.from_scalars([entries])
 
 
-def _zeros(M: IntervalMatrix) -> np.ndarray:
-    return (M.lo == 0.0) & (M.hi == 0.0)
-
-
 def assemble_jacobian(c: CoefficientVector, cfg: OperatorConfig) -> IntervalMatrix:
-    """N x N projected Frechet derivative of apply_G at c,
-
-        J = L + 2 A_c + 2 A_c K + 2 A_{Kc}
-
-    (derived in the module docstring), combined a band of rows at a time.
-    A_c and A_{Kc} come from one pass over the source modes.
-    """
+    """N x N projected Frechet derivative of apply_G at c: one interaction
+    sum, then the linear symbol on the diagonal (module docstring)."""
     _check_support(c, cfg, "assemble_jacobian")
     N = cfg.truncation_N
     model = cfg.model
     modes = range(1, N + 1)
-    # A_c, overwritten by J
-    J, a_kc = _interaction_sums((c, recover_velocity(c, cfg)), modes, N, cfg)
     K = _row([model.recovery_kernel(m) for m in modes])
-    step = max(1, _CHUNK // N)  # rows per band; bounds the temporaries
-    for r in range(0, N, step):
-        band = slice(r, r + step)
-        a = J[band]
-        out = (a + a) + (a * K + a_kc[band]) * 2.0
-        J.lo[band], J.hi[band] = out.lo, out.hi
+    weights = {k: (K + (ONE + model.recovery_kernel(k))) * (ck * 2.0) for k, ck in c.items()}
+    J = _interaction_sum(weights, modes, N, cfg)
     d = np.arange(N)
     drift = _row([model.drift_eig(m) for m in modes])
     sym = (drift + ONE) + cfg.nu * _row([model.diffusion_eig(m) for m in modes])

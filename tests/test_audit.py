@@ -257,6 +257,29 @@ def test_constant_free_audit_past_j_min_assembles_no_jacobian(bundled, tmp_path)
     assert elapsed < 5.0, f"audit took {elapsed:.1f} s"
 
 
+def test_constant_free_audit_with_tau_past_tau_prime_assembles_no_jacobian(bundled, tmp_path):
+    # tau = tau_prime = 0.08 fails C_rec_map on the options alone, so the
+    # 2048 x 2048 Jacobian is not built for a verdict it cannot change
+    doc = json.loads(pathlib.Path(bundled).read_text())
+    del doc["constants"]
+    path = tmp_path / "constant_free.json"
+    path.write_text(json.dumps(doc))
+    cfg = AuditConfig(
+        truncation_N=2048, j_min=4096, tau_prime=0.08, timestamp="2026-08-18T00:00:00Z"
+    )
+    t0 = time.perf_counter()
+    result = run_audit(path, cfg)
+    elapsed = time.perf_counter() - t0
+    assert result.exit_code == 1
+    assert result.log.status == "certificate REJECTED: C_rec_map"
+    assert (
+        "CALC",
+        "inverse bound M skipped: the constants stage needs tau_prime=8.000000e-02 "
+        "above tau=8.000000e-02",
+    ) in result.log.lines
+    assert elapsed < 1.0, f"audit took {elapsed:.1f} s"
+
+
 def test_constant_free_audit_builds_each_slab_once(bundled, tmp_path, monkeypatch):
     # the five-mode shape at N = 128: one 256 x 5 slab per source mode for
     # G, then one 128 x 128 slab per source mode feeding both A_c and A_{Kc}

@@ -328,6 +328,29 @@ class TestMatrix:
                 assert (P.lo.astype(np.longdouble) <= exact + 1e-18).all()
                 assert (exact <= P.hi.astype(np.longdouble) + 1e-18).all()
 
+    def test_point_times_interval_keeps_its_formula(self):
+        # the finish it shares with the interaction sums gives the bits of
+        # its own midpoint-radius formula, written out here
+        rng = np.random.default_rng(4)
+        for n in (1, 5, 40):
+            A = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-8, 9, (n, n))
+            Bc = rng.standard_normal((n, n))
+            Br = np.abs(Bc) * rng.choice([0.0, 1e-12, 1e-3], (n, n))
+            B = IntervalMatrix(Bc - Br, Bc + Br)
+            P = point_times_interval(A, B)
+            mid = 0.5 * B.lo + 0.5 * B.hi
+            rad = np.maximum(mid - B.lo, B.hi - mid)
+            rad = np.nextafter(np.nextafter(rad, np.inf), np.inf)
+            g = (n + 2) * 2.0**-53
+            g = 1.01 * g / (1.0 - g)
+            r = np.abs(A) @ rad + g * (np.abs(A) @ (np.abs(mid) + rad)) + n * 1e-300
+            r = r * (1.0 + 4e-16)
+            r = np.nextafter(np.nextafter(r, np.inf), np.inf)
+            lo, hi = A @ mid - r, A @ mid + r
+            lo = np.nextafter(np.nextafter(lo, -np.inf), -np.inf)
+            hi = np.nextafter(np.nextafter(hi, np.inf), np.inf)
+            assert (P.lo == lo).all() and (P.hi == hi).all()
+
     def test_identity_minus(self):
         P = IntervalMatrix.from_point(np.array([[0.25, 0.0], [0.0, 0.25]]))
         E = identity_minus(P)
@@ -619,8 +642,7 @@ class TestMatrixKernels:
         # error-free band; the other corner x.lo / y.lo does not: its
         # quotient is subnormal, so q * y.lo falls below _EFT_LO, and its
         # unconditional nudge gives the least lower bound of the four; the
-        # margins on the quotient and on the dividend each send the entry to
-        # the four-corner rule
+        # margin on the dividend sends the entry to the four-corner rule
         x = iv(float.fromhex("0x1.8f2b061aec000p-964"), float.fromhex("0x1.8f2b061aec000p-963"))
         y = iv(float.fromhex("0x1.fffffffffd73ep+71"), float.fromhex("0x1p+72"))
         lower = float.fromhex("0x0.00063cac186bap-1022")

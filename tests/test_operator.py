@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from spikecert import operator
+from spikecert import interval, operator
 from spikecert.basis import reference_model
 from spikecert.cli import main as cli_main
 from spikecert.interval import IntervalMatrix, IntervalScalar, make_interval
@@ -224,65 +224,55 @@ class TestApplyG:
         assert out.support[-1] <= 2 * N
 
 
-# -- scalar references ----------------------------------------------------------
+# -- a priori widths -------------------------------------------------------------
 
 _ONE = IntervalScalar(1.0, 1.0)
+_U = mpmath.mpf(2) ** -53
 
 
-def scalar_apply_quadratic(u, v, cfg):
-    """Q(u, v) by the scalar triple loop over the output modes
-    j <= min(2N, k+l) (the basis is zero above k+l), summing each mode's
-    terms in (k, l) order; the width reference for apply_quadratic."""
-    n2 = 2 * cfg.truncation_N
-    acc = {}
-    for k, uk in u.items():
-        if uk.mag() == 0.0 and uk.lo == uk.hi:
-            continue
-        for l, vl in v.items():
-            prod = uk * vl
-            for j in range(1, min(n2, k + l) + 1):
-                ckl = cfg.model.interaction(k, l, j)
-                if ckl.lo == 0.0 == ckl.hi:
-                    continue
-                term = ckl * prod
-                acc[j] = acc[j] + term if j in acc else term
-    return CoefficientVector(tuple(sorted(acc.items())), n2)
+def _split(x):
+    """x's float midpoint and radius, formed as interval._mid_rad forms them."""
+    mid = 0.5 * x.lo + 0.5 * x.hi
+    d = max(mid - x.lo, x.hi - mid)
+    return mid, (math.nextafter(d, math.inf) if d > 0.0 else 0.0)
 
 
-def column_jacobian(c, cfg):
-    """The Jacobian one column at a time from scalar quadratic-form calls:
-    column m is Q(e_m, c) + Q(c, e_m) + 2[Q(K e_m, c) + Q(K c, e_m)] plus the
-    linear symbol at row m, rows cut at N; the width reference for
-    assemble_jacobian."""
-    N = cfg.truncation_N
-    lo = np.zeros((N, N))
-    hi = np.zeros((N, N))
-    vel_c = recover_velocity(c, cfg)
-    quadratic = scalar_apply_quadratic
-    for m in range(1, N + 1):
-        em = CoefficientVector(((m, _ONE),), N)
-        vel_em = recover_velocity(em, cfg)
-        col = quadratic(em, c, cfg) + quadratic(c, em, cfg)
-        col = col + (quadratic(vel_em, c, cfg) + quadratic(vel_c, em, cfg)).scaled(2.0)
-        sym = _ONE + cfg.model.drift_eig(m) + cfg.nu * cfg.model.diffusion_eig(m)
-        col = col + CoefficientVector(((m, sym),), 2 * N)
-        for j, val in col.items():
-            if j > N:
-                break
-            lo[j - 1, m - 1] = val.lo
-            hi[j - 1, m - 1] = val.hi
-    return lo, hi
+def apriori_width(terms, n):
+    """Twice the radius the operator docstring states for one entry of an
+    interaction sum, padded relatively for its own float evaluation.
+
+    ``terms`` holds the (C, W) interval pairs of the entry, slab entry and
+    weight, and n the rounding count the docstring gives it.  The radius is
+    rad + gamma scale + n 1e-300 in 40 digits, with rad and scale summed
+    over the terms from the float splits of C and W and gamma =
+    1.01 (n+2) u / (1 - (n+2) u).  It is infinite where a factor is
+    unbounded or the sum may overflow."""
+    rad = scale = mpmath.mpf(0)
+    for C, W in terms:
+        if not all(map(math.isfinite, (C.lo, C.hi, W.lo, W.hi))):
+            return mpmath.inf
+        (cm, cr), (wm, wr) = (map(mpmath.mpf, _split(x)) for x in (C, W))
+        rad += abs(cm) * wr + cr * (abs(wm) + wr)
+        scale += (abs(cm) + cr) * (abs(wm) + wr)
+    if scale >= sys.float_info.max / 4:
+        return mpmath.inf
+    gamma = mpmath.mpf("1.01") * (n + 2) * _U / (1 - (n + 2) * _U)
+    return 2 * (rad + gamma * scale + n * mpmath.mpf(1e-300)) * (1 + (n + 20) * _U)
 
 
-def joined_apply_G(c, cfg):
-    """G(c) with the three parts formed by the scalar loops and joined by
-    CoefficientVector addition; the width reference for apply_G."""
-    out = (
-        apply_linear(c, cfg)
-        + scalar_apply_quadratic(c, c, cfg)
-        + scalar_apply_quadratic(recover_velocity(c, cfg), c, cfg).scaled(2.0)
-    )
-    return CoefficientVector(out.entries, 2 * cfg.truncation_N)
+def _reaches(C, W):
+    return not (C.lo == C.hi == 0.0 or W.lo == W.hi == 0.0)
+
+
+def row_width(weights, n_cols, j, C):
+    """apriori_width of entry j of a row sum (G or Q) over the weights
+    {(k, l): W}: n is 1 + ceil(log2 #columns) + ceil(log2 #k), counting
+    the source modes whose weights are not all [0, 0], where a term
+    reaches the entry, else 0."""
+    terms = [(C(k, l, j), w) for (k, l), w in weights.items()]
+    sources = {k for (k, _), w in weights.items() if not w.lo == w.hi == 0.0}
+    n = 1 + (n_cols - 1).bit_length() + (len(sources) - 1).bit_length()
+    return apriori_width(terms, n if any(_reaches(*t) for t in terms) else 0)
 
 
 def random_problem(rng, max_N=24):
@@ -324,14 +314,35 @@ def off_band_model(model):
     )
 
 
+def wide_model(model):
+    """The reference basis with every interaction widened to [C/2, C]: it
+    contains the reference model's tensor and the one at half the coupling,
+    so both exact values must lie in each enclosure."""
+
+    def interaction(k, l, j):
+        x = model.interaction(k, l, j)
+        return IntervalScalar(0.5 * x.lo, x.hi)
+
+    def interaction_block(k, ls, n):
+        x = model.interaction_block(k, ls, n)
+        return IntervalMatrix(0.5 * x.lo, x.hi)
+
+    return dataclasses.replace(
+        model, interaction=interaction, interaction_block=interaction_block
+    )
+
+
 # -- containment oracles --------------------------------------------------------
 #
 # Each enclosure is checked two ways: (a) at the lower endpoints, the upper
 # endpoints and the midpoints of every input interval, the 40-digit value of
 # Q, G or J lies in it, and an infinite endpoint bounds the side it stands
-# for; (b) it is at most 4 times as wide as the scalar reference's enclosure,
-# plus 4 ulp.  The 40-digit values take the tensor straight from its
-# definition, without the symmetry the operator relies on.
+# for; (b) it is no wider than the a priori width of its interaction sum
+# (apriori_width), with the same directed weights the operator forms, plus
+# the width of the linear part where there is one, plus per endpoint two
+# outward nudges and half an ulp of rounding (one ulp more for the directed
+# sum with the linear part).  The 40-digit values take the tensor straight
+# from its definition, without the symmetry the operator relies on.
 
 
 def _picks(x):
@@ -340,12 +351,13 @@ def _picks(x):
 
 
 class Exact:
-    """The reference model of cfg (or its off-band variant) in 40 digits."""
+    """The reference model of cfg (or its off-band variant) in 40 digits,
+    its coupling scaled by ``factor``."""
 
-    def __init__(self, cfg, off_band=False):
+    def __init__(self, cfg, off_band=False, factor=1):
         kernel = cfg.model.recovery_kernel(1)  # coupling_rec * 1^{7/2}, a point
         assert kernel.lo == kernel.hi
-        self.coupling = mpmath.mpf(cfg.model.interaction_bound.lo)
+        self.coupling = mpmath.mpf(cfg.model.interaction_bound.lo) * factor
         self.crec = mpmath.mpf(kernel.lo)
         self.off_band = off_band
 
@@ -402,51 +414,78 @@ class Exact:
             ]
 
 
-def assert_entry(lo, hi, ref_lo, ref_hi, exact, where):
+def assert_entry(lo, hi, bound, exact, where, linear=None):
     assert lo != math.inf and hi != -math.inf, f"{where}: [{lo}, {hi}]"
     for t in exact:
         assert mpmath.mpf(lo) <= t <= mpmath.mpf(hi), f"{where}: {t} not in [{lo}, {hi}]"
     width = mpmath.mpf(hi) - mpmath.mpf(lo)
-    ref = mpmath.mpf(ref_hi) - mpmath.mpf(ref_lo)
-    slack = 4 * math.ulp(max(abs(ref_lo), abs(ref_hi)))
-    assert width <= 4 * ref + slack, f"{where}: [{lo}, {hi}] wider than 4 x [{ref_lo}, {ref_hi}]"
+    if linear is None:
+        slack = 5 * math.ulp(max(abs(lo), abs(hi)))
+    else:
+        # the sum's own endpoints are at most twice the largest of these
+        top = max(abs(lo), abs(hi), abs(linear.lo), abs(linear.hi))
+        bound += mpmath.mpf(linear.hi) - mpmath.mpf(linear.lo)
+        slack = 7 * math.ulp(2 * top)
+    assert width <= bound + slack, f"{where}: [{lo}, {hi}] wider than {bound} + {slack}"
 
 
-def assert_vector(out, ref, exact, n):
-    for j in range(1, n + 1):
-        x, r = out.get(j), ref.get(j)
-        assert_entry(x.lo, x.hi, r.lo, r.hi, [t.get(j, 0) for t in exact], f"mode {j}")
-
-
-def check_quadratic(u, v, cfg, exact):
+def check_quadratic(u, v, cfg, exact, quadratic=apply_quadratic):
     n2 = 2 * cfg.truncation_N
     values = [exact.Q(up, vp, n2) for up, vp in Exact.points(u, v)]
-    assert_vector(apply_quadratic(u, v, cfg), scalar_apply_quadratic(u, v, cfg), values, n2)
+    out = quadratic(u, v, cfg)
+    weights = {(k, l): vl * uk for k, uk in u.items() for l, vl in v.items()}
+    for j in range(1, n2 + 1):
+        x = out.get(j)
+        bound = row_width(weights, len(v), j, cfg.model.interaction)
+        assert_entry(x.lo, x.hi, bound, [t.get(j, 0) for t in values], f"mode {j}")
 
 
-def check_G(c, cfg, exact):
+def check_G(c, cfg, exact, G=apply_G):
     N = cfg.truncation_N
     values = [exact.G(cp, nup, N) for cp, nup in Exact.points(c, cfg.nu)]
-    assert_vector(apply_G(c, cfg), joined_apply_G(c, cfg), values, 2 * N)
+    out = G(c, cfg)
+    K = cfg.model.recovery_kernel
+    stretched = {l: cl * (K(l) * 2.0 + _ONE) for l, cl in c.items()}
+    weights = {(k, l): stretched[l] * ck for k, ck in c.items() for l in c.support}
+    linear = apply_linear(c, cfg)
+    for j in range(1, 2 * N + 1):
+        x = out.get(j)
+        bound = row_width(weights, len(c), j, cfg.model.interaction)
+        assert_entry(
+            x.lo, x.hi, bound, [t.get(j, 0) for t in values],
+            f"mode {j}", linear.get(j) if j in linear.support else None,
+        )
 
 
 def check_jacobian(c, cfg, exact, assemble=assemble_jacobian):
     N = cfg.truncation_N
     J = assemble(c, cfg)
-    ref_lo, ref_hi = column_jacobian(c, cfg)
     values = [exact.J(cp, nup, N) for cp, nup in Exact.points(c, cfg.nu)]
-    for j in range(N):
-        for m in range(N):
+    model = cfg.model
+    K = model.recovery_kernel
+    weights = {
+        (k, m): (K(m) + (_ONE + K(k))) * (ck * 2.0)
+        for k, ck in c.items()
+        for m in range(1, N + 1)
+    }
+    for j in range(1, N + 1):
+        for m in range(1, N + 1):
+            # n counts the source modes whose terms reach the entry
+            terms = [(model.interaction(k, m, j), weights[k, m]) for k in c.support]
+            bound = apriori_width(terms, sum(_reaches(*t) for t in terms))
+            sym = None
+            if j == m:
+                sym = _ONE + model.drift_eig(m) + cfg.nu * model.diffusion_eig(m)
             assert_entry(
-                J.lo[j, m], J.hi[j, m], ref_lo[j, m], ref_hi[j, m],
-                [t[j][m] for t in values], f"J[{j + 1}, {m + 1}]",
+                J.lo[j - 1, m - 1], J.hi[j - 1, m - 1], bound,
+                [t[j - 1][m - 1] for t in values], f"J[{j}, {m}]", sym,
             )
 
 
 class TestJacobianMatchesColumnAssembly:
-    """assemble_jacobian encloses the 40-digit Jacobian and is at most 4
-    times as wide as the column-by-column scalar assembly (the test names
-    are those of the bitwise tests these replace, so their IDs stay)."""
+    """assemble_jacobian encloses the 40-digit Jacobian and is no wider
+    than its a priori bound (the test names are those of the bitwise tests
+    these replace, so their IDs stay)."""
 
     def test_random_problems_bit_for_bit(self):
         rng = random.Random(47)
@@ -471,29 +510,102 @@ class TestJacobianMatchesColumnAssembly:
         check_jacobian(vec(modes, 12), cfg, Exact(cfg))
 
 
+# -- adversarial inputs -------------------------------------------------------------
+#
+# Each case is a profile and a basis; every enclosure of Q, G and J passes
+# both oracles, and unreached entries stay exactly [0, 0].
+
+
+def _wide(d, rel):
+    return CoefficientVector(
+        tuple((j, make_interval(x, abs(x) * rel)) for j, x in d.items()), 0
+    )
+
+
+ADVERSARIAL = {
+    # exact slab entries 0.1 / 2^p and exact weights 2 c_k whose rounded
+    # products cancel across source modes, J[4, 1] = 0.2 c_3 + 0.1 c_4 near
+    # -3e-11; their low bits differ, so do their rounding errors
+    "cancellation": (0.1, 0.0, vec({3: 0.7853981633974483, 4: -1.5707963271, 6: 0.7})),
+    # products of a 1e-160 coupling and 1e-160 coefficients fall below 1e-308
+    "subnormal": (1e-160, 1e-3, vec({2: 3e-160, 5: -7e-161, 8: 1.1e-159})),
+    # c_k c_l and the weights overflow
+    "overflow": (1.0, 1.0, vec({3: 1e300, 9: -2e290})),
+    # coefficient intervals with a radius of a tenth of their size
+    "wide": (0.9, 0.4, _wide({2: 0.5, 5: -0.25, 9: 0.125}, 0.1)),
+    # a recovery coupling of 1000: weights up to 1e6 times the coefficients
+    "coupling_rec_1000": (0.7, 1000.0, vec({1: -0.3, 4: 0.6, 7: 0.45})),
+}
+
+
+def check_adversarial(coupling, crec, c, ops=operator):
+    """Q, G and J of one adversarial case on N = 10, under the reference
+    basis and under wide_model, whose two exact tensors both must lie in
+    every enclosure; every J entry no term reaches stays [0, 0]."""
+    N = 10
+    c = CoefficientVector(c.entries, N)
+    for wide in (False, True):
+        cfg = cfg_for(coupling, nu=0.003, N=N, coupling_rec=crec)
+        exacts = [Exact(cfg)]
+        if wide:
+            cfg = dataclasses.replace(cfg, model=wide_model(cfg.model))
+            exacts.append(Exact(cfg, factor=mpmath.mpf(0.5)))
+        vel = recover_velocity(c, cfg)
+        for exact in exacts:
+            for u, v in ((c, c), (vel, c)):
+                check_quadratic(u, v, cfg, exact, ops.apply_quadratic)
+            check_G(c, cfg, exact, ops.apply_G)
+            check_jacobian(c, cfg, exact, ops.assemble_jacobian)
+        J = ops.assemble_jacobian(c, cfg)
+        for j in range(1, N + 1):
+            for m in range(1, N + 1):
+                reached = j == m or any(
+                    cfg.model.interaction(k, m, j).hi != 0.0 and ck.mag() != 0.0
+                    for k, ck in c.items()
+                )
+                if not reached:
+                    assert (J.lo[j - 1, m - 1], J.hi[j - 1, m - 1]) == (0.0, 0.0), (j, m)
+
+
+class TestAdversarialContainment:
+    @pytest.mark.parametrize("case", sorted(ADVERSARIAL))
+    def test_case_passes_the_oracles(self, case):
+        check_adversarial(*ADVERSARIAL[case])
+
+
+def mutant_module(monkeypatch, module, old, new):
+    """``module`` with the one occurrence of ``old`` replaced by ``new``."""
+    source = inspect.getsource(module)
+    assert source.count(old) == 1, old
+    mutant = types.ModuleType(module.__name__.replace("spikecert.", "spikecert.mutant_"))
+    mutant.__package__ = "spikecert"
+    monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
+    exec(compile(source.replace(old, new), mutant.__name__, "exec"), mutant.__dict__)
+    return mutant
+
+
 def mutant_operator(monkeypatch, old, new):
     """spikecert.operator with the one occurrence of ``old`` replaced by ``new``."""
-    source = inspect.getsource(operator)
-    assert source.count(old) == 1, old
-    module = types.ModuleType("spikecert.mutant_operator")
-    module.__package__ = "spikecert"
-    monkeypatch.setitem(sys.modules, module.__name__, module)
-    exec(compile(source.replace(old, new), module.__name__, "exec"), module.__dict__)
-    return module
+    return mutant_module(monkeypatch, operator, old, new)
+
+
+def mutant_enclosure(monkeypatch, old, new):
+    """spikecert.operator finishing its sums with a mutant of
+    interval._mid_rad_enclosure (building the real IntervalMatrix)."""
+    mutant = mutant_module(monkeypatch, interval, old, new)
+    mutant.IntervalMatrix = IntervalMatrix
+    monkeypatch.setattr(operator, "_mid_rad_enclosure", mutant._mid_rad_enclosure)
+    return operator
 
 
 class TestJacobianOracleCatchesMutants:
     @pytest.mark.parametrize(
         "old, new",
         [
-            ("(a * K + a_kc[band])", "a_kc[band]"),  # drops 2 A_c K
-            ("(a * K + a_kc[band])", "(a * K)"),  # drops 2 A_{Kc}
-            # swaps k and cols: the weight of the column mode, not the source
-            (
-                "term = entries * wk",
-                "term = entries * _row([next(w for (acc, _), w in zip(sums, weights)"
-                " if acc is lo).get(m) for m in cols])[None, 0, i]",
-            ),
+            ("(K + (ONE + model", "(K * 0.0 + (ONE + model"),  # drops 2 A_c K
+            ("(ONE + model.recovery_kernel(k))", "ONE"),  # drops 2 A_{Kc}
+            # the weight of the column mode, not the source
+            ("* (ck * 2.0) for k, ck", "* (_dense(c, N) * 2.0) for k, ck"),
         ],
         ids=["no-A_c-K", "no-A_Kc", "k-cols-swapped"],
     )
@@ -506,9 +618,46 @@ class TestJacobianOracleCatchesMutants:
             check_jacobian(c, cfg, Exact(cfg), assemble=mutant.assemble_jacobian)
 
 
+class TestMidpointRadiusCatchesMutants:
+    """Each mutant of the sum or of its finish fails an adversarial case."""
+
+    @pytest.mark.parametrize(
+        "mutate, old, new",
+        [
+            (mutant_enclosure, "r = _gamma_factor(n) * scale", "r = 0.0 * scale"),
+            (mutant_operator, "rad = Ca * Wr", "rad = Ca * (0.0 * Wr)"),
+            (mutant_operator, "rad += Cr * Wa", "rad += 0.0 * Wa"),
+            (mutant_enclosure, "r += n * 1e-300", "r += np.maximum(n, 1) * 1e-300"),
+            (mutant_enclosure, "r = _gamma_factor(n) * scale", "r = 2.0 * _gamma_factor(n) * scale"),
+            (
+                mutant_enclosure,
+                "_np_down(mid - r, steps=2), _np_up(mid + r, steps=2)",
+                "_np_down(mid - r, steps=3), _np_up(mid + r, steps=3)",
+            ),
+        ],
+        ids=[
+            "no-gamma-scale",
+            "no-Cm-Wr",
+            "no-Cr-Wa",
+            "underflow-unreached",
+            "doubled-gamma",
+            "extra-nudge",
+        ],
+    )
+    def test_mutant_fails_an_adversarial_case(self, monkeypatch, mutate, old, new):
+        mutant = mutate(monkeypatch, old, new)
+        failures = 0
+        for case in sorted(ADVERSARIAL):
+            try:
+                check_adversarial(*ADVERSARIAL[case], ops=mutant)
+            except AssertionError:
+                failures += 1
+        assert failures, "the mutant passes every adversarial case"
+
+
 class TestQuadraticMatchesScalarLoop:
-    """apply_quadratic encloses the 40-digit Q(u, v) and is at most 4 times
-    as wide as the scalar triple loop (names kept from the bitwise tests)."""
+    """apply_quadratic encloses the 40-digit Q(u, v) and is no wider than
+    its a priori bound (names kept from the bitwise tests)."""
 
     def test_random_sparse_profiles_bit_for_bit(self):
         rng = random.Random(2026)
@@ -576,8 +725,8 @@ class TestOperatorReadsOnlyTheBasis:
 
 
 class TestApplyGMatchesVectorJoin:
-    """apply_G encloses the 40-digit G(c) and is at most 4 times as wide as
-    the scalar parts joined as vectors (names kept from the bitwise tests)."""
+    """apply_G encloses the 40-digit G(c) and is no wider than its a priori
+    bound plus the linear part (names kept from the bitwise tests)."""
 
     def test_random_profiles_bit_for_bit(self):
         for seed in (47, 2026):
@@ -673,8 +822,8 @@ class TestJacobian:
                     assert abs(e.mid - fd[j - 1]) <= 1e-6 * scale
 
     def test_assembly_memory_stays_bounded(self, tmp_path):
-        # N = 450: the two N x N interaction sums, one slab and the combine's
-        # row bands; combining the whole N x N at once peaked at 50 MB
+        # N = 450: the midpoint, radius, scale and count arrays of the one
+        # N x N interaction sum, and one slab's terms at a time
         path = tmp_path / "five.json"
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli_main(["gen-profile", "--modes", "5", "--seed", "1", "--out", str(path)]) == 0

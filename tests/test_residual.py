@@ -263,8 +263,8 @@ class TestResidualReadsTheRowOfG:
 
 def test_dense_profile_residual_stays_small(tmp_path):
     # every mode up to 96 carries a coefficient: the interaction sum runs
-    # over 96 source modes into a 256 x 96 matrix, a chunk of nonzero slab
-    # entries at a time, and its temporaries must stay bounded
+    # over 96 source modes, one 256 x 96 slab at a time, and its
+    # temporaries must stay bounded
     path = tmp_path / "dense.json"
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli_main(["gen-profile", "--modes", "96", "--seed", "1", "--out", str(path)])
@@ -278,7 +278,7 @@ def test_dense_profile_residual_stays_small(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
-    assert (delta.lo.hex(), delta.hi.hex()) == ("0x1.cf46237b93836p+71", "0x1.cf46237b938afp+71")
+    assert (delta.lo.hex(), delta.hi.hex()) == ("0x1.cf46237b937f9p+71", "0x1.cf46237b938ebp+71")
     # the enclosure that adding one row per support pair gave: the interaction
     # sum meets it and is no wider
     lo, hi = float.fromhex("0x1.cf46237b937d2p+71"), float.fromhex("0x1.cf46237b93917p+71")

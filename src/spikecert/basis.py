@@ -1,12 +1,14 @@
-"""Pluggable spectral-symbol provider: eigenvalues, interaction coefficients,
-and the velocity-recovery kernel.
+"""Pluggable spectral-symbol provider: the linear symbol, the interaction
+tensor and the velocity-recovery kernel, each served as rows and slabs.
 
 The certification pipeline only consumes bounds, so any basis exposing these
-callbacks works.  The bundled reference model uses closed forms chosen to
+accessors works.  The bundled reference model uses closed forms chosen to
 reproduce the growth and sparsity structure the estimates rely on: quadratic
 diffusion eigenvalues, linear-in-j/2 drift, triangle-rule interactions with
 harmonic falloff away from the j = k+l diagonal, and a k^{7/2} recovery
-kernel.
+kernel.  The operator reads the eigenvalues and the kernel as 1 x len(modes)
+rows and the tensor as one slab per source mode; the scalar ``interaction``
+stays only as the oracles' reference and the hook a call tracer wraps.
 """
 
 from __future__ import annotations
@@ -17,15 +19,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .interval import ZERO, IntervalMatrix, IntervalScalar
+from .interval import ZERO, IntervalMatrix, IntervalScalar, pow_seven_halves_row
 
 __all__ = ["BasisModel", "reference_model"]
 
 
 @dataclass(frozen=True)
 class BasisModel:
-    """Bundle of spectral callbacks; immutable, queries are pure.
+    """Bundle of spectral accessors; immutable, queries are pure.
 
+    ``diffusion_row(modes)``, ``drift_row(modes)`` and ``kernel_row(modes)``
+    are the 1 x len(modes) rows of lambda_j, d_j and K_rec(j) over the mode
+    list ``modes``, in its order.
     ``interaction(k, l, j)`` is the coefficient C_{klj} of mode j in the
     product of modes k and l.  It must be symmetric, C_{klj} = C_{lkj}, and
     zero for j > k+l: the operator forms G and its Jacobian from sums over
@@ -38,12 +43,12 @@ class BasisModel:
     oracles compare against and as the hook a call tracer wraps.
     """
 
-    diffusion_eig: Callable[[int], IntervalScalar]
-    drift_eig: Callable[[int], IntervalScalar]
+    diffusion_row: Callable[[Sequence[int]], IntervalMatrix]
+    drift_row: Callable[[Sequence[int]], IntervalMatrix]
     interaction: Callable[[int, int, int], IntervalScalar]
     interaction_block: Callable[[int, Sequence[int], int], IntervalMatrix]
     interaction_bound: IntervalScalar
-    recovery_kernel: Callable[[int], IntervalScalar]
+    kernel_row: Callable[[Sequence[int]], IntervalMatrix]
 
 
 def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
@@ -51,10 +56,11 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
 
     lambda_j = j^2, d_j = j/2, C_{klj} = coupling / (1 + |j-k-l|) inside the
     triangle band |k-l| <= j <= k+l and zero outside, K_rec(k) =
-    coupling_rec * k^{7/2} (coupling_rec defaults to coupling).  The
-    quotients and the recovery kernel are read from endpoint tables that
-    grow on demand, formed with the IntervalMatrix twins of the scalar
-    expressions, so each entry has the bits of the scalar one.
+    coupling_rec * k^{7/2} (coupling_rec defaults to coupling).  lambda_j
+    and d_j are exact floats.  The quotients and the recovery kernel are
+    read from endpoint tables that grow on demand, formed with the
+    IntervalMatrix twins of the scalar expressions, so each entry has the
+    bits of the scalar one.
     """
     if coupling_rec is None:
         coupling_rec = coupling
@@ -77,11 +83,11 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
             q_hi = np.concatenate((q_hi, q.hi[0]))
         return q_lo, q_hi
 
-    # r_lo[k-1], r_hi[k-1]: K_rec(k) = crec * (k^3 * sqrt(k)), formed
-    # entrywise with the bits of crec * pow_seven_halves(k); grown on demand
-    # to at least twice its size and at least 512 entries, since a step of
-    # up to 512 entries costs about what one entry does (numpy's per-call
-    # overhead), so a scan over k = 1, 2, ... takes O(log k) steps
+    # r_lo[k-1], r_hi[k-1]: K_rec(k) = crec * k^{7/2}, formed entrywise with
+    # the bits of crec * pow_seven_halves(k); grown on demand to at least
+    # twice its size and at least 512 entries, since a step of up to 512
+    # entries costs about what one entry does (numpy's per-call overhead),
+    # so a scan over k = 1, 2, ... takes O(log k) steps
     r_lo = r_hi = np.zeros(0)
 
     def kernels_to(k_max: int):
@@ -89,19 +95,22 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
         if k_max > r_lo.size:
             top = max(k_max, 2 * r_lo.size, 512)
             ks = np.arange(r_lo.size + 1, top + 1, dtype=np.float64)
-            k = IntervalMatrix.from_point(ks[None, :])
-            r = crec * (k.intpow(3) * k.sqrt())
+            r = crec * pow_seven_halves_row(IntervalMatrix.from_point(ks[None, :]))
             r_lo = np.concatenate((r_lo, r.lo[0]))
             r_hi = np.concatenate((r_hi, r.hi[0]))
         return r_lo, r_hi
 
-    def diffusion_eig(j: int) -> IntervalScalar:
-        _check_index(j)
-        return IntervalScalar(float(j) * float(j), float(j) * float(j))
+    def diffusion_row(modes: Sequence[int]) -> IntervalMatrix:
+        j = _mode_array(modes).astype(np.float64)[None, :]
+        return IntervalMatrix.from_point(j * j)
 
-    def drift_eig(j: int) -> IntervalScalar:
-        _check_index(j)
-        return IntervalScalar(0.5 * j, 0.5 * j)
+    def drift_row(modes: Sequence[int]) -> IntervalMatrix:
+        return IntervalMatrix.from_point(0.5 * _mode_array(modes)[None, :])
+
+    def kernel_row(modes: Sequence[int]) -> IntervalMatrix:
+        at = _mode_array(modes)[None, :] - 1
+        lo, hi = kernels_to(int(at.max(initial=-1)) + 1)
+        return IntervalMatrix(lo[at], hi[at])
 
     def interaction(k: int, l: int, j: int) -> IntervalScalar:
         _check_index(k)
@@ -115,14 +124,9 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
 
     def interaction_block(k: int, ls: Sequence[int], n: int) -> IntervalMatrix:
         _check_index(k)
-        # every column at once: all exactly int (so no bool) and none below 1;
-        # otherwise one by one, to name the first bad index
-        if not (set(map(type, ls)) <= {int} and min(ls, default=1) >= 1):
-            for l in ls:
-                _check_index(l)
+        l = _mode_array(ls)[None, :]
         _check_index(n)
         j = np.arange(1, n + 1)[:, None]
-        l = np.array(ls, dtype=np.intp).reshape(1, -1)
         band = (np.abs(k - l) <= j) & (j <= k + l)
         lo = np.zeros(band.shape)
         hi = np.zeros(band.shape)
@@ -133,23 +137,26 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
             hi[band] = table_hi[d]
         return IntervalMatrix(lo, hi)
 
-    def recovery_kernel(k: int) -> IntervalScalar:
-        _check_index(k)
-        if coupling_rec == 0.0:
-            return ZERO
-        lo, hi = kernels_to(k)
-        return IntervalScalar(float(lo[k - 1]), float(hi[k - 1]))
-
     return BasisModel(
-        diffusion_eig=diffusion_eig,
-        drift_eig=drift_eig,
+        diffusion_row=diffusion_row,
+        drift_row=drift_row,
         interaction=interaction,
         interaction_block=interaction_block,
         interaction_bound=cpl,
-        recovery_kernel=recovery_kernel,
+        kernel_row=kernel_row,
     )
 
 
 def _check_index(j: int) -> None:
     if not isinstance(j, int) or isinstance(j, bool) or j < 1:
         raise ValueError(f"mode index must be a positive integer, got {j!r}")
+
+
+def _mode_array(modes: Sequence[int]) -> np.ndarray:
+    """``modes`` as an intp array, every entry checked as _check_index does:
+    all at once when each is exactly an int (so no bool) and none is below 1,
+    otherwise one by one, to name the first bad index."""
+    if not (set(map(type, modes)) <= {int} and min(modes, default=1) >= 1):
+        for j in modes:
+            _check_index(j)
+    return np.array(modes, dtype=np.intp)

@@ -51,9 +51,10 @@ def _finite_float(text: str) -> float:
 _finite_float.__name__ = "finite float"  # as argparse and config errors name it
 
 # the largest truncation N an option accepts: the constant-free audit of the
-# bundled certificate at N = 2048 ends in 46 s with a peak RSS of 464 MB on a
-# 2-vCPU x86-64 host, while G's dense 2N rows at N = 10^8 would exhaust memory
-# before any check ran
+# bundled certificate with --modes 2048 --j-min 4096, which assembles and
+# inverts the 2048 x 2048 Jacobian, ends in 37 s with a peak RSS of 504 MB on
+# a 2-vCPU x86-64 host, while G's dense 2N rows at N = 10^8 would exhaust
+# memory before any check ran
 _MAX_MODES = 2048
 
 

@@ -40,6 +40,7 @@ from .interval import (
     intpow_iv,
     ln_iv,
     pow_seven_halves,
+    pow_seven_halves_row,
     row_sum,
     sqrt_iv,
 )
@@ -63,7 +64,7 @@ def _level_multipliers(k: np.ndarray, rate: IntervalScalar) -> IntervalMatrix:
     whose entries have the bits of the scalar function."""
     kk = IntervalMatrix.from_point(k[None, :].astype(np.float64))
     one_plus = IntervalMatrix.from_point((1 + k * k)[None, :].astype(np.float64))
-    return (kk.intpow(3) * kk.sqrt()) / one_plus.sqrt() * (-(rate * kk)).exp()
+    return pow_seven_halves_row(kk) / one_plus.sqrt() * (-(rate * kk)).exp()
 
 
 @dataclass(frozen=True)

@@ -422,6 +422,12 @@ def pow_seven_halves(k: int) -> IntervalScalar:
     return intpow_iv(kk, 3) * sqrt_iv(kk)
 
 
+def pow_seven_halves_row(k: "IntervalMatrix") -> "IntervalMatrix":
+    """pow_seven_halves of each entry of a point matrix of positive integers
+    k, with its bits: the matrix twins of the same chain."""
+    return k.intpow(3) * k.sqrt()
+
+
 def decay_ratio(k: int, rate: IntervalScalar) -> IntervalScalar:
     """Enclosure of e^{-rate} ((k+1)/k)^{7/2}, the one-step ratio of
     k^{7/2} e^{-rate*k}; below one at k, it stays below one for every

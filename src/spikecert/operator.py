@@ -6,6 +6,15 @@ stretching term that first passes the coefficients through the recovery
 kernel.  Inputs live on modes 1..N; the quadratic output spills into modes
 up to 2N, kept because the residual certification needs that block.
 
+The operator reads the basis as rows and slabs alone: the linear symbol
+L_j = 1 + d_j + nu lambda_j (``_symbol``) and the kernel K_rec as 1 x n
+rows over the support or over 1..N, from ``drift_row``, ``diffusion_row``
+and ``kernel_row``, and the tensor through ``interaction_block``.  Each
+product and sum of those rows keeps the operand order of the scalar
+expression it stands for, so its entries have that expression's bits.
+The scalar ``interaction`` stays only as the oracles' reference and the
+hook a call tracer wraps.
+
 With L the linear symbol, K = diag(K_rec(k)) and Q(u, v)_j = sum_{k,l}
 C_{klj} u_k v_l, G(c) = L c + Q(c, c) + 2 Q(K c, c).  The basis is
 symmetric, C_{klj} = C_{lkj}, so Q(K c, c) = Q(c, K c), and in mode j of
@@ -74,24 +83,23 @@ def _check_support(c: CoefficientVector, cfg: OperatorConfig, who: str) -> None:
         )
 
 
+def _symbol(modes: Sequence[int], cfg: OperatorConfig) -> IntervalMatrix:
+    """The linear symbol 1 + d_j + nu*lambda_j over ``modes``, as a row."""
+    model = cfg.model
+    return (model.drift_row(modes) + ONE) + cfg.nu * model.diffusion_row(modes)
+
+
 def apply_linear(c: CoefficientVector, cfg: OperatorConfig) -> CoefficientVector:
     """Mode-j output (1 + d_j + nu*lambda_j) c_j."""
     _check_support(c, cfg, "apply_linear")
-    out = []
-    for j, cj in c.items():
-        sym = ONE + cfg.model.drift_eig(j) + cfg.nu * cfg.model.diffusion_eig(j)
-        out.append((j, sym * cj))
-    return CoefficientVector(tuple(out), cfg.truncation_N)
+    return _on_support(c, _symbol(c.support, cfg) * _coefficients(c), cfg)
 
 
 def recover_velocity(c: CoefficientVector, cfg: OperatorConfig) -> CoefficientVector:
     """Velocity coefficients K_rec(k) c_k (the elliptic inverse and weighted
     derivative collapsed into the kernel's net multiplier)."""
     _check_support(c, cfg, "recover_velocity")
-    return CoefficientVector(
-        tuple((k, cfg.model.recovery_kernel(k) * ck) for k, ck in c.items()),
-        cfg.truncation_N,
-    )
+    return _on_support(c, cfg.model.kernel_row(c.support) * _coefficients(c), cfg)
 
 
 def _slab_terms(weights: dict, cols: Sequence[int], n: int, cfg: OperatorConfig):
@@ -158,7 +166,7 @@ def apply_quadratic(
     over the support of v, so sparse inputs cost O(|u||v| N), not O(N^3)."""
     _check_support(u, cfg, "apply_quadratic")
     _check_support(v, cfg, "apply_quadratic")
-    v_row = _row([x for _, x in v.items()])
+    v_row = _coefficients(v)
     weights = {k: v_row * uk for k, uk in u.items()}
     return _vector(_interaction_row(weights, v.support, 2 * cfg.truncation_N, cfg))
 
@@ -172,8 +180,8 @@ def _G_row(c: CoefficientVector, cfg: OperatorConfig) -> IntervalMatrix:
     """apply_G(c) as a 1 x 2N row, [0, 0] where no part reaches."""
     _check_support(c, cfg, "apply_G")
     n2 = 2 * cfg.truncation_N
-    kernel = _row([cfg.model.recovery_kernel(l) for l in c.support])
-    stretched = _row([x for _, x in c.items()]) * (kernel * 2.0 + ONE)
+    kernel = cfg.model.kernel_row(c.support)
+    stretched = _coefficients(c) * (kernel * 2.0 + ONE)
     weights = {k: stretched * ck for k, ck in c.items()}
     return _dense(apply_linear(c, cfg), n2) + _interaction_row(weights, c.support, n2, cfg)
 
@@ -196,8 +204,16 @@ def _vector(row: IntervalMatrix) -> CoefficientVector:
     )
 
 
-def _row(entries) -> IntervalMatrix:
-    return IntervalMatrix.from_scalars([entries])
+def _coefficients(c: CoefficientVector) -> IntervalMatrix:
+    """c's coefficients as a 1 x |support| row, in the order of its support."""
+    return IntervalMatrix.from_scalars([[x for _, x in c.items()]])
+
+
+def _on_support(c: CoefficientVector, row: IntervalMatrix, cfg: OperatorConfig):
+    """A 1 x |support| row as a vector on the support of c."""
+    return CoefficientVector(
+        tuple((j, row.entry(0, i)) for i, j in enumerate(c.support)), cfg.truncation_N
+    )
 
 
 def assemble_jacobian(c: CoefficientVector, cfg: OperatorConfig) -> IntervalMatrix:
@@ -205,14 +221,14 @@ def assemble_jacobian(c: CoefficientVector, cfg: OperatorConfig) -> IntervalMatr
     sum, then the linear symbol on the diagonal (module docstring)."""
     _check_support(c, cfg, "assemble_jacobian")
     N = cfg.truncation_N
-    model = cfg.model
     modes = range(1, N + 1)
-    K = _row([model.recovery_kernel(m) for m in modes])
-    weights = {k: (K + (ONE + model.recovery_kernel(k))) * (ck * 2.0) for k, ck in c.items()}
+    K = cfg.model.kernel_row(modes)
+    # row i is W_k = (K + (1 + K_k)) (2 c_k), k the i-th mode of the support
+    src = np.array(c.support, dtype=np.intp)[:, None] - 1
+    W = (K + (K[0, src] + ONE)) * (_coefficients(c)[0, :, None] * 2.0)
+    weights = {k: W[i, None] for i, k in enumerate(c.support)}
     J = _interaction_sum(weights, modes, N, cfg)
     d = np.arange(N)
-    drift = _row([model.drift_eig(m) for m in modes])
-    sym = (drift + ONE) + cfg.nu * _row([model.diffusion_eig(m) for m in modes])
-    diag = J[None, d, d] + sym
+    diag = J[None, d, d] + _symbol(modes, cfg)
     J.lo[d, d], J.hi[d, d] = diag.lo[0], diag.hi[0]
     return J

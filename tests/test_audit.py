@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from spikecert import audit
 from spikecert.audit import (
     AUDIT_MAGIC,
     AUDIT_TAGS,
@@ -16,6 +17,8 @@ from spikecert.audit import (
 )
 from spikecert.basis import reference_model
 from spikecert.cli import main
+
+from mutants import mutant_module
 
 FAST = AuditConfig(timestamp="2026-08-18T00:00:00Z")
 
@@ -183,6 +186,71 @@ def test_small_downward_change_still_verifies(bundled, tmp_path):
     # soundness check, not an equality test
     path = tampered_copy(bundled, tmp_path, "delta", factor=0.5)
     assert run_audit(path, FAST).exit_code == 0
+
+
+# ----------------------------------------- declared intervals across a gate
+#
+# Every declared constant of the bundled certificate is a point, lo = hi, so
+# a gate that tests the wrong endpoint decides it as the right one does.
+# Each case declares one constant with a radius that puts the two endpoints
+# on either side of the gate's bound; the gate, and not its endpoint-swap
+# mutant, gives the verdict the case names.
+
+
+def declared_copy(src, tmp_path, name, mid, rad):
+    doc = json.loads(pathlib.Path(src).read_text())
+    doc["constants"][name] = {"mid": mid, "rad": rad}
+    out = tmp_path / f"declared_{name}.json"
+    out.write_text(json.dumps(doc))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, mid, rad, label, verdict, old, new",
+    [
+        # [0.115, 0.135] reaches past the cap 0.125
+        (
+            "C_prof", "0.125", "0.01", "profile envelope constant", "FAIL",
+            "declared.hi <= cap,", "declared.lo <= cap,",
+        ),
+        # [7170, 7210] reaches past the certified lower bound 7200
+        (
+            "gamma", "7190", "20", "coercivity gamma", "FAIL",
+            "declared.hi <= coer.gamma.lo,", "declared.lo <= coer.gamma.hi,",
+        ),
+        # [2.5642e7, 2.5662e7] straddles the computed 2.565156e7; its upper
+        # end bounds the supremum, its lower end does not
+        (
+            "C_rec_map", "2.5652e7", "1e4", "recovery mapping constant", "pass",
+            "rec.value.hi <= rec_map.hi <=", "rec.value.hi <= rec_map.lo <=",
+        ),
+        # [10400, 10600] reaches below 0.95 C_rec_map C_conv = 10447.65
+        (
+            "K", "1.05e4", "100", "lipschitz constant K", "FAIL",
+            "0.95 * product.lo <= k.lo and k.hi <=", "0.95 * product.lo <= k.hi and k.lo <=",
+        ),
+    ],
+    ids=["cap", "gamma", "C_rec_map", "K"],
+)
+def test_declared_interval_across_a_gate(
+    bundled, tmp_path, monkeypatch, name, mid, rad, label, verdict, old, new
+):
+    path = declared_copy(bundled, tmp_path, name, mid, rad)
+
+    def check(run):
+        result = run(path, FAST)
+        lines = [text for tag, text in result.log if text.startswith(f"{label} (declared)")]
+        assert len(lines) == 1 and lines[0].endswith(f": {verdict}"), lines
+        if verdict == "FAIL":
+            assert result.exit_code == 1
+            assert result.log.status == f"certificate REJECTED: {name}"
+        else:
+            assert result.exit_code == 0 and result.verified
+
+    check(run_audit)
+    mutant = mutant_module(monkeypatch, audit, old, new)
+    with pytest.raises(AssertionError):
+        check(mutant.run_audit)
 
 
 # --------------------------------------------------------------- zero profile

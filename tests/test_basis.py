@@ -4,9 +4,15 @@ import math
 import pytest
 
 from spikecert.basis import BasisModel, reference_model
-from spikecert.interval import IntervalScalar, pow_seven_halves
+from spikecert.interval import IntervalMatrix, IntervalScalar, pow_seven_halves
 from spikecert.operator import OperatorConfig, recover_velocity
 from spikecert.spaces import CoefficientVector
+
+
+def entry(row):
+    """The one entry of a 1 x 1 row."""
+    assert row.shape == (1, 1)
+    return row.entry(0, 0)
 
 
 def assert_block_matches(m, k, ls, n):
@@ -26,7 +32,7 @@ class TestReferenceModel:
         for k, l, j in ((1, 1, 2), (3, 4, 5), (10, 10, 20)):
             c = m.interaction(k, l, j)
             assert (c.lo, c.hi) == (0.0, 0.0)
-        assert (m.recovery_kernel(5).lo, m.recovery_kernel(5).hi) == (0.0, 0.0)
+        assert (entry(m.kernel_row([5])).lo, entry(m.kernel_row([5])).hi) == (0.0, 0.0)
 
     def test_unit_coupling_diagonal(self):
         m = reference_model(1.0)
@@ -48,16 +54,16 @@ class TestReferenceModel:
 
     def test_eigenvalues(self):
         m = reference_model(1.0)
-        lam = m.diffusion_eig(7)
+        lam = entry(m.diffusion_row([7]))
         assert (lam.lo, lam.hi) == (49.0, 49.0)
-        d = m.drift_eig(7)
+        d = entry(m.drift_row([7]))
         assert (d.lo, d.hi) == (3.5, 3.5)
 
     def test_eigenvalue_growth(self):
         m = reference_model(1.0)
-        prev = m.diffusion_eig(1).hi
+        prev = entry(m.diffusion_row([1])).hi
         for j in range(2, 10_001):
-            cur = m.diffusion_eig(j).lo
+            cur = entry(m.diffusion_row([j])).lo
             assert cur > prev
             prev = cur
 
@@ -206,7 +212,7 @@ class TestReferenceModel:
     def test_index_validation(self):
         m = reference_model(1.0)
         with pytest.raises(ValueError):
-            m.diffusion_eig(0)
+            m.diffusion_row([0])
         with pytest.raises(ValueError):
             m.interaction(1, -1, 2)
         # the block checks its columns at once, yet names the first bad one
@@ -218,22 +224,63 @@ class TestReferenceModel:
 
     def test_coupling_rec_defaults_to_coupling(self):
         m = reference_model(2.0)
-        assert m.recovery_kernel(4).contains(2.0 * 128.0)  # 4^{7/2} = 2^7
+        assert entry(m.kernel_row([4])).contains(2.0 * 128.0)  # 4^{7/2} = 2^7
         m2 = reference_model(2.0, coupling_rec=0.5)
-        assert m2.recovery_kernel(4).contains(0.5 * 128.0)
+        assert entry(m2.kernel_row([4])).contains(0.5 * 128.0)
+
+
+class TestRows:
+    """The rows serve the modes of any list, in its order, each entry with
+    the bits of the scalar closed form."""
+
+    MODES = [7, 1, 450, 7, 2048, 3, 129]
+
+    @pytest.mark.parametrize("coupling_rec", [0.0, 0.37, 2.9])
+    def test_rows_are_the_scalar_closed_forms(self, coupling_rec):
+        m = reference_model(1.0, coupling_rec=coupling_rec)
+        crec = IntervalScalar(coupling_rec, coupling_rec)
+        want = {
+            "diffusion_row": lambda j: IntervalScalar(float(j) * float(j), float(j) * float(j)),
+            "drift_row": lambda j: IntervalScalar(0.5 * j, 0.5 * j),
+            "kernel_row": lambda j: crec * pow_seven_halves(j),
+        }
+        for name, scalar in want.items():
+            row = getattr(m, name)(self.MODES)
+            assert row.shape == (1, len(self.MODES))
+            for i, j in enumerate(self.MODES):
+                got, e = row.entry(0, i), scalar(j)
+                assert (got.lo.hex(), got.hi.hex()) == (e.lo.hex(), e.hi.hex()), (name, j)
+
+    @pytest.mark.parametrize("name", ["diffusion_row", "drift_row", "kernel_row"])
+    def test_rows_take_ranges_and_empty_lists(self, name):
+        m = reference_model(1.0)
+        row = getattr(m, name)
+        assert row([]).shape == (1, 0)
+        full, picked = row(range(1, 65)), row([64, 1])
+        assert (picked.lo[0].tolist(), picked.hi[0].tolist()) == (
+            [full.lo[0, 63], full.lo[0, 0]],
+            [full.hi[0, 63], full.hi[0, 0]],
+        )
+
+    @pytest.mark.parametrize("name", ["diffusion_row", "drift_row", "kernel_row"])
+    @pytest.mark.parametrize("bad", [0, -3, True, 2.0])
+    def test_rows_name_the_first_bad_mode(self, name, bad):
+        row = getattr(reference_model(1.0), name)
+        with pytest.raises(ValueError, match=f"positive integer, got {bad!r}$"):
+            row([*range(1, 40), bad, -7])
 
 
 class TestRecoveryKernelBound:
     def test_unit_coupling_power(self):
         m = reference_model(1.0)
-        b = m.recovery_kernel(4)
+        b = entry(m.kernel_row([4]))
         assert b.contains(128.0)  # 4^{7/2} = 2^7
         assert b.width < 1e-10
 
     def test_rejects_zero_index(self):
         m = reference_model(1.0)
         with pytest.raises(ValueError):
-            m.recovery_kernel(0)
+            m.kernel_row([0])
 
     @pytest.mark.parametrize("coupling_rec", [0.0, 0.37, 1.0, 2.9])
     def test_table_is_the_scalar_chain(self, coupling_rec):
@@ -249,38 +296,38 @@ class TestRecoveryKernelBound:
         for order in (descending * 2, growing):
             m = reference_model(1.0, coupling_rec=coupling_rec)
             for k in order:
-                got = m.recovery_kernel(k)
+                got = entry(m.kernel_row([k]))
                 assert (got.lo.hex(), got.hi.hex()) == (expect[k].lo.hex(), expect[k].hi.hex()), k
 
     @pytest.mark.parametrize("coupling_rec", [0.0, 1.0])
     @pytest.mark.parametrize("bad", [0, -3, True, 2.0])
     def test_index_validation(self, coupling_rec, bad):
         m = reference_model(1.0, coupling_rec=coupling_rec)
-        m.recovery_kernel(4)
+        m.kernel_row([4])
         with pytest.raises(ValueError, match="positive integer"):
-            m.recovery_kernel(bad)
+            m.kernel_row([bad])
 
     def test_growth_rate(self):
         m = reference_model(1.0, coupling_rec=0.5)
         for k in (1, 2, 10, 37):
-            b = m.recovery_kernel(k)
+            b = entry(m.kernel_row([k]))
             expect = 0.5 * float(k) ** 3.5
             assert b.lo <= expect <= b.hi * (1 + 1e-12)
 
     def test_custom_model_drives_recovery(self):
         half = IntervalScalar(0.5, 0.5)
 
-        def kern(k):
-            return pow_seven_halves(k) * half
+        def kern(modes):
+            return IntervalMatrix.from_scalars([[pow_seven_halves(k) * half for k in modes]])
 
         m = reference_model(1.0)
         custom = BasisModel(
-            diffusion_eig=m.diffusion_eig,
-            drift_eig=m.drift_eig,
+            diffusion_row=m.diffusion_row,
+            drift_row=m.drift_row,
             interaction=m.interaction,
             interaction_block=m.interaction_block,
             interaction_bound=m.interaction_bound,
-            recovery_kernel=kern,
+            kernel_row=kern,
         )
         cfg = OperatorConfig(model=custom, nu=IntervalScalar(0.005, 0.005), truncation_N=10)
         out = recover_velocity(CoefficientVector(((9, IntervalScalar(1.0, 1.0)),)), cfg)

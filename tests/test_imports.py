@@ -9,7 +9,8 @@ process has scipy loaded already.
 No linter is installed, so `ast` scans guard against imported names that a
 module never references, against private module-level helpers of the
 package that nothing references, and against fields of the audit and
-operator configurations that nothing reads: a knob that changes nothing.
+operator configurations and of the basis interface that nothing reads: a
+knob that changes nothing, or an accessor no stage calls.
 """
 
 import ast
@@ -22,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from spikecert.audit import AuditConfig
+from spikecert.basis import BasisModel
 from spikecert.operator import OperatorConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -217,13 +219,15 @@ def unread_fields(paths, classes):
 
 # AuditConfig.window is read by nothing: the tail bound is the gap at j_min
 # alone.  It stays only because the benchmark's own tests build
-# AuditConfig(window=64); the benchmark change that deletes it empties this
-# list
-UNREAD = [("AuditConfig", "window")]
+# AuditConfig(window=64); the benchmark change that deletes it takes it off
+# this list.  BasisModel.interaction, the scalar C_{klj}, is read by no
+# stage, which reads the tensor through interaction_block: only the oracle
+# tests compare against it and perfbench/tracer.py wraps it to count calls
+UNREAD = [("AuditConfig", "window"), ("BasisModel", "interaction")]
 
 
 def test_every_config_field_is_read():
-    configs = [AuditConfig, OperatorConfig]
+    configs = [AuditConfig, BasisModel, OperatorConfig]
     fields = {(cls.__name__, f.name) for cls in configs for f in dataclasses.fields(cls)}
     assert set(UNREAD) <= fields, "a deleted field leaves UNREAD too"
     paths = sorted((SRC / "spikecert").glob("*.py"))

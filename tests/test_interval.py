@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spikecert import interval
 from spikecert.closure import nk_closure
 from spikecert.interval import (
     LN10,
@@ -21,6 +22,7 @@ from spikecert.interval import (
     IntervalScalar,
     LogMagnitude,
     SingularDivisionError,
+    _mid_rad,
     arith,
     as_nonneg,
     exp_iv,
@@ -38,6 +40,8 @@ from spikecert.interval import (
     sqrt_iv,
 )
 from spikecert.stability import inverse_bound_from_norms
+
+from mutants import mutant_module
 
 
 def iv(lo, hi=None):
@@ -350,6 +354,39 @@ class TestMatrix:
             lo = np.nextafter(np.nextafter(lo, -np.inf), -np.inf)
             hi = np.nextafter(np.nextafter(hi, np.inf), np.inf)
             assert (P.lo == lo).all() and (P.hi == hi).all()
+
+    @staticmethod
+    def check_mid_rad(mid_rad):
+        """mid - rad <= lo and hi <= mid + rad in exact arithmetic, for every
+        finite entry of a matrix of edge cases and random intervals."""
+        rng = random.Random(17)
+        pairs = [
+            # mid = 0.5, and mid - lo rounds to 0.5, below the true 0.5 + 1e-20
+            (-1e-20, 1.0),
+            (0.0, 0.0), (-0.0, 0.0), (1.0, 1.0), (0.1, 0.3), (-3.0, 5.0),
+            (5e-324, 1.5e-323), (-5e-324, 5e-324), (1.0, math.nextafter(1.0, 2.0)),
+            (-1e308, 1e308), (-math.inf, 1.0), (2.0, math.inf),
+        ]
+        for _ in range(2000):
+            a = rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-30, 30)
+            b = rng.choice([a, -a, a * rng.uniform(0.0, 2.0), rng.uniform(-1.0, 1.0)])
+            pairs.append((min(a, b), max(a, b)))
+        lo, hi = (np.array([[p[i] for p in pairs]]) for i in (0, 1))
+        mid, rad, unbounded = mid_rad(IntervalMatrix(lo, hi))
+        for i, (a, b) in enumerate(pairs):
+            assert unbounded[0, i] == (math.isinf(a) or math.isinf(b)), (a, b)
+            if unbounded[0, i] or rad[0, i] == math.inf:
+                continue
+            m, r = Fraction(mid[0, i]), Fraction(rad[0, i])
+            assert m - r <= Fraction(a) and Fraction(b) <= m + r, (a, b, mid[0, i], rad[0, i])
+
+    def test_mid_rad_radius_covers_both_endpoints(self):
+        self.check_mid_rad(_mid_rad)
+
+    def test_mid_rad_without_its_nudge_misses_an_endpoint(self, monkeypatch):
+        mutant = mutant_module(monkeypatch, interval, "np.nextafter(rad, _INF, out=rad)", "pass")
+        with pytest.raises(AssertionError):
+            self.check_mid_rad(mutant._mid_rad)
 
     def test_identity_minus(self):
         P = IntervalMatrix.from_point(np.array([[0.25, 0.0], [0.0, 0.25]]))

@@ -1,12 +1,10 @@
 import contextlib
 import dataclasses
-import inspect
 import io
 import math
 import random
 import sys
 import tracemalloc
-import types
 
 import mpmath
 import numpy as np
@@ -25,6 +23,8 @@ from spikecert.operator import (
     recover_velocity,
 )
 from spikecert.spaces import CoefficientVector, load_certificate
+
+from mutants import mutant_module
 
 mpmath.mp.dps = 40
 
@@ -230,6 +230,17 @@ _ONE = IntervalScalar(1.0, 1.0)
 _U = mpmath.mpf(2) ** -53
 
 
+def entry(row):
+    """The one entry of a 1 x 1 row."""
+    assert row.shape == (1, 1)
+    return row.entry(0, 0)
+
+
+def kernel_at(model, k):
+    """K_rec(k) of a basis, read from its kernel row."""
+    return entry(model.kernel_row([k]))
+
+
 def _split(x):
     """x's float midpoint and radius, formed as interval._mid_rad forms them."""
     mid = 0.5 * x.lo + 0.5 * x.hi
@@ -355,7 +366,7 @@ class Exact:
     its coupling scaled by ``factor``."""
 
     def __init__(self, cfg, off_band=False, factor=1):
-        kernel = cfg.model.recovery_kernel(1)  # coupling_rec * 1^{7/2}, a point
+        kernel = kernel_at(cfg.model, 1)  # coupling_rec * 1^{7/2}, a point
         assert kernel.lo == kernel.hi
         self.coupling = mpmath.mpf(cfg.model.interaction_bound.lo) * factor
         self.crec = mpmath.mpf(kernel.lo)
@@ -444,8 +455,7 @@ def check_G(c, cfg, exact, G=apply_G):
     N = cfg.truncation_N
     values = [exact.G(cp, nup, N) for cp, nup in Exact.points(c, cfg.nu)]
     out = G(c, cfg)
-    K = cfg.model.recovery_kernel
-    stretched = {l: cl * (K(l) * 2.0 + _ONE) for l, cl in c.items()}
+    stretched = {l: cl * (kernel_at(cfg.model, l) * 2.0 + _ONE) for l, cl in c.items()}
     weights = {(k, l): stretched[l] * ck for k, ck in c.items() for l in c.support}
     linear = apply_linear(c, cfg)
     for j in range(1, 2 * N + 1):
@@ -462,9 +472,9 @@ def check_jacobian(c, cfg, exact, assemble=assemble_jacobian):
     J = assemble(c, cfg)
     values = [exact.J(cp, nup, N) for cp, nup in Exact.points(c, cfg.nu)]
     model = cfg.model
-    K = model.recovery_kernel
+    K = {m: kernel_at(model, m) for m in range(1, N + 1)}
     weights = {
-        (k, m): (K(m) + (_ONE + K(k))) * (ck * 2.0)
+        (k, m): (K[m] + (_ONE + K[k])) * (ck * 2.0)
         for k, ck in c.items()
         for m in range(1, N + 1)
     }
@@ -475,7 +485,8 @@ def check_jacobian(c, cfg, exact, assemble=assemble_jacobian):
             bound = apriori_width(terms, sum(_reaches(*t) for t in terms))
             sym = None
             if j == m:
-                sym = _ONE + model.drift_eig(m) + cfg.nu * model.diffusion_eig(m)
+                drift, diffusion = entry(model.drift_row([m])), entry(model.diffusion_row([m]))
+                sym = _ONE + drift + cfg.nu * diffusion
             assert_entry(
                 J.lo[j - 1, m - 1], J.hi[j - 1, m - 1], bound,
                 [t[j - 1][m - 1] for t in values], f"J[{j}, {m}]", sym,
@@ -573,17 +584,6 @@ class TestAdversarialContainment:
         check_adversarial(*ADVERSARIAL[case])
 
 
-def mutant_module(monkeypatch, module, old, new):
-    """``module`` with the one occurrence of ``old`` replaced by ``new``."""
-    source = inspect.getsource(module)
-    assert source.count(old) == 1, old
-    mutant = types.ModuleType(module.__name__.replace("spikecert.", "spikecert.mutant_"))
-    mutant.__package__ = "spikecert"
-    monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
-    exec(compile(source.replace(old, new), mutant.__name__, "exec"), mutant.__dict__)
-    return mutant
-
-
 def mutant_operator(monkeypatch, old, new):
     """spikecert.operator with the one occurrence of ``old`` replaced by ``new``."""
     return mutant_module(monkeypatch, operator, old, new)
@@ -602,10 +602,10 @@ class TestJacobianOracleCatchesMutants:
     @pytest.mark.parametrize(
         "old, new",
         [
-            ("(K + (ONE + model", "(K * 0.0 + (ONE + model"),  # drops 2 A_c K
-            ("(ONE + model.recovery_kernel(k))", "ONE"),  # drops 2 A_{Kc}
+            ("(K + (K[0, src]", "(K * 0.0 + (K[0, src]"),  # drops 2 A_c K
+            ("(K[0, src] + ONE)", "ONE"),  # drops 2 A_{Kc}
             # the weight of the column mode, not the source
-            ("* (ck * 2.0) for k, ck", "* (_dense(c, N) * 2.0) for k, ck"),
+            ("(_coefficients(c)[0, :, None] * 2.0)", "(_dense(c, N) * 2.0)"),
         ],
         ids=["no-A_c-K", "no-A_Kc", "k-cols-swapped"],
     )

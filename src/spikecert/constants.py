@@ -2,9 +2,9 @@
 
 Three constants feed the final contraction test.  The recovery-mapping
 constant is the supremum over integer modes of the norm-level multiplier
-k^{7/2} (1+k^2)^{-1/2} e^{-(tau'-tau)k}; a finite scan covers it because
-the one-step ratio drops below one past the stationary point and stays
-there.  The convolution constant bounds the bilinear form between the
+k^{7/2} (1+k^2)^{-1/2} e^{-(tau'-tau)k}; the multiplier is log-concave, so
+its one-step ratio decreases and a bracket of levels around the stationary
+point, whose two edges are certified to rise and to fall, holds it.  The convolution constant bounds the bilinear form between the
 two weighted spaces through the elementary inequality
 1+(k+l)^2 <= 2(1+k^2)(1+l^2) and the exponential buffer tau'-tau, which
 turns the double sum into a product of one-dimensional sums.  The
@@ -32,7 +32,6 @@ from .interval import (
     ZERO,
     IntervalMatrix,
     IntervalScalar,
-    _chunks,
     _float_rounded,
     as_nonneg,
     decay_ratio,
@@ -40,14 +39,13 @@ from .interval import (
     intpow_iv,
     ln_iv,
     pow_seven_halves,
-    pow_seven_halves_row,
     row_sum,
     sqrt_iv,
 )
 from .spaces import WeightedSpace
 
-# refuse scans that would walk more modes than this; the buffer is then
-# too thin for the finite-scan strategy to make sense
+# refuse a buffer whose scan end k_end (recovery_mapping_constant) lies past
+# this level: the buffer is then thinner than the audit accepts
 _SCAN_LIMIT = 2_000_000
 
 
@@ -59,14 +57,6 @@ def level_multiplier(k: int, rate: IntervalScalar) -> IntervalScalar:
     return pow_seven_halves(k) / sqrt_iv(one_plus) * exp_iv(-(rate * float(k)))
 
 
-def _level_multipliers(k: np.ndarray, rate: IntervalScalar) -> IntervalMatrix:
-    """level_multiplier(k, rate) for each level of an int array k, as a row
-    whose entries have the bits of the scalar function."""
-    kk = IntervalMatrix.from_point(k[None, :].astype(np.float64))
-    one_plus = IntervalMatrix.from_point((1 + k * k)[None, :].astype(np.float64))
-    return pow_seven_halves_row(kk) / one_plus.sqrt() * (-(rate * kk)).exp()
-
-
 @dataclass(frozen=True)
 class RecoveryMapResult:
     """Supremum of the level multiplier and the first level attaining it."""
@@ -76,13 +66,28 @@ class RecoveryMapResult:
 
 
 def recovery_mapping_constant(tau: float, tau_prime: float) -> RecoveryMapResult:
-    """Certified sup over integers k >= 1 of the norm-level multiplier.
+    """Certified sup over integers k >= 1 of the norm-level multiplier f(k).
 
-    The scan runs to ceil(4.5/b) with b = tau' - tau, past the
-    stationary point k* = 2.5/b.  Beyond the scan the one-step ratio
-    bound e^{-b} ((k+1)/k)^{7/2} is certified below one once, at the
-    scan end; it only decreases afterwards, so the tail contributes
-    nothing new.
+    With b = tau' - tau, log f(k) = (7/2) log k - (1/2) log(1+k^2) - b k
+    is strictly concave for k >= 1:
+
+        (log f)'' = -7/(2k^2) + (k^2-1)/(1+k^2)^2 < -5/(2k^2),
+
+    so the one-step ratio f(k+1)/f(k) decreases in k.  The bracket a..z
+    starts at k0 - 2..k0 + 2 around k0 = round(2.5/b), near the
+    stationary point, and each side widens by doubling steps until its
+    edge is certified:
+
+        f(a-1).hi < f(a).lo  (or a = 1):     f rises up to a;
+        f(z+1).hi < f(z).lo  (or z = k_end): f falls after z.
+
+    The sup is then attained on a..z, and [max lo, max hi] over the
+    bracket encloses it: the lower endpoint is a level's own, and every
+    level outside lies below an edge.  The right side stops at the scan
+    end k_end = ceil(4.5/b) + 1, past the stationary point k* = 2.5/b;
+    there the ratio bound e^{-b} ((k+1)/k)^{7/2} is certified below one
+    instead, and it only decreases afterwards.  argmax is the first level
+    with the largest upper endpoint.
     """
     tau = float(tau)
     tau_prime = float(tau_prime)
@@ -104,28 +109,38 @@ def recovery_mapping_constant(tau: float, tau_prime: float) -> RecoveryMapResult
             f"buffer {b.lo!r} needs a scan of {k_end} modes; refusing past "
             f"{_SCAN_LIMIT}"
         )
+    levels = {}
+
+    def f(k: int) -> IntervalScalar:
+        if k not in levels:
+            levels[k] = level_multiplier(k, b)
+        return levels[k]
+
+    k0 = min(max(round(2.5 / b.mid), 1), k_end)
+    a, z = max(k0 - 2, 1), min(k0 + 2, k_end)
+    step = 1
+    while a > 1 and not f(a - 1).hi < f(a).lo:
+        a, step = max(a - step, 1), 2 * step
+    step = 1
+    while z < k_end and not f(z + 1).hi < f(z).lo:
+        z, step = min(z + step, k_end), 2 * step
+    if z == k_end:
+        ratio = decay_ratio(k_end, b)
+        if not ratio.hi < 1.0:
+            raise CertificationError(
+                f"monotone-decrease ratio test failed at k={k_end}: bound {ratio.hi!r}"
+            )
     best_hi = -1.0
     best_lo = -1.0
-    argmax = 1
-    # level_multiplier over k = 1..k_end, a chunk of levels at a time; a later
-    # level replaces a running maximum only when strictly above it, so argmax
-    # is the first level with the largest upper endpoint
-    for part in _chunks(1, k_end + 1):
-        k = np.arange(part.start, part.stop)
-        m = _level_multipliers(k, b)
-        lo, hi = m.lo[0], m.hi[0]
-        i = int(np.argmax(hi))
-        if hi[i] > best_hi:
-            best_hi = float(hi[i])
-            argmax = int(k[i])
-        i = int(np.argmax(lo))
-        if lo[i] > best_lo:
-            best_lo = float(lo[i])
-    ratio = decay_ratio(k_end, b)
-    if not ratio.hi < 1.0:
-        raise CertificationError(
-            f"monotone-decrease ratio test failed at k={k_end}: bound {ratio.hi!r}"
-        )
+    argmax = a
+    # a later level replaces a running maximum only when strictly above it
+    for k in range(a, z + 1):
+        m = f(k)
+        if m.hi > best_hi:
+            best_hi = m.hi
+            argmax = k
+        if m.lo > best_lo:
+            best_lo = m.lo
     return RecoveryMapResult(value=IntervalScalar(best_lo, best_hi), argmax_k=argmax)
 
 
@@ -244,10 +259,10 @@ def certify_constants(
     Y: WeightedSpace,
     rec: Optional[RecoveryMapResult] = None,
 ) -> ConstantsReport:
-    """Compute the constants block: recovery scan, convolution bound, product.
+    """Compute the constants block: recovery supremum, convolution bound, product.
 
-    ``rec`` is the result of a recovery scan the caller already ran for tau
-    and tau_prime; without it the scan runs here.
+    ``rec`` is the recovery supremum the caller already certified for tau
+    and tau_prime; without it the supremum is certified here.
     """
     if rec is None:
         rec = recovery_mapping_constant(tau, tau_prime)

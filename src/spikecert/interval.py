@@ -715,14 +715,6 @@ def _exp_overflows(x: float) -> bool:
     return False
 
 
-_CHUNK = 2048  # entries per elementwise step; bounds the kernel temporaries
-
-
-def _chunks(start: int, stop: int):
-    """Consecutive slices of at most _CHUNK positions covering start..stop-1."""
-    return (slice(a, min(a + _CHUNK, stop)) for a in range(start, stop, _CHUNK))
-
-
 def _first_entry(lo, hi, bad) -> IntervalScalar:
     """The first entry, in row-major order, of the (broadcast) endpoint arrays
     lo, hi where ``bad`` holds; error messages name it."""
@@ -843,6 +835,14 @@ class IntervalMatrix:
             _np_add(self.lo, b[0], up=False), _np_add(self.hi, b[1], up=True)
         )
 
+    def __radd__(self, other):
+        b = self._endpoints(other)
+        if b is NotImplemented:
+            return NotImplemented
+        return IntervalMatrix(
+            _np_add(b[0], self.lo, up=False), _np_add(b[1], self.hi, up=True)
+        )
+
     def __neg__(self):
         return IntervalMatrix(-self.hi, -self.lo)
 
@@ -852,6 +852,14 @@ class IntervalMatrix:
             return NotImplemented
         return IntervalMatrix(
             _np_add(self.lo, -b[1], up=False), _np_add(self.hi, -b[0], up=True)
+        )
+
+    def __rsub__(self, other):
+        b = self._endpoints(other)
+        if b is NotImplemented:
+            return NotImplemented
+        return IntervalMatrix(
+            _np_add(b[0], -self.hi, up=False), _np_add(b[1], -self.lo, up=True)
         )
 
     def __abs__(self):

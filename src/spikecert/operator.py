@@ -86,7 +86,7 @@ def _check_support(c: CoefficientVector, cfg: OperatorConfig, who: str) -> None:
 def _symbol(modes: Sequence[int], cfg: OperatorConfig) -> IntervalMatrix:
     """The linear symbol 1 + d_j + nu*lambda_j over ``modes``, as a row."""
     model = cfg.model
-    return (model.drift_row(modes) + ONE) + cfg.nu * model.diffusion_row(modes)
+    return (ONE + model.drift_row(modes)) + cfg.nu * model.diffusion_row(modes)
 
 
 def apply_linear(c: CoefficientVector, cfg: OperatorConfig) -> CoefficientVector:

@@ -12,13 +12,11 @@ import numpy as np
 import pytest
 
 import spikecert.constants as constants_module
-import spikecert.interval as interval_module
 from spikecert.basis import reference_model
 from spikecert.constants import (
     ConstantsReport,
     RecoveryMapResult,
     _ceil_two_significant,
-    _level_multipliers,
     certify_constants,
     convolution_constant,
     level_multiplier,
@@ -36,6 +34,7 @@ from spikecert.interval import (
     intpow_iv,
     ln_iv,
     make_interval,
+    pow_seven_halves_row,
     sqrt_iv,
 )
 from spikecert.operator import OperatorConfig, apply_quadratic
@@ -46,6 +45,8 @@ from spikecert.spaces import (
     WeightedSpace,
     norm,
 )
+
+from mutants import mutant_module
 
 
 def point(x):
@@ -108,7 +109,7 @@ def test_level_multiplier_rejects_bad_index():
         level_multiplier(True, point(0.001))
 
 
-# -- the recovery scan against the scalar loop it replaced
+# -- the bracket against the full scan over k = 1..k_end it replaced
 
 
 def scan_end(tau, tau_prime):
@@ -116,21 +117,39 @@ def scan_end(tau, tau_prime):
     return b, int(math.ceil(4.5 / b.lo)) + 1
 
 
-def scalar_recovery_scan(tau, tau_prime):
-    """The running supremum over k = 1..k_end, one scalar level_multiplier at
-    a time, as recovery_mapping_constant once computed it."""
+def scalar_recovery_scan(tau, tau_prime, multiplier=None):
+    """The running supremum over k = 1..k_end, one scalar level multiplier at
+    a time (``constants.level_multiplier`` unless another is given), as
+    recovery_mapping_constant once computed it."""
+    multiplier = multiplier or constants_module.level_multiplier
     b, k_end = scan_end(tau, tau_prime)
     best_hi = -1.0
     best_lo = -1.0
     argmax = 1
     for k in range(1, k_end + 1):
-        m = constants_module.level_multiplier(k, b)
+        m = multiplier(k, b)
         if m.hi > best_hi:
             best_hi = m.hi
             argmax = k
         if m.lo > best_lo:
             best_lo = m.lo
     return IntervalScalar(best_lo, best_hi), argmax
+
+
+def level_multipliers(k, rate):
+    """level_multiplier(k, rate) for each level of an int array k, as a row
+    whose entries have the bits of the scalar function."""
+    kk = IntervalMatrix.from_point(k[None, :].astype(np.float64))
+    one_plus = IntervalMatrix.from_point((1 + k * k)[None, :].astype(np.float64))
+    return pow_seven_halves_row(kk) / one_plus.sqrt() * (-(rate * kk)).exp()
+
+
+def full_recovery_scan(tau, tau_prime):
+    """scalar_recovery_scan of level_multiplier, all levels in one row."""
+    b, k_end = scan_end(tau, tau_prime)
+    row = level_multipliers(np.arange(1, k_end + 1), b)
+    lo, hi = row.lo[0], row.hi[0]
+    return IntervalScalar(float(lo.max()), float(hi.max())), int(np.argmax(hi)) + 1
 
 
 def bits(x):
@@ -140,9 +159,9 @@ def bits(x):
 @pytest.mark.parametrize(
     "tau, tau_prime, k_end",
     [
-        (0.08, 0.081, 4501),  # the audit's scan
-        (0.0, 0.002199, 2048),  # ends exactly on a chunk edge
-        (0.0, 0.0021975, 2049),  # one level into the next chunk
+        (0.08, 0.081, 4501),  # the audit's scan end
+        (0.0, 0.002199, 2048),
+        (0.0, 0.0021975, 2049),
         (0.5, 1.0, 10),
         (0.1, 0.35, 20),
     ],
@@ -154,28 +173,102 @@ def test_recovery_scan_matches_scalar_loop(tau, tau_prime, k_end):
     value, argmax = scalar_recovery_scan(tau, tau_prime)
     assert bits(res.value) == bits(value)
     assert res.argmax_k == argmax
-    row = _level_multipliers(np.arange(1, k_end + 1), b)
+    row = level_multipliers(np.arange(1, k_end + 1), b)
     for k in range(1, k_end + 1):
         assert bits(row.entry(0, k - 1)) == bits(level_multiplier(k, b)), k
 
 
+def sweep_pairs():
+    """200 seeded (tau, tau') pairs with b log-uniform in [10^-3.7, 4], and
+    the thinnest buffer the audit meets."""
+    rng = random.Random(17)
+    pairs = []
+    for _ in range(200):
+        tau = rng.uniform(0.0, 0.5)
+        pairs.append((tau, tau + 10 ** rng.uniform(-3.7, math.log10(4.0))))
+    return pairs + [(0.08, 0.08001)]
+
+
+def test_bracket_matches_full_scan_on_seeded_sweep():
+    for tau, tau_prime in sweep_pairs():
+        res = recovery_mapping_constant(tau, tau_prime)
+        value, argmax = full_recovery_scan(tau, tau_prime)
+        assert (bits(res.value), res.argmax_k) == (bits(value), argmax), (tau, tau_prime)
+
+
+@pytest.mark.parametrize("tau, tau_prime", [(0.08, 0.081), (0.08, 0.08001), (0.5, 1.0)])
+def test_bracket_evaluates_a_bounded_number_of_levels(monkeypatch, tau, tau_prime):
+    calls = []
+
+    def counted(k, rate):
+        calls.append(k)
+        return level_multiplier(k, rate)
+
+    monkeypatch.setattr(constants_module, "level_multiplier", counted)
+    recovery_mapping_constant(tau, tau_prime)
+    assert len(calls) <= 16
+    assert len(set(calls)) == len(calls)  # no level twice
+
+
+def log_concave_standin(peak, rel_width=1e-3, scale=8.0):
+    """A log-concave stand-in multiplier e^{-((k - peak)/scale)^2}, as
+    intervals [(1 - rel_width) v, v], whose maximum sits at ``peak``
+    whatever b is."""
+
+    def multiplier(k, rate):
+        v = math.exp(-(((k - peak) / scale) ** 2))
+        return IntervalScalar(v * (1.0 - rel_width), v)
+
+    return multiplier
+
+
+# b = 0.05 puts k0 = round(2.5/b) at 50 and the scan end at 91
+WIDENING = (0.0, 0.05)
+WIDENING_PEAKS = [2, 20, 50, 75, 90, 150]  # 150: still rising at the scan end
+
+
+def check_standin_peaks(monkeypatch, module):
+    tau, tau_prime = WIDENING
+    for peak in WIDENING_PEAKS:
+        standin = log_concave_standin(peak)
+        monkeypatch.setattr(module, "level_multiplier", standin)
+        res = module.recovery_mapping_constant(tau, tau_prime)
+        value, argmax = scalar_recovery_scan(tau, tau_prime, standin)
+        assert (bits(res.value), res.argmax_k) == (bits(value), argmax), peak
+
+
+def test_bracket_widens_to_a_peak_far_from_k0(monkeypatch):
+    b, k_end = scan_end(*WIDENING)
+    assert round(2.5 / b.mid) == 50 and k_end == 91
+    check_standin_peaks(monkeypatch, constants_module)
+
+
+@pytest.mark.parametrize(
+    "old",
+    [
+        "a > 1 and not f(a - 1).hi < f(a).lo",
+        "z < k_end and not f(z + 1).hi < f(z).lo",
+    ],
+    ids=["left", "right"],
+)
+def test_widening_mutant_misses_a_far_peak(monkeypatch, old):
+    mutant = mutant_module(monkeypatch, constants_module, f"while {old}:", "while False:")
+    with pytest.raises(AssertionError):
+        check_standin_peaks(monkeypatch, mutant)
+
+
 def test_recovery_argmax_is_the_first_of_tied_levels(monkeypatch):
-    # a multiplier that plateaus from level 6 on: the supremum ties across
-    # the edges of 4-level chunks, and argmax must stay at the first level
-    def plateau(k, rate):
-        return IntervalScalar(min(k, 6) / 4.0, float(min(k, 6)))
-
-    def plateau_row(k, rate):
-        v = np.minimum(k, 6).astype(np.float64)[None, :]
-        return IntervalMatrix(v / 4.0, v)
-
-    monkeypatch.setattr(interval_module, "_CHUNK", 4)
-    monkeypatch.setattr(constants_module, "level_multiplier", plateau)
-    monkeypatch.setattr(constants_module, "_level_multipliers", plateau_row)
-    res = recovery_mapping_constant(0.5, 1.0)
-    value, argmax = scalar_recovery_scan(0.5, 1.0)
-    assert (res.argmax_k, bits(res.value)) == (argmax, bits(value))
-    assert (argmax, bits(value)) == (6, bits(IntervalScalar(1.5, 6.0)))
+    # log-concave stand-ins whose two top levels, peak and peak + 1, tie
+    # exactly, below, at and above k0 = 5 and at the scan end 10: argmax
+    # must stay at the first of them
+    for peak in (1, 3, 5, 7, 9):
+        standin = log_concave_standin(peak + 0.5, rel_width=0.5, scale=2.0)
+        assert standin(peak, None) == standin(peak + 1, None)
+        monkeypatch.setattr(constants_module, "level_multiplier", standin)
+        res = recovery_mapping_constant(0.5, 1.0)
+        value, argmax = scalar_recovery_scan(0.5, 1.0)
+        assert (res.argmax_k, bits(res.value)) == (argmax, bits(value)), peak
+        assert (argmax, bits(value)) == (peak, bits(standin(peak, None))), peak
 
 
 # ---------------------------------------------------------------------------

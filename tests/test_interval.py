@@ -15,6 +15,7 @@ from spikecert import interval
 from spikecert.closure import nk_closure
 from spikecert.interval import (
     LN10,
+    ONE,
     PI,
     IntervalError,
     IntervalMatrix,
@@ -592,6 +593,27 @@ class TestMatrixKernels:
         A = IntervalMatrix.from_scalars([[x]])
         for M, r in ((A + f, x + f), (A * f, x * f)):
             assert _same(M.lo[0, 0], M.hi[0, 0], r)
+
+    @given(st.lists(kernel_intervals(), min_size=6, max_size=6), kernel_intervals())
+    @example(xs=_EDGE, s=_NEG_ZERO_TRAP)
+    @example(xs=_ZEROS, s=iv(-0.0))
+    @settings(max_examples=200, deadline=None)
+    def test_reflected_sum_and_difference_match_scalar_bit_for_bit(self, xs, s):
+        # a scalar on the left keeps the scalar operand order: 1.0 - row and
+        # ONE + row have, entry by entry, the bits of 1.0 - x and ONE + x
+        A = IntervalMatrix.from_scalars([xs[:3], xs[3:]])
+        cases = (
+            (1.0 - A, lambda x: 1.0 - x),
+            (ONE + A, lambda x: ONE + x),
+            (1.0 + A, lambda x: 1.0 + x),
+            (s + A, lambda x: s + x),
+            (s - A, lambda x: s - x),
+            (2 - A, lambda x: 2 - x),
+        )
+        for M, scalar in cases:
+            for i in range(2):
+                for j in range(3):
+                    assert _same(M.lo[i, j], M.hi[i, j], scalar(xs[3 * i + j])), (i, j)
 
     @given(
         st.lists(kernel_intervals(), min_size=6, max_size=6),

@@ -45,6 +45,7 @@ from typing import List, Optional, Tuple
 
 from .basis import reference_model
 from .closure import image_overlap_bound, nk_closure, torus_closure
+from .config import AuditConfig, _iv
 from .constants import certify_constants, recovery_mapping_constant
 from .errors import CertificateError, CertificationError
 from .interval import IntervalScalar, interval_from_decimal
@@ -102,34 +103,6 @@ class AuditResult:
     log: AuditLog
     exit_code: int
     verified: bool
-
-
-@dataclass
-class AuditConfig:
-    """Knobs for one audit run; defaults match the bundled certificate.
-
-    ``coupling`` and ``coupling_rec`` select the reference basis model,
-    ``truncation_N`` the operator truncation, ``tau_prime`` the source-space
-    rate of the recovery scan, ``j_min`` the first mode of the tail
-    coercivity bound, ``lattice_radius`` the image-overlap enumeration; a
-    fixed ``timestamp`` makes the whole log reproducible.  ``window`` is
-    read by nothing: the tail bound is its value at ``j_min`` alone.  It
-    stays only because the benchmark's tests build ``AuditConfig(window=64)``;
-    the next change to the benchmark deletes it.
-    """
-
-    coupling: float = 1.0
-    coupling_rec: Optional[float] = None
-    truncation_N: int = 450
-    tau_prime: float = SOURCE_SPACE.tau
-    j_min: int = 1200
-    window: int = 2048
-    lattice_radius: int = 3
-    timestamp: Optional[str] = None
-
-
-def _iv(x: IntervalScalar) -> str:
-    return f"[{x.lo:.6e}, {x.hi:.6e}]"
 
 
 class _Run:

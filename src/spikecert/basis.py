@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .interval import ZERO, IntervalMatrix, IntervalScalar, pow_seven_halves_row
+from .interval import ZERO, IntervalScalar
+from .matrix import IntervalMatrix, pow_seven_halves_row
 
 __all__ = ["BasisModel", "reference_model"]
 

@@ -6,7 +6,13 @@ a plain-text config file (`key = value` per line, `#` comments); flags
 given on the command line win over the file, the file wins over
 defaults, and a key that names no option of any subcommand is refused.
 Exit codes follow the audit contract: 0 verified, 1 a check
-failed, 2 unusable input or usage error.
+failed, 2 unusable input or usage error: a flag or config value that does
+not parse, decimal options included, exits 2 and names the option.
+
+The stages that need numpy are imported by the handlers that run them, so
+parsing the options, `closure` and `gen-profile` load only the numpy-free
+core (the scalar interval calculus, the certificate format, the closure
+products and the option defaults).
 """
 
 from __future__ import annotations
@@ -17,15 +23,11 @@ import random
 import sys
 from typing import Dict, List, Optional
 
-from .audit import _CAPS, AuditConfig, _iv, run_audit
-from .basis import reference_model
 from .closure import nk_closure, torus_closure
-from .constants import certify_constants
+from .config import AuditConfig, _iv
 from .errors import CertificateError, CertificationError
-from .interval import IntervalScalar, interval_from_decimal
-from .operator import OperatorConfig, assemble_jacobian
+from .interval import IntervalError, IntervalScalar, interval_from_decimal
 from .oracle import _SUITES, MeridionalGrid, standard_checks
-from .residual import certify_residual
 from .spaces import (
     PROFILE_SPACE,
     SOURCE_SPACE,
@@ -34,7 +36,6 @@ from .spaces import (
     load_certificate,
     save_certificate,
 )
-from .stability import certify_inverse, certify_tail_coercivity, inverse_bound_from_norms
 
 # AuditConfig's defaults, read by every flag that sets one of its fields
 _AUDIT = AuditConfig()
@@ -49,6 +50,19 @@ def _finite_float(text: str) -> float:
 
 
 _finite_float.__name__ = "finite float"  # as argparse and config errors name it
+
+
+def _decimal(text: str) -> str:
+    """The type of every decimal option: refused unless interval_from_decimal
+    reads it, and kept as the exact string, which the handler reads."""
+    try:
+        interval_from_decimal(text)
+    except IntervalError:
+        raise argparse.ArgumentTypeError(
+            f"not a finite decimal within double range: {text!r}"
+        ) from None
+    return text
+
 
 # the largest truncation N an option accepts: the constant-free audit of the
 # bundled certificate with --modes 2048 --j-min 4096, which assembles and
@@ -159,17 +173,17 @@ def _build_parser():
 
     p = sub.add_parser("residual", help="certified residual norm of a profile")
     common(p, "profile", "model", "modes", "out")
-    p.add_argument("--nu", help="override the certificate viscosity (decimal)")
+    p.add_argument("--nu", type=_decimal, help="override the certificate viscosity (decimal)")
 
     p = sub.add_parser("inverse", help="verified inverse bound M")
     common(p, "profile", "model", "modes", "out")
-    p.add_argument("--r-norm", help="declared candidate-inverse norm (decimal)")
-    p.add_argument("--e-norm", help="declared residual-matrix norm (decimal)")
+    p.add_argument("--r-norm", type=_decimal, help="declared candidate-inverse norm (decimal)")
+    p.add_argument("--e-norm", type=_decimal, help="declared residual-matrix norm (decimal)")
 
     p = sub.add_parser("tail", help="tail coercivity constant gamma")
     common(p, "profile", "model", "modes", "out")
     p.add_argument("--j-min", type=_bounded_int(1), default=_AUDIT.j_min)
-    p.add_argument("--c-prof", help="profile envelope constant (decimal)")
+    p.add_argument("--c-prof", type=_decimal, help="profile envelope constant (decimal)")
 
     p = sub.add_parser("constants", help="recovery, convolution and K constants")
     common(p, "model", "modes", "out")
@@ -178,10 +192,10 @@ def _build_parser():
 
     p = sub.add_parser("closure", help="scalar closure verdict from constants")
     common(p, "out")
-    p.add_argument("--delta", required=True, help="residual bound (decimal)")
-    p.add_argument("--M", required=True, help="inverse bound (decimal)")
-    p.add_argument("--K", required=True, help="lipschitz bound (decimal)")
-    p.add_argument("--eps", help="transfer error for the torus variant (decimal)")
+    p.add_argument("--delta", type=_decimal, required=True, help="residual bound (decimal)")
+    p.add_argument("--M", type=_decimal, required=True, help="inverse bound (decimal)")
+    p.add_argument("--K", type=_decimal, required=True, help="lipschitz bound (decimal)")
+    p.add_argument("--eps", type=_decimal, help="transfer error for the torus variant (decimal)")
 
     p = sub.add_parser("oracle", help="grid falsification battery")
     p.add_argument("suite", nargs="?", default="all", choices=("all", *_SUITES))
@@ -195,7 +209,7 @@ def _build_parser():
     p = sub.add_parser("gen-profile", help="deterministic random test certificate")
     common(p, "modes", "out")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nu", default="0.005")
+    p.add_argument("--nu", type=_decimal, default="0.005")
     p.add_argument("--tau", type=_finite_float, default=PROFILE_SPACE.tau)
     p.add_argument("--sigma", type=_finite_float, default=0.05)
     p.add_argument("--amplitude", type=_finite_float, default=1.0)
@@ -212,7 +226,10 @@ class SystemExit2(Exception):
     """Usage-level failure: message printed, exit code 2."""
 
 
-def _op_config(args, cert) -> OperatorConfig:
+def _op_config(args, cert):
+    from .basis import reference_model
+    from .operator import OperatorConfig
+
     nu = cert.nu
     if getattr(args, "nu", None):
         nu = interval_from_decimal(args.nu)
@@ -221,6 +238,8 @@ def _op_config(args, cert) -> OperatorConfig:
 
 
 def _cmd_audit(args) -> int:
+    from .audit import run_audit
+
     path = _require_profile(args)
     cfg = AuditConfig(
         coupling=args.coupling,
@@ -236,6 +255,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_residual(args) -> int:
+    from .residual import certify_residual
+
     cert = load_certificate(_require_profile(args))
     rep = certify_residual(cert, _op_config(args, cert), PROFILE_SPACE)
     text = (
@@ -248,6 +269,9 @@ def _cmd_residual(args) -> int:
 
 
 def _cmd_inverse(args) -> int:
+    from .operator import assemble_jacobian
+    from .stability import certify_inverse, inverse_bound_from_norms
+
     if args.r_norm or args.e_norm:
         if not (args.r_norm and args.e_norm):
             raise SystemExit2("--r-norm and --e-norm must be given together")
@@ -270,6 +294,9 @@ def _cmd_inverse(args) -> int:
 
 
 def _cmd_tail(args) -> int:
+    from .audit import _CAPS
+    from .stability import certify_tail_coercivity
+
     cert = load_certificate(_require_profile(args))
     if args.c_prof:
         c_prof = interval_from_decimal(args.c_prof)
@@ -289,6 +316,9 @@ def _cmd_tail(args) -> int:
 
 
 def _cmd_constants(args) -> int:
+    from .basis import reference_model
+    from .constants import certify_constants
+
     rep = certify_constants(
         args.tau,
         args.tau_prime,

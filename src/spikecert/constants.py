@@ -30,7 +30,6 @@ from .interval import (
     _TWO,
     ONE,
     ZERO,
-    IntervalMatrix,
     IntervalScalar,
     _float_rounded,
     as_nonneg,
@@ -39,9 +38,9 @@ from .interval import (
     intpow_iv,
     ln_iv,
     pow_seven_halves,
-    row_sum,
     sqrt_iv,
 )
+from .matrix import IntervalMatrix, row_sum
 from .spaces import WeightedSpace
 
 # refuse a buffer whose scan end k_end (recovery_mapping_constant) lies past

@@ -35,7 +35,7 @@ float arrays add up mid, rad and scale from Cm Wm, |Cm| Wr + Cr (|Wm| +
 Wr) and (|Cm| + Cr) (|Wm| + Wr).  Each exact C W lies within the second of
 Cm Wm, and |Cm Wm| plus it is at most the third, so the exact sum lies
 within rad + gamma_n scale of mid, plus an underflow term, with n bounding
-the roundings a term meets (interval._mid_rad_enclosure).  This is not
+the roundings a term meets (matrix._mid_rad_enclosure).  This is not
 bit-identical to directed rounding entry by entry.  An entry no term
 reaches is exactly [0, 0], left out of the vectors returned; an
 overflowing sum, or a factor with an infinite endpoint, makes its entries
@@ -50,7 +50,8 @@ from typing import Sequence
 import numpy as np
 
 from .basis import BasisModel
-from .interval import ONE, IntervalMatrix, IntervalScalar, _mid_rad, _mid_rad_enclosure
+from .interval import ONE, IntervalScalar
+from .matrix import IntervalMatrix, _mid_rad, _mid_rad_enclosure
 from .spaces import CoefficientVector
 
 __all__ = [

@@ -15,8 +15,10 @@ on smooth non-polynomial fields shrinks by ~4x when the spacing halves.
 The divergence check uses fourth-order stencils instead: its test cases
 are quartic polynomials that second-order differences would miss.
 
-The two quadrature checks import scipy on their first call, so importing
-the package (and with it every audit and CLI call) does not load it.
+Each function imports numpy when it runs, and the two quadrature checks
+import scipy on their first call, so importing the package loads neither:
+the audit and every CLI command but `oracle` run without scipy, and
+`closure` and `gen-profile` without numpy as well.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Union
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,8 @@ class MeridionalGrid:
         return (self.zeta_max - self.zeta_min) / (self.n_zeta - 1)
 
     def nodes(self):
+        import numpy as np
+
         rho = np.linspace(self.rho_min, self.rho_max, self.n_rho)
         zeta = np.linspace(self.zeta_min, self.zeta_max, self.n_zeta)
         return np.meshgrid(rho, zeta, indexing="ij")
@@ -79,6 +81,8 @@ class GridField:
     name: str = ""
 
     def __post_init__(self):
+        import numpy as np
+
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 2:
             raise ValueError(f"field must be a 2d array, got shape {v.shape}")
@@ -88,6 +92,8 @@ class GridField:
 
     @classmethod
     def sample(cls, f: Callable, grid: MeridionalGrid, name: str = "") -> "GridField":
+        import numpy as np
+
         rho, zeta = grid.nodes()
         return cls(np.asarray(f(rho, zeta), dtype=np.float64), name)
 
@@ -104,6 +110,8 @@ class PolynomialField:
     coeffs: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         c = np.asarray(self.coeffs, dtype=np.float64)
         if c.ndim != 2 or c.size == 0:
             raise ValueError(f"coefficients must be a 2d array, got shape {c.shape}")
@@ -112,6 +120,8 @@ class PolynomialField:
         object.__setattr__(self, "coeffs", c)
 
     def deriv(self, drho: int = 0, dzeta: int = 0) -> "PolynomialField":
+        import numpy as np
+
         c = self.coeffs
         if drho:
             if drho >= c.shape[0]:
@@ -126,6 +136,8 @@ class PolynomialField:
         return PolynomialField(c)
 
     def eval(self, rho: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return np.polynomial.polynomial.polyval2d(rho, zeta, self.coeffs)
 
 
@@ -145,6 +157,8 @@ def _values(f: FieldLike, grid: MeridionalGrid) -> np.ndarray:
 
 
 def _d1_c2(a: np.ndarray, h: float, axis: int) -> np.ndarray:
+    import numpy as np
+
     b = np.moveaxis(a, axis, 0)
     out = np.full_like(b, np.nan)
     out[1:-1] = (b[2:] - b[:-2]) / (2.0 * h)
@@ -152,6 +166,8 @@ def _d1_c2(a: np.ndarray, h: float, axis: int) -> np.ndarray:
 
 
 def _d2_c2(a: np.ndarray, h: float, axis: int) -> np.ndarray:
+    import numpy as np
+
     b = np.moveaxis(a, axis, 0)
     out = np.full_like(b, np.nan)
     out[1:-1] = (b[2:] - 2.0 * b[1:-1] + b[:-2]) / (h * h)
@@ -159,6 +175,8 @@ def _d2_c2(a: np.ndarray, h: float, axis: int) -> np.ndarray:
 
 
 def _d1_c4(a: np.ndarray, h: float, axis: int) -> np.ndarray:
+    import numpy as np
+
     b = np.moveaxis(a, axis, 0)
     out = np.full_like(b, np.nan)
     out[2:-2] = (-b[4:] + 8.0 * b[3:-1] - 8.0 * b[1:-3] + b[:-4]) / (12.0 * h)
@@ -181,6 +199,8 @@ def check_conjugation(f: FieldLike, grid: Optional[MeridionalGrid] = None) -> fl
     two sides differ only in float operation order and the discrepancy
     sits at rounding level.
     """
+    import numpy as np
+
     grid = grid or default_grid()
     rho, zeta = grid.nodes()
     if isinstance(f, PolynomialField):
@@ -224,6 +244,8 @@ def check_divergence(psi: FieldLike, grid: Optional[MeridionalGrid] = None) -> f
     layers of margin; the max runs over the remaining core, which needs
     at least a 9x9 grid.
     """
+    import numpy as np
+
     grid = grid or default_grid()
     if grid.n_rho < 9 or grid.n_zeta < 9:
         raise ValueError("divergence check needs at least 9 nodes per direction")
@@ -263,6 +285,8 @@ def check_axis_vanishing(
     log-log slope.  A profile with W = O(rho^2) must show exponent >= 4
     minus the tolerance; anything flatter is flagged.
     """
+    import numpy as np
+
     eps = [float(e) for e in epsilons]
     if len(eps) < 2:
         raise ValueError("need at least two radii to fit a decay exponent")
@@ -384,6 +408,8 @@ def standard_checks(
     text, and the verdict.  `suite` names one of `_SUITES` to run only its
     rows, or is "all".
     """
+    import numpy as np
+
     if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected 'all' or one of {_SUITES}")
     grid = grid or default_grid()

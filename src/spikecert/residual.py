@@ -11,11 +11,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interval import IntervalScalar, row_sum, sqrt_iv
+from .interval import IntervalScalar, sqrt_iv
+from .matrix import IntervalMatrix, row_sum
 from .operator import OperatorConfig, _G_row
-from .spaces import ProfileCertificate, WeightedSpace, weight_sq_row
+from .spaces import ProfileCertificate, WeightedSpace
 
-__all__ = ["ResidualReport", "certify_residual"]
+__all__ = ["ResidualReport", "certify_residual", "weight_sq_row"]
+
+
+def weight_sq_row(j: np.ndarray, space: WeightedSpace) -> IntervalMatrix:
+    """spaces.weight_sq(j, space) for each mode of an int array j, as a row whose
+    entries have the bits of the scalar function."""
+    jf = IntervalMatrix.from_point(j[None, :].astype(np.float64))
+    base = jf.intpow(2) + 1.0
+    s = space.s
+    if float(s).is_integer():
+        poly = base.intpow(int(s))
+    else:
+        poly = (base.log() * s).exp()
+    rate = IntervalScalar(2.0 * space.tau, 2.0 * space.tau) * jf
+    return poly * rate.exp()
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,9 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import Mapping, Optional
 
-import numpy as np
-
 from .errors import CertificateError
 from .interval import (
     ZERO,
-    IntervalMatrix,
     IntervalScalar,
     _parse_decimal,
     exp_iv,
@@ -42,7 +39,6 @@ __all__ = [
     "CoefficientVector",
     "ProfileCertificate",
     "weight_sq",
-    "weight_sq_row",
     "norm",
     "load_certificate",
     "save_certificate",
@@ -83,20 +79,6 @@ def weight_sq(j: int, space: WeightedSpace) -> IntervalScalar:
         poly = exp_iv(ln_iv(base) * s)
     rate = IntervalScalar(2.0 * space.tau, 2.0 * space.tau) * float(j)
     return poly * exp_iv(rate)
-
-
-def weight_sq_row(j: np.ndarray, space: WeightedSpace) -> IntervalMatrix:
-    """weight_sq(j, space) for each mode of an int array j, as a row whose
-    entries have the bits of the scalar function."""
-    jf = IntervalMatrix.from_point(j[None, :].astype(np.float64))
-    base = jf.intpow(2) + 1.0
-    s = space.s
-    if float(s).is_integer():
-        poly = base.intpow(int(s))
-    else:
-        poly = (base.log() * s).exp()
-    rate = IntervalScalar(2.0 * space.tau, 2.0 * space.tau) * jf
-    return poly * rate.exp()
 
 
 @dataclass(frozen=True)

@@ -30,16 +30,13 @@ from .errors import CertificationError
 from .interval import (
     ONE,
     ZERO,
-    IntervalMatrix,
     IntervalScalar,
     as_nonneg,
     decay_ratio,
     exp_iv,
-    identity_minus,
-    inf_norm,
-    point_times_interval,
     pow_seven_halves,
 )
+from .matrix import IntervalMatrix, identity_minus, inf_norm, point_times_interval
 from .operator import OperatorConfig
 from .spaces import ProfileCertificate
 

@@ -17,14 +17,8 @@ import numpy as np
 
 from spikecert.closure import image_overlap_bound, nk_closure, torus_closure
 from spikecert.constants import lipschitz_constant, recovery_mapping_constant
-from spikecert.interval import (
-    IntervalMatrix,
-    IntervalScalar,
-    arith,
-    exp_iv,
-    inf_norm,
-    interval_from_decimal,
-)
+from spikecert.interval import IntervalScalar, arith, exp_iv, interval_from_decimal
+from spikecert.matrix import IntervalMatrix, inf_norm
 from spikecert.operator import OperatorConfig, apply_G, assemble_jacobian
 from spikecert.oracle import check_reconstruction_scaling, default_grid, standard_checks
 from spikecert.residual import certify_residual

@@ -4,7 +4,8 @@ import math
 import pytest
 
 from spikecert.basis import BasisModel, reference_model
-from spikecert.interval import IntervalMatrix, IntervalScalar, pow_seven_halves
+from spikecert.interval import IntervalScalar, pow_seven_halves
+from spikecert.matrix import IntervalMatrix
 from spikecert.operator import OperatorConfig, recover_velocity
 from spikecert.spaces import CoefficientVector
 

@@ -7,10 +7,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import spikecert.audit
 import spikecert.cli as cli
+import spikecert.operator
 from spikecert.audit import AuditConfig, run_audit
 from spikecert.cli import main
-from spikecert.interval import IntervalMatrix
+from spikecert.matrix import IntervalMatrix
 from spikecert.spaces import load_certificate
 
 AUDIT_FAST = ["--modes", "64"]
@@ -75,6 +77,55 @@ def test_float_options_refuse_non_finite_values(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {argv[-2]}: invalid finite float value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["closure", "--M", "1", "--K", "1"], "--delta", "abc"),
+        (["closure", "--delta", "1", "--K", "1"], "--M", "1e400"),
+        (["closure", "--delta", "1", "--M", "1"], "--K", "nan"),
+        # an empty eps used to drop the torus product without a word
+        (["closure", "--delta", "1", "--M", "1", "--K", "1"], "--eps", ""),
+        (["residual", "--profile", "p.json"], "--nu", "inf"),
+        (["inverse", "--e-norm", "0.5"], "--r-norm", "1e999"),
+        (["inverse", "--r-norm", "2"], "--e-norm", "0.5.1"),
+        (["tail", "--profile", "p.json"], "--c-prof", "Infinity"),
+        (["gen-profile", "--out", "cert.json"], "--nu", "sNaN"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else v,
+)
+def test_decimal_options_refuse_what_does_not_parse(capsys, monkeypatch, argv, flag, value):
+    # refused by the parser, exit 2 naming the flag, before any handler runs
+    monkeypatch.setattr(cli, "_HANDLERS", {})
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == 2
+    message = f"argument {flag}: not a finite decimal within double range: {value!r}"
+    assert message in capsys.readouterr().err
+
+
+def test_config_refuses_a_decimal_that_does_not_parse(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("eps = 1e400\n")
+    argv = ["closure", "--delta", "1", "--M", "1", "--K", "1"]
+    code, out, err = run(capsys, "--config", str(cfg), *argv)
+    assert code == 2
+    assert out == ""
+    assert "bad config file: eps = '1e400': not a finite decimal within double range" in err
+
+
+def test_closure_decimal_options_reach_the_handler_as_exact_strings(monkeypatch):
+    seen = {}
+    monkeypatch.setitem(cli._HANDLERS, "closure", lambda args: seen.update(vars(args)) or 0)
+    argv = ["--delta", "8.4217390000000000000001e-12", "--M", "482.6", "--K", "1.1e4"]
+    assert main(["closure", *argv, "--eps", "1.42e-20"]) == 0
+    assert (seen["delta"], seen["M"], seen["K"], seen["eps"]) == (
+        "8.4217390000000000000001e-12",
+        "482.6",
+        "1.1e4",
+        "1.42e-20",
+    )
 
 
 @pytest.mark.parametrize("value", ["1e999", "-1e999"])
@@ -304,7 +355,9 @@ def test_inverse_without_a_candidate_inverse(capsys, monkeypatch):
     monkeypatch.setattr(cli, "load_certificate", lambda path: SimpleNamespace(coefficients=None))
     monkeypatch.setattr(cli, "_op_config", lambda args, cert: None)
     monkeypatch.setattr(
-        cli, "assemble_jacobian", lambda c, cfg: IntervalMatrix.from_point(np.ones((2, 2)))
+        spikecert.operator,
+        "assemble_jacobian",
+        lambda c, cfg: IntervalMatrix.from_point(np.ones((2, 2))),
     )
     code, out, _ = run(capsys, "inverse", "--profile", "cert.json")
     assert code == 1
@@ -482,7 +535,9 @@ def test_config_values_take_the_type_of_their_option(monkeypatch, tmp_path):
 
 def test_bare_audit_flags_give_the_default_audit_config(monkeypatch):
     seen = []
-    monkeypatch.setattr(cli, "run_audit", lambda path, cfg: seen.append(cfg) or run_audit(path, cfg))
+    monkeypatch.setattr(
+        spikecert.audit, "run_audit", lambda path, cfg: seen.append(cfg) or run_audit(path, cfg)
+    )
     monkeypatch.setattr(cli, "_emit", lambda text, out: None)
     assert main(["audit", "--profile", "absent.json"]) == 2
     assert seen == [AuditConfig()]

@@ -27,16 +27,15 @@ from spikecert.errors import CertificationError
 from spikecert.interval import (
     ONE,
     ZERO,
-    IntervalMatrix,
     IntervalScalar,
     exp_iv,
     interval_from_decimal,
     intpow_iv,
     ln_iv,
     make_interval,
-    pow_seven_halves_row,
     sqrt_iv,
 )
+from spikecert.matrix import IntervalMatrix, pow_seven_halves_row
 from spikecert.operator import OperatorConfig, apply_quadratic
 from spikecert.spaces import (
     PROFILE_SPACE,

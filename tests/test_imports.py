@@ -3,8 +3,10 @@
 scipy is needed only by the quadrature checks in `oracle.py`, which import
 it on their first call; the package, the CLI, the audit and the oracle
 suites without a quadrature stay free of it, so those calls do not pay for
-loading it.  The checks run in a fresh interpreter, because this test
-process has scipy loaded already.
+loading it.  numpy is needed only by the audit stages, the dense matrices
+and the oracle's checks: `import spikecert`, `spikecert closure` and
+`spikecert gen-profile` load the stdlib-backed core alone.  The checks run
+in a fresh interpreter, because this test process has both loaded already.
 
 No linter is installed, so `ast` scans guard against imported names that a
 module never references, against private module-level helpers of the
@@ -66,6 +68,39 @@ print("ok")
 """
 
 
+NUMPY_CHILD = """
+import contextlib, io, os, sys, tempfile
+
+def absent(where):
+    for name in ("numpy", "scipy"):
+        assert name not in sys.modules, (where, name)
+
+import spikecert
+absent("import spikecert")
+
+from spikecert.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(
+        ["closure", "--delta", "8.421739e-12", "--M", "482.6", "--K", "1.1e4", "--eps", "1e-20"]
+    )
+assert code == 0 and "torus verdict = True" in out.getvalue(), (code, out.getvalue())
+absent("spikecert closure")
+
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "cert.json")
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["gen-profile", "--modes", "16", "--seed", "3", "--out", path])
+    assert code == 0 and "wrote 16-mode certificate" in out.getvalue(), (code, out.getvalue())
+    absent("spikecert gen-profile")
+
+    # the control: the audit itself needs numpy, so the checks above can fail
+    result = spikecert.run_audit(path, spikecert.AuditConfig(truncation_N=16, j_min=17))
+    assert result.exit_code == 1, result.log.render()
+assert "numpy" in sys.modules, "run_audit"
+print("ok")
+"""
+
+
 def run_child(code):
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -85,6 +120,29 @@ def test_package_cli_and_audit_do_not_load_scipy():
 
 def test_oracle_conjugation_suite_does_not_load_scipy():
     run_child(ORACLE_CHILD)
+
+
+def test_package_closure_and_gen_profile_do_not_load_numpy():
+    run_child(NUMPY_CHILD)
+
+
+def test_closure_command_imports_no_numpy():
+    # the path the benchmark's cli workload runs: a fresh `-m spikecert.cli` child
+    argv = ["closure", "--delta", "8.421739e-12", "--M", "482.6", "--K", "1.1e4"]
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "spikecert.cli", *argv],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "local verdict = True" in proc.stdout
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    # the report is real: it lists the package, and the oracle the import probe reads
+    assert {"spikecert", "spikecert.oracle", "spikecert.closure"} <= set(imported)
+    assert [name for name in imported if "numpy" in name or "scipy" in name] == []
 
 
 def unused_imports(path: Path):

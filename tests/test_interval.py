@@ -11,34 +11,36 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spikecert import interval
+from spikecert import matrix
 from spikecert.closure import nk_closure
 from spikecert.interval import (
     LN10,
     ONE,
     PI,
     IntervalError,
-    IntervalMatrix,
     IntervalOverflowError,
     IntervalScalar,
     LogMagnitude,
     SingularDivisionError,
-    _mid_rad,
     arith,
     as_nonneg,
     exp_iv,
     float_to_decimal_string,
-    identity_minus,
-    inf_norm,
     interval_from_decimal,
     interval_from_mid_rad_decimal,
     intpow_iv,
     ln_iv,
     make_interval,
-    point_times_interval,
     pow_seven_halves,
-    row_sum,
     sqrt_iv,
+)
+from spikecert.matrix import (
+    IntervalMatrix,
+    _mid_rad,
+    identity_minus,
+    inf_norm,
+    point_times_interval,
+    row_sum,
 )
 from spikecert.stability import inverse_bound_from_norms
 
@@ -385,7 +387,7 @@ class TestMatrix:
         self.check_mid_rad(_mid_rad)
 
     def test_mid_rad_without_its_nudge_misses_an_endpoint(self, monkeypatch):
-        mutant = mutant_module(monkeypatch, interval, "np.nextafter(rad, _INF, out=rad)", "pass")
+        mutant = mutant_module(monkeypatch, matrix, "np.nextafter(rad, _INF, out=rad)", "pass")
         with pytest.raises(AssertionError):
             self.check_mid_rad(mutant._mid_rad)
 

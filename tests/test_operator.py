@@ -10,10 +10,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from spikecert import interval, operator
+from spikecert import matrix, operator
 from spikecert.basis import reference_model
 from spikecert.cli import main as cli_main
-from spikecert.interval import IntervalMatrix, IntervalScalar, make_interval
+from spikecert.interval import IntervalScalar, make_interval
+from spikecert.matrix import IntervalMatrix
 from spikecert.operator import (
     OperatorConfig,
     apply_G,
@@ -242,7 +243,7 @@ def kernel_at(model, k):
 
 
 def _split(x):
-    """x's float midpoint and radius, formed as interval._mid_rad forms them."""
+    """x's float midpoint and radius, formed as matrix._mid_rad forms them."""
     mid = 0.5 * x.lo + 0.5 * x.hi
     d = max(mid - x.lo, x.hi - mid)
     return mid, (math.nextafter(d, math.inf) if d > 0.0 else 0.0)
@@ -591,8 +592,8 @@ def mutant_operator(monkeypatch, old, new):
 
 def mutant_enclosure(monkeypatch, old, new):
     """spikecert.operator finishing its sums with a mutant of
-    interval._mid_rad_enclosure (building the real IntervalMatrix)."""
-    mutant = mutant_module(monkeypatch, interval, old, new)
+    matrix._mid_rad_enclosure (building the real IntervalMatrix)."""
+    mutant = mutant_module(monkeypatch, matrix, old, new)
     mutant.IntervalMatrix = IntervalMatrix
     monkeypatch.setattr(operator, "_mid_rad_enclosure", mutant._mid_rad_enclosure)
     return operator

@@ -10,9 +10,10 @@ import pytest
 
 from spikecert.basis import reference_model
 from spikecert.cli import main as cli_main
-from spikecert.interval import IntervalMatrix, IntervalScalar, make_interval, row_sum, sqrt_iv
+from spikecert.interval import IntervalScalar, make_interval, sqrt_iv
+from spikecert.matrix import IntervalMatrix, row_sum
 from spikecert.operator import OperatorConfig, apply_G
-from spikecert.residual import certify_residual
+from spikecert.residual import certify_residual, weight_sq_row
 from spikecert.spaces import (
     PROFILE_SPACE,
     SOURCE_SPACE,
@@ -21,7 +22,6 @@ from spikecert.spaces import (
     WeightedSpace,
     load_certificate,
     weight_sq,
-    weight_sq_row,
 )
 
 mpmath.mp.dps = 40

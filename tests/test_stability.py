@@ -18,7 +18,6 @@ import spikecert.stability as stability_module
 from spikecert.basis import reference_model
 from spikecert.errors import CertificationError
 from spikecert.interval import (
-    IntervalMatrix,
     IntervalScalar,
     decay_ratio,
     exp_iv,
@@ -26,6 +25,7 @@ from spikecert.interval import (
     make_interval,
     sqrt_iv,
 )
+from spikecert.matrix import IntervalMatrix
 from spikecert.operator import OperatorConfig, assemble_jacobian
 from spikecert.spaces import (
     CoefficientVector,

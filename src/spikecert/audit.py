@@ -5,10 +5,11 @@ in a fixed order, `_residual` (delta), `_inverse` (M), `_tail` (gamma),
 `_constants` (K), `_transfer` (eps) and `_closure` (verdict and status),
 which all write through one `_Run`.  A stage that cannot produce its value
 logs a failing RSLT line, so content problems end in REJECTED, never in an
-exception.  A computed M is not assembled when the options alone fail a
-later stage, the tail (`j_min` not above N) or the constants (`tau_prime`
-not above `tau`); a CALC line says so.  The log has one
-line per result in a small tagged grammar:
+exception.  A computed M is not assembled when a later stage must fail
+on the options alone, the tail (`j_min` not above N) or the constants
+(the source rate `SOURCE_SPACE.tau`, the upper rate of the recovery
+scan, not above the certificate's `tau`); a CALC line says so.  The log
+has one line per result in a small tagged grammar:
 
     [EXEC]    run identification, magic string first
     [PREC]    arithmetic precision statement
@@ -32,6 +33,8 @@ above the certified value but within five percent).  C_prof, C_rec_ker
 and eps_T3 are checked against fixed caps.  C_conv has no independent
 recomputation at certificate scale, so it is admitted only through the
 two-sided consistency gate K within five percent of C_rec_map * C_conv.
+A declared K without a declared C_conv has no gate at all: it drives the
+closure as written, and its RSLT line says so.
 Residual recomputation on a declared certificate is logged as a
 diagnostic and does not gate: published residuals come from larger mode
 sets than a portable certificate carries.
@@ -83,8 +86,6 @@ class AuditLog:
         verdicts = [i for i, (tag, _) in enumerate(lines) if tag == "VERDICT"]
         if len(verdicts) > 1:
             raise ValueError("at most one VERDICT line is allowed")
-        if verdicts and verdicts[0] > status[0]:
-            raise ValueError("VERDICT must precede STATUS")
         self.lines = tuple(lines)
 
     @property
@@ -211,11 +212,11 @@ def _inverse(run, cert, cfg, op_cfg) -> Optional[IntervalScalar]:
             f"above the truncation N={cfg.truncation_N}",
         )
         return None
-    if not cfg.tau_prime > cert.tau_audited:
+    if not SOURCE_SPACE.tau > cert.tau_audited:
         run.add(
             "CALC",
-            f"inverse bound M skipped: the constants stage needs tau_prime="
-            f"{cfg.tau_prime:.6e} above tau={cert.tau_audited:.6e}",
+            f"inverse bound M skipped: the constants stage needs the source rate "
+            f"{SOURCE_SPACE.tau:.6e} above tau={cert.tau_audited:.6e}",
         )
         return None
     try:
@@ -263,7 +264,7 @@ def _constants(run, cert, cfg, model) -> Optional[IntervalScalar]:
     computed; the stage ends early if C_rec_map cannot be recomputed."""
     run.add("TASK", "constants")
     try:
-        rec = recovery_mapping_constant(cert.tau_audited, cfg.tau_prime)
+        rec = recovery_mapping_constant(cert.tau_audited, SOURCE_SPACE.tau)
     except (ValueError, CertificationError) as exc:
         run.fail("C_rec_map", f"recovery mapping constant not computable: {exc}")
         return None
@@ -308,15 +309,7 @@ def _constants(run, cert, cfg, model) -> Optional[IntervalScalar]:
         )
         return k
     try:
-        cons = certify_constants(
-            cert.tau_audited,
-            cfg.tau_prime,
-            model,
-            cfg.truncation_N,
-            PROFILE_SPACE,
-            SOURCE_SPACE,
-            rec=rec,
-        )
+        cons = certify_constants(rec, model, cfg.truncation_N, PROFILE_SPACE, SOURCE_SPACE)
     except (ValueError, CertificationError) as exc:
         run.fail("K", f"lipschitz constant K not computable: {exc}")
         return None

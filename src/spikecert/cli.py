@@ -167,9 +167,8 @@ def _build_parser():
 
     p = sub.add_parser("audit", help="full pipeline, tagged log, exit code")
     common(p, "profile", "model", "modes", "out")
-    p.add_argument("--tau-prime", type=_finite_float, default=_AUDIT.tau_prime)
     p.add_argument("--j-min", type=_bounded_int(1), default=_AUDIT.j_min)
-    p.add_argument("--lattice-radius", type=_bounded_int(0), default=_AUDIT.lattice_radius)
+    p.add_argument("--lattice-radius", type=_bounded_int(1), default=_AUDIT.lattice_radius)
 
     p = sub.add_parser("residual", help="certified residual norm of a profile")
     common(p, "profile", "model", "modes", "out")
@@ -188,7 +187,6 @@ def _build_parser():
     p = sub.add_parser("constants", help="recovery, convolution and K constants")
     common(p, "model", "modes", "out")
     p.add_argument("--tau", type=_finite_float, default=PROFILE_SPACE.tau)
-    p.add_argument("--tau-prime", type=_finite_float, default=_AUDIT.tau_prime)
 
     p = sub.add_parser("closure", help="scalar closure verdict from constants")
     common(p, "out")
@@ -245,7 +243,6 @@ def _cmd_audit(args) -> int:
         coupling=args.coupling,
         coupling_rec=args.coupling_rec,
         truncation_N=args.modes,
-        tau_prime=args.tau_prime,
         j_min=args.j_min,
         lattice_radius=args.lattice_radius,
     )
@@ -317,11 +314,10 @@ def _cmd_tail(args) -> int:
 
 def _cmd_constants(args) -> int:
     from .basis import reference_model
-    from .constants import certify_constants
+    from .constants import certify_constants, recovery_mapping_constant
 
     rep = certify_constants(
-        args.tau,
-        args.tau_prime,
+        recovery_mapping_constant(args.tau, SOURCE_SPACE.tau),
         reference_model(args.coupling, args.coupling_rec),
         args.modes,
         PROFILE_SPACE,

@@ -91,7 +91,8 @@ def image_overlap_bound(
     final, certified-upward log10.
 
     ``nearest_only`` returns the single nearest-image bound, the scale
-    the headline estimates quote.
+    the headline estimates quote.  A radius below 1 is refused: it would
+    enumerate no image and bound the overlap by exactly 0.
 
     The ratio of consecutive tail terms never grows with the shell index,
     so a sigma whose ratio test fails at the last shell the walk may reach
@@ -102,14 +103,12 @@ def image_overlap_bound(
         raise CertificationError(f"concentration scale must be positive, got {sigma!r}")
     if not isinstance(lattice_radius, int) or isinstance(lattice_radius, bool):
         raise CertificationError(f"lattice_radius must be an integer, got {lattice_radius!r}")
-    if lattice_radius < 0:
-        raise CertificationError(f"lattice_radius must be >= 0, got {lattice_radius}")
+    if lattice_radius < 1:
+        raise CertificationError(f"lattice_radius must be >= 1, got {lattice_radius}")
     base = (PI * PI) / (IntervalScalar(sigma, sigma) * IntervalScalar(sigma, sigma))
     nearest_log10 = (-base) / LN10
     if nearest_only:
         return LogMagnitude(nearest_log10.hi)
-    if lattice_radius == 0:
-        return LogMagnitude.zero()
     R = lattice_radius
 
     # shells inside the radius, scaled by the nearest-image weight

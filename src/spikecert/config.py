@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .interval import IntervalScalar
-from .spaces import SOURCE_SPACE
 
 
 @dataclass
@@ -19,19 +18,19 @@ class AuditConfig:
     """Knobs for one audit run; defaults match the bundled certificate.
 
     ``coupling`` and ``coupling_rec`` select the reference basis model,
-    ``truncation_N`` the operator truncation, ``tau_prime`` the source-space
-    rate of the recovery scan, ``j_min`` the first mode of the tail
-    coercivity bound, ``lattice_radius`` the image-overlap enumeration; a
-    fixed ``timestamp`` makes the whole log reproducible.  ``window`` is
-    read by nothing: the tail bound is its value at ``j_min`` alone.  It
-    stays only because the benchmark's tests build ``AuditConfig(window=64)``;
-    the next change to the benchmark deletes it.
+    ``truncation_N`` the operator truncation, ``j_min`` the first mode of
+    the tail coercivity bound, ``lattice_radius`` (at least 1) the
+    image-overlap enumeration; a fixed ``timestamp`` makes the whole log
+    reproducible.  The recovery scan runs up to the source-space rate
+    ``SOURCE_SPACE.tau``, the rate the convolution bound uses for Y.
+    ``window`` is read by nothing: the tail bound is its value at ``j_min``
+    alone.  It stays only because the benchmark's tests build
+    ``AuditConfig(window=64)``; the next change to the benchmark deletes it.
     """
 
     coupling: float = 1.0
     coupling_rec: Optional[float] = None
     truncation_N: int = 450
-    tau_prime: float = SOURCE_SPACE.tau
     j_min: int = 1200
     window: int = 2048
     lattice_radius: int = 3

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Decimal, localcontext
-from typing import Optional
 
 import numpy as np
 
@@ -250,21 +249,10 @@ class ConstantsReport:
 
 
 def certify_constants(
-    tau: float,
-    tau_prime: float,
-    model: BasisModel,
-    N: int,
-    X: WeightedSpace,
-    Y: WeightedSpace,
-    rec: Optional[RecoveryMapResult] = None,
+    rec: RecoveryMapResult, model: BasisModel, N: int, X: WeightedSpace, Y: WeightedSpace
 ) -> ConstantsReport:
-    """Compute the constants block: recovery supremum, convolution bound, product.
-
-    ``rec`` is the recovery supremum the caller already certified for tau
-    and tau_prime; without it the supremum is certified here.
-    """
-    if rec is None:
-        rec = recovery_mapping_constant(tau, tau_prime)
+    """The constants block: the recovery supremum ``rec`` the caller
+    certified, the convolution bound and their product."""
     c_conv = convolution_constant(model, N, X, Y)
     k_const = lipschitz_constant(rec.value, c_conv)
     return ConstantsReport(

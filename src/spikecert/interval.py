@@ -49,7 +49,6 @@ __all__ = [
     "ZERO",
     "ONE",
     "as_nonneg",
-    "make_interval",
     "arith",
     "exp_iv",
     "ln_iv",
@@ -210,9 +209,6 @@ class IntervalScalar:
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
-    def encloses(self, other: "IntervalScalar") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def mag(self) -> float:
         """Largest absolute value over the interval."""
         return max(abs(self.lo), abs(self.hi))
@@ -314,24 +310,6 @@ def as_nonneg(x, what: str) -> IntervalScalar:
     return iv
 
 
-def make_interval(mid: float, rad: float) -> IntervalScalar:
-    """Interval [mid - rad, mid + rad] with outward rounding.
-
-    A zero radius yields the degenerate point [mid, mid] exactly.
-    """
-    mid = float(mid)
-    rad = float(rad)
-    if not (math.isfinite(mid) and math.isfinite(rad)):
-        raise IntervalError(
-            f"non-finite midpoint/radius ({mid!r}, {rad!r}); corrupt certificate data?"
-        )
-    if rad < 0.0:
-        raise IntervalError(f"negative radius {rad!r}")
-    if rad == 0.0:
-        return IntervalScalar(mid, mid)
-    return IntervalScalar(_add(mid, -rad, False), _add(mid, rad, True))
-
-
 def arith(op: str, a: IntervalScalar, b: IntervalScalar) -> IntervalScalar:
     """Dispatch one of the four basic operations by name."""
     if op == "add":
@@ -381,29 +359,17 @@ def sqrt_iv(x: IntervalScalar) -> IntervalScalar:
 
 
 def intpow_iv(x: IntervalScalar, n: int) -> IntervalScalar:
-    """x**n for integer n >= 0 with per-step directed rounding."""
+    """x**n for a nonnegative interval x and integer n >= 0: a chain of n
+    directed products from 1, downward for lo and upward for hi."""
     if n < 0:
         raise IntervalError("negative exponent; divide explicitly")
-    if n == 0:
-        return ONE
-    a = abs(x)
-
-    def pow_pos(v: float, up: bool) -> float:
-        acc = 1.0
-        for _ in range(n):
-            acc = _mul(acc, v)[1 if up else 0]
-        return acc
-
-    if n % 2 == 0:
-        return IntervalScalar(pow_pos(a.lo, False), pow_pos(a.hi, True))
-    # odd powers are monotone
-    def signed(v: float, up: bool) -> float:
-        if v >= 0:
-            return pow_pos(v, up)
-        m = pow_pos(-v, not up)
-        return -m
-
-    return IntervalScalar(signed(x.lo, False), signed(x.hi, True))
+    if x.lo < 0.0:
+        raise IntervalError(f"power of partially negative interval {x}")
+    lo = hi = 1.0
+    for _ in range(n):
+        lo = _mul(lo, x.lo)[0]
+        hi = _mul(hi, x.hi)[1]
+    return IntervalScalar(lo, hi)
 
 
 def pow_seven_halves(k: int) -> IntervalScalar:
@@ -452,10 +418,6 @@ class LogMagnitude:
     def __post_init__(self):
         if self.log10_value != self.log10_value:
             raise IntervalError("NaN log10 magnitude")
-
-    @staticmethod
-    def zero() -> "LogMagnitude":
-        return LogMagnitude(-_INF)
 
     def to_interval(self) -> IntervalScalar:
         """Promote to a linear-domain upper-bound interval [0, m].

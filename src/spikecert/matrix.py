@@ -260,7 +260,9 @@ class IntervalMatrix:
     def __getitem__(self, key) -> "IntervalMatrix":
         return IntervalMatrix(self.lo[key], self.hi[key])
 
+    @np.errstate(invalid="ignore")
     def midpoint(self) -> np.ndarray:
+        """0.5 lo + 0.5 hi, NaN where the entry is the whole line."""
         return 0.5 * self.lo + 0.5 * self.hi
 
     def mag(self) -> np.ndarray:

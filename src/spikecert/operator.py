@@ -56,8 +56,6 @@ from .spaces import CoefficientVector
 
 __all__ = [
     "OperatorConfig",
-    "apply_linear",
-    "recover_velocity",
     "apply_quadratic",
     "apply_G",
     "assemble_jacobian",
@@ -90,19 +88,6 @@ def _symbol(modes: Sequence[int], cfg: OperatorConfig) -> IntervalMatrix:
     return (ONE + model.drift_row(modes)) + cfg.nu * model.diffusion_row(modes)
 
 
-def apply_linear(c: CoefficientVector, cfg: OperatorConfig) -> CoefficientVector:
-    """Mode-j output (1 + d_j + nu*lambda_j) c_j."""
-    _check_support(c, cfg, "apply_linear")
-    return _on_support(c, _symbol(c.support, cfg) * _coefficients(c), cfg)
-
-
-def recover_velocity(c: CoefficientVector, cfg: OperatorConfig) -> CoefficientVector:
-    """Velocity coefficients K_rec(k) c_k (the elliptic inverse and weighted
-    derivative collapsed into the kernel's net multiplier)."""
-    _check_support(c, cfg, "recover_velocity")
-    return _on_support(c, cfg.model.kernel_row(c.support) * _coefficients(c), cfg)
-
-
 def _slab_terms(weights: dict, cols: Sequence[int], n: int, cfg: OperatorConfig):
     """Per source mode k, the n x len(cols) terms of C_{k, cols[i], j} W_k[i]
     (module docstring), W_k = ``weights[k]``, and the mask of entries reached
@@ -127,9 +112,13 @@ def _slab_terms(weights: dict, cols: Sequence[int], n: int, cfg: OperatorConfig)
         del mid, rad, Ca
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _interaction_sum(weights: dict, cols: Sequence[int], n: int, cfg: OperatorConfig):
     """The n x len(cols) matrix [j-1, i] = sum_k C_{k, cols[i], j} W_k[i],
-    added over k in order, so n counts the terms that reach an entry."""
+    added over k in order, so n counts the terms that reach an entry.  An
+    overflowing term or sum is inf or NaN here, which _mid_rad_enclosure
+    turns into the whole line, so numpy's warnings are off (for the slab
+    generator too, which runs inside this call)."""
     sums = [np.zeros((n, len(cols))) for _ in range(3)]
     count = np.zeros((n, len(cols)), dtype=np.int32)
     for *terms, reach in _slab_terms(weights, cols, n, cfg):
@@ -140,9 +129,11 @@ def _interaction_sum(weights: dict, cols: Sequence[int], n: int, cfg: OperatorCo
     return _mid_rad_enclosure(*sums, count)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _interaction_row(weights: dict, cols: Sequence[int], n: int, cfg: OperatorConfig):
     """_interaction_sum summed over i, a 1 x n row added by halves over i, then
-    k: n is 1 + ceil(log2 len(cols)) + ceil(log2 #k) where a term reaches."""
+    k: n is 1 + ceil(log2 len(cols)) + ceil(log2 #k) where a term reaches;
+    numpy's warnings are off as in _interaction_sum."""
     parts, reached = ([], [], []), np.zeros(n, dtype=bool)
     for *terms, reach in _slab_terms(weights, cols, n, cfg):
         for part, x in zip(parts, terms):
@@ -173,27 +164,24 @@ def apply_quadratic(
 
 
 def apply_G(c: CoefficientVector, cfg: OperatorConfig) -> CoefficientVector:
-    """Full operator: linear part + Q(c,c) + 2 Q(recover_velocity(c), c)."""
+    """Full operator: linear part + Q(c,c) + 2 Q(K_rec c, c)."""
     return _vector(_G_row(c, cfg))
 
 
 def _G_row(c: CoefficientVector, cfg: OperatorConfig) -> IntervalMatrix:
-    """apply_G(c) as a 1 x 2N row, [0, 0] where no part reaches."""
+    """apply_G(c) as a 1 x 2N row, [0, 0] where no part reaches: the linear
+    part L_j c_j on the support of c, plus one interaction row."""
     _check_support(c, cfg, "apply_G")
     n2 = 2 * cfg.truncation_N
+    coeffs = _coefficients(c)
     kernel = cfg.model.kernel_row(c.support)
-    stretched = _coefficients(c) * (kernel * 2.0 + ONE)
+    stretched = coeffs * (kernel * 2.0 + ONE)
     weights = {k: stretched * ck for k, ck in c.items()}
-    return _dense(apply_linear(c, cfg), n2) + _interaction_row(weights, c.support, n2, cfg)
-
-
-def _dense(c: CoefficientVector, n: int) -> IntervalMatrix:
-    """c as a 1 x n row over modes 1..n, [0, 0] off its support."""
+    linear = _symbol(c.support, cfg) * coeffs
     at = np.array(c.support, dtype=np.intp) - 1
-    lo, hi = np.zeros((1, n)), np.zeros((1, n))
-    lo[0, at] = [x.lo for _, x in c.items()]
-    hi[0, at] = [x.hi for _, x in c.items()]
-    return IntervalMatrix(lo, hi)
+    lo, hi = np.zeros((1, n2)), np.zeros((1, n2))
+    lo[0, at], hi[0, at] = linear.lo[0], linear.hi[0]
+    return IntervalMatrix(lo, hi) + _interaction_row(weights, c.support, n2, cfg)
 
 
 def _vector(row: IntervalMatrix) -> CoefficientVector:
@@ -208,13 +196,6 @@ def _vector(row: IntervalMatrix) -> CoefficientVector:
 def _coefficients(c: CoefficientVector) -> IntervalMatrix:
     """c's coefficients as a 1 x |support| row, in the order of its support."""
     return IntervalMatrix.from_scalars([[x for _, x in c.items()]])
-
-
-def _on_support(c: CoefficientVector, row: IntervalMatrix, cfg: OperatorConfig):
-    """A 1 x |support| row as a vector on the support of c."""
-    return CoefficientVector(
-        tuple((j, row.entry(0, i)) for i, j in enumerate(c.support)), cfg.truncation_N
-    )
 
 
 def assemble_jacobian(c: CoefficientVector, cfg: OperatorConfig) -> IntervalMatrix:

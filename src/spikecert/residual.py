@@ -20,8 +20,9 @@ __all__ = ["ResidualReport", "certify_residual", "weight_sq_row"]
 
 
 def weight_sq_row(j: np.ndarray, space: WeightedSpace) -> IntervalMatrix:
-    """spaces.weight_sq(j, space) for each mode of an int array j, as a row whose
-    entries have the bits of the scalar function."""
+    """The squared weight (1+j^2)^s e^{2 tau j} for each mode of an int array
+    j, as a row; each entry has the bits of the scalar chain intpow_iv,
+    exp_iv (or ln_iv for a fractional s) gives for its mode."""
     jf = IntervalMatrix.from_point(j[None, :].astype(np.float64))
     base = jf.intpow(2) + 1.0
     s = space.s

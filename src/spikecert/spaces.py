@@ -1,10 +1,11 @@
-"""Weighted analytic sequence norms and the profile-certificate file format.
+"""Weighted analytic sequence spaces, coefficient vectors and the
+profile-certificate file format.
 
 A coefficient vector lives in a scale of Hilbert spaces with weights
 (1+j^2)^s e^{2 tau j}.  Two members matter: the profile space (s=6,
 tau=0.08) where candidate profiles live, and the source space (s=7,
-tau=0.081) that receives the operator output.  Norm upper endpoints are
-certified bounds; everything here rounds outward.
+tau=0.081) that receives the operator output.  The residual stage forms
+the weighted norm (``residual.weight_sq_row``).
 
 Certificates are JSON files whose numbers are decimal strings, so the
 published 32-digit coefficient table survives byte-for-byte and a
@@ -24,12 +25,8 @@ from .interval import (
     ZERO,
     IntervalScalar,
     _parse_decimal,
-    exp_iv,
     float_to_decimal_string,
     interval_from_mid_rad_decimal,
-    intpow_iv,
-    ln_iv,
-    sqrt_iv,
 )
 
 __all__ = [
@@ -38,8 +35,6 @@ __all__ = [
     "SOURCE_SPACE",
     "CoefficientVector",
     "ProfileCertificate",
-    "weight_sq",
-    "norm",
     "load_certificate",
     "save_certificate",
     "CONSTANT_NAMES",
@@ -61,24 +56,6 @@ class WeightedSpace:
 
 PROFILE_SPACE = WeightedSpace(s=6.0, tau=0.08)
 SOURCE_SPACE = WeightedSpace(s=7.0, tau=0.081)
-
-def weight_sq(j: int, space: WeightedSpace) -> IntervalScalar:
-    """Enclosure of the squared weight (1+j^2)^s e^{2 tau j}.
-
-    Raises IntervalOverflowError once e^{2 tau j} leaves double range
-    (j of order 4400 for tau=0.08).
-    """
-    if not isinstance(j, int) or j < 1:
-        raise ValueError(f"mode index must be a positive integer, got {j!r}")
-    jj = intpow_iv(IntervalScalar(float(j), float(j)), 2)
-    base = jj + 1.0
-    s = space.s
-    if float(s).is_integer():
-        poly = intpow_iv(base, int(s))
-    else:
-        poly = exp_iv(ln_iv(base) * s)
-    rate = IntervalScalar(2.0 * space.tau, 2.0 * space.tau) * float(j)
-    return poly * exp_iv(rate)
 
 
 @dataclass(frozen=True)
@@ -128,36 +105,8 @@ class CoefficientVector:
     def items(self):
         return iter(self.entries)
 
-    def scaled(self, lam) -> "CoefficientVector":
-        return CoefficientVector(
-            tuple((j, c * lam) for j, c in self.entries), self.max_mode
-        )
-
-    def __add__(self, other):
-        if not isinstance(other, CoefficientVector):
-            return NotImplemented
-        d = dict(self.entries)
-        for j, c in other.entries:
-            d[j] = d[j] + c if j in d else c
-        return CoefficientVector(
-            tuple(d.items()), max(self.max_mode, other.max_mode)
-        )
-
     def __len__(self):
         return len(self.entries)
-
-
-def norm(c: CoefficientVector, space: WeightedSpace) -> IntervalScalar:
-    """Enclosure of the weighted l2 norm sqrt(sum_j w^2(j) |c_j|^2).
-
-    Terms accumulate in descending index order; interval soundness does not
-    depend on the order, it just keeps the midpoints tighter.
-    """
-    acc = ZERO
-    for j, cj in sorted(c.entries, reverse=True):
-        a = abs(cj)
-        acc = acc + weight_sq(j, space) * a * a
-    return sqrt_iv(acc)
 
 
 # -- certificate files ---------------------------------------------------------

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import pathlib
 import time
+import warnings
 
 import pytest
 
@@ -326,15 +327,15 @@ def test_constant_free_audit_past_j_min_assembles_no_jacobian(bundled, tmp_path)
 
 
 def test_constant_free_audit_with_tau_past_tau_prime_assembles_no_jacobian(bundled, tmp_path):
-    # tau = tau_prime = 0.08 fails C_rec_map on the options alone, so the
-    # 2048 x 2048 Jacobian is not built for a verdict it cannot change
+    # tau = 0.081, the source rate the recovery scan runs up to, fails
+    # C_rec_map on the options alone, so the 2048 x 2048 Jacobian is not
+    # built for a verdict it cannot change
     doc = json.loads(pathlib.Path(bundled).read_text())
     del doc["constants"]
+    doc["tau"] = "0.081"
     path = tmp_path / "constant_free.json"
     path.write_text(json.dumps(doc))
-    cfg = AuditConfig(
-        truncation_N=2048, j_min=4096, tau_prime=0.08, timestamp="2026-08-18T00:00:00Z"
-    )
+    cfg = AuditConfig(truncation_N=2048, j_min=4096, timestamp="2026-08-18T00:00:00Z")
     t0 = time.perf_counter()
     result = run_audit(path, cfg)
     elapsed = time.perf_counter() - t0
@@ -342,8 +343,8 @@ def test_constant_free_audit_with_tau_past_tau_prime_assembles_no_jacobian(bundl
     assert result.log.status == "certificate REJECTED: C_rec_map"
     assert (
         "CALC",
-        "inverse bound M skipped: the constants stage needs tau_prime=8.000000e-02 "
-        "above tau=8.000000e-02",
+        "inverse bound M skipped: the constants stage needs the source rate 8.100000e-02 "
+        "above tau=8.100000e-02",
     ) in result.log.lines
     assert elapsed < 1.0, f"audit took {elapsed:.1f} s"
 
@@ -426,7 +427,7 @@ def edited_copy(src, tmp_path, drop=(), **fields):
 @pytest.mark.parametrize(
     "fields, drop, cfg, name, line",
     [
-        # tau at or above tau_prime = 0.081 leaves the recovery scan no buffer
+        # tau at or above the source rate 0.081 leaves the recovery scan no buffer
         ({"tau": "0.09"}, (), FAST, "C_rec_map", "recovery mapping constant not computable"),
         # no declared eps_T3, and sigma^2 underflows, so the overlap bound divides by zero
         ({"sigma": "1e-300"}, ("eps_T3",), FAST, "eps_T3", "transfer error not computable"),
@@ -454,3 +455,72 @@ def test_tau_past_tau_prime_through_the_cli(bundled, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert out.splitlines()[-1] == "[STATUS] certificate REJECTED: C_rec_map"
+
+
+# ------------------------------------------- branches the stages rarely take
+
+# the benchmark's constant-free five-mode certificate for seed 1, operation 0
+FIVE_MODE = {
+    "format_version": "1.0",
+    "nu": {"mid": "0.005", "rad": "0"},
+    "sigma": "0.05",
+    "tau": "0.08",
+    "modes": [
+        {"j": 1, "mid": "4.392462723878003", "rad": "0"},
+        {"j": 14, "mid": "1.6638903978051567", "rad": "0"},
+        {"j": 43, "mid": "-0.16519131907730616", "rad": "0"},
+        {"j": 85, "mid": "-0.005041822683302163", "rad": "0"},
+        {"j": 128, "mid": "0.00019050304549742103", "rad": "0"},
+    ],
+}
+
+
+@pytest.fixture()
+def five_mode(tmp_path):
+    path = tmp_path / "five_mode.json"
+    path.write_text(json.dumps(FIVE_MODE))
+    return path
+
+
+def test_tail_that_is_not_coercive_rejects_gamma(five_mode):
+    cfg = AuditConfig(truncation_N=128, j_min=129, timestamp="2026-08-18T00:00:00Z")
+    result = run_audit(five_mode, cfg)
+    assert result.exit_code == 1
+    assert result.log.status == "certificate REJECTED: closure product reaches one, gamma"
+    assert (
+        "RSLT",
+        "tail coercivity not certified: coercivity lower bound -2415.6690528403483 "
+        "at j=129 is not positive: FAIL",
+    ) in result.log.lines
+
+
+def test_residual_neither_declared_nor_computable(five_mode):
+    # N = 64 lies below the certificate's mode 128: no residual, no Jacobian
+    result = run_audit(five_mode, AuditConfig(truncation_N=64, timestamp="2026-08-18T00:00:00Z"))
+    assert result.exit_code == 1
+    assert result.log.status == "certificate REJECTED: M, delta"
+    assert ("RSLT", "residual delta: neither declared nor computable: FAIL") in result.log.lines
+
+
+def test_overflowing_coupling_rejects_k_without_numpy_warnings(five_mode):
+    # every product of the 1e300 coupling overflows; numpy's warnings are
+    # turned into errors, and the audit still ends in its own verdict
+    cfg = AuditConfig(truncation_N=128, coupling=1e300, timestamp="2026-08-18T00:00:00Z")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run_audit(five_mode, cfg)
+    assert result.exit_code == 1
+    assert result.log.status == "certificate REJECTED: K, M"
+    assert (
+        "RSLT",
+        "lipschitz constant K not computable: cannot round inf to two significant digits: FAIL",
+    ) in result.log.lines
+
+
+def test_declared_k_without_c_conv_passes_ungated(bundled, tmp_path):
+    result = run_audit(edited_copy(bundled, tmp_path, drop=("C_conv",)), FAST)
+    assert (
+        "RSLT",
+        "lipschitz constant K (declared) = [1.100000e+04, 1.100000e+04], "
+        "no C_conv declared, admitted without the consistency gate",
+    ) in result.log.lines

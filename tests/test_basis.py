@@ -6,7 +6,7 @@ import pytest
 from spikecert.basis import BasisModel, reference_model
 from spikecert.interval import IntervalScalar, pow_seven_halves
 from spikecert.matrix import IntervalMatrix
-from spikecert.operator import OperatorConfig, recover_velocity
+from spikecert.operator import OperatorConfig, apply_G
 from spikecert.spaces import CoefficientVector
 
 
@@ -331,5 +331,6 @@ class TestRecoveryKernelBound:
             kernel_row=kern,
         )
         cfg = OperatorConfig(model=custom, nu=IntervalScalar(0.005, 0.005), truncation_N=10)
-        out = recover_velocity(CoefficientVector(((9, IntervalScalar(1.0, 1.0)),)), cfg)
-        assert out.get(9).contains(0.5 * 9.0**3.5)
+        out = apply_G(CoefficientVector(((9, IntervalScalar(1.0, 1.0)),)), cfg)
+        # G_18 = C_{9,9,18} (1 + 2 K_rec(9)) with C_{9,9,18} = 1 and K_rec(9) = 9^3.5 / 2
+        assert out.get(18).contains(1.0 + 9.0**3.5)

@@ -65,7 +65,7 @@ def test_audit_refuses_a_non_finite_model_option(capsys, bundled_certificate_pat
 @pytest.mark.parametrize(
     "argv",
     [
-        ["audit", "--profile", "cert.json", "--tau-prime", "1e999"],
+        ["audit", "--profile", "cert.json", "--coupling", "1e999"],
         ["constants", "--tau", "nan"],
         ["gen-profile", "--out", "cert.json", "--sigma", "inf"],
         ["gen-profile", "--out", "cert.json", "--amplitude", "nan"],
@@ -148,7 +148,12 @@ def test_audit_refuses_sigma_beyond_double_range(capsys, tmp_path, bundled_certi
         (["audit", "--j-min", "0"], "argument --j-min: must be at least 1, got 0"),
         (
             ["audit", "--lattice-radius", "-1"],
-            "argument --lattice-radius: must be at least 0, got -1",
+            "argument --lattice-radius: must be at least 1, got -1",
+        ),
+        # radius 0 would enumerate no image at all: a transfer error of exactly 0
+        (
+            ["audit", "--lattice-radius", "0"],
+            "argument --lattice-radius: must be at least 1, got 0",
         ),
         (["audit", "--modes", "1.5"], "argument --modes: invalid int value: '1.5'"),
         (["residual", "--modes", "-3"], "argument --modes: must be at least 1, got -3"),
@@ -170,9 +175,9 @@ def test_integer_options_refuse_values_out_of_range(capsys, monkeypatch, argv, m
 def test_integer_options_accept_their_bounds(monkeypatch):
     seen = {}
     monkeypatch.setitem(cli._HANDLERS, "audit", lambda args: seen.update(vars(args)) or 0)
-    argv = ["--modes", str(cli._MAX_MODES), "--j-min", "1", "--lattice-radius", "0"]
+    argv = ["--modes", str(cli._MAX_MODES), "--j-min", "1", "--lattice-radius", "1"]
     assert main(["audit", "--profile", "p.json", *argv]) == 0
-    assert (seen["modes"], seen["j_min"], seen["lattice_radius"]) == (cli._MAX_MODES, 1, 0)
+    assert (seen["modes"], seen["j_min"], seen["lattice_radius"]) == (cli._MAX_MODES, 1, 1)
     for grid in (9, 1024):
         monkeypatch.setitem(cli._HANDLERS, "oracle", lambda args: seen.update(vars(args)) or 0)
         assert main(["oracle", "--grid", str(grid)]) == 0
@@ -184,7 +189,8 @@ def test_integer_options_accept_their_bounds(monkeypatch):
     [
         ("modes = 100000000", "modes = '100000000': must be at most 2048, got 100000000"),
         ("modes = 0", "modes = '0': must be at least 1, got 0"),
-        ("lattice-radius = -1", "lattice_radius = '-1': must be at least 0, got -1"),
+        ("lattice-radius = -1", "lattice_radius = '-1': must be at least 1, got -1"),
+        ("lattice-radius = 0", "lattice_radius = '0': must be at least 1, got 0"),
         ("grid = 8", "grid = '8': must be at least 9, got 8"),
         ("grid = 1025", "grid = '1025': must be at most 1024, got 1025"),
     ],
@@ -192,6 +198,7 @@ def test_integer_options_accept_their_bounds(monkeypatch):
         "modes-above-ceiling",
         "modes-zero",
         "lattice-radius-negative",
+        "lattice-radius-zero",
         "grid-below-floor",
         "grid-above-ceiling",
     ],
@@ -471,7 +478,10 @@ def test_no_subcommand_prints_usage(capsys):
         for flag in (["--model", "x"], ["--seed", "1"], ["--precision", "128"])
     ]
     + [["constants", "--kernel-cap", "200"]]
-    + [[cmd, "--profile", "cert.json", "--window", "64"] for cmd in ("audit", "tail")],
+    + [[cmd, "--profile", "cert.json", "--window", "64"] for cmd in ("audit", "tail")]
+    # the recovery scan runs up to the source-space rate, which no option sets
+    + [["audit", "--profile", "cert.json", "--tau-prime", "0.081"]]
+    + [["constants", "--tau-prime", "0.081"]],
     ids=lambda argv: f"{argv[0]}{argv[-2]}",
 )
 def test_removed_flags_are_usage_errors(capsys, argv):
@@ -491,6 +501,17 @@ def test_removed_window_config_key_is_unknown(capsys, tmp_path, bundled_certific
     assert code == 2
     assert out == ""
     assert "bad config file: unknown key 'window'" in err
+
+
+def test_removed_tau_prime_config_key_is_unknown(capsys, tmp_path, bundled_certificate_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tau-prime = 0.081\n")
+    code, out, err = run(
+        capsys, "--config", str(cfg), "audit", "--profile", str(bundled_certificate_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert "bad config file: unknown key 'tau_prime'" in err
 
 
 def test_unknown_subcommand(capsys):

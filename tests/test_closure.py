@@ -175,10 +175,11 @@ def test_full_lattice_sum_clears_enumerated_shells():
     assert ov.log10_value < 10.0
 
 
-def test_zero_radius_is_empty_sum():
-    ov = image_overlap_bound(0.05, lattice_radius=0)
-    assert ov.log10_value == -math.inf
-    assert ov.to_interval().hi == 0.0
+def test_zero_radius_is_refused():
+    # radius 0 enumerates no image, and a transfer error of exactly 0 would
+    # close any sigma; radius 1 already gives the six nearest images
+    with pytest.raises(CertificationError, match="lattice_radius must be >= 1, got 0"):
+        image_overlap_bound(0.05, lattice_radius=0)
 
 
 def test_radius_one_still_covers_the_six_images():

@@ -32,7 +32,6 @@ from spikecert.interval import (
     interval_from_decimal,
     intpow_iv,
     ln_iv,
-    make_interval,
     sqrt_iv,
 )
 from spikecert.matrix import IntervalMatrix, pow_seven_halves_row
@@ -42,10 +41,10 @@ from spikecert.spaces import (
     SOURCE_SPACE,
     CoefficientVector,
     WeightedSpace,
-    norm,
 )
 
 from mutants import mutant_module
+from oracles import make_interval, norm
 
 
 def point(x):
@@ -442,12 +441,12 @@ def test_report_invariant_enforced():
 
 
 def test_certify_constants_computes_when_undeclared():
-    rep = certify_constants(
-        0.08, 0.081, reference_model(1.0), 450, PROFILE_SPACE, SOURCE_SPACE
-    )
+    rec = recovery_mapping_constant(0.08, 0.081)
+    rep = certify_constants(rec, reference_model(1.0), 450, PROFILE_SPACE, SOURCE_SPACE)
+    assert (rep.C_rec_map, rep.argmax_k) == (rec.value, rec.argmax_k)
     assert rep.C_conv.contains(7232.48369617838866)
     product = rep.C_rec_map * rep.C_conv
     assert rep.K.hi >= product.hi
     # two significant figures of the ~1.855e11 product
     assert rep.K.hi == 1.9e11
-    assert isinstance(recovery_mapping_constant(0.08, 0.081), RecoveryMapResult)
+    assert isinstance(rec, RecoveryMapResult)

@@ -10,9 +10,11 @@ in a fresh interpreter, because this test process has both loaded already.
 
 No linter is installed, so `ast` scans guard against imported names that a
 module never references, against private module-level helpers of the
-package that nothing references, and against fields of the audit and
-operator configurations and of the basis interface that nothing reads: a
-knob that changes nothing, or an accessor no stage calls.
+package that nothing references, against public functions and methods that
+no other module of the package reads unless a named consumer keeps them,
+and against fields of the audit and operator configurations and of the
+basis interface that nothing reads: a knob that changes nothing, or an
+accessor no stage calls.
 """
 
 import ast
@@ -245,6 +247,131 @@ def test_dead_helper_scan_flags_an_unreferenced_helper(tmp_path):
     (tmp_path / "b.py").write_text("from .a import _shared\nprint(_shared())\n")
     paths = [tmp_path / "a.py", tmp_path / "b.py"]
     assert dead_private_names(paths) == [("a.py", 2, "_unused"), ("a.py", 7, "_orphan")]
+
+
+def unread_public_names(paths):
+    """("module", "name") for each public module-level function, and each
+    public method of a public class ("module", "Class.method"), defined in
+    one of `paths` that no other of `paths` reads: a function is read by a
+    `from ... import` of its name or an attribute load of it, a method by an
+    attribute load of its name (by name alone: the scan infers no types)."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    defined = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defined.append((path, node.name, node.name, False))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        defined.append((path, f"{node.name}.{sub.name}", sub.name, True))
+    loaded, imported = {}, {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.setdefault(node.attr, set()).add(path)
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    imported.setdefault(alias.name, set()).add(path)
+    unread = []
+    for path, qualname, name, method in defined:
+        readers = loaded.get(name, set()) | (set() if method else imported.get(name, set()))
+        if not readers - {path}:
+            unread.append((path.stem, qualname))
+    return sorted(unread)
+
+
+# Public names no other module of the package reads, each with the consumer
+# that keeps it: an acceptance criterion, a perfbench hook (the tracer wraps
+# the function by name), the console script, or the oracle test of a
+# function `oracle.py` runs itself.  A name that gains a reader in the
+# package, or is deleted, leaves the table.
+KEPT = {
+    ("audit", "AuditLog.status"): "tests/test_acceptance.py::test_criterion_11_end_to_end_audit",
+    ("cli", "main"): "pyproject.toml",  # the `spikecert` console script
+    ("constants", "convolution_constant"): "perfbench/tracer.py",  # constants.convolution
+    ("constants", "level_multiplier"): "perfbench/tracer.py",  # level_multiplier_calls
+    ("constants", "lipschitz_constant"): (
+        "tests/test_acceptance.py::test_criterion_05_lipschitz_headline"
+    ),
+    ("interval", "IntervalScalar.contains"): (
+        "tests/test_acceptance.py::test_criterion_04_recovery_mapping_constant"
+    ),
+    ("interval", "IntervalScalar.width"): (
+        "tests/test_acceptance.py::test_criterion_04_recovery_mapping_constant"
+    ),
+    ("interval", "arith"): (
+        "tests/test_acceptance.py::test_criterion_08_containment_fuzz_hundred_thousand"
+    ),
+    ("operator", "apply_G"): (
+        "tests/test_acceptance.py::test_criterion_09_jacobian_matches_finite_differences"
+    ),
+    ("operator", "apply_quadratic"): "perfbench/tracer.py",  # apply_quadratic_calls
+    ("oracle", "GridField.sample"): "tests/test_oracle.py::test_conjugation_accepts_sampled_field",
+    ("oracle", "MeridionalGrid.h_rho"): "tests/test_oracle.py::test_grid_spacing",
+    ("oracle", "MeridionalGrid.h_zeta"): "tests/test_oracle.py::test_grid_spacing",
+    ("oracle", "MeridionalGrid.nodes"): "tests/test_oracle.py::test_grid_spacing",
+    ("oracle", "PolynomialField.deriv"): (
+        "tests/test_oracle.py::test_polynomial_field_validation_and_derivatives"
+    ),
+    ("oracle", "PolynomialField.eval"): (
+        "tests/test_oracle.py::test_polynomial_field_validation_and_derivatives"
+    ),
+    ("oracle", "check_axis_vanishing"): (
+        "tests/test_oracle.py::test_axis_quadratic_gaussian_exponent_four"
+    ),
+    ("oracle", "check_conjugation"): (
+        "tests/test_oracle.py::test_conjugation_quadratic_times_linear_is_exact"
+    ),
+    ("oracle", "check_divergence"): "tests/test_oracle.py::test_divergence_quartic_linear_stream",
+    ("oracle", "default_grid"): "tests/test_acceptance.py::test_criterion_10_calculus_oracle",
+    ("residual", "weight_sq_row"): "tests/test_residual.py",  # its bits against oracles.weight_sq
+    ("stability", "interaction_envelope"): "perfbench/tracer.py",  # envelope_calls
+}
+
+
+def test_every_public_name_has_a_reader():
+    assert unread_public_names(sorted((SRC / "spikecert").glob("*.py"))) == sorted(KEPT)
+
+
+@pytest.mark.parametrize("key", sorted(KEPT), ids=lambda key: ".".join(key))
+def test_kept_names_name_their_consumer(key):
+    # the consumer file reads the name, inside the named test if one is given
+    where, _, test = KEPT[key].partition("::")
+    text = (ROOT / where).read_text()
+    if test:
+        start = text.index(f"def {test}(")
+        end = text.find("\ndef ", start + 1)
+        text = text[start : None if end < 0 else end]
+    assert key[1].rsplit(".", 1)[-1] in text, (key, KEPT[key])
+
+
+def test_public_name_scan_flags_an_unread_function(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used():\n"
+        "    return 1\n"
+        "def called_as_attribute():\n"
+        "    return 2\n"
+        "def planted():\n"
+        "    return used()\n"
+        "def _private():\n"
+        "    return 3\n"
+        "class Box:\n"
+        "    def read(self):\n"
+        "        return self.size()\n"
+        "    def size(self):\n"
+        "        return 4\n"
+        "class _Hidden:\n"
+        "    def method(self):\n"
+        "        return 5\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import a\n"
+        "from .a import used\n"
+        "print(used(), a.called_as_attribute(), a.Box().read())\n"
+    )
+    paths = [tmp_path / "a.py", tmp_path / "b.py"]
+    assert unread_public_names(paths) == [("a", "Box.size"), ("a", "planted")]
 
 
 def unread_fields(paths, classes):

@@ -30,7 +30,6 @@ from spikecert.interval import (
     interval_from_mid_rad_decimal,
     intpow_iv,
     ln_iv,
-    make_interval,
     pow_seven_halves,
     sqrt_iv,
 )
@@ -45,6 +44,7 @@ from spikecert.matrix import (
 from spikecert.stability import inverse_bound_from_norms
 
 from mutants import mutant_module
+from oracles import make_interval
 
 
 def iv(lo, hi=None):
@@ -73,10 +73,15 @@ class TestExactEndpoints:
         assert (s.lo, s.hi) == (2.0, 2.0)
 
     def test_intpow_exact(self):
-        p = intpow_iv(iv(-2.0, 3.0), 2)
+        p = intpow_iv(iv(0.0, 3.0), 2)
         assert (p.lo, p.hi) == (0.0, 9.0)
-        p3 = intpow_iv(iv(-2.0, 3.0), 3)
-        assert (p3.lo, p3.hi) == (-8.0, 27.0)
+        p3 = intpow_iv(iv(2.0, 3.0), 3)
+        assert (p3.lo, p3.hi) == (8.0, 27.0)
+        # the domain of IntervalMatrix.intpow: a partly negative base is refused
+        with pytest.raises(IntervalError, match="partially negative"):
+            intpow_iv(iv(-2.0, 3.0), 2)
+        z = intpow_iv(iv(-0.0), 3)
+        assert (z.lo, z.hi) == (0.0, 0.0)
 
     def test_scalar_promotion(self):
         s = 2.0 * iv(1.0, 3.0) + 1
@@ -229,8 +234,7 @@ class TestDivisionGuards:
 
 class TestLogMagnitude:
     def test_zero_magnitude(self):
-        z = LogMagnitude.zero()
-        assert z.log10_value == -math.inf
+        z = LogMagnitude(-math.inf)
         t = z.to_interval()
         assert (t.lo, t.hi) == (0.0, 0.0)
 
@@ -1004,7 +1008,7 @@ class TestProperties:
         for op in ("add", "sub", "mul"):
             big = arith(op, a, b)
             small = arith(op, a2, b2)
-            assert big.encloses(small) or (big.lo == small.lo and big.hi == small.hi)
+            assert big.lo <= small.lo and small.hi <= big.hi
 
     @given(st.floats(min_value=-700, max_value=700, allow_nan=False))
     @settings(max_examples=300, deadline=None)

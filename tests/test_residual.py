@@ -10,7 +10,7 @@ import pytest
 
 from spikecert.basis import reference_model
 from spikecert.cli import main as cli_main
-from spikecert.interval import IntervalScalar, make_interval, sqrt_iv
+from spikecert.interval import IntervalScalar, sqrt_iv
 from spikecert.matrix import IntervalMatrix, row_sum
 from spikecert.operator import OperatorConfig, apply_G
 from spikecert.residual import certify_residual, weight_sq_row
@@ -21,8 +21,9 @@ from spikecert.spaces import (
     ProfileCertificate,
     WeightedSpace,
     load_certificate,
-    weight_sq,
 )
+
+from oracles import make_interval, weight_sq
 
 mpmath.mp.dps = 40
 

@@ -22,7 +22,6 @@ from spikecert.interval import (
     decay_ratio,
     exp_iv,
     intpow_iv,
-    make_interval,
     sqrt_iv,
 )
 from spikecert.matrix import IntervalMatrix
@@ -40,6 +39,8 @@ from spikecert.stability import (
     interaction_envelope,
     inverse_bound_from_norms,
 )
+
+from oracles import make_interval
 
 ONE_POINT = IntervalScalar(1.0, 1.0)
 

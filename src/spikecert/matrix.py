@@ -17,7 +17,18 @@ Building an ``IntervalMatrix`` with a NaN endpoint raises ``IntervalError``;
 ``IntervalMatrix.exp`` raises on overflow, as ``exp_iv`` does.  Sums of
 products (``point_times_interval`` and the operator's interaction sums) are
 formed in midpoint-radius form and closed by ``_mid_rad_enclosure``;
-``inf_norm`` and ``identity_minus`` serve the inverse bound.
+``inf_norm`` and ``identity_minus`` serve the inverse bound.  A factor
+entry whose radius max(mid - lo, hi - mid) rounds to exactly 0 is a point
+(a float difference is 0 only when it is exact) and keeps radius 0; every
+other radius is stepped outward.  A zero radius stepped up would be a
+subnormal, which float64 matmuls handle far more slowly than 0.
+
+Outside the elementwise kernels, a dense ulp step is ``_np_up`` or
+``_np_down``: nextafter toward +-inf with its bits, formed as an integer
+step on the binary64 encoding (+1 on the positive side, -1 on the
+negative one, after -0.0 is made +0.0; down(a) = -up(-a)).  On a large
+array those few integer passes are several times faster than
+np.nextafter, which still serves the entries that are not finite.
 
 This is the only module of the interval layer that imports numpy.
 """
@@ -57,16 +68,32 @@ __all__ = [
 _U = 2.0 ** -53  # unit roundoff for binary64
 
 
-def _np_down(a: np.ndarray, steps: int = 1) -> np.ndarray:
-    for _ in range(steps):
-        a = np.nextafter(a, -np.inf)
-    return a
-
-
 def _np_up(a: np.ndarray, steps: int = 1) -> np.ndarray:
+    """``steps`` applications of nextafter(., +inf) to every entry of a, bit
+    for bit, each as an integer step on the binary64 encoding: after + 0.0
+    turns -0.0 into +0.0, the encoding read as an int64 is monotone in the
+    value on each sign, and one ulp up is +1 on the positive side (MAX goes
+    to inf) and -1 on the negative one (-5e-324 goes to -0.0).  Entries
+    that are not finite take np.nextafter."""
     for _ in range(steps):
-        a = np.nextafter(a, np.inf)
+        out = a + 0.0
+        bits = out.view(np.int64)
+        step = np.signbit(out).view(np.int8)  # int8, so no int64 temporary
+        step *= -2
+        step += 1
+        bits += step
+        if not np.isfinite(a).all():
+            bad = ~np.isfinite(a)
+            out[bad] = np.nextafter(a[bad], _INF)
+        a = out
     return a
+
+
+def _np_down(a: np.ndarray, steps: int = 1) -> np.ndarray:
+    """``steps`` applications of nextafter(., -inf): -up(-a)."""
+    out = _np_up(-a, steps)
+    np.negative(out, out=out)
+    return out
 
 
 # Elementwise twins of the scalar directed routines: _np_add of _add,
@@ -494,7 +521,7 @@ def _mid_rad(x: IntervalMatrix):
     rad = mid - x.lo
     np.maximum(rad, x.hi - mid, out=rad)
     exact = rad == 0.0
-    np.nextafter(rad, _INF, out=rad)
+    rad = _np_up(rad)
     np.copyto(rad, 0.0, where=exact)
     unbounded = ~np.isfinite(mid)  # 0.5 lo + 0.5 hi is finite iff both are
     if unbounded.any():
@@ -542,13 +569,17 @@ def _mid_rad_enclosure(mid, rad, scale, n) -> IntervalMatrix:
 def point_times_interval(A: np.ndarray, B: IntervalMatrix) -> IntervalMatrix:
     """Enclosure of A @ B for a point matrix A, in midpoint-radius form:
     terms A_ik Bm_kj, within |A_ik| Br_kj of A_ik B_kj, bounded by
-    |A_ik| (|Bm_kj| + Br_kj), summed by float64 matmuls."""
+    |A_ik| (|Bm_kj| + Br_kj), summed by float64 matmuls.  Br is the rounded
+    max(Bm - lo, hi - Bm) two ulps up, or exactly 0 where that is 0."""
     A = np.asarray(A, dtype=np.float64)
     n = A.shape[1]
     if n != B.shape[0]:
         raise IntervalError(f"shape mismatch {A.shape} @ {B.shape}")
     Bm = 0.5 * B.lo + 0.5 * B.hi
-    Br = _np_up(np.maximum(Bm - B.lo, B.hi - Bm), steps=2)
+    Br = np.maximum(Bm - B.lo, B.hi - Bm)
+    exact = Br == 0.0
+    Br = _np_up(Br, steps=2)
+    np.copyto(Br, 0.0, where=exact)
     absA = np.abs(A)
     return _mid_rad_enclosure(A @ Bm, absA @ Br, absA @ (np.abs(Bm) + Br), n)
 

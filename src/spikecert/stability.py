@@ -85,9 +85,10 @@ def certify_inverse(J: IntervalMatrix) -> InverseReport:
 
     The candidate inverse is the float64 inverse of the midpoint matrix;
     the certification itself never trusts it, only the interval residual
-    E = I - R @ J.  A singular or non-finite midpoint inverse is a
-    verdict (verified=False with a diagnostic), not an exception, since
-    the certificate under audit may genuinely be bad.
+    E = I - R @ J.  A Jacobian midpoint that is not finite, or a singular
+    or non-finite midpoint inverse, is a verdict (verified=False with a
+    diagnostic), not an exception, since the certificate under audit may
+    genuinely be bad.
     """
     if not isinstance(J, IntervalMatrix):
         raise CertificationError("certify_inverse expects an IntervalMatrix")
@@ -95,6 +96,11 @@ def certify_inverse(J: IntervalMatrix) -> InverseReport:
     if n != m:
         raise CertificationError(f"Jacobian must be square, got {n}x{m}")
     mid = J.midpoint()
+    if not np.isfinite(mid).all():
+        return InverseReport(
+            verified=False,
+            diagnostic="Jacobian midpoint has non-finite entries; no candidate inverse",
+        )
     try:
         R = np.linalg.inv(mid)
     except np.linalg.LinAlgError:

@@ -515,6 +515,11 @@ def test_overflowing_coupling_rejects_k_without_numpy_warnings(five_mode):
         "RSLT",
         "lipschitz constant K not computable: cannot round inf to two significant digits: FAIL",
     ) in result.log.lines
+    assert (
+        "RSLT",
+        "inverse bound M not certified: Jacobian midpoint has non-finite entries; "
+        "no candidate inverse: FAIL",
+    ) in result.log.lines
 
 
 def test_declared_k_without_c_conv_passes_ungated(bundled, tmp_path):

@@ -346,12 +346,15 @@ class TestMatrix:
         for n in (1, 5, 40):
             A = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-8, 9, (n, n))
             Bc = rng.standard_normal((n, n))
+            Bc[rng.random((n, n)) < 0.2] = 0.0
             Br = np.abs(Bc) * rng.choice([0.0, 1e-12, 1e-3], (n, n))
             B = IntervalMatrix(Bc - Br, Bc + Br)
+            assert n == 1 or (B.lo == B.hi).any() and (B.lo < B.hi).any()
             P = point_times_interval(A, B)
             mid = 0.5 * B.lo + 0.5 * B.hi
             rad = np.maximum(mid - B.lo, B.hi - mid)
-            rad = np.nextafter(np.nextafter(rad, np.inf), np.inf)
+            # a radius that rounds to 0 is exact and stays 0
+            rad = np.where(rad == 0.0, 0.0, np.nextafter(np.nextafter(rad, np.inf), np.inf))
             g = (n + 2) * 2.0**-53
             g = 1.01 * g / (1.0 - g)
             r = np.abs(A) @ rad + g * (np.abs(A) @ (np.abs(mid) + rad)) + n * 1e-300
@@ -361,6 +364,17 @@ class TestMatrix:
             lo = np.nextafter(np.nextafter(lo, -np.inf), -np.inf)
             hi = np.nextafter(np.nextafter(hi, np.inf), np.inf)
             assert (P.lo == lo).all() and (P.hi == hi).all()
+
+    def test_point_times_interval_of_a_point_zero_is_its_underflow_term(self):
+        # every entry of B is the exact [0, 0], so its radius is 0 and r is the
+        # underflow term 4 * 1e-300 alone, not 4e-300 plus 1e10-weighted
+        # subnormal radii
+        B = IntervalMatrix.from_point(np.zeros((4, 4)))
+        P = point_times_interval(1e10 * np.ones((4, 4)), B)
+        up = lambda x: math.nextafter(math.nextafter(x, math.inf), math.inf)
+        down = lambda x: math.nextafter(math.nextafter(x, -math.inf), -math.inf)
+        r = up(4 * 1e-300 * (1.0 + 4e-16))
+        assert (P.lo == down(0.0 - r)).all() and (P.hi == up(0.0 + r)).all()
 
     @staticmethod
     def check_mid_rad(mid_rad):
@@ -391,7 +405,7 @@ class TestMatrix:
         self.check_mid_rad(_mid_rad)
 
     def test_mid_rad_without_its_nudge_misses_an_endpoint(self, monkeypatch):
-        mutant = mutant_module(monkeypatch, matrix, "np.nextafter(rad, _INF, out=rad)", "pass")
+        mutant = mutant_module(monkeypatch, matrix, "rad = _np_up(rad)", "pass")
         with pytest.raises(AssertionError):
             self.check_mid_rad(mutant._mid_rad)
 
@@ -406,6 +420,43 @@ class TestMatrix:
             IntervalMatrix(np.zeros((2, 2)), np.zeros((3, 2)))
         with pytest.raises(IntervalError):
             IntervalMatrix(np.ones((2, 2)), np.zeros((2, 2)))
+
+
+class TestUlpSteps:
+    """_np_up and _np_down step the binary64 encoding as integers; each must
+    give np.nextafter's bits on every pattern, NaN payloads included."""
+
+    _MAX = sys.float_info.max
+    EDGES = [
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+        _MAX, -_MAX, math.inf, -math.inf, math.nan,
+    ]
+
+    @classmethod
+    def check(cls, up, down):
+        rng = np.random.default_rng(22)
+        i64 = np.iinfo(np.int64)
+        bits = rng.integers(i64.min, i64.max, size=10**6, endpoint=True, dtype=np.int64)
+        x = np.concatenate([bits.view(np.float64), np.array(cls.EDGES)])
+        with np.errstate(all="ignore"):  # signalling NaNs and MAX to inf
+            for steps in (1, 2):
+                for step, toward in ((up, math.inf), (down, -math.inf)):
+                    want = x
+                    for _ in range(steps):
+                        want = np.nextafter(want, toward)
+                    got = step(x, steps)
+                    bad = got.view(np.int64) != want.view(np.int64)
+                    assert not bad.any(), (step.__name__, steps, x[bad][:4], got[bad][:4])
+
+    def test_steps_match_nextafter_bit_for_bit(self):
+        self.check(matrix._np_up, matrix._np_down)
+
+    def test_without_the_zero_normalisation_the_steps_miss(self, monkeypatch):
+        # -0.0 read as an int64 is the least one, and its -1 step wraps to a
+        # NaN encoding
+        mutant = mutant_module(monkeypatch, matrix, "out = a + 0.0", "out = a.copy()")
+        with pytest.raises(AssertionError):
+            self.check(mutant._np_up, mutant._np_down)
 
 
 # endpoints that reach every branch of the directed kernels: signed zeros,

@@ -85,6 +85,17 @@ def test_singular_midpoint_is_a_verdict():
     assert rep.R_norm is rep.E_norm is rep.M is None
 
 
+def test_non_finite_jacobian_midpoint_is_named():
+    # [1, inf] has midpoint inf, and numpy would invert its matrix to NaN
+    # without raising: the verdict names the Jacobian, not the inverse
+    lo = np.array([[2.0, 1.0], [0.0, 3.0]])
+    hi = np.array([[2.0, math.inf], [0.0, 3.0]])
+    rep = certify_inverse(IntervalMatrix(lo, hi))
+    assert not rep.verified
+    assert rep.diagnostic == "Jacobian midpoint has non-finite entries; no candidate inverse"
+    assert rep.R_norm is rep.E_norm is rep.M is None
+
+
 def test_interval_containing_singular_matrix_fails():
     # midpoint is the singular all-ones matrix
     lo = np.array([[1.0, 1.0], [1.0, 0.9]])

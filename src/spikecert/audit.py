@@ -54,7 +54,7 @@ from .errors import CertificateError, CertificationError
 from .interval import IntervalScalar, interval_from_decimal
 from .operator import OperatorConfig, assemble_jacobian
 from .residual import certify_residual
-from .spaces import PROFILE_SPACE, SOURCE_SPACE, load_certificate
+from .spaces import SOURCE_SPACE, load_certificate
 from .stability import certify_inverse, certify_tail_coercivity
 
 AUDIT_MAGIC = "NS_GHOST_SPIKE_AUDIT_v1.0"
@@ -175,7 +175,7 @@ def _residual(run, cert, cfg, op_cfg) -> Optional[IntervalScalar]:
     """delta: declared if given (the recomputation is a diagnostic), else computed."""
     run.add("TASK", "residual bound")
     try:
-        computed = certify_residual(cert, op_cfg, PROFILE_SPACE).delta
+        computed = certify_residual(cert, op_cfg).delta
     except (ValueError, CertificationError) as exc:
         computed = None
         run.add("CALC", f"residual recomputation skipped: {exc}")
@@ -309,7 +309,7 @@ def _constants(run, cert, cfg, model) -> Optional[IntervalScalar]:
         )
         return k
     try:
-        cons = certify_constants(rec, model, cfg.truncation_N, PROFILE_SPACE, SOURCE_SPACE)
+        cons = certify_constants(rec, model, cfg.truncation_N)
     except (ValueError, CertificationError) as exc:
         run.fail("K", f"lipschitz constant K not computable: {exc}")
         return None

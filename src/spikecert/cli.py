@@ -180,7 +180,7 @@ def _build_parser():
     p.add_argument("--e-norm", type=_decimal, help="declared residual-matrix norm (decimal)")
 
     p = sub.add_parser("tail", help="tail coercivity constant gamma")
-    common(p, "profile", "model", "modes", "out")
+    common(p, "profile", "modes", "out")
     p.add_argument("--j-min", type=_bounded_int(1), default=_AUDIT.j_min)
     p.add_argument("--c-prof", type=_decimal, help="profile envelope constant (decimal)")
 
@@ -231,7 +231,9 @@ def _op_config(args, cert):
     nu = cert.nu
     if getattr(args, "nu", None):
         nu = interval_from_decimal(args.nu)
-    model = reference_model(args.coupling, args.coupling_rec)
+    # `tail` has no model flags: certify_tail_coercivity reads only nu and truncation_N
+    coupling = getattr(args, "coupling", _AUDIT.coupling)
+    model = reference_model(coupling, getattr(args, "coupling_rec", _AUDIT.coupling_rec))
     return OperatorConfig(model=model, nu=nu, truncation_N=args.modes)
 
 
@@ -255,7 +257,7 @@ def _cmd_residual(args) -> int:
     from .residual import certify_residual
 
     cert = load_certificate(_require_profile(args))
-    rep = certify_residual(cert, _op_config(args, cert), PROFILE_SPACE)
+    rep = certify_residual(cert, _op_config(args, cert))
     text = (
         f"delta_fin  = {_iv(rep.delta_fin)}\n"
         f"delta_tail = {_iv(rep.delta_tail)}\n"
@@ -320,8 +322,6 @@ def _cmd_constants(args) -> int:
         recovery_mapping_constant(args.tau, SOURCE_SPACE.tau),
         reference_model(args.coupling, args.coupling_rec),
         args.modes,
-        PROFILE_SPACE,
-        SOURCE_SPACE,
     )
     text = (
         f"C_rec_map = {_iv(rep.C_rec_map)} (argmax k = {rep.argmax_k})\n"

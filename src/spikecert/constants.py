@@ -4,10 +4,13 @@ Three constants feed the final contraction test.  The recovery-mapping
 constant is the supremum over integer modes of the norm-level multiplier
 k^{7/2} (1+k^2)^{-1/2} e^{-(tau'-tau)k}; the multiplier is log-concave, so
 its one-step ratio decreases and a bracket of levels around the stationary
-point, whose two edges are certified to rise and to fall, holds it.  The convolution constant bounds the bilinear form between the
-two weighted spaces through the elementary inequality
-1+(k+l)^2 <= 2(1+k^2)(1+l^2) and the exponential buffer tau'-tau, which
-turns the double sum into a product of one-dimensional sums.  The
+point, whose two edges are certified to rise and to fall, holds it.  The
+convolution constant bounds the bilinear form from the source space
+Y = SOURCE_SPACE (s = 7, tau = 0.081) into the profile space
+X = PROFILE_SPACE (s = 6, tau = 0.08), the two fixed spaces of the audit,
+through the elementary inequality 1+(k+l)^2 <= 2(1+k^2)(1+l^2) and the
+exponential buffer tau_Y - tau_X, which turns the double sum into a
+product of one-dimensional sums.  The
 Lipschitz constant is their outward-rounded product, ceiled to two
 significant digits.
 
@@ -35,12 +38,11 @@ from .interval import (
     decay_ratio,
     exp_iv,
     intpow_iv,
-    ln_iv,
     pow_seven_halves,
     sqrt_iv,
 )
 from .matrix import IntervalMatrix, row_sum
-from .spaces import WeightedSpace
+from .spaces import PROFILE_SPACE, SOURCE_SPACE
 
 # refuse a buffer whose scan end k_end (recovery_mapping_constant) lies past
 # this level: the buffer is then thinner than the audit accepts
@@ -142,67 +144,45 @@ def recovery_mapping_constant(tau: float, tau_prime: float) -> RecoveryMapResult
     return RecoveryMapResult(value=IntervalScalar(best_lo, best_hi), argmax_k=argmax)
 
 
-def convolution_constant(
-    model: BasisModel, N: int, X: WeightedSpace, Y: WeightedSpace
-) -> IntervalScalar:
-    """Certified C with ||Q(u,v)||_X <= C ||u||_Y ||v||_Y on modes <= N.
+def convolution_constant(model: BasisModel, N: int) -> IntervalScalar:
+    """Certified C with ||Q(u,v)||_X <= C ||u||_Y ||v||_Y on modes <= N,
+    for X = PROFILE_SPACE (s_X = 6) and Y = SOURCE_SPACE (s_Y = 7).
 
     Route: for an output mode j <= k+l,
 
-        w_X(j) <= 2^{s_X/2} [(1+k^2)^{s_X/2} e^{tau_X k}]
-                           [(1+l^2)^{s_X/2} e^{tau_X l}] e^{-beta j} ...
+        w_X(j) <= 2^3 [(1+k^2)^3 e^{tau_X k}] [(1+l^2)^3 e^{tau_X l}] e^{-beta j} ...
 
     more precisely each factor is absorbed into the Y-norm of its input,
     leaving per-mode weights q_k = (1+k^2)^{-(s_Y-s_X)/2} e^{-beta k}
-    with beta = (tau_Y - tau_X)/2, and a residual e^{-beta j} on the
-    output mode that keeps the j-sum finite.  The constant is
+    = (1+k^2)^{-1/2} e^{-beta k} with beta = (tau_Y - tau_X)/2, and a
+    residual e^{-beta j} on the output mode that keeps the j-sum finite.
+    The constant is
 
-        2^{s_X/2} * Cb * sqrt(sum_{j<=2N} e^{-2 beta j}) * (sum_{k<=N} q_k)^2.
+        2^3 * Cb * sqrt(sum_{j<=2N} e^{-2 beta j}) * (sum_{k<=N} q_k)^2.
 
-    Needs tau_Y > tau_X and s_Y >= s_X; without that buffer this route
-    does not close and the call is refused.
+    The route closes only with the buffers tau_Y > tau_X and s_Y >= s_X,
+    which the two spaces have.
     """
     if not isinstance(N, int) or isinstance(N, bool) or N < 1:
         raise CertificationError(f"N must be a positive integer, got {N!r}")
-    if not Y.tau > X.tau:
-        raise CertificationError(
-            f"need Y.tau > X.tau for the redistribution buffer, got "
-            f"X.tau={X.tau!r}, Y.tau={Y.tau!r}"
-        )
-    if Y.s < X.s:
-        raise CertificationError(
-            f"need Y.s >= X.s for summable per-mode weights, got "
-            f"X.s={X.s!r}, Y.s={Y.s!r}"
-        )
     cb = model.interaction_bound
     if cb.lo < 0.0:
         raise CertificationError(f"interaction bound must be nonnegative, got {cb}")
     if cb.hi == 0.0:
         return ZERO
+    X, Y = PROFILE_SPACE, SOURCE_SPACE
     two_beta = IntervalScalar(Y.tau, Y.tau) - IntervalScalar(X.tau, X.tau)
     beta = two_beta * 0.5
-    p = (Y.s - X.s) / 2.0
 
     # both sums run from the top mode down, each term formed on a row
     k = np.arange(N, 0, -1)
     kk = IntervalMatrix.from_point(k[None, :].astype(np.float64))
     one_plus = IntervalMatrix.from_point((1 + k * k)[None, :].astype(np.float64))
-    if p == 0.0:
-        poly = ONE
-    elif p == 0.5:
-        poly = ONE / one_plus.sqrt()
-    else:
-        poly = (one_plus.log() * (-p)).exp()
-    s1 = row_sum(poly * (-(beta * kk)).exp())
+    s1 = row_sum(ONE / one_plus.sqrt() * (-(beta * kk)).exp())
     jj = IntervalMatrix.from_point(np.arange(2 * N, 0, -1, dtype=np.float64)[None, :])
     geo = row_sum((-(two_beta * jj)).exp())
-
-    s_half = X.s / 2.0
-    if float(s_half).is_integer():
-        pref = intpow_iv(_TWO, int(s_half))
-    else:
-        pref = exp_iv(ln_iv(_TWO) * s_half)
-    return pref * cb * sqrt_iv(geo) * s1 * s1
+    # the prefactor 2^{s_X/2} = 2^3
+    return intpow_iv(_TWO, 3) * cb * sqrt_iv(geo) * s1 * s1
 
 
 def _ceil_two_significant(x: float) -> float:
@@ -248,12 +228,10 @@ class ConstantsReport:
             )
 
 
-def certify_constants(
-    rec: RecoveryMapResult, model: BasisModel, N: int, X: WeightedSpace, Y: WeightedSpace
-) -> ConstantsReport:
+def certify_constants(rec: RecoveryMapResult, model: BasisModel, N: int) -> ConstantsReport:
     """The constants block: the recovery supremum ``rec`` the caller
     certified, the convolution bound and their product."""
-    c_conv = convolution_constant(model, N, X, Y)
+    c_conv = convolution_constant(model, N)
     k_const = lipschitz_constant(rec.value, c_conv)
     return ConstantsReport(
         C_rec_map=rec.value, argmax_k=rec.argmax_k, C_conv=c_conv, K=k_const

@@ -228,8 +228,8 @@ def _np_sqrt(x, up: bool) -> np.ndarray:
 
 
 def _np_libm(fn, x: np.ndarray) -> np.ndarray:
-    """fn of every entry through the math module, whose exp and log are the
-    ones the scalar path widens; numpy's SIMD versions promise no accuracy."""
+    """fn of every entry through the math module, whose exp is the one the
+    scalar path widens; numpy's SIMD version promises no accuracy."""
     return np.array(list(map(fn, x.ravel().tolist())), dtype=np.float64).reshape(x.shape)
 
 
@@ -471,17 +471,6 @@ class IntervalMatrix:
         return IntervalMatrix(
             np.where(deep, deep_lo, np.where(lo > 0.0, lo, 0.0)),
             np.where(deep, deep_hi, _np_up(vhi, steps=2)),
-        )
-
-    def log(self) -> "IntervalMatrix":
-        """Entrywise ln_iv; every entry must be strictly positive."""
-        nonpositive = self.lo <= 0.0
-        if nonpositive.any():
-            bad = _first_entry(self.lo, self.hi, nonpositive)
-            raise IntervalError(f"ln of non-positive interval {bad}")
-        return IntervalMatrix(
-            _np_down(_np_libm(math.log, self.lo), steps=2),
-            _np_up(_np_libm(math.log, self.hi), steps=2),
         )
 
 

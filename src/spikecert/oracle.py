@@ -8,6 +8,9 @@ the divergence-free structure of the reconstructed velocity, the axis
 vanishing rate of the boundary term, and the reciprocal blowup scaling
 with its logarithmically divergent time integral.
 
+A field is a callable f(rho, zeta), sampled on the grid nodes, or, for
+the conjugation check, a PolynomialField, whose derivatives are exact.
+
 Deliberately plain float64, no intervals: a failed check here falsifies
 an identity (or the implementation of it), it never certifies one.
 Conjugation uses second-order central differences, so its discrepancy
@@ -74,31 +77,6 @@ def default_grid() -> MeridionalGrid:
 
 
 @dataclass(frozen=True)
-class GridField:
-    """Dense nodal values with a label for the pass/fail table."""
-
-    values: np.ndarray
-    name: str = ""
-
-    def __post_init__(self):
-        import numpy as np
-
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValueError(f"field must be a 2d array, got shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise ValueError(f"field {self.name!r} has non-finite values")
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def sample(cls, f: Callable, grid: MeridionalGrid, name: str = "") -> "GridField":
-        import numpy as np
-
-        rho, zeta = grid.nodes()
-        return cls(np.asarray(f(rho, zeta), dtype=np.float64), name)
-
-
-@dataclass(frozen=True)
 class PolynomialField:
     """Bivariate polynomial sum_ij c[i, j] rho^i zeta^j.
 
@@ -141,19 +119,21 @@ class PolynomialField:
         return np.polynomial.polynomial.polyval2d(rho, zeta, self.coeffs)
 
 
-FieldLike = Union[GridField, PolynomialField, Callable]
+FieldLike = Union[PolynomialField, Callable]
 
 
-def _values(f: FieldLike, grid: MeridionalGrid) -> np.ndarray:
-    if isinstance(f, GridField):
-        v = f.values
-        if v.shape != (grid.n_rho, grid.n_zeta):
-            raise ValueError(
-                f"field shape {v.shape} does not match grid "
-                f"({grid.n_rho}, {grid.n_zeta})"
-            )
-        return v
-    return GridField.sample(f, grid).values
+def _values(f: Callable, grid: MeridionalGrid) -> np.ndarray:
+    """f(rho, zeta) sampled on the grid nodes; a sample of another shape or
+    with a non-finite value is refused."""
+    import numpy as np
+
+    rho, zeta = grid.nodes()
+    v = np.asarray(f(rho, zeta), dtype=np.float64)
+    if v.shape != rho.shape:
+        raise ValueError(f"field shape {v.shape} does not match grid {rho.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("sampled field has non-finite values")
+    return v
 
 
 def _d1_c2(a: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -233,7 +213,7 @@ def check_conjugation(f: FieldLike, grid: Optional[MeridionalGrid] = None) -> fl
     return float(np.abs(li - ri).max()) / scale
 
 
-def check_divergence(psi: FieldLike, grid: Optional[MeridionalGrid] = None) -> float:
+def check_divergence(psi: Callable, grid: Optional[MeridionalGrid] = None) -> float:
     """Max |d_rho u^rho + (3/rho) u^rho + d_zeta u^zeta| for the stream field.
 
     The velocity components are u^rho = -rho^{-3} d_zeta psi and

@@ -1,8 +1,9 @@
 """Certified residual enclosure: the finite block and the quadratic spillover.
 
-The residual splits by mode index at the truncation N.  Everything the
-operator produces lives on modes 1..2N, so the "tail" is itself a finite
-block and is summed outright.
+The residual is measured in the profile space X = PROFILE_SPACE (s = 6,
+tau = 0.08), the one space its weights are formed for.  It splits by mode
+index at the truncation N.  Everything the operator produces lives on
+modes 1..2N, so the "tail" is itself a finite block and is summed outright.
 """
 
 from __future__ import annotations
@@ -14,23 +15,18 @@ import numpy as np
 from .interval import IntervalScalar, sqrt_iv
 from .matrix import IntervalMatrix, row_sum
 from .operator import OperatorConfig, _G_row
-from .spaces import ProfileCertificate, WeightedSpace
+from .spaces import PROFILE_SPACE, ProfileCertificate
 
 __all__ = ["ResidualReport", "certify_residual", "weight_sq_row"]
 
 
-def weight_sq_row(j: np.ndarray, space: WeightedSpace) -> IntervalMatrix:
-    """The squared weight (1+j^2)^s e^{2 tau j} for each mode of an int array
-    j, as a row; each entry has the bits of the scalar chain intpow_iv,
-    exp_iv (or ln_iv for a fractional s) gives for its mode."""
+def weight_sq_row(j: np.ndarray) -> IntervalMatrix:
+    """The squared weight (1+j^2)^s e^{2 tau j} of PROFILE_SPACE (s = 6,
+    tau = 0.08) for each mode of an int array j, as a row; each entry has
+    the bits of the scalar chain intpow_iv, exp_iv gives for its mode."""
     jf = IntervalMatrix.from_point(j[None, :].astype(np.float64))
-    base = jf.intpow(2) + 1.0
-    s = space.s
-    if float(s).is_integer():
-        poly = base.intpow(int(s))
-    else:
-        poly = (base.log() * s).exp()
-    rate = IntervalScalar(2.0 * space.tau, 2.0 * space.tau) * jf
+    poly = (jf.intpow(2) + 1.0).intpow(int(PROFILE_SPACE.s))
+    rate = IntervalScalar(2.0 * PROFILE_SPACE.tau, 2.0 * PROFILE_SPACE.tau) * jf
     return poly * rate.exp()
 
 
@@ -43,10 +39,8 @@ class ResidualReport:
     delta: IntervalScalar
 
 
-def certify_residual(
-    cert: ProfileCertificate, cfg: OperatorConfig, space: WeightedSpace
-) -> ResidualReport:
-    """Enclose the weighted norm of G applied to the certificate profile.
+def certify_residual(cert: ProfileCertificate, cfg: OperatorConfig) -> ResidualReport:
+    """Enclose the PROFILE_SPACE norm of G applied to the certificate profile.
 
     delta_fin collects modes 1..N, delta_tail the spillover N+1..2N, and
     delta is assembled literally as sqrt(delta_fin^2 + delta_tail^2) so the
@@ -65,7 +59,7 @@ def certify_residual(
     # first; each sum runs over its terms in that order, as the scalar loop did
     at = np.flatnonzero((residual.lo[0] != 0.0) | (residual.hi[0] != 0.0))[::-1]
     a = abs(residual[:, at])
-    terms = weight_sq_row(at + 1, space) * a * a
+    terms = weight_sq_row(at + 1) * a * a
     n_tail = int(np.count_nonzero(at >= N))
     sq_tail = row_sum(terms[:, :n_tail])
     sq_fin = row_sum(terms[:, n_tail:])

@@ -2,10 +2,13 @@
 profile-certificate file format.
 
 A coefficient vector lives in a scale of Hilbert spaces with weights
-(1+j^2)^s e^{2 tau j}.  Two members matter: the profile space (s=6,
-tau=0.08) where candidate profiles live, and the source space (s=7,
-tau=0.081) that receives the operator output.  The residual stage forms
-the weighted norm (``residual.weight_sq_row``).
+(1+j^2)^s e^{2 tau j}.  The audit uses two fixed members, recorded here
+once: the profile space X = ``PROFILE_SPACE`` (s=6, tau=0.08), where
+candidate profiles live and the residual is measured
+(``residual.weight_sq_row``), and the source space Y = ``SOURCE_SPACE``
+(s=7, tau=0.081), the input space of the convolution bound
+(``constants.convolution_constant``).  No stage takes a space as a
+parameter.
 
 Certificates are JSON files whose numbers are decimal strings, so the
 published 32-digit coefficient table survives byte-for-byte and a
@@ -46,12 +49,6 @@ class WeightedSpace:
 
     s: float
     tau: float
-
-    def __post_init__(self):
-        if not (self.s >= 0.0):
-            raise ValueError(f"polynomial power must be nonnegative, got {self.s!r}")
-        if not (self.tau > 0.0):
-            raise ValueError(f"analyticity radius must be positive, got {self.tau!r}")
 
 
 PROFILE_SPACE = WeightedSpace(s=6.0, tau=0.08)

@@ -233,7 +233,7 @@ def test_criterion_07_residual_soundness_against_brute_oracle():
             nu=iv(nu),
             truncation_N=N,
         )
-        rep = certify_residual(cert, cfg, PROFILE_SPACE)
+        rep = certify_residual(cert, cfg)
         exact = mp_space_norm(brute_G(c, coupling, crec, nu, N), PROFILE_SPACE)
         if mpmath.mpf(rep.delta.hi) < exact * (1 - mpmath.mpf("1e-30")):
             violations += 1
@@ -243,7 +243,6 @@ def test_criterion_07_residual_soundness_against_brute_oracle():
             coefficients=CoefficientVector(), nu=iv(0.005), sigma=0.05, tau_audited=0.08
         ),
         OperatorConfig(model=reference_model(1.0), nu=iv(0.005), truncation_N=10),
-        PROFILE_SPACE,
     )
     assert (zero.delta.lo, zero.delta.hi) == (0.0, 0.0)
 

@@ -2,6 +2,8 @@
 
 import json
 import math
+import pathlib
+import shlex
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +18,7 @@ from spikecert.matrix import IntervalMatrix
 from spikecert.spaces import load_certificate
 
 AUDIT_FAST = ["--modes", "64"]
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -479,6 +482,8 @@ def test_no_subcommand_prints_usage(capsys):
     ]
     + [["constants", "--kernel-cap", "200"]]
     + [[cmd, "--profile", "cert.json", "--window", "64"] for cmd in ("audit", "tail")]
+    # the tail bound reads no basis model
+    + [["tail", "--profile", "cert.json", flag, "1"] for flag in ("--coupling", "--coupling-rec")]
     # the recovery scan runs up to the source-space rate, which no option sets
     + [["audit", "--profile", "cert.json", "--tau-prime", "0.081"]]
     + [["constants", "--tau-prime", "0.081"]],
@@ -562,3 +567,41 @@ def test_bare_audit_flags_give_the_default_audit_config(monkeypatch):
     monkeypatch.setattr(cli, "_emit", lambda text, out: None)
     assert main(["audit", "--profile", "absent.json"]) == 2
     assert seen == [AuditConfig()]
+
+
+# ------------------------------------------------------------------- README
+
+
+def readme_command_lines():
+    """Every `spikecert ...` line of the README's "Command line" section."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return [line for line in section.splitlines() if line.startswith("spikecert ")]
+
+
+def test_readme_command_lines_are_not_usage_errors(
+    capsys, monkeypatch, tmp_path, bundled_certificate_path
+):
+    # each line runs as written and in order, with cert.json bound to the
+    # bundled certificate and /tmp/p.json and run.cfg under tmp_path; the
+    # audit line names the bundled certificate relative to the checkout
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("j-min = 1200\n")
+    bind = {
+        "cert.json": str(bundled_certificate_path),
+        "/tmp/p.json": str(tmp_path / "p.json"),
+        "run.cfg": str(cfg),
+    }
+    monkeypatch.chdir(REPO)
+    lines = readme_command_lines()
+    shown = set()
+    for line in lines:
+        argv = [bind.get(word, word) for word in shlex.split(line)[1:]]
+        shown.update(word for word in argv if word in cli._HANDLERS)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        assert code != 2, (line, capsys.readouterr().err)
+    # the section shows every subcommand
+    assert shown == set(cli._HANDLERS)

@@ -31,7 +31,6 @@ from spikecert.interval import (
     exp_iv,
     interval_from_decimal,
     intpow_iv,
-    ln_iv,
     sqrt_iv,
 )
 from spikecert.matrix import IntervalMatrix, pow_seven_halves_row
@@ -40,7 +39,6 @@ from spikecert.spaces import (
     PROFILE_SPACE,
     SOURCE_SPACE,
     CoefficientVector,
-    WeightedSpace,
 )
 
 from mutants import mutant_module
@@ -274,12 +272,12 @@ def test_recovery_argmax_is_the_first_of_tied_levels(monkeypatch):
 
 
 def test_zero_interaction_gives_zero():
-    c = convolution_constant(reference_model(0.0), 10, PROFILE_SPACE, SOURCE_SPACE)
+    c = convolution_constant(reference_model(0.0), 10)
     assert c.lo == 0.0 and c.hi == 0.0
 
 
 def test_reference_value_small_truncation():
-    c = convolution_constant(reference_model(1.0), 10, PROFILE_SPACE, SOURCE_SPACE)
+    c = convolution_constant(reference_model(1.0), 10)
     # 8 sqrt(sum_{j<=20} e^{-2 beta j}) (sum_{k<=10} q_k)^2 to 18 digits:
     # 230.384978436606481
     assert c.contains(230.384978436606481)
@@ -287,77 +285,56 @@ def test_reference_value_small_truncation():
 
 
 def test_reference_value_full_truncation():
-    c = convolution_constant(reference_model(1.0), 450, PROFILE_SPACE, SOURCE_SPACE)
+    c = convolution_constant(reference_model(1.0), 450)
     assert c.contains(7232.48369617838866)
     assert c.width / c.hi < 1e-10
 
 
 def test_constant_grows_with_truncation():
     m = reference_model(1.0)
-    c10 = convolution_constant(m, 10, PROFILE_SPACE, SOURCE_SPACE)
-    c20 = convolution_constant(m, 20, PROFILE_SPACE, SOURCE_SPACE)
+    c10 = convolution_constant(m, 10)
+    c20 = convolution_constant(m, 20)
     assert c20.lo >= c10.lo and c20.hi >= c10.hi
 
 
 def test_constant_scales_with_interaction_bound():
-    c1 = convolution_constant(reference_model(1.0), 8, PROFILE_SPACE, SOURCE_SPACE)
-    c3 = convolution_constant(reference_model(3.0), 8, PROFILE_SPACE, SOURCE_SPACE)
+    c1 = convolution_constant(reference_model(1.0), 8)
+    c3 = convolution_constant(reference_model(3.0), 8)
     assert c3.contains(3.0 * c1.mid)
 
 
 def scalar_convolution_constant(model, N, X, Y):
     """convolution_constant as two scalar loops, one term at a time, from the
-    top mode down, as the function once computed it."""
+    top mode down, as the function once computed it, for spaces with
+    s_Y - s_X = 1 (the per-mode power p = 1/2) and an even s_X."""
+    assert (Y.s - X.s, X.s % 2) == (1.0, 0.0)
     two_beta = IntervalScalar(Y.tau, Y.tau) - IntervalScalar(X.tau, X.tau)
     beta = two_beta * 0.5
-    p = (Y.s - X.s) / 2.0
     s1 = ZERO
     for k in range(N, 0, -1):
         one_plus = IntervalScalar(float(1 + k * k), float(1 + k * k))
-        if p == 0.0:
-            poly = ONE
-        elif p == 0.5:
-            poly = ONE / sqrt_iv(one_plus)
-        else:
-            poly = exp_iv(ln_iv(one_plus) * (-p))
-        s1 = s1 + poly * exp_iv(-(beta * float(k)))
+        s1 = s1 + ONE / sqrt_iv(one_plus) * exp_iv(-(beta * float(k)))
     geo = ZERO
     for j in range(2 * N, 0, -1):
         geo = geo + exp_iv(-(two_beta * float(j)))
-    s_half = X.s / 2.0
-    if float(s_half).is_integer():
-        pref = intpow_iv(IntervalScalar(2.0, 2.0), int(s_half))
-    else:
-        pref = exp_iv(ln_iv(IntervalScalar(2.0, 2.0)) * s_half)
+    pref = intpow_iv(IntervalScalar(2.0, 2.0), int(X.s) // 2)
     return pref * model.interaction_bound * sqrt_iv(geo) * s1 * s1
 
 
 @pytest.mark.parametrize("N", [1, 7, 128, 450])
-@pytest.mark.parametrize(
-    "X, Y, coupling",
-    [
-        (WeightedSpace(6.0, 0.08), WeightedSpace(6.0, 0.081), 1.0),  # p = 0
-        (PROFILE_SPACE, SOURCE_SPACE, 1.0),  # p = 0.5, the audit's pair
-        (WeightedSpace(5.0, 0.08), WeightedSpace(7.3, 0.1), 0.37),  # p = 1.15, s_X odd
-    ],
-    ids=["p0", "p0.5", "p1.15"],
-)
-def test_convolution_constant_matches_scalar_loops(N, X, Y, coupling):
-    model = reference_model(coupling)
-    c = convolution_constant(model, N, X, Y)
+# the audit's pair, the one convolution_constant has: p = (s_Y - s_X)/2 = 1/2
+@pytest.mark.parametrize("X, Y", [(PROFILE_SPACE, SOURCE_SPACE)], ids=["p0.5"])
+def test_convolution_constant_matches_scalar_loops(N, X, Y):
+    model = reference_model(1.0)
+    c = convolution_constant(model, N)
     assert bits(c) == bits(scalar_convolution_constant(model, N, X, Y))
 
 
 def test_missing_buffer_refused():
-    m = reference_model(1.0)
+    # the buffers are properties of the two fixed spaces (test_spaces.py);
+    # a truncation without modes is refused here
     with pytest.raises(CertificationError):
-        convolution_constant(m, 10, SOURCE_SPACE, PROFILE_SPACE)
-    with pytest.raises(CertificationError):
-        convolution_constant(m, 10, PROFILE_SPACE, PROFILE_SPACE)
-    with pytest.raises(CertificationError):
-        convolution_constant(m, 10, PROFILE_SPACE, WeightedSpace(s=3.0, tau=0.09))
-    with pytest.raises(CertificationError):
-        convolution_constant(m, 0, PROFILE_SPACE, SOURCE_SPACE)
+        convolution_constant(reference_model(1.0), 0)
 
 
 def test_rayleigh_ratio_never_exceeds_bound():
@@ -368,7 +345,7 @@ def test_rayleigh_ratio_never_exceeds_bound():
     """
     model = reference_model(1.0)
     cfg = OperatorConfig(model, make_interval(0.005, 0.0), truncation_N=12)
-    c = convolution_constant(model, 12, PROFILE_SPACE, SOURCE_SPACE)
+    c = convolution_constant(model, 12)
     rng = random.Random(20240818)
 
     def draw():
@@ -442,7 +419,7 @@ def test_report_invariant_enforced():
 
 def test_certify_constants_computes_when_undeclared():
     rec = recovery_mapping_constant(0.08, 0.081)
-    rep = certify_constants(rec, reference_model(1.0), 450, PROFILE_SPACE, SOURCE_SPACE)
+    rep = certify_constants(rec, reference_model(1.0), 450)
     assert (rep.C_rec_map, rep.argmax_k) == (rec.value, rec.argmax_k)
     assert rep.C_conv.contains(7232.48369617838866)
     product = rep.C_rec_map * rep.C_conv

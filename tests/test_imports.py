@@ -307,7 +307,6 @@ KEPT = {
         "tests/test_acceptance.py::test_criterion_09_jacobian_matches_finite_differences"
     ),
     ("operator", "apply_quadratic"): "perfbench/tracer.py",  # apply_quadratic_calls
-    ("oracle", "GridField.sample"): "tests/test_oracle.py::test_conjugation_accepts_sampled_field",
     ("oracle", "MeridionalGrid.h_rho"): "tests/test_oracle.py::test_grid_spacing",
     ("oracle", "MeridionalGrid.h_zeta"): "tests/test_oracle.py::test_grid_spacing",
     ("oracle", "MeridionalGrid.nodes"): "tests/test_oracle.py::test_grid_spacing",

@@ -9,7 +9,6 @@ import pytest
 from spikecert.oracle import (
     PolynomialField,
     AxisVanishingReport,
-    GridField,
     MeridionalGrid,
     check_axis_vanishing,
     check_conjugation,
@@ -56,17 +55,18 @@ def test_default_grid_shape():
 
 
 def test_field_rejects_nonfinite_and_wrong_rank():
-    with pytest.raises(ValueError, match="non-finite"):
-        GridField(np.array([[1.0, np.nan]]), "bad")
-    with pytest.raises(ValueError, match="2d"):
-        GridField(np.zeros(5))
+    g = MeridionalGrid(n_rho=16, n_zeta=16)
+    for check in (check_conjugation, check_divergence):
+        with pytest.raises(ValueError, match="non-finite"):
+            check(lambda r, z: np.where(r > 3.0, np.nan, r * z), g)
+        with pytest.raises(ValueError, match="does not match"):
+            check(lambda r, z: r[:, 0], g)
 
 
 def test_field_shape_must_match_grid():
     g = MeridionalGrid(n_rho=16, n_zeta=16)
-    f = GridField(np.zeros((8, 8)), "small")
     with pytest.raises(ValueError, match="does not match"):
-        check_conjugation(f, g)
+        check_conjugation(lambda r, z: np.zeros((8, 8)), g)
 
 
 # -------------------------------------------------------------- conjugation
@@ -135,11 +135,12 @@ def test_polynomial_field_validation_and_derivatives():
 
 
 def test_conjugation_accepts_sampled_field():
+    # a callable is sampled on the nodes: the same values given as a
+    # callable of the node arrays give the same discrepancy
     g = MeridionalGrid(n_rho=64, n_zeta=64)
     f = lambda r, z: r ** 3 * np.exp(-r * r - z * z)
-    from_callable = check_conjugation(f, g)
-    from_field = check_conjugation(GridField.sample(f, g, "w"), g)
-    assert from_callable == from_field
+    values = f(*g.nodes())
+    assert check_conjugation(f, g) == check_conjugation(lambda r, z: values, g)
 
 
 # --------------------------------------------------------------- divergence
@@ -175,7 +176,7 @@ def test_divergence_polynomials_exact_to_rounding():
         psi = rho ** 4 * sum(c * zeta ** j for j, c in enumerate(q))
         psi = psi + rng.uniform(-1.0, 1.0)
         scale = max(1.0, float(np.abs(psi).max()))
-        d = check_divergence(GridField(psi, "poly"), g)
+        d = check_divergence(lambda r, z: psi, g)
         assert d <= 1e-6 * scale
 
 

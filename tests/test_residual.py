@@ -16,10 +16,8 @@ from spikecert.operator import OperatorConfig, apply_G
 from spikecert.residual import certify_residual, weight_sq_row
 from spikecert.spaces import (
     PROFILE_SPACE,
-    SOURCE_SPACE,
     CoefficientVector,
     ProfileCertificate,
-    WeightedSpace,
     load_certificate,
 )
 
@@ -60,16 +58,14 @@ def mp_space_norm(modes: dict, space) -> mpmath.mpf:
 
 class TestCertifyResidual:
     def test_zero_profile_is_exactly_zero(self):
-        rep = certify_residual(
-            mk_cert(CoefficientVector()), mk_cfg(1.0), PROFILE_SPACE
-        )
+        rep = certify_residual(mk_cert(CoefficientVector()), mk_cfg(1.0))
         assert (rep.delta.lo, rep.delta.hi) == (0.0, 0.0)
         assert (rep.delta_fin.lo, rep.delta_fin.hi) == (0.0, 0.0)
         assert (rep.delta_tail.lo, rep.delta_tail.hi) == (0.0, 0.0)
 
     def test_single_mode_decoupled(self):
         c = CoefficientVector(((1, iv(1.0)),))
-        rep = certify_residual(mk_cert(c), mk_cfg(0.0), PROFILE_SPACE)
+        rep = certify_residual(mk_cert(c), mk_cfg(0.0))
         # 1.505 * 8 e^{0.08} to high precision
         assert rep.delta.contains(13.042776294806500)
         assert rep.delta.width / rep.delta.lo < 1e-13
@@ -78,7 +74,7 @@ class TestCertifyResidual:
     def test_mode_above_truncation_rejected(self):
         c = CoefficientVector(((11, iv(1.0)),))
         with pytest.raises(ValueError):
-            certify_residual(mk_cert(c), mk_cfg(0.0, N=10), PROFILE_SPACE)
+            certify_residual(mk_cert(c), mk_cfg(0.0, N=10))
 
     def test_report_recombines(self):
         rng = random.Random(51)
@@ -90,7 +86,7 @@ class TestCertifyResidual:
                     for j in rng.sample(range(1, N + 1), rng.randint(1, N))
                 )
             )
-            rep = certify_residual(mk_cert(c), mk_cfg(0.8, N=N), PROFILE_SPACE)
+            rep = certify_residual(mk_cert(c), mk_cfg(0.8, N=N))
             recomposed = sqrt_iv(
                 rep.delta_fin * rep.delta_fin + rep.delta_tail * rep.delta_tail
             )
@@ -110,9 +106,7 @@ class TestCertifyResidual:
             }
             c = CoefficientVector(tuple((j, iv(x)) for j, x in modes.items()))
             rep = certify_residual(
-                mk_cert(c, nu=nu),
-                mk_cfg(coupling, nu=nu, N=N, coupling_rec=crec),
-                PROFILE_SPACE,
+                mk_cert(c, nu=nu), mk_cfg(coupling, nu=nu, N=N, coupling_rec=crec)
             )
             G = brute_G(modes, coupling, crec, nu, N)
             oracle = mp_space_norm(G, PROFILE_SPACE)
@@ -137,8 +131,8 @@ class TestCertifyResidual:
             ((1, make_interval(0.3, 1e-6)), (3, make_interval(-0.2, 1e-6)))
         )
         cfg = mk_cfg(1.0, N=6)
-        d1 = certify_residual(mk_cert(base), cfg, PROFILE_SPACE).delta
-        d2 = certify_residual(mk_cert(wide), cfg, PROFILE_SPACE).delta
+        d1 = certify_residual(mk_cert(base), cfg).delta
+        d2 = certify_residual(mk_cert(wide), cfg).delta
         assert d2.hi >= d1.hi
 
 def scalar_residual(cert, cfg, space):
@@ -164,8 +158,8 @@ def bits(x):
     return float(x.lo).hex(), float(x.hi).hex()
 
 
-def assert_matches_scalar_residual(cert, cfg, space):
-    rep = certify_residual(cert, cfg, space)
+def assert_matches_scalar_residual(cert, cfg, space=PROFILE_SPACE):
+    rep = certify_residual(cert, cfg)
     delta_fin, delta_tail, delta = scalar_residual(cert, cfg, space)
     assert bits(rep.delta_fin) == bits(delta_fin)
     assert bits(rep.delta_tail) == bits(delta_tail)
@@ -173,7 +167,8 @@ def assert_matches_scalar_residual(cert, cfg, space):
 
 
 class TestResidualMatchesScalarLoop:
-    @pytest.mark.parametrize("space", [PROFILE_SPACE, SOURCE_SPACE, WeightedSpace(6.5, 0.08)])
+    # the one space certify_residual weights by
+    @pytest.mark.parametrize("space", [PROFILE_SPACE])
     def test_bundled_certificate(self, bundled_certificate_path, space):
         cert = load_certificate(bundled_certificate_path)
         assert_matches_scalar_residual(cert, mk_cfg(1.0, nu=0.005, N=450), space)
@@ -190,16 +185,15 @@ class TestResidualMatchesScalarLoop:
                 )
             )
             cfg = mk_cfg(rng.choice([0.0, 0.6]), N=N, coupling_rec=rng.choice([0.0, 0.3]))
-            for space in (PROFILE_SPACE, SOURCE_SPACE):
-                assert_matches_scalar_residual(mk_cert(c), cfg, space)
+            assert_matches_scalar_residual(mk_cert(c), cfg)
 
 
-def listed_residual(cert, cfg, space):
+def listed_residual(cert, cfg):
     """certify_residual by way of the mode list: apply_G's vector, sorted
     descending, back into a row; the bitwise reference for reading G's row."""
     desc = sorted(apply_G(cert.coefficients, cfg).items(), reverse=True)
     a = abs(IntervalMatrix.from_scalars([[rj for _, rj in desc]]))
-    terms = weight_sq_row(np.array([j for j, _ in desc], dtype=np.int64), space) * a * a
+    terms = weight_sq_row(np.array([j for j, _ in desc], dtype=np.int64)) * a * a
     n_tail = sum(1 for j, _ in desc if j > cfg.truncation_N)
     delta_fin = sqrt_iv(row_sum(terms[:, n_tail:]))
     delta_tail = sqrt_iv(row_sum(terms[:, :n_tail]))
@@ -207,9 +201,9 @@ def listed_residual(cert, cfg, space):
     return delta_fin, delta_tail, delta
 
 
-def assert_matches_listed_residual(cert, cfg, space=PROFILE_SPACE):
-    rep = certify_residual(cert, cfg, space)
-    delta_fin, delta_tail, delta = listed_residual(cert, cfg, space)
+def assert_matches_listed_residual(cert, cfg):
+    rep = certify_residual(cert, cfg)
+    delta_fin, delta_tail, delta = listed_residual(cert, cfg)
     assert bits(rep.delta_fin) == bits(delta_fin)
     assert bits(rep.delta_tail) == bits(delta_tail)
     assert bits(rep.delta) == bits(delta)
@@ -225,8 +219,7 @@ class TestResidualReadsTheRowOfG:
                     tuple((j, make_interval(rng.uniform(-1.0, 1.0), 1e-6)) for j in modes), N
                 )
                 cfg = mk_cfg(rng.uniform(0.1, 1.5), N=N, coupling_rec=rng.uniform(0.0, 0.5))
-                for space in (PROFILE_SPACE, SOURCE_SPACE):
-                    assert_matches_listed_residual(mk_cert(c), cfg, space)
+                assert_matches_listed_residual(mk_cert(c), cfg)
 
     @pytest.mark.parametrize(
         "coupling, crec, modes",
@@ -258,8 +251,8 @@ class TestResidualReadsTheRowOfG:
         guarded = dataclasses.replace(
             cfg, model=dataclasses.replace(cfg.model, interaction=refuse)
         )
-        rep = certify_residual(cert, guarded, PROFILE_SPACE)
-        assert bits(rep.delta) == bits(certify_residual(cert, cfg, PROFILE_SPACE).delta)
+        rep = certify_residual(cert, guarded)
+        assert bits(rep.delta) == bits(certify_residual(cert, cfg).delta)
 
 
 def test_dense_profile_residual_stays_small(tmp_path):
@@ -274,7 +267,7 @@ def test_dense_profile_residual_stays_small(tmp_path):
     cfg = OperatorConfig(model=reference_model(1.0), nu=cert.nu, truncation_N=128)
     tracemalloc.start()
     try:
-        delta = certify_residual(cert, cfg, PROFILE_SPACE).delta
+        delta = certify_residual(cert, cfg).delta
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -14,7 +14,6 @@ from spikecert.spaces import (
     SOURCE_SPACE,
     CoefficientVector,
     ProfileCertificate,
-    WeightedSpace,
     load_certificate,
     save_certificate,
 )
@@ -74,10 +73,13 @@ class TestWeights:
                 assert mpmath.mpf(w.lo) <= truth <= mpmath.mpf(w.hi)
 
     def test_space_validation(self):
-        with pytest.raises(ValueError):
-            WeightedSpace(s=-1.0, tau=0.08)
-        with pytest.raises(ValueError):
-            WeightedSpace(s=6.0, tau=0.0)
+        # what the residual weight and the convolution bound assume of the
+        # two fixed spaces: the integer power s_X = 6, the prefactor 2^{s_X/2}
+        # = 2^3, the per-mode power (s_Y - s_X)/2 = 1/2 and the buffer
+        # tau_Y > tau_X
+        assert PROFILE_SPACE.s == 6
+        assert SOURCE_SPACE.s == 7
+        assert SOURCE_SPACE.tau > PROFILE_SPACE.tau
 
 
 class TestNorm:

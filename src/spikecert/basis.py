@@ -20,9 +20,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .interval import ZERO, IntervalScalar
-from .matrix import IntervalMatrix, pow_seven_halves_row
+from .matrix import EndpointTable, IntervalMatrix, pow_seven_halves_row
 
 __all__ = ["BasisModel", "reference_model"]
+
+# k^{7/2} for k = 1, 2, ...: the recovery kernel's factor, which no
+# coupling enters, so one table serves every model of the process
+_SEVEN_HALVES = EndpointTable(pow_seven_halves_row)
 
 
 @dataclass(frozen=True)
@@ -58,8 +62,9 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
     lambda_j = j^2, d_j = j/2, C_{klj} = coupling / (1 + |j-k-l|) inside the
     triangle band |k-l| <= j <= k+l and zero outside, K_rec(k) =
     coupling_rec * k^{7/2} (coupling_rec defaults to coupling).  lambda_j
-    and d_j are exact floats.  The quotients and the recovery kernel are
-    read from endpoint tables that grow on demand, formed with the
+    and d_j are exact floats.  The quotients coupling / (1 + d) are read
+    from an endpoint table of the model, and k^{7/2} from one table shared
+    by every model; both grow on demand and are formed with the
     IntervalMatrix twins of the scalar expressions, so each entry has the
     bits of the scalar one.
     """
@@ -70,36 +75,10 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
             raise ValueError(f"{name} must be finite and nonnegative, got {x!r}")
     cpl = IntervalScalar(coupling, coupling)
     crec = IntervalScalar(coupling_rec, coupling_rec)
-    # q_lo[d], q_hi[d]: cpl / (1 + d), the interaction at distance
-    # d = |j - k - l| from the band's top edge; grown on demand, each entry
-    # computed once
-    q_lo = q_hi = np.zeros(0)
-
-    def quotients_to(d_max: int):
-        nonlocal q_lo, q_hi
-        if d_max >= q_lo.size:
-            ds = np.arange(q_lo.size + 1, d_max + 2, dtype=np.float64)[None, :]
-            q = cpl / IntervalMatrix.from_point(ds)
-            q_lo = np.concatenate((q_lo, q.lo[0]))
-            q_hi = np.concatenate((q_hi, q.hi[0]))
-        return q_lo, q_hi
-
-    # r_lo[k-1], r_hi[k-1]: K_rec(k) = crec * k^{7/2}, formed entrywise with
-    # the bits of crec * pow_seven_halves(k); grown on demand to at least
-    # twice its size and at least 512 entries, since a step of up to 512
-    # entries costs about what one entry does (numpy's per-call overhead),
-    # so a scan over k = 1, 2, ... takes O(log k) steps
-    r_lo = r_hi = np.zeros(0)
-
-    def kernels_to(k_max: int):
-        nonlocal r_lo, r_hi
-        if k_max > r_lo.size:
-            top = max(k_max, 2 * r_lo.size, 512)
-            ks = np.arange(r_lo.size + 1, top + 1, dtype=np.float64)
-            r = crec * pow_seven_halves_row(IntervalMatrix.from_point(ks[None, :]))
-            r_lo = np.concatenate((r_lo, r.lo[0]))
-            r_hi = np.concatenate((r_hi, r.hi[0]))
-        return r_lo, r_hi
+    # entry d: cpl / (1 + d), the interaction at distance d = |j - k - l|
+    # from the band's top edge; it depends on the coupling, so each model
+    # has its own table
+    quotients = EndpointTable(lambda x: cpl / x)
 
     def diffusion_row(modes: Sequence[int]) -> IntervalMatrix:
         j = _mode_array(modes).astype(np.float64)[None, :]
@@ -109,9 +88,10 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
         return IntervalMatrix.from_point(0.5 * _mode_array(modes)[None, :])
 
     def kernel_row(modes: Sequence[int]) -> IntervalMatrix:
+        # crec * k^{7/2} entry by entry: the bits of crec * pow_seven_halves(k)
         at = _mode_array(modes)[None, :] - 1
-        lo, hi = kernels_to(int(at.max(initial=-1)) + 1)
-        return IntervalMatrix(lo[at], hi[at])
+        lo, hi = _SEVEN_HALVES.upto(int(at.max(initial=-1)) + 1)
+        return crec * IntervalMatrix(lo[at], hi[at])
 
     def interaction(k: int, l: int, j: int) -> IntervalScalar:
         _check_index(k)
@@ -120,7 +100,7 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
         if coupling == 0.0 or not (abs(k - l) <= j <= k + l):
             return ZERO
         d = k + l - j
-        lo, hi = quotients_to(d)
+        lo, hi = quotients.upto(d + 1)
         return IntervalScalar(float(lo[d]), float(hi[d]))
 
     def interaction_block(k: int, ls: Sequence[int], n: int) -> IntervalMatrix:
@@ -133,7 +113,10 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
         hi = np.zeros(band.shape)
         if band.any():
             d = (k + l - j)[band]
-            table_lo, table_hi = quotients_to(int(d.max()))
+            # every d is below k + max(ls) <= 2 max(k, ls): the operator's
+            # source modes lie among or below its columns, so its first
+            # block grows the table for all the others
+            table_lo, table_hi = quotients.upto(2 * max(k, int(l.max())))
             lo[band] = table_lo[d]
             hi[band] = table_hi[d]
         return IntervalMatrix(lo, hi)

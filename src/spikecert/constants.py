@@ -20,6 +20,7 @@ prefactor, because that is the value downstream audits compare against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Decimal, localcontext
@@ -170,6 +171,16 @@ def convolution_constant(model: BasisModel, N: int) -> IntervalScalar:
         raise CertificationError(f"interaction bound must be nonnegative, got {cb}")
     if cb.hi == 0.0:
         return ZERO
+    s1, root_geo = _convolution_sums(N)
+    # the prefactor 2^{s_X/2} = 2^3
+    return intpow_iv(_TWO, 3) * cb * root_geo * s1 * s1
+
+
+@functools.lru_cache(maxsize=16)
+def _convolution_sums(N: int):
+    """(sum_{k<=N} q_k, sqrt(sum_{j<=2N} e^{-2 beta j})) of
+    convolution_constant.  They depend on N alone, so they are kept for the
+    16 truncations last asked for: an audit process asks for one or a few."""
     X, Y = PROFILE_SPACE, SOURCE_SPACE
     two_beta = IntervalScalar(Y.tau, Y.tau) - IntervalScalar(X.tau, X.tau)
     beta = two_beta * 0.5
@@ -181,8 +192,7 @@ def convolution_constant(model: BasisModel, N: int) -> IntervalScalar:
     s1 = row_sum(ONE / one_plus.sqrt() * (-(beta * kk)).exp())
     jj = IntervalMatrix.from_point(np.arange(2 * N, 0, -1, dtype=np.float64)[None, :])
     geo = row_sum((-(two_beta * jj)).exp())
-    # the prefactor 2^{s_X/2} = 2^3
-    return intpow_iv(_TWO, 3) * cb * sqrt_iv(geo) * s1 * s1
+    return s1, sqrt_iv(geo)
 
 
 def _ceil_two_significant(x: float) -> float:

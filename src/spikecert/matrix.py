@@ -58,6 +58,7 @@ from .interval import (
 
 __all__ = [
     "IntervalMatrix",
+    "EndpointTable",
     "row_sum",
     "pow_seven_halves_row",
     "point_times_interval",
@@ -474,13 +475,63 @@ class IntervalMatrix:
         )
 
 
+class EndpointTable:
+    """The entries f(1), ..., f(n) of an entrywise row function f, formed on
+    demand: ``row`` maps a 1 x m point row of positive integers to the row of
+    their values, each entry with the bits of its own scalar chain, so a
+    table grown in pieces has the bits of one formed at once.  A step forms
+    exactly the entries past the table's end up to the need.
+
+    The endpoints live in one (lo, hi) tuple of read-only arrays, replaced
+    whole when the table grows, and ``upto`` hands back the tuple it read or
+    built: callers in different threads never see a short or mismatched
+    pair, and a step raced by another merely forms the same entries twice."""
+
+    __slots__ = ("_row", "_ends")
+
+    def __init__(self, row):
+        self._row = row
+        self._ends = (np.zeros(0), np.zeros(0))
+
+    def upto(self, n: int):
+        """(lo, hi) of f(1..m) for some m >= n: f(i) at index i - 1."""
+        ends = self._ends
+        size = ends[0].size
+        if n <= size:
+            return ends
+        ks = np.arange(size + 1, n + 1, dtype=np.float64)
+        new = self._row(IntervalMatrix.from_point(ks[None, :]))
+        ends = tuple(np.concatenate((old, x[0])) for old, x in zip(ends, (new.lo, new.hi)))
+        for x in ends:
+            x.flags.writeable = False
+        self._ends = ends
+        return ends
+
+
 def row_sum(row: IntervalMatrix) -> IntervalScalar:
     """Sum of the entries of a 1 x n row, left to right from ZERO, with the
-    bits of the same running sum in IntervalScalar arithmetic."""
+    bits of the same running sum in IntervalScalar arithmetic.
+
+    The loop spells out _add's two-sum and nudge for finite sums.  A sum
+    that is not finite stays so for the rest of the inline loop (its error
+    term is NaN, so no nudge applies), whereas _add clamps an overflow to
+    +-MAX and may come back to finite values; a row whose inline result is
+    not finite is therefore summed again by the _add loop."""
+    los, his = row.lo[0].tolist(), row.hi[0].tolist()
     lo = hi = 0.0
-    for a, b in zip(row.lo[0].tolist(), row.hi[0].tolist()):
-        lo = _add(lo, a, False)
-        hi = _add(hi, b, True)
+    nextafter, inf = math.nextafter, _INF
+    for a, b in zip(los, his):
+        s = lo + a
+        t = s - lo
+        lo = nextafter(s, -inf) if (lo - (s - t)) + (a - t) < 0.0 else s
+        s = hi + b
+        t = s - hi
+        hi = nextafter(s, inf) if (hi - (s - t)) + (b - t) > 0.0 else s
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        lo = hi = 0.0
+        for a, b in zip(los, his):
+            lo = _add(lo, a, False)
+            hi = _add(hi, b, True)
     return IntervalScalar(lo, hi)
 
 

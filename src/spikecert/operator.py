@@ -88,12 +88,16 @@ def _symbol(modes: Sequence[int], cfg: OperatorConfig) -> IntervalMatrix:
     return (ONE + model.drift_row(modes)) + cfg.nu * model.diffusion_row(modes)
 
 
-def _slab_terms(weights: dict, cols: Sequence[int], n: int, cfg: OperatorConfig):
-    """Per source mode k, the n x len(cols) terms of C_{k, cols[i], j} W_k[i]
-    (module docstring), W_k = ``weights[k]``, and the mask of entries reached
-    (no factor [0, 0]); an infinite endpoint makes its radius term inf."""
-    for k, w in weights.items():
-        Wm, Wr, w_inf = _mid_rad(w)
+def _slab_terms(
+    W: IntervalMatrix, ks: Sequence[int], cols: Sequence[int], n: int, cfg: OperatorConfig
+):
+    """Per source mode k = ks[r], the n x len(cols) terms of C_{k, cols[i], j}
+    W_k[i] (module docstring), W_k = row r of ``W``, and the mask of entries
+    reached (no factor [0, 0]); an infinite endpoint makes its radius term
+    inf.  Each row is split into mid and rad on its own, so no len(ks) x
+    len(cols) temporaries are formed."""
+    for r, k in enumerate(ks):
+        Wm, Wr, w_inf = _mid_rad(W[r, None])
         Wa = np.abs(Wm) + Wr
         w_live = (Wa != 0.0) | w_inf
         if not w_live.any():
@@ -113,7 +117,9 @@ def _slab_terms(weights: dict, cols: Sequence[int], n: int, cfg: OperatorConfig)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _interaction_sum(weights: dict, cols: Sequence[int], n: int, cfg: OperatorConfig):
+def _interaction_sum(
+    W: IntervalMatrix, ks: Sequence[int], cols: Sequence[int], n: int, cfg: OperatorConfig
+):
     """The n x len(cols) matrix [j-1, i] = sum_k C_{k, cols[i], j} W_k[i],
     added over k in order, so n counts the terms that reach an entry.  An
     overflowing term or sum is inf or NaN here, which _mid_rad_enclosure
@@ -121,7 +127,7 @@ def _interaction_sum(weights: dict, cols: Sequence[int], n: int, cfg: OperatorCo
     generator too, which runs inside this call)."""
     sums = [np.zeros((n, len(cols))) for _ in range(3)]
     count = np.zeros((n, len(cols)), dtype=np.int32)
-    for *terms, reach in _slab_terms(weights, cols, n, cfg):
+    for *terms, reach in _slab_terms(W, ks, cols, n, cfg):
         for acc, x in zip(sums, terms):
             acc += x
         count += reach
@@ -130,12 +136,14 @@ def _interaction_sum(weights: dict, cols: Sequence[int], n: int, cfg: OperatorCo
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _interaction_row(weights: dict, cols: Sequence[int], n: int, cfg: OperatorConfig):
+def _interaction_row(
+    W: IntervalMatrix, ks: Sequence[int], cols: Sequence[int], n: int, cfg: OperatorConfig
+):
     """_interaction_sum summed over i, a 1 x n row added by halves over i, then
     k: n is 1 + ceil(log2 len(cols)) + ceil(log2 #k) where a term reaches;
     numpy's warnings are off as in _interaction_sum."""
     parts, reached = ([], [], []), np.zeros(n, dtype=bool)
-    for *terms, reach in _slab_terms(weights, cols, n, cfg):
+    for *terms, reach in _slab_terms(W, ks, cols, n, cfg):
         for part, x in zip(parts, terms):
             part.append(_halving(x))
         reached |= reach.any(axis=1)
@@ -158,9 +166,9 @@ def apply_quadratic(
     over the support of v, so sparse inputs cost O(|u||v| N), not O(N^3)."""
     _check_support(u, cfg, "apply_quadratic")
     _check_support(v, cfg, "apply_quadratic")
-    v_row = _coefficients(v)
-    weights = {k: v_row * uk for k, uk in u.items()}
-    return _vector(_interaction_row(weights, v.support, 2 * cfg.truncation_N, cfg))
+    # row r is W_k = v u_k, k the r-th mode of u's support
+    W = _coefficients(v) * _coefficients(u)[0, :, None]
+    return _vector(_interaction_row(W, u.support, v.support, 2 * cfg.truncation_N, cfg))
 
 
 def apply_G(c: CoefficientVector, cfg: OperatorConfig) -> CoefficientVector:
@@ -176,12 +184,13 @@ def _G_row(c: CoefficientVector, cfg: OperatorConfig) -> IntervalMatrix:
     coeffs = _coefficients(c)
     kernel = cfg.model.kernel_row(c.support)
     stretched = coeffs * (kernel * 2.0 + ONE)
-    weights = {k: stretched * ck for k, ck in c.items()}
+    # row r is W_k = c (1 + 2 K) c_k, k the r-th mode of the support
+    W = stretched * coeffs[0, :, None]
     linear = _symbol(c.support, cfg) * coeffs
     at = np.array(c.support, dtype=np.intp) - 1
     lo, hi = np.zeros((1, n2)), np.zeros((1, n2))
     lo[0, at], hi[0, at] = linear.lo[0], linear.hi[0]
-    return IntervalMatrix(lo, hi) + _interaction_row(weights, c.support, n2, cfg)
+    return IntervalMatrix(lo, hi) + _interaction_row(W, c.support, c.support, n2, cfg)
 
 
 def _vector(row: IntervalMatrix) -> CoefficientVector:
@@ -205,11 +214,10 @@ def assemble_jacobian(c: CoefficientVector, cfg: OperatorConfig) -> IntervalMatr
     N = cfg.truncation_N
     modes = range(1, N + 1)
     K = cfg.model.kernel_row(modes)
-    # row i is W_k = (K + (1 + K_k)) (2 c_k), k the i-th mode of the support
+    # row r is W_k = (K + (1 + K_k)) (2 c_k), k the r-th mode of the support
     src = np.array(c.support, dtype=np.intp)[:, None] - 1
     W = (K + (K[0, src] + ONE)) * (_coefficients(c)[0, :, None] * 2.0)
-    weights = {k: W[i, None] for i, k in enumerate(c.support)}
-    J = _interaction_sum(weights, modes, N, cfg)
+    J = _interaction_sum(W, c.support, modes, N, cfg)
     d = np.arange(N)
     diag = J[None, d, d] + _symbol(modes, cfg)
     J.lo[d, d], J.hi[d, d] = diag.lo[0], diag.hi[0]

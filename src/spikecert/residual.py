@@ -13,21 +13,40 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interval import IntervalScalar, sqrt_iv
-from .matrix import IntervalMatrix, row_sum
+from .matrix import EndpointTable, IntervalMatrix, row_sum
 from .operator import OperatorConfig, _G_row
 from .spaces import PROFILE_SPACE, ProfileCertificate
 
 __all__ = ["ResidualReport", "certify_residual", "weight_sq_row"]
 
 
+def _weight_sq_chain(jf: IntervalMatrix) -> IntervalMatrix:
+    """(1+j^2)^s e^{2 tau j} of PROFILE_SPACE for a point row jf of modes,
+    the matrix twin of the scalar chain intpow_iv, exp_iv for each mode."""
+    poly = (jf.intpow(2) + 1.0).intpow(int(PROFILE_SPACE.s))
+    rate = IntervalScalar(2.0 * PROFILE_SPACE.tau, 2.0 * PROFILE_SPACE.tau) * jf
+    return poly * rate.exp()
+
+
+# the weights of modes 1, 2, ..., formed once per process.  The table stops
+# at 2N for the command line's largest N, where e^{2 tau j} is far inside
+# the double range (2 tau * 4096 < 656 < 709); a row with a mode above it,
+# or below 1, takes the chain on its own, whose exp raises where it
+# overflows, naming the first such entry of that row.
+_WEIGHT_MODES = 4096
+_WEIGHT_SQ = EndpointTable(_weight_sq_chain)
+
+
 def weight_sq_row(j: np.ndarray) -> IntervalMatrix:
     """The squared weight (1+j^2)^s e^{2 tau j} of PROFILE_SPACE (s = 6,
     tau = 0.08) for each mode of an int array j, as a row; each entry has
     the bits of the scalar chain intpow_iv, exp_iv gives for its mode."""
-    jf = IntervalMatrix.from_point(j[None, :].astype(np.float64))
-    poly = (jf.intpow(2) + 1.0).intpow(int(PROFILE_SPACE.s))
-    rate = IntervalScalar(2.0 * PROFILE_SPACE.tau, 2.0 * PROFILE_SPACE.tau) * jf
-    return poly * rate.exp()
+    top = int(j.max(initial=0))
+    if top > _WEIGHT_MODES or int(j.min(initial=1)) < 1:
+        return _weight_sq_chain(IntervalMatrix.from_point(j[None, :].astype(np.float64)))
+    at = j[None, :] - 1
+    lo, hi = _WEIGHT_SQ.upto(top)
+    return IntervalMatrix(lo[at], hi[at])
 
 
 @dataclass(frozen=True)

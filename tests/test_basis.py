@@ -3,9 +3,10 @@ import math
 
 import pytest
 
+from spikecert import basis
 from spikecert.basis import BasisModel, reference_model
 from spikecert.interval import IntervalScalar, pow_seven_halves
-from spikecert.matrix import IntervalMatrix
+from spikecert.matrix import EndpointTable, IntervalMatrix, pow_seven_halves_row
 from spikecert.operator import OperatorConfig, apply_G
 from spikecert.spaces import CoefficientVector
 
@@ -284,10 +285,11 @@ class TestRecoveryKernelBound:
             m.kernel_row([0])
 
     @pytest.mark.parametrize("coupling_rec", [0.0, 0.37, 1.0, 2.9])
-    def test_table_is_the_scalar_chain(self, coupling_rec):
-        # K_rec(k) comes from a table grown on demand; every entry keeps the
-        # bits of crec * k**3.5 in scalar arithmetic, whatever the order of
-        # the queries that grew it
+    def test_table_is_the_scalar_chain(self, coupling_rec, monkeypatch):
+        # K_rec(k) = crec * k^{7/2} reads k^{7/2} from a table every model
+        # shares, grown on demand; each query order starts from a fresh
+        # table, so its growth steps run, and every entry keeps the bits of
+        # crec * k**3.5 in scalar arithmetic
         crec = IntervalScalar(coupling_rec, coupling_rec)
         ks = range(1, 2051)
         expect = {k: crec * pow_seven_halves(k) for k in ks}
@@ -295,10 +297,14 @@ class TestRecoveryKernelBound:
         # ascending, each k asked again after an earlier one, across the growth steps
         growing = [q for k in ks for q in (k, k // 2 + 1, k)]
         for order in (descending * 2, growing):
+            table = EndpointTable(pow_seven_halves_row)
+            monkeypatch.setattr(basis, "_SEVEN_HALVES", table)
             m = reference_model(1.0, coupling_rec=coupling_rec)
             for k in order:
                 got = entry(m.kernel_row([k]))
                 assert (got.lo.hex(), got.hi.hex()) == (expect[k].lo.hex(), expect[k].hi.hex()), k
+            # growth never goes past the largest k asked for
+            assert table.upto(1)[0].size == 2050
 
     @pytest.mark.parametrize("coupling_rec", [0.0, 1.0])
     @pytest.mark.parametrize("bad", [0, -3, True, 2.0])

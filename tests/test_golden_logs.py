@@ -9,12 +9,17 @@ a change that is meant to alter an output:
     PYTHONPATH=src python tests/test_golden_logs.py
 """
 
+import concurrent.futures
 import contextlib
 import io
 import json
+import os
 import pathlib
+import re
+import subprocess
 import sys
 import tempfile
+import threading
 
 import pytest
 
@@ -57,13 +62,18 @@ def _scaled(name: str, factor: float):
     return case
 
 
+def _constant_free_doc(at) -> dict:
+    # the bundled five-mode shape at modes ``at``, without declared constants
+    doc = _bundled()
+    del doc["constants"]
+    doc["modes"] = [dict(m, j=j) for m, j in zip(doc["modes"], at)]
+    return doc
+
+
 def _constant_free(at):
-    # the bundled five-mode shape at modes ``at``, truncated at the last one
+    # truncated at the last mode of ``at``
     def case(tmp):
-        doc = _bundled()
-        del doc["constants"]
-        doc["modes"] = [dict(m, j=j) for m, j in zip(doc["modes"], at)]
-        return _audit(doc, tmp, truncation_N=at[-1])
+        return _audit(_constant_free_doc(at), tmp, truncation_N=at[-1])
 
     return case
 
@@ -130,6 +140,62 @@ def test_output_matches_golden_copy(name, tmp_path):
 
 def test_every_golden_copy_has_a_case():
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(CASES)
+
+
+# N = 450, then N = 128, then N = 450 again: the tables the audit keeps for
+# the whole process (the weights of X, k^{7/2}, the sums of C_conv) grow
+# on the first audit and serve the others
+WARM_SEQUENCE = (
+    ("bundled", None, 450),
+    ("constant_free_N128", (1, 14, 43, 85, 128), 128),
+    ("bundled", None, 450),
+)
+
+
+def test_one_process_keeps_each_log(tmp_path):
+    src = str(pathlib.Path(spikecert.__file__).resolve().parents[1])
+    for name, at, modes in WARM_SEQUENCE:
+        doc = _bundled() if at is None else _constant_free_doc(at)
+        text = _audit(doc, tmp_path, truncation_N=modes)
+        assert text == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"), name
+        child = subprocess.run(
+            [sys.executable, "-m", "spikecert.cli", "audit",
+             "--profile", str(tmp_path / "certificate.json"), "--modes", str(modes)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == (0 if at is None else 1), child.stderr
+        assert re.sub(r"run started \S+", f"run started {STAMP}", child.stdout) == text, name
+
+
+def test_concurrent_audits_give_the_serial_logs(tmp_path, monkeypatch):
+    # 4 threads x 3 audits on fresh process-wide tables, started together,
+    # so the threads grow the same tables at once
+    from spikecert import basis, constants, residual
+    from spikecert.matrix import EndpointTable, pow_seven_halves_row
+
+    monkeypatch.setattr(basis, "_SEVEN_HALVES", EndpointTable(pow_seven_halves_row))
+    monkeypatch.setattr(residual, "_WEIGHT_SQ", EndpointTable(residual._weight_sq_chain))
+    constants._convolution_sums.cache_clear()
+    paths = {}
+    for name, at, _ in WARM_SEQUENCE:
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(_bundled() if at is None else _constant_free_doc(at)))
+    start = threading.Barrier(4)
+
+    def worker(_):
+        start.wait(timeout=60)
+        return [
+            run_audit(paths[name], AuditConfig(timestamp=STAMP, truncation_N=modes)).log.render()
+            for name, _, modes in WARM_SEQUENCE
+        ]
+
+    with concurrent.futures.ThreadPoolExecutor(4) as pool:
+        logs = list(pool.map(worker, range(4), timeout=300))
+    serial = [(GOLDEN / f"{name}.txt").read_text(encoding="utf-8") for name, _, _ in WARM_SEQUENCE]
+    assert logs == [serial] * 4
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
+import concurrent.futures
 import math
 import operator
 import random
 import struct
 import sys
+import threading
 from decimal import Decimal
 from fractions import Fraction
 
@@ -34,6 +36,7 @@ from spikecert.interval import (
     sqrt_iv,
 )
 from spikecert.matrix import (
+    EndpointTable,
     IntervalMatrix,
     _mid_rad,
     identity_minus,
@@ -463,6 +466,7 @@ class TestUlpSteps:
 # subnormals, both edges of the error-free-transformation band, products and
 # sums that overflow, and ordinary values
 _TINY = 5e-324
+MAX = sys.float_info.max
 _kernel_edges = [
     0.0, -0.0, _TINY, -_TINY, 2.2250738585072014e-308, 1e-300,
     1e-290, math.nextafter(1e-290, 0.0), math.nextafter(1e-290, 1.0),
@@ -805,6 +809,39 @@ class TestMatrixKernels:
         empty = row_sum(IntervalMatrix(np.zeros((1, 0)), np.zeros((1, 0))))
         assert _same(empty.lo, empty.hi, IntervalScalar(0.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "ends",
+        [
+            # the lower sum overflows to +inf, which _add clamps to MAX, then
+            # comes back to a finite value; the upper sum stays at +inf
+            [(MAX, MAX), (MAX, MAX), (-MAX, -MAX), (-MAX, -MAX), (0.1, 0.1)],
+            # the upper sum overflows to -inf, clamped to -MAX, then comes back
+            [(-MAX, -MAX), (-MAX, -MAX), (MAX, MAX), (MAX, MAX), (-0.1, -0.1)],
+        ],
+    )
+    def test_row_sum_overflows_and_comes_back(self, ends):
+        xs = [IntervalScalar(lo, hi) for lo, hi in ends]
+        total = IntervalScalar(0.0, 0.0)
+        for x in xs:
+            total = total + x
+        assert math.isfinite(total.lo) != math.isfinite(total.hi)
+        r = row_sum(IntervalMatrix.from_scalars([xs]))
+        assert _same(r.lo, r.hi, total)
+
+    def test_row_sum_of_random_rows(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            xs = []
+            for _ in range(rng.randint(1, 40)):
+                a = rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-300, 300)
+                b = math.nextafter(a, math.inf) if rng.random() < 0.5 else a
+                xs.append(IntervalScalar(a, b))
+            total = IntervalScalar(0.0, 0.0)
+            for x in xs:
+                total = total + x
+            r = row_sum(IntervalMatrix.from_scalars([xs]))
+            assert _same(r.lo, r.hi, total)
+
     def test_poisoned_or_foreign_operands_rejected(self):
         A = IntervalMatrix.from_point(np.ones((2, 2)))
         with pytest.raises(IntervalError):
@@ -835,6 +872,66 @@ _FLAGGED_D = [
     iv(_TINY, 0.3), iv(-1e200), iv(1e300), iv(-1e308, -1e-308),
 ]
 _FLAGGED_SCALARS = [iv(1e10), iv(-1e-200), iv(0.0), iv(-0.0), iv(0.75, 1.25), iv(-2.0, 1e300)]
+
+
+class TestEndpointTable:
+    """EndpointTable holds f(1..n) of an entrywise row function; the row
+    used here, 1 / k, has a scalar twin to compare each entry with."""
+
+    @staticmethod
+    def _reciprocals(k):
+        return 1.0 / k
+
+    def _expect(self, n):
+        return [(1.0 / IntervalScalar(float(k), float(k))) for k in range(1, n + 1)]
+
+    def test_growth_stops_at_the_need(self):
+        table = EndpointTable(self._reciprocals)
+        assert table.upto(0)[0].size == 0
+        assert table.upto(3)[0].size == 3
+        assert table.upto(4)[0].size == 4
+        assert table.upto(20)[0].size == 20
+        assert table.upto(20) is table.upto(7)  # no step: the same tuple
+
+    def test_entries_are_read_only_scalar_twins(self):
+        table = EndpointTable(self._reciprocals)
+        for n in (1, 2, 5, 11, 40):
+            lo, hi = table.upto(n)
+            want = self._expect(lo.size)
+            assert [(a.hex(), b.hex()) for a, b in zip(lo.tolist(), hi.tolist())] == [
+                (w.lo.hex(), w.hi.hex()) for w in want
+            ]
+        with pytest.raises(ValueError):
+            lo[0] = 0.0
+
+    def test_threads_never_see_a_short_or_mismatched_pair(self):
+        # 8 threads on 2 or more cores grow one table at once, with a short
+        # switch interval; every tuple a call returns covers its need and
+        # has the serial bits on both sides
+        want = self._expect(4096)
+        want = (np.array([w.lo for w in want]), np.array([w.hi for w in want]))
+        table = EndpointTable(self._reciprocals)
+        start = threading.Barrier(8)
+
+        def grow(seed):
+            rng = random.Random(seed)
+            start.wait(timeout=30)
+            for _ in range(300):
+                n = rng.randint(1, 4096)
+                lo, hi = table.upto(n)
+                assert lo.size >= n and lo.size == hi.size
+                assert np.array_equal(lo, want[0][: lo.size])
+                assert np.array_equal(hi, want[1][: hi.size])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(grow, seed) for seed in range(8)]
+                for f in futures:
+                    f.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestFlaggedEntries:

@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from spikecert import matrix, operator
+from spikecert import basis, matrix, operator
 from spikecert.basis import reference_model
 from spikecert.cli import main as cli_main
 from spikecert.interval import IntervalScalar
@@ -728,6 +728,36 @@ class TestOperatorReadsOnlyTheBasis:
         assert q.support == tuple(range(1, 12))
         J = assemble_jacobian(vec({9: 1.0}, 10), cfg)
         assert (J.lo[0, 1], J.hi[0, 1]) != (0.0, 0.0)
+
+
+class TestQuotientTableGrowth:
+    """The model's quotient table grows in one step per G row and per
+    Jacobian: the first interaction block asks for every distance the
+    later ones reach."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        formed = []
+
+        class Counting(matrix.EndpointTable):
+            def __init__(self, row):
+                super().__init__(lambda x: formed.append(x.shape[1]) or row(x))
+
+        monkeypatch.setattr(basis, "EndpointTable", Counting)
+        return formed
+
+    def test_one_step_per_g_row(self, steps):
+        c = vec({1: 1.0, 50: -0.5, 150: 0.25, 300: 0.1, 450: 0.01}, 450)
+        cfg = cfg_for(1.0, N=450)
+        apply_G(c, cfg)
+        assert steps == [900]
+        apply_G(c, cfg)
+        assert steps == [900]
+
+    def test_one_step_per_jacobian(self, steps):
+        c = vec({1: 1.0, 14: 0.3, 43: -0.1, 85: 0.05, 128: 0.01}, 128)
+        assemble_jacobian(c, cfg_for(1.0, N=128))
+        assert steps == [256]
 
 
 class TestApplyGMatchesVectorJoin:

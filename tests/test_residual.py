@@ -8,10 +8,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from spikecert import residual
 from spikecert.basis import reference_model
 from spikecert.cli import main as cli_main
-from spikecert.interval import IntervalScalar, sqrt_iv
-from spikecert.matrix import IntervalMatrix, row_sum
+from spikecert.interval import IntervalError, IntervalOverflowError, IntervalScalar, sqrt_iv
+from spikecert.matrix import EndpointTable, IntervalMatrix, row_sum
 from spikecert.operator import OperatorConfig, apply_G
 from spikecert.residual import certify_residual, weight_sq_row
 from spikecert.spaces import (
@@ -253,6 +254,59 @@ class TestResidualReadsTheRowOfG:
         )
         rep = certify_residual(cert, guarded)
         assert bits(rep.delta) == bits(certify_residual(cert, cfg).delta)
+
+
+class TestWeightTable:
+    """weight_sq_row reads X's squared weights from a table formed once per
+    process.  Grown in pieces and queried in any order, each entry has the
+    bits of the scalar chain oracles.weight_sq; a mode above the table takes
+    the chain on its own row."""
+
+    def test_table_is_the_scalar_chain(self, monkeypatch):
+        top = residual._WEIGHT_MODES
+        expect = {j: bits(weight_sq(j, PROFILE_SPACE)) for j in range(1, top + 1)}
+        rng = random.Random(57)
+        descending = [[j] for j in range(top, 0, -1)]
+        # ascending, each mode asked again after an earlier one, across the growth steps
+        growing = [[q] for j in range(1, top + 1, 3) for q in (j, j // 3 + 1)]
+        batches = [[rng.randint(1, top) for _ in range(rng.randint(0, 9))] for _ in range(400)]
+        for order in (descending, growing, batches):
+            table = EndpointTable(residual._weight_sq_chain)
+            monkeypatch.setattr(residual, "_WEIGHT_SQ", table)
+            for js in order:
+                w = weight_sq_row(np.array(js, dtype=np.intp))
+                assert w.shape == (1, len(js))
+                for i, j in enumerate(js):
+                    assert bits(w.entry(0, i)) == expect[j], j
+            # growth never goes past the largest mode asked for
+            need = max((j for js in order for j in js), default=0)
+            assert table.upto(1)[0].size == max(need, 1)
+
+    def test_modes_below_one_take_the_chain(self):
+        # the table starts at mode 1: mode 0 keeps an enclosure of its own
+        # weight 1, not an entry from the table's far end, and a negative
+        # mode is refused by the chain's power of a negative interval
+        weight_sq_row(np.array([5, 9]))
+        w = weight_sq_row(np.array([0, 3]))
+        assert w.entry(0, 0).lo <= 1.0 <= w.entry(0, 0).hi < 1.0 + 1e-15
+        assert bits(w.entry(0, 1)) == bits(weight_sq(3, PROFILE_SPACE))
+        with pytest.raises(IntervalError, match="negative"):
+            weight_sq_row(np.array([3, -2]))
+
+    def test_modes_above_the_table_take_the_chain(self):
+        top = residual._WEIGHT_MODES
+        js = [top + 1, 4436, 7, top]
+        w = weight_sq_row(np.array(js))
+        for i, j in enumerate(js):
+            assert bits(w.entry(0, i)) == bits(weight_sq(j, PROFILE_SPACE)), j
+        # e^{0.16 j} leaves the double range from j = 4437 on: the error names
+        # the first such mode of the row, as the scalar chain names its mode
+        for js in ([5000, 4437, 3], [4437, 5000]):
+            with pytest.raises(IntervalOverflowError) as row:
+                weight_sq_row(np.array(js))
+            with pytest.raises(IntervalOverflowError) as scalar:
+                weight_sq(js[0], PROFILE_SPACE)
+            assert str(row.value) == str(scalar.value)
 
 
 def test_dense_profile_residual_stays_small(tmp_path):

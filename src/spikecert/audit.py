@@ -5,11 +5,11 @@ in a fixed order, `_residual` (delta), `_inverse` (M), `_tail` (gamma),
 `_constants` (K), `_transfer` (eps) and `_closure` (verdict and status),
 which all write through one `_Run`.  A stage that cannot produce its value
 logs a failing RSLT line, so content problems end in REJECTED, never in an
-exception.  A computed M is not assembled when a later stage must fail
-on the options alone, the tail (`j_min` not above N) or the constants
-(the source rate `SOURCE_SPACE.tau`, the upper rate of the recovery
-scan, not above the certificate's `tau`); a CALC line says so.  The log
-has one line per result in a small tagged grammar:
+exception.  A computed M is not assembled when the tail stage must fail
+on the options alone (`j_min` not above N); a CALC line says so.  Every
+rate is that of the profile space X, `PROFILE_SPACE.tau`: a certificate
+whose `tau` names another does not load.  The log has one line per
+result in a small tagged grammar:
 
     [EXEC]    run identification, magic string first
     [PREC]    arithmetic precision statement
@@ -54,7 +54,7 @@ from .errors import CertificateError, CertificationError
 from .interval import IntervalScalar, interval_from_decimal
 from .operator import OperatorConfig, assemble_jacobian
 from .residual import certify_residual
-from .spaces import SOURCE_SPACE, load_certificate
+from .spaces import PROFILE_SPACE, load_certificate
 from .stability import certify_inverse, certify_tail_coercivity
 
 AUDIT_MAGIC = "NS_GHOST_SPIKE_AUDIT_v1.0"
@@ -157,7 +157,7 @@ def run_audit(certificate_path, config: Optional[AuditConfig] = None) -> AuditRe
         "STEP",
         f"loaded {len(cert.coefficients)} modes, "
         f"max mode {cert.coefficients.max_mode}, "
-        f"nu = {_iv(cert.nu)}, tau = {cert.tau_audited:.6e}, "
+        f"nu = {_iv(cert.nu)}, tau = {PROFILE_SPACE.tau:.6e}, "
         f"sigma = {cert.sigma:.6e}",
     )
     model = reference_model(cfg.coupling, cfg.coupling_rec)
@@ -198,8 +198,7 @@ def _residual(run, cert, cfg, op_cfg) -> Optional[IntervalScalar]:
 
 def _inverse(run, cert, cfg, op_cfg) -> Optional[IntervalScalar]:
     """M: declared if given, else the verified inverse bound of the Jacobian,
-    which is not assembled when the tail or the constants stage must fail on
-    the options."""
+    which is not assembled when the tail stage must fail on the options."""
     run.add("TASK", "inverse bound")
     declared = cert.constant("M")
     if declared is not None:
@@ -210,13 +209,6 @@ def _inverse(run, cert, cfg, op_cfg) -> Optional[IntervalScalar]:
             "CALC",
             f"inverse bound M skipped: the tail stage needs j_min={cfg.j_min} "
             f"above the truncation N={cfg.truncation_N}",
-        )
-        return None
-    if not SOURCE_SPACE.tau > cert.tau_audited:
-        run.add(
-            "CALC",
-            f"inverse bound M skipped: the constants stage needs the source rate "
-            f"{SOURCE_SPACE.tau:.6e} above tau={cert.tau_audited:.6e}",
         )
         return None
     try:
@@ -261,13 +253,9 @@ def _tail(run, cert, cfg, op_cfg) -> None:
 
 def _constants(run, cert, cfg, model) -> Optional[IntervalScalar]:
     """K: declared (gated against C_rec_map * C_conv if C_conv is declared) or
-    computed; the stage ends early if C_rec_map cannot be recomputed."""
+    computed."""
     run.add("TASK", "constants")
-    try:
-        rec = recovery_mapping_constant(cert.tau_audited, SOURCE_SPACE.tau)
-    except (ValueError, CertificationError) as exc:
-        run.fail("C_rec_map", f"recovery mapping constant not computable: {exc}")
-        return None
+    rec = recovery_mapping_constant()
     run.add(
         "CALC",
         f"recovery mapping constant (computed) = {_iv(rec.value)}, "

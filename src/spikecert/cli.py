@@ -30,7 +30,6 @@ from .interval import IntervalError, IntervalScalar, interval_from_decimal
 from .oracle import _SUITES, MeridionalGrid, standard_checks
 from .spaces import (
     PROFILE_SPACE,
-    SOURCE_SPACE,
     CoefficientVector,
     ProfileCertificate,
     load_certificate,
@@ -186,7 +185,6 @@ def _build_parser():
 
     p = sub.add_parser("constants", help="recovery, convolution and K constants")
     common(p, "model", "modes", "out")
-    p.add_argument("--tau", type=_finite_float, default=PROFILE_SPACE.tau)
 
     p = sub.add_parser("closure", help="scalar closure verdict from constants")
     common(p, "out")
@@ -208,7 +206,6 @@ def _build_parser():
     common(p, "modes", "out")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nu", type=_decimal, default="0.005")
-    p.add_argument("--tau", type=_finite_float, default=PROFILE_SPACE.tau)
     p.add_argument("--sigma", type=_finite_float, default=0.05)
     p.add_argument("--amplitude", type=_finite_float, default=1.0)
     return parser, sub.choices
@@ -250,6 +247,9 @@ def _cmd_audit(args) -> int:
     )
     result = run_audit(path, cfg)
     _emit(result.log.render(), args.out)
+    if result.exit_code == 2:
+        # as every other subcommand does for an input it cannot read
+        sys.stderr.write(f"spikecert: {result.log.status}\n")
     return result.exit_code
 
 
@@ -319,7 +319,7 @@ def _cmd_constants(args) -> int:
     from .constants import certify_constants, recovery_mapping_constant
 
     rep = certify_constants(
-        recovery_mapping_constant(args.tau, SOURCE_SPACE.tau),
+        recovery_mapping_constant(),
         reference_model(args.coupling, args.coupling_rec),
         args.modes,
     )
@@ -372,13 +372,12 @@ def _cmd_gen_profile(args) -> int:
     for j in range(1, args.modes + 1):
         u = 0.1 + 0.9 * rng.random()
         sign = 1.0 if rng.random() < 0.5 else -1.0
-        c = sign * args.amplitude * math.exp(-args.tau * j) * u
+        c = sign * args.amplitude * math.exp(-PROFILE_SPACE.tau * j) * u
         entries[j] = IntervalScalar(c, c)
     cert = ProfileCertificate(
         coefficients=CoefficientVector.from_dict(entries, max_mode=args.modes),
         nu=interval_from_decimal(args.nu),
         sigma=args.sigma,
-        tau_audited=args.tau,
         constants=None,
     )
     save_certificate(cert, args.out)

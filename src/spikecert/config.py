@@ -21,11 +21,11 @@ class AuditConfig:
     ``truncation_N`` the operator truncation, ``j_min`` the first mode of
     the tail coercivity bound, ``lattice_radius`` (at least 1) the
     image-overlap enumeration; a fixed ``timestamp`` makes the whole log
-    reproducible.  The recovery scan runs up to the source-space rate
-    ``SOURCE_SPACE.tau``, the rate the convolution bound uses for Y.
-    ``window`` is read by nothing: the tail bound is its value at ``j_min``
-    alone.  It stays only because the benchmark's tests build
-    ``AuditConfig(window=64)``; the next change to the benchmark deletes it.
+    reproducible.  No option sets a rate: every stage reads the two fixed
+    spaces of ``spikecert.spaces``.  ``window`` is read by nothing: the tail
+    bound is its value at ``j_min`` alone.  It stays only because the
+    benchmark's tests build ``AuditConfig(window=64)``; the next change to
+    the benchmark deletes it.
     """
 
     coupling: float = 1.0

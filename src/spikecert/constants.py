@@ -1,18 +1,19 @@
 """Certified closure constants.
 
-Three constants feed the final contraction test.  The recovery-mapping
-constant is the supremum over integer modes of the norm-level multiplier
-k^{7/2} (1+k^2)^{-1/2} e^{-(tau'-tau)k}; the multiplier is log-concave, so
-its one-step ratio decreases and a bracket of levels around the stationary
-point, whose two edges are certified to rise and to fall, holds it.  The
-convolution constant bounds the bilinear form from the source space
-Y = SOURCE_SPACE (s = 7, tau = 0.081) into the profile space
-X = PROFILE_SPACE (s = 6, tau = 0.08), the two fixed spaces of the audit,
-through the elementary inequality 1+(k+l)^2 <= 2(1+k^2)(1+l^2) and the
-exponential buffer tau_Y - tau_X, which turns the double sum into a
-product of one-dimensional sums.  The
-Lipschitz constant is their outward-rounded product, ceiled to two
-significant digits.
+The audit works in two fixed spaces, the profile space X = PROFILE_SPACE
+(s = 6, tau_X = 0.08) and the source space Y = SOURCE_SPACE (s = 7,
+tau_Y = 0.081), and every rate below is theirs.  Three constants feed the
+final contraction test.  The recovery-mapping constant is the supremum
+over integer modes of the norm-level multiplier
+k^{7/2} (1+k^2)^{-1/2} e^{-(tau_Y-tau_X)k}, the recovery kernel times
+w_X(k)/w_Y(k); the multiplier is log-concave, so its one-step ratio
+decreases and a bracket of levels around the stationary point, whose two
+edges are certified to rise and to fall, holds it.  The convolution
+constant bounds the bilinear form from Y into X through the elementary
+inequality 1+(k+l)^2 <= 2(1+k^2)(1+l^2) and the same exponential buffer
+tau_Y - tau_X, which turns the double sum into a product of
+one-dimensional sums.  The Lipschitz constant is their outward-rounded
+product, ceiled to two significant digits.
 
 The recovery constant is the bare supremum, without the recovery-kernel
 prefactor, because that is the value downstream audits compare against.
@@ -45,9 +46,10 @@ from .interval import (
 from .matrix import IntervalMatrix, row_sum
 from .spaces import PROFILE_SPACE, SOURCE_SPACE
 
-# refuse a buffer whose scan end k_end (recovery_mapping_constant) lies past
-# this level: the buffer is then thinner than the audit accepts
-_SCAN_LIMIT = 2_000_000
+# the exponential buffer tau_Y - tau_X between the two spaces
+_BUFFER = IntervalScalar(SOURCE_SPACE.tau, SOURCE_SPACE.tau) - IntervalScalar(
+    PROFILE_SPACE.tau, PROFILE_SPACE.tau
+)
 
 
 def level_multiplier(k: int, rate: IntervalScalar) -> IntervalScalar:
@@ -66,11 +68,19 @@ class RecoveryMapResult:
     argmax_k: int
 
 
-def recovery_mapping_constant(tau: float, tau_prime: float) -> RecoveryMapResult:
-    """Certified sup over integers k >= 1 of the norm-level multiplier f(k).
+def recovery_mapping_constant() -> RecoveryMapResult:
+    """Certified sup over integers k >= 1 of the norm-level multiplier f(k)
+    for the buffer b = tau_Y - tau_X of the audit's two spaces: a constant
+    of the program, argmax k = 2500."""
+    return _recovery_scan(_BUFFER)
 
-    With b = tau' - tau, log f(k) = (7/2) log k - (1/2) log(1+k^2) - b k
-    is strictly concave for k >= 1:
+
+def _recovery_scan(b: IntervalScalar) -> RecoveryMapResult:
+    """The sup of f(k) = k^{7/2} (1+k^2)^{-1/2} e^{-bk} over k >= 1 for a
+    certifiably positive buffer b.
+
+    log f(k) = (7/2) log k - (1/2) log(1+k^2) - b k is strictly concave
+    for k >= 1:
 
         (log f)'' = -7/(2k^2) + (k^2-1)/(1+k^2)^2 < -5/(2k^2),
 
@@ -90,26 +100,7 @@ def recovery_mapping_constant(tau: float, tau_prime: float) -> RecoveryMapResult
     instead, and it only decreases afterwards.  argmax is the first level
     with the largest upper endpoint.
     """
-    tau = float(tau)
-    tau_prime = float(tau_prime)
-    if not (math.isfinite(tau) and math.isfinite(tau_prime)):
-        raise CertificationError("rates must be finite")
-    if not tau_prime > tau:
-        raise CertificationError(
-            f"need tau_prime > tau for an exponential buffer, got "
-            f"tau={tau!r}, tau_prime={tau_prime!r}"
-        )
-    b = IntervalScalar(tau_prime, tau_prime) - IntervalScalar(tau, tau)
-    if b.lo <= 0.0:
-        raise CertificationError(
-            f"buffer tau_prime - tau = {b} is not certifiably positive"
-        )
     k_end = int(math.ceil(4.5 / b.lo)) + 1
-    if k_end > _SCAN_LIMIT:
-        raise CertificationError(
-            f"buffer {b.lo!r} needs a scan of {k_end} modes; refusing past "
-            f"{_SCAN_LIMIT}"
-        )
     levels = {}
 
     def f(k: int) -> IntervalScalar:
@@ -181,9 +172,7 @@ def _convolution_sums(N: int):
     """(sum_{k<=N} q_k, sqrt(sum_{j<=2N} e^{-2 beta j})) of
     convolution_constant.  They depend on N alone, so they are kept for the
     16 truncations last asked for: an audit process asks for one or a few."""
-    X, Y = PROFILE_SPACE, SOURCE_SPACE
-    two_beta = IntervalScalar(Y.tau, Y.tau) - IntervalScalar(X.tau, X.tau)
-    beta = two_beta * 0.5
+    beta = _BUFFER * 0.5
 
     # both sums run from the top mode down, each term formed on a row
     k = np.arange(N, 0, -1)
@@ -191,7 +180,7 @@ def _convolution_sums(N: int):
     one_plus = IntervalMatrix.from_point((1 + k * k)[None, :].astype(np.float64))
     s1 = row_sum(ONE / one_plus.sqrt() * (-(beta * kk)).exp())
     jj = IntervalMatrix.from_point(np.arange(2 * N, 0, -1, dtype=np.float64)[None, :])
-    geo = row_sum((-(two_beta * jj)).exp())
+    geo = row_sum((-(_BUFFER * jj)).exp())
     return s1, sqrt_iv(geo)
 
 

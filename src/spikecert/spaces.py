@@ -8,7 +8,7 @@ candidate profiles live and the residual is measured
 (``residual.weight_sq_row``), and the source space Y = ``SOURCE_SPACE``
 (s=7, tau=0.081), the input space of the convolution bound
 (``constants.convolution_constant``).  No stage takes a space as a
-parameter.
+parameter, and a certificate's ``tau`` field must name X's rate.
 
 Certificates are JSON files whose numbers are decimal strings, so the
 published 32-digit coefficient table survives byte-for-byte and a
@@ -130,7 +130,6 @@ class ProfileCertificate:
     coefficients: CoefficientVector
     nu: IntervalScalar
     sigma: float
-    tau_audited: float
     constants: Optional[Mapping[str, IntervalScalar]] = None
 
     def __post_init__(self):
@@ -199,7 +198,12 @@ def load_certificate(path) -> ProfileCertificate:
         )
     nu = _interval_field(_require(doc, "nu", str(path)), "nu")
     sigma = _decimal_field(_require(doc, "sigma", str(path)), "sigma")
-    tau = _decimal_field(_require(doc, "tau", str(path)), "tau")
+    tau = _require(doc, "tau", str(path))
+    if _decimal_field(tau, "tau") != PROFILE_SPACE.tau:
+        raise CertificateError(
+            f"tau: the audit runs in the profile space X, whose rate is "
+            f"{PROFILE_SPACE.tau!r}; got {tau}"
+        )
     modes_raw = _require(doc, "modes", str(path))
     if not isinstance(modes_raw, list):
         raise CertificateError("modes: expected an array")
@@ -230,7 +234,6 @@ def load_certificate(path) -> ProfileCertificate:
             coefficients=coeffs,
             nu=nu,
             sigma=sigma,
-            tau_audited=tau,
             constants=constants,
         )
     except CertificateError:
@@ -255,7 +258,7 @@ def save_certificate(cert: ProfileCertificate, path) -> None:
         "format_version": _FORMAT_VERSION,
         "nu": _interval_to_midrad(cert.nu),
         "sigma": float_to_decimal_string(cert.sigma),
-        "tau": float_to_decimal_string(cert.tau_audited),
+        "tau": float_to_decimal_string(PROFILE_SPACE.tau),
         "modes": [
             dict(j=j, **_interval_to_midrad(c)) for j, c in cert.coefficients.items()
         ],

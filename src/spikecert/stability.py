@@ -11,9 +11,10 @@ with every quantity an interval enclosure.  The second half controls the
 modes the truncation cut off: past the audited support the interaction
 term admits the envelope
 
-    Inter(j) <= C_prof * j^{7/2} * e^{-tau*j} * sum_k |c_k| e^{tau*k},
+    Inter(j) <= C_prof * j^{7/2} * e^{-tau_X*j} * sum_k |c_k| e^{tau_X*k},
 
-and once its one-step ratio is below one at j_min (and nu > 0) the gap
+with the rate tau_X = PROFILE_SPACE.tau of the profile space X, and once
+its one-step ratio is below one at j_min (and nu > 0) the gap
 nu*j^2 - Inter(j) increases for every j >= j_min.  Its value at j_min is
 then a global coercivity constant, which is what makes the finite
 residual test sufficient for the full operator.
@@ -38,7 +39,10 @@ from .interval import (
 )
 from .matrix import IntervalMatrix, identity_minus, inf_norm, point_times_interval
 from .operator import OperatorConfig
-from .spaces import ProfileCertificate
+from .spaces import PROFILE_SPACE, ProfileCertificate
+
+# the rate tau_X of the profile space X, the only rate of the tail envelope
+_TAU = IntervalScalar(PROFILE_SPACE.tau, PROFILE_SPACE.tau)
 
 
 @dataclass(frozen=True)
@@ -117,11 +121,10 @@ def certify_inverse(J: IntervalMatrix) -> InverseReport:
 
 
 def _envelope_total(cert: ProfileCertificate) -> IntervalScalar:
-    """The j-independent factor sum_k |c_k| e^{tau*k} of the envelope."""
-    tau = IntervalScalar(cert.tau_audited, cert.tau_audited)
+    """The j-independent factor sum_k |c_k| e^{tau_X*k} of the envelope."""
     total = ZERO
     for k, c in cert.coefficients.items():
-        total = total + abs(c) * exp_iv(tau * float(k))
+        total = total + abs(c) * exp_iv(_TAU * float(k))
     return total
 
 
@@ -129,7 +132,7 @@ def interaction_envelope(cert: ProfileCertificate, C_prof, j: int) -> IntervalSc
     """Upper envelope for the interaction felt by mode j past the support.
 
     Valid only for j strictly above every audited mode: there the
-    coupling weight is bounded by C_prof * j^{7/2} * e^{-tau*(j-k)} per
+    coupling weight is bounded by C_prof * j^{7/2} * e^{-tau_X*(j-k)} per
     source mode k, and the k-sum factors out as a j-independent total.
     """
     if not isinstance(j, int) or isinstance(j, bool):
@@ -143,8 +146,7 @@ def interaction_envelope(cert: ProfileCertificate, C_prof, j: int) -> IntervalSc
     cp = as_nonneg(C_prof, "C_prof")
     if not cert.coefficients.entries:
         return ZERO
-    tau = IntervalScalar(cert.tau_audited, cert.tau_audited)
-    return cp * pow_seven_halves(j) * exp_iv(-(tau * float(j))) * _envelope_total(cert)
+    return cp * pow_seven_halves(j) * exp_iv(-(_TAU * float(j))) * _envelope_total(cert)
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,7 @@ def certify_tail_coercivity(
 
     gamma is the gap at j_min alone.  It bounds the whole tail because
     nu*j^2 is increasing (needs nu > 0) while the envelope is decreasing
-    once its one-step ratio e^{-tau} ((j+1)/j)^{7/2} is below one; that
+    once its one-step ratio e^{-tau_X} ((j+1)/j)^{7/2} is below one; that
     ratio is itself decreasing in j, so checking it once at j_min covers
     every later mode, and the gap is smallest at j_min.  Failed
     monotonicity is a verdict, not an exception.
@@ -190,8 +192,7 @@ def certify_tail_coercivity(
     notes = []
     ratio_ok = True  # an empty profile has no envelope to decay
     if cert.coefficients.entries:
-        tau = IntervalScalar(cert.tau_audited, cert.tau_audited)
-        ratio = decay_ratio(j_min, tau)
+        ratio = decay_ratio(j_min, _TAU)
         ratio_ok = ratio.hi < 1.0
         if not ratio_ok:
             notes.append(

@@ -157,7 +157,7 @@ def test_criterion_03_tail_coercivity(bundled_certificate_path):
 
 def test_criterion_04_recovery_mapping_constant():
     t0 = time.perf_counter()
-    rep = recovery_mapping_constant(0.08, 0.081)
+    rep = recovery_mapping_constant()
     elapsed = time.perf_counter() - t0
     assert rep.argmax_k == 2500
     # the quoted 2.5652e7 is a five-significant-digit rounding; the
@@ -226,7 +226,7 @@ def test_criterion_07_residual_soundness_against_brute_oracle():
         }
         coeffs = CoefficientVector(tuple((j, iv(x)) for j, x in c.items()), N)
         cert = ProfileCertificate(
-            coefficients=coeffs, nu=iv(nu), sigma=0.05, tau_audited=0.08
+            coefficients=coeffs, nu=iv(nu), sigma=0.05
         )
         cfg = OperatorConfig(
             model=reference_model(coupling, coupling_rec=crec),
@@ -240,7 +240,7 @@ def test_criterion_07_residual_soundness_against_brute_oracle():
 
     zero = certify_residual(
         ProfileCertificate(
-            coefficients=CoefficientVector(), nu=iv(0.005), sigma=0.05, tau_audited=0.08
+            coefficients=CoefficientVector(), nu=iv(0.005), sigma=0.05
         ),
         OperatorConfig(model=reference_model(1.0), nu=iv(0.005), truncation_N=10),
     )

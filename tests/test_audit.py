@@ -327,9 +327,8 @@ def test_constant_free_audit_past_j_min_assembles_no_jacobian(bundled, tmp_path)
 
 
 def test_constant_free_audit_with_tau_past_tau_prime_assembles_no_jacobian(bundled, tmp_path):
-    # tau = 0.081, the source rate the recovery scan runs up to, fails
-    # C_rec_map on the options alone, so the 2048 x 2048 Jacobian is not
-    # built for a verdict it cannot change
+    # tau = 0.081, the source rate: a certificate whose tau is not X's rate
+    # is refused at load, so the 2048 x 2048 Jacobian is never built
     doc = json.loads(pathlib.Path(bundled).read_text())
     del doc["constants"]
     doc["tau"] = "0.081"
@@ -339,13 +338,12 @@ def test_constant_free_audit_with_tau_past_tau_prime_assembles_no_jacobian(bundl
     t0 = time.perf_counter()
     result = run_audit(path, cfg)
     elapsed = time.perf_counter() - t0
-    assert result.exit_code == 1
-    assert result.log.status == "certificate REJECTED: C_rec_map"
-    assert (
-        "CALC",
-        "inverse bound M skipped: the constants stage needs the source rate 8.100000e-02 "
-        "above tau=8.100000e-02",
-    ) in result.log.lines
+    assert result.exit_code == 2
+    assert result.log.status == (
+        "certificate REJECTED, unreadable: tau: the audit runs in the profile space X, "
+        "whose rate is 0.08; got 0.081"
+    )
+    assert [text for tag, text in result.log if tag == "TASK"] == ["certificate load"]
     assert elapsed < 1.0, f"audit took {elapsed:.1f} s"
 
 
@@ -427,14 +425,12 @@ def edited_copy(src, tmp_path, drop=(), **fields):
 @pytest.mark.parametrize(
     "fields, drop, cfg, name, line",
     [
-        # tau at or above the source rate 0.081 leaves the recovery scan no buffer
-        ({"tau": "0.09"}, (), FAST, "C_rec_map", "recovery mapping constant not computable"),
         # no declared eps_T3, and sigma^2 underflows, so the overlap bound divides by zero
         ({"sigma": "1e-300"}, ("eps_T3",), FAST, "eps_T3", "transfer error not computable"),
         # no declared M and modes past the truncation the Jacobian is built at
         ({}, ("M",), AuditConfig(truncation_N=100), "M", "inverse bound M not computable"),
     ],
-    ids=["tau", "sigma", "modes"],
+    ids=["sigma", "modes"],
 )
 def test_stage_that_cannot_compute_rejects_with_a_log(
     bundled, tmp_path, fields, drop, cfg, name, line
@@ -452,9 +448,36 @@ def test_stage_that_cannot_compute_rejects_with_a_log(
 def test_tau_past_tau_prime_through_the_cli(bundled, tmp_path, capsys):
     path = edited_copy(bundled, tmp_path, tau="0.09")
     code = main(["audit", "--profile", str(path)])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert out.splitlines()[-1] == "[STATUS] certificate REJECTED: C_rec_map"
+    out, err = capsys.readouterr()
+    status = (
+        "certificate REJECTED, unreadable: tau: the audit runs in the profile space X, "
+        "whose rate is 0.08; got 0.09"
+    )
+    assert code == 2
+    assert out.splitlines()[-1] == f"[STATUS] {status}"
+    assert err == f"spikecert: {status}\n"
+
+
+def test_certificate_tau_cannot_shrink_the_recovery_constant(bundled, tmp_path, capsys):
+    # at tau = 0.02 the recovery buffer 0.081 - tau made the recomputed
+    # C_rec_map 8.82e2 in place of 2.565e7, so a declared C_rec_map of 900
+    # and K of 0.39 passed every gate and the audit ended VERIFIED; the audit
+    # runs in X alone, and the certificate is refused
+    doc = json.loads(pathlib.Path(bundled).read_text())
+    doc["tau"] = "0.02"
+    doc["constants"]["C_rec_map"] = {"mid": "900", "rad": "0"}
+    doc["constants"]["K"] = {"mid": "0.39", "rad": "0"}
+    path = tmp_path / "tau_002.json"
+    path.write_text(json.dumps(doc))
+    result = run_audit(path, FAST)
+    assert result.exit_code == 2
+    assert not result.verified
+    assert result.log.status.startswith("certificate REJECTED, unreadable: tau: ")
+    code = main(["audit", "--profile", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "VERIFIED" not in out
+    assert err.startswith("spikecert: certificate REJECTED, unreadable: tau: ")
 
 
 # ------------------------------------------- branches the stages rarely take

@@ -15,7 +15,7 @@ import spikecert.operator
 from spikecert.audit import AuditConfig, run_audit
 from spikecert.cli import main
 from spikecert.matrix import IntervalMatrix
-from spikecert.spaces import load_certificate
+from spikecert.spaces import PROFILE_SPACE, load_certificate
 
 AUDIT_FAST = ["--modes", "64"]
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -69,7 +69,7 @@ def test_audit_refuses_a_non_finite_model_option(capsys, bundled_certificate_pat
     "argv",
     [
         ["audit", "--profile", "cert.json", "--coupling", "1e999"],
-        ["constants", "--tau", "nan"],
+        ["constants", "--coupling", "nan"],
         ["gen-profile", "--out", "cert.json", "--sigma", "inf"],
         ["gen-profile", "--out", "cert.json", "--amplitude", "nan"],
     ],
@@ -287,7 +287,7 @@ def test_gen_profile_respects_envelope(capsys, tmp_path):
     cert = load_certificate(path)
     assert len(cert.coefficients) == 12
     for j, c in cert.coefficients.items():
-        assert abs(c.mid) <= math.exp(-cert.tau_audited * j)
+        assert abs(c.mid) <= math.exp(-PROFILE_SPACE.tau * j)
         assert abs(c.mid) > 0.0
 
 
@@ -486,7 +486,9 @@ def test_no_subcommand_prints_usage(capsys):
     + [["tail", "--profile", "cert.json", flag, "1"] for flag in ("--coupling", "--coupling-rec")]
     # the recovery scan runs up to the source-space rate, which no option sets
     + [["audit", "--profile", "cert.json", "--tau-prime", "0.081"]]
-    + [["constants", "--tau-prime", "0.081"]],
+    + [["constants", "--tau-prime", "0.081"]]
+    # every rate is the fixed profile space's, so neither sets one
+    + [["constants", "--tau", "0.08"], ["gen-profile", "--out", "cert.json", "--tau", "0.08"]],
     ids=lambda argv: f"{argv[0]}{argv[-2]}",
 )
 def test_removed_flags_are_usage_errors(capsys, argv):

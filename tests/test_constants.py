@@ -17,6 +17,7 @@ from spikecert.constants import (
     ConstantsReport,
     RecoveryMapResult,
     _ceil_two_significant,
+    _recovery_scan,
     certify_constants,
     convolution_constant,
     level_multiplier,
@@ -53,8 +54,13 @@ def point(x):
 # recovery_mapping_constant
 
 
-def test_reference_supremum():
-    res = recovery_mapping_constant(0.08, 0.081)
+def buffer(tau, tau_prime):
+    """The recovery scan's buffer tau' - tau, enclosed from the two floats."""
+    return point(tau_prime) - point(tau)
+
+
+def check_reference_supremum(module):
+    res = module.recovery_mapping_constant()
     assert res.argmax_k == 2500
     # sup_k k^{7/2}(1+k^2)^{-1/2} e^{-bk} with b = 0.081-0.08 taken in
     # floats, to 20 digits: 25651560.017843597190
@@ -62,10 +68,31 @@ def test_reference_supremum():
     assert res.value.width / res.value.hi < 1e-12
     # five significant figures land on the quoted headline
     assert 2.56515e7 <= res.value.lo and res.value.hi <= 2.56525e7
+    return res
+
+
+def test_reference_supremum():
+    res = check_reference_supremum(constants_module)
+    # the scan of the buffer tau_Y - tau_X between the audit's two spaces
+    scan = _recovery_scan(buffer(PROFILE_SPACE.tau, SOURCE_SPACE.tau))
+    assert (bits(res.value), res.argmax_k) == (bits(scan.value), scan.argmax_k)
+
+
+def test_source_rate_mutant_in_the_buffer_fails_the_reference(monkeypatch):
+    # Y's rate in place of X's leaves the recovery scan no buffer: the
+    # reference supremum (and criterion 04) cannot be formed at all
+    mutant = mutant_module(
+        monkeypatch,
+        constants_module,
+        "PROFILE_SPACE.tau, PROFILE_SPACE.tau",
+        "SOURCE_SPACE.tau, SOURCE_SPACE.tau",
+    )
+    with pytest.raises(ZeroDivisionError):
+        check_reference_supremum(mutant)
 
 
 def test_wide_buffer_supremum():
-    res = recovery_mapping_constant(0.5, 1.0)
+    res = _recovery_scan(buffer(0.5, 1.0))
     assert res.argmax_k == 5
     # 5^{7/2} 26^{-1/2} e^{-2.5} to 17 digits: 4.4995816442435560
     assert res.value.contains(4.4995816442435560)
@@ -74,23 +101,16 @@ def test_wide_buffer_supremum():
     assert m5.lo > m4.hi and m5.lo > m6.hi
 
 
-def test_no_buffer_is_an_error():
-    with pytest.raises(CertificationError):
-        recovery_mapping_constant(0.08, 0.08)
-    with pytest.raises(CertificationError):
-        recovery_mapping_constant(0.08, 0.079)
-
-
 def test_argmax_tracks_stationary_point():
     for tau, tau_prime in ((0.08, 0.081), (0.5, 1.0), (0.1, 0.35)):
-        res = recovery_mapping_constant(tau, tau_prime)
+        res = _recovery_scan(buffer(tau, tau_prime))
         k_star = 2.5 / (tau_prime - tau)
         assert abs(res.argmax_k - k_star) <= 1.0
 
 
 def test_supremum_dominates_log_spaced_grid():
-    res = recovery_mapping_constant(0.08, 0.081)
-    b = point(0.081) - point(0.08)
+    res = recovery_mapping_constant()
+    b = buffer(0.08, 0.081)
     grid = sorted(
         {int(round(10 ** (e / 4.0))) for e in range(0, 25)} | set(range(2496, 2505))
     )
@@ -109,14 +129,14 @@ def test_level_multiplier_rejects_bad_index():
 
 
 def scan_end(tau, tau_prime):
-    b = point(tau_prime) - point(tau)
+    b = buffer(tau, tau_prime)
     return b, int(math.ceil(4.5 / b.lo)) + 1
 
 
 def scalar_recovery_scan(tau, tau_prime, multiplier=None):
     """The running supremum over k = 1..k_end, one scalar level multiplier at
     a time (``constants.level_multiplier`` unless another is given), as
-    recovery_mapping_constant once computed it."""
+    the recovery scan once computed it."""
     multiplier = multiplier or constants_module.level_multiplier
     b, k_end = scan_end(tau, tau_prime)
     best_hi = -1.0
@@ -165,7 +185,7 @@ def bits(x):
 def test_recovery_scan_matches_scalar_loop(tau, tau_prime, k_end):
     b, end = scan_end(tau, tau_prime)
     assert end == k_end
-    res = recovery_mapping_constant(tau, tau_prime)
+    res = _recovery_scan(b)
     value, argmax = scalar_recovery_scan(tau, tau_prime)
     assert bits(res.value) == bits(value)
     assert res.argmax_k == argmax
@@ -187,7 +207,7 @@ def sweep_pairs():
 
 def test_bracket_matches_full_scan_on_seeded_sweep():
     for tau, tau_prime in sweep_pairs():
-        res = recovery_mapping_constant(tau, tau_prime)
+        res = _recovery_scan(buffer(tau, tau_prime))
         value, argmax = full_recovery_scan(tau, tau_prime)
         assert (bits(res.value), res.argmax_k) == (bits(value), argmax), (tau, tau_prime)
 
@@ -201,7 +221,7 @@ def test_bracket_evaluates_a_bounded_number_of_levels(monkeypatch, tau, tau_prim
         return level_multiplier(k, rate)
 
     monkeypatch.setattr(constants_module, "level_multiplier", counted)
-    recovery_mapping_constant(tau, tau_prime)
+    _recovery_scan(buffer(tau, tau_prime))
     assert len(calls) <= 16
     assert len(set(calls)) == len(calls)  # no level twice
 
@@ -228,7 +248,7 @@ def check_standin_peaks(monkeypatch, module):
     for peak in WIDENING_PEAKS:
         standin = log_concave_standin(peak)
         monkeypatch.setattr(module, "level_multiplier", standin)
-        res = module.recovery_mapping_constant(tau, tau_prime)
+        res = module._recovery_scan(buffer(tau, tau_prime))
         value, argmax = scalar_recovery_scan(tau, tau_prime, standin)
         assert (bits(res.value), res.argmax_k) == (bits(value), argmax), peak
 
@@ -261,7 +281,7 @@ def test_recovery_argmax_is_the_first_of_tied_levels(monkeypatch):
         standin = log_concave_standin(peak + 0.5, rel_width=0.5, scale=2.0)
         assert standin(peak, None) == standin(peak + 1, None)
         monkeypatch.setattr(constants_module, "level_multiplier", standin)
-        res = recovery_mapping_constant(0.5, 1.0)
+        res = _recovery_scan(buffer(0.5, 1.0))
         value, argmax = scalar_recovery_scan(0.5, 1.0)
         assert (res.argmax_k, bits(res.value)) == (argmax, bits(value)), peak
         assert (argmax, bits(value)) == (peak, bits(standin(peak, None))), peak
@@ -418,7 +438,7 @@ def test_report_invariant_enforced():
 
 
 def test_certify_constants_computes_when_undeclared():
-    rec = recovery_mapping_constant(0.08, 0.081)
+    rec = recovery_mapping_constant()
     rep = certify_constants(rec, reference_model(1.0), 450)
     assert (rep.C_rec_map, rep.argmax_k) == (rec.value, rec.argmax_k)
     assert rep.C_conv.contains(7232.48369617838866)

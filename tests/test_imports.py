@@ -287,7 +287,6 @@ def unread_public_names(paths):
 # function `oracle.py` runs itself.  A name that gains a reader in the
 # package, or is deleted, leaves the table.
 KEPT = {
-    ("audit", "AuditLog.status"): "tests/test_acceptance.py::test_criterion_11_end_to_end_audit",
     ("cli", "main"): "pyproject.toml",  # the `spikecert` console script
     ("constants", "convolution_constant"): "perfbench/tracer.py",  # constants.convolution
     ("constants", "level_multiplier"): "perfbench/tracer.py",  # level_multiplier_calls

@@ -33,10 +33,8 @@ def iv(x):
     return IntervalScalar(float(x), float(x))
 
 
-def mk_cert(coeffs, nu=0.005, sigma=0.05, tau=0.08):
-    return ProfileCertificate(
-        coefficients=coeffs, nu=iv(nu), sigma=sigma, tau_audited=tau
-    )
+def mk_cert(coeffs, nu=0.005, sigma=0.05):
+    return ProfileCertificate(coefficients=coeffs, nu=iv(nu), sigma=sigma)
 
 
 def mk_cfg(coupling, nu=0.005, N=10, coupling_rec=None):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -155,7 +156,6 @@ class TestCertificateIO:
         cert = load_certificate(bundled_certificate_path)
         assert cert.coefficients.support == (1, 50, 150, 300, 450)
         assert cert.sigma == 0.05
-        assert cert.tau_audited == 0.08
         j1 = cert.coefficients.get(1)
         assert j1.lo < 5.0 < j1.hi
         assert j1.hi - j1.lo <= 2.0 * math.ulp(5.0)
@@ -257,6 +257,40 @@ class TestCertificateIO:
             load_certificate(p)
         assert str(exc.value) == f"{field}: decimal {value} beyond double range"
 
+    @pytest.mark.parametrize("value", ["0.02", "0.079", "0.081", "0.09", "0", "0.0800001"])
+    def test_tau_other_than_the_profile_rate_is_refused(self, tmp_path, value):
+        # X's rate is a constant of the audit; a certificate naming another
+        # rate cannot be read
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(self._doc(tau=value)))
+        with pytest.raises(CertificateError) as exc:
+            load_certificate(p)
+        assert str(exc.value) == (
+            f"tau: the audit runs in the profile space X, whose rate is 0.08; got {value}"
+        )
+
+    @pytest.mark.parametrize("value", ["0.08", "0.080", "8e-2", "0.08000000000000000001"])
+    def test_tau_spelling_the_profile_rate_loads(self, tmp_path, value):
+        # each is the binary64 0.08
+        p = tmp_path / "ok.json"
+        p.write_text(json.dumps(self._doc(tau=value)))
+        assert load_certificate(p).coefficients.support == (1,)
+
+    def test_certificate_carries_no_rate(self, tmp_path):
+        assert [f.name for f in dataclasses.fields(ProfileCertificate)] == [
+            "coefficients",
+            "nu",
+            "sigma",
+            "constants",
+        ]
+        p = tmp_path / "out.json"
+        save_certificate(
+            ProfileCertificate(coefficients=CoefficientVector(), nu=iv(0.005), sigma=0.05), p
+        )
+        # the exact decimal of the binary64 0.08, which loads again
+        assert float(json.loads(p.read_text())["tau"]) == PROFILE_SPACE.tau
+        assert load_certificate(p).coefficients.support == ()
+
     def test_bad_version_rejected(self, tmp_path):
         self._expect_error(tmp_path, self._doc(format_version="0.9"), "format_version")
 
@@ -305,13 +339,11 @@ class TestCertificateIO:
                 coefficients=CoefficientVector(),
                 nu=iv(0.005),
                 sigma=-1.0,
-                tau_audited=0.08,
             )
         with pytest.raises(CertificateError):
             ProfileCertificate(
                 coefficients=CoefficientVector(),
                 nu=iv(0.005),
                 sigma=0.05,
-                tau_audited=0.08,
                 constants={"delta": make_interval(-1.0, 0.5)},
             )

@@ -27,6 +27,7 @@ from spikecert.interval import (
 from spikecert.matrix import IntervalMatrix
 from spikecert.operator import OperatorConfig, assemble_jacobian
 from spikecert.spaces import (
+    SOURCE_SPACE,
     CoefficientVector,
     ProfileCertificate,
     load_certificate,
@@ -40,6 +41,7 @@ from spikecert.stability import (
     inverse_bound_from_norms,
 )
 
+from mutants import mutant_module
 from oracles import make_interval
 
 ONE_POINT = IntervalScalar(1.0, 1.0)
@@ -214,21 +216,24 @@ def test_negative_norm_rejected():
 # interaction_envelope
 
 
-def single_mode_certificate(j, value, tau=0.08):
+def single_mode_certificate(j, value):
     return ProfileCertificate(
         coefficients=CoefficientVector.from_dict({j: value}),
         nu=make_interval(0.005, 0.0),
         sigma=0.05,
-        tau_audited=tau,
     )
 
 
-def test_envelope_single_mode_value():
+def check_single_mode_envelope(module):
     cert = single_mode_certificate(450, ONE_POINT)
-    env = interaction_envelope(cert, 1.0, 451)
+    env = module.interaction_envelope(cert, 1.0, 451)
     # 451^{7/2} e^{-0.08} to 17 digits: 1798350491.8008263
     assert env.contains(1798350491.8008263)
     assert env.width / env.hi < 1e-12
+
+
+def test_envelope_single_mode_value():
+    check_single_mode_envelope(stability_module)
 
 
 def test_envelope_bundled_certificate(bundled_certificate_path):
@@ -247,7 +252,6 @@ def test_envelope_empty_profile_is_zero():
         coefficients=CoefficientVector(),
         nu=make_interval(0.005, 0.0),
         sigma=0.05,
-        tau_audited=0.08,
     )
     env = interaction_envelope(cert, 0.125, 1200)
     assert env.lo == 0.0 and env.hi == 0.0
@@ -288,7 +292,6 @@ def test_zero_profile_gamma_is_exact(bundled):
         coefficients=CoefficientVector(),
         nu=bundled.nu,
         sigma=0.05,
-        tau_audited=0.08,
     )
     rep = certify_tail_coercivity(cert, reference_config(bundled.nu), 0.125, j_min=1200)
     assert rep.verified
@@ -331,7 +334,7 @@ def test_zero_nu_is_a_verdict(bundled):
     assert "not positive" in rep.diagnostic
 
 
-def test_non_monotone_tail_is_a_verdict_naming_the_ratio():
+def check_non_monotone_tail_verdict(module):
     # 40 modes and j_min = 41: e^{-0.08} (42/41)^{7/2} = 1.00435..., so the
     # envelope may still grow past j_min and the gap there bounds nothing
     rng = random.Random(40)
@@ -342,13 +345,34 @@ def test_non_monotone_tail_is_a_verdict_naming_the_ratio():
         coefficients=CoefficientVector.from_dict(entries),
         nu=make_interval(0.005, 0.0),
         sigma=0.05,
-        tau_audited=0.08,
     )
-    rep = certify_tail_coercivity(cert, reference_config(cert.nu, N=40), 0.125, j_min=41)
+    rep = module.certify_tail_coercivity(cert, reference_config(cert.nu, N=40), 0.125, j_min=41)
     assert rep.gamma.lo > 0.0  # the gap at j_min alone would pass
     assert not rep.monotone_tail_verified
     assert not rep.verified
     assert rep.diagnostic == "envelope ratio bound 1.0043508681889308 at j=41 is not below one"
+
+
+def test_non_monotone_tail_is_a_verdict_naming_the_ratio():
+    check_non_monotone_tail_verdict(stability_module)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [check_single_mode_envelope, check_non_monotone_tail_verdict],
+    ids=["envelope", "ratio"],
+)
+def test_source_rate_mutant_in_the_tail_fails_its_oracle(monkeypatch, check):
+    # the tail's rate is X's; Y's rate in its place leaves gamma at j_min =
+    # 1200 and criterion 03 as they were, but moves the envelope and its ratio
+    mutant = mutant_module(
+        monkeypatch,
+        stability_module,
+        "_TAU = IntervalScalar(PROFILE_SPACE.tau, PROFILE_SPACE.tau)",
+        f"_TAU = IntervalScalar({SOURCE_SPACE.tau!r}, {SOURCE_SPACE.tau!r})",
+    )
+    with pytest.raises(AssertionError):
+        check(mutant)
 
 
 def test_j_min_must_clear_truncation(bundled):
@@ -456,7 +480,10 @@ def test_window_scan_matches_scalar_loop(bundled, window, stride):
 def test_window_scan_matches_scalar_loop_on_random_profiles():
     # mixed signs, nonzero radii, exactly zero coefficients, empty profiles,
     # C_prof = 0, and nu and j_min varied; every profile that passes the
-    # ratio test has the gamma of the scan, and at least 200 verify
+    # ratio test has the gamma of the scan, and at least 200 verify.  j_min
+    # starts at 44, where X's one-step ratio e^{-0.08} ((j+1)/j)^{7/2} first
+    # drops below one; test_non_monotone_tail_is_a_verdict_naming_the_ratio
+    # takes the branch below it
     rng = random.Random(61)
     verified = 0
     for _ in range(400):
@@ -469,16 +496,15 @@ def test_window_scan_matches_scalar_loop_on_random_profiles():
             coefficients=CoefficientVector.from_dict(entries),
             nu=make_interval(rng.choice([0.0, 0.005, 0.02, 1.5]), rng.choice([0.0, 1e-9])),
             sigma=0.05,
-            tau_audited=rng.choice([0.08, 0.5, 2.0]),
         )
         cfg = OperatorConfig(reference_model(1.0), cert.nu, truncation_N=N)
         C_prof = rng.choice([0.0, 0.125, 3.0, 1e6])
-        j_min = N + 1 + rng.randint(0, 120)
+        j_min = max(N + 1, 44) + rng.randint(0, 120)
         rep = certify_tail_coercivity(cert, cfg, C_prof, j_min=j_min)
         assert rep.verified == (rep.monotone_tail_verified and rep.gamma.lo > 0.0)
         if rep.monotone_tail_verified:
             _, gamma = scalar_window_scan(cert, cfg, C_prof, j_min, 64)
-            assert bits(rep.gamma) == bits(gamma), (entries, cert.nu, cert.tau_audited, j_min)
+            assert bits(rep.gamma) == bits(gamma), (entries, cert.nu, j_min)
         verified += rep.verified
     assert verified >= 200
 

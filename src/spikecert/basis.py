@@ -13,6 +13,7 @@ stays only as the oracles' reference and the hook a call tracer wraps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -29,6 +30,17 @@ __all__ = ["BasisModel", "reference_model"]
 _SEVEN_HALVES = EndpointTable(pow_seven_halves_row)
 
 
+@functools.lru_cache(maxsize=16)
+def _quotients(coupling: float) -> EndpointTable:
+    """The table of coupling / (1 + d) for d = 0, 1, ...: the interaction at
+    distance d = |j - k - l| from the band's top edge.  It depends on the
+    coupling alone, so one table serves every model of the process with
+    that coupling, for the 16 couplings last asked for; -0.0 and +0.0
+    compare equal and share a table, whose quotients are +0.0 for both."""
+    cpl = IntervalScalar(coupling, coupling)
+    return EndpointTable(lambda x: cpl / x)
+
+
 @dataclass(frozen=True)
 class BasisModel:
     """Bundle of spectral accessors; immutable, queries are pure.
@@ -41,11 +53,12 @@ class BasisModel:
     zero for j > k+l: the operator forms G and its Jacobian from sums over
     the first index alone, which needs Q(u, v) = Q(v, u), and the quadratic
     form stops at mode 2N.
-    ``interaction_block(k, ls, n)`` is the n x len(ls) slab of that tensor
-    for one source mode k, entry [j-1, i] = C_{k, ls[i], j}, with exactly the
-    endpoints ``interaction`` gives; the operator reads the tensor only
-    through it.  The scalar ``interaction`` stays only as the reference the
-    oracles compare against and as the hook a call tracer wraps.
+    ``interaction_block(k, ls, n)`` is the len(ls) x n slab of that tensor
+    for one source mode k, entry [i, j-1] = C_{k, ls[i], j}, so mode j runs
+    along contiguous memory, with exactly the endpoints ``interaction``
+    gives; the operator reads the tensor only through it.  The scalar
+    ``interaction`` stays only as the reference the oracles compare against
+    and as the hook a call tracer wraps.
     """
 
     diffusion_row: Callable[[Sequence[int]], IntervalMatrix]
@@ -63,8 +76,8 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
     triangle band |k-l| <= j <= k+l and zero outside, K_rec(k) =
     coupling_rec * k^{7/2} (coupling_rec defaults to coupling).  lambda_j
     and d_j are exact floats.  The quotients coupling / (1 + d) are read
-    from an endpoint table of the model, and k^{7/2} from one table shared
-    by every model; both grow on demand and are formed with the
+    from a process-wide endpoint table per coupling, and k^{7/2} from one
+    table shared by every model; both grow on demand and are formed with the
     IntervalMatrix twins of the scalar expressions, so each entry has the
     bits of the scalar one.
     """
@@ -75,10 +88,7 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
             raise ValueError(f"{name} must be finite and nonnegative, got {x!r}")
     cpl = IntervalScalar(coupling, coupling)
     crec = IntervalScalar(coupling_rec, coupling_rec)
-    # entry d: cpl / (1 + d), the interaction at distance d = |j - k - l|
-    # from the band's top edge; it depends on the coupling, so each model
-    # has its own table
-    quotients = EndpointTable(lambda x: cpl / x)
+    quotients = _quotients(coupling)
 
     def diffusion_row(modes: Sequence[int]) -> IntervalMatrix:
         j = _mode_array(modes).astype(np.float64)[None, :]
@@ -105,9 +115,9 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
 
     def interaction_block(k: int, ls: Sequence[int], n: int) -> IntervalMatrix:
         _check_index(k)
-        l = _mode_array(ls)[None, :]
+        l = _mode_array(ls)[:, None]
         _check_index(n)
-        j = np.arange(1, n + 1)[:, None]
+        j = np.arange(1, n + 1)[None, :]
         band = (np.abs(k - l) <= j) & (j <= k + l)
         lo = np.zeros(band.shape)
         hi = np.zeros(band.shape)

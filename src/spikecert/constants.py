@@ -68,10 +68,11 @@ class RecoveryMapResult:
     argmax_k: int
 
 
+@functools.cache
 def recovery_mapping_constant() -> RecoveryMapResult:
     """Certified sup over integers k >= 1 of the norm-level multiplier f(k)
     for the buffer b = tau_Y - tau_X of the audit's two spaces: a constant
-    of the program, argmax k = 2500."""
+    of the program, argmax k = 2500, so it is formed once per process."""
     return _recovery_scan(_BUFFER)
 
 

@@ -9,11 +9,12 @@ up to 2N, kept because the residual certification needs that block.
 The operator reads the basis as rows and slabs alone: the linear symbol
 L_j = 1 + d_j + nu lambda_j (``_symbol``) and the kernel K_rec as 1 x n
 rows over the support or over 1..N, from ``drift_row``, ``diffusion_row``
-and ``kernel_row``, and the tensor through ``interaction_block``.  Each
-product and sum of those rows keeps the operand order of the scalar
-expression it stands for, so its entries have that expression's bits.
-The scalar ``interaction`` stays only as the oracles' reference and the
-hook a call tracer wraps.
+and ``kernel_row``, and the tensor through ``interaction_block``, one
+len(cols) x n slab C_k per source mode k with mode j along contiguous
+memory.  Each product and sum of those rows keeps the operand order of the
+scalar expression it stands for, so its entries have that expression's
+bits.  The scalar ``interaction`` stays only as the oracles' reference and
+the hook a call tracer wraps.
 
 With L the linear symbol, K = diag(K_rec(k)) and Q(u, v)_j = sum_{k,l}
 C_{klj} u_k v_l, G(c) = L c + Q(c, c) + 2 Q(K c, c).  The basis is
@@ -91,13 +92,13 @@ def _symbol(modes: Sequence[int], cfg: OperatorConfig) -> IntervalMatrix:
 def _slab_terms(
     W: IntervalMatrix, ks: Sequence[int], cols: Sequence[int], n: int, cfg: OperatorConfig
 ):
-    """Per source mode k = ks[r], the n x len(cols) terms of C_{k, cols[i], j}
-    W_k[i] (module docstring), W_k = row r of ``W``, and the mask of entries
-    reached (no factor [0, 0]); an infinite endpoint makes its radius term
-    inf.  Each row is split into mid and rad on its own, so no len(ks) x
-    len(cols) temporaries are formed."""
+    """Per source mode k = ks[r], the len(cols) x n terms of C_{k, cols[i], j}
+    W_k[i] (module docstring), W_k = row r of ``W`` read as a column, and
+    the mask of entries reached (no factor [0, 0]); an infinite endpoint
+    makes its radius term inf.  Each row is split into mid and rad on its
+    own, so no len(ks) x len(cols) temporaries are formed."""
     for r, k in enumerate(ks):
-        Wm, Wr, w_inf = _mid_rad(W[r, None])
+        Wm, Wr, w_inf = _mid_rad(W[r, :, None])
         Wa = np.abs(Wm) + Wr
         w_live = (Wa != 0.0) | w_inf
         if not w_live.any():
@@ -121,18 +122,24 @@ def _interaction_sum(
     W: IntervalMatrix, ks: Sequence[int], cols: Sequence[int], n: int, cfg: OperatorConfig
 ):
     """The n x len(cols) matrix [j-1, i] = sum_k C_{k, cols[i], j} W_k[i],
-    added over k in order, so n counts the terms that reach an entry.  An
-    overflowing term or sum is inf or NaN here, which _mid_rad_enclosure
-    turns into the whole line, so numpy's warnings are off (for the slab
-    generator too, which runs inside this call)."""
-    sums = [np.zeros((n, len(cols))) for _ in range(3)]
-    count = np.zeros((n, len(cols)), dtype=np.int32)
+    added over k in order, so n counts the terms that reach an entry.  The
+    sums run over its transpose, in the slabs' layout, and the endpoints
+    are copied back C-contiguous once the sums are freed.  An overflowing
+    term or sum is inf or NaN here, which _mid_rad_enclosure turns into the
+    whole line, so numpy's warnings are off (for the slab generator too,
+    which runs inside this call)."""
+    sums = [np.zeros((len(cols), n)) for _ in range(3)]
+    count = np.zeros((len(cols), n), dtype=np.int32)
     for *terms, reach in _slab_terms(W, ks, cols, n, cfg):
         for acc, x in zip(sums, terms):
             acc += x
         count += reach
         del terms
-    return _mid_rad_enclosure(*sums, count)
+    J = _mid_rad_enclosure(*sums, count)
+    del sums, count  # freed before the transposed copies
+    J.lo = np.ascontiguousarray(J.lo.T)
+    J.hi = np.ascontiguousarray(J.hi.T)
+    return J
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -146,17 +153,18 @@ def _interaction_row(
     for *terms, reach in _slab_terms(W, ks, cols, n, cfg):
         for part, x in zip(parts, terms):
             part.append(_halving(x))
-        reached |= reach.any(axis=1)
-    mid, rad, scale = (_halving(np.stack(p or [np.zeros(n)], axis=1))[None] for p in parts)
+        reached |= reach.any(axis=0)
+    mid, rad, scale = (_halving(np.stack(p or [np.zeros(n)]))[None] for p in parts)
     depth = 1 + (len(cols) - 1).bit_length() + (len(parts[0]) - 1).bit_length()
     return _mid_rad_enclosure(mid, rad, scale, np.where(reached, depth, 0)[None])
 
 
 def _halving(x: np.ndarray) -> np.ndarray:
-    """Sums along the last axis, of length m >= 1, in ceil(log2 m) rounds."""
-    while (m := x.shape[-1]) > 1:
-        x = np.concatenate((x[..., : m - 1 : 2] + x[..., 1::2], x[..., m - m % 2 :]), axis=-1)
-    return x[..., 0]
+    """Sums along the first axis, of length m >= 1, in ceil(log2 m) rounds:
+    each round adds rows 2i and 2i+1 and carries an odd last row over."""
+    while (m := x.shape[0]) > 1:
+        x = np.concatenate((x[: m - 1 : 2] + x[1::2], x[m - m % 2 :]))
+    return x[0]
 
 
 def apply_quadratic(

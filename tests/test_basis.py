@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from spikecert import basis
@@ -19,12 +20,12 @@ def entry(row):
 
 def assert_block_matches(m, k, ls, n):
     """interaction_block(k, ls, n) has the bits of scalar interaction in
-    every entry: [j-1, i] = C_{k, ls[i], j}."""
+    every entry: [i, j-1] = C_{k, ls[i], j}."""
     block = m.interaction_block(k, ls, n)
-    assert block.shape == (n, len(ls))
+    assert block.shape == (len(ls), n)
     for (i, l), j in itertools.product(enumerate(ls), range(1, n + 1)):
         e = m.interaction(k, l, j)
-        got = (float(block.lo[j - 1, i]).hex(), float(block.hi[j - 1, i]).hex())
+        got = (float(block.lo[i, j - 1]).hex(), float(block.hi[i, j - 1]).hex())
         assert got == (e.lo.hex(), e.hi.hex()), (k, l, j)
 
 
@@ -99,8 +100,8 @@ class TestReferenceModel:
         ],
     )
     def test_interaction_row_matches_interaction(self, coupling, k, l, n):
-        # the interaction row C_{kl.} of one pair: a one-column block, as
-        # the quadratic form reads them side by side
+        # the interaction row C_{kl.} of one pair: a one-row block, as
+        # the quadratic form reads them stacked
         assert_block_matches(reference_model(coupling), k, [l], n)
 
     @pytest.mark.parametrize("coupling", [0.0, 0.37, 1.0, 2.9])
@@ -108,7 +109,7 @@ class TestReferenceModel:
         m = reference_model(coupling)
         assert_block_matches(m, 5, [9, 2, 9, 30, 1], 20)
         assert_block_matches(m, 12, [40, 3, 12], 100)
-        assert m.interaction_block(3, [], 7).shape == (7, 0)
+        assert m.interaction_block(3, [], 7).shape == (0, 7)
 
     @pytest.mark.parametrize("coupling", [0.37, 1.0, 2.9])
     def test_shared_quotient_table_is_the_scalar_quotient(self, coupling):
@@ -138,16 +139,32 @@ class TestReferenceModel:
             if grow == "square":
                 C = m.interaction_block(k, range(1, n + 1), n)
                 for j, mm in ((j, mm) for j in range(1, n + 1) for mm in (1, l, n)):
-                    got = (float(C.lo[j - 1, mm - 1]).hex(), float(C.hi[j - 1, mm - 1]).hex())
+                    got = (float(C.lo[mm - 1, j - 1]).hex(), float(C.hi[mm - 1, j - 1]).hex())
                     assert got == want(k, mm, j), (k, mm, j)
             if grow == "column":
                 col = m.interaction_block(k, [l], n)
                 for j in range(1, n + 1):
-                    got = (float(col.lo[j - 1, 0]).hex(), float(col.hi[j - 1, 0]).hex())
+                    got = (float(col.lo[0, j - 1]).hex(), float(col.hi[0, j - 1]).hex())
                     assert got == want(k, l, j), (k, l, j)
             for j in range(max(1, abs(k - l)), k + l + 1):
                 e = m.interaction(k, l, j)
                 assert (e.lo.hex(), e.hi.hex()) == want(k, l, j), (k, l, j)
+
+    @pytest.mark.parametrize("first", [-0.0, 0.0])
+    def test_signed_zero_couplings_share_one_table(self, first):
+        # -0.0 and +0.0 compare equal, so the model built second reads the
+        # table the first one built: both give +0.0 quotients, bit for bit,
+        # whichever sign formed it; each model's bound keeps its own sign
+        basis._quotients.cache_clear()
+        couplings = (first, -first)
+        models = [reference_model(x) for x in couplings]
+        blocks = [m.interaction_block(5, [9, 2, 30], 40) for m in models]
+        assert basis._quotients.cache_info().currsize == 1
+        for x in (blocks[0].lo, blocks[0].hi, blocks[1].lo, blocks[1].hi):
+            assert x.tobytes() == np.zeros((3, 40)).tobytes()
+        for m, x in zip(models, couplings):
+            b = m.interaction_bound
+            assert (b.lo.hex(), b.hi.hex()) == (x.hex(), x.hex())
 
     def test_interaction_matrix_index_validation(self):
         m = reference_model(1.0)

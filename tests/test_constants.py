@@ -108,6 +108,15 @@ def test_argmax_tracks_stationary_point():
         assert abs(res.argmax_k - k_star) <= 1.0
 
 
+def test_reference_supremum_is_formed_once():
+    # a constant of the program: every call returns the one object, with
+    # the bits of a fresh scan of the two spaces' buffer
+    first = recovery_mapping_constant()
+    assert recovery_mapping_constant() is first
+    fresh = _recovery_scan(constants_module._BUFFER)
+    assert (bits(first.value), first.argmax_k) == (bits(fresh.value), fresh.argmax_k)
+
+
 def test_supremum_dominates_log_spaced_grid():
     res = recovery_mapping_constant()
     b = buffer(0.08, 0.081)

@@ -178,7 +178,9 @@ def test_concurrent_audits_give_the_serial_logs(tmp_path, monkeypatch):
 
     monkeypatch.setattr(basis, "_SEVEN_HALVES", EndpointTable(pow_seven_halves_row))
     monkeypatch.setattr(residual, "_WEIGHT_SQ", EndpointTable(residual._weight_sq_chain))
+    basis._quotients.cache_clear()
     constants._convolution_sums.cache_clear()
+    constants.recovery_mapping_constant.cache_clear()
     paths = {}
     for name, at, _ in WARM_SEQUENCE:
         paths[name] = tmp_path / f"{name}.json"

@@ -320,7 +320,7 @@ def off_band_model(model):
 
     def interaction_block(k, ls, n):
         return IntervalMatrix.from_scalars(
-            [[interaction(k, l, j) for l in ls] for j in range(1, n + 1)]
+            [[interaction(k, l, j) for j in range(1, n + 1)] for l in ls]
         )
 
     return dataclasses.replace(
@@ -730,21 +730,106 @@ class TestOperatorReadsOnlyTheBasis:
         assert (J.lo[0, 1], J.hi[0, 1]) != (0.0, 0.0)
 
 
-class TestQuotientTableGrowth:
-    """The model's quotient table grows in one step per G row and per
-    Jacobian: the first interaction block asks for every distance the
-    later ones reach."""
+def pairwise_sum(xs):
+    """The scalar twin of operator._halving on one column: rounds that add
+    entries 2i and 2i+1 and carry an odd last entry over."""
+    while len(xs) > 1:
+        xs = [xs[i] + xs[i + 1] for i in range(0, len(xs) - 1, 2)] + xs[len(xs) - len(xs) % 2 :]
+    return xs[0]
 
-    @pytest.fixture
-    def steps(self, monkeypatch):
+
+def halving_rows(rng, m, width=12):
+    """An m x ``width`` array whose columns mix magnitudes from 1e-300 to
+    1e300, near ties that round differently in other orders, -0.0 and
+    +-inf; a column holding both infinities sums to NaN."""
+    x = np.empty((m, width))
+    for col in range(width):
+        e = rng.randint(-300, 297)
+        for i in range(m):
+            u = rng.random()
+            if u < 0.05:
+                x[i, col] = -0.0
+            elif u < 0.08:
+                x[i, col] = rng.choice([math.inf, -math.inf])
+            elif u < 0.3:
+                x[i, col] = rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-300, 300)
+            else:
+                x[i, col] = rng.uniform(-1.0, 1.0) * 10.0 ** (e + rng.randint(0, 3))
+    return x
+
+
+def check_halving(halving):
+    rng = random.Random(11)
+    for _ in range(20):
+        for m in range(1, 18):
+            x = halving_rows(rng, m)
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = halving(x)
+            want = [pairwise_sum(x[:, col].tolist()) for col in range(x.shape[1])]
+            assert [float(g).hex() for g in got] == [w.hex() for w in want], m
+
+
+class TestHalving:
+    """_halving adds the rows of an array pairwise, the order every G row's
+    radius and depth bound assume, bit for bit: the golden logs sum five
+    columns, a single pairing shape."""
+
+    def test_matches_the_scalar_pairwise_sum(self):
+        check_halving(operator._halving)
+
+    def test_special_values_reach_the_result(self):
+        x = np.array([[-0.0, math.inf, 1e308], [-0.0, -math.inf, 1e308], [-0.0, 1.0, -1e308]])
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = operator._halving(x)
+        # -0.0 + -0.0 stays -0.0; inf - inf is NaN; 1e308 + 1e308 overflows
+        # before -1e308 comes in
+        assert math.copysign(1.0, got[0]) == -1.0 and got[0] == 0.0
+        assert math.isnan(got[1])
+        assert got[2] == math.inf
+
+    def test_a_left_to_right_sum_is_caught(self, monkeypatch):
+        old = "    while (m := x.shape[0]) > 1:"
+        mutant = mutant_operator(monkeypatch, old, "    x = np.add.reduce(x, axis=0)[None]\n" + old)
+        with pytest.raises(AssertionError):
+            check_halving(mutant._halving)
+
+
+def test_jacobian_endpoints_are_c_contiguous():
+    # the sums run over J's transpose; certify_inverse's products read J
+    # in row-major order
+    c = vec({1: 1.0, 14: 0.3, 43: -0.1, 85: 0.05, 128: 0.01}, 128)
+    J = assemble_jacobian(c, cfg_for(1.0, N=128))
+    assert J.shape == (128, 128)
+    assert J.lo.flags.c_contiguous and J.hi.flags.c_contiguous
+
+
+class TestQuotientTableGrowth:
+    """The coupling's shared quotient table grows in one step per G row and
+    per Jacobian: the first interaction block asks for every distance the
+    later ones reach.  Each test starts from an empty shared table."""
+
+    @pytest.fixture(autouse=True)
+    def empty_shared_tables(self):
+        basis._quotients.cache_clear()
+        yield
+        basis._quotients.cache_clear()
+
+    @staticmethod
+    def counting(monkeypatch, table=matrix.EndpointTable):
+        """The widths of the steps the quotient tables built from now on
+        take, each table a ``table``."""
         formed = []
 
-        class Counting(matrix.EndpointTable):
+        class Counting(table):
             def __init__(self, row):
                 super().__init__(lambda x: formed.append(x.shape[1]) or row(x))
 
         monkeypatch.setattr(basis, "EndpointTable", Counting)
         return formed
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        return self.counting(monkeypatch)
 
     def test_one_step_per_g_row(self, steps):
         c = vec({1: 1.0, 50: -0.5, 150: 0.25, 300: 0.1, 450: 0.01}, 450)
@@ -758,6 +843,31 @@ class TestQuotientTableGrowth:
         c = vec({1: 1.0, 14: 0.3, 43: -0.1, 85: 0.05, 128: 0.01}, 128)
         assemble_jacobian(c, cfg_for(1.0, N=128))
         assert steps == [256]
+
+    def test_two_models_with_one_coupling_grow_one_table(self, steps):
+        # each audit builds a fresh model; the second one's G row reads the
+        # table the first one grew
+        c = vec({1: 1.0, 50: -0.5, 150: 0.25, 300: 0.1, 450: 0.01}, 450)
+        first, second = cfg_for(1.0, N=450), cfg_for(1.0, N=450)
+        assert first.model is not second.model
+        apply_G(c, first)
+        apply_G(c, second)
+        assert steps == [900]
+
+    def test_a_table_forming_its_new_entries_twice_is_caught(self, monkeypatch):
+        # each growth step of the mutant forms the entries past the table's
+        # end twice, with the same bits: only the step count sees it
+        old = "        new = self._row("
+        mutant = mutant_module(
+            monkeypatch,
+            matrix,
+            old,
+            "        self._row(IntervalMatrix.from_point(ks[None, :]))\n" + old,
+        )
+        mutant.IntervalMatrix = IntervalMatrix
+        steps = self.counting(monkeypatch, mutant.EndpointTable)
+        with pytest.raises(AssertionError):
+            self.test_one_step_per_g_row(steps)
 
 
 class TestApplyGMatchesVectorJoin:

@@ -115,7 +115,9 @@ class TestReferenceModel:
     def test_shared_quotient_table_is_the_scalar_quotient(self, coupling):
         # the table grows in pieces through interaction and interaction_block,
         # square or one column at a time, interleaved; every entry has the
-        # bits of cpl / (1 + |j - k - l|) whichever call formed it
+        # bits of cpl / (1 + |j - k - l|) whichever call formed it; the
+        # shared table starts empty, so these calls do the growing
+        basis._quotients.cache_clear()
         m = reference_model(coupling)
         cpl = IntervalScalar(coupling, coupling)
 

@@ -21,24 +21,20 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .interval import ZERO, IntervalScalar
-from .matrix import EndpointTable, IntervalMatrix, pow_seven_halves_row
+from .matrix import IntervalMatrix, endpoint_table, pow_seven_halves_row
 
 __all__ = ["BasisModel", "reference_model"]
 
-# k^{7/2} for k = 1, 2, ...: the recovery kernel's factor, which no
-# coupling enters, so one table serves every model of the process
-_SEVEN_HALVES = EndpointTable(pow_seven_halves_row)
-
 
 @functools.lru_cache(maxsize=16)
-def _quotients(coupling: float) -> EndpointTable:
-    """The table of coupling / (1 + d) for d = 0, 1, ...: the interaction at
-    distance d = |j - k - l| from the band's top edge.  It depends on the
-    coupling alone, so one table serves every model of the process with
-    that coupling, for the 16 couplings last asked for; -0.0 and +0.0
-    compare equal and share a table, whose quotients are +0.0 for both."""
+def _quotient_row(coupling: float):
+    """The row function x -> coupling / x, one per coupling, so every model
+    with that coupling reads one endpoint table: coupling / (1 + d) at index
+    d, the interaction at distance d = k + l - j from the band's top edge.
+    -0.0 and +0.0 compare equal and share a table, whose quotients are +0.0
+    for both."""
     cpl = IntervalScalar(coupling, coupling)
-    return EndpointTable(lambda x: cpl / x)
+    return lambda x: cpl / x
 
 
 @dataclass(frozen=True)
@@ -75,11 +71,11 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
     lambda_j = j^2, d_j = j/2, C_{klj} = coupling / (1 + |j-k-l|) inside the
     triangle band |k-l| <= j <= k+l and zero outside, K_rec(k) =
     coupling_rec * k^{7/2} (coupling_rec defaults to coupling).  lambda_j
-    and d_j are exact floats.  The quotients coupling / (1 + d) are read
-    from a process-wide endpoint table per coupling, and k^{7/2} from one
-    table shared by every model; both grow on demand and are formed with the
+    and d_j are exact floats.  The rows and slabs read the quotients
+    coupling / (1 + d) and k^{7/2} from ``endpoint_table``, formed with the
     IntervalMatrix twins of the scalar expressions, so each entry has the
-    bits of the scalar one.
+    bits of the scalar one; the scalar ``interaction`` forms its quotient
+    on its own.
     """
     if coupling_rec is None:
         coupling_rec = coupling
@@ -88,7 +84,7 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
             raise ValueError(f"{name} must be finite and nonnegative, got {x!r}")
     cpl = IntervalScalar(coupling, coupling)
     crec = IntervalScalar(coupling_rec, coupling_rec)
-    quotients = _quotients(coupling)
+    quotients = _quotient_row(coupling)
 
     def diffusion_row(modes: Sequence[int]) -> IntervalMatrix:
         j = _mode_array(modes).astype(np.float64)[None, :]
@@ -100,7 +96,7 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
     def kernel_row(modes: Sequence[int]) -> IntervalMatrix:
         # crec * k^{7/2} entry by entry: the bits of crec * pow_seven_halves(k)
         at = _mode_array(modes)[None, :] - 1
-        lo, hi = _SEVEN_HALVES.upto(int(at.max(initial=-1)) + 1)
+        lo, hi = endpoint_table(pow_seven_halves_row, int(at.max(initial=-1)) + 1)
         return crec * IntervalMatrix(lo[at], hi[at])
 
     def interaction(k: int, l: int, j: int) -> IntervalScalar:
@@ -109,9 +105,7 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
         _check_index(j)
         if coupling == 0.0 or not (abs(k - l) <= j <= k + l):
             return ZERO
-        d = k + l - j
-        lo, hi = quotients.upto(d + 1)
-        return IntervalScalar(float(lo[d]), float(hi[d]))
+        return cpl / float(1 + k + l - j)
 
     def interaction_block(k: int, ls: Sequence[int], n: int) -> IntervalMatrix:
         _check_index(k)
@@ -123,10 +117,8 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
         hi = np.zeros(band.shape)
         if band.any():
             d = (k + l - j)[band]
-            # every d is below k + max(ls) <= 2 max(k, ls): the operator's
-            # source modes lie among or below its columns, so its first
-            # block grows the table for all the others
-            table_lo, table_hi = quotients.upto(2 * max(k, int(l.max())))
+            # every d is below k + max(ls) <= 2 max(k, ls)
+            table_lo, table_hi = endpoint_table(quotients, 2 * max(k, int(l.max())))
             lo[band] = table_lo[d]
             hi[band] = table_hi[d]
         return IntervalMatrix(lo, hi)

@@ -24,7 +24,7 @@ import sys
 from typing import Dict, List, Optional
 
 from .closure import nk_closure, torus_closure
-from .config import AuditConfig, _iv
+from .config import MAX_MODES, AuditConfig, _iv
 from .errors import CertificateError, CertificationError
 from .interval import IntervalError, IntervalScalar, interval_from_decimal
 from .oracle import _SUITES, MeridionalGrid, standard_checks
@@ -61,14 +61,6 @@ def _decimal(text: str) -> str:
             f"not a finite decimal within double range: {text!r}"
         ) from None
     return text
-
-
-# the largest truncation N an option accepts: the constant-free audit of the
-# bundled certificate with --modes 2048 --j-min 4096, which assembles and
-# inverts the 2048 x 2048 Jacobian, ends in about 4 s with a peak RSS of
-# 508 MB on a 2-vCPU x86-64 host, while G's dense 2N rows at N = 10^8 would
-# exhaust memory before any check ran
-_MAX_MODES = 2048
 
 
 def _bounded_int(low: int, high: Optional[int] = None):
@@ -157,9 +149,9 @@ def _build_parser():
         if "modes" in names:
             p.add_argument(
                 "--modes",
-                type=_bounded_int(1, _MAX_MODES),
+                type=_bounded_int(1, MAX_MODES),
                 default=_AUDIT.truncation_N,
-                help=f"truncation level, at most {_MAX_MODES}",
+                help=f"truncation level, at most {MAX_MODES}",
             )
         if "out" in names:
             p.add_argument("--out", help="also write the output to this path")

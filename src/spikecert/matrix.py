@@ -35,6 +35,7 @@ This is the only module of the interval layer that imports numpy.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -58,7 +59,7 @@ from .interval import (
 
 __all__ = [
     "IntervalMatrix",
-    "EndpointTable",
+    "endpoint_table",
     "row_sum",
     "pow_seven_halves_row",
     "point_times_interval",
@@ -475,37 +476,23 @@ class IntervalMatrix:
         )
 
 
-class EndpointTable:
-    """The entries f(1), ..., f(n) of an entrywise row function f, formed on
-    demand: ``row`` maps a 1 x m point row of positive integers to the row of
-    their values, each entry with the bits of its own scalar chain, so a
-    table grown in pieces has the bits of one formed at once.  A step forms
-    exactly the entries past the table's end up to the need.
+def endpoint_table(row, need: int):
+    """(lo, hi) of f(1..n) for an entrywise row function f, n the least
+    power of two at or above ``need``: f(i) at index i - 1, as read-only
+    arrays.  ``row`` maps a 1 x n point row of positive integers to the row
+    of their values, each entry with the bits of its own scalar chain.  A
+    table is formed whole, a pure function of (row, n), and kept in a
+    bounded cache that serves it to every caller of the process."""
+    return _endpoint_table(row, 1 << max(need - 1, 0).bit_length())
 
-    The endpoints live in one (lo, hi) tuple of read-only arrays, replaced
-    whole when the table grows, and ``upto`` hands back the tuple it read or
-    built: callers in different threads never see a short or mismatched
-    pair, and a step raced by another merely forms the same entries twice."""
 
-    __slots__ = ("_row", "_ends")
-
-    def __init__(self, row):
-        self._row = row
-        self._ends = (np.zeros(0), np.zeros(0))
-
-    def upto(self, n: int):
-        """(lo, hi) of f(1..m) for some m >= n: f(i) at index i - 1."""
-        ends = self._ends
-        size = ends[0].size
-        if n <= size:
-            return ends
-        ks = np.arange(size + 1, n + 1, dtype=np.float64)
-        new = self._row(IntervalMatrix.from_point(ks[None, :]))
-        ends = tuple(np.concatenate((old, x[0])) for old, x in zip(ends, (new.lo, new.hi)))
-        for x in ends:
-            x.flags.writeable = False
-        self._ends = ends
-        return ends
+@functools.lru_cache(maxsize=32)
+def _endpoint_table(row, n: int):
+    x = row(IntervalMatrix.from_point(np.arange(1.0, n + 1.0)[None, :]))
+    ends = (x.lo[0], x.hi[0])
+    for a in ends:
+        a.flags.writeable = False
+    return ends
 
 
 def row_sum(row: IntervalMatrix) -> IntervalScalar:

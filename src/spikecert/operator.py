@@ -67,7 +67,7 @@ __all__ = [
 class OperatorConfig:
     model: BasisModel
     nu: IntervalScalar
-    truncation_N: int = 450
+    truncation_N: int
 
     def __post_init__(self):
         if not isinstance(self.truncation_N, int) or self.truncation_N < 1:

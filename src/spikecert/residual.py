@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MAX_MODES
 from .interval import IntervalScalar, sqrt_iv
-from .matrix import EndpointTable, IntervalMatrix, row_sum
+from .matrix import IntervalMatrix, endpoint_table, row_sum
 from .operator import OperatorConfig, _G_row
 from .spaces import PROFILE_SPACE, ProfileCertificate
 
@@ -28,13 +29,13 @@ def _weight_sq_chain(jf: IntervalMatrix) -> IntervalMatrix:
     return poly * rate.exp()
 
 
-# the weights of modes 1, 2, ..., formed once per process.  The table stops
-# at 2N for the command line's largest N, where e^{2 tau j} is far inside
-# the double range (2 tau * 4096 < 656 < 709); a row with a mode above it,
-# or below 1, takes the chain on its own, whose exp raises where it
-# overflows, naming the first such entry of that row.
-_WEIGHT_MODES = 4096
-_WEIGHT_SQ = EndpointTable(_weight_sq_chain)
+# the weights of modes 1, 2, ... come from one endpoint table up to 2N for
+# the command line's largest N: 4096, a power of two, so no table goes past
+# it, and e^{2 tau j} is far inside the double range there (2 tau * 4096 <
+# 656 < 709).  A row with a mode above it, or below 1, takes the chain on
+# its own, whose exp raises where it overflows, naming the first such entry
+# of that row.
+_WEIGHT_MODES = 2 * MAX_MODES
 
 
 def weight_sq_row(j: np.ndarray) -> IntervalMatrix:
@@ -45,7 +46,7 @@ def weight_sq_row(j: np.ndarray) -> IntervalMatrix:
     if top > _WEIGHT_MODES or int(j.min(initial=1)) < 1:
         return _weight_sq_chain(IntervalMatrix.from_point(j[None, :].astype(np.float64)))
     at = j[None, :] - 1
-    lo, hi = _WEIGHT_SQ.upto(top)
+    lo, hi = endpoint_table(_weight_sq_chain, top)
     return IntervalMatrix(lo[at], hi[at])
 
 

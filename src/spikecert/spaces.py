@@ -25,6 +25,7 @@ from typing import Mapping, Optional
 
 from .errors import CertificateError
 from .interval import (
+    _DEC_PREC,
     ZERO,
     IntervalScalar,
     _parse_decimal,
@@ -245,7 +246,7 @@ def load_certificate(path) -> ProfileCertificate:
 def _interval_to_midrad(iv: IntervalScalar) -> dict:
     # exact decimal endpoint arithmetic, so loading reproduces lo/hi bit-for-bit
     with localcontext() as ctx:
-        ctx.prec = 1200
+        ctx.prec = _DEC_PREC
         lo = Decimal(iv.lo)
         hi = Decimal(iv.hi)
         mid = (lo + hi) / 2

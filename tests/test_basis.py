@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from spikecert import basis
+from spikecert import basis, matrix
 from spikecert.basis import BasisModel, reference_model
 from spikecert.interval import IntervalScalar, pow_seven_halves
-from spikecert.matrix import EndpointTable, IntervalMatrix, pow_seven_halves_row
+from spikecert.matrix import IntervalMatrix, endpoint_table
 from spikecert.operator import OperatorConfig, apply_G
 from spikecert.spaces import CoefficientVector
 
@@ -113,11 +113,9 @@ class TestReferenceModel:
 
     @pytest.mark.parametrize("coupling", [0.37, 1.0, 2.9])
     def test_shared_quotient_table_is_the_scalar_quotient(self, coupling):
-        # the table grows in pieces through interaction and interaction_block,
-        # square or one column at a time, interleaved; every entry has the
-        # bits of cpl / (1 + |j - k - l|) whichever call formed it; the
-        # shared table starts empty, so these calls do the growing
-        basis._quotients.cache_clear()
+        # interaction_block reads the coupling's shared table, square or one
+        # column at a time; every entry, and every scalar interaction, has
+        # the bits of cpl / (1 + |j - k - l|)
         m = reference_model(coupling)
         cpl = IntervalScalar(coupling, coupling)
 
@@ -127,7 +125,7 @@ class TestReferenceModel:
             q = cpl / float(1 + abs(j - k - l))
             return q.lo.hex(), q.hi.hex()
 
-        for k, l, grow in (
+        for k, l, slab in (
             (1, 1, None),
             (3, 8, "column"),
             (40, 2, None),
@@ -138,12 +136,12 @@ class TestReferenceModel:
             (80, 75, "column"),
         ):
             n = 2 * (k + l)
-            if grow == "square":
+            if slab == "square":
                 C = m.interaction_block(k, range(1, n + 1), n)
                 for j, mm in ((j, mm) for j in range(1, n + 1) for mm in (1, l, n)):
                     got = (float(C.lo[mm - 1, j - 1]).hex(), float(C.hi[mm - 1, j - 1]).hex())
                     assert got == want(k, mm, j), (k, mm, j)
-            if grow == "column":
+            if slab == "column":
                 col = m.interaction_block(k, [l], n)
                 for j in range(1, n + 1):
                     got = (float(col.lo[0, j - 1]).hex(), float(col.hi[0, j - 1]).hex())
@@ -154,19 +152,45 @@ class TestReferenceModel:
 
     @pytest.mark.parametrize("first", [-0.0, 0.0])
     def test_signed_zero_couplings_share_one_table(self, first):
-        # -0.0 and +0.0 compare equal, so the model built second reads the
-        # table the first one built: both give +0.0 quotients, bit for bit,
-        # whichever sign formed it; each model's bound keeps its own sign
-        basis._quotients.cache_clear()
+        # -0.0 and +0.0 compare equal, so both models read the table of the
+        # row function the first one made: both give +0.0 quotients, bit for
+        # bit, whichever sign formed it; each model's bound keeps its own sign
+        basis._quotient_row.cache_clear()
         couplings = (first, -first)
         models = [reference_model(x) for x in couplings]
         blocks = [m.interaction_block(5, [9, 2, 30], 40) for m in models]
-        assert basis._quotients.cache_info().currsize == 1
+        assert basis._quotient_row(first) is basis._quotient_row(-first)
         for x in (blocks[0].lo, blocks[0].hi, blocks[1].lo, blocks[1].hi):
             assert x.tobytes() == np.zeros((3, 40)).tobytes()
         for m, x in zip(models, couplings):
             b = m.interaction_bound
             assert (b.lo.hex(), b.hi.hex()) == (x.hex(), x.hex())
+
+    def test_two_models_with_one_coupling_read_one_table(self, monkeypatch):
+        # each audit builds a fresh model; both read the same quotient arrays
+        read = []
+
+        def recording(row, need):
+            read.append(endpoint_table(row, need))
+            return read[-1]
+
+        monkeypatch.setattr(basis, "endpoint_table", recording)
+        first, second = reference_model(0.73), reference_model(0.73)
+        assert first is not second
+        for m in (first, second):
+            m.interaction_block(5, [9, 2, 30], 40)
+        assert len(read) == 2
+        assert read[0][0] is read[1][0] and read[0][1] is read[1][1]
+
+    def test_scalar_interaction_forms_no_table(self):
+        # d = 5999 lies past every quotient table formed so far; the scalar
+        # oracle forms its quotient on its own, and the slab that forms the
+        # table agrees with it bit for bit
+        m = reference_model(1.0)
+        before = matrix._endpoint_table.cache_info()
+        m.interaction(3000, 3000, 1)
+        assert matrix._endpoint_table.cache_info() == before
+        assert_block_matches(m, 3000, [3000], 1)
 
     def test_interaction_matrix_index_validation(self):
         m = reference_model(1.0)
@@ -304,26 +328,21 @@ class TestRecoveryKernelBound:
             m.kernel_row([0])
 
     @pytest.mark.parametrize("coupling_rec", [0.0, 0.37, 1.0, 2.9])
-    def test_table_is_the_scalar_chain(self, coupling_rec, monkeypatch):
+    def test_table_is_the_scalar_chain(self, coupling_rec):
         # K_rec(k) = crec * k^{7/2} reads k^{7/2} from a table every model
-        # shares, grown on demand; each query order starts from a fresh
-        # table, so its growth steps run, and every entry keeps the bits of
+        # shares; in any query order every entry keeps the bits of
         # crec * k**3.5 in scalar arithmetic
         crec = IntervalScalar(coupling_rec, coupling_rec)
         ks = range(1, 2051)
         expect = {k: crec * pow_seven_halves(k) for k in ks}
         descending = list(reversed(ks))
-        # ascending, each k asked again after an earlier one, across the growth steps
-        growing = [q for k in ks for q in (k, k // 2 + 1, k)]
-        for order in (descending * 2, growing):
-            table = EndpointTable(pow_seven_halves_row)
-            monkeypatch.setattr(basis, "_SEVEN_HALVES", table)
-            m = reference_model(1.0, coupling_rec=coupling_rec)
+        # ascending, each k asked again after an earlier one
+        revisiting = [q for k in ks for q in (k, k // 2 + 1, k)]
+        m = reference_model(1.0, coupling_rec=coupling_rec)
+        for order in (descending * 2, revisiting):
             for k in order:
                 got = entry(m.kernel_row([k]))
                 assert (got.lo.hex(), got.hi.hex()) == (expect[k].lo.hex(), expect[k].hi.hex()), k
-            # growth never goes past the largest k asked for
-            assert table.upto(1)[0].size == 2050
 
     @pytest.mark.parametrize("coupling_rec", [0.0, 1.0])
     @pytest.mark.parametrize("bad", [0, -3, True, 2.0])

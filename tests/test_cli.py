@@ -14,6 +14,7 @@ import spikecert.cli as cli
 import spikecert.operator
 from spikecert.audit import AuditConfig, run_audit
 from spikecert.cli import main
+from spikecert.config import MAX_MODES
 from spikecert.matrix import IntervalMatrix
 from spikecert.spaces import PROFILE_SPACE, load_certificate
 
@@ -178,9 +179,9 @@ def test_integer_options_refuse_values_out_of_range(capsys, monkeypatch, argv, m
 def test_integer_options_accept_their_bounds(monkeypatch):
     seen = {}
     monkeypatch.setitem(cli._HANDLERS, "audit", lambda args: seen.update(vars(args)) or 0)
-    argv = ["--modes", str(cli._MAX_MODES), "--j-min", "1", "--lattice-radius", "1"]
+    argv = ["--modes", str(MAX_MODES), "--j-min", "1", "--lattice-radius", "1"]
     assert main(["audit", "--profile", "p.json", *argv]) == 0
-    assert (seen["modes"], seen["j_min"], seen["lattice_radius"]) == (cli._MAX_MODES, 1, 1)
+    assert (seen["modes"], seen["j_min"], seen["lattice_radius"]) == (MAX_MODES, 1, 1)
     for grid in (9, 1024):
         monkeypatch.setitem(cli._HANDLERS, "oracle", lambda args: seen.update(vars(args)) or 0)
         assert main(["oracle", "--grid", str(grid)]) == 0

@@ -24,6 +24,7 @@ import threading
 import pytest
 
 import spikecert
+from spikecert import basis, constants, matrix
 from spikecert.audit import AuditConfig, run_audit
 from spikecert.cli import main
 
@@ -142,9 +143,9 @@ def test_every_golden_copy_has_a_case():
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(CASES)
 
 
-# N = 450, then N = 128, then N = 450 again: the tables the audit keeps for
-# the whole process (the weights of X, k^{7/2}, the sums of C_conv) grow
-# on the first audit and serve the others
+# N = 450, then N = 128, then N = 450 again: the tables and sums the audit
+# keeps for the whole process (the weights of X, k^{7/2}, the quotients, the
+# sums of C_conv) are formed by the first audit at each N and serve the others
 WARM_SEQUENCE = (
     ("bundled", None, 450),
     ("constant_free_N128", (1, 14, 43, 85, 128), 128),
@@ -152,7 +153,16 @@ WARM_SEQUENCE = (
 )
 
 
+def _clear_process_caches():
+    matrix._endpoint_table.cache_clear()
+    basis._quotient_row.cache_clear()
+    constants._convolution_sums.cache_clear()
+    constants.recovery_mapping_constant.cache_clear()
+
+
 def test_one_process_keeps_each_log(tmp_path):
+    # from empty process-wide caches, whatever ran before in this process
+    _clear_process_caches()
     src = str(pathlib.Path(spikecert.__file__).resolve().parents[1])
     for name, at, modes in WARM_SEQUENCE:
         doc = _bundled() if at is None else _constant_free_doc(at)
@@ -170,17 +180,10 @@ def test_one_process_keeps_each_log(tmp_path):
         assert re.sub(r"run started \S+", f"run started {STAMP}", child.stdout) == text, name
 
 
-def test_concurrent_audits_give_the_serial_logs(tmp_path, monkeypatch):
-    # 4 threads x 3 audits on fresh process-wide tables, started together,
-    # so the threads grow the same tables at once
-    from spikecert import basis, constants, residual
-    from spikecert.matrix import EndpointTable, pow_seven_halves_row
-
-    monkeypatch.setattr(basis, "_SEVEN_HALVES", EndpointTable(pow_seven_halves_row))
-    monkeypatch.setattr(residual, "_WEIGHT_SQ", EndpointTable(residual._weight_sq_chain))
-    basis._quotients.cache_clear()
-    constants._convolution_sums.cache_clear()
-    constants.recovery_mapping_constant.cache_clear()
+def test_concurrent_audits_give_the_serial_logs(tmp_path):
+    # 4 threads x 3 audits from empty process-wide caches, started together,
+    # so the threads form the same tables at once
+    _clear_process_caches()
     paths = {}
     for name, at, _ in WARM_SEQUENCE:
         paths[name] = tmp_path / f"{name}.json"

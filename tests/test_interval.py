@@ -1,10 +1,8 @@
-import concurrent.futures
 import math
 import operator
 import random
 import struct
 import sys
-import threading
 from decimal import Decimal
 from fractions import Fraction
 
@@ -36,9 +34,9 @@ from spikecert.interval import (
     sqrt_iv,
 )
 from spikecert.matrix import (
-    EndpointTable,
     IntervalMatrix,
     _mid_rad,
+    endpoint_table,
     identity_minus,
     inf_norm,
     point_times_interval,
@@ -874,64 +872,36 @@ _FLAGGED_D = [
 _FLAGGED_SCALARS = [iv(1e10), iv(-1e-200), iv(0.0), iv(-0.0), iv(0.75, 1.25), iv(-2.0, 1e300)]
 
 
-class TestEndpointTable:
-    """EndpointTable holds f(1..n) of an entrywise row function; the row
-    used here, 1 / k, has a scalar twin to compare each entry with."""
+class TestTableFormedWhole:
+    """endpoint_table forms f(1..n) of an entrywise row function whole, n the
+    least power of two at or above the need; the row used here, 1 / k, has
+    a scalar twin to compare each entry with."""
 
     @staticmethod
     def _reciprocals(k):
         return 1.0 / k
 
-    def _expect(self, n):
-        return [(1.0 / IntervalScalar(float(k), float(k))) for k in range(1, n + 1)]
+    def test_sizes_are_the_powers_of_two_at_or_above_the_need(self):
+        for need, size in ((0, 1), (1, 1), (2, 2), (3, 4), (4, 4), (5, 8), (450, 512),
+                           (900, 1024), (4096, 4096), (4097, 8192)):
+            lo, hi = endpoint_table(self._reciprocals, need)
+            assert lo.size == hi.size == size, need
 
-    def test_growth_stops_at_the_need(self):
-        table = EndpointTable(self._reciprocals)
-        assert table.upto(0)[0].size == 0
-        assert table.upto(3)[0].size == 3
-        assert table.upto(4)[0].size == 4
-        assert table.upto(20)[0].size == 20
-        assert table.upto(20) is table.upto(7)  # no step: the same tuple
+    def test_a_repeat_call_returns_the_same_arrays(self):
+        lo, hi = endpoint_table(self._reciprocals, 20)
+        again = endpoint_table(self._reciprocals, 32)
+        assert again[0] is lo and again[1] is hi
 
-    def test_entries_are_read_only_scalar_twins(self):
-        table = EndpointTable(self._reciprocals)
-        for n in (1, 2, 5, 11, 40):
-            lo, hi = table.upto(n)
-            want = self._expect(lo.size)
-            assert [(a.hex(), b.hex()) for a, b in zip(lo.tolist(), hi.tolist())] == [
-                (w.lo.hex(), w.hi.hex()) for w in want
-            ]
-        with pytest.raises(ValueError):
-            lo[0] = 0.0
-
-    def test_threads_never_see_a_short_or_mismatched_pair(self):
-        # 8 threads on 2 or more cores grow one table at once, with a short
-        # switch interval; every tuple a call returns covers its need and
-        # has the serial bits on both sides
-        want = self._expect(4096)
-        want = (np.array([w.lo for w in want]), np.array([w.hi for w in want]))
-        table = EndpointTable(self._reciprocals)
-        start = threading.Barrier(8)
-
-        def grow(seed):
-            rng = random.Random(seed)
-            start.wait(timeout=30)
-            for _ in range(300):
-                n = rng.randint(1, 4096)
-                lo, hi = table.upto(n)
-                assert lo.size >= n and lo.size == hi.size
-                assert np.array_equal(lo, want[0][: lo.size])
-                assert np.array_equal(hi, want[1][: hi.size])
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with concurrent.futures.ThreadPoolExecutor(8) as pool:
-                futures = [pool.submit(grow, seed) for seed in range(8)]
-                for f in futures:
-                    f.result(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
+    @pytest.mark.parametrize("need", [1, 2, 3, 1000, 4096])
+    def test_entries_are_read_only_scalar_twins(self, need):
+        lo, hi = endpoint_table(self._reciprocals, need)
+        want = [1.0 / IntervalScalar(float(k), float(k)) for k in range(1, lo.size + 1)]
+        assert [(a.hex(), b.hex()) for a, b in zip(lo.tolist(), hi.tolist())] == [
+            (w.lo.hex(), w.hi.hex()) for w in want
+        ]
+        for x in (lo, hi):
+            with pytest.raises(ValueError):
+                x[0] = 0.0
 
 
 class TestFlaggedEntries:

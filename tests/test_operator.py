@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from spikecert import basis, matrix, operator
+from spikecert import matrix, operator
 from spikecert.basis import reference_model
 from spikecert.cli import main as cli_main
 from spikecert.interval import IntervalScalar
@@ -801,73 +801,6 @@ def test_jacobian_endpoints_are_c_contiguous():
     J = assemble_jacobian(c, cfg_for(1.0, N=128))
     assert J.shape == (128, 128)
     assert J.lo.flags.c_contiguous and J.hi.flags.c_contiguous
-
-
-class TestQuotientTableGrowth:
-    """The coupling's shared quotient table grows in one step per G row and
-    per Jacobian: the first interaction block asks for every distance the
-    later ones reach.  Each test starts from an empty shared table."""
-
-    @pytest.fixture(autouse=True)
-    def empty_shared_tables(self):
-        basis._quotients.cache_clear()
-        yield
-        basis._quotients.cache_clear()
-
-    @staticmethod
-    def counting(monkeypatch, table=matrix.EndpointTable):
-        """The widths of the steps the quotient tables built from now on
-        take, each table a ``table``."""
-        formed = []
-
-        class Counting(table):
-            def __init__(self, row):
-                super().__init__(lambda x: formed.append(x.shape[1]) or row(x))
-
-        monkeypatch.setattr(basis, "EndpointTable", Counting)
-        return formed
-
-    @pytest.fixture
-    def steps(self, monkeypatch):
-        return self.counting(monkeypatch)
-
-    def test_one_step_per_g_row(self, steps):
-        c = vec({1: 1.0, 50: -0.5, 150: 0.25, 300: 0.1, 450: 0.01}, 450)
-        cfg = cfg_for(1.0, N=450)
-        apply_G(c, cfg)
-        assert steps == [900]
-        apply_G(c, cfg)
-        assert steps == [900]
-
-    def test_one_step_per_jacobian(self, steps):
-        c = vec({1: 1.0, 14: 0.3, 43: -0.1, 85: 0.05, 128: 0.01}, 128)
-        assemble_jacobian(c, cfg_for(1.0, N=128))
-        assert steps == [256]
-
-    def test_two_models_with_one_coupling_grow_one_table(self, steps):
-        # each audit builds a fresh model; the second one's G row reads the
-        # table the first one grew
-        c = vec({1: 1.0, 50: -0.5, 150: 0.25, 300: 0.1, 450: 0.01}, 450)
-        first, second = cfg_for(1.0, N=450), cfg_for(1.0, N=450)
-        assert first.model is not second.model
-        apply_G(c, first)
-        apply_G(c, second)
-        assert steps == [900]
-
-    def test_a_table_forming_its_new_entries_twice_is_caught(self, monkeypatch):
-        # each growth step of the mutant forms the entries past the table's
-        # end twice, with the same bits: only the step count sees it
-        old = "        new = self._row("
-        mutant = mutant_module(
-            monkeypatch,
-            matrix,
-            old,
-            "        self._row(IntervalMatrix.from_point(ks[None, :]))\n" + old,
-        )
-        mutant.IntervalMatrix = IntervalMatrix
-        steps = self.counting(monkeypatch, mutant.EndpointTable)
-        with pytest.raises(AssertionError):
-            self.test_one_step_per_g_row(steps)
 
 
 class TestApplyGMatchesVectorJoin:

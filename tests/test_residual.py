@@ -12,7 +12,7 @@ from spikecert import residual
 from spikecert.basis import reference_model
 from spikecert.cli import main as cli_main
 from spikecert.interval import IntervalError, IntervalOverflowError, IntervalScalar, sqrt_iv
-from spikecert.matrix import EndpointTable, IntervalMatrix, row_sum
+from spikecert.matrix import IntervalMatrix, row_sum
 from spikecert.operator import OperatorConfig, apply_G
 from spikecert.residual import certify_residual, weight_sq_row
 from spikecert.spaces import (
@@ -256,29 +256,24 @@ class TestResidualReadsTheRowOfG:
 
 class TestWeightTable:
     """weight_sq_row reads X's squared weights from a table formed once per
-    process.  Grown in pieces and queried in any order, each entry has the
-    bits of the scalar chain oracles.weight_sq; a mode above the table takes
-    the chain on its own row."""
+    process.  Queried in any order, each entry has the bits of the scalar
+    chain oracles.weight_sq; a mode above the table takes the chain on its
+    own row."""
 
-    def test_table_is_the_scalar_chain(self, monkeypatch):
+    def test_table_is_the_scalar_chain(self):
         top = residual._WEIGHT_MODES
         expect = {j: bits(weight_sq(j, PROFILE_SPACE)) for j in range(1, top + 1)}
         rng = random.Random(57)
         descending = [[j] for j in range(top, 0, -1)]
-        # ascending, each mode asked again after an earlier one, across the growth steps
-        growing = [[q] for j in range(1, top + 1, 3) for q in (j, j // 3 + 1)]
+        # ascending, each mode asked again after an earlier one
+        revisiting = [[q] for j in range(1, top + 1, 3) for q in (j, j // 3 + 1)]
         batches = [[rng.randint(1, top) for _ in range(rng.randint(0, 9))] for _ in range(400)]
-        for order in (descending, growing, batches):
-            table = EndpointTable(residual._weight_sq_chain)
-            monkeypatch.setattr(residual, "_WEIGHT_SQ", table)
+        for order in (descending, revisiting, batches):
             for js in order:
                 w = weight_sq_row(np.array(js, dtype=np.intp))
                 assert w.shape == (1, len(js))
                 for i, j in enumerate(js):
                     assert bits(w.entry(0, i)) == expect[j], j
-            # growth never goes past the largest mode asked for
-            need = max((j for js in order for j in js), default=0)
-            assert table.upto(1)[0].size == max(need, 1)
 
     def test_modes_below_one_take_the_chain(self):
         # the table starts at mode 1: mode 0 keeps an enclosure of its own

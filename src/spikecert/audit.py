@@ -30,9 +30,9 @@ verbatim once their consistency gates pass.  gamma and C_rec_map are
 recomputed and the declared values must sit on the sound side (declared
 gamma at or below the certified lower bound, declared C_rec_map at or
 above the certified value but within five percent).  C_prof, C_rec_ker
-and eps_T3 are checked against fixed caps.  C_conv has no independent
-recomputation at certificate scale, so it is admitted only through the
-two-sided consistency gate K within five percent of C_rec_map * C_conv.
+and eps_T3 are checked against fixed caps.  C_conv is computed, but a
+declared C_conv is not compared with it: it is admitted only through
+the two-sided consistency gate K within five percent of C_rec_map * C_conv.
 A declared K without a declared C_conv has no gate at all: it drives the
 closure as written, and its RSLT line says so.
 Residual recomputation on a declared certificate is logged as a
@@ -166,7 +166,7 @@ def run_audit(certificate_path, config: Optional[AuditConfig] = None) -> AuditRe
     delta = _residual(run, cert, cfg, op_cfg)
     m = _inverse(run, cert, cfg, op_cfg)
     _tail(run, cert, cfg, op_cfg)
-    k = _constants(run, cert, cfg, model)
+    k = _constants(run, cert, model)
     eps = _transfer(run, cert, cfg)
     return _closure(run, delta, m, k, eps)
 
@@ -251,7 +251,7 @@ def _tail(run, cert, cfg, op_cfg) -> None:
         )
 
 
-def _constants(run, cert, cfg, model) -> Optional[IntervalScalar]:
+def _constants(run, cert, model) -> Optional[IntervalScalar]:
     """K: declared (gated against C_rec_map * C_conv if C_conv is declared) or
     computed."""
     run.add("TASK", "constants")
@@ -297,7 +297,7 @@ def _constants(run, cert, cfg, model) -> Optional[IntervalScalar]:
         )
         return k
     try:
-        cons = certify_constants(rec, model, cfg.truncation_N)
+        cons = certify_constants(rec, model)
     except (ValueError, CertificationError) as exc:
         run.fail("K", f"lipschitz constant K not computable: {exc}")
         return None

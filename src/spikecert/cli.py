@@ -176,7 +176,9 @@ def _build_parser():
     p.add_argument("--c-prof", type=_decimal, help="profile envelope constant (decimal)")
 
     p = sub.add_parser("constants", help="recovery, convolution and K constants")
-    common(p, "model", "modes", "out")
+    common(p, "out")
+    # K reads the interaction bound alone, not the recovery coupling
+    p.add_argument("--coupling", type=_finite_float, default=_AUDIT.coupling)
 
     p = sub.add_parser("closure", help="scalar closure verdict from constants")
     common(p, "out")
@@ -310,11 +312,7 @@ def _cmd_constants(args) -> int:
     from .basis import reference_model
     from .constants import certify_constants, recovery_mapping_constant
 
-    rep = certify_constants(
-        recovery_mapping_constant(),
-        reference_model(args.coupling, args.coupling_rec),
-        args.modes,
-    )
+    rep = certify_constants(recovery_mapping_constant(), reference_model(args.coupling))
     text = (
         f"C_rec_map = {_iv(rep.C_rec_map)} (argmax k = {rep.argmax_k})\n"
         f"C_conv    = {_iv(rep.C_conv)}\n"

@@ -12,8 +12,8 @@ edges are certified to rise and to fall, holds it.  The convolution
 constant bounds the bilinear form from Y into X through the elementary
 inequality 1+(k+l)^2 <= 2(1+k^2)(1+l^2) and the same exponential buffer
 tau_Y - tau_X, which turns the double sum into a product of
-one-dimensional sums.  The Lipschitz constant is their outward-rounded
-product, ceiled to two significant digits.
+one-dimensional sums over the whole space.  The Lipschitz constant is
+their outward-rounded product, ceiled to two significant digits.
 
 The recovery constant is the bare supremum, without the recovery-kernel
 prefactor, because that is the value downstream audits compare against.
@@ -137,8 +137,13 @@ def _recovery_scan(b: IntervalScalar) -> RecoveryMapResult:
     return RecoveryMapResult(value=IntervalScalar(best_lo, best_hi), argmax_k=argmax)
 
 
-def convolution_constant(model: BasisModel, N: int) -> IntervalScalar:
-    """Certified C with ||Q(u,v)||_X <= C ||u||_Y ||v||_Y on modes <= N,
+# S's last summed mode: C_conv then lies 0.019 % above its whole-space
+# value, for about 10 ms once per process (4096: 0.48 %; 16384: 19 ms)
+_CUTOFF = 8192
+
+
+def convolution_constant(model: BasisModel) -> IntervalScalar:
+    """Certified C with ||Q(u,v)||_X <= C ||u||_Y ||v||_Y for all u, v in Y,
     for X = PROFILE_SPACE (s_X = 6) and Y = SOURCE_SPACE (s_Y = 7).
 
     Route: for an output mode j <= k+l,
@@ -149,40 +154,36 @@ def convolution_constant(model: BasisModel, N: int) -> IntervalScalar:
     leaving per-mode weights q_k = (1+k^2)^{-(s_Y-s_X)/2} e^{-beta k}
     = (1+k^2)^{-1/2} e^{-beta k} with beta = (tau_Y - tau_X)/2, and a
     residual e^{-beta j} on the output mode that keeps the j-sum finite.
-    The constant is
+    Over the whole space the constant is 2^3 * Cb * sqrt(G) * S^2 with
 
-        2^3 * Cb * sqrt(sum_{j<=2N} e^{-2 beta j}) * (sum_{k<=N} q_k)^2.
+        G = sum_{j>=1} e^{-2 beta j} = 1/(e^{2 beta} - 1),   S = sum_{k>=1} q_k.
 
+    S is summed on k = n..1, n = _CUTOFF, plus its tail, which is at most
+    (1+(n+1)^2)^{-1/2} e^{-beta(n+1)} / (1 - e^{-beta}) as (1+k^2)^{-1/2} falls.
     The route closes only with the buffers tau_Y > tau_X and s_Y >= s_X,
     which the two spaces have.
     """
-    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
-        raise CertificationError(f"N must be a positive integer, got {N!r}")
     cb = model.interaction_bound
     if cb.lo < 0.0:
         raise CertificationError(f"interaction bound must be nonnegative, got {cb}")
     if cb.hi == 0.0:
         return ZERO
-    s1, root_geo = _convolution_sums(N)
-    # the prefactor 2^{s_X/2} = 2^3
-    return intpow_iv(_TWO, 3) * cb * root_geo * s1 * s1
+    return cb * _whole_space_factor()
 
 
-@functools.lru_cache(maxsize=16)
-def _convolution_sums(N: int):
-    """(sum_{k<=N} q_k, sqrt(sum_{j<=2N} e^{-2 beta j})) of
-    convolution_constant.  They depend on N alone, so they are kept for the
-    16 truncations last asked for: an audit process asks for one or a few."""
+@functools.cache
+def _whole_space_factor() -> IntervalScalar:
+    """2^3 sqrt(G) S^2 of convolution_constant, formed once per process."""
     beta = _BUFFER * 0.5
-
-    # both sums run from the top mode down, each term formed on a row
-    k = np.arange(N, 0, -1)
+    # S's partial sum runs from the cutoff down, each term formed on a row
+    k = np.arange(_CUTOFF, 0, -1)
     kk = IntervalMatrix.from_point(k[None, :].astype(np.float64))
     one_plus = IntervalMatrix.from_point((1 + k * k)[None, :].astype(np.float64))
-    s1 = row_sum(ONE / one_plus.sqrt() * (-(beta * kk)).exp())
-    jj = IntervalMatrix.from_point(np.arange(2 * N, 0, -1, dtype=np.float64)[None, :])
-    geo = row_sum((-(_BUFFER * jj)).exp())
-    return s1, sqrt_iv(geo)
+    n1 = float(_CUTOFF + 1)
+    tail = ONE / sqrt_iv(ONE + n1 * n1) * exp_iv(-(beta * n1)) / (ONE - exp_iv(-beta))
+    s = row_sum(ONE / one_plus.sqrt() * (-(beta * kk)).exp()) + tail
+    # the prefactor 2^{s_X/2} = 2^3, and G in closed form
+    return intpow_iv(_TWO, 3) * sqrt_iv(ONE / (exp_iv(_BUFFER) - ONE)) * s * s
 
 
 def _ceil_two_significant(x: float) -> float:
@@ -228,10 +229,10 @@ class ConstantsReport:
             )
 
 
-def certify_constants(rec: RecoveryMapResult, model: BasisModel, N: int) -> ConstantsReport:
+def certify_constants(rec: RecoveryMapResult, model: BasisModel) -> ConstantsReport:
     """The constants block: the recovery supremum ``rec`` the caller
     certified, the convolution bound and their product."""
-    c_conv = convolution_constant(model, N)
+    c_conv = convolution_constant(model)
     k_const = lipschitz_constant(rec.value, c_conv)
     return ConstantsReport(
         C_rec_map=rec.value, argmax_k=rec.argmax_k, C_conv=c_conv, K=k_const

@@ -489,7 +489,9 @@ def test_no_subcommand_prints_usage(capsys):
     + [["audit", "--profile", "cert.json", "--tau-prime", "0.081"]]
     + [["constants", "--tau-prime", "0.081"]]
     # every rate is the fixed profile space's, so neither sets one
-    + [["constants", "--tau", "0.08"], ["gen-profile", "--out", "cert.json", "--tau", "0.08"]],
+    + [["constants", "--tau", "0.08"], ["gen-profile", "--out", "cert.json", "--tau", "0.08"]]
+    # C_conv bounds the whole space, and K reads no recovery coupling
+    + [["constants", "--modes", "128"], ["constants", "--coupling-rec", "1"]],
     ids=lambda argv: f"{argv[0]}{argv[-2]}",
 )
 def test_removed_flags_are_usage_errors(capsys, argv):

@@ -300,42 +300,95 @@ def test_recovery_argmax_is_the_first_of_tied_levels(monkeypatch):
 # convolution_constant
 
 
+# the whole-space constant 2^3 sqrt(G) S^2 for the buffer 0.081 - 0.08 taken
+# in floats (0.00100000000000000089), in 30-digit mpmath: S summed to
+# k = 120,000 plus its tail bound, G = 1/(e^{2 beta} - 1)
+WHOLE_SPACE = 13181.3891232766848
+# the same with S summed to the cutoff 8192 plus its tail bound
+AT_CUTOFF = 13183.9334029991810
+
+
 def test_zero_interaction_gives_zero():
-    c = convolution_constant(reference_model(0.0), 10)
+    c = convolution_constant(reference_model(0.0))
     assert c.lo == 0.0 and c.hi == 0.0
 
 
+def check_whole_space_value(module):
+    c = module.convolution_constant(reference_model(1.0))
+    assert c.contains(AT_CUTOFF)
+    assert WHOLE_SPACE <= c.lo and c.hi <= 1.001 * WHOLE_SPACE
+    assert c.width / c.hi < 1e-10
+
+
+def test_whole_space_reference_value():
+    check_whole_space_value(constants_module)
+
+
+def test_whole_space_constant_is_formed_once(monkeypatch):
+    # a constant of the program: the coupling-free factor is formed on the
+    # first call and read by every later one, whatever the coupling
+    first = constants_module._whole_space_factor()
+    calls = []
+    monkeypatch.setattr(constants_module, "row_sum", calls.append)
+    assert bits(convolution_constant(reference_model(2.0))) == bits(point(2.0) * first)
+    assert constants_module._whole_space_factor() is first and calls == []
+
+
+# S without its tail, and G summed on the modes up to twice the cutoff
+TAIL_MUTANTS = {
+    "no_tail": (".exp()) + tail", ".exp())"),
+    "truncated_G": (
+        "ONE / (exp_iv(_BUFFER) - ONE)",
+        "row_sum((-(_BUFFER * IntervalMatrix.from_point("
+        "np.arange(2 * _CUTOFF, 0, -1, dtype=np.float64)[None, :]))).exp())",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_MUTANTS))
+def test_tail_mutants_miss_the_whole_space_value(monkeypatch, name):
+    mutant = mutant_module(monkeypatch, constants_module, *TAIL_MUTANTS[name])
+    with pytest.raises(AssertionError):
+        check_whole_space_value(mutant)
+
+
 def test_reference_value_small_truncation():
-    c = convolution_constant(reference_model(1.0), 10)
-    # 8 sqrt(sum_{j<=20} e^{-2 beta j}) (sum_{k<=10} q_k)^2 to 18 digits:
-    # 230.384978436606481
+    # the per-N reference below, pinned: 8 sqrt(sum_{j<=20} e^{-2 beta j})
+    # (sum_{k<=10} q_k)^2 to 18 digits: 230.384978436606481
+    c = scalar_convolution_constant(reference_model(1.0), 10, PROFILE_SPACE, SOURCE_SPACE)
     assert c.contains(230.384978436606481)
     assert c.width / c.hi < 1e-10
 
 
 def test_reference_value_full_truncation():
-    c = convolution_constant(reference_model(1.0), 450)
+    c = scalar_convolution_constant(reference_model(1.0), 450, PROFILE_SPACE, SOURCE_SPACE)
     assert c.contains(7232.48369617838866)
     assert c.width / c.hi < 1e-10
 
 
 def test_constant_grows_with_truncation():
-    m = reference_model(1.0)
-    c10 = convolution_constant(m, 10)
-    c20 = convolution_constant(m, 20)
-    assert c20.lo >= c10.lo and c20.hi >= c10.hi
+    # the constant on modes <= N rises with N towards the whole-space one,
+    # which lies above it at every N
+    model = reference_model(1.0)
+    c = convolution_constant(model)
+    below = ZERO
+    for N in (16, 128, 450, 2048, 20000):
+        truncated = scalar_convolution_constant(model, N, PROFILE_SPACE, SOURCE_SPACE)
+        assert below.hi < truncated.lo and truncated.hi < c.lo, N
+        below = truncated
 
 
 def test_constant_scales_with_interaction_bound():
-    c1 = convolution_constant(reference_model(1.0), 8)
-    c3 = convolution_constant(reference_model(3.0), 8)
+    c1 = convolution_constant(reference_model(1.0))
+    c3 = convolution_constant(reference_model(3.0))
     assert c3.contains(3.0 * c1.mid)
 
 
 def scalar_convolution_constant(model, N, X, Y):
-    """convolution_constant as two scalar loops, one term at a time, from the
-    top mode down, as the function once computed it, for spaces with
-    s_Y - s_X = 1 (the per-mode power p = 1/2) and an even s_X."""
+    """The bilinear bound on modes <= N as two scalar loops, one term at a
+    time, from the top mode down, as convolution_constant once computed it,
+    for spaces with s_Y - s_X = 1 (the per-mode power p = 1/2) and an even
+    s_X."""
     assert (Y.s - X.s, X.s % 2) == (1.0, 0.0)
     two_beta = IntervalScalar(Y.tau, Y.tau) - IntervalScalar(X.tau, X.tau)
     beta = two_beta * 0.5
@@ -350,20 +403,35 @@ def scalar_convolution_constant(model, N, X, Y):
     return pref * model.interaction_bound * sqrt_iv(geo) * s1 * s1
 
 
-@pytest.mark.parametrize("N", [1, 7, 128, 450])
+def scalar_whole_space_constant(model, n, X, Y):
+    """convolution_constant with the cutoff n: S as a scalar loop from n down
+    to 1 plus its tail bound, and G in closed form, for the spaces of
+    scalar_convolution_constant."""
+    assert (Y.s - X.s, X.s % 2) == (1.0, 0.0)
+    two_beta = IntervalScalar(Y.tau, Y.tau) - IntervalScalar(X.tau, X.tau)
+    beta = two_beta * 0.5
+    s = ZERO
+    for k in range(n, 0, -1):
+        s = s + ONE / sqrt_iv(point(1 + k * k)) * exp_iv(-(beta * float(k)))
+    edge = point(1 + (n + 1) * (n + 1))
+    s = s + ONE / sqrt_iv(edge) * exp_iv(-(beta * float(n + 1))) / (ONE - exp_iv(-beta))
+    geo = ONE / (exp_iv(two_beta) - ONE)
+    pref = intpow_iv(IntervalScalar(2.0, 2.0), int(X.s) // 2)
+    return model.interaction_bound * (pref * sqrt_iv(geo) * s * s)
+
+
+@pytest.mark.parametrize("n", [1, 7, 128, 450, constants_module._CUTOFF])
 # the audit's pair, the one convolution_constant has: p = (s_Y - s_X)/2 = 1/2
 @pytest.mark.parametrize("X, Y", [(PROFILE_SPACE, SOURCE_SPACE)], ids=["p0.5"])
-def test_convolution_constant_matches_scalar_loops(N, X, Y):
+def test_convolution_constant_matches_scalar_loops(monkeypatch, n, X, Y):
+    # at the cutoff n, formed afresh; each cutoff bounds the whole space
+    factor = constants_module._whole_space_factor
+    monkeypatch.setattr(constants_module, "_CUTOFF", n)
+    monkeypatch.setattr(constants_module, "_whole_space_factor", factor.__wrapped__)
     model = reference_model(1.0)
-    c = convolution_constant(model, N)
-    assert bits(c) == bits(scalar_convolution_constant(model, N, X, Y))
-
-
-def test_missing_buffer_refused():
-    # the buffers are properties of the two fixed spaces (test_spaces.py);
-    # a truncation without modes is refused here
-    with pytest.raises(CertificationError):
-        convolution_constant(reference_model(1.0), 0)
+    c = convolution_constant(model)
+    assert bits(c) == bits(scalar_whole_space_constant(model, n, X, Y))
+    assert c.lo >= WHOLE_SPACE
 
 
 def test_rayleigh_ratio_never_exceeds_bound():
@@ -374,7 +442,7 @@ def test_rayleigh_ratio_never_exceeds_bound():
     """
     model = reference_model(1.0)
     cfg = OperatorConfig(model, make_interval(0.005, 0.0), truncation_N=12)
-    c = convolution_constant(model, 12)
+    c = convolution_constant(model)
     rng = random.Random(20240818)
 
     def draw():
@@ -448,11 +516,11 @@ def test_report_invariant_enforced():
 
 def test_certify_constants_computes_when_undeclared():
     rec = recovery_mapping_constant()
-    rep = certify_constants(rec, reference_model(1.0), 450)
+    rep = certify_constants(rec, reference_model(1.0))
     assert (rep.C_rec_map, rep.argmax_k) == (rec.value, rec.argmax_k)
-    assert rep.C_conv.contains(7232.48369617838866)
+    assert rep.C_conv.contains(AT_CUTOFF)
     product = rep.C_rec_map * rep.C_conv
     assert rep.K.hi >= product.hi
-    # two significant figures of the ~1.855e11 product
-    assert rep.K.hi == 1.9e11
+    # two significant figures of the ~3.382e11 product
+    assert rep.K.hi == 3.4e11
     assert isinstance(rec, RecoveryMapResult)

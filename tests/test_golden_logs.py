@@ -129,7 +129,7 @@ CASES = {
     "cli_closure": lambda tmp: _cli(
         ["closure", "--delta", "8.421739e-12", "--M", "482.6", "--K", "1.1e4", "--eps", "1.42e-20"]
     ),
-    "cli_constants_128": lambda tmp: _cli(["constants", "--modes", "128"]),
+    "cli_constants": lambda tmp: _cli(["constants"]),
 }
 
 
@@ -143,9 +143,10 @@ def test_every_golden_copy_has_a_case():
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(CASES)
 
 
-# N = 450, then N = 128, then N = 450 again: the tables and sums the audit
-# keeps for the whole process (the weights of X, k^{7/2}, the quotients, the
-# sums of C_conv) are formed by the first audit at each N and serve the others
+# N = 450, then N = 128, then N = 450 again: the tables the audit keeps for
+# the whole process (the weights of X, k^{7/2}, the quotients) are formed by
+# the first audit at each N and serve the others, and the constants of the
+# program (the recovery supremum, C_conv's factor) by the first audit of all
 WARM_SEQUENCE = (
     ("bundled", None, 450),
     ("constant_free_N128", (1, 14, 43, 85, 128), 128),
@@ -156,7 +157,7 @@ WARM_SEQUENCE = (
 def _clear_process_caches():
     matrix._endpoint_table.cache_clear()
     basis._quotient_row.cache_clear()
-    constants._convolution_sums.cache_clear()
+    constants._whole_space_factor.cache_clear()
     constants.recovery_mapping_constant.cache_clear()
 
 

@@ -7,8 +7,10 @@ reproduce the growth and sparsity structure the estimates rely on: quadratic
 diffusion eigenvalues, linear-in-j/2 drift, triangle-rule interactions with
 harmonic falloff away from the j = k+l diagonal, and a k^{7/2} recovery
 kernel.  The operator reads the eigenvalues and the kernel as 1 x len(modes)
-rows and the tensor as one slab per source mode; the scalar ``interaction``
-stays only as the oracles' reference and the hook a call tracer wraps.
+rows and the tensor as one slab per source mode, already split into the
+midpoint and radius arrays it sums (``_split_slab``); the scalar
+``interaction`` stays only as the oracles' reference and the hook a call
+tracer wraps.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .interval import ZERO, IntervalScalar
-from .matrix import IntervalMatrix, endpoint_table, pow_seven_halves_row
+from .interval import ZERO, IntervalError, IntervalScalar
+from .matrix import IntervalMatrix, _mid_rad, endpoint_table, pow_seven_halves_row
 
 __all__ = ["BasisModel", "reference_model"]
 
@@ -35,6 +37,35 @@ def _quotient_row(coupling: float):
     for both."""
     cpl = IntervalScalar(coupling, coupling)
     return lambda x: cpl / x
+
+
+def _split_slab(block: IntervalMatrix):
+    """(mid, rad) of an interval slab, the form ``interaction_block``
+    serves: matrix._mid_rad's split, so each entry lies in [mid - rad,
+    mid + rad] and a point entry has rad exactly 0, except that an entry
+    with an infinite endpoint gets mid = 0 and rad = inf."""
+    mid, rad, unbounded = _mid_rad(block)
+    rad[unbounded] = np.inf
+    return mid, rad
+
+
+def _quotient_table(row, need: int):
+    """(mid, rad) of the quotients endpoint_table(row, need) holds, split
+    once per process and table; index d holds coupling / (1 + d), and the
+    index one past the table a zero slot, (0.0, 0.0)."""
+    return _split_table(row, endpoint_table(row, need)[0].size)
+
+
+@functools.lru_cache(maxsize=32)
+def _split_table(row, n: int):
+    mid, rad = _split_slab(IntervalMatrix(*(a[None] for a in endpoint_table(row, n))))
+    # a finite coupling over 1 + d >= 1 leaves every quotient finite
+    if not np.isfinite(rad).all():
+        raise IntervalError("quotient table has an unbounded entry")
+    ends = (np.append(mid[0], 0.0), np.append(rad[0], 0.0))
+    for a in ends:
+        a.flags.writeable = False
+    return ends
 
 
 @dataclass(frozen=True)
@@ -51,16 +82,19 @@ class BasisModel:
     form stops at mode 2N.
     ``interaction_block(k, ls, n)`` is the len(ls) x n slab of that tensor
     for one source mode k, entry [i, j-1] = C_{k, ls[i], j}, so mode j runs
-    along contiguous memory, with exactly the endpoints ``interaction``
-    gives; the operator reads the tensor only through it.  The scalar
-    ``interaction`` stays only as the reference the oracles compare against
-    and as the hook a call tracer wraps.
+    along contiguous memory, served split as two fresh float arrays
+    ``(mid, rad)`` that the caller may overwrite: entry by entry the
+    ``_split_slab`` split of the interval ``interaction`` gives, so an entry
+    with an infinite endpoint has rad = inf.  The operator reads the tensor
+    only through it.  The scalar ``interaction`` stays only as the
+    reference the oracles compare against and as the hook a call tracer
+    wraps.
     """
 
     diffusion_row: Callable[[Sequence[int]], IntervalMatrix]
     drift_row: Callable[[Sequence[int]], IntervalMatrix]
     interaction: Callable[[int, int, int], IntervalScalar]
-    interaction_block: Callable[[int, Sequence[int], int], IntervalMatrix]
+    interaction_block: Callable[[int, Sequence[int], int], tuple]
     interaction_bound: IntervalScalar
     kernel_row: Callable[[Sequence[int]], IntervalMatrix]
 
@@ -71,11 +105,13 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
     lambda_j = j^2, d_j = j/2, C_{klj} = coupling / (1 + |j-k-l|) inside the
     triangle band |k-l| <= j <= k+l and zero outside, K_rec(k) =
     coupling_rec * k^{7/2} (coupling_rec defaults to coupling).  lambda_j
-    and d_j are exact floats.  The rows and slabs read the quotients
-    coupling / (1 + d) and k^{7/2} from ``endpoint_table``, formed with the
-    IntervalMatrix twins of the scalar expressions, so each entry has the
-    bits of the scalar one; the scalar ``interaction`` forms its quotient
-    on its own.
+    and d_j are exact floats.  The rows read k^{7/2} from
+    ``endpoint_table``, formed with the IntervalMatrix twins of the scalar
+    expressions, so each entry has the bits of the scalar one.  The slabs
+    read the quotients coupling / (1 + d) from one split copy of their
+    endpoint table per coupling, shared by every model of the process, so
+    each entry has the bits of the split scalar quotient; the scalar
+    ``interaction`` forms its quotient on its own.
     """
     if coupling_rec is None:
         coupling_rec = coupling
@@ -107,21 +143,19 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
             return ZERO
         return cpl / float(1 + k + l - j)
 
-    def interaction_block(k: int, ls: Sequence[int], n: int) -> IntervalMatrix:
+    def interaction_block(k: int, ls: Sequence[int], n: int):
         _check_index(k)
-        l = _mode_array(ls)[:, None]
+        l = _mode_array(ls)
         _check_index(n)
-        j = np.arange(1, n + 1)[None, :]
-        band = (np.abs(k - l) <= j) & (j <= k + l)
-        lo = np.zeros(band.shape)
-        hi = np.zeros(band.shape)
-        if band.any():
-            d = (k + l - j)[band]
-            # every d is below k + max(ls) <= 2 max(k, ls)
-            table_lo, table_hi = endpoint_table(quotients, 2 * max(k, int(l.max())))
-            lo[band] = table_lo[d]
-            hi[band] = table_hi[d]
-        return IntervalMatrix(lo, hi)
+        # every d = k + l - j in the band is below k + max(ls) <= 2 max(k, ls)
+        mid, rad = _quotient_table(quotients, 2 * max(k, int(l.max(initial=0))))
+        d = (k + l)[:, None] - np.arange(1, n + 1)
+        # |k - l| <= j <= k + l iff 0 <= d <= 2 min(k, l); read unsigned, a
+        # negative d lies above every bound, so one test sends both sides
+        # of the band to the zero slot
+        outside = d.view(np.uintp) > (2 * np.minimum(k, l)).astype(np.uintp)[:, None]
+        np.copyto(d, mid.size - 1, where=outside)
+        return mid.take(d), rad.take(d)
 
     return BasisModel(
         diffusion_row=diffusion_row,

@@ -13,6 +13,7 @@ meet delta.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product as iter_product
@@ -96,7 +97,9 @@ def image_overlap_bound(
 
     The ratio of consecutive tail terms never grows with the shell index,
     so a sigma whose ratio test fails at the last shell the walk may reach
-    is refused before the walk starts.
+    is refused before the walk starts.  The bound is a pure function of
+    the checked float sigma and int radius, formed once per process for
+    each.
     """
     sigma = float(sigma)
     if not (math.isfinite(sigma) and sigma > 0.0):
@@ -105,11 +108,15 @@ def image_overlap_bound(
         raise CertificationError(f"lattice_radius must be an integer, got {lattice_radius!r}")
     if lattice_radius < 1:
         raise CertificationError(f"lattice_radius must be >= 1, got {lattice_radius}")
+    return _overlap_bound(sigma, int(lattice_radius), bool(nearest_only))
+
+
+@functools.lru_cache(maxsize=32)
+def _overlap_bound(sigma: float, R: int, nearest_only: bool) -> LogMagnitude:
     base = (PI * PI) / (IntervalScalar(sigma, sigma) * IntervalScalar(sigma, sigma))
     nearest_log10 = (-base) / LN10
     if nearest_only:
         return LogMagnitude(nearest_log10.hi)
-    R = lattice_radius
 
     # shells inside the radius, scaled by the nearest-image weight
     counts = {}

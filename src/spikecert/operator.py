@@ -11,10 +11,11 @@ L_j = 1 + d_j + nu lambda_j (``_symbol``) and the kernel K_rec as 1 x n
 rows over the support or over 1..N, from ``drift_row``, ``diffusion_row``
 and ``kernel_row``, and the tensor through ``interaction_block``, one
 len(cols) x n slab C_k per source mode k with mode j along contiguous
-memory.  Each product and sum of those rows keeps the operand order of the
-scalar expression it stands for, so its entries have that expression's
-bits.  The scalar ``interaction`` stays only as the oracles' reference and
-the hook a call tracer wraps.
+memory, served already split into the float arrays Cm and Cr below.  Each
+product and sum of those rows keeps the operand order of the scalar
+expression it stands for, so its entries have that expression's bits.
+The scalar ``interaction`` stays only as the oracles' reference and the
+hook a call tracer wraps.
 
 With L the linear symbol, K = diag(K_rec(k)) and Q(u, v)_j = sum_{k,l}
 C_{klj} u_k v_l, G(c) = L c + Q(c, c) + 2 Q(K c, c).  The basis is
@@ -37,10 +38,12 @@ Wr) and (|Cm| + Cr) (|Wm| + Wr).  Each exact C W lies within the second of
 Cm Wm, and |Cm Wm| plus it is at most the third, so the exact sum lies
 within rad + gamma_n scale of mid, plus an underflow term, with n bounding
 the roundings a term meets (matrix._mid_rad_enclosure).  This is not
-bit-identical to directed rounding entry by entry.  An entry no term
+bit-identical to directed rounding entry by entry.  The slabs arrive split
+(basis._split_slab), W is split once per call, and the terms and sums are
+formed in place in buffers allocated once per call.  An entry no term
 reaches is exactly [0, 0], left out of the vectors returned; an
-overflowing sum, or a factor with an infinite endpoint, makes its entries
-the whole line.
+overflowing sum, or a factor with an infinite endpoint (a slab entry with
+rad = inf), makes its entries the whole line.
 """
 
 from __future__ import annotations
@@ -90,31 +93,45 @@ def _symbol(modes: Sequence[int], cfg: OperatorConfig) -> IntervalMatrix:
 
 
 def _slab_terms(
-    W: IntervalMatrix, ks: Sequence[int], cols: Sequence[int], n: int, cfg: OperatorConfig
+    W: IntervalMatrix, ks: Sequence[int], cols: Sequence[int], n: int, cfg: OperatorConfig, out
 ):
-    """Per source mode k = ks[r], the len(cols) x n terms of C_{k, cols[i], j}
-    W_k[i] (module docstring), W_k = row r of ``W`` read as a column, and
-    the mask of entries reached (no factor [0, 0]); an infinite endpoint
-    makes its radius term inf.  Each row is split into mid and rad on its
-    own, so no len(ks) x len(cols) temporaries are formed."""
+    """Per source mode k = ks[r] whose weight row W_k (row r of ``W``, read
+    as a column) is not all [0, 0], the len(cols) x n terms of
+    C_{k, cols[i], j} W_k[i] (module docstring), written into out[0], out[1]
+    and out[2] (mid, rad, scale), and the mask of entries reached (no
+    factor [0, 0]).  W is split once; the slab arrives split and serves as
+    scratch.  Where every weight of the row is finite and nonzero, an
+    unbounded slab entry (rad = inf) makes its rad term inf by arithmetic
+    alone; elsewhere a weight [0, 0] reaches nothing and an unbounded
+    weight makes the entries it reaches inf.  An overflowing term is inf
+    or NaN, which _mid_rad_enclosure turns into the whole line, so the sums
+    that run this generator turn numpy's warnings off."""
+    Wm, Wr, w_inf = _mid_rad(W)
+    Wa = np.abs(Wm) + Wr
+    w_live = (Wa != 0.0) | w_inf
+    plain = (Wa != 0.0).all(axis=1)  # Wa is 0 where w_inf
+    mid, rad, scale = out
     for r, k in enumerate(ks):
-        Wm, Wr, w_inf = _mid_rad(W[r, :, None])
-        Wa = np.abs(Wm) + Wr
-        w_live = (Wa != 0.0) | w_inf
-        if not w_live.any():
+        if not w_live[r].any():
             continue
-        Cm, Cr, c_inf = _mid_rad(cfg.model.interaction_block(k, cols, n))
-        mid = Cm * Wm
+        Cm, Cr = cfg.model.interaction_block(k, cols, n)
+        wm, wr, wa = Wm[r, :, None], Wr[r, :, None], Wa[r, :, None]
+        if not plain[r]:
+            c_inf = np.isinf(Cr)
+        np.multiply(Cm, wm, out=mid)
         Ca = np.abs(Cm, out=Cm)
-        rad = Ca * Wr
-        rad += Cr * Wa
+        np.multiply(Ca, wr, out=rad)
         Ca += Cr
-        reach = ((Ca != 0.0) | c_inf) & w_live
-        rad[reach & (c_inf | w_inf)] = np.inf
-        Ca *= Wa
-        del Cm, Cr  # the slab is freed before the next one is read
-        yield mid, rad, Ca, reach
-        del mid, rad, Ca
+        rad += np.multiply(Cr, wa, out=Cr)
+        reach = Ca != 0.0
+        np.multiply(Ca, wa, out=scale)
+        if not plain[r]:
+            reach &= w_live[r, :, None]
+            np.copyto(rad, 0.0, where=~reach)  # rad = inf times [0, 0] left NaN
+            np.copyto(scale, 0.0, where=~reach)
+            rad[reach & (c_inf | w_inf[r, :, None])] = np.inf
+        del Cm, Cr, Ca  # the slab is freed before the next one is read
+        yield reach
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -123,18 +140,16 @@ def _interaction_sum(
 ):
     """The n x len(cols) matrix [j-1, i] = sum_k C_{k, cols[i], j} W_k[i],
     added over k in order, so n counts the terms that reach an entry.  The
-    sums run over its transpose, in the slabs' layout, and the endpoints
-    are copied back C-contiguous once the sums are freed.  An overflowing
-    term or sum is inf or NaN here, which _mid_rad_enclosure turns into the
-    whole line, so numpy's warnings are off (for the slab generator too,
-    which runs inside this call)."""
-    sums = [np.zeros((len(cols), n)) for _ in range(3)]
+    sums run in place over its transpose, in the slabs' layout, and the
+    endpoints are copied back C-contiguous once the sums are freed.
+    numpy's warnings are off, for the slab generator too (_slab_terms)."""
+    terms = np.empty((3, len(cols), n))
+    sums = np.zeros((3, len(cols), n))
     count = np.zeros((len(cols), n), dtype=np.int32)
-    for *terms, reach in _slab_terms(W, ks, cols, n, cfg):
-        for acc, x in zip(sums, terms):
-            acc += x
+    for reach in _slab_terms(W, ks, cols, n, cfg, terms):
+        sums += terms
         count += reach
-        del terms
+    del terms
     J = _mid_rad_enclosure(*sums, count)
     del sums, count  # freed before the transposed copies
     J.lo = np.ascontiguousarray(J.lo.T)
@@ -147,23 +162,32 @@ def _interaction_row(
     W: IntervalMatrix, ks: Sequence[int], cols: Sequence[int], n: int, cfg: OperatorConfig
 ):
     """_interaction_sum summed over i, a 1 x n row added by halves over i, then
-    k: n is 1 + ceil(log2 len(cols)) + ceil(log2 #k) where a term reaches;
-    numpy's warnings are off as in _interaction_sum."""
-    parts, reached = ([], [], []), np.zeros(n, dtype=bool)
-    for *terms, reach in _slab_terms(W, ks, cols, n, cfg):
-        for part, x in zip(parts, terms):
-            part.append(_halving(x))
+    k: n is 1 + ceil(log2 len(cols)) + ceil(log2 #k) where a term reaches.
+    Each source's three parts are halved in place in one buffer, and the
+    halved rows copied into one array, halved in turn; numpy's warnings are
+    off as in _interaction_sum."""
+    terms = np.empty((3, len(cols), n))
+    rows = np.zeros((3, max(len(ks), 1), n))
+    reached, m = np.zeros(n, dtype=bool), 0
+    for reach in _slab_terms(W, ks, cols, n, cfg, terms):
+        rows[:, m] = _halving(terms.swapaxes(0, 1))
         reached |= reach.any(axis=0)
-    mid, rad, scale = (_halving(np.stack(p or [np.zeros(n)]))[None] for p in parts)
-    depth = 1 + (len(cols) - 1).bit_length() + (len(parts[0]) - 1).bit_length()
+        m += 1
+    mid, rad, scale = _halving(rows[:, : max(m, 1)].swapaxes(0, 1))[:, None]
+    depth = 1 + (len(cols) - 1).bit_length() + (m - 1).bit_length()
     return _mid_rad_enclosure(mid, rad, scale, np.where(reached, depth, 0)[None])
 
 
 def _halving(x: np.ndarray) -> np.ndarray:
-    """Sums along the first axis, of length m >= 1, in ceil(log2 m) rounds:
-    each round adds rows 2i and 2i+1 and carries an odd last row over."""
-    while (m := x.shape[0]) > 1:
-        x = np.concatenate((x[: m - 1 : 2] + x[1::2], x[m - m % 2 :]))
+    """Sums along the first axis, of length m >= 1, in place, in ceil(log2 m)
+    rounds of stride s = 1, 2, 4, ...: each adds row i + s into row i for
+    every i a multiple of 2s with i + s < m.  Those are the pairs of rounds
+    that add rows 2i and 2i+1 and carry an odd last row over.  Returns row
+    0, a view of x."""
+    m, s = x.shape[0], 1
+    while s < m:
+        x[: m - s : 2 * s] += x[s :: 2 * s]
+        s *= 2
     return x[0]
 
 

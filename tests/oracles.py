@@ -4,12 +4,16 @@ The program forms the weighted norm, the linear part of G and the
 recovered velocity as rows (``residual.weight_sq_row``, ``operator._G_row``);
 these are the per-mode scalar versions, built with the scalar interval
 calculus, and the outward-rounded mid-rad constructor the tests build
-their data with.
+their data with.  ``split_block`` forms an interaction slab entry by entry
+from a scalar interaction, in the split form a basis serves.
 """
 
 import math
 
+import numpy as np
+
 from spikecert import operator
+from spikecert.basis import _split_slab
 from spikecert.interval import (
     ZERO,
     IntervalError,
@@ -20,6 +24,7 @@ from spikecert.interval import (
     ln_iv,
     sqrt_iv,
 )
+from spikecert.matrix import IntervalMatrix
 from spikecert.spaces import CoefficientVector, WeightedSpace
 
 
@@ -39,6 +44,16 @@ def make_interval(mid: float, rad: float) -> IntervalScalar:
     if rad == 0.0:
         return IntervalScalar(mid, mid)
     return IntervalScalar(_add(mid, -rad, False), _add(mid, rad, True))
+
+
+def split_block(interaction, k, ls, n):
+    """The len(ls) x n slab (mid, rad) of a scalar ``interaction`` for source
+    mode k, [i, j-1] the split of interaction(k, ls[i], j), as
+    basis._split_slab splits it."""
+    entries = [interaction(k, l, j) for l in ls for j in range(1, n + 1)]
+    lo = np.array([e.lo for e in entries], dtype=np.float64).reshape(len(ls), n)
+    hi = np.array([e.hi for e in entries], dtype=np.float64).reshape(len(ls), n)
+    return _split_slab(IntervalMatrix(lo, hi))
 
 
 def weight_sq(j: int, space: WeightedSpace) -> IntervalScalar:

@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from spikecert import audit
+from spikecert import audit, basis, matrix, operator
 from spikecert.audit import (
     AUDIT_MAGIC,
     AUDIT_TAGS,
@@ -347,6 +347,17 @@ def test_constant_free_audit_with_tau_past_tau_prime_assembles_no_jacobian(bundl
     assert elapsed < 1.0, f"audit took {elapsed:.1f} s"
 
 
+def constant_free_five_modes(bundled, tmp_path):
+    """The bundled five-mode shape at modes 1, 14, 43, 85 and 128, with no
+    declared constants."""
+    doc = json.loads(pathlib.Path(bundled).read_text())
+    del doc["constants"]
+    doc["modes"] = [dict(m, j=j) for m, j in zip(doc["modes"], (1, 14, 43, 85, 128))]
+    path = tmp_path / "constant_free.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def test_constant_free_audit_builds_each_slab_once(bundled, tmp_path, monkeypatch):
     # the five-mode shape at N = 128: one 256 x 5 slab per source mode for
     # G, then one 128 x 128 slab per source mode feeding both A_c and A_{Kc}
@@ -364,15 +375,31 @@ def test_constant_free_audit_builds_each_slab_once(bundled, tmp_path, monkeypatc
         return dataclasses.replace(model, interaction_block=interaction_block)
 
     monkeypatch.setattr(spikecert.audit, "reference_model", counted_model)
-    doc = json.loads(pathlib.Path(bundled).read_text())
-    del doc["constants"]
-    doc["modes"] = [dict(m, j=j) for m, j in zip(doc["modes"], (1, 14, 43, 85, 128))]
-    path = tmp_path / "constant_free.json"
-    path.write_text(json.dumps(doc))
+    path = constant_free_five_modes(bundled, tmp_path)
     result = run_audit(path, AuditConfig(truncation_N=128, timestamp="2026-08-18T00:00:00Z"))
     assert result.exit_code == 1
     modes = [1, 14, 43, 85, 128]
     assert calls == [(k, 5, 256) for k in modes] + [(k, 128, 128) for k in modes]
+
+
+def test_constant_free_audit_splits_no_slab(bundled, tmp_path, monkeypatch):
+    # the slabs arrive split, so matrix._mid_rad sees no array larger than
+    # 5 x 128, the support times N (a slab is 5 x 256 for G and 128 x 128
+    # for the Jacobian): each call's weights, split once, and the quotient
+    # table, 1 x 256, where this audit is the first to form it
+    inputs = []
+
+    def counted(x):
+        inputs.append(x.lo.shape)
+        return matrix._mid_rad(x)
+
+    for module in (basis, operator):
+        monkeypatch.setattr(module, "_mid_rad", counted)
+    path = constant_free_five_modes(bundled, tmp_path)
+    result = run_audit(path, AuditConfig(truncation_N=128, timestamp="2026-08-18T00:00:00Z"))
+    assert result.exit_code == 1
+    assert all(rows * cols <= 5 * 128 for rows, cols in inputs), inputs
+    assert [s for s in inputs if s[0] > 1] == [(5, 5), (5, 128)]
 
 
 # ---------------------------------------------------------------- bad input

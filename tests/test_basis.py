@@ -7,9 +7,11 @@ import pytest
 from spikecert import basis, matrix
 from spikecert.basis import BasisModel, reference_model
 from spikecert.interval import IntervalScalar, pow_seven_halves
-from spikecert.matrix import IntervalMatrix, endpoint_table
+from spikecert.matrix import IntervalMatrix
 from spikecert.operator import OperatorConfig, apply_G
 from spikecert.spaces import CoefficientVector
+
+from oracles import split_block
 
 
 def entry(row):
@@ -18,15 +20,19 @@ def entry(row):
     return row.entry(0, 0)
 
 
+def assert_slab_is(got, want, k, ls):
+    """The (mid, rad) slab ``got`` has the bits of ``want`` in every entry,
+    -0.0 told from +0.0; a mismatch names its (k, l, j)."""
+    for name, g, w in zip(("mid", "rad"), got, want):
+        assert g.shape == w.shape, name
+        bad = np.argwhere(g.view(np.int64) != w.view(np.int64))
+        assert bad.size == 0, (name, k, list(ls)[bad[0][0]], int(bad[0][1]) + 1)
+
+
 def assert_block_matches(m, k, ls, n):
-    """interaction_block(k, ls, n) has the bits of scalar interaction in
-    every entry: [i, j-1] = C_{k, ls[i], j}."""
-    block = m.interaction_block(k, ls, n)
-    assert block.shape == (len(ls), n)
-    for (i, l), j in itertools.product(enumerate(ls), range(1, n + 1)):
-        e = m.interaction(k, l, j)
-        got = (float(block.lo[i, j - 1]).hex(), float(block.hi[i, j - 1]).hex())
-        assert got == (e.lo.hex(), e.hi.hex()), (k, l, j)
+    """interaction_block(k, ls, n) has the bits of the split scalar
+    interaction in every entry: [i, j-1] = C_{k, ls[i], j}."""
+    assert_slab_is(m.interaction_block(k, ls, n), split_block(m.interaction, k, ls, n), k, ls)
 
 
 class TestReferenceModel:
@@ -109,21 +115,20 @@ class TestReferenceModel:
         m = reference_model(coupling)
         assert_block_matches(m, 5, [9, 2, 9, 30, 1], 20)
         assert_block_matches(m, 12, [40, 3, 12], 100)
-        assert m.interaction_block(3, [], 7).shape == (0, 7)
+        assert [a.shape for a in m.interaction_block(3, [], 7)] == [(0, 7), (0, 7)]
 
     @pytest.mark.parametrize("coupling", [0.37, 1.0, 2.9])
     def test_shared_quotient_table_is_the_scalar_quotient(self, coupling):
         # interaction_block reads the coupling's shared table, square or one
-        # column at a time; every entry, and every scalar interaction, has
-        # the bits of cpl / (1 + |j - k - l|)
+        # column at a time; every entry is the split of, and every scalar
+        # interaction has the bits of, cpl / (1 + |j - k - l|)
         m = reference_model(coupling)
         cpl = IntervalScalar(coupling, coupling)
 
         def want(k, l, j):
             if not abs(k - l) <= j <= k + l:
-                return ("0x0.0p+0", "0x0.0p+0")
-            q = cpl / float(1 + abs(j - k - l))
-            return q.lo.hex(), q.hi.hex()
+                return IntervalScalar(0.0, 0.0)
+            return cpl / float(1 + abs(j - k - l))
 
         for k, l, slab in (
             (1, 1, None),
@@ -136,19 +141,12 @@ class TestReferenceModel:
             (80, 75, "column"),
         ):
             n = 2 * (k + l)
-            if slab == "square":
-                C = m.interaction_block(k, range(1, n + 1), n)
-                for j, mm in ((j, mm) for j in range(1, n + 1) for mm in (1, l, n)):
-                    got = (float(C.lo[mm - 1, j - 1]).hex(), float(C.hi[mm - 1, j - 1]).hex())
-                    assert got == want(k, mm, j), (k, mm, j)
-            if slab == "column":
-                col = m.interaction_block(k, [l], n)
-                for j in range(1, n + 1):
-                    got = (float(col.lo[0, j - 1]).hex(), float(col.hi[0, j - 1]).hex())
-                    assert got == want(k, l, j), (k, l, j)
+            if slab is not None:
+                ls = range(1, n + 1) if slab == "square" else [l]
+                assert_slab_is(m.interaction_block(k, ls, n), split_block(want, k, ls, n), k, ls)
             for j in range(max(1, abs(k - l)), k + l + 1):
-                e = m.interaction(k, l, j)
-                assert (e.lo.hex(), e.hi.hex()) == want(k, l, j), (k, l, j)
+                e, w = m.interaction(k, l, j), want(k, l, j)
+                assert (e.lo.hex(), e.hi.hex()) == (w.lo.hex(), w.hi.hex()), (k, l, j)
 
     @pytest.mark.parametrize("first", [-0.0, 0.0])
     def test_signed_zero_couplings_share_one_table(self, first):
@@ -160,27 +158,63 @@ class TestReferenceModel:
         models = [reference_model(x) for x in couplings]
         blocks = [m.interaction_block(5, [9, 2, 30], 40) for m in models]
         assert basis._quotient_row(first) is basis._quotient_row(-first)
-        for x in (blocks[0].lo, blocks[0].hi, blocks[1].lo, blocks[1].hi):
+        for x in (*blocks[0], *blocks[1]):
             assert x.tobytes() == np.zeros((3, 40)).tobytes()
         for m, x in zip(models, couplings):
             b = m.interaction_bound
             assert (b.lo.hex(), b.hi.hex()) == (x.hex(), x.hex())
 
     def test_two_models_with_one_coupling_read_one_table(self, monkeypatch):
-        # each audit builds a fresh model; both read the same quotient arrays
+        # each audit builds a fresh model; both read the same split arrays
         read = []
 
         def recording(row, need):
-            read.append(endpoint_table(row, need))
+            read.append(quotient_table(row, need))
             return read[-1]
 
-        monkeypatch.setattr(basis, "endpoint_table", recording)
+        quotient_table = basis._quotient_table
+        monkeypatch.setattr(basis, "_quotient_table", recording)
         first, second = reference_model(0.73), reference_model(0.73)
         assert first is not second
         for m in (first, second):
             m.interaction_block(5, [9, 2, 30], 40)
         assert len(read) == 2
         assert read[0][0] is read[1][0] and read[0][1] is read[1][1]
+
+    def test_shared_split_table_is_read_only(self):
+        # the split table is read-only and ends in its zero slot; the slabs
+        # read from it are fresh arrays the operator may overwrite
+        mid, rad = basis._quotient_table(basis._quotient_row(0.73), 40)
+        assert (mid.size, rad.size) == (65, 65)  # 64 quotients and the slot
+        assert (mid[-1], rad[-1]) == (0.0, 0.0)
+        for a in (mid, rad):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+        for a in reference_model(0.73).interaction_block(5, [9, 2, 30], 40):
+            assert a.flags.writeable and not np.shares_memory(a, mid) and not np.shares_memory(a, rad)
+
+    @pytest.mark.parametrize(
+        "k, ls, n",
+        [
+            (6, range(1, 17), 16),  # cols 1..N
+            (7, [2, 40, 13, 13, 1, 29], 50),  # scattered, unsorted, repeated
+            (9, [4, 12, 9], 11),  # n below k + l
+            (60, [3, 1, 7], 64),  # k above every col
+        ],
+    )
+    @pytest.mark.parametrize("coupling", [0.0, -0.0, 0.37])
+    def test_split_slab_is_the_split_scalar(self, coupling, k, ls, n):
+        assert_block_matches(reference_model(coupling), k, ls, n)
+
+    def test_two_couplings_interleaved(self):
+        # slabs of two couplings asked in turn, each time a larger table than
+        # before, keep the bits of their own scalar interaction
+        models = [reference_model(0.37), reference_model(2.9)]
+        for step in range(1, 7):
+            for m in models:
+                k = 3 * step * step
+                assert_block_matches(m, k, [1, k, 2 * k + 1], 3 * k + 1)
 
     def test_scalar_interaction_forms_no_table(self):
         # d = 5999 lies past every quotient table formed so far; the scalar

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from spikecert import closure
 from spikecert.closure import (
     ClosureReport,
     image_overlap_bound,
@@ -196,6 +197,20 @@ def test_overlap_validation():
         image_overlap_bound(math.inf, lattice_radius=3)
     with pytest.raises(CertificationError):
         image_overlap_bound(0.05, lattice_radius=-1)
+    with pytest.raises(CertificationError):
+        image_overlap_bound(0.05, lattice_radius=True)
+
+
+def test_overlap_is_formed_once_per_checked_arguments():
+    # the bound is cached on the checked float sigma and int radius, after
+    # the checks: a repeat call, sigma 10 as an int included, reads the
+    # cache, and a radius True is refused even once radius 1 is cached
+    first = image_overlap_bound(0.05, lattice_radius=1)
+    before = closure._overlap_bound.cache_info()
+    assert image_overlap_bound(0.05, lattice_radius=1) is first
+    assert image_overlap_bound(10, lattice_radius=3) is image_overlap_bound(10.0, lattice_radius=3)
+    after = closure._overlap_bound.cache_info()
+    assert after.hits - before.hits >= 2
     with pytest.raises(CertificationError):
         image_overlap_bound(0.05, lattice_radius=True)
 

@@ -24,7 +24,7 @@ from spikecert.operator import (
 from spikecert.spaces import CoefficientVector, load_certificate
 
 from mutants import mutant_module
-from oracles import linear_part, make_interval, velocity
+from oracles import linear_part, make_interval, split_block, velocity
 
 mpmath.mp.dps = 40
 
@@ -308,24 +308,28 @@ def random_problem(rng, max_N=24):
     return CoefficientVector(tuple(entries), N), cfg
 
 
+def with_interaction(model, interaction):
+    """``model`` with the tensor ``interaction``, its slab split entry by
+    entry from that scalar."""
+
+    def interaction_block(k, ls, n):
+        return split_block(interaction, k, ls, n)
+
+    return dataclasses.replace(
+        model, interaction=interaction, interaction_block=interaction_block
+    )
+
+
 def off_band_model(model):
     """A basis whose nonzeros are not the triangle band: C_{klj} = cpl /
     (1 + k + l - j) for every 1 <= j <= k+l, symmetric and zero above k+l,
-    with cpl the reference model's coupling and its block built entry by
-    entry from that scalar."""
+    with cpl the reference model's coupling."""
     cpl = model.interaction_bound
 
     def interaction(k, l, j):
         return IntervalScalar(0.0, 0.0) if j > k + l else cpl / float(1 + k + l - j)
 
-    def interaction_block(k, ls, n):
-        return IntervalMatrix.from_scalars(
-            [[interaction(k, l, j) for j in range(1, n + 1)] for l in ls]
-        )
-
-    return dataclasses.replace(
-        model, interaction=interaction, interaction_block=interaction_block
-    )
+    return with_interaction(model, interaction)
 
 
 def wide_model(model):
@@ -337,13 +341,7 @@ def wide_model(model):
         x = model.interaction(k, l, j)
         return IntervalScalar(0.5 * x.lo, x.hi)
 
-    def interaction_block(k, ls, n):
-        x = model.interaction_block(k, ls, n)
-        return IntervalMatrix(0.5 * x.lo, x.hi)
-
-    return dataclasses.replace(
-        model, interaction=interaction, interaction_block=interaction_block
-    )
+    return with_interaction(model, interaction)
 
 
 # -- containment oracles --------------------------------------------------------
@@ -631,8 +629,8 @@ class TestMidpointRadiusCatchesMutants:
         "mutate, old, new",
         [
             (mutant_enclosure, "r = _gamma_factor(n) * scale", "r = 0.0 * scale"),
-            (mutant_operator, "rad = Ca * Wr", "rad = Ca * (0.0 * Wr)"),
-            (mutant_operator, "rad += Cr * Wa", "rad += 0.0 * Wa"),
+            (mutant_operator, "np.multiply(Ca, wr, out=rad)", "np.multiply(Ca, 0.0 * wr, out=rad)"),
+            (mutant_operator, "np.multiply(Cr, wa, out=Cr)", "np.multiply(Cr, 0.0 * wa, out=Cr)"),
             (mutant_enclosure, "r += n * 1e-300", "r += np.maximum(n, 1) * 1e-300"),
             (mutant_enclosure, "r = _gamma_factor(n) * scale", "r = 2.0 * _gamma_factor(n) * scale"),
             (
@@ -730,6 +728,53 @@ class TestOperatorReadsOnlyTheBasis:
         assert (J.lo[0, 1], J.hi[0, 1]) != (0.0, 0.0)
 
 
+def unbounded_model(model, at):
+    """The reference basis with C_{klj} = [-inf, C.hi] at each triple of
+    ``at`` and at its twin (l, k, j)."""
+    twins = set(at) | {(l, k, j) for k, l, j in at}
+
+    def interaction(k, l, j):
+        x = model.interaction(k, l, j)
+        return IntervalScalar(-math.inf, x.hi) if (k, l, j) in twins else x
+
+    return with_interaction(model, interaction)
+
+
+class TestUnboundedSlabEntries:
+    """A slab entry with an infinite endpoint (served with rad = inf) makes
+    the entries it reaches the whole line; times a weight [0, 0] it reaches
+    nothing."""
+
+    def cfg(self):
+        cfg = cfg_for(1.0, N=8)
+        return dataclasses.replace(cfg, model=unbounded_model(cfg.model, {(2, 3, 5)}))
+
+    @staticmethod
+    def whole(lo, hi):
+        return lo == -math.inf and hi == math.inf
+
+    def test_jacobian_and_G(self):
+        cfg = self.cfg()
+        c = vec({2: 0.5, 3: -0.25, 6: 0.1}, 8)
+        J = assemble_jacobian(c, cfg)
+        # J[j-1, m-1]: C_{2,3,5} reaches column 3 through c_2, C_{3,2,5}
+        # column 2 through c_3
+        for i in range(8):
+            for m in range(8):
+                assert self.whole(J.lo[i, m], J.hi[i, m]) == ((i, m) in {(4, 2), (4, 1)}), (i, m)
+        G = apply_G(c, cfg)
+        for j, x in G.items():
+            assert self.whole(x.lo, x.hi) == (j == 5), j
+
+    def test_a_zero_weight_reaches_nothing(self):
+        cfg = self.cfg()
+        u = vec({2: 1.0}, 8)
+        for v3, reached in ((0.0, False), (1.0, True)):
+            q = apply_quadratic(u, vec({3: v3, 4: 1.0}, 8), cfg)
+            assert self.whole(q.get(5).lo, q.get(5).hi) == reached
+            assert not any(self.whole(x.lo, x.hi) for j, x in q.items() if j != 5)
+
+
 def pairwise_sum(xs):
     """The scalar twin of operator._halving on one column: rounds that add
     entries 2i and 2i+1 and carry an odd last entry over."""
@@ -759,13 +804,14 @@ def halving_rows(rng, m, width=12):
 
 
 def check_halving(halving):
+    # the scalar sums are formed first: halving sums x in place
     rng = random.Random(11)
     for _ in range(20):
         for m in range(1, 18):
             x = halving_rows(rng, m)
+            want = [pairwise_sum(x[:, col].tolist()) for col in range(x.shape[1])]
             with np.errstate(invalid="ignore", over="ignore"):
                 got = halving(x)
-            want = [pairwise_sum(x[:, col].tolist()) for col in range(x.shape[1])]
             assert [float(g).hex() for g in got] == [w.hex() for w in want], m
 
 
@@ -788,7 +834,7 @@ class TestHalving:
         assert got[2] == math.inf
 
     def test_a_left_to_right_sum_is_caught(self, monkeypatch):
-        old = "    while (m := x.shape[0]) > 1:"
+        old = "    m, s = x.shape[0], 1"
         mutant = mutant_operator(monkeypatch, old, "    x = np.add.reduce(x, axis=0)[None]\n" + old)
         with pytest.raises(AssertionError):
             check_halving(mutant._halving)

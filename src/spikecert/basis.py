@@ -31,7 +31,7 @@ __all__ = ["BasisModel", "reference_model"]
 @functools.lru_cache(maxsize=16)
 def _quotient_row(coupling: float):
     """The row function x -> coupling / x, one per coupling, so every model
-    with that coupling reads one endpoint table: coupling / (1 + d) at index
+    with that coupling reads one quotient table: coupling / (1 + d) at index
     d, the interaction at distance d = k + l - j from the band's top edge.
     -0.0 and +0.0 compare equal and share a table, whose quotients are +0.0
     for both."""
@@ -50,15 +50,17 @@ def _split_slab(block: IntervalMatrix):
 
 
 def _quotient_table(row, need: int):
-    """(mid, rad) of the quotients endpoint_table(row, need) holds, split
-    once per process and table; index d holds coupling / (1 + d), and the
-    index one past the table a zero slot, (0.0, 0.0)."""
-    return _split_table(row, endpoint_table(row, need)[0].size)
+    """(mid, rad) of the quotients row(1 + d) = coupling / (1 + d) at index
+    d < n, n the least power of two at or above ``need``, and a zero slot,
+    (0.0, 0.0), at index n: read-only arrays formed whole, as
+    endpoint_table forms its tables, split once, and kept in a bounded
+    cache that serves them to every model of the process."""
+    return _split_table(row, 1 << max(need - 1, 0).bit_length())
 
 
 @functools.lru_cache(maxsize=32)
 def _split_table(row, n: int):
-    mid, rad = _split_slab(IntervalMatrix(*(a[None] for a in endpoint_table(row, n))))
+    mid, rad = _split_slab(row(IntervalMatrix.from_point(np.arange(1.0, n + 1.0)[None, :])))
     # a finite coupling over 1 + d >= 1 leaves every quotient finite
     if not np.isfinite(rad).all():
         raise IntervalError("quotient table has an unbounded entry")
@@ -108,9 +110,10 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
     and d_j are exact floats.  The rows read k^{7/2} from
     ``endpoint_table``, formed with the IntervalMatrix twins of the scalar
     expressions, so each entry has the bits of the scalar one.  The slabs
-    read the quotients coupling / (1 + d) from one split copy of their
-    endpoint table per coupling, shared by every model of the process, so
-    each entry has the bits of the split scalar quotient; the scalar
+    read the quotients coupling / (1 + d) from one split table per
+    coupling (``_quotient_table``), formed with the IntervalMatrix twin of
+    the scalar quotient and shared by every model of the process, so each
+    entry has the bits of the split scalar quotient; the scalar
     ``interaction`` forms its quotient on its own.
     """
     if coupling_rec is None:

@@ -100,24 +100,24 @@ def _slab_terms(
     C_{k, cols[i], j} W_k[i] (module docstring), written into out[0], out[1]
     and out[2] (mid, rad, scale), and the mask of entries reached (no
     factor [0, 0]).  W is split once; the slab arrives split and serves as
-    scratch.  Where every weight of the row is finite and nonzero, an
-    unbounded slab entry (rad = inf) makes its rad term inf by arithmetic
-    alone; elsewhere a weight [0, 0] reaches nothing and an unbounded
-    weight makes the entries it reaches inf.  An overflowing term is inf
-    or NaN, which _mid_rad_enclosure turns into the whole line, so the sums
-    that run this generator turn numpy's warnings off."""
+    scratch.  An unbounded slab entry (rad = inf) makes its rad term inf or
+    NaN by arithmetic alone.  A weight [0, 0] reaches nothing, so its slab
+    row's terms are set to 0 (inf times 0 left NaN there); an unbounded
+    weight, split to 0, makes the entries its row reaches inf.  An
+    overflowing term is inf or NaN, which _mid_rad_enclosure turns into
+    the whole line, so the sums that run this generator turn numpy's
+    warnings off."""
     Wm, Wr, w_inf = _mid_rad(W)
     Wa = np.abs(Wm) + Wr
-    w_live = (Wa != 0.0) | w_inf
-    plain = (Wa != 0.0).all(axis=1)  # Wa is 0 where w_inf
+    dead = (Wa == 0.0) & ~w_inf  # Wa is 0 where w_inf too
+    # the two fixes below change nothing in a row with neither kind of weight
+    fix = (dead | w_inf).any(axis=1).tolist()
     mid, rad, scale = out
     for r, k in enumerate(ks):
-        if not w_live[r].any():
+        if dead[r].all():
             continue
         Cm, Cr = cfg.model.interaction_block(k, cols, n)
         wm, wr, wa = Wm[r, :, None], Wr[r, :, None], Wa[r, :, None]
-        if not plain[r]:
-            c_inf = np.isinf(Cr)
         np.multiply(Cm, wm, out=mid)
         Ca = np.abs(Cm, out=Cm)
         np.multiply(Ca, wr, out=rad)
@@ -125,11 +125,11 @@ def _slab_terms(
         rad += np.multiply(Cr, wa, out=Cr)
         reach = Ca != 0.0
         np.multiply(Ca, wa, out=scale)
-        if not plain[r]:
-            reach &= w_live[r, :, None]
-            np.copyto(rad, 0.0, where=~reach)  # rad = inf times [0, 0] left NaN
-            np.copyto(scale, 0.0, where=~reach)
-            rad[reach & (c_inf | w_inf[r, :, None])] = np.inf
+        if fix[r]:
+            at = dead[r]
+            reach[at], rad[at], scale[at] = False, 0.0, 0.0
+            at = w_inf[r]
+            rad[at] = np.where(reach[at], np.inf, rad[at])
         del Cm, Cr, Ca  # the slab is freed before the next one is read
         yield reach
 

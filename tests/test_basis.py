@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spikecert import basis, matrix
+from spikecert import basis
 from spikecert.basis import BasisModel, reference_model
 from spikecert.interval import IntervalScalar, pow_seven_halves
 from spikecert.matrix import IntervalMatrix
@@ -221,9 +221,9 @@ class TestReferenceModel:
         # oracle forms its quotient on its own, and the slab that forms the
         # table agrees with it bit for bit
         m = reference_model(1.0)
-        before = matrix._endpoint_table.cache_info()
+        before = basis._split_table.cache_info()
         m.interaction(3000, 3000, 1)
-        assert matrix._endpoint_table.cache_info() == before
+        assert basis._split_table.cache_info() == before
         assert_block_matches(m, 3000, [3000], 1)
 
     def test_interaction_matrix_index_validation(self):

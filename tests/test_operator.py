@@ -774,6 +774,18 @@ class TestUnboundedSlabEntries:
             assert self.whole(q.get(5).lo, q.get(5).hi) == reached
             assert not any(self.whole(x.lo, x.hi) for j, x in q.items() if j != 5)
 
+    def test_an_overflowing_weight_radius_beside_a_zero_weight(self):
+        # u_2 just below 1 keeps the weight u_2 v_4 at [-MAX, MAX], finite
+        # endpoints whose radius rounds up to inf: times an entry [0, 0] it
+        # leaves NaN, the whole line, at every j, with or without a zero
+        # weight in the same row
+        cfg = cfg_for(1.0, N=8)
+        u = vec({2: math.nextafter(1.0, 0.0)}, 8)
+        wide = IntervalScalar(-sys.float_info.max, sys.float_info.max)
+        for v in ({4: wide}, {3: iv(0.0), 4: wide}):
+            q = apply_quadratic(u, CoefficientVector(tuple(v.items()), 8), cfg)
+            assert [j for j, x in q.items() if self.whole(x.lo, x.hi)] == list(range(1, 17))
+
 
 def pairwise_sum(xs):
     """The scalar twin of operator._halving on one column: rounds that add

@@ -5,11 +5,15 @@ in a fixed order, `_residual` (delta), `_inverse` (M), `_tail` (gamma),
 `_constants` (K), `_transfer` (eps) and `_closure` (verdict and status),
 which all write through one `_Run`.  A stage that cannot produce its value
 logs a failing RSLT line, so content problems end in REJECTED, never in an
-exception.  A computed M is not assembled when the tail stage must fail
-on the options alone (`j_min` not above N); a CALC line says so.  Every
-rate is that of the profile space X, `PROFILE_SPACE.tau`: a certificate
-whose `tau` names another does not load.  The log has one line per
-result in a small tagged grammar:
+exception.  `run_audit` skips a computed M when the tail stage must fail
+on the options alone (`j_min` not above N); a CALC line says so.
+`run_stage` runs one of the first four stages alone, on the certificate
+with its declared constants set aside: the `residual`, `inverse`, `tail`
+and `constants` subcommands print its block, the lines the audit writes
+for that stage, under a status that names the failed gates and never says
+VERIFIED.  Every rate is that of the profile space X, `PROFILE_SPACE.tau`:
+a certificate whose `tau` names another does not load.  The log has one
+line per result in a small tagged grammar:
 
     [EXEC]    run identification, magic string first
     [PREC]    arithmetic precision statement
@@ -42,9 +46,9 @@ sets than a portable certificate carries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from typing import List, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from .basis import reference_model
 from .closure import image_overlap_bound, nk_closure, torus_closure
@@ -54,7 +58,7 @@ from .errors import CertificateError, CertificationError
 from .interval import IntervalScalar, interval_from_decimal
 from .operator import OperatorConfig, assemble_jacobian
 from .residual import certify_residual
-from .spaces import PROFILE_SPACE, load_certificate
+from .spaces import PROFILE_SPACE, ProfileCertificate, load_certificate
 from .stability import certify_inverse, certify_tail_coercivity
 
 AUDIT_MAGIC = "NS_GHOST_SPIKE_AUDIT_v1.0"
@@ -160,18 +164,60 @@ def run_audit(certificate_path, config: Optional[AuditConfig] = None) -> AuditRe
         f"nu = {_iv(cert.nu)}, tau = {PROFILE_SPACE.tau:.6e}, "
         f"sigma = {cert.sigma:.6e}",
     )
-    model = reference_model(cfg.coupling, cfg.coupling_rec)
-    op_cfg = OperatorConfig(model=model, nu=cert.nu, truncation_N=cfg.truncation_N)
+    op_cfg = _operator_config(cert, cfg)
 
-    delta = _residual(run, cert, cfg, op_cfg)
-    m = _inverse(run, cert, cfg, op_cfg)
+    delta = _residual(run, cert, op_cfg)
+    skip = ""  # M is moot when the tail stage must fail on the options alone
+    if cfg.j_min <= cfg.truncation_N:
+        skip = (
+            f"the tail stage needs j_min={cfg.j_min} "
+            f"above the truncation N={cfg.truncation_N}"
+        )
+    m = _inverse(run, cert, op_cfg, skip)
     _tail(run, cert, cfg, op_cfg)
-    k = _constants(run, cert, model)
+    k = _constants(run, cert.constants or {}, op_cfg.model)
     eps = _transfer(run, cert, cfg)
     return _closure(run, delta, m, k, eps)
 
 
-def _residual(run, cert, cfg, op_cfg) -> Optional[IntervalScalar]:
+def run_stage(
+    stage: str, cert: Optional[ProfileCertificate], cfg: AuditConfig
+) -> Tuple[AuditLog, int]:
+    """One of the stages `residual`, `inverse`, `tail` and `constants` alone.
+
+    It runs on ``cert`` with its declared constants set aside; `constants`
+    reads no certificate, and ``cert`` may be None for it.  The log is the
+    stage's block of `run_audit`'s log for that certificate without declared
+    constants, from its TASK line on, then a status
+    naming the gates that failed; the exit code is 0 when none did, else 1.
+    `inverse` assembles the Jacobian whatever ``cfg.j_min`` is: skipping it
+    is `run_audit`'s rule, for an audit whose tail stage must fail.
+    """
+    run = _Run()
+    if stage == "constants":
+        _constants(run, {}, reference_model(cfg.coupling, cfg.coupling_rec))
+    else:
+        cert = replace(cert, constants=None)
+        op_cfg = _operator_config(cert, cfg)
+        if stage == "residual":
+            _residual(run, cert, op_cfg)
+        elif stage == "inverse":
+            _inverse(run, cert, op_cfg)
+        elif stage == "tail":
+            _tail(run, cert, cfg, op_cfg)
+        else:
+            raise ValueError(f"unknown audit stage {stage!r}")
+    failed = ", ".join(sorted(set(run.failures)))
+    run.add("STATUS", f"{stage} stage REJECTED: {failed}" if failed else f"{stage} stage passed")
+    return AuditLog(run.lines), 1 if failed else 0
+
+
+def _operator_config(cert, cfg) -> OperatorConfig:
+    model = reference_model(cfg.coupling, cfg.coupling_rec)
+    return OperatorConfig(model=model, nu=cert.nu, truncation_N=cfg.truncation_N)
+
+
+def _residual(run, cert, op_cfg) -> Optional[IntervalScalar]:
     """delta: declared if given (the recomputation is a diagnostic), else computed."""
     run.add("TASK", "residual bound")
     try:
@@ -185,7 +231,7 @@ def _residual(run, cert, cfg, op_cfg) -> Optional[IntervalScalar]:
         if computed is not None:
             run.add(
                 "CALC",
-                f"residual delta (computed, diagnostic, N={cfg.truncation_N}) "
+                f"residual delta (computed, diagnostic, N={op_cfg.truncation_N}) "
                 f"= {_iv(computed)}",
             )
         return declared
@@ -196,20 +242,16 @@ def _residual(run, cert, cfg, op_cfg) -> Optional[IntervalScalar]:
     return None
 
 
-def _inverse(run, cert, cfg, op_cfg) -> Optional[IntervalScalar]:
+def _inverse(run, cert, op_cfg, skip: str = "") -> Optional[IntervalScalar]:
     """M: declared if given, else the verified inverse bound of the Jacobian,
-    which is not assembled when the tail stage must fail on the options."""
+    which is not assembled when ``skip`` gives a reason not to."""
     run.add("TASK", "inverse bound")
     declared = cert.constant("M")
     if declared is not None:
         run.add("RSLT", f"inverse bound M (declared) = {_iv(declared)}")
         return declared
-    if cfg.j_min <= cfg.truncation_N:
-        run.add(
-            "CALC",
-            f"inverse bound M skipped: the tail stage needs j_min={cfg.j_min} "
-            f"above the truncation N={cfg.truncation_N}",
-        )
+    if skip:
+        run.add("CALC", f"inverse bound M skipped: {skip}")
         return None
     try:
         rep = certify_inverse(assemble_jacobian(cert.coefficients, op_cfg))
@@ -251,9 +293,9 @@ def _tail(run, cert, cfg, op_cfg) -> None:
         )
 
 
-def _constants(run, cert, model) -> Optional[IntervalScalar]:
+def _constants(run, declared: Mapping[str, IntervalScalar], model) -> Optional[IntervalScalar]:
     """K: declared (gated against C_rec_map * C_conv if C_conv is declared) or
-    computed."""
+    computed; ``declared`` holds the certificate's declared constants."""
     run.add("TASK", "constants")
     rec = recovery_mapping_constant()
     run.add(
@@ -261,7 +303,7 @@ def _constants(run, cert, model) -> Optional[IntervalScalar]:
         f"recovery mapping constant (computed) = {_iv(rec.value)}, "
         f"argmax k = {rec.argmax_k}",
     )
-    rec_map = cert.constant("C_rec_map")
+    rec_map = declared.get("C_rec_map")
     if rec_map is not None:
         run.gate(
             "C_rec_map",
@@ -271,15 +313,15 @@ def _constants(run, cert, model) -> Optional[IntervalScalar]:
         )
     else:
         rec_map = rec.value
-    run.cap("C_rec_ker", "recovery kernel constant", cert.constant("C_rec_ker"))
-    conv = cert.constant("C_conv")
+    run.cap("C_rec_ker", "recovery kernel constant", declared.get("C_rec_ker"))
+    conv = declared.get("C_conv")
     if conv is not None:
         run.add(
             "RSLT",
             f"convolution constant (declared) = {_iv(conv)}, "
             "pass-through, gated via K consistency",
         )
-    k = cert.constant("K")
+    k = declared.get("K")
     if k is not None and conv is not None:
         product = rec_map * conv
         run.gate(

@@ -1,13 +1,22 @@
 """Command line front end.
 
-One subcommand per pipeline stage plus the end-to-end audit driver and
-a deterministic test-certificate generator.  Options can also come from
-a plain-text config file (`key = value` per line, `#` comments); flags
-given on the command line win over the file, the file wins over
-defaults, and a key that names no option of any subcommand is refused.
-Exit codes follow the audit contract: 0 verified, 1 a check
-failed, 2 unusable input or usage error: a flag or config value that does
-not parse, decimal options included, exits 2 and names the option.
+`audit` runs the end-to-end audit.  `residual`, `inverse`, `tail` and
+`constants` each run that one stage of it on the certificate with its
+declared constants set aside (`constants` reads no certificate), and print
+the stage's block of the audit log under a status line, `<stage> stage
+passed` or `<stage> stage REJECTED: <gates>`.  A stage verifies no
+certificate and takes no bound from the command line.  `closure` is the
+closure arithmetic on the constants it is given, `oracle` the calculus
+falsification battery, and `gen-profile` writes a deterministic test
+certificate.
+
+Options can also come from a plain-text config file (`key = value` per
+line, `#` comments); flags given on the command line win over the file,
+the file wins over defaults, and a key that names no option of any
+subcommand is refused.  Exit codes follow the audit contract: 0 verified (for a stage, no gate
+failed), 1 a check failed, 2 unusable input or usage error: a flag or config
+value that does not parse, decimal options included, exits 2 and names the
+option.
 
 The stages that need numpy are imported by the handlers that run them, so
 parsing the options, `closure` and `gen-profile` load only the numpy-free
@@ -161,21 +170,17 @@ def _build_parser():
     p.add_argument("--j-min", type=_bounded_int(1), default=_AUDIT.j_min)
     p.add_argument("--lattice-radius", type=_bounded_int(1), default=_AUDIT.lattice_radius)
 
-    p = sub.add_parser("residual", help="certified residual norm of a profile")
+    p = sub.add_parser("residual", help="the audit's residual stage: delta")
     common(p, "profile", "model", "modes", "out")
-    p.add_argument("--nu", type=_decimal, help="override the certificate viscosity (decimal)")
 
-    p = sub.add_parser("inverse", help="verified inverse bound M")
+    p = sub.add_parser("inverse", help="the audit's inverse stage: M")
     common(p, "profile", "model", "modes", "out")
-    p.add_argument("--r-norm", type=_decimal, help="declared candidate-inverse norm (decimal)")
-    p.add_argument("--e-norm", type=_decimal, help="declared residual-matrix norm (decimal)")
 
-    p = sub.add_parser("tail", help="tail coercivity constant gamma")
+    p = sub.add_parser("tail", help="the audit's tail coercivity stage: gamma")
     common(p, "profile", "modes", "out")
     p.add_argument("--j-min", type=_bounded_int(1), default=_AUDIT.j_min)
-    p.add_argument("--c-prof", type=_decimal, help="profile envelope constant (decimal)")
 
-    p = sub.add_parser("constants", help="recovery, convolution and K constants")
+    p = sub.add_parser("constants", help="the audit's constants stage: C_rec_map, C_conv, K")
     common(p, "out")
     # K reads the interaction bound alone, not the recovery coupling
     p.add_argument("--coupling", type=_finite_float, default=_AUDIT.coupling)
@@ -215,31 +220,22 @@ class SystemExit2(Exception):
     """Usage-level failure: message printed, exit code 2."""
 
 
-def _op_config(args, cert):
-    from .basis import reference_model
-    from .operator import OperatorConfig
-
-    nu = cert.nu
-    if getattr(args, "nu", None):
-        nu = interval_from_decimal(args.nu)
-    # `tail` has no model flags: certify_tail_coercivity reads only nu and truncation_N
-    coupling = getattr(args, "coupling", _AUDIT.coupling)
-    model = reference_model(coupling, getattr(args, "coupling_rec", _AUDIT.coupling_rec))
-    return OperatorConfig(model=model, nu=nu, truncation_N=args.modes)
+def _audit_config(args) -> AuditConfig:
+    """The AuditConfig of a subcommand's flags; one it has no flag for keeps
+    its default."""
+    return AuditConfig(
+        coupling=getattr(args, "coupling", _AUDIT.coupling),
+        coupling_rec=getattr(args, "coupling_rec", _AUDIT.coupling_rec),
+        truncation_N=getattr(args, "modes", _AUDIT.truncation_N),
+        j_min=getattr(args, "j_min", _AUDIT.j_min),
+        lattice_radius=getattr(args, "lattice_radius", _AUDIT.lattice_radius),
+    )
 
 
 def _cmd_audit(args) -> int:
     from .audit import run_audit
 
-    path = _require_profile(args)
-    cfg = AuditConfig(
-        coupling=args.coupling,
-        coupling_rec=args.coupling_rec,
-        truncation_N=args.modes,
-        j_min=args.j_min,
-        lattice_radius=args.lattice_radius,
-    )
-    result = run_audit(path, cfg)
+    result = run_audit(_require_profile(args), _audit_config(args))
     _emit(result.log.render(), args.out)
     if result.exit_code == 2:
         # as every other subcommand does for an input it cannot read
@@ -247,79 +243,15 @@ def _cmd_audit(args) -> int:
     return result.exit_code
 
 
-def _cmd_residual(args) -> int:
-    from .residual import certify_residual
+def _cmd_stage(args) -> int:
+    from .audit import run_stage
 
-    cert = load_certificate(_require_profile(args))
-    rep = certify_residual(cert, _op_config(args, cert))
-    text = (
-        f"delta_fin  = {_iv(rep.delta_fin)}\n"
-        f"delta_tail = {_iv(rep.delta_tail)}\n"
-        f"delta      = {_iv(rep.delta)}\n"
-    )
-    _emit(text, args.out)
-    return 0
-
-
-def _cmd_inverse(args) -> int:
-    from .operator import assemble_jacobian
-    from .stability import certify_inverse, inverse_bound_from_norms
-
-    if args.r_norm or args.e_norm:
-        if not (args.r_norm and args.e_norm):
-            raise SystemExit2("--r-norm and --e-norm must be given together")
-        rep = inverse_bound_from_norms(
-            interval_from_decimal(args.r_norm), interval_from_decimal(args.e_norm)
-        )
-    else:
+    cert = None
+    if args.command != "constants":
         cert = load_certificate(_require_profile(args))
-        rep = certify_inverse(assemble_jacobian(cert.coefficients, _op_config(args, cert)))
-    lines = [
-        f"R_norm = {'(not computed)' if rep.R_norm is None else _iv(rep.R_norm)}",
-        f"E_norm = {'(not computed)' if rep.E_norm is None else _iv(rep.E_norm)}",
-        f"M      = {_iv(rep.M)}" if rep.verified else "M      = (not certified)",
-        f"verified = {rep.verified}",
-    ]
-    if rep.diagnostic:
-        lines.append(f"diagnostic = {rep.diagnostic}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0 if rep.verified else 1
-
-
-def _cmd_tail(args) -> int:
-    from .audit import _CAPS
-    from .stability import certify_tail_coercivity
-
-    cert = load_certificate(_require_profile(args))
-    if args.c_prof:
-        c_prof = interval_from_decimal(args.c_prof)
-    else:
-        c_prof = cert.constant("C_prof") or _CAPS["C_prof"]
-    rep = certify_tail_coercivity(cert, _op_config(args, cert), c_prof, j_min=args.j_min)
-    text = (
-        f"gamma = {_iv(rep.gamma)}\n"
-        f"j_min = {rep.j_min}\n"
-        f"monotone_tail_verified = {rep.monotone_tail_verified}\n"
-        f"verified = {rep.verified}\n"
-    )
-    if rep.diagnostic:
-        text += f"diagnostic = {rep.diagnostic}\n"
-    _emit(text, args.out)
-    return 0 if rep.verified else 1
-
-
-def _cmd_constants(args) -> int:
-    from .basis import reference_model
-    from .constants import certify_constants, recovery_mapping_constant
-
-    rep = certify_constants(recovery_mapping_constant(), reference_model(args.coupling))
-    text = (
-        f"C_rec_map = {_iv(rep.C_rec_map)} (argmax k = {rep.argmax_k})\n"
-        f"C_conv    = {_iv(rep.C_conv)}\n"
-        f"K         = {_iv(rep.K)}\n"
-    )
-    _emit(text, args.out)
-    return 0
+    log, code = run_stage(args.command, cert, _audit_config(args))
+    _emit(log.render(), args.out)
+    return code
 
 
 def _cmd_closure(args) -> int:
@@ -379,10 +311,10 @@ def _cmd_gen_profile(args) -> int:
 
 _HANDLERS = {
     "audit": _cmd_audit,
-    "residual": _cmd_residual,
-    "inverse": _cmd_inverse,
-    "tail": _cmd_tail,
-    "constants": _cmd_constants,
+    "residual": _cmd_stage,
+    "inverse": _cmd_stage,
+    "tail": _cmd_stage,
+    "constants": _cmd_stage,
     "closure": _cmd_closure,
     "oracle": _cmd_oracle,
     "gen-profile": _cmd_gen_profile,

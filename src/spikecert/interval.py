@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, InvalidOperation, localcontext
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, InvalidOperation, Overflow, localcontext
 
 from .errors import CertificationError
 
@@ -479,7 +479,9 @@ def interval_from_mid_rad_decimal(mid: str, rad: str) -> IntervalScalar:
     in the working precision, so a certificate written by
     :func:`float_to_decimal_string` round-trips to identical double endpoints.
     A result that does not fit (a radius thousands of decades below the
-    midpoint) is rounded toward floor and ceiling, never to nearest.
+    midpoint) is rounded toward floor and ceiling, never to nearest; one
+    beyond the decimal exponent range rounds to infinity on its outward
+    side, so it is refused as beyond double range like any other.
     """
     dm = _parse_decimal(mid, "midpoint")
     dr = _parse_decimal(rad, "radius")
@@ -487,6 +489,7 @@ def interval_from_mid_rad_decimal(mid: str, rad: str) -> IntervalScalar:
         raise IntervalError(f"negative radius {rad!r}")
     with localcontext() as ctx:
         ctx.prec = _DEC_PREC
+        ctx.traps[Overflow] = False
         ctx.rounding = ROUND_FLOOR
         lo = dm - dr
         ctx.rounding = ROUND_CEILING

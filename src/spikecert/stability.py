@@ -57,7 +57,12 @@ class InverseReport:
     diagnostic: str = ""
 
 
-def _bound_report(r_norm: IntervalScalar, e_norm: IntervalScalar) -> InverseReport:
+def inverse_bound_from_norms(r_norm, e_norm) -> InverseReport:
+    """The reduction step of the inverse test: M = ||R|| / (1 - ||E||) from
+    certified enclosures of the norms of R and E = I - R @ J, verified only
+    when ||E|| is below one.  `certify_inverse` ends in it."""
+    r_norm = as_nonneg(r_norm, "norm of the approximate inverse")
+    e_norm = as_nonneg(e_norm, "residual norm")
     if e_norm.hi < 1.0:
         m = r_norm / (ONE - e_norm)
         return InverseReport(R_norm=r_norm, E_norm=e_norm, M=m, verified=True)
@@ -69,18 +74,6 @@ def _bound_report(r_norm: IntervalScalar, e_norm: IntervalScalar) -> InverseRepo
             f"residual norm upper bound {e_norm.hi!r} is not below one; "
             "the inverse is not certified"
         ),
-    )
-
-
-def inverse_bound_from_norms(r_norm, e_norm) -> InverseReport:
-    """Inverse bound from already-certified norms of R and I - R @ J.
-
-    This is the reduction step alone, for audits that receive the two
-    norms from an external computation instead of the matrices.
-    """
-    return _bound_report(
-        as_nonneg(r_norm, "norm of the approximate inverse"),
-        as_nonneg(e_norm, "residual norm"),
     )
 
 
@@ -117,7 +110,7 @@ def certify_inverse(J: IntervalMatrix) -> InverseReport:
         )
     e_norm = inf_norm(identity_minus(point_times_interval(R, J)))
     r_norm = inf_norm(IntervalMatrix.from_point(R))
-    return _bound_report(r_norm, e_norm)
+    return inverse_bound_from_norms(r_norm, e_norm)
 
 
 def _envelope_total(cert: ProfileCertificate) -> IntervalScalar:

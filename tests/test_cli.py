@@ -4,14 +4,12 @@ import json
 import math
 import pathlib
 import shlex
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import spikecert.audit
 import spikecert.cli as cli
-import spikecert.operator
 from spikecert.audit import AuditConfig, run_audit
 from spikecert.cli import main
 from spikecert.config import MAX_MODES
@@ -91,10 +89,6 @@ def test_float_options_refuse_non_finite_values(capsys, argv):
         (["closure", "--delta", "1", "--M", "1"], "--K", "nan"),
         # an empty eps used to drop the torus product without a word
         (["closure", "--delta", "1", "--M", "1", "--K", "1"], "--eps", ""),
-        (["residual", "--profile", "p.json"], "--nu", "inf"),
-        (["inverse", "--e-norm", "0.5"], "--r-norm", "1e999"),
-        (["inverse", "--r-norm", "2"], "--e-norm", "0.5.1"),
-        (["tail", "--profile", "p.json"], "--c-prof", "Infinity"),
         (["gen-profile", "--out", "cert.json"], "--nu", "sNaN"),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else v,
@@ -141,6 +135,35 @@ def test_audit_refuses_sigma_beyond_double_range(capsys, tmp_path, bundled_certi
     code, out, _ = run(capsys, "audit", "--profile", str(path), *AUDIT_FAST)
     assert code == 2
     assert f"REJECTED, unreadable: sigma: decimal {value} beyond double range" in out
+
+
+@pytest.mark.parametrize(
+    "where, key, message",
+    [
+        ("nu", "mid", "nu: decimal 1e1000000 + 0 above double range"),
+        (
+            "modes[1]",
+            "rad",
+            "modes[1]: decimal +3.5821094821093145628109321453214e-3 - 1e1000000 "
+            "below double range",
+        ),
+        ("constants.M", "mid", "constants.M: decimal 1e1000000 + 0 above double range"),
+    ],
+    ids=["nu.mid", "modes[1].rad", "constants.M.mid"],
+)
+def test_audit_refuses_a_decimal_exponent_past_the_decimal_range(
+    capsys, tmp_path, bundled_certificate_path, where, key, message
+):
+    # mid +- rad beyond the decimal context's Emax used to end in a
+    # decimal.Overflow traceback
+    doc = json.loads(bundled_certificate_path.read_text())
+    fields = {"nu": doc["nu"], "modes[1]": doc["modes"][1], "constants.M": doc["constants"]["M"]}
+    fields[where][key] = "1e1000000"
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "audit", "--profile", str(path), *AUDIT_FAST)
+    assert code == 2
+    assert out.endswith(f"[STATUS] certificate REJECTED, unreadable: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -309,7 +332,7 @@ def test_generated_profile_is_honestly_rejected(capsys, tmp_path):
     assert ">= 1.000000e+00" in out
 
 
-# ------------------------------------------------------- residual / inverse
+# ------------------------------------------- residual / inverse / tail / constants
 
 
 def test_residual_on_generated_profile(capsys, tmp_path):
@@ -319,66 +342,86 @@ def test_residual_on_generated_profile(capsys, tmp_path):
         capsys, "residual", "--profile", str(path), "--modes", "64"
     )
     assert code == 0
-    assert "delta_fin" in out and "delta_tail" in out
+    assert out.startswith("[TASK] residual bound\n[RSLT] residual delta (computed) = [")
+    assert out.endswith("\n[STATUS] residual stage passed\n")
     code2, out2, _ = run(
         capsys, "residual", "--profile", str(path), "--modes", "64"
     )
     assert out2 == out
 
 
-def test_residual_nu_override_changes_delta(capsys, tmp_path):
-    path = tmp_path / "r.json"
-    run(capsys, "gen-profile", "--modes", "10", "--seed", "7", "--out", str(path))
-    _, base, _ = run(capsys, "residual", "--profile", str(path), "--modes", "64")
-    # the dissipation term must swamp the quadratic part to show up at
-    # seven printed digits, hence the absurd viscosity
-    _, moved, _ = run(
-        capsys, "residual", "--profile", str(path), "--modes", "64", "--nu", "1e12"
-    )
-    assert moved != base
+@pytest.mark.parametrize(
+    "stage, status",
+    [
+        ("residual", "residual stage passed"),
+        # the declared M = 482.6 drives the bundled audit; the computed one
+        # does not certify at N = 450
+        ("inverse", "inverse stage REJECTED: M"),
+        ("tail", "tail stage passed"),
+        ("constants", "constants stage passed"),
+    ],
+)
+def test_stage_sets_declared_constants_aside(capsys, bundled_certificate_path, stage, status):
+    # the bundled certificate declares every constant; a stage computes its
+    # own, prints none of them and verifies nothing
+    argv = [] if stage == "constants" else ["--profile", str(bundled_certificate_path)]
+    code, out, _ = run(capsys, stage, *argv)
+    assert "(declared)" not in out
+    assert "VERIFIED" not in out and "verified = True" not in out
+    assert out.splitlines()[-1] == f"[STATUS] {status}"
+    assert code == (0 if status.endswith("passed") else 1)
 
 
-def test_inverse_from_declared_norms(capsys):
-    code, out, _ = run(
-        capsys, "inverse", "--r-norm", "482.540", "--e-norm", "1.2435e-4"
-    )
-    assert code == 0
-    assert "M      = [4.826000e+02" in out
-    assert "verified = True" in out
+def wide_jacobian(c, cfg):
+    # every point matrix within 2 of the identity: no E below one exists
+    return IntervalMatrix(np.eye(2) - 2.0, np.eye(2) + 2.0)
 
 
-def test_inverse_norm_flags_must_pair(capsys):
-    code, _, err = run(capsys, "inverse", "--r-norm", "482.540")
-    assert code == 2
-    assert "together" in err
-
-
-def test_inverse_contractive_norm_required(capsys):
-    code, out, _ = run(capsys, "inverse", "--r-norm", "482.540", "--e-norm", "1.5")
+def test_inverse_contractive_norm_required(capsys, monkeypatch, bundled_certificate_path):
+    monkeypatch.setattr(spikecert.audit, "assemble_jacobian", wide_jacobian)
+    code, out, _ = run(capsys, "inverse", "--profile", str(bundled_certificate_path))
     assert code == 1
-    assert "E_norm = [1.500000e+00, 1.500000e+00]" in out
-    assert "M      = (not certified)" in out
-    assert "verified = False" in out
+    assert out.startswith("[TASK] inverse bound\n[RSLT] inverse bound M not certified: ")
+    assert "residual norm upper bound" in out and "is not below one" in out
+    assert out.endswith(": FAIL\n[STATUS] inverse stage REJECTED: M\n")
 
 
-def test_inverse_without_a_candidate_inverse(capsys, monkeypatch):
+def test_inverse_without_a_candidate_inverse(capsys, monkeypatch, bundled_certificate_path):
     # a singular midpoint leaves no R, so no norm was ever formed
-    monkeypatch.setattr(cli, "load_certificate", lambda path: SimpleNamespace(coefficients=None))
-    monkeypatch.setattr(cli, "_op_config", lambda args, cert: None)
     monkeypatch.setattr(
-        spikecert.operator,
+        spikecert.audit,
         "assemble_jacobian",
         lambda c, cfg: IntervalMatrix.from_point(np.ones((2, 2))),
     )
-    code, out, _ = run(capsys, "inverse", "--profile", "cert.json")
+    code, out, _ = run(capsys, "inverse", "--profile", str(bundled_certificate_path))
     assert code == 1
     assert out == (
-        "R_norm = (not computed)\n"
-        "E_norm = (not computed)\n"
-        "M      = (not certified)\n"
-        "verified = False\n"
-        "diagnostic = midpoint matrix is singular; no candidate inverse\n"
+        "[TASK] inverse bound\n"
+        "[RSLT] inverse bound M not certified: "
+        "midpoint matrix is singular; no candidate inverse: FAIL\n"
+        "[STATUS] inverse stage REJECTED: M\n"
     )
+
+
+def test_inverse_past_j_min_still_computes_m(capsys, tmp_path):
+    # the audit skips M when its tail stage must fail (j_min = 1200 is not
+    # above N = 1201); the inverse stage alone has no tail stage to wait for
+    path = tmp_path / "small.json"
+    run(capsys, "gen-profile", "--modes", "3", "--seed", "1", "--out", str(path))
+    argv = ["--profile", str(path), "--modes", "1201", "--coupling", "0"]
+    code, out, _ = run(capsys, "inverse", *argv)
+    assert code == 0
+    assert "[RSLT] inverse bound M (computed) = [" in out
+    assert "skipped" not in out
+
+
+def test_stage_of_an_unreadable_certificate_exits_two(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{")
+    for stage in ("residual", "inverse", "tail"):
+        code, out, err = run(capsys, stage, "--profile", str(path))
+        assert (code, out) == (2, ""), stage
+        assert "unreadable input" in err and "invalid JSON" in err, stage
 
 
 # ---------------------------------------------------------------- tail
@@ -387,8 +430,8 @@ def test_inverse_without_a_candidate_inverse(capsys, monkeypatch):
 def test_tail_bundled(capsys, bundled_certificate_path):
     code, out, _ = run(capsys, "tail", "--profile", str(bundled_certificate_path))
     assert code == 0
-    assert "gamma = [7.200000e+03" in out
-    assert "verified = True" in out
+    assert "[CALC] coercivity gamma (computed, j_min=1200) = [7.200000e+03" in out
+    assert out.endswith("\n[STATUS] tail stage passed\n")
 
 
 # ---------------------------------------------------------------- oracle
@@ -423,7 +466,7 @@ def test_config_file_sets_defaults(capsys, tmp_path, bundled_certificate_path):
         str(bundled_certificate_path),
     )
     assert code == 0
-    assert "j_min = 1300" in out
+    assert "gamma (computed, j_min=1300)" in out
 
 
 def test_explicit_flag_beats_config(capsys, tmp_path, bundled_certificate_path):
@@ -440,7 +483,7 @@ def test_explicit_flag_beats_config(capsys, tmp_path, bundled_certificate_path):
         "1250",
     )
     assert code == 0
-    assert "j_min = 1250" in out
+    assert "gamma (computed, j_min=1250)" in out
 
 
 def test_malformed_config_rejected(capsys, tmp_path):
@@ -491,7 +534,12 @@ def test_no_subcommand_prints_usage(capsys):
     # every rate is the fixed profile space's, so neither sets one
     + [["constants", "--tau", "0.08"], ["gen-profile", "--out", "cert.json", "--tau", "0.08"]]
     # C_conv bounds the whole space, and K reads no recovery coupling
-    + [["constants", "--modes", "128"], ["constants", "--coupling-rec", "1"]],
+    + [["constants", "--modes", "128"], ["constants", "--coupling-rec", "1"]]
+    # a stage takes no bound and no viscosity on trust: it reads the
+    # certificate, as the audit does
+    + [["inverse", "--profile", "cert.json", flag, "1"] for flag in ("--r-norm", "--e-norm")]
+    + [["tail", "--profile", "cert.json", "--c-prof", "1e-300"]]
+    + [["residual", "--profile", "cert.json", "--nu", "1e12"]],
     ids=lambda argv: f"{argv[0]}{argv[-2]}",
 )
 def test_removed_flags_are_usage_errors(capsys, argv):
@@ -555,12 +603,14 @@ def test_config_refuses_a_non_finite_float(capsys, tmp_path, bundled_certificate
 def test_config_values_take_the_type_of_their_option(monkeypatch, tmp_path):
     # ints and floats are converted; decimal strings stay exact strings
     seen = {}
-    monkeypatch.setitem(cli._HANDLERS, "residual", lambda args: seen.update(vars(args)) or 0)
+    for command in ("residual", "gen-profile"):
+        monkeypatch.setitem(cli._HANDLERS, command, lambda args: seen.update(vars(args)) or 0)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("modes = 64\ncoupling = 0.5\nnu = 0.0050000000000000000001\n")
     assert main(["--config", str(cfg), "residual", "--profile", "p.json"]) == 0
     assert seen["modes"] == 64 and isinstance(seen["modes"], int)
     assert seen["coupling"] == 0.5
+    assert main(["--config", str(cfg), "gen-profile", "--out", "p.json"]) == 0
     assert seen["nu"] == "0.0050000000000000000001"
 
 

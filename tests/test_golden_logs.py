@@ -3,8 +3,10 @@
 A change that only restructures the arithmetic or the stages must leave
 every one of these outputs unchanged.  Each case builds its input here,
 runs the audit (timestamp fixed) or a CLI subcommand, and compares the text
-with ``tests/golden/<case>.txt``.  To regenerate the golden copies, after
-a change that is meant to alter an output:
+with ``tests/golden/<case>.txt``.  On each certificate without declared
+constants, the `residual`, `inverse`, `tail` and `constants` subcommands
+must print that stage's block of the golden log.  To regenerate the golden
+copies, after a change that is meant to alter an output:
 
     PYTHONPATH=src python tests/test_golden_logs.py
 """
@@ -71,33 +73,44 @@ def _constant_free_doc(at) -> dict:
     return doc
 
 
-def _constant_free(at):
-    # truncated at the last mode of ``at``
-    def case(tmp):
-        return _audit(_constant_free_doc(at), tmp, truncation_N=at[-1])
-
-    return case
-
-
-def _generated(seed: int, modes: int, sigma: str):
-    def case(tmp):
+def _generated_doc(seed: int, modes: int, sigma: str):
+    def build(tmp):
         path = tmp / "generated.json"
         argv = ["gen-profile", "--seed", str(seed), "--modes", str(modes)]
         _cli(argv + ["--sigma", sigma, "--out", str(path)])
-        return _audit(json.loads(path.read_text()), tmp, truncation_N=modes)
+        return json.loads(path.read_text())
 
-    return case
+    return build
 
 
-def _empty_profile(tmp):
-    doc = {
-        "format_version": "1.0",
-        "nu": {"mid": "0.005", "rad": "0"},
-        "sigma": "0.05",
-        "tau": "0.08",
-        "modes": [],
-    }
-    return _audit(doc, tmp, coupling=0.0, truncation_N=16)
+EMPTY_PROFILE = {
+    "format_version": "1.0",
+    "nu": {"mid": "0.005", "rad": "0"},
+    "sigma": "0.05",
+    "tau": "0.08",
+    "modes": [],
+}
+
+# the certificates without declared constants, each a builder of the document
+# (given a scratch directory) and the AuditConfig fields its audit sets
+CONSTANT_FREE = {
+    "constant_free_N128": (
+        lambda tmp: _constant_free_doc((1, 14, 43, 85, 128)),
+        {"truncation_N": 128},
+    ),
+    "constant_free_N450": (
+        lambda tmp: _constant_free_doc((1, 50, 150, 300, 450)),
+        {"truncation_N": 450},
+    ),
+    "generated_seed1": (_generated_doc(1, 40, "0.05"), {"truncation_N": 40}),
+    "generated_seed2": (_generated_doc(2, 64, "0.3"), {"truncation_N": 64}),
+    "empty_profile_coupling0": (lambda tmp: EMPTY_PROFILE, {"coupling": 0.0, "truncation_N": 16}),
+}
+
+
+def _constant_free(name):
+    build, cfg = CONSTANT_FREE[name]
+    return lambda tmp: _audit(build(tmp), tmp, **cfg)
 
 
 def _wide_sigma(lattice_radius: int):
@@ -114,16 +127,12 @@ def _wide_sigma(lattice_radius: int):
 
 CASES = {
     "bundled": lambda tmp: _audit(_bundled(), tmp),
-    "constant_free_N128": _constant_free((1, 14, 43, 85, 128)),
-    "constant_free_N450": _constant_free((1, 50, 150, 300, 450)),
+    **{name: _constant_free(name) for name in CONSTANT_FREE},
     **{
         f"scaled_{name}_{way}": _scaled(name, factor)
         for name in DECLARED
         for way, factor in SCALES.items()
     },
-    "generated_seed1": _generated(1, 40, "0.05"),
-    "generated_seed2": _generated(2, 64, "0.3"),
-    "empty_profile_coupling0": _empty_profile,
     "sigma_1e4_radius3": _wide_sigma(3),
     "sigma_1e4_radius1": _wide_sigma(1),
     "cli_closure": lambda tmp: _cli(
@@ -141,6 +150,42 @@ def test_output_matches_golden_copy(name, tmp_path):
 
 def test_every_golden_copy_has_a_case():
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(CASES)
+
+
+# each stage subcommand, the TASK line of its block, and the one gate that
+# block has on a certificate without declared constants
+STAGES = {
+    "residual": ("residual bound", "delta"),
+    "inverse": ("inverse bound", "M"),
+    "tail": ("tail coercivity", "gamma"),
+    "constants": ("constants", "K"),
+}
+
+
+def _stage_block(log: str, task: str) -> str:
+    """The lines of ``log`` from ``[TASK] task`` up to the next TASK line."""
+    lines = log.splitlines(keepends=True)
+    start = lines.index(f"[TASK] {task}\n")
+    end = next(i for i in range(start + 1, len(lines)) if lines[i].startswith("[TASK] "))
+    return "".join(lines[start:end])
+
+
+@pytest.mark.parametrize("stage", sorted(STAGES))
+@pytest.mark.parametrize("name", sorted(CONSTANT_FREE))
+def test_stage_subcommand_prints_its_block_of_the_audit_log(name, stage, tmp_path):
+    build, cfg = CONSTANT_FREE[name]
+    path = tmp_path / "certificate.json"
+    path.write_text(json.dumps(build(tmp_path)))
+    task, gate = STAGES[stage]
+    argv = [stage]
+    if stage != "constants":  # the only stage that reads no certificate
+        argv += ["--profile", str(path), "--modes", str(cfg["truncation_N"])]
+    if stage != "tail" and "coupling" in cfg:  # the only stage without a model
+        argv += ["--coupling", repr(cfg["coupling"])]
+    block = _stage_block((GOLDEN / f"{name}.txt").read_text(encoding="utf-8"), task)
+    failed = any(line.endswith(": FAIL") for line in block.splitlines())
+    status = f"{stage} stage REJECTED: {gate}" if failed else f"{stage} stage passed"
+    assert _cli(argv) == f"{block}[STATUS] {status}\nexit code {int(failed)}\n"
 
 
 # N = 450, then N = 128, then N = 450 again: the tables the audit keeps for

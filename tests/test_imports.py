@@ -324,6 +324,10 @@ KEPT = {
     ("oracle", "check_divergence"): "tests/test_oracle.py::test_divergence_quartic_linear_stream",
     ("oracle", "default_grid"): "tests/test_acceptance.py::test_criterion_10_calculus_oracle",
     ("residual", "weight_sq_row"): "tests/test_residual.py",  # its bits against oracles.weight_sq
+    # the reduction step that certify_inverse ends in
+    ("stability", "inverse_bound_from_norms"): (
+        "tests/test_acceptance.py::test_criterion_02_inverse_bound_format_and_soundness"
+    ),
     ("stability", "interaction_envelope"): "perfbench/tracer.py",  # envelope_calls
 }
 

@@ -309,6 +309,38 @@ class TestDecimalEndpoints:
         big = interval_from_decimal(sign + "1.7976931348623157e308")
         assert big.mag() == sys.float_info.max
 
+    @pytest.mark.parametrize(
+        "mid, rad, side",
+        [
+            ("1e1000000", "0", "above"),
+            ("-1e1000000", "0", "below"),
+            ("0", "1e1000000", "below"),
+            # the sum overflows even the widest decimal exponent range
+            ("9e999999999999999999", "9e999999999999999999", "above"),
+        ],
+    )
+    def test_beyond_the_decimal_exponent_range_is_refused(self, mid, rad, side):
+        # mid +- rad past the decimal context's Emax is out of double range,
+        # not a decimal.Overflow
+        with pytest.raises(IntervalError, match=f"{side} double range"):
+            interval_from_mid_rad_decimal(mid, rad)
+
+    @pytest.mark.parametrize(
+        "mid, rad, lo, hi",
+        [
+            ("1e-1000000", "0", 0.0, 5e-324),
+            ("-1e-1000000", "0", -5e-324, 0.0),
+            ("0", "1e-1000000", -5e-324, 5e-324),
+            ("1e-1000000", "1e-1000000", 0.0, 5e-324),
+            # below the decimal context's subnormal floor
+            ("1e-2000000", "0", 0.0, 5e-324),
+            ("-1e-2000000", "0", -5e-324, 0.0),
+        ],
+    )
+    def test_below_the_decimal_exponent_range_rounds_outward(self, mid, rad, lo, hi):
+        x = interval_from_mid_rad_decimal(mid, rad)
+        assert (x.lo, x.hi) == (lo, hi)
+
 
 class TestMatrix:
     def test_inf_norm_point(self):

@@ -16,8 +16,9 @@ table picks wherever that gives the same bits (see the kernel notes below).
 Building an ``IntervalMatrix`` with a NaN endpoint raises ``IntervalError``;
 ``IntervalMatrix.exp`` raises on overflow, as ``exp_iv`` does.  Sums of
 products (``point_times_interval`` and the operator's interaction sums) are
-formed in midpoint-radius form and closed by ``_mid_rad_enclosure``;
-``inf_norm`` and ``identity_minus`` serve the inverse bound.  A factor
+formed in midpoint-radius form and closed by ``_mid_rad_enclosure``; the
+three float products of a point matrix times an interval matrix have one
+home, ``_mid_rad_products``, which the inverse bound also reads.  A factor
 entry whose radius max(mid - lo, hi - mid) rounds to exactly 0 is a point
 (a float difference is 0 only when it is exact) and keeps radius 0; every
 other radius is stepped outward.  A zero radius stepped up would be a
@@ -63,7 +64,6 @@ __all__ = [
     "row_sum",
     "pow_seven_halves_row",
     "point_times_interval",
-    "identity_minus",
     "inf_norm",
 ]
 
@@ -593,6 +593,14 @@ def _mid_rad_enclosure(mid, rad, scale, n) -> IntervalMatrix:
     return IntervalMatrix(lo, hi)
 
 
+def _mid_rad_products(A: np.ndarray, Bm: np.ndarray, Br: np.ndarray):
+    """A @ Bm, |A| @ Br and |A| @ (|Bm| + Br) by float64 matmuls: the mid,
+    rad and scale sums of ``_mid_rad_enclosure`` for A times the interval
+    matrix of midpoints Bm and radii Br."""
+    absA = np.abs(A)
+    return A @ Bm, absA @ Br, absA @ (np.abs(Bm) + Br)
+
+
 def point_times_interval(A: np.ndarray, B: IntervalMatrix) -> IntervalMatrix:
     """Enclosure of A @ B for a point matrix A, in midpoint-radius form:
     terms A_ik Bm_kj, within |A_ik| Br_kj of A_ik B_kj, bounded by
@@ -607,17 +615,7 @@ def point_times_interval(A: np.ndarray, B: IntervalMatrix) -> IntervalMatrix:
     exact = Br == 0.0
     Br = _np_up(Br, steps=2)
     np.copyto(Br, 0.0, where=exact)
-    absA = np.abs(A)
-    return _mid_rad_enclosure(A @ Bm, absA @ Br, absA @ (np.abs(Bm) + Br), n)
-
-
-def identity_minus(P: IntervalMatrix) -> IntervalMatrix:
-    """Enclosure of I - P (one outward ulp absorbs the diagonal rounding)."""
-    n, m = P.shape
-    if n != m:
-        raise IntervalError("identity_minus needs a square matrix")
-    I = np.eye(n)
-    return IntervalMatrix(_np_down(I - P.hi), _np_up(I - P.lo))
+    return _mid_rad_enclosure(*_mid_rad_products(A, Bm, Br), n)
 
 
 def inf_norm(m: IntervalMatrix) -> IntervalScalar:

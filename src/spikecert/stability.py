@@ -7,7 +7,11 @@ is invertible and
 
     || J^{-1} || <= || R || / (1 - || E ||),
 
-with every quantity an interval enclosure.  The second half controls the
+with every quantity an interval enclosure.  ||E|| is bounded in one
+midpoint-radius pass over the three float products R @ mid J, |R| @ rad J
+and |R| @ (|mid J| + rad J): the largest row sum of |I - R @ mid J| plus
+the a-priori radius of the product, every rounding folded into one scalar
+factor (the derivation is in `certify_inverse`).  The second half controls the
 modes the truncation cut off: past the audited support the interaction
 term admits the envelope
 
@@ -22,6 +26,7 @@ residual test sufficient for the full operator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,7 +42,7 @@ from .interval import (
     exp_iv,
     pow_seven_halves,
 )
-from .matrix import IntervalMatrix, identity_minus, inf_norm, point_times_interval
+from .matrix import IntervalMatrix, _gamma_factor, _mid_rad_products, inf_norm
 from .operator import OperatorConfig
 from .spaces import PROFILE_SPACE, ProfileCertificate
 
@@ -80,12 +85,44 @@ def inverse_bound_from_norms(r_norm, e_norm) -> InverseReport:
 def certify_inverse(J: IntervalMatrix) -> InverseReport:
     """Certify invertibility of every point matrix inside J.
 
-    The candidate inverse is the float64 inverse of the midpoint matrix;
-    the certification itself never trusts it, only the interval residual
-    E = I - R @ J.  A Jacobian midpoint that is not finite, or a singular
-    or non-finite midpoint inverse, is a verdict (verified=False with a
-    diagnostic), not an exception, since the certificate under audit may
-    genuinely be bad.
+    The candidate inverse is the float64 inverse R of the midpoint matrix;
+    the certification never trusts it, only the enclosure of ||E||, E =
+    I - R @ J', over the point matrices J' of J.  A Jacobian midpoint that
+    is not finite, or a singular or non-finite midpoint inverse, is a
+    verdict (verified=False with a diagnostic), not an exception, since the
+    certificate under audit may genuinely be bad.
+
+    The bound.  Bm = mid J and Br = max(Bm - lo, hi - Bm) are rounded to
+    nearest, and P = R @ Bm, rad = |R| @ Br and S = |R| @ (|Bm| + Br) are
+    float products (``_mid_rad_products``).  Each entry of R @ J' lies
+    within rho = rad + g S + n 1e-300 of P in exact arithmetic, g =
+    _gamma_factor(n): the bound ``_mid_rad_enclosure`` documents (Rump,
+    BIT 39, 1999; Acta Numerica 19, 2010, section 10), where rounding Br is
+    the second rounding of a radius term and the third of a scale term.
+    With a = |I - P| and max(0, a - rho) = a - min(a, rho), every row i has
+
+        sum_j a_ij - sum_j min(a_ij, rho_ij) <= sum_j |E_ij|
+                                              <= sum_j a_ij + sum_j rho_ij.
+
+    The factor.  In floats, D = a (|1 - P_ii| on the diagonal), rho~ =
+    rad + g S and m = min(D, rho~); sa_i, sr_i and sm_i are the row sums of
+    D, rho~ and m, and v = n n 1e-300.  Every term is nonnegative, so each
+    rounding to nearest scales it by a factor in [1/(1+u), 1+u], u = 2^-53
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+    (2.4)-(2.5)).  A term of t_i = sa_i + sr_i passes through at most n + 2
+    roundings (1 - P_ii or the two that form rho~, n - 1 in its row sum,
+    one in t_i), and (1+u)^(n+2) <= 1 + gamma_(n+2) <= 1 + g.  So the right
+    side is at most (1 + g) t_i, the left side at least (1 - g) sa_i - (1 +
+    g) sm_i, and the underflow terms (n 1e-300 per entry of rho, 2^-1075
+    for g S_ij) add less than (1 + g) v.  Hence, with t = max_i t_i,
+
+        E_norm = [max(0, max_i ((1 - 2g) sa_i - (1 + 2g) (sm_i + v))),
+                  (t + v) (1 + 2g)]
+
+    evaluated in floats: the second g of each factor absorbs the three
+    roundings of each side (the factor, the sum, the product or difference),
+    since g >= 3.03u.  Where t is not finite (an overflow, or inf - inf),
+    E_norm is [0, inf].  R_norm is inf_norm of R.
     """
     if not isinstance(J, IntervalMatrix):
         raise CertificationError("certify_inverse expects an IntervalMatrix")
@@ -108,9 +145,31 @@ def certify_inverse(J: IntervalMatrix) -> InverseReport:
         return InverseReport(
             verified=False, diagnostic="midpoint inverse overflowed; no candidate inverse"
         )
-    e_norm = inf_norm(identity_minus(point_times_interval(R, J)))
     r_norm = inf_norm(IntervalMatrix.from_point(R))
-    return inverse_bound_from_norms(r_norm, e_norm)
+    return inverse_bound_from_norms(r_norm, _residual_norm(R, J, mid))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _residual_norm(R: np.ndarray, J: IntervalMatrix, Bm: np.ndarray) -> IntervalScalar:
+    """E_norm of ``certify_inverse``'s docstring, Bm = mid J: lo <= ||I -
+    R @ J'||_inf <= hi for every point matrix J' of J and any float R."""
+    n = J.shape[0]
+    Br = Bm - J.lo
+    np.maximum(Br, J.hi - Bm, out=Br)
+    P, rad, rho = _mid_rad_products(R, Bm, Br)
+    g = _gamma_factor(n)
+    rho *= g  # rho~ = rad + g S, in the array of S
+    rho += rad
+    D = np.abs(P)
+    np.fill_diagonal(D, np.abs(1.0 - P.diagonal()))
+    sa = D.sum(axis=1)
+    v = n * n * 1e-300
+    t = float((sa + rho.sum(axis=1)).max())
+    if not math.isfinite(t):
+        return IntervalScalar(0.0, math.inf)
+    np.minimum(rho, D, out=rho)
+    lo = float(((1.0 - 2.0 * g) * sa - (1.0 + 2.0 * g) * (rho.sum(axis=1) + v)).max())
+    return IntervalScalar(max(lo, 0.0), (t + v) * (1.0 + 2.0 * g))
 
 
 def _envelope_total(cert: ProfileCertificate) -> IntervalScalar:

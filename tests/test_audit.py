@@ -1,12 +1,16 @@
 """Audit driver: grammar invariants, trust gates, tamper matrix, exit codes."""
 
+import copy
 import dataclasses
 import json
 import pathlib
+import re
 import time
 import warnings
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from spikecert import audit, basis, matrix, operator
 from spikecert.audit import (
@@ -434,6 +438,82 @@ def test_exit_code_matches_status_contract(bundled, tmp_path):
     runs.append(run_audit(tmp_path / "absent.json", FAST))
     for result in runs:
         assert (result.exit_code == 0) == ("VERIFIED" in result.log.status)
+
+
+def _value_paths(node, path=()):
+    """Every place in a JSON document that holds a value, as a key path."""
+    keys = range(len(node)) if isinstance(node, list) else node if isinstance(node, dict) else ()
+    for key in keys:
+        yield path + (key,)
+        yield from _value_paths(node[key], path + (key,))
+
+
+def _field_names(path):
+    """The words an exit-2 status may name the field at ``path`` by: any
+    mode entry for a mode (a repeated index is named where it repeats)."""
+    if path[0] == "constants" and len(path) > 1:
+        return (f"constants.{path[1]}", f"constant {path[1]}")
+    return (path[0],)
+
+
+BUNDLED_DOC = json.loads(
+    (pathlib.Path(audit.__file__).parent / "data" / "reference_certificate.json").read_text()
+)
+HOSTILE = st.one_of(
+    st.sampled_from(
+        [None, True, False, 0, -1, 2**64, -(2**64), 0.5, float("nan"), float("inf"),
+         "", " ", "nan", "NaN", "-nan", "sNaN", "inf", "-Infinity", "+inf", "1e", "0x1p3",
+         "1_0", "--1", "-0", "-1e-3", [], [1], {}]
+    ),
+    # huge and tiny exponents, past the decimal context's range too
+    st.builds(
+        "{}e{}".format, st.sampled_from(["1", "-1", "9.99", "+5", "0"]), st.integers(-(10**7), 10**7)
+    ),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=6),
+    st.dictionaries(
+        st.sampled_from(["mid", "rad", "j"]),
+        st.sampled_from(["1", "-1e-3", "1e999999", "1e-1000000", 1, None, {"mid": "1"}]),
+        max_size=3,
+    ),
+)
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(list(_value_paths(BUNDLED_DOC))), HOSTILE),
+        min_size=1,
+        max_size=2,
+    )
+)
+def test_hostile_field_values_never_raise(tmp_path_factory, mutations):
+    # one or two fields of the bundled certificate replaced by hostile JSON
+    # values: the audit returns, an exit-2 status names a replaced field,
+    # and no run takes 2 s.  Deeper paths go first, so a later replacement
+    # of a parent cannot strand one of its children
+    doc = copy.deepcopy(BUNDLED_DOC)
+    for path, value in sorted(mutations, key=lambda m: -len(m[0])):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    path = tmp_path_factory.mktemp("hostile") / "certificate.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    result = run_audit(path, FAST)
+    assert time.perf_counter() - t0 < 2.0
+    status = result.log.status
+    assert (result.exit_code == 0) == ("VERIFIED" in status)
+    if result.exit_code == 2:
+        reason = status.partition("unreadable: ")[2]
+        names = [name for m in mutations for name in _field_names(m[0])]
+        assert any(re.search(rf"(?<![\w.]){re.escape(n)}\b", reason) for n in names), (
+            status,
+            mutations,
+        )
 
 
 # ------------------------------------------------ content that stops a stage

@@ -302,6 +302,8 @@ KEPT = {
     ("interval", "arith"): (
         "tests/test_acceptance.py::test_criterion_08_containment_fuzz_hundred_thousand"
     ),
+    # the interval.ptimes_n450_ms micro-timing; the tracer also wraps it
+    ("matrix", "point_times_interval"): "perfbench/probes.py",
     ("operator", "apply_G"): (
         "tests/test_acceptance.py::test_criterion_09_jacobian_matches_finite_differences"
     ),

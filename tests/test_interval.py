@@ -37,7 +37,6 @@ from spikecert.matrix import (
     IntervalMatrix,
     _mid_rad,
     endpoint_table,
-    identity_minus,
     inf_norm,
     point_times_interval,
     row_sum,
@@ -441,12 +440,6 @@ class TestMatrix:
         mutant = mutant_module(monkeypatch, matrix, "rad = _np_up(rad)", "pass")
         with pytest.raises(AssertionError):
             self.check_mid_rad(mutant._mid_rad)
-
-    def test_identity_minus(self):
-        P = IntervalMatrix.from_point(np.array([[0.25, 0.0], [0.0, 0.25]]))
-        E = identity_minus(P)
-        assert E.entry(0, 0).contains(0.75)
-        assert E.entry(0, 1).contains(0.0)
 
     def test_shape_guards(self):
         with pytest.raises(IntervalError):

@@ -9,6 +9,7 @@ evaluation of the envelope formula.
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -173,6 +174,115 @@ def test_widening_radii_never_shrinks_residual_norm():
         e1 = certify_inverse(base).E_norm
         e2 = certify_inverse(fat).E_norm
         assert e2.hi >= e1.hi
+
+
+# ---------------------------------------------------------------------------
+# the residual norm against exact rational arithmetic
+
+
+def exact_residual_norm(R, Jp):
+    """||I - R @ Jp||_inf of two float matrices, in exact rationals."""
+    n = len(R)
+    Rq = [[Fraction(x) for x in row] for row in R.tolist()]
+    Jq = [[Fraction(x) for x in row] for row in Jp.tolist()]
+    return max(
+        sum(abs((i == j) - sum(Rq[i][k] * Jq[k][j] for k in range(n))) for j in range(n))
+        for i in range(n)
+    )
+
+
+def worst_corners(J, R):
+    """Per row i, the corner of J that pushes every entry of row i of
+    R @ J' away from the identity: the corners the radius term must cover."""
+    mid = J.midpoint()
+    away = np.sign(R @ mid - np.eye(len(R)))
+    for i in range(len(R)):
+        up = np.sign(R[i])[:, None] * away[i][None, :] >= 0.0
+        yield np.where(up, J.hi, J.lo)
+
+
+def check_oracle_on_random_matrices(module):
+    # E_norm.lo <= ||I - R J'||_inf <= E_norm.hi, exactly, at the midpoint
+    # of J and at corners of it, for point and interval J up to 8 x 8, some
+    # of them graded over many decades
+    rng = np.random.default_rng(1999)
+    for trial in range(60):
+        n = int(rng.integers(1, 9))
+        a = rng.standard_normal((n, n)) + n * np.eye(n)
+        if trial % 3 == 2:
+            a *= 10.0 ** rng.integers(-6, 7, (n, 1))
+        r = 0.0 if trial % 2 == 0 else 10.0 ** rng.uniform(-9, -3)
+        J = IntervalMatrix(a - r * np.abs(a), a + r * np.abs(a))
+        R = np.linalg.inv(J.midpoint())
+        e = module.certify_inverse(J).E_norm
+        points = [J.midpoint()]
+        if r:
+            points += list(worst_corners(J, R))
+            points += [np.where(rng.random((n, n)) < 0.5, J.lo, J.hi) for _ in range(2)]
+        for Jp in points:
+            exact = exact_residual_norm(R, Jp)
+            assert e.lo <= exact <= e.hi, (trial, e, float(exact))
+
+
+def check_oracle_on_edge_cases(module):
+    # (R, J) with exact ||I - R J||_inf: fl(1/3) * 3 rounds to exactly 1 but
+    # is 1 - 2^-54; a residual of 1 that an R of 0 leaves; and a row whose
+    # float sum 1 + 2^-53 + 2^-53 rounds twice to 1
+    third = np.array([[1.0 / 3.0]])
+    tie = np.zeros((3, 3))
+    tie[0, 1:] = 2.0**-53
+    cases = [
+        (third, 3.0 * np.eye(1), Fraction(1, 2**54)),
+        (np.zeros((2, 2)), np.eye(2), Fraction(1)),
+        (tie, np.eye(3), 1 + Fraction(1, 2**52)),
+    ]
+    for R, Jp, exact in cases:
+        assert exact_residual_norm(R, Jp) == exact
+        J = IntervalMatrix.from_point(Jp)
+        e = module._residual_norm(R, J, J.midpoint())
+        assert e.lo <= exact <= e.hi, (R, e)
+
+
+def test_residual_norm_contains_exact_on_random_matrices():
+    check_oracle_on_random_matrices(stability_module)
+
+
+def test_residual_norm_contains_exact_on_edge_cases():
+    check_oracle_on_edge_cases(stability_module)
+
+
+@pytest.mark.parametrize(
+    "old, new, check",
+    [
+        ("    rho += rad\n", "", check_oracle_on_random_matrices),
+        ("rho *= g  #", "rho *= 0.0  #", check_oracle_on_edge_cases),
+        ("(t + v) * (1.0 + 2.0 * g)", "(t + v)", check_oracle_on_edge_cases),
+        ("(1.0 - 2.0 * g) * sa", "(1.0 + 2.0 * g) * sa", check_oracle_on_edge_cases),
+    ],
+    ids=["no_radius_term", "no_gamma_term", "no_factor", "lo_rounded_up"],
+)
+def test_residual_norm_mutant_fails_its_oracle(monkeypatch, old, new, check):
+    mutant = mutant_module(monkeypatch, stability_module, old, new)
+    with pytest.raises(AssertionError):
+        check(mutant)
+
+
+def test_overflowing_product_is_a_verdict():
+    # mid J = I, so R = I, but two radii of 1.5e308 in row 0 overflow the row
+    # sum of |R| @ rad J: E_norm is [0, inf], never NaN, and M is not formed
+    lo, hi = np.eye(3), np.eye(3)
+    lo[0, 1:], hi[0, 1:] = -1.5e308, 1.5e308
+    rep = certify_inverse(IntervalMatrix(lo, hi))
+    assert not rep.verified and rep.M is None
+    assert (rep.E_norm.lo, rep.E_norm.hi) == (0.0, math.inf)
+    assert rep.diagnostic == (
+        "residual norm upper bound inf is not below one; the inverse is not certified"
+    )
+    # R @ mid J itself overflowing to inf, and to inf - inf = NaN
+    J = IntervalMatrix.from_point(np.full((2, 2), 1e10))
+    for R in (np.full((2, 2), 1e300), np.array([[1e300, -1e300], [0.0, 1.0]])):
+        e = stability_module._residual_norm(R, J, J.midpoint())
+        assert (e.lo, e.hi) == (0.0, math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ diffusion eigenvalues, linear-in-j/2 drift, triangle-rule interactions with
 harmonic falloff away from the j = k+l diagonal, and a k^{7/2} recovery
 kernel.  The operator reads the eigenvalues and the kernel as 1 x len(modes)
 rows and the tensor as one slab per source mode, already split into the
-midpoint and radius arrays it sums (``_split_slab``); the scalar
-``interaction`` stays only as the oracles' reference and the hook a call
-tracer wraps.
+midpoint and radius arrays it sums (``matrix._mid_rad``'s split); the
+scalar ``interaction`` stays only as the oracles' reference and the hook a
+call tracer wraps.
 """
 
 from __future__ import annotations
@@ -28,41 +28,23 @@ from .matrix import IntervalMatrix, _mid_rad, endpoint_table, pow_seven_halves_r
 __all__ = ["BasisModel", "reference_model"]
 
 
-@functools.lru_cache(maxsize=16)
-def _quotient_row(coupling: float):
-    """The row function x -> coupling / x, one per coupling, so every model
-    with that coupling reads one quotient table: coupling / (1 + d) at index
-    d, the interaction at distance d = k + l - j from the band's top edge.
-    -0.0 and +0.0 compare equal and share a table, whose quotients are +0.0
-    for both."""
-    cpl = IntervalScalar(coupling, coupling)
-    return lambda x: cpl / x
-
-
-def _split_slab(block: IntervalMatrix):
-    """(mid, rad) of an interval slab, the form ``interaction_block``
-    serves: matrix._mid_rad's split, so each entry lies in [mid - rad,
-    mid + rad] and a point entry has rad exactly 0, except that an entry
-    with an infinite endpoint gets mid = 0 and rad = inf."""
-    mid, rad, unbounded = _mid_rad(block)
-    rad[unbounded] = np.inf
-    return mid, rad
-
-
-def _quotient_table(row, need: int):
-    """(mid, rad) of the quotients row(1 + d) = coupling / (1 + d) at index
-    d < n, n the least power of two at or above ``need``, and a zero slot,
-    (0.0, 0.0), at index n: read-only arrays formed whole, as
-    endpoint_table forms its tables, split once, and kept in a bounded
-    cache that serves them to every model of the process."""
-    return _split_table(row, 1 << max(need - 1, 0).bit_length())
+def _quotient_table(coupling: float, need: int):
+    """(mid, rad) of the quotients coupling / (1 + d) at index d < n, the
+    interaction at distance d = k + l - j from the band's top edge, n the
+    least power of two at or above ``need``, and a zero slot, (0.0, 0.0), at
+    index n: read-only arrays formed whole, as endpoint_table forms its
+    tables, split by matrix._mid_rad, and kept in a bounded cache that
+    serves them to every model of the process.  -0.0 and +0.0 hash and
+    compare equal and share a table, whose quotients are +0.0 for both."""
+    return _split_table(coupling, 1 << max(need - 1, 0).bit_length())
 
 
 @functools.lru_cache(maxsize=32)
-def _split_table(row, n: int):
-    mid, rad = _split_slab(row(IntervalMatrix.from_point(np.arange(1.0, n + 1.0)[None, :])))
+def _split_table(coupling: float, n: int):
+    one_plus_d = IntervalMatrix.from_point(np.arange(1.0, n + 1.0)[None, :])
+    mid, rad, unbounded = _mid_rad(IntervalScalar(coupling, coupling) / one_plus_d)
     # a finite coupling over 1 + d >= 1 leaves every quotient finite
-    if not np.isfinite(rad).all():
+    if unbounded.any() or not np.isfinite(rad).all():
         raise IntervalError("quotient table has an unbounded entry")
     ends = (np.append(mid[0], 0.0), np.append(rad[0], 0.0))
     for a in ends:
@@ -85,12 +67,12 @@ class BasisModel:
     ``interaction_block(k, ls, n)`` is the len(ls) x n slab of that tensor
     for one source mode k, entry [i, j-1] = C_{k, ls[i], j}, so mode j runs
     along contiguous memory, served split as two fresh float arrays
-    ``(mid, rad)`` that the caller may overwrite: entry by entry the
-    ``_split_slab`` split of the interval ``interaction`` gives, so an entry
-    with an infinite endpoint has rad = inf.  The operator reads the tensor
-    only through it.  The scalar ``interaction`` stays only as the
-    reference the oracles compare against and as the hook a call tracer
-    wraps.
+    ``(mid, rad)`` that the caller may overwrite: entry by entry
+    ``matrix._mid_rad``'s split of the interval ``interaction``, except that
+    an entry with an infinite endpoint has mid = 0 and rad = inf.  The
+    operator reads the tensor only through it.  The scalar ``interaction``
+    stays only as the reference the oracles compare against and as the hook
+    a call tracer wraps.
     """
 
     diffusion_row: Callable[[Sequence[int]], IntervalMatrix]
@@ -123,7 +105,6 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
             raise ValueError(f"{name} must be finite and nonnegative, got {x!r}")
     cpl = IntervalScalar(coupling, coupling)
     crec = IntervalScalar(coupling_rec, coupling_rec)
-    quotients = _quotient_row(coupling)
 
     def diffusion_row(modes: Sequence[int]) -> IntervalMatrix:
         j = _mode_array(modes).astype(np.float64)[None, :]
@@ -151,7 +132,7 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
         l = _mode_array(ls)
         _check_index(n)
         # every d = k + l - j in the band is below k + max(ls) <= 2 max(k, ls)
-        mid, rad = _quotient_table(quotients, 2 * max(k, int(l.max(initial=0))))
+        mid, rad = _quotient_table(coupling, 2 * max(k, int(l.max(initial=0))))
         d = (k + l)[:, None] - np.arange(1, n + 1)
         # |k - l| <= j <= k + l iff 0 <= d <= 2 min(k, l); read unsigned, a
         # negative d lies above every bound, so one test sends both sides

@@ -32,8 +32,8 @@ import random
 import sys
 from typing import Dict, List, Optional
 
-from .closure import nk_closure, torus_closure
-from .config import MAX_MODES, AuditConfig, _iv
+from .closure import MAX_LATTICE_RADIUS, nk_closure, torus_closure
+from .config import MAX_J_MIN, MAX_MODES, AuditConfig, _iv
 from .errors import CertificateError, CertificationError
 from .interval import IntervalError, IntervalScalar, interval_from_decimal
 from .oracle import _SUITES, MeridionalGrid, standard_checks
@@ -162,13 +162,19 @@ def _build_parser():
                 default=_AUDIT.truncation_N,
                 help=f"truncation level, at most {MAX_MODES}",
             )
+        if "j_min" in names:
+            p.add_argument("--j-min", type=_bounded_int(1, MAX_J_MIN), default=_AUDIT.j_min)
         if "out" in names:
             p.add_argument("--out", help="also write the output to this path")
 
     p = sub.add_parser("audit", help="full pipeline, tagged log, exit code")
-    common(p, "profile", "model", "modes", "out")
-    p.add_argument("--j-min", type=_bounded_int(1), default=_AUDIT.j_min)
-    p.add_argument("--lattice-radius", type=_bounded_int(1), default=_AUDIT.lattice_radius)
+    common(p, "profile", "model", "modes", "j_min", "out")
+    p.add_argument(
+        "--lattice-radius",
+        type=_bounded_int(1, MAX_LATTICE_RADIUS),
+        default=_AUDIT.lattice_radius,
+        help=f"image-overlap enumeration radius, at most {MAX_LATTICE_RADIUS}",
+    )
 
     p = sub.add_parser("residual", help="the audit's residual stage: delta")
     common(p, "profile", "model", "modes", "out")
@@ -177,8 +183,7 @@ def _build_parser():
     common(p, "profile", "model", "modes", "out")
 
     p = sub.add_parser("tail", help="the audit's tail coercivity stage: gamma")
-    common(p, "profile", "modes", "out")
-    p.add_argument("--j-min", type=_bounded_int(1), default=_AUDIT.j_min)
+    common(p, "profile", "modes", "j_min", "out")
 
     p = sub.add_parser("constants", help="the audit's constants stage: C_rec_map, C_conv, K")
     common(p, "out")

@@ -1,6 +1,6 @@
 """The audit's options and the interval format its log prints.
 
-``AuditConfig``, ``MAX_MODES`` and ``_iv`` live apart from
+``AuditConfig``, ``MAX_MODES``, ``MAX_J_MIN`` and ``_iv`` live apart from
 ``spikecert.audit``, which loads the numpy stages, so the command line reads
 the option defaults and bounds and prints the ``closure`` products without
 loading numpy.
@@ -15,10 +15,14 @@ from .interval import IntervalScalar
 
 # the largest truncation N an option accepts: the constant-free audit of the
 # bundled certificate with --modes 2048 --j-min 4096, which assembles and
-# inverts the 2048 x 2048 Jacobian, ends in about 4 s with a peak RSS of
-# 508 MB on a 2-vCPU x86-64 host, while G's dense 2N rows at N = 10^8 would
+# inverts the 2048 x 2048 Jacobian, ends in 2.0-2.6 s with a peak RSS of
+# 377 MB on a 2-vCPU x86-64 host, while G's dense 2N rows at N = 10^8 would
 # exhaust memory before any check ran
 MAX_MODES = 2048
+
+# the largest first tail mode j_min an option or the tail stage accepts: the
+# stage reads j_min and j_min + 1 as floats, exact only up to 2^53
+MAX_J_MIN = 2**53 - 1
 
 
 @dataclass

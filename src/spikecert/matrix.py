@@ -10,8 +10,9 @@ error-free transformation and one nudge: the zero, underflow and NaN
 branches run only on the entries the band mask flags, and the inf and NaN
 branches of a sum only when some sum is non-finite.  The scalar routine
 takes none of those branches for an in-band entry, so the bits are
-unchanged.  Products and quotients form only the two corners the sign
-table picks wherever that gives the same bits (see the kernel notes below).
+unchanged.  Products form only the two corners the sign table picks
+wherever that gives the same bits (see the kernel notes below); quotients
+take the four-corner rule of IntervalScalar.
 
 Building an ``IntervalMatrix`` with a NaN endpoint raises ``IntervalError``;
 ``IntervalMatrix.exp`` raises on overflow, as ``exp_iv`` does.  Sums of
@@ -115,25 +116,26 @@ def _np_down(a: np.ndarray, steps: int = 1) -> np.ndarray:
 # NaN branches run only when some sum is not.  Overflow to infinity is one
 # of those branches, hence the silenced warnings.
 #
-# IntervalMatrix products and quotients are sign-aware.  Where both operands
-# are strictly signed, Moore's sign table names the corner that holds the
-# exact minimum and the one that holds the maximum.  Where, moreover, every
-# corner lies in the error-free band (its operands below _EFT_HI in
-# magnitude, its result between _EFT_LO and _EFT_HI), each corner's directed
-# result is its exact value rounded to the next double below or above: a
-# monotone map that never gives 0.  So the picked corner rounded down is the
-# least of the four corners' lower bounds, bit for bit, and the other picked
-# corner rounded up the greatest of their upper bounds; only those two are
-# formed.  The kernels return that band test of the picked corners beside
-# their results, so it is computed once.  Where an operand is exactly
-# [0, 0], every corner is +0.0, so the picked ones already are the
-# four-corner result.  Every other entry (an endpoint that is 0, -0.0 or
-# infinite, an operand that straddles 0, underflow, overflow, the _eft_ok
-# fallback) takes the four-corner rule of IntervalScalar.  The band also
-# keeps out results that round to 0, where the sign of a zero bound depends
-# on which corner comes first: [-2e-323, -1e-323] * 0.15000000000000002 has
-# the upper bound -0.0 by the four corners but +0.0 from the picked corner
-# alone.
+# IntervalMatrix products are sign-aware.  Where both operands are strictly
+# signed, Moore's sign table names the corner that holds the exact minimum
+# and the one that holds the maximum.  Where, moreover, every corner lies in
+# the error-free band (its operands below _EFT_HI in magnitude, its result
+# between _EFT_LO and _EFT_HI), each corner's directed result is its exact
+# value rounded to the next double below or above: a monotone map that
+# never gives 0.  So the picked corner rounded down is the least of the four
+# corners' lower bounds, bit for bit, and the other picked corner rounded up
+# the greatest of their upper bounds; only those two are formed.  The picked
+# corners take each operand's two endpoints and the products of least and
+# greatest magnitude, so their band test, which _np_mul returns beside its
+# result, holds the band on all four.  Where an operand is exactly [0, 0],
+# every corner is +0.0, so the picked ones already are the four-corner
+# result.  Every other entry (an endpoint that is 0, -0.0 or infinite, an
+# operand that straddles 0, underflow, overflow, the _eft_ok fallback) takes
+# the four-corner rule of IntervalScalar, as every quotient does.  The band
+# also keeps out results that round to 0, where the sign of a zero bound
+# depends on which corner comes first: [-2e-323, -1e-323] *
+# 0.15000000000000002 has the upper bound -0.0 by the four corners but +0.0
+# from the picked corner alone.
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -185,33 +187,17 @@ def _np_mul(a, b, up: bool):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _np_div(a, b, up: bool):
+def _np_div(a, b, up: bool) -> np.ndarray:
     """Elementwise _div(a, b) for divisors without 0, its upper bound if
-    ``up``, else its lower, and the mask of the entries that lie in the
-    error-free band with a margin: the dividend keeps a factor of two from
-    the band's edges.  Holding that on the two picked corners holds the
-    band on all four: between them they take each operand's two endpoints
-    and the results of least and greatest magnitude, so every corner's
-    divisor is below _EFT_HI, its quotient q between the picked ones, and
-    q * b near its dividend.  Within two roundings where q is normal; where
-    q is subnormal, q = RN(a / b) is nonzero (it is at least the picked
-    least one, whose q * b lies in the band) and so within a factor (2/3, 2)
-    of a / b, and then q * b lies within that factor of the dividend, in
-    the band, since a subnormal q needs |a| < 1e-7.  No margin on q is
-    needed: an in-band corner with a subnormal q is still its exact value
-    rounded to the next double below or above, and a bound rounded to 0
-    takes the sign every corner shares, +0.0 below a positive quotient and
-    -0.0 above a negative one."""
+    ``up``, else its lower."""
     q = a / b
     p = q * b
     d = (a - p) - _prod_err(q, b, p)  # sign of a - q*b, as in _div
     above = (d > 0) == (b > 0)  # true quotient above q, where d != 0
     nudge = (d != 0.0) & (above if up else ~above)
     out = np.where(nudge, np.nextafter(q, _INF if up else -_INF), q)
-    eft = _np_eft_ok(q, b, p)
-    _np_directed(out, q, eft, a, b, False, up)
-    aa = np.abs(a)
-    return out, eft & (2.0 * _EFT_LO < aa) & (aa < 0.5 * _EFT_HI)
+    _np_directed(out, q, _np_eft_ok(q, b, p), a, b, False, up)
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -321,11 +307,12 @@ class IntervalMatrix:
 
     @staticmethod
     def _corners(a, b, kernel):
-        # corners in the scalar order, one at a time; like min() and max(), a
-        # later corner replaces the running bound only when strictly beyond it
+        # corners in the scalar order, one at a time, each bound kernel(x, y,
+        # up) of endpoints of one shape; like min() and max(), a later corner
+        # replaces the running bound only when strictly beyond it
         lo = hi = None
         for x, y in ((a[0], b[0]), (a[0], b[1]), (a[1], b[0]), (a[1], b[1])):
-            down, up = kernel(x, y, False)[0], kernel(x, y, True)[0]
+            down, up = kernel(x, y, False), kernel(x, y, True)
             if lo is None:
                 lo, hi = down, up
             else:
@@ -334,19 +321,17 @@ class IntervalMatrix:
         return lo, hi
 
     @staticmethod
-    def _product(a, b, kernel) -> "IntervalMatrix":
-        """a * b (kernel _np_mul) or a / b (_np_div) of endpoint pairs a and b,
-        entry by entry: the two corners the sign table picks where that has
-        the bits of the four-corner rule, the four corners elsewhere.  The
-        picked corners come out of np.where at the broadcast shape; the
-        endpoints are broadcast themselves only for the entries left over."""
+    def _product(a, b) -> "IntervalMatrix":
+        """a * b of endpoint pairs a and b, entry by entry: the two corners
+        the sign table picks where that has the bits of the four-corner rule,
+        the four corners elsewhere.  The picked corners come out of np.where
+        at the broadcast shape; the endpoints are broadcast themselves only
+        for the entries left over."""
         (a0, a1), (b0, b1) = a, b
         pos_a, pos_b = a0 > 0.0, b0 > 0.0
-        # 1/b has the endpoints 1/b1, 1/b0: a quotient takes b's the other way
-        c0, c1 = (b0, b1) if kernel is _np_mul else (b1, b0)
-        x_lo, y_lo = np.where(pos_b, a0, a1), np.where(pos_a, c0, c1)
-        x_hi, y_hi = np.where(pos_b, a1, a0), np.where(pos_a, c1, c0)
-        (lo, band_lo), (hi, band_hi) = kernel(x_lo, y_lo, False), kernel(x_hi, y_hi, True)
+        x_lo, y_lo = np.where(pos_b, a0, a1), np.where(pos_a, b0, b1)
+        x_hi, y_hi = np.where(pos_b, a1, a0), np.where(pos_a, b1, b0)
+        (lo, band_lo), (hi, band_hi) = _np_mul(x_lo, y_lo, False), _np_mul(x_hi, y_hi, True)
         # the rest: an operand that is not strictly signed, or a corner
         # outside the error-free band, unless an operand is exactly [0, 0]:
         # then every corner, picked or not, is +0.0
@@ -354,7 +339,9 @@ class IntervalMatrix:
         rest = ~((pos_a | (a1 < 0.0)) & (pos_b | (b1 < 0.0)) & band_lo & band_hi | zero)
         if rest.any():
             a0, a1, b0, b1 = (np.broadcast_to(x, rest.shape)[rest] for x in (a0, a1, b0, b1))
-            lo[rest], hi[rest] = IntervalMatrix._corners((a0, a1), (b0, b1), kernel)
+            lo[rest], hi[rest] = IntervalMatrix._corners(
+                (a0, a1), (b0, b1), lambda x, y, up: _np_mul(x, y, up)[0]
+            )
         return IntervalMatrix(lo, hi)
 
     def __add__(self, other):
@@ -376,22 +363,6 @@ class IntervalMatrix:
     def __neg__(self):
         return IntervalMatrix(-self.hi, -self.lo)
 
-    def __sub__(self, other):
-        b = self._endpoints(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return IntervalMatrix(
-            _np_add(self.lo, -b[1], up=False), _np_add(self.hi, -b[0], up=True)
-        )
-
-    def __rsub__(self, other):
-        b = self._endpoints(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return IntervalMatrix(
-            _np_add(b[0], -self.hi, up=False), _np_add(b[1], -self.lo, up=True)
-        )
-
     def __abs__(self):
         return IntervalMatrix(self.mig(), self.mag())
 
@@ -399,13 +370,13 @@ class IntervalMatrix:
         b = self._endpoints(other)
         if b is NotImplemented:
             return NotImplemented
-        return self._product((self.lo, self.hi), b, _np_mul)
+        return self._product((self.lo, self.hi), b)
 
     def __rmul__(self, other):
         b = self._endpoints(other)
         if b is NotImplemented:
             return NotImplemented
-        return self._product(b, (self.lo, self.hi), _np_mul)
+        return self._product(b, (self.lo, self.hi))
 
     @staticmethod
     def _divisor(lo, hi):
@@ -421,13 +392,15 @@ class IntervalMatrix:
         b = self._endpoints(other)
         if b is NotImplemented:
             return NotImplemented
-        return self._product((self.lo, self.hi), self._divisor(*b), _np_div)
+        ends = np.broadcast_arrays(self.lo, self.hi, *self._divisor(*b))
+        return IntervalMatrix(*self._corners(ends[:2], ends[2:], _np_div))
 
     def __rtruediv__(self, other):
         b = self._endpoints(other)
         if b is NotImplemented:
             return NotImplemented
-        return self._product(b, self._divisor(self.lo, self.hi), _np_div)
+        ends = np.broadcast_arrays(*b, *self._divisor(self.lo, self.hi))
+        return IntervalMatrix(*self._corners(ends[:2], ends[2:], _np_div))
 
     def sqrt(self) -> "IntervalMatrix":
         """Entrywise sqrt_iv."""

@@ -39,7 +39,7 @@ Cm Wm, and |Cm Wm| plus it is at most the third, so the exact sum lies
 within rad + gamma_n scale of mid, plus an underflow term, with n bounding
 the roundings a term meets (matrix._mid_rad_enclosure).  This is not
 bit-identical to directed rounding entry by entry.  The slabs arrive split
-(basis._split_slab), W is split once per call, and the terms and sums are
+(BasisModel.interaction_block), W is split once per call, and the terms and sums are
 formed in place in buffers allocated once per call.  An entry no term
 reaches is exactly [0, 0], left out of the vectors returned; an
 overflowing sum, or a factor with an infinite endpoint (a slab entry with

@@ -32,6 +32,7 @@ from typing import Optional
 
 import numpy as np
 
+from .config import MAX_J_MIN
 from .errors import CertificationError
 from .interval import (
     ONE,
@@ -229,6 +230,11 @@ def certify_tail_coercivity(
     """
     if not isinstance(j_min, int) or j_min < 1:
         raise CertificationError(f"j_min must be a positive integer, got {j_min!r}")
+    if j_min > MAX_J_MIN:
+        raise CertificationError(
+            f"j_min must be at most 2**53 - 1 = {MAX_J_MIN}, past which j_min + 1 "
+            "has no exact binary64 value"
+        )
     if j_min <= cfg.truncation_N:
         raise CertificationError(
             f"j_min={j_min} must exceed the truncation N={cfg.truncation_N}"
@@ -239,7 +245,8 @@ def certify_tail_coercivity(
             f"{cert.coefficients.max_mode}"
         )
     nu = cfg.nu
-    gamma = nu * float(j_min * j_min) - interaction_envelope(cert, C_prof, j_min)
+    j = IntervalScalar(float(j_min), float(j_min))
+    gamma = nu * (j * j) - interaction_envelope(cert, C_prof, j_min)
 
     notes = []
     ratio_ok = True  # an empty profile has no envelope to decay

@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from spikecert import operator
-from spikecert.basis import _split_slab
 from spikecert.interval import (
     ZERO,
     IntervalError,
@@ -24,7 +23,7 @@ from spikecert.interval import (
     ln_iv,
     sqrt_iv,
 )
-from spikecert.matrix import IntervalMatrix
+from spikecert.matrix import IntervalMatrix, _mid_rad
 from spikecert.spaces import CoefficientVector, WeightedSpace
 
 
@@ -48,12 +47,15 @@ def make_interval(mid: float, rad: float) -> IntervalScalar:
 
 def split_block(interaction, k, ls, n):
     """The len(ls) x n slab (mid, rad) of a scalar ``interaction`` for source
-    mode k, [i, j-1] the split of interaction(k, ls[i], j), as
-    basis._split_slab splits it."""
+    mode k, [i, j-1] the split of interaction(k, ls[i], j) that a basis
+    serves: matrix._mid_rad's, except that an entry with an infinite
+    endpoint gets mid = 0 and rad = inf."""
     entries = [interaction(k, l, j) for l in ls for j in range(1, n + 1)]
     lo = np.array([e.lo for e in entries], dtype=np.float64).reshape(len(ls), n)
     hi = np.array([e.hi for e in entries], dtype=np.float64).reshape(len(ls), n)
-    return _split_slab(IntervalMatrix(lo, hi))
+    mid, rad, unbounded = _mid_rad(IntervalMatrix(lo, hi))
+    rad[unbounded] = np.inf
+    return mid, rad
 
 
 def weight_sq(j: int, space: WeightedSpace) -> IntervalScalar:

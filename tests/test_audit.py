@@ -552,6 +552,40 @@ def test_stage_that_cannot_compute_rejects_with_a_log(
     assert ("RSLT", fails[0]) in result.log.lines
 
 
+def test_options_past_their_ceilings_fail_their_stages(bundled, tmp_path):
+    # run_audit takes no option parser: the stages refuse a j_min whose
+    # successor has no exact float, and a lattice radius whose enumeration
+    # would outlast the audit
+    path = edited_copy(bundled, tmp_path, ("eps_T3",))
+    result = run_audit(path, dataclasses.replace(FAST, j_min=2**53, lattice_radius=65))
+    assert result.log.lines[-1] == ("STATUS", "certificate REJECTED: eps_T3, gamma")
+    fails = [text for tag, text in result.log if text.endswith(": FAIL")]
+    assert [text.split(": ")[1] for text in fails] == [
+        "j_min must be at most 2**53 - 1 = 9007199254740991, past which j_min + 1 has no "
+        "exact binary64 value",
+        "lattice_radius must be at most 64",
+    ]
+
+
+def test_warm_audits_divide_no_matrix(bundled, tmp_path, monkeypatch):
+    # the quotient table and C_conv's whole-space factor, the only matrix
+    # quotients, are formed once per process, so audits after the first
+    # divide no matrix and keep their logs
+    runs = [
+        (bundled, FAST),
+        (constant_free_five_modes(bundled, tmp_path), dataclasses.replace(FAST, truncation_N=128)),
+    ]
+    first = [run_audit(path, cfg) for path, cfg in runs]
+    assert [r.exit_code for r in first] == [0, 1]
+
+    def no_division(a, b, up):
+        raise AssertionError("a warm audit divided a matrix")
+
+    monkeypatch.setattr(matrix, "_np_div", no_division)
+    again = [run_audit(path, cfg).log.render() for path, cfg in runs]
+    assert again == [r.log.render() for r in first]
+
+
 def test_tau_past_tau_prime_through_the_cli(bundled, tmp_path, capsys):
     path = edited_copy(bundled, tmp_path, tau="0.09")
     code = main(["audit", "--profile", str(path)])

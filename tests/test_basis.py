@@ -150,14 +150,15 @@ class TestReferenceModel:
 
     @pytest.mark.parametrize("first", [-0.0, 0.0])
     def test_signed_zero_couplings_share_one_table(self, first):
-        # -0.0 and +0.0 compare equal, so both models read the table of the
-        # row function the first one made: both give +0.0 quotients, bit for
-        # bit, whichever sign formed it; each model's bound keeps its own sign
-        basis._quotient_row.cache_clear()
+        # -0.0 and +0.0 hash and compare equal, so both models read the table
+        # the first one formed: both give +0.0 quotients, bit for bit,
+        # whichever sign formed it; each model's bound keeps its own sign
+        basis._split_table.cache_clear()
         couplings = (first, -first)
         models = [reference_model(x) for x in couplings]
         blocks = [m.interaction_block(5, [9, 2, 30], 40) for m in models]
-        assert basis._quotient_row(first) is basis._quotient_row(-first)
+        assert basis._split_table.cache_info().currsize == 1
+        assert basis._quotient_table(first, 40)[0] is basis._quotient_table(-first, 40)[0]
         for x in (*blocks[0], *blocks[1]):
             assert x.tobytes() == np.zeros((3, 40)).tobytes()
         for m, x in zip(models, couplings):
@@ -168,8 +169,8 @@ class TestReferenceModel:
         # each audit builds a fresh model; both read the same split arrays
         read = []
 
-        def recording(row, need):
-            read.append(quotient_table(row, need))
+        def recording(coupling, need):
+            read.append(quotient_table(coupling, need))
             return read[-1]
 
         quotient_table = basis._quotient_table
@@ -184,7 +185,7 @@ class TestReferenceModel:
     def test_shared_split_table_is_read_only(self):
         # the split table is read-only and ends in its zero slot; the slabs
         # read from it are fresh arrays the operator may overwrite
-        mid, rad = basis._quotient_table(basis._quotient_row(0.73), 40)
+        mid, rad = basis._quotient_table(0.73, 40)
         assert (mid.size, rad.size) == (65, 65)  # 64 quotients and the slot
         assert (mid[-1], rad[-1]) == (0.0, 0.0)
         for a in (mid, rad):

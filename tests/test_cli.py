@@ -2,17 +2,22 @@
 
 import json
 import math
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spikecert
 import spikecert.audit
 import spikecert.cli as cli
 from spikecert.audit import AuditConfig, run_audit
 from spikecert.cli import main
-from spikecert.config import MAX_MODES
+from spikecert.closure import MAX_LATTICE_RADIUS
+from spikecert.config import MAX_J_MIN, MAX_MODES
 from spikecert.matrix import IntervalMatrix
 from spikecert.spaces import PROFILE_SPACE, load_certificate
 
@@ -173,6 +178,12 @@ def test_audit_refuses_a_decimal_exponent_past_the_decimal_range(
         # the ceiling + 1, refused before any handler allocates anything
         (["audit", "--modes", "2049"], "argument --modes: must be at most 2048, got 2049"),
         (["audit", "--j-min", "0"], "argument --j-min: must be at least 1, got 0"),
+        # j_min + 1 must be an exact float, 2^53 at most
+        (
+            ["tail", "--j-min", "9007199254740992"],
+            "argument --j-min: must be at most 9007199254740991, got 9007199254740992",
+        ),
+        (["audit", "--lattice-radius", "65"], "argument --lattice-radius: must be at most 64, got 65"),
         (
             ["audit", "--lattice-radius", "-1"],
             "argument --lattice-radius: must be at least 1, got -1",
@@ -205,6 +216,9 @@ def test_integer_options_accept_their_bounds(monkeypatch):
     argv = ["--modes", str(MAX_MODES), "--j-min", "1", "--lattice-radius", "1"]
     assert main(["audit", "--profile", "p.json", *argv]) == 0
     assert (seen["modes"], seen["j_min"], seen["lattice_radius"]) == (MAX_MODES, 1, 1)
+    argv = ["--j-min", str(MAX_J_MIN), "--lattice-radius", str(MAX_LATTICE_RADIUS)]
+    assert main(["audit", "--profile", "p.json", *argv]) == 0
+    assert (seen["j_min"], seen["lattice_radius"]) == (2**53 - 1, 64)
     for grid in (9, 1024):
         monkeypatch.setitem(cli._HANDLERS, "oracle", lambda args: seen.update(vars(args)) or 0)
         assert main(["oracle", "--grid", str(grid)]) == 0
@@ -218,6 +232,7 @@ def test_integer_options_accept_their_bounds(monkeypatch):
         ("modes = 0", "modes = '0': must be at least 1, got 0"),
         ("lattice-radius = -1", "lattice_radius = '-1': must be at least 1, got -1"),
         ("lattice-radius = 0", "lattice_radius = '0': must be at least 1, got 0"),
+        ("lattice-radius = 65", "lattice_radius = '65': must be at most 64, got 65"),
         ("grid = 8", "grid = '8': must be at least 9, got 8"),
         ("grid = 1025", "grid = '1025': must be at most 1024, got 1025"),
     ],
@@ -226,6 +241,7 @@ def test_integer_options_accept_their_bounds(monkeypatch):
         "modes-zero",
         "lattice-radius-negative",
         "lattice-radius-zero",
+        "lattice-radius-above-ceiling",
         "grid-below-floor",
         "grid-above-ceiling",
     ],
@@ -238,6 +254,36 @@ def test_config_refuses_integers_out_of_range(capsys, tmp_path, monkeypatch, lin
     assert code == 2
     assert out == ""
     assert f"bad config file: {message}" in err
+
+
+@pytest.mark.parametrize("command", ["audit", "tail"])
+def test_j_min_of_401_digits_exits_two_naming_it(capsys, bundled_certificate_path, command):
+    # its square overflows a float: refused before any stage runs, not a
+    # traceback without a status line
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--profile", str(bundled_certificate_path), "--j-min", "1" * 401])
+    assert exc.value.code == 2
+    assert f"argument --j-min: must be at most {MAX_J_MIN}, got 111" in capsys.readouterr().err
+
+
+def test_lattice_radius_far_past_its_ceiling_exits_two_at_once(tmp_path, bundled_certificate_path):
+    # without declared constants the audit bounds the image overlap, whose
+    # (2R + 1)^3 lattice points at R = 100000 would take weeks to enumerate
+    doc = json.loads(bundled_certificate_path.read_text())
+    del doc["constants"]
+    path = tmp_path / "constant_free.json"
+    path.write_text(json.dumps(doc))
+    child = subprocess.run(
+        [sys.executable, "-m", "spikecert.cli", "audit", "--profile", str(path),
+         "--lattice-radius", "100000"],
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(spikecert.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert child.returncode == 2
+    assert child.stdout == ""
+    assert "argument --lattice-radius: must be at most 64, got 100000" in child.stderr
 
 
 def test_audit_nonexistent_file(capsys, tmp_path):

@@ -201,7 +201,6 @@ WARM_SEQUENCE = (
 
 def _clear_process_caches():
     matrix._endpoint_table.cache_clear()
-    basis._quotient_row.cache_clear()
     basis._split_table.cache_clear()
     constants._whole_space_factor.cache_clear()
     constants.recovery_mapping_constant.cache_clear()

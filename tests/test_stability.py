@@ -533,6 +533,37 @@ def test_gamma_past_the_int64_square(bundled):
     assert rep.gamma.contains(8e16)
 
 
+def check_gamma_encloses_nu_times_the_exact_square(module, nu):
+    # on an empty profile gamma is nu * j_min^2 alone; from j_min^2 >= 2^56
+    # the square has no exact double, and rounded to nearest it can land
+    # above the exact one: at 268,435,459 it pushes gamma.lo above nu.lo j^2
+    cert = ProfileCertificate(coefficients=CoefficientVector(), nu=nu, sigma=0.05)
+    for j_min in (268_435_459, 2**53 - 1):
+        gamma = module.certify_tail_coercivity(cert, reference_config(nu), 0.125, j_min=j_min).gamma
+        square = j_min * j_min
+        assert Fraction(gamma.lo) <= Fraction(nu.lo) * square, j_min
+        assert Fraction(nu.hi) * square <= Fraction(gamma.hi), j_min
+
+
+def test_gamma_encloses_nu_times_the_exact_square(bundled):
+    check_gamma_encloses_nu_times_the_exact_square(stability_module, bundled.nu)
+
+
+def test_rounded_square_mutant_fails_its_oracle(monkeypatch, bundled):
+    mutant = mutant_module(
+        monkeypatch, stability_module, "nu * (j * j)", "nu * float(j_min * j_min)"
+    )
+    with pytest.raises(AssertionError):
+        check_gamma_encloses_nu_times_the_exact_square(mutant, bundled.nu)
+
+
+def test_j_min_past_exact_floats_is_refused(bundled):
+    # the stage reads j_min + 1 as a float, exact only up to 2^53
+    for j_min in (2**53, 10**400):
+        with pytest.raises(CertificationError, match=r"at most 2\*\*53 - 1"):
+            certify_tail_coercivity(bundled, reference_config(bundled.nu), 0.125, j_min=j_min)
+
+
 def test_report_types(bundled):
     rep = certify_tail_coercivity(bundled, reference_config(bundled.nu), 0.125, j_min=1200)
     assert isinstance(rep, CoercivityReport)

@@ -27,7 +27,8 @@ line per result in a small tagged grammar:
 Numbers are printed with seven significant digits so two runs diff
 cleanly; the only line that varies between identical runs is the
 timestamp.  Exit codes: 0 verified, 1 a gate or the closure failed,
-2 the certificate could not be read at all.
+2 the certificate could not be read at all, or an option is unusable (a
+coupling that is negative or not finite, say); the STATUS line names it.
 
 Trust policy for declared constants: delta, M and K drive the closure
 verbatim once their consistency gates pass.  gamma and C_rec_map are
@@ -164,7 +165,10 @@ def run_audit(certificate_path, config: Optional[AuditConfig] = None) -> AuditRe
         f"nu = {_iv(cert.nu)}, tau = {PROFILE_SPACE.tau:.6e}, "
         f"sigma = {cert.sigma:.6e}",
     )
-    op_cfg = _operator_config(cert, cfg)
+    try:
+        op_cfg = _operator_config(cert, cfg)
+    except ValueError as exc:
+        return run.end(f"options REJECTED, unusable: {exc}", 2)
 
     delta = _residual(run, cert, op_cfg)
     skip = ""  # M is moot when the tail stage must fail on the options alone

@@ -15,8 +15,8 @@ line, `#` comments); flags given on the command line win over the file,
 the file wins over defaults, and a key that names no option of any
 subcommand is refused.  Exit codes follow the audit contract: 0 verified (for a stage, no gate
 failed), 1 a check failed, 2 unusable input or usage error: a flag or config
-value that does not parse, decimal options included, exits 2 and names the
-option.
+value that does not parse, decimal options included, or a negative coupling
+or closure constant exits 2 and names the option.
 
 The stages that need numpy are imported by the handlers that run them, so
 parsing the options, `closure` and `gen-profile` load only the numpy-free
@@ -60,6 +60,17 @@ def _finite_float(text: str) -> float:
 _finite_float.__name__ = "finite float"  # as argparse and config errors name it
 
 
+def _nonneg_float(text: str) -> float:
+    """The type of the coupling options: a finite float, refused below zero."""
+    x = _finite_float(text)
+    if x < 0.0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+    return x
+
+
+_nonneg_float.__name__ = _finite_float.__name__
+
+
 def _decimal(text: str) -> str:
     """The type of every decimal option: refused unless interval_from_decimal
     reads it, and kept as the exact string, which the handler reads."""
@@ -69,6 +80,14 @@ def _decimal(text: str) -> str:
         raise argparse.ArgumentTypeError(
             f"not a finite decimal within double range: {text!r}"
         ) from None
+    return text
+
+
+def _nonneg_decimal(text: str) -> str:
+    """The type of the closure constants: a decimal whose enclosure does not
+    reach below zero."""
+    if interval_from_decimal(_decimal(text)).lo < 0.0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
     return text
 
 
@@ -153,8 +172,8 @@ def _build_parser():
         if "profile" in names:
             p.add_argument("--profile", help="certificate JSON path")
         if "model" in names:
-            p.add_argument("--coupling", type=_finite_float, default=_AUDIT.coupling)
-            p.add_argument("--coupling-rec", type=_finite_float, default=_AUDIT.coupling_rec)
+            p.add_argument("--coupling", type=_nonneg_float, default=_AUDIT.coupling)
+            p.add_argument("--coupling-rec", type=_nonneg_float, default=_AUDIT.coupling_rec)
         if "modes" in names:
             p.add_argument(
                 "--modes",
@@ -188,14 +207,16 @@ def _build_parser():
     p = sub.add_parser("constants", help="the audit's constants stage: C_rec_map, C_conv, K")
     common(p, "out")
     # K reads the interaction bound alone, not the recovery coupling
-    p.add_argument("--coupling", type=_finite_float, default=_AUDIT.coupling)
+    p.add_argument("--coupling", type=_nonneg_float, default=_AUDIT.coupling)
 
     p = sub.add_parser("closure", help="scalar closure verdict from constants")
     common(p, "out")
-    p.add_argument("--delta", type=_decimal, required=True, help="residual bound (decimal)")
-    p.add_argument("--M", type=_decimal, required=True, help="inverse bound (decimal)")
-    p.add_argument("--K", type=_decimal, required=True, help="lipschitz bound (decimal)")
-    p.add_argument("--eps", type=_decimal, help="transfer error for the torus variant (decimal)")
+    p.add_argument("--delta", type=_nonneg_decimal, required=True, help="residual bound (decimal)")
+    p.add_argument("--M", type=_nonneg_decimal, required=True, help="inverse bound (decimal)")
+    p.add_argument("--K", type=_nonneg_decimal, required=True, help="lipschitz bound (decimal)")
+    p.add_argument(
+        "--eps", type=_nonneg_decimal, help="transfer error for the torus variant (decimal)"
+    )
 
     p = sub.add_parser("oracle", help="grid falsification battery")
     p.add_argument("suite", nargs="?", default="all", choices=("all", *_SUITES))
@@ -302,7 +323,7 @@ def _cmd_gen_profile(args) -> int:
         c = sign * args.amplitude * math.exp(-PROFILE_SPACE.tau * j) * u
         entries[j] = IntervalScalar(c, c)
     cert = ProfileCertificate(
-        coefficients=CoefficientVector.from_dict(entries, max_mode=args.modes),
+        coefficients=CoefficientVector(entries, max_mode=args.modes),
         nu=interval_from_decimal(args.nu),
         sigma=args.sigma,
         constants=None,

@@ -48,21 +48,14 @@ class ClosureReport:
     """One contraction product with its margin to 1."""
 
     product: IntervalScalar
-    margin: IntervalScalar
-    verdict: bool
 
-    def __post_init__(self):
-        if self.verdict != (self.product.hi < 1.0):
-            raise CertificationError(
-                f"verdict {self.verdict} contradicts product upper bound "
-                f"{self.product.hi!r}"
-            )
+    @property
+    def margin(self) -> IntervalScalar:
+        return ONE - self.product
 
-
-def _closure_report(product: IntervalScalar) -> ClosureReport:
-    return ClosureReport(
-        product=product, margin=ONE - product, verdict=product.hi < 1.0
-    )
+    @property
+    def verdict(self) -> bool:
+        return self.product.hi < 1.0
 
 
 def nk_closure(delta, M, K) -> ClosureReport:
@@ -70,7 +63,7 @@ def nk_closure(delta, M, K) -> ClosureReport:
     d = as_nonneg(delta, "delta")
     m = as_nonneg(M, "M")
     k = as_nonneg(K, "K")
-    return _closure_report(_TWO * d * m * k)
+    return ClosureReport(_TWO * d * m * k)
 
 
 def torus_closure(delta, eps, M, K) -> ClosureReport:
@@ -79,7 +72,7 @@ def torus_closure(delta, eps, M, K) -> ClosureReport:
     e = as_nonneg(eps, "eps")
     m = as_nonneg(M, "M")
     k = as_nonneg(K, "K")
-    return _closure_report(_TWO * (d + e) * m * k)
+    return ClosureReport(_TWO * (d + e) * m * k)
 
 
 def image_overlap_bound(

@@ -7,8 +7,8 @@ final contraction test.  The recovery-mapping constant is the supremum
 over integer modes of the norm-level multiplier
 k^{7/2} (1+k^2)^{-1/2} e^{-(tau_Y-tau_X)k}, the recovery kernel times
 w_X(k)/w_Y(k); the multiplier is log-concave, so its one-step ratio
-decreases and a bracket of levels around the stationary point, whose two
-edges are certified to rise and to fall, holds it.  The convolution
+decreases and the five levels around the stationary point k0 = 2500,
+whose two edges are certified to rise and to fall, hold it.  The convolution
 constant bounds the bilinear form from Y into X through the elementary
 inequality 1+(k+l)^2 <= 2(1+k^2)(1+l^2) and the same exponential buffer
 tau_Y - tau_X, which turns the double sum into a product of
@@ -37,7 +37,6 @@ from .interval import (
     IntervalScalar,
     _float_rounded,
     as_nonneg,
-    decay_ratio,
     exp_iv,
     intpow_iv,
     pow_seven_halves,
@@ -52,12 +51,13 @@ _BUFFER = IntervalScalar(SOURCE_SPACE.tau, SOURCE_SPACE.tau) - IntervalScalar(
 )
 
 
-def level_multiplier(k: int, rate: IntervalScalar) -> IntervalScalar:
-    """Enclosure of k^{7/2} (1+k^2)^{-1/2} e^{-rate*k} for integer k >= 1."""
+def level_multiplier(k: int) -> IntervalScalar:
+    """Enclosure of f(k) = k^{7/2} (1+k^2)^{-1/2} e^{-bk} for integer k >= 1,
+    with the buffer b = tau_Y - tau_X."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise CertificationError(f"level index must be a positive integer, got {k!r}")
     one_plus = IntervalScalar(float(1 + k * k), float(1 + k * k))
-    return pow_seven_halves(k) / sqrt_iv(one_plus) * exp_iv(-(rate * float(k)))
+    return pow_seven_halves(k) / sqrt_iv(one_plus) * exp_iv(-(_BUFFER * float(k)))
 
 
 @dataclass(frozen=True)
@@ -70,71 +70,38 @@ class RecoveryMapResult:
 
 @functools.cache
 def recovery_mapping_constant() -> RecoveryMapResult:
-    """Certified sup over integers k >= 1 of the norm-level multiplier f(k)
-    for the buffer b = tau_Y - tau_X of the audit's two spaces: a constant
-    of the program, argmax k = 2500, so it is formed once per process."""
-    return _recovery_scan(_BUFFER)
-
-
-def _recovery_scan(b: IntervalScalar) -> RecoveryMapResult:
-    """The sup of f(k) = k^{7/2} (1+k^2)^{-1/2} e^{-bk} over k >= 1 for a
-    certifiably positive buffer b.
+    """Certified sup over integers k >= 1 of the level multiplier f(k), a
+    constant of the program (argmax k = 2500), formed once per process.
 
     log f(k) = (7/2) log k - (1/2) log(1+k^2) - b k is strictly concave
     for k >= 1:
 
         (log f)'' = -7/(2k^2) + (k^2-1)/(1+k^2)^2 < -5/(2k^2),
 
-    so the one-step ratio f(k+1)/f(k) decreases in k.  The bracket a..z
-    starts at k0 - 2..k0 + 2 around k0 = round(2.5/b), near the
-    stationary point, and each side widens by doubling steps until its
-    edge is certified:
+    so the one-step ratio f(k+1)/f(k) decreases in k: once f rises into a
+    level it has risen into every earlier one, and once it falls out of a
+    level it falls out of every later one.  The bracket k0-2..k0+2 around
+    k0 = round(2.5/b), the stationary point, therefore holds the sup when
+    its two edges are certified,
 
-        f(a-1).hi < f(a).lo  (or a = 1):     f rises up to a;
-        f(z+1).hi < f(z).lo  (or z = k_end): f falls after z.
+        f(k0-3).hi < f(k0-2).lo   and   f(k0+3).hi < f(k0+2).lo,
 
-    The sup is then attained on a..z, and [max lo, max hi] over the
-    bracket encloses it: the lower endpoint is a level's own, and every
-    level outside lies below an edge.  The right side stops at the scan
-    end k_end = ceil(4.5/b) + 1, past the stationary point k* = 2.5/b;
-    there the ratio bound e^{-b} ((k+1)/k)^{7/2} is certified below one
-    instead, and it only decreases afterwards.  argmax is the first level
-    with the largest upper endpoint.
+    and no scan end is needed.  [max lo, max hi] over the bracket encloses
+    the sup: the lower endpoint is a level's own, and every level outside
+    lies below an edge.  argmax is the first level with the largest upper
+    endpoint.  An edge that cannot be certified raises CertificationError.
     """
-    k_end = int(math.ceil(4.5 / b.lo)) + 1
-    levels = {}
-
-    def f(k: int) -> IntervalScalar:
-        if k not in levels:
-            levels[k] = level_multiplier(k, b)
-        return levels[k]
-
-    k0 = min(max(round(2.5 / b.mid), 1), k_end)
-    a, z = max(k0 - 2, 1), min(k0 + 2, k_end)
-    step = 1
-    while a > 1 and not f(a - 1).hi < f(a).lo:
-        a, step = max(a - step, 1), 2 * step
-    step = 1
-    while z < k_end and not f(z + 1).hi < f(z).lo:
-        z, step = min(z + step, k_end), 2 * step
-    if z == k_end:
-        ratio = decay_ratio(k_end, b)
-        if not ratio.hi < 1.0:
-            raise CertificationError(
-                f"monotone-decrease ratio test failed at k={k_end}: bound {ratio.hi!r}"
-            )
-    best_hi = -1.0
-    best_lo = -1.0
-    argmax = a
-    # a later level replaces a running maximum only when strictly above it
-    for k in range(a, z + 1):
-        m = f(k)
-        if m.hi > best_hi:
-            best_hi = m.hi
-            argmax = k
-        if m.lo > best_lo:
-            best_lo = m.lo
-    return RecoveryMapResult(value=IntervalScalar(best_lo, best_hi), argmax_k=argmax)
+    k0 = round(2.5 / _BUFFER.mid)
+    f = {k: level_multiplier(k) for k in range(k0 - 3, k0 + 4)}
+    if not f[k0 - 3].hi < f[k0 - 2].lo:
+        raise CertificationError(f"level multiplier not certified to rise into k={k0 - 2}")
+    if not f[k0 + 3].hi < f[k0 + 2].lo:
+        raise CertificationError(f"level multiplier not certified to fall after k={k0 + 2}")
+    bracket = range(k0 - 2, k0 + 3)
+    # max() keeps the first of equal upper endpoints
+    argmax = max(bracket, key=lambda k: f[k].hi)
+    value = IntervalScalar(max(f[k].lo for k in bracket), f[argmax].hi)
+    return RecoveryMapResult(value=value, argmax_k=argmax)
 
 
 # S's last summed mode: C_conv then lies 0.019 % above its whole-space

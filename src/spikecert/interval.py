@@ -257,12 +257,6 @@ class IntervalScalar:
             return NotImplemented
         return self + (-b)
 
-    def __rsub__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return b + (-self)
-
     def __mul__(self, other):
         b = self._coerce(other)
         if b is NotImplemented:
@@ -280,12 +274,6 @@ class IntervalScalar:
                 f"divisor {b} contains zero (possible singularity)"
             )
         return self._corners(b, _div)
-
-    def __rtruediv__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return b / self
 
     def __abs__(self):
         return IntervalScalar(self.mig(), self.mag())
@@ -378,14 +366,6 @@ def pow_seven_halves(k: int) -> IntervalScalar:
         raise IntervalError(f"k**3.5 needs k >= 1, got {k}")
     kk = IntervalScalar(float(k), float(k))
     return intpow_iv(kk, 3) * sqrt_iv(kk)
-
-
-def decay_ratio(k: int, rate: IntervalScalar) -> IntervalScalar:
-    """Enclosure of e^{-rate} ((k+1)/k)^{7/2}, the one-step ratio of
-    k^{7/2} e^{-rate*k}; below one at k, it stays below one for every
-    later k, since ((k+1)/k)^{7/2} decreases."""
-    step = IntervalScalar(float(k + 1), float(k + 1)) / IntervalScalar(float(k), float(k))
-    return exp_iv(-rate) * sqrt_iv(intpow_iv(step, 7))
 
 
 def _const_interval(x: float, ulps: int = 1) -> IntervalScalar:

@@ -293,7 +293,8 @@ class IntervalMatrix:
     # IntervalScalar, or a finite int/float.  Entry (i, j) of the result has
     # the bits IntervalScalar gives for ``self.entry(i, j) op other`` (for
     # ``other op self`` in the reflected operators), and each function of a
-    # matrix the bits of the scalar function of its entry.
+    # matrix the bits of the scalar function of its entry.  A matrix is only
+    # ever a divisor, of an IntervalScalar or a number.
 
     @staticmethod
     def _endpoints(x):
@@ -378,28 +379,17 @@ class IntervalMatrix:
             return NotImplemented
         return self._product(b, (self.lo, self.hi))
 
-    @staticmethod
-    def _divisor(lo, hi):
-        singular = (lo <= 0.0) & (0.0 <= hi)
-        if singular.any():
-            raise SingularDivisionError(
-                f"divisor {_first_entry(lo, hi, singular)} contains zero "
-                "(possible singularity)"
-            )
-        return lo, hi
-
-    def __truediv__(self, other):
-        b = self._endpoints(other)
-        if b is NotImplemented:
-            return NotImplemented
-        ends = np.broadcast_arrays(self.lo, self.hi, *self._divisor(*b))
-        return IntervalMatrix(*self._corners(ends[:2], ends[2:], _np_div))
-
     def __rtruediv__(self, other):
         b = self._endpoints(other)
         if b is NotImplemented:
             return NotImplemented
-        ends = np.broadcast_arrays(*b, *self._divisor(self.lo, self.hi))
+        singular = (self.lo <= 0.0) & (0.0 <= self.hi)
+        if singular.any():
+            raise SingularDivisionError(
+                f"divisor {_first_entry(self.lo, self.hi, singular)} contains zero "
+                "(possible singularity)"
+            )
+        ends = np.broadcast_arrays(*b, self.lo, self.hi)
         return IntervalMatrix(*self._corners(ends[:2], ends[2:], _np_div))
 
     def sqrt(self) -> "IntervalMatrix":

@@ -86,10 +86,6 @@ class CoefficientVector:
         object.__setattr__(self, "entries", ent)
         object.__setattr__(self, "max_mode", m)
 
-    @classmethod
-    def from_dict(cls, d: Mapping[int, IntervalScalar], max_mode: int = 0):
-        return cls(tuple(d.items()), max_mode)
-
     @property
     def support(self):
         return tuple(j for j, _ in self.entries)
@@ -229,18 +225,12 @@ def load_certificate(path) -> ProfileCertificate:
             if name not in CONSTANT_NAMES:
                 raise CertificateError(f"constants.{name}: unknown constant name")
             constants[name] = _interval_field(val, f"constants.{name}")
-    try:
-        coeffs = CoefficientVector.from_dict(entries)
-        return ProfileCertificate(
-            coefficients=coeffs,
-            nu=nu,
-            sigma=sigma,
-            constants=constants,
-        )
-    except CertificateError:
-        raise
-    except ValueError as exc:
-        raise CertificateError(f"{path}: {exc}") from None
+    return ProfileCertificate(
+        coefficients=CoefficientVector(entries),
+        nu=nu,
+        sigma=sigma,
+        constants=constants,
+    )
 
 
 def _interval_to_midrad(iv: IntervalScalar) -> dict:

@@ -39,9 +39,10 @@ from .interval import (
     ZERO,
     IntervalScalar,
     as_nonneg,
-    decay_ratio,
     exp_iv,
+    intpow_iv,
     pow_seven_halves,
+    sqrt_iv,
 )
 from .matrix import IntervalMatrix, _gamma_factor, _mid_rad_products, inf_norm
 from .operator import OperatorConfig
@@ -202,6 +203,14 @@ def interaction_envelope(cert: ProfileCertificate, C_prof, j: int) -> IntervalSc
     return cp * pow_seven_halves(j) * exp_iv(-(_TAU * float(j))) * _envelope_total(cert)
 
 
+def _decay_ratio(j: int) -> IntervalScalar:
+    """Enclosure of e^{-tau_X} ((j+1)/j)^{7/2}, the envelope's one-step
+    ratio; below one at j, it stays below one for every later j, since
+    ((j+1)/j)^{7/2} decreases."""
+    step = IntervalScalar(float(j + 1), float(j + 1)) / IntervalScalar(float(j), float(j))
+    return exp_iv(-_TAU) * sqrt_iv(intpow_iv(step, 7))
+
+
 @dataclass(frozen=True)
 class CoercivityReport:
     """The coercivity gap at j_min and the tail argument that makes it global."""
@@ -251,7 +260,7 @@ def certify_tail_coercivity(
     notes = []
     ratio_ok = True  # an empty profile has no envelope to decay
     if cert.coefficients.entries:
-        ratio = decay_ratio(j_min, _TAU)
+        ratio = _decay_ratio(j_min)
         ratio_ok = ratio.hi < 1.0
         if not ratio_ok:
             notes.append(

@@ -621,6 +621,21 @@ def test_certificate_tau_cannot_shrink_the_recovery_constant(bundled, tmp_path, 
     assert err.startswith("spikecert: certificate REJECTED, unreadable: tau: ")
 
 
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")], ids=repr)
+@pytest.mark.parametrize("field", ["coupling", "coupling_rec"])
+def test_unusable_coupling_ends_the_log_with_exit_two_naming_it(bundled, field, value):
+    # the reference model refused the coupling, and its ValueError left
+    # run_audit with no log and no STATUS line
+    result = run_audit(bundled, dataclasses.replace(FAST, **{field: value}))
+    assert result.exit_code == 2
+    assert not result.verified
+    assert result.log.lines[-1] == (
+        "STATUS",
+        f"options REJECTED, unusable: {field} must be finite and nonnegative, got {value!r}",
+    )
+    assert ("TASK", "residual bound") not in result.log.lines
+
+
 # ------------------------------------------- branches the stages rarely take
 
 # the benchmark's constant-free five-mode certificate for seed 1, operation 0

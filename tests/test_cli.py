@@ -131,6 +131,57 @@ def test_closure_decimal_options_reach_the_handler_as_exact_strings(monkeypatch)
     )
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["constants"], "--coupling", "-1"),
+        (["audit", "--profile", None], "--coupling", "-1"),
+        (["audit", "--profile", None], "--coupling-rec", "-2"),
+        (["residual", "--profile", None], "--coupling-rec", "-2"),
+        (["closure", "--M", "1", "--K", "1"], "--delta", "-1e-12"),
+        (["closure", "--delta", "1", "--K", "1"], "--M", "-0.5"),
+        (["closure", "--delta", "1", "--M", "1"], "--K", "-1"),
+        (["closure", "--delta", "1", "--M", "1", "--K", "1"], "--eps", "-0.5"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else v,
+)
+def test_negative_couplings_and_closure_constants_exit_two_naming_the_option(
+    capsys, bundled_certificate_path, argv, flag, value
+):
+    # a negative value was taken, and the stage or the closure products
+    # refused it with exit 1; `audit` then printed no log and no STATUS line
+    argv = [str(bundled_certificate_path) if a is None else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be nonnegative, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, argv",
+    [
+        ("coupling = -1", ["constants"]),
+        ("coupling-rec = -2", ["audit", "--profile", None]),
+        ("delta = -1e-12", ["closure", "--M", "1", "--K", "1"]),
+        ("M = -0.5", ["closure", "--delta", "1", "--K", "1"]),
+        ("K = -1", ["closure", "--delta", "1", "--M", "1"]),
+        ("eps = -0.5", ["closure", "--delta", "1", "--M", "1", "--K", "1"]),
+    ],
+    ids=["coupling", "coupling_rec", "delta", "M", "K", "eps"],
+)
+def test_config_refuses_negative_couplings_and_closure_constants(
+    capsys, tmp_path, bundled_certificate_path, line, argv
+):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    argv = [str(bundled_certificate_path) if a is None else a for a in argv]
+    code, out, err = run(capsys, "--config", str(cfg), *argv)
+    key, value = (part.strip() for part in line.split("="))
+    assert code == 2
+    assert out == ""
+    assert f"bad config file: {key.replace('-', '_')} = '{value}': must be nonnegative" in err
+
+
 @pytest.mark.parametrize("value", ["1e999", "-1e999"])
 def test_audit_refuses_sigma_beyond_double_range(capsys, tmp_path, bundled_certificate_path, value):
     doc = json.loads(bundled_certificate_path.read_text())
@@ -574,7 +625,7 @@ def test_no_subcommand_prints_usage(capsys):
     + [[cmd, "--profile", "cert.json", "--window", "64"] for cmd in ("audit", "tail")]
     # the tail bound reads no basis model
     + [["tail", "--profile", "cert.json", flag, "1"] for flag in ("--coupling", "--coupling-rec")]
-    # the recovery scan runs up to the source-space rate, which no option sets
+    # the recovery constant reads the source-space rate, which no option sets
     + [["audit", "--profile", "cert.json", "--tau-prime", "0.081"]]
     + [["constants", "--tau-prime", "0.081"]]
     # every rate is the fixed profile space's, so neither sets one

@@ -85,8 +85,14 @@ def test_invalid_inputs_rejected():
 
 
 def test_report_invariant_enforced():
-    with pytest.raises(CertificationError):
-        ClosureReport(product=point(2.0), margin=point(-1.0), verdict=True)
+    # the verdict and the margin are read off the product, so no report can
+    # state a verdict its product contradicts
+    with pytest.raises(TypeError):
+        ClosureReport(product=point(2.0), verdict=True)
+    for p, closes in ((2.0, False), (1.0, False), (math.nextafter(1.0, 0.0), True)):
+        rep = ClosureReport(product=point(p))
+        assert rep.verdict is closes
+        assert rep.margin == point(1.0) - point(p)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ float arguments denote, differences taken exactly).
 import math
 import random
 
-import numpy as np
 import pytest
 
 import spikecert.constants as constants_module
@@ -17,7 +16,6 @@ from spikecert.constants import (
     ConstantsReport,
     RecoveryMapResult,
     _ceil_two_significant,
-    _recovery_scan,
     certify_constants,
     convolution_constant,
     level_multiplier,
@@ -34,7 +32,6 @@ from spikecert.interval import (
     intpow_iv,
     sqrt_iv,
 )
-from spikecert.matrix import IntervalMatrix, pow_seven_halves_row
 from spikecert.operator import OperatorConfig, apply_quadratic
 from spikecert.spaces import (
     PROFILE_SPACE,
@@ -54,11 +51,6 @@ def point(x):
 # recovery_mapping_constant
 
 
-def buffer(tau, tau_prime):
-    """The recovery scan's buffer tau' - tau, enclosed from the two floats."""
-    return point(tau_prime) - point(tau)
-
-
 def check_reference_supremum(module):
     res = module.recovery_mapping_constant()
     assert res.argmax_k == 2500
@@ -73,13 +65,14 @@ def check_reference_supremum(module):
 
 def test_reference_supremum():
     res = check_reference_supremum(constants_module)
-    # the scan of the buffer tau_Y - tau_X between the audit's two spaces
-    scan = _recovery_scan(buffer(PROFILE_SPACE.tau, SOURCE_SPACE.tau))
-    assert (bits(res.value), res.argmax_k) == (bits(scan.value), scan.argmax_k)
+    # both endpoints, bit for bit, as the full scalar scan gives them
+    assert bits(res.value) == ("0x1.876968049165ap+24", "0x1.8769680491662p+24")
+    value, argmax = scalar_recovery_scan()
+    assert (bits(res.value), res.argmax_k) == (bits(value), argmax)
 
 
 def test_source_rate_mutant_in_the_buffer_fails_the_reference(monkeypatch):
-    # Y's rate in place of X's leaves the recovery scan no buffer: the
+    # Y's rate in place of X's leaves the recovery bracket no buffer: the
     # reference supremum (and criterion 04) cannot be formed at all
     mutant = mutant_module(
         monkeypatch,
@@ -91,68 +84,59 @@ def test_source_rate_mutant_in_the_buffer_fails_the_reference(monkeypatch):
         check_reference_supremum(mutant)
 
 
-def test_wide_buffer_supremum():
-    res = _recovery_scan(buffer(0.5, 1.0))
-    assert res.argmax_k == 5
-    # 5^{7/2} 26^{-1/2} e^{-2.5} to 17 digits: 4.4995816442435560
-    assert res.value.contains(4.4995816442435560)
-    b = point(0.5)
-    m4, m5, m6 = (level_multiplier(k, b) for k in (4, 5, 6))
-    assert m5.lo > m4.hi and m5.lo > m6.hi
-
-
 def test_argmax_tracks_stationary_point():
-    for tau, tau_prime in ((0.08, 0.081), (0.5, 1.0), (0.1, 0.35)):
-        res = _recovery_scan(buffer(tau, tau_prime))
-        k_star = 2.5 / (tau_prime - tau)
-        assert abs(res.argmax_k - k_star) <= 1.0
+    b = buffer()
+    k_star = 2.5 / b.mid
+    assert abs(recovery_mapping_constant().argmax_k - k_star) <= 1.0
 
 
 def test_reference_supremum_is_formed_once():
     # a constant of the program: every call returns the one object, with
-    # the bits of a fresh scan of the two spaces' buffer
+    # the bits of a fresh evaluation
     first = recovery_mapping_constant()
     assert recovery_mapping_constant() is first
-    fresh = _recovery_scan(constants_module._BUFFER)
+    fresh = recovery_mapping_constant.__wrapped__()
     assert (bits(first.value), first.argmax_k) == (bits(fresh.value), fresh.argmax_k)
 
 
 def test_supremum_dominates_log_spaced_grid():
     res = recovery_mapping_constant()
-    b = buffer(0.08, 0.081)
     grid = sorted(
         {int(round(10 ** (e / 4.0))) for e in range(0, 25)} | set(range(2496, 2505))
     )
     for k in grid:
-        assert res.value.hi >= level_multiplier(k, b).lo
+        assert res.value.hi >= level_multiplier(k).lo
 
 
 def test_level_multiplier_rejects_bad_index():
     with pytest.raises(CertificationError):
-        level_multiplier(0, point(0.001))
+        level_multiplier(0)
     with pytest.raises(CertificationError):
-        level_multiplier(True, point(0.001))
+        level_multiplier(True)
 
 
-# -- the bracket against the full scan over k = 1..k_end it replaced
+# -- the fixed bracket against the full scalar scan over k = 1..4501
+
+# the scan end ceil(4.5/b) + 1: from there on the one-step ratio bound
+# e^{-b} ((k+1)/k)^{7/2} is below one, so f only falls
+K_END = 4501
 
 
-def scan_end(tau, tau_prime):
-    b = buffer(tau, tau_prime)
-    return b, int(math.ceil(4.5 / b.lo)) + 1
+def buffer():
+    """The buffer tau_Y - tau_X, enclosed from the two spaces' floats."""
+    return point(SOURCE_SPACE.tau) - point(PROFILE_SPACE.tau)
 
 
-def scalar_recovery_scan(tau, tau_prime, multiplier=None):
-    """The running supremum over k = 1..k_end, one scalar level multiplier at
-    a time (``constants.level_multiplier`` unless another is given), as
-    the recovery scan once computed it."""
+def scalar_recovery_scan(multiplier=None):
+    """The running supremum over k = 1..K_END, one scalar level multiplier
+    at a time (``constants.level_multiplier`` unless another is given): a
+    later level replaces the maximum only when strictly above it."""
     multiplier = multiplier or constants_module.level_multiplier
-    b, k_end = scan_end(tau, tau_prime)
     best_hi = -1.0
     best_lo = -1.0
     argmax = 1
-    for k in range(1, k_end + 1):
-        m = multiplier(k, b)
+    for k in range(1, K_END + 1):
+        m = multiplier(k)
         if m.hi > best_hi:
             best_hi = m.hi
             argmax = k
@@ -161,139 +145,92 @@ def scalar_recovery_scan(tau, tau_prime, multiplier=None):
     return IntervalScalar(best_lo, best_hi), argmax
 
 
-def level_multipliers(k, rate):
-    """level_multiplier(k, rate) for each level of an int array k, as a row
-    whose entries have the bits of the scalar function."""
-    kk = IntervalMatrix.from_point(k[None, :].astype(np.float64))
-    one_plus = IntervalMatrix.from_point((1 + k * k)[None, :].astype(np.float64))
-    return pow_seven_halves_row(kk) / one_plus.sqrt() * (-(rate * kk)).exp()
-
-
-def full_recovery_scan(tau, tau_prime):
-    """scalar_recovery_scan of level_multiplier, all levels in one row."""
-    b, k_end = scan_end(tau, tau_prime)
-    row = level_multipliers(np.arange(1, k_end + 1), b)
-    lo, hi = row.lo[0], row.hi[0]
-    return IntervalScalar(float(lo.max()), float(hi.max())), int(np.argmax(hi)) + 1
-
-
 def bits(x):
     return float(x.lo).hex(), float(x.hi).hex()
 
 
-@pytest.mark.parametrize(
-    "tau, tau_prime, k_end",
-    [
-        (0.08, 0.081, 4501),  # the audit's scan end
-        (0.0, 0.002199, 2048),
-        (0.0, 0.0021975, 2049),
-        (0.5, 1.0, 10),
-        (0.1, 0.35, 20),
-    ],
-)
+# the rates of the audit's two spaces, X and Y, which fix the buffer
+AUDIT_RATES = [(0.08, 0.081)]
+
+
+@pytest.mark.parametrize("tau, tau_prime, k_end", [(*AUDIT_RATES[0], K_END)])
 def test_recovery_scan_matches_scalar_loop(tau, tau_prime, k_end):
-    b, end = scan_end(tau, tau_prime)
-    assert end == k_end
-    res = _recovery_scan(b)
-    value, argmax = scalar_recovery_scan(tau, tau_prime)
-    assert bits(res.value) == bits(value)
-    assert res.argmax_k == argmax
-    row = level_multipliers(np.arange(1, k_end + 1), b)
-    for k in range(1, k_end + 1):
-        assert bits(row.entry(0, k - 1)) == bits(level_multiplier(k, b)), k
+    assert (PROFILE_SPACE.tau, SOURCE_SPACE.tau) == (tau, tau_prime)
+    assert math.ceil(4.5 / buffer().lo) + 1 == k_end
+    res = recovery_mapping_constant()
+    value, argmax = scalar_recovery_scan()
+    assert (bits(res.value), res.argmax_k) == (bits(value), argmax)
 
 
-def sweep_pairs():
-    """200 seeded (tau, tau') pairs with b log-uniform in [10^-3.7, 4], and
-    the thinnest buffer the audit meets."""
-    rng = random.Random(17)
-    pairs = []
-    for _ in range(200):
-        tau = rng.uniform(0.0, 0.5)
-        pairs.append((tau, tau + 10 ** rng.uniform(-3.7, math.log10(4.0))))
-    return pairs + [(0.08, 0.08001)]
-
-
-def test_bracket_matches_full_scan_on_seeded_sweep():
-    for tau, tau_prime in sweep_pairs():
-        res = _recovery_scan(buffer(tau, tau_prime))
-        value, argmax = full_recovery_scan(tau, tau_prime)
-        assert (bits(res.value), res.argmax_k) == (bits(value), argmax), (tau, tau_prime)
-
-
-@pytest.mark.parametrize("tau, tau_prime", [(0.08, 0.081), (0.08, 0.08001), (0.5, 1.0)])
+@pytest.mark.parametrize("tau, tau_prime", AUDIT_RATES)
 def test_bracket_evaluates_a_bounded_number_of_levels(monkeypatch, tau, tau_prime):
+    assert (PROFILE_SPACE.tau, SOURCE_SPACE.tau) == (tau, tau_prime)
     calls = []
 
-    def counted(k, rate):
+    def counted(k):
         calls.append(k)
-        return level_multiplier(k, rate)
+        return level_multiplier(k)
 
     monkeypatch.setattr(constants_module, "level_multiplier", counted)
-    _recovery_scan(buffer(tau, tau_prime))
-    assert len(calls) <= 16
-    assert len(set(calls)) == len(calls)  # no level twice
+    recovery_mapping_constant.__wrapped__()
+    assert calls == list(range(2497, 2504))  # seven levels, each once
 
 
 def log_concave_standin(peak, rel_width=1e-3, scale=8.0):
     """A log-concave stand-in multiplier e^{-((k - peak)/scale)^2}, as
-    intervals [(1 - rel_width) v, v], whose maximum sits at ``peak``
-    whatever b is."""
+    intervals [(1 - rel_width) v, v], whose maximum sits at ``peak``."""
 
-    def multiplier(k, rate):
+    def multiplier(k):
         v = math.exp(-(((k - peak) / scale) ** 2))
         return IntervalScalar(v * (1.0 - rel_width), v)
 
     return multiplier
 
 
-# b = 0.05 puts k0 = round(2.5/b) at 50 and the scan end at 91
-WIDENING = (0.0, 0.05)
-WIDENING_PEAKS = [2, 20, 50, 75, 90, 150]  # 150: still rising at the scan end
+# peaks far below, just outside, inside and above the bracket 2498..2502
+FAR_PEAKS = [1, 2400, 2496, 2497, 2503, 2504, 2600, 4000]
+INSIDE_PEAKS = [2498, 2500, 2502]
 
 
 def check_standin_peaks(monkeypatch, module):
-    tau, tau_prime = WIDENING
-    for peak in WIDENING_PEAKS:
+    for peak in INSIDE_PEAKS:
         standin = log_concave_standin(peak)
         monkeypatch.setattr(module, "level_multiplier", standin)
-        res = module._recovery_scan(buffer(tau, tau_prime))
-        value, argmax = scalar_recovery_scan(tau, tau_prime, standin)
+        res = module.recovery_mapping_constant.__wrapped__()
+        value, argmax = scalar_recovery_scan(standin)
         assert (bits(res.value), res.argmax_k) == (bits(value), argmax), peak
+    for peak in FAR_PEAKS:
+        monkeypatch.setattr(module, "level_multiplier", log_concave_standin(peak))
+        with pytest.raises(CertificationError, match="not certified"):
+            module.recovery_mapping_constant.__wrapped__()
 
 
-def test_bracket_widens_to_a_peak_far_from_k0(monkeypatch):
-    b, k_end = scan_end(*WIDENING)
-    assert round(2.5 / b.mid) == 50 and k_end == 91
+def test_bracket_refuses_a_peak_outside_it(monkeypatch):
     check_standin_peaks(monkeypatch, constants_module)
 
 
 @pytest.mark.parametrize(
     "old",
-    [
-        "a > 1 and not f(a - 1).hi < f(a).lo",
-        "z < k_end and not f(z + 1).hi < f(z).lo",
-    ],
+    ["f[k0 - 3].hi < f[k0 - 2].lo", "f[k0 + 3].hi < f[k0 + 2].lo"],
     ids=["left", "right"],
 )
-def test_widening_mutant_misses_a_far_peak(monkeypatch, old):
-    mutant = mutant_module(monkeypatch, constants_module, f"while {old}:", "while False:")
-    with pytest.raises(AssertionError):
+def test_edge_mutant_misses_a_far_peak(monkeypatch, old):
+    mutant = mutant_module(monkeypatch, constants_module, f"if not {old}:", "if False:")
+    with pytest.raises(pytest.fail.Exception):
         check_standin_peaks(monkeypatch, mutant)
 
 
 def test_recovery_argmax_is_the_first_of_tied_levels(monkeypatch):
     # log-concave stand-ins whose two top levels, peak and peak + 1, tie
-    # exactly, below, at and above k0 = 5 and at the scan end 10: argmax
-    # must stay at the first of them
-    for peak in (1, 3, 5, 7, 9):
-        standin = log_concave_standin(peak + 0.5, rel_width=0.5, scale=2.0)
-        assert standin(peak, None) == standin(peak + 1, None)
+    # exactly inside the bracket: argmax must stay at the first of them
+    for peak in (2498, 2499, 2500, 2501):
+        standin = log_concave_standin(peak + 0.5, rel_width=0.1, scale=2.0)
+        assert standin(peak) == standin(peak + 1)
         monkeypatch.setattr(constants_module, "level_multiplier", standin)
-        res = _recovery_scan(buffer(0.5, 1.0))
-        value, argmax = scalar_recovery_scan(0.5, 1.0)
+        res = recovery_mapping_constant.__wrapped__()
+        value, argmax = scalar_recovery_scan(standin)
         assert (res.argmax_k, bits(res.value)) == (argmax, bits(value)), peak
-        assert (argmax, bits(value)) == (peak, bits(standin(peak, None))), peak
+        assert (argmax, bits(value)) == (peak, bits(standin(peak))), peak
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +385,7 @@ def test_rayleigh_ratio_never_exceeds_bound():
     def draw():
         n = rng.randint(1, 12)
         modes = rng.sample(range(1, 13), n)
-        return CoefficientVector.from_dict(
+        return CoefficientVector(
             {j: point(rng.uniform(-1.0, 1.0)) for j in modes}
         )
 

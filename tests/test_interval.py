@@ -700,23 +700,18 @@ class TestMatrixKernels:
         st.lists(kernel_intervals(), min_size=6, max_size=6),
         st.lists(_divisors, min_size=6, max_size=6),
         kernel_intervals(),
-        _divisors,
     )
-    @example(xs=_EDGE, ds=_EDGE_DIVISORS, s=_NEG_ZERO_TRAP, d=iv(6.666666666666667))
-    @example(xs=_MIXED, ds=_MIXED_DIVISORS, s=iv(1e-290, 1e300), d=iv(-math.inf, -1e-10))
-    @example(xs=_BAND, ds=_BAND_DIVISORS, s=iv(-1e-300, -1e-310), d=iv(1e-10, 1e290))
-    @example(xs=_ZEROS, ds=_EDGE_DIVISORS, s=iv(0.0), d=iv(0.5, math.inf))
+    @example(xs=_EDGE, ds=_EDGE_DIVISORS, s=_NEG_ZERO_TRAP)
+    @example(xs=_MIXED, ds=_MIXED_DIVISORS, s=iv(1e-290, 1e300))
+    @example(xs=_BAND, ds=_BAND_DIVISORS, s=iv(-1e-300, -1e-310))
+    @example(xs=_ZEROS, ds=_EDGE_DIVISORS, s=iv(0.0))
     @settings(max_examples=200, deadline=None)
-    def test_div_and_unary_match_scalar_bit_for_bit(self, xs, ds, s, d):
+    def test_div_and_unary_match_scalar_bit_for_bit(self, xs, ds, s):
         A = IntervalMatrix.from_scalars([xs[:3], xs[3:]])
         D = IntervalMatrix.from_scalars([ds[:3], ds[3:]])
-        row = IntervalMatrix.from_scalars([ds[:3]])
         cases = (
-            (A / D, lambda i, j: xs[3 * i + j] / ds[3 * i + j]),
-            (A / row, lambda i, j: xs[3 * i + j] / ds[j]),
-            (A / d, lambda i, j: xs[3 * i + j] / d),
             (s / D, lambda i, j: s / ds[3 * i + j]),
-            (2 / D, lambda i, j: 2 / ds[3 * i + j]),
+            (2 / D, lambda i, j: iv(2.0) / ds[3 * i + j]),
             (s * A, lambda i, j: s * xs[3 * i + j]),
             (-A, lambda i, j: -xs[3 * i + j]),
             (abs(A), lambda i, j: abs(xs[3 * i + j])),
@@ -766,7 +761,7 @@ class TestMatrixKernels:
     def test_quotient_edges_match_scalar(self, a, b):
         wide = (iv(min(a, a / 2), max(a, a / 2)), iv(min(b, b / 2), max(b, b / 2)))
         for x, y in ((iv(a), iv(b)), wide):
-            Q = IntervalMatrix.from_scalars([[x]]) / y
+            Q = x / IntervalMatrix.from_scalars([[y]])
             assert _same(Q.lo[0, 0], Q.hi[0, 0], x / y), (x, y)
 
     def test_quotient_with_a_corner_outside_the_band_matches_scalar(self):
@@ -778,10 +773,9 @@ class TestMatrixKernels:
         y = iv(float.fromhex("0x1.fffffffffd73ep+71"), float.fromhex("0x1p+72"))
         lower = float.fromhex("0x0.00063cac186bap-1022")
         assert (x / y).lo == lower
-        X, Y = IntervalMatrix.from_scalars([[x]]), IntervalMatrix.from_scalars([[y]])
-        for Q in (X / y, X / Y, x / Y):
-            assert _same(Q.lo[0, 0], Q.hi[0, 0], x / y)
-            assert Q.lo[0, 0] == lower
+        Q = x / IntervalMatrix.from_scalars([[y]])
+        assert _same(Q.lo[0, 0], Q.hi[0, 0], x / y)
+        assert Q.lo[0, 0] == lower
 
     def test_exp_deep_underflow_and_overflow(self):
         xs = [iv(-800.0), iv(-745.2, -744.9), iv(-720.0, -709.0), iv(-709.5, -708.0), iv(-0.0, 0.0)]
@@ -801,12 +795,9 @@ class TestMatrixKernels:
             D = IntervalMatrix.from_scalars([[iv(1.0), bad, iv(-1.0, 1.0)]])
             with pytest.raises(SingularDivisionError) as scalar:
                 iv(2.0) / bad
-            for quotient in (lambda: A / D, lambda: iv(2.0) / D):
-                with pytest.raises(SingularDivisionError) as matrix:
-                    quotient()
-                assert str(matrix.value) == str(scalar.value)
-            with pytest.raises(SingularDivisionError):
-                A / bad
+            with pytest.raises(SingularDivisionError) as matrix:
+                iv(2.0) / D
+            assert str(matrix.value) == str(scalar.value)
         negative = IntervalMatrix.from_scalars([[iv(1.0), iv(-1e-300, 1.0)]])
         for f in (IntervalMatrix.sqrt, lambda M: M.intpow(2)):
             with pytest.raises(IntervalError):
@@ -912,7 +903,7 @@ class TestTableFormedWhole:
     @pytest.mark.parametrize("need", [1, 2, 3, 1000, 4096])
     def test_entries_are_read_only_scalar_twins(self, need):
         lo, hi = endpoint_table(self._reciprocals, need)
-        want = [1.0 / IntervalScalar(float(k), float(k)) for k in range(1, lo.size + 1)]
+        want = [iv(1.0) / IntervalScalar(float(k), float(k)) for k in range(1, lo.size + 1)]
         assert [(a.hex(), b.hex()) for a, b in zip(lo.tolist(), hi.tolist())] == [
             (w.lo.hex(), w.hi.hex()) for w in want
         ]
@@ -955,16 +946,8 @@ class TestFlaggedEntries:
                 self._check(op(A, s), a, lambda i, j: s, op)
                 if op is operator.mul:  # the reflected scalar operators are * and /
                     self._check(op(s, A), lambda i, j: s, a, op)
-        div = operator.truediv
-        self._check(A / D, a, d, div)
-        self._check(D / D[::-1], d, lambda i, j: d(1 - i, j), div)
-        for R, r in rows(_FLAGGED_D):
-            self._check(A / R, a, r, div)
-            self._check(R / D, r, d, div)
         for s in _FLAGGED_SCALARS:
-            self._check(s / D, lambda i, j: s, d, div)
-            if not s.lo <= 0.0 <= s.hi:
-                self._check(A / s, a, lambda i, j: s, div)
+            self._check(s / D, lambda i, j: s, d, operator.truediv)
 
     def test_sqrt_and_intpow(self):
         xs = [iv(0.0, x.mag()) if x.lo < 0.0 else x for x in _FLAGGED_A]
@@ -1010,15 +993,15 @@ class TestContainmentFuzz:
 
         mpmath.mp.dps = 40
         rng = random.Random(20261018)
-        n = 10_000  # eight kernels: 80k trials
+        n = 10_000  # seven kernels: 70k trials
 
-        def operand(lo_range, rel_width, min_mag=0.0):
+        def operand(lo_range, rel_width):
             lo = []
             for _ in range(n):
                 x = rng.uniform(*lo_range)
                 if rng.random() < 0.25:  # products reach below the error-free band
                     x = math.copysign(10.0 ** rng.uniform(-160, 150), x)
-                lo.append(math.copysign(max(abs(x), min_mag), x))
+                lo.append(x)
             lo = np.array(lo)
             width = np.array([rng.uniform(0.0, rel_width) for _ in range(n)])
             return IntervalMatrix(lo[None, :], (lo + np.abs(lo) * width)[None, :])
@@ -1033,13 +1016,12 @@ class TestContainmentFuzz:
             )
 
         A = operand((-1e6, 1e6), 1e-3)
-        B = operand((-1e6, 1e6), 1e-3, min_mag=1e-3)  # no divisor contains 0
+        B = operand((-1e6, 1e6), 1e-3)
         exact_ops = {
             "add": lambda x, y: x + y,
             "mul": lambda x, y: x * y,
-            "div": lambda x, y: x / y,
         }
-        for M, op in ((A + B, "add"), (A * B, "mul"), (A / B, "div")):
+        for M, op in ((A + B, "add"), (A * B, "mul")):
             pairs = zip(points(A), points(B))
             assert contained(M, [exact_ops[op](Fraction(x), Fraction(y)) for x, y in pairs]), op
         P = abs(A)

@@ -14,17 +14,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import spikecert.interval as interval_module
 import spikecert.stability as stability_module
 from spikecert.basis import reference_model
 from spikecert.errors import CertificationError
-from spikecert.interval import (
-    IntervalScalar,
-    decay_ratio,
-    exp_iv,
-    intpow_iv,
-    sqrt_iv,
-)
+from spikecert.interval import IntervalScalar, exp_iv, intpow_iv, sqrt_iv
 from spikecert.matrix import IntervalMatrix
 from spikecert.operator import OperatorConfig, assemble_jacobian
 from spikecert.spaces import (
@@ -328,7 +321,7 @@ def test_negative_norm_rejected():
 
 def single_mode_certificate(j, value):
     return ProfileCertificate(
-        coefficients=CoefficientVector.from_dict({j: value}),
+        coefficients=CoefficientVector({j: value}),
         nu=make_interval(0.005, 0.0),
         sigma=0.05,
     )
@@ -452,7 +445,7 @@ def check_non_monotone_tail_verdict(module):
         k: make_interval(rng.uniform(-1e-5, 1e-5) * math.exp(-0.08 * k), 0.0) for k in range(1, 41)
     }
     cert = ProfileCertificate(
-        coefficients=CoefficientVector.from_dict(entries),
+        coefficients=CoefficientVector(entries),
         nu=make_interval(0.005, 0.0),
         sigma=0.05,
     )
@@ -508,7 +501,7 @@ def test_envelope_ratio_bound_value():
     factors in either order give the same bits.
     """
     tau = IntervalScalar(0.08, 0.08)
-    ratio = decay_ratio(1200, tau)
+    ratio = stability_module._decay_ratio(1200)
     assert ratio.contains(0.92581157483925992)
     assert ratio.hi < 1.0
     step = IntervalScalar(1201.0, 1201.0) / IntervalScalar(1200.0, 1200.0)
@@ -634,7 +627,7 @@ def test_window_scan_matches_scalar_loop_on_random_profiles():
             mid = 0.0 if rng.random() < 0.2 else rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 1)
             entries[k] = make_interval(mid, rng.choice([0.0, 1e-6]))
         cert = ProfileCertificate(
-            coefficients=CoefficientVector.from_dict(entries),
+            coefficients=CoefficientVector(entries),
             nu=make_interval(rng.choice([0.0, 0.005, 0.02, 1.5]), rng.choice([0.0, 1e-9])),
             sigma=0.05,
         )
@@ -660,6 +653,5 @@ def test_window_scan_computes_the_envelope_total_once(bundled, monkeypatch):
         return exp_iv(x)
 
     monkeypatch.setattr(stability_module, "exp_iv", counting_exp_iv)
-    monkeypatch.setattr(interval_module, "exp_iv", counting_exp_iv)
     certify_tail_coercivity(bundled, reference_config(bundled.nu), 0.125, j_min=1200)
     assert len(calls) == len(bundled.coefficients) + 2

@@ -26,9 +26,9 @@ line per result in a small tagged grammar:
 
 Numbers are printed with seven significant digits so two runs diff
 cleanly; the only line that varies between identical runs is the
-timestamp.  Exit codes: 0 verified, 1 a gate or the closure failed,
-2 the certificate could not be read at all, or an option is unusable (a
-coupling that is negative or not finite, say); the STATUS line names it.
+timestamp.  Exit codes: 0 verified, 1 a gate or the closure failed, 2 the
+certificate could not be read at all; the STATUS line names why.  No
+option exits 2 here: `AuditConfig` refuses a bad one when it is built.
 
 Trust policy for declared constants: delta, M and K drive the closure
 verbatim once their consistency gates pass.  gamma and C_rec_map are
@@ -37,7 +37,8 @@ gamma at or below the certified lower bound, declared C_rec_map at or
 above the certified value but within five percent).  C_prof, C_rec_ker
 and eps_T3 are checked against fixed caps.  C_conv is computed, but a
 declared C_conv is not compared with it: it is admitted only through
-the two-sided consistency gate K within five percent of C_rec_map * C_conv.
+the consistency gate on K, which the closure reads as an upper bound:
+declared K at or above C_rec_map * C_conv, and within five percent of it.
 A declared K without a declared C_conv has no gate at all: it drives the
 closure as written, and its RSLT line says so.
 Residual recomputation on a declared certificate is logged as a
@@ -53,7 +54,7 @@ from typing import List, Mapping, Optional, Tuple
 
 from .basis import reference_model
 from .closure import image_overlap_bound, nk_closure, torus_closure
-from .config import AuditConfig, _iv
+from .config import AuditConfig, _iv, one_line
 from .constants import certify_constants, recovery_mapping_constant
 from .errors import CertificateError, CertificationError
 from .interval import IntervalScalar, interval_from_decimal
@@ -82,9 +83,11 @@ class AuditLog:
     def __init__(self, lines: List[Tuple[str, str]]):
         if not lines:
             raise ValueError("an audit log cannot be empty")
-        for tag, _ in lines:
+        for tag, text in lines:
             if tag not in AUDIT_TAGS:
                 raise ValueError(f"unknown audit tag {tag!r}")
+            if not one_line(text):
+                raise ValueError(f"an audit log line holds a line break: {text!r}")
         status = [i for i, (tag, _) in enumerate(lines) if tag == "STATUS"]
         if len(status) != 1 or status[0] != len(lines) - 1:
             raise ValueError("exactly one STATUS line is required, emitted last")
@@ -165,11 +168,7 @@ def run_audit(certificate_path, config: Optional[AuditConfig] = None) -> AuditRe
         f"nu = {_iv(cert.nu)}, tau = {PROFILE_SPACE.tau:.6e}, "
         f"sigma = {cert.sigma:.6e}",
     )
-    try:
-        op_cfg = _operator_config(cert, cfg)
-    except ValueError as exc:
-        return run.end(f"options REJECTED, unusable: {exc}", 2)
-
+    op_cfg = _operator_config(cert, cfg)
     delta = _residual(run, cert, op_cfg)
     skip = ""  # M is moot when the tail stage must fail on the options alone
     if cfg.j_min <= cfg.truncation_N:
@@ -330,7 +329,7 @@ def _constants(run, declared: Mapping[str, IntervalScalar], model) -> Optional[I
         product = rec_map * conv
         run.gate(
             "K",
-            0.95 * product.lo <= k.lo and k.hi <= _HEADROOM * product.hi,
+            product.hi <= k.hi <= _HEADROOM * product.hi,
             f"lipschitz constant K (declared) = {_iv(k)}, gate within "
             f"five percent of C_rec_map * C_conv = {_iv(product)}",
         )

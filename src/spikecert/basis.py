@@ -16,12 +16,12 @@ call tracer wraps.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import check_field
 from .interval import ZERO, IntervalError, IntervalScalar
 from .matrix import IntervalMatrix, _mid_rad, endpoint_table, pow_seven_halves_row
 
@@ -100,9 +100,8 @@ def reference_model(coupling: float, coupling_rec: float = None) -> BasisModel:
     """
     if coupling_rec is None:
         coupling_rec = coupling
-    for name, x in (("coupling", coupling), ("coupling_rec", coupling_rec)):
-        if not 0.0 <= x < math.inf:  # also refuses NaN
-            raise ValueError(f"{name} must be finite and nonnegative, got {x!r}")
+    check_field("coupling", coupling)
+    check_field("coupling_rec", coupling_rec)
     cpl = IntervalScalar(coupling, coupling)
     crec = IntervalScalar(coupling_rec, coupling_rec)
 

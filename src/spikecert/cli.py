@@ -15,8 +15,9 @@ line, `#` comments); flags given on the command line win over the file,
 the file wins over defaults, and a key that names no option of any
 subcommand is refused.  Exit codes follow the audit contract: 0 verified (for a stage, no gate
 failed), 1 a check failed, 2 unusable input or usage error: a flag or config
-value that does not parse, decimal options included, or a negative coupling
-or closure constant exits 2 and names the option.
+value that does not parse, decimal options included, a negative closure
+constant, or an `AuditConfig` field's value that `AuditConfig` would refuse
+exits 2 and names the option.
 
 The stages that need numpy are imported by the handlers that run them, so
 parsing the options, `closure` and `gen-profile` load only the numpy-free
@@ -32,8 +33,8 @@ import random
 import sys
 from typing import Dict, List, Optional
 
-from .closure import MAX_LATTICE_RADIUS, nk_closure, torus_closure
-from .config import MAX_J_MIN, MAX_MODES, AuditConfig, _iv
+from .closure import nk_closure, torus_closure
+from .config import MAX_LATTICE_RADIUS, MAX_MODES, AuditConfig, _iv, field_error, range_error
 from .errors import CertificateError, CertificationError
 from .interval import IntervalError, IntervalScalar, interval_from_decimal
 from .oracle import _SUITES, MeridionalGrid, standard_checks
@@ -48,6 +49,15 @@ from .spaces import (
 # AuditConfig's defaults, read by every flag that sets one of its fields
 _AUDIT = AuditConfig()
 
+# the flag that sets each AuditConfig field, and its help
+_FIELD_FLAGS = {
+    "coupling": ("--coupling", "interaction coupling of the reference model"),
+    "coupling_rec": ("--coupling-rec", "recovery kernel coupling, --coupling if not given"),
+    "truncation_N": ("--modes", f"truncation level, at most {MAX_MODES}"),
+    "j_min": ("--j-min", "first mode of the tail coercivity bound"),
+    "lattice_radius": ("--lattice-radius", f"image-overlap radius, at most {MAX_LATTICE_RADIUS}"),
+}
+
 
 def _finite_float(text: str) -> float:
     """The type of every float option: NaN and infinities are refused."""
@@ -58,17 +68,6 @@ def _finite_float(text: str) -> float:
 
 
 _finite_float.__name__ = "finite float"  # as argparse and config errors name it
-
-
-def _nonneg_float(text: str) -> float:
-    """The type of the coupling options: a finite float, refused below zero."""
-    x = _finite_float(text)
-    if x < 0.0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
-    return x
-
-
-_nonneg_float.__name__ = _finite_float.__name__
 
 
 def _decimal(text: str) -> str:
@@ -91,19 +90,18 @@ def _nonneg_decimal(text: str) -> str:
     return text
 
 
-def _bounded_int(low: int, high: Optional[int] = None):
-    """The type of every integer option that sizes the audit: refused below
-    low or above high, as a command-line flag or as a config key."""
+def _checked(convert, check):
+    """An option type: ``convert`` the text, then refuse the value for the
+    reason ``check`` gives, as a command-line flag or as a config key."""
 
-    def parse(text: str) -> int:
-        n = int(text)
-        if n < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
-        if high is not None and n > high:
-            raise argparse.ArgumentTypeError(f"must be at most {high}, got {n}")
-        return n
+    def parse(text: str):
+        value = convert(text)
+        error = check(value)
+        if error:
+            raise argparse.ArgumentTypeError(error)
+        return value
 
-    parse.__name__ = "int"  # as argparse and config errors name a non-integer
+    parse.__name__ = convert.__name__  # as argparse and config errors name a value
     return parse
 
 
@@ -171,43 +169,30 @@ def _build_parser():
     def common(p, *names):
         if "profile" in names:
             p.add_argument("--profile", help="certificate JSON path")
-        if "model" in names:
-            p.add_argument("--coupling", type=_nonneg_float, default=_AUDIT.coupling)
-            p.add_argument("--coupling-rec", type=_nonneg_float, default=_AUDIT.coupling_rec)
-        if "modes" in names:
-            p.add_argument(
-                "--modes",
-                type=_bounded_int(1, MAX_MODES),
-                default=_AUDIT.truncation_N,
-                help=f"truncation level, at most {MAX_MODES}",
-            )
-        if "j_min" in names:
-            p.add_argument("--j-min", type=_bounded_int(1, MAX_J_MIN), default=_AUDIT.j_min)
+        for name in names:  # each AuditConfig field's flag, refused as AuditConfig refuses it
+            if name in _FIELD_FLAGS:
+                flag, text = _FIELD_FLAGS[name]
+                convert = _finite_float if name.startswith("coupling") else int
+                kind = _checked(convert, lambda value, name=name: field_error(name, value))
+                p.add_argument(flag, type=kind, default=getattr(_AUDIT, name), help=text)
         if "out" in names:
             p.add_argument("--out", help="also write the output to this path")
 
     p = sub.add_parser("audit", help="full pipeline, tagged log, exit code")
-    common(p, "profile", "model", "modes", "j_min", "out")
-    p.add_argument(
-        "--lattice-radius",
-        type=_bounded_int(1, MAX_LATTICE_RADIUS),
-        default=_AUDIT.lattice_radius,
-        help=f"image-overlap enumeration radius, at most {MAX_LATTICE_RADIUS}",
-    )
+    common(p, "profile", *_FIELD_FLAGS, "out")
 
     p = sub.add_parser("residual", help="the audit's residual stage: delta")
-    common(p, "profile", "model", "modes", "out")
+    common(p, "profile", "coupling", "coupling_rec", "truncation_N", "out")
 
     p = sub.add_parser("inverse", help="the audit's inverse stage: M")
-    common(p, "profile", "model", "modes", "out")
+    common(p, "profile", "coupling", "coupling_rec", "truncation_N", "out")
 
     p = sub.add_parser("tail", help="the audit's tail coercivity stage: gamma")
-    common(p, "profile", "modes", "j_min", "out")
+    common(p, "profile", "truncation_N", "j_min", "out")
 
     p = sub.add_parser("constants", help="the audit's constants stage: C_rec_map, C_conv, K")
-    common(p, "out")
     # K reads the interaction bound alone, not the recovery coupling
-    p.add_argument("--coupling", type=_nonneg_float, default=_AUDIT.coupling)
+    common(p, "coupling", "out")
 
     p = sub.add_parser("closure", help="scalar closure verdict from constants")
     common(p, "out")
@@ -223,12 +208,15 @@ def _build_parser():
     # every suite runs from 9 nodes; at the cap, `oracle --grid 1024` takes
     # 1.1-1.4 s and 168 MB peak RSS on a 2-vCPU x86-64 host
     p.add_argument(
-        "--grid", type=_bounded_int(9, 1024), default=256, help="nodes per direction, 9 to 1024"
+        "--grid",
+        type=_checked(int, lambda n: range_error(n, 9, 1024)),
+        default=256,
+        help="nodes per direction, 9 to 1024",
     )
     common(p, "out")
 
     p = sub.add_parser("gen-profile", help="deterministic random test certificate")
-    common(p, "modes", "out")
+    common(p, "truncation_N", "out")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nu", type=_decimal, default="0.005")
     p.add_argument("--sigma", type=_finite_float, default=0.05)
@@ -247,15 +235,10 @@ class SystemExit2(Exception):
 
 
 def _audit_config(args) -> AuditConfig:
-    """The AuditConfig of a subcommand's flags; one it has no flag for keeps
-    its default."""
-    return AuditConfig(
-        coupling=getattr(args, "coupling", _AUDIT.coupling),
-        coupling_rec=getattr(args, "coupling_rec", _AUDIT.coupling_rec),
-        truncation_N=getattr(args, "modes", _AUDIT.truncation_N),
-        j_min=getattr(args, "j_min", _AUDIT.j_min),
-        lattice_radius=getattr(args, "lattice_radius", _AUDIT.lattice_radius),
-    )
+    """The AuditConfig of a subcommand's flags; a field it has no flag for
+    keeps its default."""
+    dests = {name: flag[2:].replace("-", "_") for name, (flag, _) in _FIELD_FLAGS.items()}
+    return AuditConfig(**{n: getattr(args, d) for n, d in dests.items() if hasattr(args, d)})
 
 
 def _cmd_audit(args) -> int:

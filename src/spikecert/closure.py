@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from itertools import product as iter_product
 
+from .config import check_field
 from .errors import CertificationError
 from .interval import (
     _TWO,
@@ -36,11 +37,6 @@ from .interval import (
 # refuse lattice tails that need more terms than this before the
 # geometric comparison kicks in (concentration scale too coarse)
 _TAIL_LIMIT = 200_000
-
-# the largest lattice radius R the overlap bound accepts: it enumerates the
-# (2R + 1)^3 lattice points in Python, about 0.5 s at R = 64 on a 2-vCPU
-# x86-64 host, and the time grows as R^3
-MAX_LATTICE_RADIUS = 64
 
 
 @dataclass(frozen=True)
@@ -90,9 +86,9 @@ def image_overlap_bound(
     final, certified-upward log10.
 
     ``nearest_only`` returns the single nearest-image bound, the scale
-    the headline estimates quote.  A radius below 1 is refused: it would
-    enumerate no image and bound the overlap by exactly 0.  So is one above
-    MAX_LATTICE_RADIUS, whose enumeration would outlast the audit.
+    the headline estimates quote.  A radius outside 1..MAX_LATTICE_RADIUS
+    is refused: 0 would enumerate no image and bound the overlap by exactly
+    0, and one past the ceiling would outlast the audit.
 
     The ratio of consecutive tail terms never grows with the shell index,
     so a sigma whose ratio test fails at the last shell the walk may reach
@@ -103,12 +99,7 @@ def image_overlap_bound(
     sigma = float(sigma)
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise CertificationError(f"concentration scale must be positive, got {sigma!r}")
-    if not isinstance(lattice_radius, int) or isinstance(lattice_radius, bool):
-        raise CertificationError(f"lattice_radius must be an integer, got {lattice_radius!r}")
-    if lattice_radius < 1:
-        raise CertificationError(f"lattice_radius must be >= 1, got {lattice_radius}")
-    if lattice_radius > MAX_LATTICE_RADIUS:
-        raise CertificationError(f"lattice_radius must be at most {MAX_LATTICE_RADIUS}")
+    check_field("lattice_radius", lattice_radius, CertificationError)
     return _overlap_bound(sigma, int(lattice_radius), bool(nearest_only))
 
 

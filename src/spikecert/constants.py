@@ -130,9 +130,7 @@ def convolution_constant(model: BasisModel) -> IntervalScalar:
     The route closes only with the buffers tau_Y > tau_X and s_Y >= s_X,
     which the two spaces have.
     """
-    cb = model.interaction_bound
-    if cb.lo < 0.0:
-        raise CertificationError(f"interaction bound must be nonnegative, got {cb}")
+    cb = model.interaction_bound  # nonnegative: reference_model checks the coupling
     if cb.hi == 0.0:
         return ZERO
     return cb * _whole_space_factor()

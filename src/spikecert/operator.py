@@ -54,6 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import BasisModel
+from .config import check_field
 from .interval import ONE, IntervalScalar
 from .matrix import IntervalMatrix, _mid_rad, _mid_rad_enclosure
 from .spaces import CoefficientVector
@@ -73,10 +74,7 @@ class OperatorConfig:
     truncation_N: int
 
     def __post_init__(self):
-        if not isinstance(self.truncation_N, int) or self.truncation_N < 1:
-            raise ValueError(
-                f"truncation_N must be a positive integer, got {self.truncation_N!r}"
-            )
+        check_field("truncation_N", self.truncation_N)
 
 
 def _check_support(c: CoefficientVector, cfg: OperatorConfig, who: str) -> None:

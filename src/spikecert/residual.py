@@ -15,7 +15,7 @@ import numpy as np
 from .config import MAX_MODES
 from .interval import IntervalScalar, sqrt_iv
 from .matrix import IntervalMatrix, endpoint_table, row_sum
-from .operator import OperatorConfig, _G_row
+from .operator import OperatorConfig, _check_support, _G_row
 from .spaces import PROFILE_SPACE, ProfileCertificate
 
 __all__ = ["ResidualReport", "certify_residual", "weight_sq_row"]
@@ -67,11 +67,7 @@ def certify_residual(cert: ProfileCertificate, cfg: OperatorConfig) -> ResidualR
     reported pieces recombine to the reported total.
     """
     coeffs = cert.coefficients
-    if coeffs.entries and coeffs.support[-1] > cfg.truncation_N:
-        raise ValueError(
-            f"certificate mode {coeffs.support[-1]} exceeds truncation "
-            f"N={cfg.truncation_N}"
-        )
+    _check_support(coeffs, cfg, "certify_residual")
     residual = _G_row(coeffs, cfg)
     N = cfg.truncation_N
     # the terms weight_sq(j) |r_j|^2 over the modes where G is not exactly

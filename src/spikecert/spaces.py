@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import Mapping, Optional
 
+from .config import one_line
 from .errors import CertificateError
 from .interval import (
     _DEC_PREC,
@@ -159,8 +160,8 @@ def _interval_field(obj, where: str) -> IntervalScalar:
         raise CertificateError(f"{where}: expected an object with mid/rad strings")
     mid = _require(obj, "mid", where)
     rad = _require(obj, "rad", where)
-    if not isinstance(mid, str) or not isinstance(rad, str):
-        raise CertificateError(f"{where}: mid/rad must be decimal strings")
+    if not all(isinstance(x, str) and one_line(x) for x in (mid, rad)):
+        raise CertificateError(f"{where}: mid/rad must be one-line decimal strings")
     try:
         return interval_from_mid_rad_decimal(mid, rad)
     except ValueError as exc:
@@ -168,8 +169,8 @@ def _interval_field(obj, where: str) -> IntervalScalar:
 
 
 def _decimal_field(obj, where: str) -> float:
-    if not isinstance(obj, str):
-        raise CertificateError(f"{where}: expected a decimal string")
+    if not isinstance(obj, str) or not one_line(obj):
+        raise CertificateError(f"{where}: expected a one-line decimal string")
     try:
         value = float(_parse_decimal(obj, where))
     except ValueError as exc:
@@ -181,27 +182,28 @@ def _decimal_field(obj, where: str) -> float:
 
 def load_certificate(path) -> ProfileCertificate:
     """Parse a certificate file; every malformation names its field."""
+    source = repr(str(path))  # quoted, as the file's own text is: no message breaks a line
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise CertificateError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+        raise CertificateError(f"{source}: invalid JSON at line {exc.lineno}: {exc.msg}")
     if not isinstance(doc, dict):
-        raise CertificateError(f"{path}: top level must be an object")
-    ver = _require(doc, "format_version", str(path))
+        raise CertificateError(f"{source}: top level must be an object")
+    ver = _require(doc, "format_version", source)
     if ver != _FORMAT_VERSION:
         raise CertificateError(
-            f"{path}: unsupported format_version {ver!r} (expected {_FORMAT_VERSION!r})"
+            f"{source}: unsupported format_version {ver!r} (expected {_FORMAT_VERSION!r})"
         )
-    nu = _interval_field(_require(doc, "nu", str(path)), "nu")
-    sigma = _decimal_field(_require(doc, "sigma", str(path)), "sigma")
-    tau = _require(doc, "tau", str(path))
+    nu = _interval_field(_require(doc, "nu", source), "nu")
+    sigma = _decimal_field(_require(doc, "sigma", source), "sigma")
+    tau = _require(doc, "tau", source)
     if _decimal_field(tau, "tau") != PROFILE_SPACE.tau:
         raise CertificateError(
             f"tau: the audit runs in the profile space X, whose rate is "
             f"{PROFILE_SPACE.tau!r}; got {tau}"
         )
-    modes_raw = _require(doc, "modes", str(path))
+    modes_raw = _require(doc, "modes", source)
     if not isinstance(modes_raw, list):
         raise CertificateError("modes: expected an array")
     entries = {}
@@ -223,7 +225,7 @@ def load_certificate(path) -> ProfileCertificate:
         constants = {}
         for name, val in raw.items():
             if name not in CONSTANT_NAMES:
-                raise CertificateError(f"constants.{name}: unknown constant name")
+                raise CertificateError(f"constants: unknown constant name {name!r}")
             constants[name] = _interval_field(val, f"constants.{name}")
     return ProfileCertificate(
         coefficients=CoefficientVector(entries),

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import MAX_J_MIN
+from .config import check_field
 from .errors import CertificationError
 from .interval import (
     ONE,
@@ -237,13 +237,7 @@ def certify_tail_coercivity(
     every later mode, and the gap is smallest at j_min.  Failed
     monotonicity is a verdict, not an exception.
     """
-    if not isinstance(j_min, int) or j_min < 1:
-        raise CertificationError(f"j_min must be a positive integer, got {j_min!r}")
-    if j_min > MAX_J_MIN:
-        raise CertificationError(
-            f"j_min must be at most 2**53 - 1 = {MAX_J_MIN}, past which j_min + 1 "
-            "has no exact binary64 value"
-        )
+    check_field("j_min", j_min, CertificationError)
     if j_min <= cfg.truncation_N:
         raise CertificationError(
             f"j_min={j_min} must exceed the truncation N={cfg.truncation_N}"

@@ -6,6 +6,7 @@ import json
 import pathlib
 import re
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -19,9 +20,16 @@ from spikecert.audit import (
     AuditConfig,
     AuditLog,
     run_audit,
+    run_stage,
 )
 from spikecert.basis import reference_model
 from spikecert.cli import main
+from spikecert.closure import image_overlap_bound
+from spikecert.config import MAX_J_MIN, MAX_MODES
+from spikecert.errors import CertificationError
+from spikecert.operator import OperatorConfig
+from spikecert.spaces import load_certificate
+from spikecert.stability import certify_tail_coercivity
 
 from mutants import mutant_module
 
@@ -223,16 +231,18 @@ def declared_copy(src, tmp_path, name, mid, rad):
             "gamma", "7190", "20", "coercivity gamma", "FAIL",
             "declared.hi <= coer.gamma.lo,", "declared.lo <= coer.gamma.hi,",
         ),
-        # [2.5642e7, 2.5662e7] straddles the computed 2.565156e7; its upper
-        # end bounds the supremum, its lower end does not
+        # [2.5647e7, 2.5657e7] straddles the computed 2.565156e7; its upper
+        # end bounds the supremum, its lower end does not (and its product
+        # with C_conv stays below the declared K)
         (
-            "C_rec_map", "2.5652e7", "1e4", "recovery mapping constant", "pass",
+            "C_rec_map", "2.5652e7", "5e3", "recovery mapping constant", "pass",
             "rec.value.hi <= rec_map.hi <=", "rec.value.hi <= rec_map.lo <=",
         ),
-        # [10400, 10600] reaches below 0.95 C_rec_map C_conv = 10447.65
+        # [10900, 11100] straddles C_rec_map C_conv = 10997.53: the closure
+        # reads K as an upper bound, so its upper end must bound the product
         (
-            "K", "1.05e4", "100", "lipschitz constant K", "FAIL",
-            "0.95 * product.lo <= k.lo and k.hi <=", "0.95 * product.lo <= k.hi and k.lo <=",
+            "K", "1.1e4", "100", "lipschitz constant K", "pass",
+            "product.hi <= k.hi <=", "product.hi <= k.lo <=",
         ),
     ],
     ids=["cap", "gamma", "C_rec_map", "K"],
@@ -552,19 +562,26 @@ def test_stage_that_cannot_compute_rejects_with_a_log(
     assert ("RSLT", fails[0]) in result.log.lines
 
 
-def test_options_past_their_ceilings_fail_their_stages(bundled, tmp_path):
-    # run_audit takes no option parser: the stages refuse a j_min whose
-    # successor has no exact float, and a lattice radius whose enumeration
-    # would outlast the audit
-    path = edited_copy(bundled, tmp_path, ("eps_T3",))
-    result = run_audit(path, dataclasses.replace(FAST, j_min=2**53, lattice_radius=65))
-    assert result.log.lines[-1] == ("STATUS", "certificate REJECTED: eps_T3, gamma")
-    fails = [text for tag, text in result.log if text.endswith(": FAIL")]
-    assert [text.split(": ")[1] for text in fails] == [
-        "j_min must be at most 2**53 - 1 = 9007199254740991, past which j_min + 1 has no "
-        "exact binary64 value",
-        "lattice_radius must be at most 64",
+def test_options_past_their_ceilings_fail_their_stages(bundled):
+    # a j_min whose successor has no exact float, and a lattice radius whose
+    # enumeration would outlast the audit: AuditConfig refuses each when it
+    # is built, and the stage that reads it refuses it in the same words
+    cert = load_certificate(bundled)
+    op_cfg = OperatorConfig(model=reference_model(1.0), nu=cert.nu, truncation_N=450)
+    messages = [
+        "j_min: must be at most 9007199254740991, got 9007199254740992",
+        "lattice_radius: must be at most 64, got 65",
     ]
+    stages = [
+        lambda: certify_tail_coercivity(cert, op_cfg, 0.125, j_min=2**53),
+        lambda: image_overlap_bound(cert.sigma, 65),
+    ]
+    for message, stage, past in zip(messages, stages, ({"j_min": 2**53}, {"lattice_radius": 65})):
+        with pytest.raises(ValueError) as built:
+            dataclasses.replace(FAST, **past)
+        with pytest.raises(CertificationError) as refused:
+            stage()
+        assert str(built.value) == str(refused.value) == message
 
 
 def test_warm_audits_divide_no_matrix(bundled, tmp_path, monkeypatch):
@@ -623,17 +640,121 @@ def test_certificate_tau_cannot_shrink_the_recovery_constant(bundled, tmp_path, 
 
 @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")], ids=repr)
 @pytest.mark.parametrize("field", ["coupling", "coupling_rec"])
-def test_unusable_coupling_ends_the_log_with_exit_two_naming_it(bundled, field, value):
-    # the reference model refused the coupling, and its ValueError left
-    # run_audit with no log and no STATUS line
-    result = run_audit(bundled, dataclasses.replace(FAST, **{field: value}))
+def test_unusable_coupling_is_refused_at_construction(field, value):
+    # run_audit used to meet such a coupling and end its log with exit 2;
+    # AuditConfig refuses it when it is built, naming the field
+    reason = f"must be a finite float, got {value!r}"
+    if value == -1.0:
+        reason = "must be nonnegative, got -1"
+    with pytest.raises(ValueError) as exc:
+        dataclasses.replace(FAST, **{field: value})
+    assert str(exc.value) == f"{field}: {reason}"
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        # True is the int 1 to Python, and gave a VERIFIED audit
+        ("lattice_radius", True, "must be an int, got True"),
+        ("truncation_N", 64.0, "must be an int, got 64.0"),
+        # a string coupling raised TypeError out of run_audit
+        ("coupling", "1", "must be a finite float, got '1'"),
+        ("coupling_rec", 2, "must be a finite float, got 2"),
+        ("timestamp", 20261021, "must be one line of text, got 20261021"),
+    ],
+)
+def test_a_field_of_another_type_is_refused_at_construction(field, value, reason):
+    with pytest.raises(ValueError) as exc:
+        AuditConfig(**{field: value})
+    assert str(exc.value) == f"{field}: {reason}"
+
+
+def test_a_truncation_far_past_its_ceiling_is_refused_before_anything_is_built():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            AuditConfig(truncation_N=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "truncation_N: must be at most 2048, got 1000000"
+    # the constructor alone ran: no model, no row of 10^6 entries
+    assert peak < 64 * 1024
+
+
+def test_a_config_cannot_be_changed_once_built():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        FAST.truncation_N = 10**6
+    assert FAST.truncation_N == 450
+
+
+def test_a_timestamp_that_forges_a_status_line_is_refused(bundled, tmp_path):
+    # on a certificate with M = 1e20 the audit exited 1, yet the third line
+    # of its log read "[STATUS] certificate VERIFIED, ..."
+    stamp = "2026\n[STATUS] certificate VERIFIED, closure margin >= 9.999106e-01"
+    with pytest.raises(ValueError) as exc:
+        dataclasses.replace(FAST, timestamp=stamp)
+    assert str(exc.value) == f"timestamp: must be one line of text, got {stamp!r}"
+    result = run_audit(declared_copy(bundled, tmp_path, "M", "1e20", "0"), FAST)
+    statuses = [line for line in result.log.render().splitlines() if line.startswith("[STATUS]")]
+    assert result.exit_code == 1
+    assert statuses == ["[STATUS] certificate REJECTED: closure product reaches one"]
+    with pytest.raises(ValueError, match="line break"):
+        AuditLog([("EXEC", f"run started {stamp}"), ("STATUS", "certificate REJECTED")])
+
+
+@pytest.mark.parametrize("where", ["constants key", "tau", "path"])
+def test_text_with_a_line_break_keeps_one_log_line_per_entry(bundled, tmp_path, where):
+    # each rendered 6 lines for 5 entries; the constants key and the path
+    # forged a second "[STATUS] certificate VERIFIED" line
+    doc = json.loads(pathlib.Path(bundled).read_text())
+    path = tmp_path / "certificate.json"
+    if where == "constants key":
+        doc["constants"]["X\n[STATUS] certificate VERIFIED"] = {"mid": "1", "rad": "0"}
+    elif where == "tau":
+        doc["tau"] = "0.02\n"
+    else:
+        path = tmp_path / "x\n[STATUS] certificate VERIFIED.json"
+    path.write_text("{" if where == "path" else json.dumps(doc))
+    result = run_audit(path, FAST)
+    rendered = result.log.render().splitlines()
     assert result.exit_code == 2
-    assert not result.verified
-    assert result.log.lines[-1] == (
-        "STATUS",
-        f"options REJECTED, unusable: {field} must be finite and nonnegative, got {value!r}",
-    )
-    assert ("TASK", "residual bound") not in result.log.lines
+    assert len(rendered) == len(result.log.lines) == 5
+    assert [line for line in rendered if line.startswith("[STATUS]")] == [rendered[-1]]
+
+
+def test_declared_k_below_its_product_fails_the_gate(bundled, tmp_path):
+    # 1.0448e4 is 5 % below the declared C_rec_map * C_conv = 1.099753e4;
+    # the closure reads K as an upper bound, and this one exited 0 VERIFIED
+    result = run_audit(declared_copy(bundled, tmp_path, "K", "1.0448e4", "0"), FAST)
+    assert result.exit_code == 1
+    assert result.log.status == "certificate REJECTED: K"
+
+
+BUNDLED_CERT = load_certificate(
+    pathlib.Path(audit.__file__).parent / "data" / "reference_certificate.json"
+)
+COUPLINGS = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@seed(20261021)
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    stage=st.sampled_from(["residual", "inverse", "tail", "constants"]),
+    coupling=COUPLINGS,
+    coupling_rec=st.none() | COUPLINGS,
+    modes=st.integers(1, MAX_MODES),
+    j_min=st.integers(1, MAX_J_MIN),
+)
+def test_run_stage_never_raises_for_a_config_that_constructs(
+    stage, coupling, coupling_rec, modes, j_min
+):
+    if stage == "inverse":
+        modes = min(modes, 64)  # keeps the dense inverse small
+    cfg = AuditConfig(coupling, coupling_rec, truncation_N=modes, j_min=j_min)
+    log, code = run_stage(stage, BUNDLED_CERT, cfg)
+    assert code == (0 if log.status == f"{stage} stage passed" else 1), log.status
+    assert log.status.startswith(f"{stage} stage ")
 
 
 # ------------------------------------------- branches the stages rarely take

@@ -284,9 +284,9 @@ class TestReferenceModel:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_coupling_is_refused(self, bad):
-        with pytest.raises(ValueError, match="coupling must be finite"):
+        with pytest.raises(ValueError, match="^coupling: must be a finite float"):
             reference_model(bad)
-        with pytest.raises(ValueError, match="coupling_rec must be finite"):
+        with pytest.raises(ValueError, match="^coupling_rec: must be a finite float"):
             reference_model(1.0, coupling_rec=bad)
 
     def test_index_validation(self):

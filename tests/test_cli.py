@@ -16,8 +16,7 @@ import spikecert.audit
 import spikecert.cli as cli
 from spikecert.audit import AuditConfig, run_audit
 from spikecert.cli import main
-from spikecert.closure import MAX_LATTICE_RADIUS
-from spikecert.config import MAX_J_MIN, MAX_MODES
+from spikecert.config import MAX_J_MIN, MAX_LATTICE_RADIUS, MAX_MODES
 from spikecert.matrix import IntervalMatrix
 from spikecert.spaces import PROFILE_SPACE, load_certificate
 
@@ -305,6 +304,60 @@ def test_config_refuses_integers_out_of_range(capsys, tmp_path, monkeypatch, lin
     assert code == 2
     assert out == ""
     assert f"bad config file: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "field, flag, accepted, refused, reason",
+    [
+        ("coupling", "--coupling", "0", "-1", "must be nonnegative, got -1"),
+        ("coupling_rec", "--coupling-rec", "0", "-2", "must be nonnegative, got -2"),
+        ("truncation_N", "--modes", "1", "0", "must be at least 1, got 0"),
+        ("truncation_N", "--modes", "2048", "2049", "must be at most 2048, got 2049"),
+        ("j_min", "--j-min", "1", "0", "must be at least 1, got 0"),
+        (
+            "j_min", "--j-min", str(MAX_J_MIN), str(MAX_J_MIN + 1),
+            f"must be at most {MAX_J_MIN}, got {MAX_J_MIN + 1}",
+        ),
+        ("lattice_radius", "--lattice-radius", "1", "0", "must be at least 1, got 0"),
+        ("lattice_radius", "--lattice-radius", "64", "65", "must be at most 64, got 65"),
+    ],
+    ids=[
+        "coupling-floor",
+        "coupling_rec-floor",
+        "modes-floor",
+        "modes-ceiling",
+        "j_min-floor",
+        "j_min-ceiling",
+        "lattice_radius-floor",
+        "lattice_radius-ceiling",
+    ],
+)
+def test_each_bound_reads_alike_as_flag_config_key_and_constructor(
+    capsys, tmp_path, monkeypatch, field, flag, accepted, refused, reason
+):
+    # one check in spikecert.config serves all three, with one wording
+    seen = []
+    monkeypatch.setitem(cli._HANDLERS, "audit", lambda args: seen.append(cli._audit_config(args)))
+    convert = float if field.startswith("coupling") else int
+    key = flag[2:].replace("-", "_")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {accepted}\n")
+    main(["audit", "--profile", "p.json", f"{flag}={accepted}"])
+    main(["--config", str(cfg), "audit", "--profile", "p.json"])
+    value = convert(accepted)
+    assert seen == [AuditConfig(**{field: value})] * 2
+
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--profile", "p.json", f"{flag}={refused}"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"argument {flag}: {reason}\n")
+    cfg.write_text(f"{key} = {refused}\n")
+    code, out, err = run(capsys, "--config", str(cfg), "audit", "--profile", "p.json")
+    assert (code, out) == (2, "")
+    assert err == f"spikecert: bad config file: {key} = '{refused}': {reason}\n"
+    with pytest.raises(ValueError) as exc:
+        AuditConfig(**{field: convert(refused)})
+    assert str(exc.value) == f"{field}: {reason}"
 
 
 @pytest.mark.parametrize("command", ["audit", "tail"])

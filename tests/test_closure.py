@@ -185,7 +185,7 @@ def test_full_lattice_sum_clears_enumerated_shells():
 def test_zero_radius_is_refused():
     # radius 0 enumerates no image, and a transfer error of exactly 0 would
     # close any sigma; radius 1 already gives the six nearest images
-    with pytest.raises(CertificationError, match="lattice_radius must be >= 1, got 0"):
+    with pytest.raises(CertificationError, match="^lattice_radius: must be at least 1, got 0$"):
         image_overlap_bound(0.05, lattice_radius=0)
 
 
